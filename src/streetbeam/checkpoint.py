@@ -6,6 +6,7 @@ dims u32 each, then 32-bit float payload row-major. Parameters and
 normalization running statistics are stored in one flat namespace.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -37,25 +38,43 @@ def save_checkpoint(path, params, state=None):
 
 
 def load_checkpoint(path):
-    """Returns (params, state) dicts of float32 arrays."""
+    """Returns (params, state) dicts of float32 arrays.
+
+    Raises CheckpointError unless the file is a whole checkpoint: right
+    magic and version, every tensor record complete, at least one tensor.
+    The format has no tensor count, so a file cut exactly between two
+    records loads as fewer tensors; callers that know their model check
+    the names and shapes.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        tensors = {}
-        while True:
-            head = fh.read(2)
-            if not head:
-                break
-            (nlen,) = struct.unpack("<H", head)
-            name = fh.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<B", fh.read(1))
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
-            count = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(dims)
-            tensors[name] = data.astype(np.float32)
+        raw = fh.read()
+    if raw[:4] != MAGIC:
+        raise CheckpointError(f"{path}: bad magic, not a checkpoint")
+    off = 4
+
+    def take(n):
+        nonlocal off
+        if off + n > len(raw):
+            raise CheckpointError(f"{path}: truncated checkpoint")
+        off += n
+        return raw[off - n:off]
+
+    (version,) = struct.unpack("<I", take(4))
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    tensors = {}
+    while off < len(raw):
+        (nlen,) = struct.unpack("<H", take(2))
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name is not utf-8") from None
+        (rank,) = struct.unpack("<B", take(1))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+        tensors[name] = data.astype(np.float32)
+    if not tensors:
+        raise CheckpointError(f"{path}: checkpoint holds no tensors")
     params = {k: v for k, v in tensors.items() if not k.startswith("state.")}
     state = {k[len("state."):]: v for k, v in tensors.items() if k.startswith("state.")}
     return params, state

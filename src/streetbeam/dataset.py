@@ -105,17 +105,32 @@ def _read_blob(path, name, dtype, shape, expected_hash):
 
 
 def read_container(path):
-    """Returns (SampleSet, manifest). Verifies every blob hash."""
+    """Returns (SampleSet, manifest). Verifies every blob hash.
+
+    Raises ContainerError for a missing, unreadable or incomplete manifest
+    (including a missing key) and for a missing, corrupt or misshapen blob.
+    """
     mf = os.path.join(path, "manifest.json")
     if not os.path.exists(mf):
         raise ContainerError(f"missing manifest {mf}")
-    with open(mf) as fh:
-        manifest = json.load(fh)
-    if manifest.get("schema_version") != SCHEMA_VERSION:
+    with open(mf, "rb") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ContainerError(f"{mf}: manifest is not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict) or manifest.get("schema_version") != SCHEMA_VERSION:
         raise ContainerError("unsupported container schema version")
+    try:
+        return _decode(path, manifest), manifest
+    except KeyError as exc:
+        raise ContainerError(f"{mf}: manifest is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ContainerError(f"{mf}: malformed manifest ({exc})") from None
+
+
+def _decode(path, manifest):
     if manifest["catalog"] != list(CATALOG.names):
         raise ContainerError("container concept catalog does not match this build")
-
     cols = {}
     for name, (dtype, attr) in _BLOBS.items():
         cols[attr] = _read_blob(path, name, dtype, manifest["shapes"][name],
@@ -126,7 +141,7 @@ def read_container(path):
                            manifest["hashes"]["channels"])
         channels = inter[..., 0] + 1j * inter[..., 1]
 
-    samples = SampleSet(
+    return SampleSet(
         label_maps=cols["label_maps"],
         locations=cols["locations"].astype(np.float32),
         beam_labels=cols["beam_labels"],
@@ -136,4 +151,3 @@ def read_container(path):
         M_bm=int(manifest["M_bm"]),
         channels=channels,
     )
-    return samples, manifest

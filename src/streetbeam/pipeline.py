@@ -17,7 +17,7 @@ import numpy as np
 from . import featsel
 from .beams import dft_codebook, optimal_beam, topg_accuracy, trr
 from .channel import RayTraceConfig, TargetLostError, assemble_channel, trace_paths
-from .checkpoint import save_checkpoint, load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import read_container, write_container
 from .featsel import LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, canonical, sffs
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, predict,
@@ -99,7 +99,7 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
     log.info("generated %d samples (%d frames excluded)", len(rows), excluded)
 
     return SampleSet(
-        label_maps=np.stack([r["maps"] for r in rows]).astype(np.uint8),
+        label_maps=np.stack([r["maps"] for r in rows]),
         locations=np.stack([r["loc"] for r in rows]),
         beam_labels=np.array([r["beam"] for r in rows], dtype=np.uint16),
         blockage=np.array([r["blockage"] for r in rows], dtype=np.uint8),
@@ -219,6 +219,16 @@ def _arch_from_meta(m):
         bl_hidden=m["bl_hidden"], dropout=m["dropout"])
 
 
+def _load_model_checkpoint(path, model: Predictor):
+    """load_checkpoint, plus a CheckpointError unless the tensor names and
+    shapes are exactly those of ``model``."""
+    loaded = load_checkpoint(path)
+    for got, want in zip(loaded, model.init(0)):
+        if {k: v.shape for k, v in got.items()} != {k: v.shape for k, v in want.items()}:
+            raise CheckpointError(f"{path}: tensors do not match the {model.task} model")
+    return loaded
+
+
 def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
              g_list=DEFAULT_G_LIST, P_k=None, sigma2=None):
     """Evaluate a checkpointed model on the test split; write a fragment."""
@@ -229,11 +239,11 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
             raise PipelineError(f"missing artifact {p}; run train first")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    params, state = load_checkpoint(ckpt_path)
     features = canonical(meta["features"])
     arch = _arch_from_meta(meta["arch"])
     in_channels = (len(features) - 1) * dataset.n_cams
     model = Predictor(task, in_channels, meta["M_bm"], arch)
+    params, state = _load_model_checkpoint(ckpt_path, model)
 
     _, _, test_idx = split_indices(dataset.frame_ids, tuple(meta["split"]),
                                    meta["seed"])

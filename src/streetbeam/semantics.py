@@ -2,7 +2,9 @@
 
 A pinhole camera with a per-pixel depth test rasterizes the scene
 primitives (sky background, building facades, ground/road/sidewalk/
-roadline, vehicle boxes) into an H x W grid of concept indices. Concepts
+roadline, vehicle boxes) into an H x W grid of concept indices. The
+static background is computed once per camera view and cached; each map
+depth-tests all vehicle boxes against it in one vectorized pass. Concepts
 the simulator cannot produce (pedestrian, water, ...) still exist in the
 catalog so the feature-selection search can consider and reject them.
 """
@@ -65,19 +67,11 @@ class ConceptMask:
 
 _ROADLINE_HALF_WIDTH = 0.12  # meters, painted stripe half width
 
-
-def _pixel_rays(camera: CameraPose, H, W):
-    if camera.hfov <= 0:
-        raise ConfigError("degenerate camera: field of view must be positive")
-    fwd, right, up = camera.basis()
-    focal = (W / 2) / np.tan(camera.hfov / 2)
-    us = np.arange(W) - (W - 1) / 2
-    vs = (H - 1) / 2 - np.arange(H)
-    du, dv = np.meshgrid(us, vs)
-    dirs = (fwd[None, None, :] * focal
-            + right[None, None, :] * du[..., None]
-            + up[None, None, :] * dv[..., None])
-    return dirs  # (H, W, 3), unnormalized
+_BACKGROUND_FIELDS = ("street_length_m", "lane_count", "lane_width_m",
+                      "sidewalk_width_m", "building_setback_m", "building_height_m")
+_BACKGROUNDS = {}  # (camera pose, H, W, _BACKGROUND_FIELDS values) -> _background
+# box corner k takes axis a from the max corner when bit (2 - a) of k is set
+_CORNERS = np.array([[(k >> (2 - a)) & 1 for a in range(3)] for k in range(8)])
 
 
 def _ground_labels(x, y, config: SceneConfig):
@@ -98,18 +92,25 @@ def _ground_labels(x, y, config: SceneConfig):
     return lab
 
 
-def render_semantic_map(frame: Frame, camera: CameraPose, config: SceneConfig,
-                        resolution, camera_id=0) -> SemanticMap:
-    """Rasterize the frame from one camera into a label grid.
+def _background(camera: CameraPose, config: SceneConfig, H, W):
+    """The static background of one camera view: flattened read-only
+    (inverse ray directions (3, H*W), labels, depth) of sky, ground and
+    facades, followed by the camera's (forward, right, up) basis.
 
-    Deterministic per-pixel depth test over: ground composite, the two
-    facade planes, and every vehicle box. Sky is the background label.
+    The cameras never move, so it is computed once per camera pose,
+    resolution and street geometry and shared by every frame.
     """
-    H, W = resolution
-    if H < 16 or W < 16:
-        raise ConfigError("render resolution must be at least 16x16")
+    key = (tuple(camera.position), camera.yaw, camera.pitch, camera.hfov, H, W,
+           *(getattr(config, name) for name in _BACKGROUND_FIELDS))
+    if key in _BACKGROUNDS:
+        return _BACKGROUNDS[key]
     pos = np.asarray(camera.position, dtype=float)
-    dirs = _pixel_rays(camera, H, W)
+    fwd, right, up = camera.basis()
+    focal = (W / 2) / np.tan(camera.hfov / 2)
+    du, dv = np.meshgrid(np.arange(W) - (W - 1) / 2, (H - 1) / 2 - np.arange(H))
+    dirs = (fwd[None, None, :] * focal
+            + right[None, None, :] * du[..., None]
+            + up[None, None, :] * dv[..., None])  # (H, W, 3), unnormalized
 
     labels = np.full((H, W), SKY, dtype=np.uint8)
     depth = np.full((H, W), np.inf)
@@ -140,49 +141,85 @@ def render_semantic_map(frame: Frame, camera: CameraPose, config: SceneConfig,
         labels[take] = BUILDING
         depth[take] = t[take]
 
-    # vehicle boxes (axis-aligned; headings are along the lane axis).
+    with np.errstate(divide="ignore"):
+        inv = np.where(dirs != 0, 1.0 / dirs, np.inf)
+    bg = (inv.reshape(-1, 3).T.copy(), labels.reshape(-1), depth.reshape(-1), fwd, right, up)
+    for arr in bg:
+        arr.flags.writeable = False
+    if len(_BACKGROUNDS) >= 64:  # bound the cache
+        _BACKGROUNDS.clear()
+    _BACKGROUNDS[key] = bg
+    return bg
+
+
+def _vehicle_boxes(frame: Frame):
+    """(V, 2, 3) min and max corners of every vehicle box, as Vehicle.box3d."""
+    return np.array([(x0, y0, 0.0, x1, y1, v.vclass.height) for v in frame.vehicles
+                     for x0, x1, y0, y1 in (v.footprint(),)], dtype=float).reshape(-1, 2, 3)
+
+
+def _render(boxes, camera: CameraPose, config: SceneConfig, resolution, camera_id):
+    H, W = resolution
+    if H < 16 or W < 16:
+        raise ConfigError("render resolution must be at least 16x16")
+    if camera.hfov <= 0:
+        raise ConfigError("degenerate camera: field of view must be positive")
+    inv, bg_labels, bg_depth, fwd, right, up = _background(camera, config, H, W)
+    labels = bg_labels.copy()
+
     # Each box is tested only inside the pixel bounding rectangle of its
     # projected corners; with all corners in front of the camera the image
-    # of a convex box lies inside the hull of the corner images.
-    inv = np.where(dirs != 0, 1.0 / dirs, np.inf)
-    fwd, right, up = camera.basis()
+    # of a convex box lies inside the hull of the corner images. A box
+    # straddling the image plane is tested on every pixel.
+    rel = boxes - np.asarray(camera.position, dtype=float)  # (V, 2, 3)
+    corners = rel[np.arange(len(rel))[:, None], _CORNERS[:, None], np.arange(3)]  # (8, V, 3)
     focal = (W / 2) / np.tan(camera.hfov / 2)
-    for v in frame.vehicles:
-        lo, hi = v.box3d()
-        corners = np.array([[x, y, z] for x in (lo[0], hi[0])
-                            for y in (lo[1], hi[1])
-                            for z in (lo[2], hi[2])]) - pos
-        f = corners @ fwd
-        if np.all(f <= 0):
-            continue
-        if np.any(f <= 1e-9):
-            r0, r1, c0, c1 = 0, H, 0, W  # straddles the image plane
-        else:
-            cols = focal * (corners @ right) / f + (W - 1) / 2
-            rows = (H - 1) / 2 - focal * (corners @ up) / f
-            c0 = max(int(np.floor(cols.min())), 0)
-            c1 = min(int(np.ceil(cols.max())) + 1, W)
-            r0 = max(int(np.floor(rows.min())), 0)
-            r1 = min(int(np.ceil(rows.max())) + 1, H)
-            if r0 >= r1 or c0 >= c1:
-                continue
-        sub = np.s_[r0:r1, c0:c1]
-        t1 = (lo[None, None, :] - pos) * inv[sub]
-        t2 = (hi[None, None, :] - pos) * inv[sub]
-        tnear = np.minimum(t1, t2).max(axis=-1)
-        tfar = np.maximum(t1, t2).min(axis=-1)
-        hit = (tnear <= tfar) & (tfar > 0)
-        t = np.where(tnear > 0, tnear, tfar)
-        take = hit & (t < depth[sub])
-        labels[sub][take] = VEHICLE
-        depth[sub][take] = t[take]
+    f = corners @ fwd
+    straddle = (f <= 1e-9).any(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cols = focal * (corners @ right) / f + (W - 1) / 2
+        rows = (H - 1) / 2 - focal * (corners @ up) / f
+    rc, size = np.stack([rows, cols]), np.array([[H], [W]])  # (2, 8, V)
+    start = np.where(straddle, 0, np.maximum(np.floor(rc.min(axis=1)), 0))
+    stop = np.where(straddle, size, np.minimum(np.ceil(rc.max(axis=1)) + 1, size))
+    keep = np.flatnonzero((f > 0).any(axis=0) & (start < stop).all(axis=0))
+    (r0, c0), (nr, nc) = start[:, keep].astype(np.intp), (stop - start)[:, keep].astype(np.intp)
+    n = nr * nc
 
-    return SemanticMap(camera_id=camera_id, labels=labels)
+    # every (pixel, vehicle) pair of the rectangles, then one slab test
+    # with the three axes as rows: (3, pairs)
+    veh = np.repeat(keep, n)
+    local = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    row, col = np.divmod(local, np.repeat(nc, n))
+    pix = np.repeat(r0 * W + c0, n) + row * W + col
+    ip = inv.take(pix, axis=1)
+    lo, hi = rel.transpose(1, 2, 0)
+    t1 = lo.take(veh, axis=1) * ip
+    t2 = hi.take(veh, axis=1) * ip
+    tnear = np.minimum(t1, t2).max(axis=0)
+    tfar = np.maximum(t1, t2).min(axis=0)
+    t = np.where(tnear > 0, tnear, tfar)
+    # an in-order z-buffer only lowers depth, so a pixel ends as a vehicle
+    # exactly when some box hits it nearer than the background
+    hit = (tnear <= tfar) & (tfar > 0) & (t < bg_depth[pix])
+    labels[pix[hit]] = VEHICLE
+    return SemanticMap(camera_id=camera_id, labels=labels.reshape(H, W))
+
+
+def render_semantic_map(frame: Frame, camera: CameraPose, config: SceneConfig,
+                        resolution, camera_id=0) -> SemanticMap:
+    """Rasterize the frame from one camera into a label grid.
+
+    Deterministic per-pixel depth test over: ground composite, the two
+    facade planes, and every vehicle box. Sky is the background label.
+    """
+    return _render(_vehicle_boxes(frame), camera, config, resolution, camera_id)
 
 
 def render_frame(frame: Frame, config: SceneConfig, resolution):
     """All per-camera maps of a frame, in camera order."""
-    return [render_semantic_map(frame, cam, config, resolution, camera_id=i)
+    boxes = _vehicle_boxes(frame)
+    return [_render(boxes, cam, config, resolution, i)
             for i, cam in enumerate(config.camera_poses)]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from streetbeam.checkpoint import (MAGIC, VERSION, CheckpointError,
                                    load_checkpoint, save_checkpoint)
+from streetbeam.pipeline import _load_model_checkpoint
 from streetbeam.predictor import TINY_ARCH, Predictor
 from streetbeam.rng import stream
 
@@ -63,3 +64,42 @@ def test_bad_magic_and_version(tmp_path):
     path2.write_bytes(MAGIC + struct.pack("<I", 99))
     with pytest.raises(CheckpointError):
         load_checkpoint(path2)
+
+
+def test_truncated_checkpoint_fails_closed(tmp_path):
+    model = Predictor("beam", in_channels=2, M_bm=4, arch=TINY_ARCH)
+    full = tmp_path / "model.esnn"
+    save_checkpoint(full, *model.init(3))
+    raw = full.read_bytes()
+    assert _load_model_checkpoint(full, model)
+    cut = tmp_path / "cut.esnn"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(CheckpointError):
+            _load_model_checkpoint(cut, model)
+
+
+def test_checkpoint_decode_errors(tmp_path):
+    path = tmp_path / "m.esnn"
+    save_checkpoint(path, {"a": np.ones(3, dtype=np.float32), "b": np.zeros((2, 2), dtype=np.float32)})
+    raw = path.read_bytes()
+    # header only: no tensors
+    path.write_bytes(raw[:8])
+    with pytest.raises(CheckpointError, match="no tensors"):
+        load_checkpoint(path)
+    # cut between the two records: the format cannot tell, one tensor loads
+    first_record = 2 + 1 + 1 + 4 + 3 * 4
+    path.write_bytes(raw[:8 + first_record])
+    assert set(load_checkpoint(path)[0]) == {"a"}
+    # a name that is not utf-8
+    bad = bytearray(raw)
+    bad[10] = 0xFF
+    path.write_bytes(bytes(bad))
+    with pytest.raises(CheckpointError, match="utf-8"):
+        load_checkpoint(path)
+    # a dimension far beyond the file size
+    huge = bytearray(raw)
+    huge[12:16] = struct.pack("<I", 2**31)
+    path.write_bytes(bytes(huge))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)

@@ -112,3 +112,25 @@ def test_cli_determinism(tmp_path):
     ma = (tmp_path / "a" / "dataset" / "manifest.json").read_bytes()
     mb = (tmp_path / "b" / "dataset" / "manifest.json").read_bytes()
     assert ma == mb
+
+
+def test_corrupt_artifacts_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, frames=30)
+    out = str(tmp_path / "run")
+    dataset = str(tmp_path / "run" / "dataset")
+    assert main(["generate", "--config", str(cfg), "--out", out]) == 0
+    assert main(["train", "--config", str(cfg), "--dataset", dataset, "--task", "beam",
+                 "--epochs", "1", "--out", out, "--features", "location,vehicle"]) == 0
+    ckpt = tmp_path / "run" / "beam.esnn"
+    raw = ckpt.read_bytes()
+    # header only, inside the first record, inside the last record
+    for n in (6, 8, 20, len(raw) - 3):
+        ckpt.write_bytes(raw[:n])
+        assert main(["eval", "--dataset", dataset, "--task", "beam", "--out", out]) == 2
+    ckpt.write_bytes(raw)
+    manifest = tmp_path / "run" / "dataset" / "manifest.json"
+    mf = json.loads(manifest.read_text())
+    del mf["M_bm"]
+    manifest.write_text(json.dumps(mf))
+    assert main(["eval", "--dataset", dataset, "--task", "beam", "--out", out]) == 2
+    assert "M_bm" in capsys.readouterr().err

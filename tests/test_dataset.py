@@ -87,3 +87,29 @@ def test_write_is_deterministic(tmp_path):
     write_container(tmp_path / "b", samples, scene, rt, (16, 32))
     for name in ("manifest.json", "labels.bin", "channels.bin"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("key", ["catalog", "shapes", "hashes", "horizons", "M_bm"])
+def test_missing_manifest_key_is_container_error(tmp_path, key):
+    path = tmp_path / "d"
+    write_container(path, small_sampleset(), SceneConfig(), RayTraceConfig(N_t=8, K=4), (16, 32))
+    mf = json.loads((path / "manifest.json").read_text())
+    del mf[key]
+    (path / "manifest.json").write_text(json.dumps(mf))
+    with pytest.raises(ContainerError, match=key):
+        read_container(path)
+
+
+def test_malformed_manifest_is_container_error(tmp_path):
+    path = tmp_path / "d"
+    write_container(path, small_sampleset(), SceneConfig(), RayTraceConfig(N_t=8, K=4), (16, 32))
+    good = json.loads((path / "manifest.json").read_text())
+    variants = ["{not json", "[1, 2]", "\xff"]
+    del good["shapes"]["labels"]
+    variants.append(json.dumps(good))
+    good["shapes"] = [1, 2]
+    variants.append(json.dumps(good))
+    for text in variants:
+        (path / "manifest.json").write_text(text, encoding="latin-1")
+        with pytest.raises(ContainerError):
+            read_container(path)
