@@ -4,26 +4,25 @@ prediction with floating feature selection."""
 from .beams import (BeamEvaluation, Codebook, dft_codebook, optimal_beam,
                     rate, topg_accuracy, trr)
 from .channel import (ChannelMatrix, PathComponent, RayTraceConfig,
-                      TargetLostError, assemble_channel, blockage_label,
-                      received_signal, steering_vector, trace_paths)
+                      TargetLostError, assemble_channel, steering_vector,
+                      trace_paths)
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import ContainerError, read_container, write_container
 from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator,
                       EvaluatorError, FsState, brute_force_best, canonical,
                       sffs)
 from .pipeline import (DEFAULT_G_LIST, DEFAULT_HORIZONS, PipelineError,
-                       cmd_eval, cmd_generate, cmd_report, cmd_select,
-                       cmd_train, generate_dataset)
-from .predictor import (ArchConfig, Predictor, SampleRecord, SampleSet,
-                        TrainConfig, TrainResult, accuracy, beam_loss,
-                        blockage_loss, build_input, forward_beam,
-                        forward_blockage, gradient_check, mask_channels,
-                        predict, split_indices, train)
+                       blockage_labels, cmd_eval, cmd_generate, cmd_report,
+                       cmd_select, cmd_train, generate_dataset)
+from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig,
+                        TrainResult, accuracy, beam_loss, blockage_loss,
+                        gradient_check, mask_channels, predict,
+                        split_indices, train)
 from .rng import derive_seed, stream
 from .scene import (CameraPose, ConfigError, Frame, SceneConfig, Vehicle,
                     VehicleClass, advance_frame, generate_scenario)
-from .semantics import (CATALOG, CONCEPT_NAMES, ConceptCatalog, ConceptMask,
-                        SemanticMap, corrupt_map, extract_mask,
-                        pixel_accuracy, render_frame, render_semantic_map)
+from .semantics import (CATALOG, CONCEPT_NAMES, ConceptCatalog, SemanticMap,
+                        corrupt_map, extract_mask, pixel_accuracy,
+                        render_frame, render_semantic_map)
 
 __version__ = "0.1.0"

@@ -12,12 +12,12 @@ w = 2 pi d f / c.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import speed_of_light as C_LIGHT
 
-from .scene import Frame, SceneConfig
+from .scene import Frame, SceneConfig, from_plain, to_plain
 
 
 class TargetLostError(RuntimeError):
@@ -56,21 +56,11 @@ class RayTraceConfig:
         return self.f_c + (np.asarray(k) - self.K / 2) * self.subcarrier_spacing
 
     def to_dict(self):
-        return {
-            "f_c": self.f_c, "K": self.K, "subcarrier_spacing": self.subcarrier_spacing,
-            "N_t": self.N_t, "d": self.d, "max_paths": self.max_paths,
-            "reflection_coeff": [self.reflection_coeff.real, self.reflection_coeff.imag],
-            "sigma2": self.sigma2, "P_k": self.P_k,
-            "bs_antenna_height": self.bs_antenna_height,
-        }
+        return to_plain(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        if "reflection_coeff" in d and not np.isscalar(d["reflection_coeff"]):
-            re, im = d["reflection_coeff"]
-            d["reflection_coeff"] = complex(re, im)
-        return cls(**d)
+        return from_plain(cls, d)
 
 
 @dataclass(frozen=True)
@@ -229,31 +219,3 @@ def assemble_channel(paths, config: RayTraceConfig) -> ChannelMatrix:
                           * np.sin(p.theta_el) * np.cos(p.theta_az))       # (K, N_t)
         h += gain[:, None] * manifold
     return ChannelMatrix(entries=h, config=config)
-
-
-def received_signal(h_k, w, s, noise):
-    """r = h^T w s + noise for one subcarrier."""
-    h_k = np.asarray(h_k)
-    w = np.asarray(w)
-    if h_k.shape != w.shape:
-        raise ValueError("channel and beam dimensions differ")
-    return h_k @ w * s + noise
-
-
-def blockage_label(frames, t0: int, horizon: int, scene: SceneConfig,
-                   config: RayTraceConfig) -> int:
-    """1 iff no direct path exists at slot t0 + horizon (future blockage).
-
-    Raises TargetLostError when the target user of frame t0 is not present
-    over the whole window, so the caller can exclude the sample explicitly.
-    """
-    if not 0 <= t0 + horizon < len(frames):
-        raise IndexError("t0 + horizon outside the frame range")
-    target = frames[t0].target_user_id
-    if target is None:
-        raise TargetLostError(f"no target user at slot {t0}")
-    for t in range(t0, t0 + horizon + 1):
-        if frames[t].target_user_id != target:
-            raise TargetLostError(f"target {target} lost at slot {t}")
-    paths = trace_paths(frames[t0 + horizon], scene, config)
-    return 0 if any(p.is_los for p in paths) else 1

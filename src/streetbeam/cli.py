@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass, field, replace
 
 from . import pipeline
 from .channel import RayTraceConfig
@@ -24,7 +25,7 @@ from .dataset import ContainerError, read_container
 from .featsel import LOCATION, UNIVERSAL_FEATURES, canonical
 from .pipeline import DEFAULT_G_LIST, DEFAULT_HORIZONS, PipelineError
 from .predictor import ArchConfig, TrainConfig
-from .scene import ConfigError, SceneConfig
+from .scene import ConfigError, SceneConfig, from_plain
 
 log = logging.getLogger(__name__)
 
@@ -34,34 +35,20 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _load_config(path):
+@dataclass(frozen=True)
+class RunConfig:
     """Full run config: scene, ray tracing, rendering and architecture."""
-    raw = _load_json(path) if path else {}
-    scene = SceneConfig.from_dict(raw.get("scene", {}))
-    rt = RayTraceConfig.from_dict(raw.get("raytrace", {}))
-    resolution = tuple(raw.get("resolution", (160, 320)))
-    horizons = tuple(raw.get("horizons", DEFAULT_HORIZONS))
-    M_bm = raw.get("M_bm")
-    store_channels = bool(raw.get("store_channels", True))
-    arch = None
-    if "arch" in raw:
-        a = dict(raw["arch"])
-        for key in ("input_hw", "aux_widths", "beam_res", "beam_conv",
-                    "bl_res", "bl_conv"):
-            if key in a:
-                a[key] = tuple(tuple(x) if isinstance(x, list) else x
-                               for x in a[key]) if key != "input_hw" \
-                    else tuple(a[key])
-        arch = ArchConfig(**a)
-    return {"scene": scene, "raytrace": rt, "resolution": resolution,
-            "horizons": horizons, "M_bm": M_bm,
-            "store_channels": store_channels, "arch": arch}
+    scene: SceneConfig = field(default_factory=SceneConfig)
+    raytrace: RayTraceConfig = field(default_factory=RayTraceConfig)
+    resolution: tuple = (160, 320)
+    horizons: tuple = DEFAULT_HORIZONS
+    M_bm: int | None = None
+    store_channels: bool = True
+    arch: ArchConfig | None = None  # None: pipeline.default_arch
 
 
-def _arch_for(cfg, dataset):
-    if cfg["arch"] is not None:
-        return cfg["arch"]
-    return ArchConfig(input_hw=tuple(dataset.map_hw))
+def _load_config(path):
+    return from_plain(RunConfig, _load_json(path) if path else {})
 
 
 def _parse_g_list(text):
@@ -91,13 +78,13 @@ def _features_for(args, out_dir):
 
 def _cmd_generate(args):
     cfg = _load_config(args.config)
-    scene = cfg["scene"]
+    scene = cfg.scene
     if args.seed is not None:
-        scene = SceneConfig.from_dict({**scene.to_dict(), "seed": args.seed})
+        scene = replace(scene, seed=args.seed)
     out = os.path.join(args.out, "dataset")
     samples, manifest = pipeline.cmd_generate(
-        scene, cfg["raytrace"], out, cfg["resolution"], cfg["horizons"],
-        cfg["M_bm"], cfg["store_channels"])
+        scene, cfg.raytrace, out, cfg.resolution, cfg.horizons, cfg.M_bm,
+        cfg.store_channels)
     print(f"wrote {manifest['sample_count']} samples to {out}")
 
 
@@ -109,7 +96,7 @@ def _cmd_select(args):
         dataset, args.task, args.out, horizon=args.horizon,
         epochs=args.epochs if args.epochs is not None else 5,
         seed=args.seed, v_max=args.vmax, pinned=pinned,
-        arch=_arch_for(cfg, dataset))
+        arch=cfg.arch)
     print(f"selected features for {args.task}: {', '.join(selected)}")
 
 
@@ -119,7 +106,7 @@ def _cmd_train(args):
     feats = _features_for(args, args.out)
     tc = TrainConfig(seed=args.seed,
                      epochs=args.epochs if args.epochs is not None else 30,
-                     arch=_arch_for(cfg, dataset))
+                     arch=pipeline.default_arch(dataset, cfg.arch))
     _, meta = pipeline.cmd_train(dataset, feats, args.task, tc, args.out,
                                  horizon=args.horizon)
     print(f"trained {args.task}: validation accuracy {meta['val_accuracy']:.4f}")
@@ -127,10 +114,12 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     dataset, manifest = read_container(args.dataset)
-    rt = manifest["raytrace_config"]
+    try:
+        P_k, sigma2 = (manifest["raytrace_config"][k] for k in ("P_k", "sigma2"))
+    except KeyError as exc:
+        raise ContainerError(f"{args.dataset}: manifest is missing key {exc}") from None
     frag = pipeline.cmd_eval(dataset, args.out, args.task, horizon=args.horizon,
-                             g_list=_parse_g_list(args.g_list),
-                             P_k=rt["P_k"], sigma2=rt["sigma2"])
+                             g_list=_parse_g_list(args.g_list), P_k=P_k, sigma2=sigma2)
     print(json.dumps(frag, indent=1, sort_keys=True))
 
 

@@ -45,16 +45,11 @@ def _sha256(data: bytes) -> str:
 
 
 def write_container(path, samples: SampleSet, scene_cfg: SceneConfig,
-                    rt_cfg: RayTraceConfig, resolution, store_channels=True):
+                    rt_cfg: RayTraceConfig, resolution):
     os.makedirs(path, exist_ok=True)
-    arrays = {
-        "labels": np.ascontiguousarray(samples.label_maps, dtype="<u1"),
-        "locations": np.ascontiguousarray(samples.locations, dtype="<f4"),
-        "beam_labels": np.ascontiguousarray(samples.beam_labels, dtype="<u2"),
-        "blockage": np.ascontiguousarray(samples.blockage, dtype="<u1"),
-        "frame_ids": np.ascontiguousarray(samples.frame_ids, dtype="<u4"),
-    }
-    if store_channels and samples.channels is not None:
+    arrays = {name: np.ascontiguousarray(getattr(samples, attr), dtype=dtype)
+              for name, (dtype, attr) in _BLOBS.items()}
+    if samples.channels is not None:
         ch = np.ascontiguousarray(samples.channels)
         inter = np.empty(ch.shape + (2,), dtype="<f4")
         inter[..., 0] = ch.real

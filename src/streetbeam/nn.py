@@ -4,6 +4,14 @@ Parameters and running statistics live in flat dicts keyed by dot-joined
 paths ("sem.0.W"), which keeps checkpointing and finite-difference
 gradient checking trivial. All layers are dtype-preserving so the same
 graph can run in float32 for training and float64 for gradient checks.
+
+Modules made of other modules (``Sequential``, ``ResidualBlock`` and the
+predictor's network) derive from ``Composite``: each child has a name, and
+its tensors live under "<name>." in the parent's dicts. ``Composite.init``
+initializes the children in order, ``run`` calls a child's forward on its
+slice of the dicts and ``grad`` a child's backward, prefixing its
+gradients. Subclasses keep their own ``forward``/``backward`` that wire
+the children together. Layers without tensors derive from ``Layer``.
 """
 
 import numpy as np
@@ -26,6 +34,13 @@ def fan_in_uniform(rng, shape, fan_in, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+class Layer:
+    """A module without parameters or state."""
+
+    def init(self, rng, dtype):
+        return {}, {}
+
+
 class Dense:
     def __init__(self, n_in, n_out):
         self.n_in, self.n_out = n_in, n_out
@@ -44,10 +59,7 @@ class Dense:
         return dy @ p["W"], {"W": dy.T @ x, "b": dy.sum(axis=0)}
 
 
-class ReLU:
-    def init(self, rng, dtype):
-        return {}, {}
-
+class ReLU(Layer):
     def forward(self, x, p, s, training, rng):
         y = np.maximum(x, 0)
         return y, (x > 0)
@@ -162,18 +174,13 @@ class Conv2d:
         return dx, {"W": dW, "b": db}
 
 
-class AvgPool:
+class AvgPool(Layer):
     """Average pooling; padded positions count in the divisor (k*k)."""
 
     def __init__(self, kernel=3, stride=2, pad=1):
         self.k, self.stride, self.pad = kernel, stride, pad
 
-    def init(self, rng, dtype):
-        return {}, {}
-
-    def out_hw(self, h, w):
-        return ((h + 2 * self.pad - self.k) // self.stride + 1,
-                (w + 2 * self.pad - self.k) // self.stride + 1)
+    out_hw = Conv2d.out_hw
 
     def forward(self, x, p, s, training, rng):
         n, c, h, w = x.shape
@@ -194,12 +201,9 @@ class AvgPool:
         return dxp[:, :, self.pad:self.pad + h, self.pad:self.pad + w], {}
 
 
-class Dropout:
+class Dropout(Layer):
     def __init__(self, rate):
         self.rate = rate
-
-    def init(self, rng, dtype):
-        return {}, {}
 
     def forward(self, x, p, s, training, rng):
         if not training or self.rate == 0:
@@ -215,10 +219,7 @@ class Dropout:
         return dy * cache, {}
 
 
-class Flatten:
-    def init(self, rng, dtype):
-        return {}, {}
-
+class Flatten(Layer):
     def forward(self, x, p, s, training, rng):
         return x.reshape(x.shape[0], -1), x.shape
 
@@ -226,74 +227,77 @@ class Flatten:
         return dy.reshape(cache), {}
 
 
-class Sequential:
-    def __init__(self, layers):
-        self.layers = list(layers)
+class Composite:
+    """A module built from named children, ``self.children`` (name ->
+    module, in initialization order)."""
 
     def init(self, rng, dtype):
         params, state = {}, {}
-        for i, layer in enumerate(self.layers):
-            p, s = layer.init(rng, dtype)
-            params.update(_ns(p, str(i)))
-            state.update(_ns(s, str(i)))
+        for name, child in self.children.items():
+            p, s = child.init(rng, dtype)
+            params.update(_ns(p, name))
+            state.update(_ns(s, name))
         return params, state
+
+    def run(self, name, x, params, state, training, rng):
+        """Forward of child ``name``; returns (output, cache)."""
+        return self.children[name].forward(x, _sub(params, name), _sub(state, name),
+                                           training, rng)
+
+    def grad(self, name, dy, cache, params, grads):
+        """Backward of child ``name``: adds its gradients to ``grads``
+        under its prefix and returns the input gradient."""
+        dx, g = self.children[name].backward(dy, cache, _sub(params, name))
+        grads.update(_ns(g, name))
+        return dx
+
+
+class Sequential(Composite):
+    def __init__(self, layers):
+        self.children = {str(i): layer for i, layer in enumerate(layers)}
 
     def forward(self, x, params, state, training, rng):
         caches = []
-        for i, layer in enumerate(self.layers):
-            x, c = layer.forward(x, _sub(params, str(i)), _sub(state, str(i)), training, rng)
+        for name in self.children:
+            x, c = self.run(name, x, params, state, training, rng)
             caches.append(c)
         return x, caches
 
     def backward(self, dy, caches, params):
         grads = {}
-        for i in reversed(range(len(self.layers))):
-            dy, g = self.layers[i].backward(dy, caches[i], _sub(params, str(i)))
-            grads.update(_ns(g, str(i)))
+        for name, cache in reversed(list(zip(self.children, caches))):
+            dy = self.grad(name, dy, cache, params, grads)
         return dy, grads
 
 
-class ResidualBlock:
+class ResidualBlock(Composite):
     """conv-bn-relu-conv-bn plus a shortcut, then relu.
 
     The shortcut is the identity when shapes match, else a strided 1x1
-    projection convolution.
+    projection convolution (child "proj").
     """
 
     def __init__(self, c_in, c_out, stride=1):
-        self.conv1 = Conv2d(c_in, c_out, 3, stride, 1)
-        self.bn1 = BatchNorm(c_out)
-        self.conv2 = Conv2d(c_out, c_out, 3, 1, 1)
-        self.bn2 = BatchNorm(c_out)
-        self.proj = Conv2d(c_in, c_out, 1, stride, 0) if (stride != 1 or c_in != c_out) else None
-        self._children = {"conv1": self.conv1, "bn1": self.bn1,
-                          "conv2": self.conv2, "bn2": self.bn2}
-        if self.proj is not None:
-            self._children["proj"] = self.proj
-
-    def init(self, rng, dtype):
-        params, state = {}, {}
-        for name, layer in self._children.items():
-            p, s = layer.init(rng, dtype)
-            params.update(_ns(p, name))
-            state.update(_ns(s, name))
-        return params, state
+        self.children = {"conv1": Conv2d(c_in, c_out, 3, stride, 1), "bn1": BatchNorm(c_out),
+                         "conv2": Conv2d(c_out, c_out, 3, 1, 1), "bn2": BatchNorm(c_out)}
+        if stride != 1 or c_in != c_out:
+            self.children["proj"] = Conv2d(c_in, c_out, 1, stride, 0)
 
     def out_hw(self, h, w):
-        return self.conv1.out_hw(h, w)
+        return self.children["conv1"].out_hw(h, w)
 
     def forward(self, x, params, state, training, rng):
-        def run(name, layer, inp):
-            return layer.forward(inp, _sub(params, name), _sub(state, name), training, rng)
+        def run(name, inp):
+            return self.run(name, inp, params, state, training, rng)
 
-        y1, c1 = run("conv1", self.conv1, x)
-        y2, c2 = run("bn1", self.bn1, y1)
+        y1, c1 = run("conv1", x)
+        y2, c2 = run("bn1", y1)
         relu1_mask = y2 > 0
         y3 = np.maximum(y2, 0)
-        y4, c4 = run("conv2", self.conv2, y3)
-        y5, c5 = run("bn2", self.bn2, y4)
-        if self.proj is not None:
-            sc, cp = run("proj", self.proj, x)
+        y4, c4 = run("conv2", y3)
+        y5, c5 = run("bn2", y4)
+        if "proj" in self.children:
+            sc, cp = run("proj", x)
         else:
             sc, cp = x, None
         pre = y5 + sc
@@ -304,22 +308,13 @@ class ResidualBlock:
         c1, c2, relu1_mask, c4, c5, cp, out_mask = cache
         grads = {}
         dpre = dy * out_mask
-        d5, g5 = self.bn2.backward(dpre, c5, _sub(params, "bn2"))
-        grads.update(_ns(g5, "bn2"))
-        d4, g4 = self.conv2.backward(d5, c4, _sub(params, "conv2"))
-        grads.update(_ns(g4, "conv2"))
-        d3 = d4 * relu1_mask
-        d2, g2 = self.bn1.backward(d3, c2, _sub(params, "bn1"))
-        grads.update(_ns(g2, "bn1"))
-        dx, g1 = self.conv1.backward(d2, c1, _sub(params, "conv1"))
-        grads.update(_ns(g1, "conv1"))
-        if self.proj is not None:
-            dsc, gp = self.proj.backward(dpre, cp, _sub(params, "proj"))
-            grads.update(_ns(gp, "proj"))
-            dx = dx + dsc
-        else:
-            dx = dx + dpre
-        return dx, grads
+        d5 = self.grad("bn2", dpre, c5, params, grads)
+        d3 = self.grad("conv2", d5, c4, params, grads) * relu1_mask
+        d2 = self.grad("bn1", d3, c2, params, grads)
+        dx = self.grad("conv1", d2, c1, params, grads)
+        if "proj" in self.children:
+            return dx + self.grad("proj", dpre, cp, params, grads), grads
+        return dx + dpre, grads
 
 
 class Adam:

@@ -23,7 +23,7 @@ from .featsel import LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, canonical, s
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, predict,
                         sigmoid, split_indices, train)
 from .rng import derive_seed
-from .scene import SceneConfig, generate_scenario
+from .scene import SceneConfig, from_plain, generate_scenario, to_plain
 from .semantics import render_frame
 
 log = logging.getLogger(__name__)
@@ -38,6 +38,28 @@ class PipelineError(ValueError):
 
 # ---------------------------------------------------------------------------
 # generation
+
+def blockage_labels(targets, los, t0, horizons):
+    """Future-blockage flags of the sample at slot t0, one per horizon h:
+    1 iff the target user has no direct path at slot t0 + h.
+
+    ``targets[t]`` is the target user id of slot t (None if there is none)
+    and ``los[t]`` whether that user has a direct path. Raises IndexError
+    when the longest horizon runs past the last slot, and TargetLostError
+    unless the target of slot t0 persists through the whole window, so the
+    caller can exclude the sample explicitly.
+    """
+    max_h = max(horizons, default=0)
+    if not 0 <= t0 + max_h < len(targets):
+        raise IndexError("t0 + horizon outside the frame range")
+    target = targets[t0]
+    if target is None:
+        raise TargetLostError(f"no target user at slot {t0}")
+    for t in range(t0, t0 + max_h + 1):
+        if targets[t] != target:
+            raise TargetLostError(f"target {target} lost at slot {t}")
+    return [0 if los[t0 + h] else 1 for h in horizons]
+
 
 def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
                      resolution=(160, 320), horizons=DEFAULT_HORIZONS,
@@ -56,42 +78,34 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
     codebook = dft_codebook(rt_cfg.N_t, M_bm)
 
     # per-frame artifacts, computed once
-    per_frame = []
-    for frame in frames:
-        if frame.target_user_id is None:
-            per_frame.append(None)
+    n = len(frames)
+    targets = [frame.target_user_id for frame in frames]
+    los, channels, beams = [False] * n, [None] * n, [None] * n
+    for t, frame in enumerate(frames):
+        if targets[t] is None:
             continue
         paths = trace_paths(frame, scene_cfg, rt_cfg)
         ch = assemble_channel(paths, rt_cfg)
-        ev = optimal_beam(ch, codebook, rt_cfg.P_k, rt_cfg.sigma2)
-        per_frame.append({
-            "target": frame.target_user_id,
-            "los": any(p.is_los for p in paths),
-            "channel": ch.entries,
-            "beam": ev.optimal_index,
-        })
+        los[t] = any(p.is_los for p in paths)
+        channels[t] = ch.entries
+        beams[t] = optimal_beam(ch, codebook, rt_cfg.P_k, rt_cfg.sigma2).optimal_index
 
     rows = []
     excluded = 0
     for t0 in range(len(frames) - max_h):
-        art = per_frame[t0]
-        if art is None:
+        try:
+            blockage = blockage_labels(targets, los, t0, horizons)
+        except TargetLostError:
             excluded += 1
             continue
-        target = art["target"]
-        window = per_frame[t0:t0 + max_h + 1]
-        if any(w is None or w["target"] != target for w in window):
-            excluded += 1
-            continue
-        blockage = [0 if per_frame[t0 + h]["los"] else 1 for h in horizons]
         maps = render_frame(frames[t0], scene_cfg, resolution)
         rows.append({
             "maps": np.stack([m.labels for m in maps]),
             "loc": np.asarray(frames[t0].user_antenna_pos, dtype=np.float32),
-            "beam": art["beam"],
+            "beam": beams[t0],
             "blockage": blockage,
             "frame_id": t0,
-            "channel": art["channel"],
+            "channel": channels[t0],
         })
     if not rows:
         raise PipelineError("zero usable samples (no frame keeps its target "
@@ -114,8 +128,7 @@ def cmd_generate(scene_cfg, rt_cfg, out_path, resolution=(160, 320),
                  horizons=DEFAULT_HORIZONS, M_bm=None, store_channels=True):
     samples = generate_dataset(scene_cfg, rt_cfg, resolution, horizons, M_bm,
                                store_channels)
-    manifest = write_container(out_path, samples, scene_cfg, rt_cfg, resolution,
-                               store_channels)
+    manifest = write_container(out_path, samples, scene_cfg, rt_cfg, resolution)
     return samples, manifest
 
 
@@ -139,14 +152,18 @@ def training_evaluator(dataset: SampleSet, task, horizon, epochs, seed,
     return CachedEvaluator(fn)
 
 
+def default_arch(dataset: SampleSet, arch=None):
+    """``arch`` if given, else the default architecture at the dataset's map size."""
+    return arch if arch is not None else ArchConfig(input_hw=tuple(dataset.map_hw))
+
+
 def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=5,
                seed=0, v_max=None, pinned=(LOCATION,), arch=None,
                batch_size=128, learning_rate=1e-3):
     """Run the floating search with the training-based evaluator."""
     if epochs < 1:
         raise PipelineError("selection budget must allow at least one epoch")
-    if arch is None:
-        arch = ArchConfig(input_hw=dataset.map_hw)
+    arch = default_arch(dataset, arch)
     evaluator = training_evaluator(dataset, task, horizon, epochs, seed, arch,
                                    batch_size, learning_rate)
     selected, state = sffs(UNIVERSAL_FEATURES, evaluator, pinned=pinned,
@@ -164,12 +181,9 @@ def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=5,
 # ---------------------------------------------------------------------------
 # final training and evaluation
 
-def _ckpt_name(task, horizon):
-    return f"{task}.esnn" if task == "beam" else f"{task}_h{horizon}.esnn"
-
-
-def _meta_name(task, horizon):
-    return f"{task}.meta.json" if task == "beam" else f"{task}_h{horizon}.meta.json"
+def _stem(task, horizon):
+    """Artifact name stem of a task: "beam", "blockage_h<horizon>"."""
+    return task if task == "beam" else f"{task}_h{horizon}"
 
 
 def cmd_train(dataset: SampleSet, features, task, cfg: TrainConfig, out_dir,
@@ -177,7 +191,7 @@ def cmd_train(dataset: SampleSet, features, task, cfg: TrainConfig, out_dir,
     """Train on the train split and checkpoint the parameters."""
     res = train(dataset, features, task, cfg, horizon=horizon)
     os.makedirs(out_dir, exist_ok=True)
-    save_checkpoint(os.path.join(out_dir, _ckpt_name(task, horizon)),
+    save_checkpoint(os.path.join(out_dir, _stem(task, horizon) + ".esnn"),
                     res.params, res.state)
     meta = {
         "task": task,
@@ -188,35 +202,14 @@ def cmd_train(dataset: SampleSet, features, task, cfg: TrainConfig, out_dir,
         "batch_size": cfg.batch_size,
         "learning_rate": cfg.learning_rate,
         "split": list(cfg.split),
-        "arch": {
-            "input_hw": list(cfg.arch.input_hw),
-            "aux_widths": list(cfg.arch.aux_widths),
-            "beam_conv": [list(x) for x in cfg.arch.beam_conv],
-            "beam_res": [list(x) for x in cfg.arch.beam_res],
-            "beam_hidden": cfg.arch.beam_hidden,
-            "bl_conv": [list(x) for x in cfg.arch.bl_conv],
-            "bl_res": [list(x) for x in cfg.arch.bl_res],
-            "bl_hidden": cfg.arch.bl_hidden,
-            "dropout": cfg.arch.dropout,
-        },
+        "arch": to_plain(cfg.arch),
         "M_bm": dataset.M_bm,
         "val_accuracy": res.val_accuracy,
     }
-    with open(os.path.join(out_dir, _meta_name(task, horizon)), "w") as fh:
+    with open(os.path.join(out_dir, _stem(task, horizon) + ".meta.json"), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return res, meta
-
-
-def _arch_from_meta(m):
-    return ArchConfig(
-        input_hw=tuple(m["input_hw"]), aux_widths=tuple(m["aux_widths"]),
-        beam_conv=tuple(tuple(x) for x in m["beam_conv"]),
-        beam_res=tuple(tuple(x) for x in m["beam_res"]),
-        beam_hidden=m["beam_hidden"],
-        bl_conv=tuple(tuple(x) for x in m["bl_conv"]),
-        bl_res=tuple(tuple(x) for x in m["bl_res"]),
-        bl_hidden=m["bl_hidden"], dropout=m["dropout"])
 
 
 def _load_model_checkpoint(path, model: Predictor):
@@ -232,15 +225,15 @@ def _load_model_checkpoint(path, model: Predictor):
 def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
              g_list=DEFAULT_G_LIST, P_k=None, sigma2=None):
     """Evaluate a checkpointed model on the test split; write a fragment."""
-    meta_path = os.path.join(out_dir, _meta_name(task, horizon))
-    ckpt_path = os.path.join(out_dir, _ckpt_name(task, horizon))
+    meta_path = os.path.join(out_dir, _stem(task, horizon) + ".meta.json")
+    ckpt_path = os.path.join(out_dir, _stem(task, horizon) + ".esnn")
     for p in (meta_path, ckpt_path):
         if not os.path.exists(p):
             raise PipelineError(f"missing artifact {p}; run train first")
     with open(meta_path) as fh:
         meta = json.load(fh)
     features = canonical(meta["features"])
-    arch = _arch_from_meta(meta["arch"])
+    arch = from_plain(ArchConfig, meta["arch"])
     in_channels = (len(features) - 1) * dataset.n_cams
     model = Predictor(task, in_channels, meta["M_bm"], arch)
     params, state = _load_model_checkpoint(ckpt_path, model)
@@ -282,8 +275,7 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
         pred = (probs >= 0.5).astype(int)
         fragment["blockage_accuracy"] = float(np.mean(pred == labels))
 
-    name = f"eval_{task}.json" if task == "beam" else f"eval_{task}_h{horizon}.json"
-    with open(os.path.join(out_dir, name), "w") as fh:
+    with open(os.path.join(out_dir, f"eval_{_stem(task, horizon)}.json"), "w") as fh:
         json.dump(fragment, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return fragment

@@ -9,31 +9,21 @@ so gradients can be verified against finite differences.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rng_mod
 from .featsel import LOCATION, canonical
-from .nn import (Adam, AvgPool, BatchNorm, Conv2d, Dense, Dropout, Flatten,
-                 ReLU, ResidualBlock, Sequential)
-from .semantics import CATALOG, SemanticMap
+from .nn import (Adam, AvgPool, BatchNorm, Composite, Conv2d, Dense, Dropout,
+                 Flatten, ReLU, ResidualBlock, Sequential)
+from .semantics import CATALOG
 
 log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
 # samples and inputs
-
-@dataclass(frozen=True)
-class SampleRecord:
-    maps: tuple               # per-camera SemanticMap
-    location: tuple           # (x, y, z) meters
-    beam_label: int
-    blockage_labels: tuple    # one flag per configured horizon
-    frame_id: int = 0
-    user_id: int = 0
-
 
 @dataclass
 class SampleSet:
@@ -98,13 +88,6 @@ def mask_channels(label_maps, features, out_hw=None):
     return np.stack(chans, axis=1).astype(np.float32)
 
 
-def build_input(sample: SampleRecord, features, out_hw=None):
-    """(location 3-vector, mask tensor (C, H, W)) for one sample."""
-    maps = np.stack([m.labels for m in sample.maps])[None]  # (1, cams, H, W)
-    masks = mask_channels(maps, features, out_hw)[0]
-    return np.asarray(sample.location, dtype=np.float32), masks
-
-
 # ---------------------------------------------------------------------------
 # architecture
 
@@ -128,8 +111,9 @@ TINY_ARCH = ArchConfig(input_hw=(16, 32), aux_widths=(16, 8),
                        bl_conv=((4, 2),), bl_res=((4, 1),), bl_hidden=8)
 
 
-class Predictor:
-    """Auxiliary branch + optional semantic branch + decision head."""
+class Predictor(Composite):
+    """Auxiliary branch + optional semantic branch + decision head
+    (children "aux", "sem", "head")."""
 
     def __init__(self, task, in_channels, M_bm, arch: ArchConfig):
         if task not in ("beam", "blockage"):
@@ -140,15 +124,16 @@ class Predictor:
         self.arch = arch
 
         w1, w2 = arch.aux_widths
-        self.aux = Sequential([
+        self.children = {"aux": Sequential([
             BatchNorm(3),
             Dense(3, w1), BatchNorm(w1), ReLU(),
             Dense(w1, w2), BatchNorm(w2), ReLU(),
-        ])
+        ])}
         self.aux_dim = w2
 
         conv_spec = arch.beam_conv if task == "beam" else arch.bl_conv
         res_spec = arch.beam_res if task == "beam" else arch.bl_res
+        self.sem_dim = 0
         if in_channels > 0:
             layers = []
             c_prev = in_channels
@@ -167,62 +152,37 @@ class Predictor:
                 h, w = block.out_hw(h, w)
                 c_prev = filters
             layers.append(Flatten())
-            self.sem = Sequential(layers)
+            self.children["sem"] = Sequential(layers)
             self.sem_dim = c_prev * h * w
-        else:
-            self.sem = None
-            self.sem_dim = 0
 
         hidden = arch.beam_hidden if task == "beam" else arch.bl_hidden
         out_dim = M_bm if task == "beam" else 1
-        self.head = Sequential([
+        self.children["head"] = Sequential([
             Dense(self.aux_dim + self.sem_dim, hidden), BatchNorm(hidden), ReLU(),
             Dropout(arch.dropout),
             Dense(hidden, out_dim),
         ])
 
     def init(self, seed, dtype=np.float32):
-        rng = rng_mod.stream(seed, "predictor.init")
-        params, state = {}, {}
-        for name, mod in (("aux", self.aux), ("sem", self.sem), ("head", self.head)):
-            if mod is None:
-                continue
-            p, s = mod.init(rng, dtype)
-            params.update({f"{name}.{k}": v for k, v in p.items()})
-            state.update({f"{name}.{k}": v for k, v in s.items()})
-        return params, state
-
-    def _split(self, d, name):
-        pre = name + "."
-        return {k[len(pre):]: v for k, v in d.items() if k.startswith(pre)}
+        return super().init(rng_mod.stream(seed, "predictor.init"), dtype)
 
     def forward(self, params, state, loc, masks, training=False, rng=None):
         """Returns (output, cache): beam logits (N, M_bm) or blockage logit (N, 1)."""
-        a, ca = self.aux.forward(loc, self._split(params, "aux"),
-                                 self._split(state, "aux"), training, rng)
-        if self.sem is not None:
-            m, cm = self.sem.forward(masks, self._split(params, "sem"),
-                                     self._split(state, "sem"), training, rng)
-            x = np.concatenate([a, m], axis=1)
-        else:
-            m, cm = None, None
-            x = a
-        y, ch = self.head.forward(x, self._split(params, "head"),
-                                  self._split(state, "head"), training, rng)
+        x, ca = self.run("aux", loc, params, state, training, rng)
+        cm = None
+        if "sem" in self.children:
+            m, cm = self.run("sem", masks, params, state, training, rng)
+            x = np.concatenate([x, m], axis=1)
+        y, ch = self.run("head", x, params, state, training, rng)
         return y, (ca, cm, ch)
 
     def backward(self, dy, cache, params):
         ca, cm, ch = cache
         grads = {}
-        dx, gh = self.head.backward(dy, ch, self._split(params, "head"))
-        grads.update({f"head.{k}": v for k, v in gh.items()})
-        da = dx[:, :self.aux_dim]
-        if self.sem is not None:
-            dm = dx[:, self.aux_dim:]
-            _, gm = self.sem.backward(dm, cm, self._split(params, "sem"))
-            grads.update({f"sem.{k}": v for k, v in gm.items()})
-        _, ga = self.aux.backward(da, ca, self._split(params, "aux"))
-        grads.update({f"aux.{k}": v for k, v in ga.items()})
+        dx = self.grad("head", dy, ch, params, grads)
+        if "sem" in self.children:
+            self.grad("sem", dx[:, self.aux_dim:], cm, params, grads)
+        self.grad("aux", dx[:, :self.aux_dim], ca, params, grads)
         return grads
 
 
@@ -234,18 +194,6 @@ def sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1 + ez)
     return out if out.ndim else float(out)
-
-
-def forward_beam(model: Predictor, params, state, loc, masks, training=False, rng=None):
-    """Beam logits for a batch (or a single sample given leading dim 1)."""
-    y, _ = model.forward(params, state, loc, masks, training, rng)
-    return y
-
-
-def forward_blockage(model: Predictor, params, state, loc, masks, training=False, rng=None):
-    """Blockage probability in (0, 1)."""
-    y, _ = model.forward(params, state, loc, masks, training, rng)
-    return sigmoid(y[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ Coordinate frame: x along the street in [0, street_length_m], y lateral
 (road centred on y = 0), z up, all in meters.
 """
 
-from dataclasses import dataclass, field, replace
+import types
+import typing
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -18,7 +20,64 @@ from . import rng as rng_mod
 
 
 class ConfigError(ValueError):
-    """Raised when a scene configuration violates its invariants."""
+    """Raised when a configuration is malformed or violates its invariants."""
+
+
+# ---------------------------------------------------------------------------
+# dataclass <-> plain JSON, driven by the field types: tuples are JSON lists,
+# complex numbers [re, im] pairs, dataclass fields nested objects
+
+def to_plain(obj, typ=None):
+    """JSON-ready copy of a dataclass instance (or of one field value)."""
+    if is_dataclass(obj):
+        return {f.name: to_plain(getattr(obj, f.name), f.type) for f in fields(obj)}
+    if typ is complex:
+        z = complex(obj)
+        return [z.real, z.imag]
+    if isinstance(obj, (tuple, list)):
+        return [to_plain(x) for x in obj]
+    return obj
+
+
+def from_plain(cls, data, where=""):
+    """``cls`` from a JSON object; unknown keys raise ConfigError.
+
+    ``where`` is the dotted key path of ``data`` in a larger config, for
+    error messages.
+    """
+    name = where.rstrip(".") or "config"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    known = {f.name: f.type for f in fields(cls)}
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"unknown config key {where}{key}")
+    kwargs = {k: _from_plain(known[k], v, where + k) for k, v in data.items()}
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _from_plain(typ, value, where):
+    if isinstance(typ, types.UnionType):  # X | None
+        if value is None:
+            return None
+        typ = next(t for t in typ.__args__ if t is not type(None))
+    if is_dataclass(typ):
+        return from_plain(typ, value, where + ".")
+    if typ is complex and isinstance(value, (list, tuple)):
+        re, im = value
+        return complex(re, im)
+    if typ is tuple or typing.get_origin(typ) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config key {where} must be a list")
+        item = typing.get_args(typ)
+        if item:  # tuple[X, ...]
+            return tuple(_from_plain(item[0], v, where) for v in value)
+        return tuple(_from_plain(tuple, v, where) if isinstance(v, list) else v
+                     for v in value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -110,10 +169,6 @@ class Frame:
                 return v
         return None
 
-    @property
-    def target(self):
-        return self.vehicle_by_id(self.target_user_id) if self.target_user_id is not None else None
-
 
 def _default_cameras(length, road_half, sidewalk):
     y = road_half + sidewalk
@@ -133,7 +188,7 @@ class SceneConfig:
     building_setback_m: float = 3.0
     building_height_m: float = 20.0
     bs_position: tuple = (100.0, -8.0, 6.0)
-    camera_poses: tuple = None
+    camera_poses: tuple[CameraPose, ...] | None = None
     slot_duration_s: float = 0.05
     frame_count: int = 200
     spawn_rate: float = 0.12      # expected vehicles per slot
@@ -178,47 +233,11 @@ class SceneConfig:
         return 0.0 if self.lane_center_y(lane) < 0 else np.pi
 
     def to_dict(self):
-        return {
-            "street_length_m": self.street_length_m,
-            "lane_count": self.lane_count,
-            "lane_width_m": self.lane_width_m,
-            "sidewalk_width_m": self.sidewalk_width_m,
-            "building_setback_m": self.building_setback_m,
-            "building_height_m": self.building_height_m,
-            "bs_position": list(self.bs_position),
-            "camera_poses": [
-                {"position": list(c.position), "yaw": c.yaw, "pitch": c.pitch, "hfov": c.hfov}
-                for c in self.camera_poses
-            ],
-            "slot_duration_s": self.slot_duration_s,
-            "frame_count": self.frame_count,
-            "spawn_rate": self.spawn_rate,
-            "speed_range_mps": list(self.speed_range_mps),
-            "seed": self.seed,
-            "initial_vehicles": [
-                [name, list(center), lane, speed]
-                for (name, center, lane, speed) in self.initial_vehicles
-            ],
-        }
+        return to_plain(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        if "camera_poses" in d and d["camera_poses"] is not None:
-            d["camera_poses"] = tuple(
-                CameraPose(tuple(c["position"]), c["yaw"], c["pitch"], c["hfov"])
-                for c in d["camera_poses"]
-            )
-        if "bs_position" in d:
-            d["bs_position"] = tuple(d["bs_position"])
-        if "speed_range_mps" in d:
-            d["speed_range_mps"] = tuple(d["speed_range_mps"])
-        if "initial_vehicles" in d:
-            d["initial_vehicles"] = tuple(
-                (name, tuple(center), lane, speed)
-                for (name, center, lane, speed) in d["initial_vehicles"]
-            )
-        return cls(**d)
+        return from_plain(cls, d)
 
 
 @dataclass

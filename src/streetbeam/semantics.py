@@ -59,12 +59,6 @@ class SemanticMap:
         return self.labels.shape
 
 
-@dataclass(frozen=True)
-class ConceptMask:
-    concept: int
-    mask: np.ndarray  # (H, W) uint8 in {0, 1}
-
-
 _ROADLINE_HALF_WIDTH = 0.12  # meters, painted stripe half width
 
 _BACKGROUND_FIELDS = ("street_length_m", "lane_count", "lane_width_m",
@@ -223,11 +217,12 @@ def render_frame(frame: Frame, config: SceneConfig, resolution):
             for i, cam in enumerate(config.camera_poses)]
 
 
-def extract_mask(smap: SemanticMap, concept: int) -> ConceptMask:
-    """Binary zero-mask isolating one concept from the segmentation map."""
+def extract_mask(smap: SemanticMap, concept: int) -> np.ndarray:
+    """Binary zero-mask isolating one concept from the segmentation map:
+    (H, W) uint8 in {0, 1}."""
     if not 0 <= concept < CATALOG.M_con:
         raise IndexError(f"concept index {concept} out of range 0..{CATALOG.M_con - 1}")
-    return ConceptMask(concept=concept, mask=(smap.labels == concept).astype(np.uint8))
+    return (smap.labels == concept).astype(np.uint8)
 
 
 def corrupt_map(smap: SemanticMap, p: float, rng: np.random.Generator) -> SemanticMap:

@@ -3,8 +3,8 @@ import pytest
 from scipy.constants import speed_of_light as C
 
 from streetbeam.channel import (PathComponent, RayTraceConfig, TargetLostError,
-                                assemble_channel, blockage_label,
-                                received_signal, steering_vector, trace_paths)
+                                assemble_channel, steering_vector, trace_paths)
+from streetbeam.pipeline import blockage_labels
 from streetbeam.rng import stream
 from streetbeam.scene import Frame, SceneConfig, Vehicle, generate_scenario, vehicle_class
 
@@ -223,20 +223,12 @@ def test_single_path_frequency_consistency():
         assert np.allclose(h[k], expect, rtol=1e-12, atol=0)
 
 
-def test_received_signal():
-    h = np.zeros(4, dtype=complex)
-    w = np.ones(4, dtype=complex) / 2
-    assert received_signal(h, w, 1.0, 0.0) == 0.0
-    e0 = np.eye(4)[0].astype(complex)
-    assert received_signal(e0, e0, 1.0, 0.0) == 1.0
-    rng = stream(6, "test.rx")
-    hv = rng.normal(size=4) + 1j * rng.normal(size=4)
-    wv = rng.normal(size=4) + 1j * rng.normal(size=4)
-    s, eps = 0.7 - 0.2j, 0.01 + 0.03j
-    oracle = sum(hv[n] * wv[n] for n in range(4)) * s + eps
-    assert received_signal(hv, wv, s, eps) == pytest.approx(oracle)
-    with pytest.raises(ValueError):
-        received_signal(hv, np.ones(3, dtype=complex), 1.0, 0.0)
+def label_inputs(frames, scene, cfg):
+    """Per-frame target ids and LOS flags, as generate_dataset computes them."""
+    targets = [f.target_user_id for f in frames]
+    los = [f.target_user_id is not None
+           and any(p.is_los for p in trace_paths(f, scene, cfg)) for f in frames]
+    return targets, los
 
 
 def test_blockage_label_horizon0_is_current_los():
@@ -244,7 +236,8 @@ def test_blockage_label_horizon0_is_current_los():
                         initial_vehicles=(("car", (100.0, scene_y := -5.25), 0, 10.0),))
     cfg = small_cfg()
     frames = generate_scenario(scene)
-    lab = blockage_label(frames, 0, 0, scene, cfg)
+    targets, los = label_inputs(frames, scene, cfg)
+    (lab,) = blockage_labels(targets, los, 0, (0,))
     paths = trace_paths(frames[0], scene, cfg)
     assert lab == (0 if any(p.is_los for p in paths) else 1)
     assert lab == 0  # open street: LOS present
@@ -268,8 +261,8 @@ def test_blockage_label_bus_crossing():
     frames = generate_scenario(scene)
     # target must be the stationary car for the oracle to hold
     assert frames[0].target_user_id == 0
-    assert blockage_label(frames, 0, h, scene, cfg) == 1
-    assert blockage_label(frames, 0, 39, scene, cfg) == 0  # bus passed
+    targets, los = label_inputs(frames, scene, cfg)
+    assert blockage_labels(targets, los, 0, (h, 39)) == [1, 0]  # bus passed at 39
 
 
 def test_blockage_label_errors():
@@ -277,11 +270,14 @@ def test_blockage_label_errors():
                         initial_vehicles=(("car", (198.0, -5.25), 0, 14.0),))
     cfg = small_cfg()
     frames = generate_scenario(scene)
+    targets, los = label_inputs(frames, scene, cfg)
     with pytest.raises(IndexError):
-        blockage_label(frames, 0, 100, scene, cfg)
+        blockage_labels(targets, los, 0, (100,))
     # the car leaves the street within the window -> explicit signal
     with pytest.raises(TargetLostError):
-        blockage_label(frames, 0, 9, scene, cfg)
+        blockage_labels(targets, los, 0, (9,))
+    with pytest.raises(TargetLostError):
+        blockage_labels(targets, los, 0, (1, 9))  # the longest horizon sets the window
 
 
 def test_trace_paths_deterministic():

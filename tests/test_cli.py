@@ -91,6 +91,19 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scene": {"frame_count": 0}}))
     assert main(["generate", "--config", str(bad), "--out", out]) == 1
+    capsys.readouterr()
+    # unknown keys and non-object configs or sections fail closed, naming the key
+    for raw, named in (({"scene": {"spawn_rte": 0.6}}, "scene.spawn_rte"),
+                       ({"raytrace": {"Nt": 8}}, "raytrace.Nt"),
+                       ({"arch": {"widths": 3}}, "arch.widths"),
+                       ({"horizon": [1]}, "horizon"),
+                       ([], "config must be a JSON object"),
+                       ({"scene": []}, "scene must be a JSON object"),
+                       ({"resolution": 16}, "resolution")):
+        bad.write_text(json.dumps(raw))
+        assert main(["generate", "--config", str(bad), "--out", out]) == 1, raw
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, (raw, err)
 
 
 def test_io_errors_exit_2(tmp_path, capsys):
@@ -129,8 +142,12 @@ def test_corrupt_artifacts_exit_2(tmp_path, capsys):
         assert main(["eval", "--dataset", dataset, "--task", "beam", "--out", out]) == 2
     ckpt.write_bytes(raw)
     manifest = tmp_path / "run" / "dataset" / "manifest.json"
-    mf = json.loads(manifest.read_text())
-    del mf["M_bm"]
-    manifest.write_text(json.dumps(mf))
-    assert main(["eval", "--dataset", dataset, "--task", "beam", "--out", out]) == 2
-    assert "M_bm" in capsys.readouterr().err
+    good = json.loads(manifest.read_text())
+    for section, key in ((None, "M_bm"), (None, "raytrace_config"),
+                         ("raytrace_config", "P_k"), ("raytrace_config", "sigma2")):
+        mf = json.loads(json.dumps(good))
+        del (mf[section] if section else mf)[key]
+        manifest.write_text(json.dumps(mf))
+        capsys.readouterr()
+        assert main(["eval", "--dataset", dataset, "--task", "beam", "--out", out]) == 2
+        assert key in capsys.readouterr().err

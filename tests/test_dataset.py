@@ -50,7 +50,7 @@ def test_roundtrip_bitwise(tmp_path):
 def test_optional_channels(tmp_path):
     samples = small_sampleset(with_channels=False)
     write_container(tmp_path / "d", samples, SceneConfig(), RayTraceConfig(N_t=8, K=4),
-                    (16, 32), store_channels=False)
+                    (16, 32))
     loaded, mf = read_container(tmp_path / "d")
     assert loaded.channels is None and mf["has_channels"] is False
 

@@ -1,19 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 import streetbeam.rng as rng_mod
 from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor,
-                                  SampleRecord, SampleSet, TrainConfig,
-                                  accuracy, beam_loss, blockage_loss,
-                                  build_input, forward_beam, forward_blockage,
-                                  gradient_check, log_softmax, mask_channels,
-                                  predict, sigmoid, split_indices, train)
-from streetbeam.semantics import CATALOG, SemanticMap
-
-
-def toy_maps(rng, n_cams=2, hw=(16, 32)):
-    return tuple(SemanticMap(i, rng.integers(0, 20, size=hw).astype(np.uint8))
-                 for i in range(n_cams))
+                                  SampleSet, TrainConfig, accuracy, beam_loss,
+                                  blockage_loss, gradient_check, log_softmax,
+                                  mask_channels, predict, sigmoid,
+                                  split_indices, train)
+from streetbeam.scene import from_plain, to_plain
+from streetbeam.semantics import CATALOG
 
 
 def planted_sampleset(n=80, hw=(16, 32), M_bm=4, seed=0):
@@ -34,31 +31,26 @@ def planted_sampleset(n=80, hw=(16, 32), M_bm=4, seed=0):
                      horizons=(1,), M_bm=M_bm)
 
 
-def test_build_input_counting_and_order():
-    rng = rng_mod.stream(0, "maps")
-    sample = SampleRecord(maps=toy_maps(rng), location=(1.0, 2.0, 3.0),
-                          beam_label=0, blockage_labels=(0,))
-    loc, masks = build_input(sample, ("location",))
-    assert masks.shape == (0, 16, 32)
-    assert np.array_equal(loc, [1.0, 2.0, 3.0])
-    loc, masks = build_input(sample, ("location", "vehicle"))
-    assert masks.shape == (2, 16, 32)
-    # canonical ordering: insertion order must not matter
-    _, m1 = build_input(sample, ("location", "vehicle", "building"))
-    _, m2 = build_input(sample, ("building", "location", "vehicle"))
-    assert np.array_equal(m1, m2)
-    veh = CATALOG.index("vehicle")
-    assert np.array_equal(m1[2], (sample.maps[0].labels == veh).astype(np.float32))
-    with pytest.raises(ValueError):
-        build_input(sample, ("vehicle",))  # Location is mandatory
-
-
 def test_mask_channels_downsample():
     ds = planted_sampleset(n=4)
     masks = mask_channels(ds.label_maps, ("location", "vehicle"), out_hw=(8, 16))
     assert masks.shape == (4, 2, 8, 16)
     with pytest.raises(ValueError):
         mask_channels(ds.label_maps, ("location", "vehicle"), out_hw=(7, 16))
+
+    maps = rng_mod.stream(0, "maps").integers(0, 20, size=(3, 2, 16, 32)).astype(np.uint8)
+    assert mask_channels(maps, ("location",)).shape == (3, 0, 16, 32)
+    assert mask_channels(maps, ("location", "vehicle")).shape == (3, 2, 16, 32)
+    # canonical ordering: insertion order must not matter; features major,
+    # cameras minor
+    m1 = mask_channels(maps, ("location", "vehicle", "building"))
+    m2 = mask_channels(maps, ("building", "location", "vehicle"))
+    assert np.array_equal(m1, m2)
+    veh = CATALOG.index("vehicle")
+    assert np.array_equal(m1[:, 2], (maps[:, 0] == veh).astype(np.float32))
+    assert np.array_equal(m1[:, 3], (maps[:, 1] == veh).astype(np.float32))
+    with pytest.raises(ValueError):
+        mask_channels(maps, ("vehicle",))  # Location is mandatory
 
 
 def test_forward_eval_deterministic_and_shapes():
@@ -67,14 +59,16 @@ def test_forward_eval_deterministic_and_shapes():
     rng = rng_mod.stream(1, "in")
     loc = rng.normal(size=(3, 3)).astype(np.float32)
     masks = rng.random(size=(3, 2, 16, 32)).astype(np.float32)
-    y1 = forward_beam(model, params, state, loc, masks)
-    y2 = forward_beam(model, params, state, loc, masks)
+    y1, _ = model.forward(params, state, loc, masks)
+    y2, _ = model.forward(params, state, loc, masks)
     assert y1.shape == (3, 4)
     assert np.array_equal(y1, y2)  # dropout off in evaluation mode
 
     bl = Predictor("blockage", in_channels=2, M_bm=4, arch=TINY_ARCH)
     bp, bs = bl.init(0)
-    prob = forward_blockage(bl, bp, bs, loc, masks)
+    logit, _ = bl.forward(bp, bs, loc, masks)
+    assert logit.shape == (3, 1)
+    prob = sigmoid(logit[:, 0])
     assert prob.shape == (3,)
     assert ((prob > 0) & (prob < 1)).all()
 
@@ -84,8 +78,73 @@ def test_location_only_network():
     params, state = model.init(0)
     loc = np.zeros((2, 3), dtype=np.float32)
     masks = np.zeros((2, 0, 16, 32), dtype=np.float32)
-    y = forward_beam(model, params, state, loc, masks)
+    y, _ = model.forward(params, state, loc, masks)
     assert y.shape == (2, 4)
+    assert not any(k.startswith("sem.") for k in params)
+
+
+# Tensor names and shapes of Predictor(task, in_channels, M_bm=8, TINY_ARCH):
+# checkpoints store tensors by these names, so any change here breaks old
+# .esnn files. (name, shape) over params then state.
+_AUX_TENSORS = [
+    ("aux.0.beta", (3,)), ("aux.0.gamma", (3,)), ("aux.1.W", (16, 3)), ("aux.1.b", (16,)),
+    ("aux.2.beta", (16,)), ("aux.2.gamma", (16,)), ("aux.4.W", (8, 16)), ("aux.4.b", (8,)),
+    ("aux.5.beta", (8,)), ("aux.5.gamma", (8,)),
+]
+_AUX_STATE = [
+    ("aux.0.running_mean", (3,)), ("aux.0.running_var", (3,)),
+    ("aux.2.running_mean", (16,)), ("aux.2.running_var", (16,)),
+    ("aux.5.running_mean", (8,)), ("aux.5.running_var", (8,)),
+]
+_SEM_TENSORS = [
+    ("sem.0.W", (4, 2, 3, 3)), ("sem.0.b", (4,)), ("sem.1.beta", (4,)), ("sem.1.gamma", (4,)),
+    ("sem.4.bn1.beta", (4,)), ("sem.4.bn1.gamma", (4,)), ("sem.4.bn2.beta", (4,)),
+    ("sem.4.bn2.gamma", (4,)), ("sem.4.conv1.W", (4, 4, 3, 3)), ("sem.4.conv1.b", (4,)),
+    ("sem.4.conv2.W", (4, 4, 3, 3)), ("sem.4.conv2.b", (4,)),
+]
+_SEM_STATE = [
+    ("sem.1.running_mean", (4,)), ("sem.1.running_var", (4,)),
+    ("sem.4.bn1.running_mean", (4,)), ("sem.4.bn1.running_var", (4,)),
+    ("sem.4.bn2.running_mean", (4,)), ("sem.4.bn2.running_var", (4,)),
+]
+
+
+@pytest.mark.parametrize("task,in_channels,head,head_state,sem,sem_state", [
+    ("beam", 2,
+     [("head.0.W", (16, 136)), ("head.0.b", (16,)), ("head.1.beta", (16,)),
+      ("head.1.gamma", (16,)), ("head.4.W", (8, 16)), ("head.4.b", (8,))],
+     [("head.1.running_mean", (16,)), ("head.1.running_var", (16,))],
+     _SEM_TENSORS, _SEM_STATE),
+    ("blockage", 2,
+     [("head.0.W", (8, 136)), ("head.0.b", (8,)), ("head.1.beta", (8,)),
+      ("head.1.gamma", (8,)), ("head.4.W", (1, 8)), ("head.4.b", (1,))],
+     [("head.1.running_mean", (8,)), ("head.1.running_var", (8,))],
+     _SEM_TENSORS, _SEM_STATE),
+    ("beam", 0,
+     [("head.0.W", (16, 8)), ("head.0.b", (16,)), ("head.1.beta", (16,)),
+      ("head.1.gamma", (16,)), ("head.4.W", (8, 16)), ("head.4.b", (8,))],
+     [("head.1.running_mean", (16,)), ("head.1.running_var", (16,))],
+     [], []),
+])
+def test_predictor_tensor_names_pinned(task, in_channels, head, head_state, sem, sem_state):
+    params, state = Predictor(task, in_channels, 8, TINY_ARCH).init(0)
+    assert sorted((k, v.shape) for k, v in params.items()) == sorted(_AUX_TENSORS + head + sem)
+    assert sorted((k, v.shape) for k, v in state.items()) == sorted(_AUX_STATE + head_state
+                                                                    + sem_state)
+
+
+@pytest.mark.parametrize("arch", [ArchConfig(), TINY_ARCH])
+def test_arch_meta_json_round_trip(arch):
+    text = json.dumps(to_plain(arch), sort_keys=True)
+    assert from_plain(ArchConfig, json.loads(text)) == arch
+
+
+def test_arch_meta_json_layout():
+    # the "arch" block of *.meta.json files written so far
+    assert to_plain(TINY_ARCH) == {
+        "input_hw": [16, 32], "aux_widths": [16, 8], "beam_conv": [[4, 2]],
+        "beam_res": [[4, 1]], "beam_hidden": 16, "bl_conv": [[4, 2]],
+        "bl_res": [[4, 1]], "bl_hidden": 8, "dropout": 0.1}
 
 
 def test_sigmoid_and_log_softmax():
@@ -195,5 +254,5 @@ def test_desk_scale_arch_shapes():
     params, state = model.init(0)
     loc = np.zeros((2, 3), dtype=np.float32)
     masks = np.zeros((2, 4, 80, 160), dtype=np.float32)
-    y = forward_beam(model, params, state, loc, masks)
+    y, _ = model.forward(params, state, loc, masks)
     assert y.shape == (2, 16)

@@ -245,7 +245,7 @@ def test_masks_partition_and_histogram():
     hist = np.bincount(labels.reshape(-1), minlength=CATALOG.M_con)
     union = np.zeros_like(labels)
     for c in range(CATALOG.M_con):
-        m = extract_mask(smap, c).mask
+        m = extract_mask(smap, c)
         assert m.sum() == hist[c]
         assert not (union & m).any()  # pairwise disjoint
         union |= m
@@ -254,7 +254,7 @@ def test_masks_partition_and_histogram():
 
 def test_extract_mask_errors_and_trivial():
     smap = SemanticMap(0, np.full((16, 16), SKY, dtype=np.uint8))
-    assert extract_mask(smap, VEHICLE).mask.sum() == 0
+    assert extract_mask(smap, VEHICLE).sum() == 0
     with pytest.raises(IndexError):
         extract_mask(smap, CATALOG.M_con)
     with pytest.raises(IndexError):
