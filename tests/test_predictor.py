@@ -38,6 +38,8 @@ def test_mask_channels_downsample():
     with pytest.raises(ValueError):
         mask_channels(ds.label_maps, ("location", "vehicle"), out_hw=(7, 16))
 
+
+def test_build_input_counting_and_order():
     maps = rng_mod.stream(0, "maps").integers(0, 20, size=(3, 2, 16, 32)).astype(np.uint8)
     assert mask_channels(maps, ("location",)).shape == (3, 0, 16, 32)
     assert mask_channels(maps, ("location", "vehicle")).shape == (3, 2, 16, 32)
