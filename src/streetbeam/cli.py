@@ -135,7 +135,7 @@ def build_parser():
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=False, dataset=False, task=False):
+    def common(sp, config=False, dataset=False, task=False, seed=0):
         if config:
             sp.add_argument("--config", help="run config JSON")
         if dataset:
@@ -144,11 +144,13 @@ def build_parser():
             sp.add_argument("--task", choices=("beam", "blockage"), required=True)
             sp.add_argument("--horizon", type=int, default=None,
                             help="blockage horizon in slots")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=seed,
+                        help=f"random seed (default {seed})" if seed is not None
+                        else "overrides the config's scene.seed")
         sp.add_argument("--out", required=True, help="run directory")
 
     sp = sub.add_parser("generate", help="simulate, label and write a dataset")
-    common(sp, config=True)
+    common(sp, config=True, seed=None)
     sp.set_defaults(fn=_cmd_generate)
 
     sp = sub.add_parser("select", help="floating feature-selection search")

@@ -93,7 +93,8 @@ class BatchNorm:
         axes, shp = self._axes(x), self._shape(x)
         if training:
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            xc = x - mean.reshape(shp)
+            var = (xc * xc).mean(axis=axes)  # the arithmetic of x.var(axis=axes)
             # running stats updated in place so shared state dicts stay in sync
             s["running_mean"] *= 1 - _BN_MOMENTUM
             s["running_mean"] += (_BN_MOMENTUM * mean).astype(s["running_mean"].dtype)
@@ -101,9 +102,12 @@ class BatchNorm:
             s["running_var"] += (_BN_MOMENTUM * var).astype(s["running_var"].dtype)
         else:
             mean, var = s["running_mean"], s["running_var"]
+            xc = x - mean.reshape(shp)
         inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-        xhat = (x - mean.reshape(shp)) * inv_std.reshape(shp)
-        y = p["gamma"].reshape(shp) * xhat + p["beta"].reshape(shp)
+        xhat = xc
+        xhat *= inv_std.reshape(shp)
+        y = xhat * p["gamma"].reshape(shp)
+        y += p["beta"].reshape(shp)
         return y, (xhat, inv_std, training)
 
     def backward(self, dy, cache, p):
@@ -111,32 +115,56 @@ class BatchNorm:
         axes, shp = self._axes(dy), self._shape(dy)
         dgamma = (dy * xhat).sum(axis=axes)
         dbeta = dy.sum(axis=axes)
-        dxhat = dy * p["gamma"].reshape(shp)
+        scale = (p["gamma"] * inv_std).reshape(shp)
         if training:
-            m = dy.size // dy.shape[1] if dy.ndim == 4 else dy.shape[0]
-            dx = (inv_std.reshape(shp) / m) * (
-                m * dxhat
-                - dxhat.sum(axis=axes).reshape(shp)
-                - xhat * (dxhat * xhat).sum(axis=axes).reshape(shp)
-            )
+            # d/dx of gamma * xhat: the two batch reductions are dbeta and dgamma
+            m = dy.size // dy.shape[1]
+            dx = dy - (dbeta / m).reshape(shp)
+            dx -= xhat * (dgamma / m).reshape(shp)
+            dx *= scale
         else:
-            dx = dxhat * inv_std.reshape(shp)
+            dx = dy * scale
         return dx, {"gamma": dgamma, "beta": dbeta}
 
 
+def _pad(x, pad):
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+
+
 def _im2col(xp, k, stride, oh, ow):
+    """Columns (N, C*k*k, OH*OW) of the k x k windows of padded input ``xp``."""
     n, c = xp.shape[:2]
     cols = np.empty((n, c, k, k, oh, ow), dtype=xp.dtype)
     for i in range(k):
         for j in range(k):
             cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols
+    return cols.reshape(n, c * k * k, oh * ow)
+
+
+def _col2im(dcols, x_shape, k, stride, pad):
+    """Adjoint of ``_im2col``: scatter-add (N, C, k, k, OH, OW) window
+    gradients back onto an input of shape ``x_shape``."""
+    n, c, h, w = x_shape
+    oh, ow = dcols.shape[-2:]
+    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, :, i, j]
+    return dxp[:, :, pad:pad + h, pad:pad + w]
 
 
 class Conv2d:
-    def __init__(self, c_in, c_out, kernel=3, stride=1, pad=1):
+    """2-D convolution as one batched GEMM over im2col columns.
+
+    ``input_grad=False`` is for a network's first layer, whose input is
+    data: backward then returns ``None`` for the input gradient and skips
+    the GEMM and scatter that would compute it.
+    """
+
+    def __init__(self, c_in, c_out, kernel=3, stride=1, pad=1, input_grad=True):
         self.c_in, self.c_out = c_in, c_out
         self.k, self.stride, self.pad = kernel, stride, pad
+        self.input_grad = input_grad
 
     def init(self, rng, dtype):
         fan_in = self.c_in * self.k * self.k
@@ -150,28 +178,27 @@ class Conv2d:
                 (w + 2 * self.pad - self.k) // self.stride + 1)
 
     def forward(self, x, p, s, training, rng):
-        n, c, h, w = x.shape
-        oh, ow = self.out_hw(h, w)
-        xp = np.pad(x, ((0, 0), (0, 0), (self.pad,) * 2, (self.pad,) * 2))
-        cols = _im2col(xp, self.k, self.stride, oh, ow)
-        y = np.einsum("ncijhw,ocij->nohw", cols, p["W"], optimize=True) \
-            + p["b"].reshape(1, -1, 1, 1)
-        return y, (cols, x.shape)
+        n = x.shape[0]
+        oh, ow = self.out_hw(*x.shape[2:])
+        cols = _im2col(_pad(x, self.pad), self.k, self.stride, oh, ow)
+        # (C_out, C*k*k) @ (N, C*k*k, OH*OW) lands in NCHW order
+        y = np.matmul(p["W"].reshape(self.c_out, -1), cols)
+        y += p["b"].reshape(1, -1, 1)
+        return y.reshape(n, self.c_out, oh, ow), (cols, x.shape)
 
     def backward(self, dy, cache, p):
         cols, x_shape = cache
-        n, c, h, w = x_shape
+        n, c = x_shape[:2]
         oh, ow = dy.shape[2:]
-        dW = np.einsum("nohw,ncijhw->ocij", dy, cols, optimize=True)
-        db = dy.sum(axis=(0, 2, 3))
-        dcols = np.einsum("nohw,ocij->ncijhw", dy, p["W"], optimize=True)
-        dxp = np.zeros((n, c, h + 2 * self.pad, w + 2 * self.pad), dtype=dy.dtype)
-        for i in range(self.k):
-            for j in range(self.k):
-                dxp[:, :, i:i + self.stride * oh:self.stride,
-                    j:j + self.stride * ow:self.stride] += dcols[:, :, i, j]
-        dx = dxp[:, :, self.pad:self.pad + h, self.pad:self.pad + w]
-        return dx, {"W": dW, "b": db}
+        dy3 = dy.reshape(n, self.c_out, oh * ow)
+        dW = np.matmul(dy3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(p["W"].shape)
+        grads = {"W": dW, "b": dy.sum(axis=(0, 2, 3))}
+        if not self.input_grad:
+            return None, grads
+        dcols = np.matmul(p["W"].reshape(self.c_out, -1).T, dy3)
+        dx = _col2im(dcols.reshape(n, c, self.k, self.k, oh, ow), x_shape,
+                     self.k, self.stride, self.pad)
+        return dx, grads
 
 
 class AvgPool(Layer):
@@ -185,20 +212,21 @@ class AvgPool(Layer):
     def forward(self, x, p, s, training, rng):
         n, c, h, w = x.shape
         oh, ow = self.out_hw(h, w)
-        xp = np.pad(x, ((0, 0), (0, 0), (self.pad,) * 2, (self.pad,) * 2))
-        cols = _im2col(xp, self.k, self.stride, oh, ow)
-        return cols.mean(axis=(2, 3)), (x.shape, oh, ow)
+        xp, k, st = _pad(x, self.pad), self.k, self.stride
+        # window sum in row-major window order from +0, as a mean over the
+        # window axes of the im2col columns would add them
+        y = np.zeros((n, c, oh, ow), dtype=x.dtype)
+        for i in range(k):
+            for j in range(k):
+                y += xp[:, :, i:i + st * oh:st, j:j + st * ow:st]
+        y /= k * k
+        return y, x.shape
 
     def backward(self, dy, cache, p):
-        x_shape, oh, ow = cache
-        n, c, h, w = x_shape
-        share = dy / (self.k * self.k)
-        dxp = np.zeros((n, c, h + 2 * self.pad, w + 2 * self.pad), dtype=dy.dtype)
-        for i in range(self.k):
-            for j in range(self.k):
-                dxp[:, :, i:i + self.stride * oh:self.stride,
-                    j:j + self.stride * ow:self.stride] += share
-        return dxp[:, :, self.pad:self.pad + h, self.pad:self.pad + w], {}
+        n, c, oh, ow = dy.shape
+        k = self.k
+        share = np.broadcast_to((dy / (k * k))[:, :, None, None], (n, c, k, k, oh, ow))
+        return _col2im(share, cache, k, self.stride, self.pad), {}
 
 
 class Dropout(Layer):

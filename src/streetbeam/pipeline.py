@@ -205,6 +205,7 @@ def cmd_train(dataset: SampleSet, features, task, cfg: TrainConfig, out_dir,
         "arch": to_plain(cfg.arch),
         "M_bm": dataset.M_bm,
         "val_accuracy": res.val_accuracy,
+        "train_loss": res.train_loss,
     }
     with open(os.path.join(out_dir, _stem(task, horizon) + ".meta.json"), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

@@ -139,7 +139,8 @@ class Predictor(Composite):
             c_prev = in_channels
             h, w = arch.input_hw
             for filters, stride in conv_spec:
-                conv = Conv2d(c_prev, filters, 3, stride, 1)
+                # the masks are data, so the first conv needs no input gradient
+                conv = Conv2d(c_prev, filters, 3, stride, 1, input_grad=bool(layers))
                 layers += [conv, BatchNorm(filters), ReLU()]
                 h, w = conv.out_hw(h, w)
                 c_prev = filters
@@ -302,6 +303,7 @@ class TrainResult:
     features: tuple
     val_accuracy: float
     split: tuple  # (train_idx, val_idx, test_idx)
+    train_loss: list  # mean training loss of each epoch
     horizon: int | None = None
 
 
@@ -358,9 +360,10 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
     shuffle_rng = rng_mod.stream(cfg.seed, "shuffle")
     dropout_rng = rng_mod.stream(cfg.seed, "dropout")
 
+    train_loss = []
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(train_idx)
-        ep_loss = 0.0
+        ep_loss, ep_n = 0.0, 0
         for lo in range(0, len(perm), cfg.batch_size):
             sel = perm[lo:lo + cfg.batch_size]
             if len(sel) < 2:
@@ -373,12 +376,14 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
             grads = model.backward(dout, cache, params)
             opt.step(params, grads)
             ep_loss += loss * len(sel)
-        log.debug("epoch %d: train loss %.4f", epoch, ep_loss / max(len(perm), 1))
+            ep_n += len(sel)
+        train_loss.append(ep_loss / max(ep_n, 1))
+        log.debug("epoch %d: train loss %.4f", epoch, train_loss[-1])
 
     val_acc = accuracy(model, params, state, dataset, val_idx, feats, task, horizon)
     return TrainResult(model=model, params=params, state=state, features=feats,
                        val_accuracy=val_acc, split=(train_idx, val_idx, test_idx),
-                       horizon=horizon)
+                       train_loss=train_loss, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -151,3 +151,22 @@ def test_corrupt_artifacts_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["eval", "--dataset", dataset, "--task", "beam", "--out", out]) == 2
         assert key in capsys.readouterr().err
+
+
+def test_generate_seed_from_config_unless_given(tmp_path):
+    cfg = write_config(tmp_path, frames=30)
+    raw = json.loads(cfg.read_text())
+    raw["scene"]["seed"] = 5
+    cfg.write_text(json.dumps(raw))
+
+    def generate(name, *extra):
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / name),
+                     *extra]) == 0
+        mf = json.loads((tmp_path / name / "dataset" / "manifest.json").read_text())
+        return mf["scene_config"]["seed"], mf["hashes"]["beam_labels"]
+
+    from_config = generate("config")
+    assert from_config[0] == 5
+    assert generate("flag5", "--seed", "5") == from_config
+    # an explicit --seed still overrides the config
+    assert generate("flag0", "--seed", "0")[0] == 0

@@ -118,6 +118,8 @@ def test_train_eval_report_cycle(tmp_path):
     res, meta = run_trained_beam(tmp_path, ds)
     assert (tmp_path / "beam.esnn").exists()
     assert meta["val_accuracy"] > 0.8
+    stored = json.loads((tmp_path / "beam.meta.json").read_text())
+    assert stored["train_loss"] == res.train_loss and len(res.train_loss) == 10
 
     frag = cmd_eval(ds, tmp_path, "beam", g_list=(1, 2, 4))
     accs = [frag["topg_accuracy"][str(g)] for g in (1, 2, 4)]

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import streetbeam.rng as rng_mod
 from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor,
-                                  SampleSet, TrainConfig, accuracy, beam_loss,
+                                  SampleSet, TrainConfig, _batch_loss_grad,
+                                  accuracy, beam_loss,
                                   blockage_loss, gradient_check, log_softmax,
                                   mask_channels, predict, sigmoid,
                                   split_indices, train)
@@ -210,6 +212,29 @@ def test_gradient_check_beam_and_blockage():
         assert err < 1e-4, f"{task}: max relative gradient error {err}"
 
 
+@pytest.mark.parametrize("arch,hw", [(TINY_ARCH, (16, 32)), (ArchConfig(), (80, 160))])
+def test_first_conv_skips_only_the_discarded_input_gradient(arch, hw):
+    model = Predictor("beam", in_channels=2, M_bm=8, arch=arch)
+    first = model.children["sem"].children["0"]
+    assert first.input_grad is False
+    twin = copy.deepcopy(model)
+    twin.children["sem"].children["0"].input_grad = True
+    params, state = model.init(4)
+    rng = rng_mod.stream(6, "skip")
+    loc = rng.normal(size=(6, 3)).astype(np.float32)
+    masks = (rng.random(size=(6, 2, *hw)) < 0.3).astype(np.float32)
+    labels = rng.integers(8, size=6)
+    grads = []
+    for net in (model, twin):
+        out, cache = net.forward(params, copy.deepcopy(state), loc, masks, training=True,
+                                 rng=rng_mod.stream(0, "dropout"))
+        _, dout = _batch_loss_grad(net, out, labels)
+        grads.append(net.backward(dout, cache, params))
+    assert grads[0].keys() == grads[1].keys() == params.keys()
+    for key in params:
+        assert grads[0][key].tobytes() == grads[1][key].tobytes(), key
+
+
 def test_train_deterministic_and_learns_planted_signal():
     ds = planted_sampleset(n=120, M_bm=4)
     cfg = TrainConfig(epochs=12, seed=3, batch_size=32, arch=TINY_ARCH,
@@ -218,6 +243,9 @@ def test_train_deterministic_and_learns_planted_signal():
     res2 = train(ds, ("location", "vehicle"), "beam", cfg)
     for k in res1.params:
         assert np.array_equal(res1.params[k], res2.params[k]), k
+    # one mean training loss per epoch, reproducible, falling as it learns
+    assert len(res1.train_loss) == cfg.epochs and res1.train_loss == res2.train_loss
+    assert res1.train_loss[-1] < res1.train_loss[0]
     # the beam label is a deterministic function of the vehicle mask
     assert res1.val_accuracy > 0.9
     # train/val/test disjoint cover
