@@ -2,7 +2,7 @@
 prediction with floating feature selection."""
 
 from .beams import (BeamEvaluation, Codebook, dft_codebook, optimal_beam,
-                    rate, topg_accuracy, trr)
+                    topg_accuracy, trr)
 from .channel import (ChannelMatrix, PathComponent, RayTraceConfig,
                       TargetLostError, assemble_channel, steering_vector,
                       trace_paths)
@@ -15,9 +15,8 @@ from .pipeline import (DEFAULT_G_LIST, DEFAULT_HORIZONS, PipelineError,
                        blockage_labels, cmd_eval, cmd_generate, cmd_report,
                        cmd_select, cmd_train, generate_dataset)
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig,
-                        TrainResult, accuracy, beam_loss, blockage_loss,
-                        gradient_check, mask_channels, predict,
-                        split_indices, train)
+                        TrainResult, accuracy, gradient_check, mask_channels,
+                        predict, split_indices, train)
 from .rng import derive_seed, stream
 from .scene import (CameraPose, ConfigError, Frame, SceneConfig, Vehicle,
                     VehicleClass, advance_frame, generate_scenario)

@@ -1,4 +1,4 @@
-"""DFT codebook, achievable rate, exhaustive beam search, Top-G metrics."""
+"""DFT codebook, exhaustive beam search over all codeword rates, Top-G metrics."""
 
 import logging
 from dataclasses import dataclass
@@ -28,11 +28,6 @@ class BeamEvaluation:
     rates: np.ndarray      # (M_bm,) bits/s/Hz
     optimal_index: int     # smallest index among maximal rates
 
-    def topg_indices(self, G: int):
-        """First G beam indices by rate descending, ties to smallest index."""
-        order = np.argsort(-self.rates, kind="stable")
-        return tuple(int(i) for i in order[:G])
-
 
 def dft_codebook(N_t: int, M_bm: int) -> Codebook:
     """Codeword m entry n = (1/sqrt(N_t)) * exp(-j 2 pi m n / M_bm)."""
@@ -43,21 +38,22 @@ def dft_codebook(N_t: int, M_bm: int) -> Codebook:
     return Codebook(vectors=np.exp(-2j * np.pi * m * n / M_bm) / np.sqrt(N_t))
 
 
-def rate(channel, w, P_k: float, sigma2: float) -> float:
-    """(1/K) * sum_k log2(1 + (P_k/sigma2) |h[k]^T w|^2)."""
-    h = channel.entries if isinstance(channel, ChannelMatrix) else np.asarray(channel)
-    w = np.asarray(w)
-    if h.shape[1] != w.shape[0]:
-        raise ValueError("channel and beam dimensions differ")
-    gains = np.abs(h @ w) ** 2
-    return float(np.mean(np.log2(1 + (P_k / sigma2) * gains)))
-
-
 def optimal_beam(channel, codebook: Codebook, P_k: float, sigma2: float) -> BeamEvaluation:
-    """Exhaustive rate evaluation over the codebook."""
+    """Exhaustive search: the rate of every codeword m,
+    (1/K) * sum_k log2(1 + (P_k/sigma2) |h[k]^T w_m|^2), in one product.
+
+    Broadcasting h over the (M_bm, N_t, 1) codeword stack runs the same
+    matrix-vector kernel as ``h @ w_m`` for each codeword (a single GEMM
+    rounds differently), and each mean runs over a contiguous row of the
+    (M_bm, K) gains, so the rates equal those of a per-codeword loop bit for bit.
+    """
     if codebook.M_bm < 1:
         raise ValueError("codebook is empty")
-    rates = np.array([rate(channel, wv, P_k, sigma2) for wv in codebook.vectors])
+    h = channel.entries if isinstance(channel, ChannelMatrix) else np.asarray(channel)
+    if h.shape[1] != codebook.N_t:
+        raise ValueError("channel and beam dimensions differ")
+    gains = np.abs(np.matmul(h, codebook.vectors[:, :, None])[..., 0]) ** 2  # (M_bm, K)
+    rates = np.mean(np.log2(1 + (P_k / sigma2) * gains), axis=1)
     return BeamEvaluation(rates=rates, optimal_index=int(np.argmax(rates)))
 
 

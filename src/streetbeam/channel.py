@@ -80,7 +80,11 @@ class ChannelMatrix:
 
 
 def steering_vector(theta_az, theta_el, f, config: RayTraceConfig):
-    """ULA manifold vector: entry n = exp(j*w*n*sin(el)*cos(az)), w = 2 pi d f / c."""
+    """ULA manifold vector: entry n = exp(j*w*n*sin(el)*cos(az)), w = 2 pi d f / c.
+
+    ``f`` broadcasts against the antenna axis: a (K, 1) column of subcarrier
+    frequencies gives the (K, N_t) manifold of one path.
+    """
     w = 2 * np.pi * config.d * f / C_LIGHT
     n = np.arange(config.N_t)
     return np.exp(1j * w * n * np.sin(theta_el) * np.cos(theta_az))
@@ -214,8 +218,5 @@ def assemble_channel(paths, config: RayTraceConfig) -> ChannelMatrix:
     fk = config.subcarrier_freq(np.arange(config.K))
     for p in paths:
         gain = p.alpha * np.exp(-1j * 2 * np.pi * fk * p.tau + 1j * p.phi)  # (K,)
-        w = 2 * np.pi * config.d * fk / C_LIGHT
-        manifold = np.exp(1j * np.outer(w, np.arange(config.N_t))
-                          * np.sin(p.theta_el) * np.cos(p.theta_az))       # (K, N_t)
-        h += gain[:, None] * manifold
+        h += gain[:, None] * steering_vector(p.theta_az, p.theta_el, fk[:, None], config)
     return ChannelMatrix(entries=h, config=config)

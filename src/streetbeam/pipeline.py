@@ -20,8 +20,8 @@ from .channel import RayTraceConfig, TargetLostError, assemble_channel, trace_pa
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import read_container, write_container
 from .featsel import LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, canonical, sffs
-from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, predict,
-                        sigmoid, split_indices, train)
+from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, accuracy,
+                        predict, split_indices, train)
 from .rng import derive_seed
 from .scene import SceneConfig, from_plain, generate_scenario, to_plain
 from .semantics import render_frame
@@ -186,9 +186,22 @@ def _stem(task, horizon):
     return task if task == "beam" else f"{task}_h{horizon}"
 
 
+def _blockage_horizon(dataset: SampleSet, task, horizon):
+    """The horizon a blockage run uses: ``horizon``, else the dataset's first."""
+    if task == "beam":
+        return horizon
+    if horizon is None:
+        return dataset.horizons[0]
+    if horizon not in dataset.horizons:
+        raise PipelineError(f"horizon {horizon} is not one of the dataset's "
+                            f"horizons {list(dataset.horizons)}")
+    return horizon
+
+
 def cmd_train(dataset: SampleSet, features, task, cfg: TrainConfig, out_dir,
               horizon=None):
     """Train on the train split and checkpoint the parameters."""
+    horizon = _blockage_horizon(dataset, task, horizon)
     res = train(dataset, features, task, cfg, horizon=horizon)
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, _stem(task, horizon) + ".esnn"),
@@ -226,6 +239,7 @@ def _load_model_checkpoint(path, model: Predictor):
 def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
              g_list=DEFAULT_G_LIST, P_k=None, sigma2=None):
     """Evaluate a checkpointed model on the test split; write a fragment."""
+    horizon = _blockage_horizon(dataset, task, horizon)
     meta_path = os.path.join(out_dir, _stem(task, horizon) + ".meta.json")
     ckpt_path = os.path.join(out_dir, _stem(task, horizon) + ".esnn")
     for p in (meta_path, ckpt_path):
@@ -243,7 +257,6 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
                                    meta["seed"])
     if len(test_idx) == 0:
         raise PipelineError("empty test split")
-    out = predict(model, params, state, dataset, test_idx, features)
 
     fragment = {"task": task, "horizon": horizon, "n": int(len(test_idx)),
                 "seed": meta["seed"]}
@@ -251,6 +264,7 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
         if dataset.channels is None:
             raise PipelineError("TRR evaluation needs stored channels; "
                                 "regenerate the dataset with channels on")
+        out = predict(model, params, state, dataset, test_idx, features)
         order = np.argsort(-out, axis=1, kind="stable")
         labels = dataset.beam_labels[test_idx]
         codebook = dft_codebook(dataset.channels.shape[2], dataset.M_bm)
@@ -269,12 +283,8 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
             fragment["trr"][str(g)] = trr(chans, codebook, sets, g,
                                           P_k=P_k, sigma2=sigma2)
     else:
-        probs = sigmoid(out[:, 0])
-        col = list(dataset.horizons).index(horizon if horizon is not None
-                                           else dataset.horizons[0])
-        labels = dataset.blockage[test_idx, col]
-        pred = (probs >= 0.5).astype(int)
-        fragment["blockage_accuracy"] = float(np.mean(pred == labels))
+        fragment["blockage_accuracy"] = accuracy(model, params, state, dataset,
+                                                 test_idx, features, task, horizon)
 
     with open(os.path.join(out_dir, f"eval_{_stem(task, horizon)}.json"), "w") as fh:
         json.dump(fragment, fh, indent=1, sort_keys=True)

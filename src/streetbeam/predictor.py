@@ -205,25 +205,6 @@ def log_softmax(logits):
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def beam_loss(logits, label):
-    """Cross entropy -log softmax(logits)[label] for one sample."""
-    logits = np.asarray(logits, dtype=float)
-    if not 0 <= int(label) < logits.shape[-1]:
-        raise ValueError("beam label out of range")
-    return float(-log_softmax(logits)[..., int(label)])
-
-
-_PROB_CLAMP = 1e-7
-
-
-def blockage_loss(prob, label):
-    """Binary cross entropy with the probability clamped away from {0, 1}."""
-    if label not in (0, 1):
-        raise ValueError("blockage label must be 0 or 1")
-    p = min(max(float(prob), _PROB_CLAMP), 1 - _PROB_CLAMP)
-    return float(-(label * np.log(p) + (1 - label) * np.log(1 - p)))
-
-
 def _batch_loss_grad(model, out, labels):
     """Mean loss over a batch and its gradient wrt the network output."""
     n = out.shape[0]

@@ -163,12 +163,6 @@ class Frame:
     user_antenna_pos: tuple | None  # (x, y, z); z = target vehicle height
     spawn_draw: int = 0      # Poisson draw for this slot (attempted spawns)
 
-    def vehicle_by_id(self, vid):
-        for v in self.vehicles:
-            if v.id == vid:
-                return v
-        return None
-
 
 def _default_cameras(length, road_half, sidewalk):
     y = road_half + sidewalk

@@ -1,14 +1,35 @@
 import numpy as np
 import pytest
 
-from streetbeam.beams import (dft_codebook, optimal_beam, rate, topg_accuracy,
-                              trr)
-from streetbeam.channel import RayTraceConfig, assemble_channel, PathComponent
+from streetbeam.beams import (Codebook, dft_codebook, optimal_beam,
+                              topg_accuracy, trr)
+from streetbeam.channel import (PathComponent, RayTraceConfig, assemble_channel,
+                                trace_paths)
 from streetbeam.rng import stream
+from streetbeam.scene import SceneConfig, generate_scenario
 
 
 def random_channel(rng, K, N_t):
     return (rng.normal(size=(K, N_t)) + 1j * rng.normal(size=(K, N_t))) / np.sqrt(N_t)
+
+
+def _reference_rates(h, codebook, P_k, sigma2):
+    """Per-codeword loop: one mean-log2 rate per codeword, each its own mean
+    over the K subcarriers. ``optimal_beam`` must reproduce it bit for bit."""
+    rates = []
+    for w in codebook.vectors:
+        gains = np.abs(h @ w) ** 2
+        rates.append(float(np.mean(np.log2(1 + (P_k / sigma2) * gains))))
+    return np.array(rates)
+
+
+def street_channels(rt, frames=100, seed=503):
+    """Traced channels of every frame with a target user on the
+    acceptance-criterion-7 street (dense traffic, base station at 2 m)."""
+    scene = SceneConfig(frame_count=frames, seed=seed, spawn_rate=0.6,
+                        bs_position=(100.0, -8.0, 2.0))
+    return [assemble_channel(trace_paths(f, scene, rt), rt)
+            for f in generate_scenario(scene) if f.target_user_id is not None]
 
 
 def test_dft_codebook_2x2():
@@ -28,15 +49,16 @@ def test_dft_codebook_orthogonal_unit_norm():
 
 
 def test_rate_trivial_cases():
-    cfg = RayTraceConfig(N_t=4, K=1)
+    e = Codebook(vectors=np.eye(4, dtype=complex))
     zero = np.zeros((1, 4), dtype=complex)
-    w = np.ones(4, dtype=complex) / 2
-    assert rate(zero, w, 1.0, 0.1) == 0.0
+    assert optimal_beam(zero, e, 1.0, 0.1).rates.tolist() == [0.0] * 4
     h = np.array([[1.0, 0, 0, 0]], dtype=complex)
-    e0 = np.eye(4)[0].astype(complex)
-    assert rate(h, e0, 1.0, 1.0) == pytest.approx(1.0)  # log2(1 + 1)
-    with pytest.raises(ValueError):
-        rate(h, np.ones(3, dtype=complex), 1.0, 1.0)
+    assert optimal_beam(h, e, 1.0, 1.0).rates.tolist() == [1.0, 0, 0, 0]  # log2(1 + 1)
+    # the rate follows the SNR P_k / sigma2, not either power alone
+    for P_k, sigma2, want in ((3.0, 1.0, 2.0), (7.0, 1.0, 3.0), (3.5, 0.5, 3.0)):
+        assert optimal_beam(h, e, P_k, sigma2).rates[0] == want  # log2(1 + SNR)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        optimal_beam(h, dft_codebook(3, 3), 1.0, 1.0)
 
 
 def test_rate_scalar_oracle():
@@ -44,22 +66,41 @@ def test_rate_scalar_oracle():
     for _ in range(20):
         K, N_t = 5, 6
         h = random_channel(rng, K, N_t)
-        w = random_channel(rng, 1, N_t)[0]
-        got = rate(h, w, 2.0, 0.5)
-        oracle = sum(np.log2(1 + (2.0 / 0.5) * abs(sum(h[k, n] * w[n] for n in range(N_t))) ** 2)
-                     for k in range(K)) / K
-        assert got == pytest.approx(oracle, rel=1e-12)
+        cb = Codebook(vectors=random_channel(rng, 3, N_t))
+        got = optimal_beam(h, cb, 2.0, 0.5).rates
+        for m, w in enumerate(cb.vectors):
+            oracle = sum(np.log2(1 + (2.0 / 0.5) * abs(sum(h[k, n] * w[n] for n in range(N_t))) ** 2)
+                         for k in range(K)) / K
+            assert got[m] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_optimal_beam_brute_force_oracle():
     rng = stream(2, "test.opt")
-    cb = dft_codebook(8, 8)
-    for _ in range(50):
-        h = random_channel(rng, 4, 8)
-        ev = optimal_beam(h, cb, 1.0, 0.1)
-        rates = np.array([rate(h, wv, 1.0, 0.1) for wv in cb.vectors])
-        assert ev.optimal_index == int(np.argmax(rates))
-        assert np.allclose(ev.rates, rates, rtol=1e-12)
+    # (K, N_t, M_bm): square, oversampled and single-subcarrier codebooks
+    for K, N_t, M_bm in ((4, 8, 8), (16, 16, 16), (128, 64, 64), (5, 6, 11), (1, 4, 4)):
+        cb = dft_codebook(N_t, M_bm)
+        for snr in (0.1, 10.0, 1e4):
+            for h in [random_channel(rng, K, N_t) for _ in range(10)] + \
+                     [np.zeros((K, N_t), dtype=complex)]:
+                ev = optimal_beam(h, cb, snr, 1.0)
+                want = _reference_rates(h, cb, snr, 1.0)
+                assert ev.rates.shape == (M_bm,)
+                assert ev.rates.tobytes() == want.tobytes()
+                assert ev.optimal_index == int(np.argmax(want))
+
+
+@pytest.mark.parametrize("rt", [RayTraceConfig(), RayTraceConfig(N_t=16, K=16)],
+                         ids=["default", "Nt16-K16"])
+def test_optimal_beam_bitwise_on_street_channels(rt):
+    cb = dft_codebook(rt.N_t, rt.N_t)
+    chans = street_channels(rt)
+    assert len(chans) > 90
+    for ch in chans:
+        ev = optimal_beam(ch, cb, rt.P_k, rt.sigma2)
+        want = _reference_rates(ch.entries, cb, rt.P_k, rt.sigma2)
+        assert ev.rates.tobytes() == want.tobytes()
+        assert isinstance(ev.optimal_index, int)
+        assert ev.optimal_index == int(np.argmax(want))
 
 
 def test_optimal_beam_zero_channel_tie_break():
@@ -96,12 +137,6 @@ def test_argmax_invariant_under_snr_scaling():
         i1 = optimal_beam(h, cb, 1.0, 0.1).optimal_index
         i2 = optimal_beam(h, cb, 37.0, 0.1).optimal_index
         assert i1 == i2
-
-
-def test_topg_indices_stable():
-    cb = dft_codebook(4, 4)
-    ev = optimal_beam(np.zeros((1, 4), dtype=complex), cb, 1.0, 1.0)
-    assert ev.topg_indices(3) == (0, 1, 2)  # all-tied rates: smallest indices
 
 
 def test_topg_accuracy():

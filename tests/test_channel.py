@@ -200,6 +200,46 @@ def test_assemble_channel_double_loop_oracle():
         assert np.max(np.abs(h - oracle)) <= 1e-12 * max(np.max(np.abs(oracle)), 1e-300)
 
 
+def _reference_assemble(paths, config):
+    """Path loop with the ULA manifold written out inline, as an outer
+    product of the subcarrier phase rates and the antenna indices.
+    ``assemble_channel`` must reproduce it bit for bit."""
+    h = np.zeros((config.K, config.N_t), dtype=np.complex128)
+    fk = config.subcarrier_freq(np.arange(config.K))
+    for p in paths:
+        gain = p.alpha * np.exp(-1j * 2 * np.pi * fk * p.tau + 1j * p.phi)
+        w = 2 * np.pi * config.d * fk / C
+        manifold = np.exp(1j * np.outer(w, np.arange(config.N_t))
+                          * np.sin(p.theta_el) * np.cos(p.theta_az))
+        h += gain[:, None] * manifold
+    return h
+
+
+@pytest.mark.parametrize("cfg", [RayTraceConfig(), RayTraceConfig(N_t=16, K=16)],
+                         ids=["default", "Nt16-K16"])
+def test_assemble_channel_bitwise_on_street_paths(cfg):
+    # the acceptance-criterion-7 street: dense traffic, base station at 2 m
+    scene = SceneConfig(frame_count=100, seed=503, spawn_rate=0.6,
+                        bs_position=(100.0, -8.0, 2.0))
+    checked = 0
+    for f in generate_scenario(scene):
+        if f.target_user_id is None:
+            continue
+        paths = trace_paths(f, scene, cfg)
+        got = assemble_channel(paths, cfg).entries
+        assert got.tobytes() == _reference_assemble(paths, cfg).tobytes()
+        checked += 1
+    assert checked > 90
+    rng = stream(6, "test.bitwise")
+    for _ in range(20):
+        paths = [PathComponent(float(rng.uniform(0, 1)), float(rng.uniform(0, 2 * np.pi)),
+                               float(rng.uniform(0, 1e-6)), float(rng.uniform(-np.pi, np.pi)),
+                               float(rng.uniform(-np.pi / 2, np.pi / 2)), False)
+                 for _ in range(int(rng.integers(1, 5)))]
+        got = assemble_channel(paths, cfg).entries
+        assert got.tobytes() == _reference_assemble(paths, cfg).tobytes()
+
+
 def test_energy_triangle_inequality():
     cfg = small_cfg(N_t=8, K=3)
     rng = stream(5, "test.energy")

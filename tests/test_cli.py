@@ -170,3 +170,28 @@ def test_generate_seed_from_config_unless_given(tmp_path):
     assert generate("flag5", "--seed", "5") == from_config
     # an explicit --seed still overrides the config
     assert generate("flag0", "--seed", "0")[0] == 0
+
+
+def test_blockage_horizon_defaults_to_first_dataset_horizon(tmp_path, capsys):
+    cfg = write_config(tmp_path)  # horizons [1, 3]
+    out = str(tmp_path / "run")
+    dataset = str(tmp_path / "run" / "dataset")
+    assert main(["generate", "--config", str(cfg), "--out", out]) == 0
+    assert main(["train", "--config", str(cfg), "--dataset", dataset,
+                 "--task", "blockage", "--epochs", "1", "--out", out,
+                 "--features", "location,vehicle"]) == 0
+    assert main(["eval", "--dataset", dataset, "--task", "blockage", "--out", out]) == 0
+    assert main(["report", "--out", out]) == 0
+    run = tmp_path / "run"
+    assert sorted(p.name for p in run.glob("*blockage*")) == [
+        "blockage_h1.esnn", "blockage_h1.meta.json", "eval_blockage_h1.json"]
+    assert json.loads((run / "blockage_h1.meta.json").read_text())["horizon"] == 1
+    report = json.loads((run / "report.json").read_text())
+    assert list(report["metrics"]["blockage"]) == ["1"]
+    capsys.readouterr()
+    for cmd in (["train", "--config", str(cfg), "--epochs", "1",
+                 "--features", "location,vehicle"], ["eval"]):
+        assert main(cmd + ["--dataset", dataset, "--task", "blockage",
+                           "--horizon", "7", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "horizon 7" in err and "[1, 3]" in err, err

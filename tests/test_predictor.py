@@ -7,8 +7,7 @@ import pytest
 import streetbeam.rng as rng_mod
 from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor,
                                   SampleSet, TrainConfig, _batch_loss_grad,
-                                  accuracy, beam_loss,
-                                  blockage_loss, gradient_check, log_softmax,
+                                  accuracy, gradient_check, log_softmax,
                                   mask_channels, predict, sigmoid,
                                   split_indices, train)
 from streetbeam.scene import from_plain, to_plain
@@ -162,30 +161,39 @@ def test_sigmoid_and_log_softmax():
     assert np.allclose(np.exp(ls).sum(axis=1), 1.0, atol=1e-6)
 
 
+def _loss(task, logits, labels):
+    """Training's batch loss of float64 network outputs."""
+    model = Predictor(task, in_channels=0, M_bm=logits.shape[1], arch=TINY_ARCH)
+    return _batch_loss_grad(model, np.asarray(logits, dtype=float),
+                            np.asarray(labels, dtype=np.int64))[0]
+
+
 def test_beam_loss_oracle():
     m = 64
-    uniform = np.zeros(m)
-    assert beam_loss(uniform, 3) == pytest.approx(np.log(64), rel=1e-6)
-    peaked = np.zeros(m)
-    peaked[5] = 200.0
-    assert beam_loss(peaked, 5) == pytest.approx(0.0, abs=1e-12)
+    uniform = np.zeros((2, m))
+    assert _loss("beam", uniform, [3, 40]) == pytest.approx(np.log(64), rel=1e-12)
+    peaked = np.zeros((1, m))
+    peaked[0, 5] = 200.0
+    assert _loss("beam", peaked, [5]) == pytest.approx(0.0, abs=1e-12)
     rng = rng_mod.stream(3, "bl")
-    logits = rng.normal(size=8)
-    oracle = -(logits[2] - np.log(np.sum(np.exp(logits))))
-    assert beam_loss(logits, 2) == pytest.approx(oracle, rel=1e-6)
-    with pytest.raises(ValueError):
-        beam_loss(logits, 8)
+    logits = rng.normal(size=(1, 8))
+    oracle = -(logits[0, 2] - np.log(np.sum(np.exp(logits))))
+    assert _loss("beam", logits, [2]) == pytest.approx(oracle, rel=1e-12)
+    huge = np.zeros((1, m))
+    huge[0, 0] = 1e3
+    assert _loss("beam", huge, [1]) == pytest.approx(1e3, rel=1e-12)  # finite
 
 
 def test_blockage_loss_oracle():
-    assert blockage_loss(0.5, 0) == pytest.approx(np.log(2))
-    assert blockage_loss(0.5, 1) == pytest.approx(np.log(2))
-    assert blockage_loss(1.0, 1) == pytest.approx(0.0, abs=1e-6)
-    assert blockage_loss(0.0, 1) > 10  # clamped, finite
+    assert _loss("blockage", np.zeros((2, 1)), [0, 1]) == pytest.approx(np.log(2), rel=1e-12)
+    for z, y in ((1e3, 1), (-1e3, 0)):
+        assert _loss("blockage", np.array([[z]]), [y]) == pytest.approx(0.0, abs=1e-12)
+    for z, y in ((1e3, 0), (-1e3, 1)):
+        loss = _loss("blockage", np.array([[z]]), [y])
+        assert np.isfinite(loss) and loss == pytest.approx(1e3, rel=1e-12)
     p = 0.73
-    assert blockage_loss(p, 0) == pytest.approx(-np.log(1 - p))
-    with pytest.raises(ValueError):
-        blockage_loss(0.5, 2)
+    z = np.log(p / (1 - p))
+    assert _loss("blockage", np.array([[z]]), [0]) == pytest.approx(-np.log(1 - p), rel=1e-12)
 
 
 def test_split_hygiene():

@@ -137,8 +137,7 @@ def test_target_user_and_antenna_position():
         if fr.target_user_id is None:
             assert fr.user_antenna_pos is None
             continue
-        tv = fr.vehicle_by_id(fr.target_user_id)
-        assert tv is not None
+        (tv,) = [v for v in fr.vehicles if v.id == fr.target_user_id]
         x, y, z = fr.user_antenna_pos
         assert (x, y) == tv.center
         assert z == tv.vclass.height  # roof-mounted antenna, exact
@@ -149,7 +148,7 @@ def test_target_persists_while_present():
     frames = generate_scenario(cfg)
     for prev, cur in zip(frames, frames[1:]):
         if prev.target_user_id is not None and \
-                cur.vehicle_by_id(prev.target_user_id) is not None:
+                any(v.id == prev.target_user_id for v in cur.vehicles):
             assert cur.target_user_id == prev.target_user_id
 
 
