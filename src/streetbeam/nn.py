@@ -5,6 +5,15 @@ paths ("sem.0.W"), which keeps checkpointing and finite-difference
 gradient checking trivial. All layers are dtype-preserving so the same
 graph can run in float32 for training and float64 for gradient checks.
 
+Layout: image activations are 4-D ``(C, H, W, N)``, batch innermost, so
+every strided window copy of a convolution or pooling layer moves rows of
+N contiguous values, and a convolution is one 2-D GEMM over columns
+``(C*k*k, OH*OW*N)``. Vector activations are ``(N, F)``. ``Flatten`` is
+the boundary: it turns ``(C, H, W, N)`` into ``(N, C*H*W)`` with features
+in (c, h, w) order; ``Dense``, ``Dropout`` and 2-D ``BatchNorm`` work on
+``(N, F)``. A network whose input is integer label maps starts with
+``LabelConv2d``, which builds its columns from the maps directly.
+
 Modules made of other modules (``Sequential``, ``ResidualBlock`` and the
 predictor's network) derive from ``Composite``: each child has a name, and
 its tensors live under "<name>." in the parent's dicts. ``Composite.init``
@@ -69,7 +78,8 @@ class ReLU(Layer):
 
 
 class BatchNorm:
-    """Batch normalization over the batch (and spatial dims for 4-D input)."""
+    """Batch normalization per feature of (N, F) input or per channel of
+    (C, H, W, N) input, over the batch (and spatial dims)."""
 
     def __init__(self, num_features):
         self.num_features = num_features
@@ -83,11 +93,11 @@ class BatchNorm:
 
     @staticmethod
     def _axes(x):
-        return (0,) if x.ndim == 2 else (0, 2, 3)
+        return (0,) if x.ndim == 2 else (1, 2, 3)
 
     @staticmethod
     def _shape(x):
-        return (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+        return (1, -1) if x.ndim == 2 else (-1, 1, 1, 1)
 
     def forward(self, x, p, s, training, rng):
         axes, shp = self._axes(x), self._shape(x)
@@ -118,7 +128,7 @@ class BatchNorm:
         scale = (p["gamma"] * inv_std).reshape(shp)
         if training:
             # d/dx of gamma * xhat: the two batch reductions are dbeta and dgamma
-            m = dy.size // dy.shape[1]
+            m = dy.size // dbeta.size  # values per feature
             dx = dy - (dbeta / m).reshape(shp)
             dx -= xhat * (dgamma / m).reshape(shp)
             dx *= scale
@@ -128,43 +138,46 @@ class BatchNorm:
 
 
 def _pad(x, pad):
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    """(C, H, W, N) input with ``pad`` zeros around H and W."""
+    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
 
 
 def _im2col(xp, k, stride, oh, ow):
-    """Columns (N, C*k*k, OH*OW) of the k x k windows of padded input ``xp``."""
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, k, k, oh, ow), dtype=xp.dtype)
+    """Columns (C*k*k, OH*OW*N) of the k x k windows of padded input ``xp``
+    (C, H, W, N): row (c, i, j), column (oh, ow, n)."""
+    c, n = xp.shape[0], xp.shape[3]
+    cols = np.empty((c, k, k, oh, ow, n), dtype=xp.dtype)
     for i in range(k):
         for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(n, c * k * k, oh * ow)
+            cols[:, i, j] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(c * k * k, oh * ow * n)
 
 
 def _col2im(dcols, x_shape, k, stride, pad):
-    """Adjoint of ``_im2col``: scatter-add (N, C, k, k, OH, OW) window
-    gradients back onto an input of shape ``x_shape``."""
-    n, c, h, w = x_shape
-    oh, ow = dcols.shape[-2:]
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
+    """Adjoint of ``_im2col``: scatter-add (C, k, k, OH, OW, N) window
+    gradients back onto an input of shape ``x_shape`` (C, H, W, N)."""
+    c, h, w, n = x_shape
+    oh, ow = dcols.shape[3:5]
+    dxp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=dcols.dtype)
     for i in range(k):
         for j in range(k):
-            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, :, i, j]
-    return dxp[:, :, pad:pad + h, pad:pad + w]
+            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
+    return dxp[:, pad:pad + h, pad:pad + w]
 
 
 class Conv2d:
-    """2-D convolution as one batched GEMM over im2col columns.
+    """2-D convolution of (C, H, W, N) input as one GEMM over im2col columns.
 
-    ``input_grad=False`` is for a network's first layer, whose input is
-    data: backward then returns ``None`` for the input gradient and skips
-    the GEMM and scatter that would compute it.
+    A subclass whose input is data sets ``input_grad = False``: backward
+    then returns ``None`` for the input gradient and skips the GEMM and
+    scatter that would compute it.
     """
 
-    def __init__(self, c_in, c_out, kernel=3, stride=1, pad=1, input_grad=True):
+    input_grad = True
+
+    def __init__(self, c_in, c_out, kernel=3, stride=1, pad=1):
         self.c_in, self.c_out = c_in, c_out
         self.k, self.stride, self.pad = kernel, stride, pad
-        self.input_grad = input_grad
 
     def init(self, rng, dtype):
         fan_in = self.c_in * self.k * self.k
@@ -177,28 +190,72 @@ class Conv2d:
         return ((h + 2 * self.pad - self.k) // self.stride + 1,
                 (w + 2 * self.pad - self.k) // self.stride + 1)
 
+    def _columns(self, x, dtype):
+        """im2col columns (C*k*k, OH*OW*N) of input ``x`` and the output
+        shape (C_out, OH, OW, N)."""
+        c, h, w, n = x.shape
+        oh, ow = self.out_hw(h, w)
+        return (_im2col(_pad(x, self.pad), self.k, self.stride, oh, ow),
+                (self.c_out, oh, ow, n))
+
     def forward(self, x, p, s, training, rng):
-        n = x.shape[0]
-        oh, ow = self.out_hw(*x.shape[2:])
-        cols = _im2col(_pad(x, self.pad), self.k, self.stride, oh, ow)
-        # (C_out, C*k*k) @ (N, C*k*k, OH*OW) lands in NCHW order
-        y = np.matmul(p["W"].reshape(self.c_out, -1), cols)
-        y += p["b"].reshape(1, -1, 1)
-        return y.reshape(n, self.c_out, oh, ow), (cols, x.shape)
+        cols, y_shape = self._columns(x, p["W"].dtype)
+        y = p["W"].reshape(self.c_out, -1) @ cols
+        y += p["b"][:, None]
+        return y.reshape(y_shape), (cols, x.shape if self.input_grad else None)
 
     def backward(self, dy, cache, p):
         cols, x_shape = cache
-        n, c = x_shape[:2]
-        oh, ow = dy.shape[2:]
-        dy3 = dy.reshape(n, self.c_out, oh * ow)
-        dW = np.matmul(dy3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(p["W"].shape)
-        grads = {"W": dW, "b": dy.sum(axis=(0, 2, 3))}
+        dy2 = dy.reshape(self.c_out, -1)
+        grads = {"W": (dy2 @ cols.T).reshape(p["W"].shape), "b": dy2.sum(axis=1)}
         if not self.input_grad:
             return None, grads
-        dcols = np.matmul(p["W"].reshape(self.c_out, -1).T, dy3)
-        dx = _col2im(dcols.reshape(n, c, self.k, self.k, oh, ow), x_shape,
+        dcols = p["W"].reshape(self.c_out, -1).T @ dy2
+        dx = _col2im(dcols.reshape((x_shape[0], self.k, self.k) + dy.shape[1:]), x_shape,
                      self.k, self.stride, self.pad)
         return dx, grads
+
+
+# label id of the padding around label maps; no concept uses it
+PAD_LABEL = 255
+
+
+class LabelConv2d(Conv2d):
+    """First convolution of a network whose input is integer label maps.
+
+    The input is ``(maps, ids)``: uint8 maps (N, M, H, W) and the label ids
+    (n_ids,) to one-hot, each below ``PAD_LABEL``. Input channel
+    ``a * M + m`` is ``maps[:, m] == ids[a]`` read at ``input_hw``; maps
+    at an integer multiple of it are subsampled by that factor. The columns
+    come straight from the maps: pad them with ``PAD_LABEL``, gather the
+    k x k strided taps, compare them with ``ids`` and cast to the parameter
+    dtype. The input is data, so there is no input gradient.
+    """
+
+    input_grad = False
+
+    def __init__(self, c_in, c_out, input_hw, kernel=3, stride=1, pad=1):
+        super().__init__(c_in, c_out, kernel, stride, pad)
+        self.input_hw = tuple(input_hw)
+
+    def _columns(self, x, dtype):
+        maps, ids = x
+        n, m, H, W = maps.shape
+        h, w = self.input_hw
+        if H % h or W % w:
+            raise ValueError(f"map resolution {(H, W)} not an integer multiple of {(h, w)}")
+        oh, ow = self.out_hw(h, w)
+        k, st, pad = self.k, self.stride, self.pad
+        xp = np.full((n, m, h + 2 * pad, w + 2 * pad), PAD_LABEL, dtype=np.uint8)
+        xp[:, :, pad:pad + h, pad:pad + w] = maps[:, :, ::H // h, ::W // w]
+        taps = np.empty((m, k, k, oh, ow, n), dtype=np.uint8)
+        for i in range(k):
+            for j in range(k):
+                taps[:, i, j] = xp[:, :, i:i + st * oh:st,
+                                   j:j + st * ow:st].transpose(1, 2, 3, 0)
+        cols = np.empty((len(ids),) + taps.shape, dtype=dtype)
+        np.equal(taps, np.reshape(ids, (-1,) + (1,) * taps.ndim), out=cols)
+        return cols.reshape(-1, oh * ow * n), (self.c_out, oh, ow, n)
 
 
 class AvgPool(Layer):
@@ -210,22 +267,22 @@ class AvgPool(Layer):
     out_hw = Conv2d.out_hw
 
     def forward(self, x, p, s, training, rng):
-        n, c, h, w = x.shape
+        c, h, w, n = x.shape
         oh, ow = self.out_hw(h, w)
         xp, k, st = _pad(x, self.pad), self.k, self.stride
         # window sum in row-major window order from +0, as a mean over the
         # window axes of the im2col columns would add them
-        y = np.zeros((n, c, oh, ow), dtype=x.dtype)
+        y = np.zeros((c, oh, ow, n), dtype=x.dtype)
         for i in range(k):
             for j in range(k):
-                y += xp[:, :, i:i + st * oh:st, j:j + st * ow:st]
+                y += xp[:, i:i + st * oh:st, j:j + st * ow:st]
         y /= k * k
         return y, x.shape
 
     def backward(self, dy, cache, p):
-        n, c, oh, ow = dy.shape
         k = self.k
-        share = np.broadcast_to((dy / (k * k))[:, :, None, None], (n, c, k, k, oh, ow))
+        share = np.broadcast_to((dy / (k * k))[:, None, None],
+                                (dy.shape[0], k, k) + dy.shape[1:])
         return _col2im(share, cache, k, self.stride, self.pad), {}
 
 
@@ -248,11 +305,13 @@ class Dropout(Layer):
 
 
 class Flatten(Layer):
+    """(C, H, W, N) -> (N, C*H*W), features in (c, h, w) order."""
+
     def forward(self, x, p, s, training, rng):
-        return x.reshape(x.shape[0], -1), x.shape
+        return x.reshape(-1, x.shape[3]).T, x.shape
 
     def backward(self, dy, cache, p):
-        return dy.reshape(cache), {}
+        return dy.T.reshape(cache), {}
 
 
 class Composite:

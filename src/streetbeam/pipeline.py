@@ -163,6 +163,8 @@ def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=5,
     """Run the floating search with the training-based evaluator."""
     if epochs < 1:
         raise PipelineError("selection budget must allow at least one epoch")
+    if horizon is not None:
+        horizon = _blockage_horizon(dataset, task, horizon)
     arch = default_arch(dataset, arch)
     evaluator = training_evaluator(dataset, task, horizon, epochs, seed, arch,
                                    batch_size, learning_rate)

@@ -4,8 +4,11 @@ The network mirrors the fused architecture: an auxiliary MLP encodes the
 target user location, a small residual CNN encodes the stacked concept
 masks of the selected semantic features, the two codes are concatenated
 and a dense head produces beam logits (or a blockage logit put through a
-sigmoid). Everything runs on the numpy layers in :mod:`streetbeam.nn`
-so gradients can be verified against finite differences.
+sigmoid). The CNN reads the uint8 label maps: its first convolution
+(``nn.LabelConv2d``) builds the mask columns from them, so no float mask
+batch is ever built. Everything runs on the numpy layers in
+:mod:`streetbeam.nn` so gradients can be verified against finite
+differences.
 """
 
 import logging
@@ -16,7 +19,7 @@ import numpy as np
 from . import rng as rng_mod
 from .featsel import LOCATION, canonical
 from .nn import (Adam, AvgPool, BatchNorm, Composite, Conv2d, Dense, Dropout,
-                 Flatten, ReLU, ResidualBlock, Sequential)
+                 Flatten, LabelConv2d, ReLU, ResidualBlock, Sequential)
 from .semantics import CATALOG
 
 log = logging.getLogger(__name__)
@@ -67,8 +70,15 @@ def semantic_features(features):
     return [f for f in feats if f != LOCATION]
 
 
+def concept_ids(features):
+    """uint8 catalog ids of the semantic features, in canonical order."""
+    return np.array([CATALOG.index(f) for f in semantic_features(features)],
+                    dtype=np.uint8)
+
+
 def mask_channels(label_maps, features, out_hw=None):
-    """Stack selected concept masks as channels.
+    """Stack selected concept masks as channels: the float mask batch the
+    semantic branch's first convolution never builds, kept as its reference.
 
     label_maps: (N, n_cams, H, W) uint8. Channel order is canonical feature
     order (major) then camera order (minor); shape (N, C, H', W') float32
@@ -139,8 +149,8 @@ class Predictor(Composite):
             c_prev = in_channels
             h, w = arch.input_hw
             for filters, stride in conv_spec:
-                # the masks are data, so the first conv needs no input gradient
-                conv = Conv2d(c_prev, filters, 3, stride, 1, input_grad=bool(layers))
+                conv = (Conv2d(c_prev, filters, 3, stride, 1) if layers else
+                        LabelConv2d(c_prev, filters, arch.input_hw, 3, stride, 1))
                 layers += [conv, BatchNorm(filters), ReLU()]
                 h, w = conv.out_hw(h, w)
                 c_prev = filters
@@ -167,12 +177,21 @@ class Predictor(Composite):
     def init(self, seed, dtype=np.float32):
         return super().init(rng_mod.stream(seed, "predictor.init"), dtype)
 
-    def forward(self, params, state, loc, masks, training=False, rng=None):
-        """Returns (output, cache): beam logits (N, M_bm) or blockage logit (N, 1)."""
+    def forward(self, params, state, loc, maps, features, training=False, rng=None):
+        """Returns (output, cache): beam logits (N, M_bm) or blockage logit (N, 1).
+
+        loc: (N, 3) target locations. maps: (N, n_cams, H, W) uint8 label
+        maps at ``arch.input_hw`` or an integer multiple of it, of which the
+        semantic branch masks the concepts of ``features``.
+        """
         x, ca = self.run("aux", loc, params, state, training, rng)
         cm = None
         if "sem" in self.children:
-            m, cm = self.run("sem", masks, params, state, training, rng)
+            ids = concept_ids(features)
+            if len(ids) * maps.shape[1] != self.in_channels:
+                raise ValueError(f"{len(ids)} concepts x {maps.shape[1]} cameras do not "
+                                 f"make the network's {self.in_channels} input channels")
+            m, cm = self.run("sem", (maps, ids), params, state, training, rng)
             x = np.concatenate([x, m], axis=1)
         y, ch = self.run("head", x, params, state, training, rng)
         return y, (ca, cm, ch)
@@ -302,9 +321,9 @@ def predict(model, params, state, dataset, idx, features, batch_size=256):
     outs = []
     for lo in range(0, len(idx), batch_size):
         sel = idx[lo:lo + batch_size]
-        masks = mask_channels(dataset.label_maps[sel], features, model.arch.input_hw)
         loc = dataset.locations[sel].astype(np.float32)
-        y, _ = model.forward(params, state, loc, masks, training=False)
+        y, _ = model.forward(params, state, loc, dataset.label_maps[sel], features,
+                             training=False)
         outs.append(y)
     return np.concatenate(outs) if outs else np.zeros((0, 1))
 
@@ -349,9 +368,8 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
             sel = perm[lo:lo + cfg.batch_size]
             if len(sel) < 2:
                 continue  # batch statistics need more than one sample
-            masks = mask_channels(dataset.label_maps[sel], feats, cfg.arch.input_hw)
             loc = dataset.locations[sel].astype(np.float32)
-            out, cache = model.forward(params, state, loc, masks,
+            out, cache = model.forward(params, state, loc, dataset.label_maps[sel], feats,
                                        training=True, rng=dropout_rng)
             loss, dout = _batch_loss_grad(model, out, labels[sel])
             grads = model.backward(dout, cache, params)
@@ -370,12 +388,13 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
 # ---------------------------------------------------------------------------
 # gradient verification
 
-def gradient_check(model: Predictor, params, state, loc, masks, label,
+def gradient_check(model: Predictor, params, state, loc, maps, features, label,
                    n_samples=120, step=1e-5, seed=0):
     """Max relative error between analytic and central-difference gradients.
 
     Runs in evaluation mode (dropout off, frozen normalization stats) on
-    64-bit shadow copies of the parameters. A sample whose difference
+    64-bit shadow copies of the parameters; the uint8 label maps become
+    float64 mask columns in the first convolution. A sample whose difference
     interval straddles a ReLU kink invalidates the central difference, not
     the gradient, so suspect samples are re-measured at step/10 and step/100
     and the smallest error kept: a genuine backpropagation error persists at
@@ -384,15 +403,14 @@ def gradient_check(model: Predictor, params, state, loc, masks, label,
     p64 = {k: v.astype(np.float64) for k, v in params.items()}
     s64 = {k: v.astype(np.float64) for k, v in state.items()}
     loc = np.asarray(loc, dtype=np.float64)
-    masks = np.asarray(masks, dtype=np.float64)
     labels = np.atleast_1d(np.asarray(label, dtype=np.int64))
 
     def loss_of(p):
-        out, _ = model.forward(p, s64, loc, masks, training=False)
+        out, _ = model.forward(p, s64, loc, maps, features, training=False)
         loss, _ = _batch_loss_grad(model, out, labels)
         return loss
 
-    out, cache = model.forward(p64, s64, loc, masks, training=False)
+    out, cache = model.forward(p64, s64, loc, maps, features, training=False)
     _, dout = _batch_loss_grad(model, out, labels)
     grads = model.backward(dout, cache, p64)
 

@@ -159,9 +159,14 @@ def test_criterion_05_gradient_checks():
         model = Predictor(task, in_channels=2, M_bm=16, arch=arch)
         params, state = model.init(seed=1)
         loc = rng.normal(size=(2, 3))
-        masks = rng.random(size=(2, 2, 80, 160))
+        # one camera's random label maps over the two selected concepts: each
+        # pixel is in one mask, so no window is all zeros, which with the
+        # zero initial bias would put ReLU inputs exactly on the kink
+        maps = np.array([CATALOG.index("vehicle"), CATALOG.index("building")],
+                        dtype=np.uint8)[rng.integers(2, size=(2, 1, 80, 160))]
         label = rng.integers(0, 16 if task == "beam" else 2, size=2)
-        errs[task] = gradient_check(model, params, state, loc, masks, label,
+        errs[task] = gradient_check(model, params, state, loc, maps,
+                                    ("location", "vehicle", "building"), label,
                                     n_samples=120, seed=0)
         assert errs[task] < 1e-4
     elapsed = time.monotonic() - t0

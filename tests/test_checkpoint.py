@@ -49,9 +49,9 @@ def test_model_params_roundtrip_bitwise(tmp_path):
     save_checkpoint(path, params, state)
     p2, s2 = load_checkpoint(path)
     loc = np.zeros((2, 3), dtype=np.float32)
-    masks = np.zeros((2, 2, 16, 32), dtype=np.float32)
-    y1, _ = model.forward(params, state, loc, masks)
-    y2, _ = model.forward(p2, s2, loc, masks)
+    maps = np.zeros((2, 2, 16, 32), dtype=np.uint8)
+    y1, _ = model.forward(params, state, loc, maps, ("location", "vehicle"))
+    y2, _ = model.forward(p2, s2, loc, maps, ("location", "vehicle"))
     assert np.array_equal(y1, y2)
 
 

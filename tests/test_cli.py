@@ -190,8 +190,10 @@ def test_blockage_horizon_defaults_to_first_dataset_horizon(tmp_path, capsys):
     assert list(report["metrics"]["blockage"]) == ["1"]
     capsys.readouterr()
     for cmd in (["train", "--config", str(cfg), "--epochs", "1",
-                 "--features", "location,vehicle"], ["eval"]):
+                 "--features", "location,vehicle"], ["eval"],
+                ["select", "--config", str(cfg), "--epochs", "1", "--vmax", "2"]):
         assert main(cmd + ["--dataset", dataset, "--task", "blockage",
                            "--horizon", "7", "--out", out]) == 1
         err = capsys.readouterr().err
         assert "horizon 7" in err and "[1, 3]" in err, err
+    assert not (run / "selected_blockage.json").exists()

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from streetbeam.nn import (Adam, AvgPool, BatchNorm, Conv2d, Dense, Dropout,
-                           Flatten, ReLU, ResidualBlock, Sequential, _col2im)
+                           Flatten, LabelConv2d, ReLU, ResidualBlock, Sequential,
+                           _col2im, _sub)
+from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor, _batch_loss_grad,
+                                  concept_ids, mask_channels)
 from streetbeam.rng import stream
+from streetbeam.semantics import CATALOG
 
 
 def fd_layer_check(layer, x, seed=0, training=True, step=1e-6, tol=1e-5):
@@ -66,8 +70,20 @@ def test_batchnorm_train_mode_gradients_2d():
 
 
 def test_batchnorm_train_mode_gradients_4d():
-    x = stream(4, "x").normal(size=(3, 4, 5, 6))
+    x = stream(4, "x").normal(size=(4, 5, 6, 3))  # (C, H, W, N)
     fd_layer_check(BatchNorm(4), x, training=True)
+
+
+def test_batchnorm_counts_values_per_channel():
+    # training-mode dx sums to zero per channel, which fails if the
+    # per-channel count m is taken from the wrong axis
+    for shape in [(3, 5, 7, 4), (6, 2, 3, 5)]:  # (C, H, W, N), C != H
+        bn = BatchNorm(shape[0])
+        p, s = bn.init(stream(0, "i"), np.float64)
+        x = stream(14, "x").normal(size=shape)
+        _, cache = bn.forward(x, p, s, True, None)
+        dx, _ = bn.backward(stream(15, "dy").normal(size=shape), cache, p)
+        assert np.abs(dx.sum(axis=(1, 2, 3))).max() < 1e-12
 
 
 def test_batchnorm_eval_mode_gradients():
@@ -87,7 +103,7 @@ def test_batchnorm_normalizes_in_train_mode():
 
 
 def test_conv2d_gradients_and_shape():
-    x = stream(7, "x").normal(size=(2, 3, 8, 10))
+    x = stream(7, "x").normal(size=(3, 8, 10, 2))  # (C, H, W, N)
     conv = Conv2d(3, 4, kernel=3, stride=2, pad=1)
     assert conv.out_hw(8, 10) == (4, 5)
     fd_layer_check(conv, x)
@@ -95,27 +111,27 @@ def test_conv2d_gradients_and_shape():
 
 def test_conv2d_matches_naive_convolution():
     rng = stream(8, "x")
-    x = rng.normal(size=(1, 2, 5, 6))
+    x = rng.normal(size=(2, 5, 6, 1))  # (C, H, W, N)
     conv = Conv2d(2, 3, kernel=3, stride=1, pad=1)
     p, s = conv.init(stream(0, "i"), np.float64)
     y, _ = conv.forward(x, p, s, False, None)
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    xp = np.pad(x[..., 0], ((0, 0), (1, 1), (1, 1)))
     for o in range(3):
         for i in range(5):
             for j in range(6):
                 acc = p["b"][o]
-                acc += (xp[0, :, i:i + 3, j:j + 3] * p["W"][o]).sum()
-                assert y[0, o, i, j] == pytest.approx(acc, rel=1e-12)
+                acc += (xp[:, i:i + 3, j:j + 3] * p["W"][o]).sum()
+                assert y[o, i, j, 0] == pytest.approx(acc, rel=1e-12)
 
 
 def test_avgpool_gradients_and_values():
-    x = stream(9, "x").normal(size=(2, 3, 6, 6))
+    x = stream(9, "x").normal(size=(3, 6, 6, 2))  # (C, H, W, N)
     pool = AvgPool(3, 2, 1)
     fd_layer_check(pool, x)
     y, _ = pool.forward(x, {}, {}, False, None)
-    assert y.shape == (2, 3, 3, 3)
+    assert y.shape == (3, 3, 3, 2)
     # interior window: plain 3x3 mean
-    assert y[0, 0, 1, 1] == pytest.approx(x[0, 0, 1:4, 1:4].mean())
+    assert y[0, 1, 1, 0] == pytest.approx(x[0, 1:4, 1:4, 0].mean())
 
 
 def test_dropout_eval_identity_and_train_scaling():
@@ -131,9 +147,17 @@ def test_dropout_eval_identity_and_train_scaling():
 
 
 def test_residual_block_gradients():
-    x = stream(10, "x").normal(size=(3, 4, 6, 8))
+    x = stream(10, "x").normal(size=(4, 6, 8, 3))  # (C, H, W, N)
     fd_layer_check(ResidualBlock(4, 4, stride=1), x, tol=3e-5)
     fd_layer_check(ResidualBlock(4, 6, stride=2), x, tol=3e-5)
+
+
+def test_flatten_keeps_chw_feature_order():
+    x = stream(13, "x").normal(size=(3, 4, 5, 2))  # (C, H, W, N)
+    y, cache = Flatten().forward(x, {}, {}, True, None)
+    assert np.array_equal(y, x.transpose(3, 0, 1, 2).reshape(2, -1))
+    dx, _ = Flatten().backward(y, cache, {})
+    assert np.array_equal(dx, x)
 
 
 def test_sequential_composition_and_gradients():
@@ -177,8 +201,9 @@ def test_adam_matches_manual_update():
 
 
 # ---------------------------------------------------------------------------
-# oracles: the einsum convolution, im2col-mean pooling and three-reduction
-# batch norm that the batched-GEMM kernels replaced
+# oracles: the NCHW einsum convolution, im2col-mean pooling and
+# three-reduction batch norm that the (C, H, W, N) GEMM kernels replaced;
+# the tests below compare through transposes
 
 def _reference_im2col(xp, k, stride, oh, ow):
     n, c = xp.shape[:2]
@@ -270,10 +295,19 @@ def assert_bitwise(a, ref):
     assert a.tobytes() == ref.tobytes()
 
 
+def _chwn(x):
+    """NCHW -> the layers' (C, H, W, N) layout."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+
+
+def _nchw(x):
+    return x.transpose(3, 0, 1, 2)
+
+
 DTYPES = [np.float32, np.float64]
 
-# (input shape, c_out, kernel, stride, pad): the default beam arch at batch
-# 128, then odd H/W and batch 1
+# (NCHW input shape, c_out, kernel, stride, pad): the default beam arch at
+# batch 128, odd H/W and batch 1, then the TINY_ARCH residual block at batch 32
 CONV_CASES = [
     ((128, 2, 80, 160), 16, 3, 4, 1),  # first conv: stride > kernel
     ((128, 16, 20, 40), 16, 3, 2, 1),
@@ -283,6 +317,7 @@ CONV_CASES = [
     ((3, 3, 7, 9), 4, 3, 2, 1),
     ((2, 3, 7, 9), 5, 1, 2, 0),
     ((1, 2, 80, 160), 16, 3, 4, 1),
+    ((32, 4, 4, 8), 4, 3, 1, 1),
 ]
 
 
@@ -297,42 +332,39 @@ def test_conv2d_matches_einsum_reference(x_shape, c_out, k, stride, pad, dtype):
     p, _ = conv.init(stream(0, "i"), dtype)
     p["b"] = _random(1, p["b"].shape, dtype)
     x = _random(2, x_shape, dtype)
-    y, cache = conv.forward(x, p, {}, True, None)
-    dy = _random(3, y.shape, dtype)
-    dx, grads = conv.backward(dy, cache, p)
+    y, cache = conv.forward(_chwn(x), p, {}, True, None)
+    dy = _random(3, _nchw(y).shape, dtype)
+    dx, grads = conv.backward(_chwn(dy), cache, p)
     y_ref, dx_ref, dW_ref, db_ref, dcols_ref = _reference_conv(conv, x, dy, p)
-    assert_close(y, y_ref, dtype)
-    assert_close(dx, dx_ref, dtype)
+    assert_close(_nchw(y), y_ref, dtype)
+    assert_close(_nchw(dx), dx_ref, dtype)
     assert_close(grads["W"], dW_ref, dtype)
-    assert_bitwise(grads["b"], db_ref)
-    # the scatter is unchanged: identical window gradients give identical dx
-    assert_bitwise(_col2im(dcols_ref, x_shape, k, stride, pad), dx_ref)
-    # a first layer skips only the input gradient
-    first = Conv2d(x_shape[1], c_out, k, stride, pad, input_grad=False)
-    no_dx, first_grads = first.backward(dy, cache, p)
-    assert no_dx is None and first_grads.keys() == grads.keys()
-    for key in grads:
-        assert_bitwise(first_grads[key], grads[key])
+    assert_close(grads["b"], db_ref, dtype)
+    # the scatter adds the same values in the same order: identical window
+    # gradients give an identical dx
+    dcols = np.ascontiguousarray(dcols_ref.transpose(1, 2, 3, 4, 5, 0))
+    assert_bitwise(_nchw(_col2im(dcols, _chwn(x).shape, k, stride, pad)), dx_ref)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("x_shape", [(128, 16, 20, 40), (3, 3, 7, 9), (1, 16, 20, 40)])
+@pytest.mark.parametrize("x_shape", [(128, 16, 20, 40), (3, 3, 7, 9), (1, 16, 20, 40),
+                                     (32, 4, 8, 16)])
 def test_avgpool_matches_im2col_mean_reference(x_shape, dtype):
     pool = AvgPool(3, 2, 1)
     x = _random(6, x_shape, dtype)
     x[0, 0, 1:4, 1:4] = -0.0  # an inner window of negative zeros: the sum starts at +0
-    y, cache = pool.forward(x, {}, {}, True, None)
-    assert_bitwise(y, _reference_avgpool_forward(pool, x))
-    dy = _random(7, y.shape, dtype)
-    dx, _ = pool.backward(dy, cache, {})
+    y, cache = pool.forward(_chwn(x), {}, {}, True, None)
+    assert_bitwise(_nchw(y), _reference_avgpool_forward(pool, x))
+    dy = _random(7, _nchw(y).shape, dtype)
+    dx, _ = pool.backward(_chwn(dy), cache, {})
     share = np.broadcast_to((dy / 9)[:, :, None, None], dy.shape[:2] + (3, 3) + dy.shape[2:])
-    assert_bitwise(dx, _reference_col2im(share, x_shape, 3, 2, 1))
+    assert_bitwise(_nchw(dx), _reference_col2im(share, x_shape, 3, 2, 1))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("x_shape", [(128, 16, 20, 40), (128, 256), (3, 5, 7, 9),
-                                     (1, 8, 5, 10), (2, 5)])
+                                     (1, 8, 5, 10), (2, 5), (32, 4, 8, 16)])
 def test_batchnorm_matches_three_reduction_reference(x_shape, training, dtype):
     bn = BatchNorm(x_shape[1])
     p, s = bn.init(stream(0, "i"), dtype)
@@ -343,17 +375,211 @@ def test_batchnorm_matches_three_reduction_reference(x_shape, training, dtype):
         s["running_var"] = np.abs(_random(11, s["running_var"].shape, dtype)) + 0.5
     s_ref = {k: v.copy() for k, v in s.items()}
     x = _random(12, x_shape, dtype) * 3 + 1
-    y, cache = bn.forward(x, p, s, training, None)
-    dy = _random(13, y.shape, dtype)
-    dx, grads = bn.backward(dy, cache, p)
+    dy = _random(13, x_shape, dtype)
+    image = len(x_shape) == 4
+    to_layers, from_layers = (_chwn, _nchw) if image else (np.asarray, np.asarray)
+    y, cache = bn.forward(to_layers(x), p, s, training, None)
+    dx, grads = bn.backward(to_layers(dy), cache, p)
+    y, dx = from_layers(y), from_layers(dx)
     y_ref, dx_ref, dgamma_ref, dbeta_ref = _reference_batchnorm(x, dy, p, s_ref, training)
-    assert_bitwise(y, y_ref)
+    # (N, F) arithmetic is the reference's; (C, H, W, N) reduces in a new order
+    same = assert_close if image else (lambda a, ref, dtype: assert_bitwise(a, ref))
+    same(y, y_ref, dtype)
     for key in s:
-        assert_bitwise(s[key], s_ref[key])
-    assert_bitwise(grads["gamma"], dgamma_ref)
-    assert_bitwise(grads["beta"], dbeta_ref)
+        same(s[key], s_ref[key], dtype)
+    same(grads["gamma"], dgamma_ref, dtype)
+    same(grads["beta"], dbeta_ref, dtype)
     # dx is a difference of terms of size |gamma * inv_std * dy|, which
     # cancel exactly at batch 2 (xhat = +-1 whatever x is)
     _, inv_std, _ = cache
     assert_close(dx, dx_ref, dtype,
                  scale=float(np.abs(p["gamma"] * inv_std).max() * np.abs(dy).max()))
+
+
+# ---------------------------------------------------------------------------
+# the first convolution of label maps against mask_channels + pad + im2col
+
+def _reference_label_columns(conv, maps, features, dtype):
+    """(C*k*k, OH*OW*N) columns of the float mask batch ``mask_channels``
+    builds, padded and unfolded by the oracles above."""
+    masks = mask_channels(maps, features, conv.input_hw).astype(dtype)
+    oh, ow = conv.out_hw(*conv.input_hw)
+    cols = _reference_im2col(_reference_pad(masks, conv.pad), conv.k, conv.stride, oh, ow)
+    return cols.transpose(1, 2, 3, 4, 5, 0).reshape(-1, oh * ow * len(maps)), masks
+
+
+def _label_maps(seed, shape, absent=()):
+    """Random uint8 label maps over the catalog, without the ``absent`` concepts."""
+    ids = [i for i, name in enumerate(CATALOG.names) if name not in absent]
+    return np.asarray(ids, dtype=np.uint8)[stream(seed, "maps").integers(len(ids), size=shape)]
+
+
+# (first conv (c_out, stride, input_hw), maps shape, features, concepts drawn absent)
+LABEL_CASES = [
+    ((16, 4, (80, 160)), (128, 2, 80, 160), ("location", "vehicle"), ()),  # default arch
+    ((4, 2, (16, 32)), (32, 2, 16, 32), ("location", "vehicle"), ()),      # TINY: overlapping
+    ((16, 4, (80, 160)), (4, 2, 160, 320), ("location", "vehicle"), ()),   # maps at 2x
+    ((4, 2, (16, 32)), (3, 2, 48, 64), ("location", "vehicle"), ()),       # 3x by 2x
+    ((4, 2, (16, 32)), (5, 1, 16, 32), ("location", "vehicle"), ()),       # one camera
+    ((4, 2, (16, 32)), (5, 2, 16, 32), ("location", "vehicle", "building", "sky"), ()),
+    ((4, 2, (16, 32)), (5, 2, 16, 32), ("location", "vehicle", "pole"), ("pole",)),
+]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("conv_spec,maps_shape,features,absent", LABEL_CASES)
+def test_label_conv_columns_match_mask_oracle(conv_spec, maps_shape, features, absent,
+                                              dtype):
+    c_out, stride, input_hw = conv_spec
+    ids = concept_ids(features)
+    conv = LabelConv2d(len(ids) * maps_shape[1], c_out, input_hw, 3, stride, 1)
+    maps = _label_maps(20, maps_shape, absent)
+    cols, y_shape = conv._columns((maps, ids), dtype)
+    cols_ref, masks = _reference_label_columns(conv, maps, features, dtype)
+    assert_bitwise(cols, cols_ref)
+    assert y_shape == (c_out,) + conv.out_hw(*input_hw) + (maps_shape[0],)
+    # so the layer is a Conv2d of the (C, H, W, N) masks, with no input gradient
+    p, _ = conv.init(stream(0, "i"), dtype)
+    plain = Conv2d(conv.c_in, c_out, 3, stride, 1)
+    y, cache = conv.forward((maps, ids), p, {}, True, None)
+    y_ref, cache_ref = plain.forward(_chwn(masks), p, {}, True, None)
+    assert_bitwise(y, y_ref)
+    dy = _random(21, y.shape, dtype)
+    no_dx, grads = conv.backward(dy, cache, p)
+    _, grads_ref = plain.backward(dy, cache_ref, p)
+    assert no_dx is None
+    for key in grads_ref:
+        assert_bitwise(grads[key], grads_ref[key])
+
+
+def test_label_conv_rejects_non_integer_map_ratio():
+    conv = LabelConv2d(2, 4, (16, 32), 3, 2, 1)
+    p, _ = conv.init(stream(0, "i"), np.float32)
+    ids = np.array([CATALOG.index("vehicle")], dtype=np.uint8)
+    for hw in [(24, 32), (16, 48), (8, 16), (32, 40)]:
+        with pytest.raises(ValueError, match="integer multiple"):
+            conv.forward((_label_maps(0, (2, 2) + hw), ids), p, {}, True, None)
+
+
+# ---------------------------------------------------------------------------
+# the whole predictor against a network of the NCHW oracles on the same
+# parameters, fed the float mask batch: checkpoints keep their meaning
+
+def _reference_forward(layer, x, p, s, training, rng):
+    """NCHW forward of ``layer`` by the oracles above: (y, backward), where
+    backward(dy) returns (dx, grads)."""
+    if isinstance(layer, (Sequential, ResidualBlock)):
+        def run(name, inp):
+            y, back = _reference_forward(layer.children[name], inp, _sub(p, name),
+                                         _sub(s, name), training, rng)
+
+            def named_back(dy, grads):
+                dx, g = back(dy)
+                grads.update({f"{name}.{k}": v for k, v in g.items()})
+                return dx
+            return y, named_back
+        if isinstance(layer, Sequential):
+            backs = []
+            for name in layer.children:
+                x, b = run(name, x)
+                backs.append(b)
+
+            def back(dy):
+                grads = {}
+                for b in reversed(backs):
+                    dy = b(dy, grads)
+                return dy, grads
+            return x, back
+        y1, b1 = run("conv1", x)
+        y2, b2 = run("bn1", y1)
+        y4, b4 = run("conv2", np.maximum(y2, 0))
+        y5, b5 = run("bn2", y4)
+        sc, bp = run("proj", x) if "proj" in layer.children else (x, None)
+        pre = y5 + sc
+
+        def back(dy):
+            grads = {}
+            dpre = dy * (pre > 0)
+            d3 = b4(b5(dpre, grads), grads) * (y2 > 0)
+            dx = b1(b2(d3, grads), grads)
+            return dx + (bp(dpre, grads) if bp else dpre), grads
+        return np.maximum(pre, 0), back
+    if isinstance(layer, Conv2d):
+        y_shape = (len(x), layer.c_out) + layer.out_hw(*x.shape[2:])
+        y = _reference_conv(layer, x, np.zeros(y_shape, x.dtype), p)[0]
+
+        def back(dy):
+            _, dx, dW, db, _ = _reference_conv(layer, x, dy, p)
+            return dx, {"W": dW, "b": db}
+        return y, back
+    if isinstance(layer, BatchNorm):
+        state = {k: v.copy() for k, v in s.items()}
+        y = _reference_batchnorm(x, np.zeros_like(x), p, dict(state), training)[0]
+
+        def back(dy):
+            _, dx, dgamma, dbeta = _reference_batchnorm(x, dy, p, dict(state), training)
+            return dx, {"gamma": dgamma, "beta": dbeta}
+        return y, back
+    if isinstance(layer, Dense):
+        return x @ p["W"].T + p["b"], lambda dy: (dy @ p["W"], {"W": dy.T @ x,
+                                                                 "b": dy.sum(axis=0)})
+    if isinstance(layer, ReLU):
+        return np.maximum(x, 0), lambda dy: (dy * (x > 0), {})
+    if isinstance(layer, AvgPool):
+        def back(dy):
+            share = np.broadcast_to((dy / 9)[:, :, None, None],
+                                    dy.shape[:2] + (3, 3) + dy.shape[2:])
+            return _reference_col2im(share, x.shape, 3, layer.stride, layer.pad), {}
+        return _reference_avgpool_forward(layer, x), back
+    if isinstance(layer, Flatten):
+        return x.reshape(len(x), -1), lambda dy: (dy.reshape(x.shape), {})
+    if isinstance(layer, Dropout):
+        mask = ((rng.random(x.shape) < 1 - layer.rate) / (1 - layer.rate)).astype(x.dtype) \
+            if training else np.ones_like(x)
+        return x * mask, lambda dy: (dy * mask, {})
+    raise TypeError(layer)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("task,arch,n", [("beam", TINY_ARCH, 32), ("blockage", TINY_ARCH, 6),
+                                         ("beam", ArchConfig(), 8)])
+def test_predictor_matches_nchw_reference_network(task, arch, n, training, dtype):
+    features = ("location", "vehicle", "building")
+    model = Predictor(task, 4, 8, arch)
+    params, state = model.init(5, dtype)
+    for k in state:  # nontrivial running statistics for evaluation mode
+        state[k] = (np.abs(_random(30, state[k].shape, dtype)) + 0.5 if k.endswith("var")
+                    else _random(31, state[k].shape, dtype))
+    maps = _label_maps(32, (n, 2) + arch.input_hw)
+    loc = _random(33, (n, 3), dtype)
+    labels = stream(34, "labels").integers(8 if task == "beam" else 2, size=n)
+    out, cache = model.forward(params, {k: v.copy() for k, v in state.items()}, loc, maps,
+                               features, training, stream(0, "dropout"))
+    _, dout = _batch_loss_grad(model, out, labels)
+    grads = model.backward(dout, cache, params)
+
+    def run(name, x):
+        return _reference_forward(model.children[name], x, _sub(params, name),
+                                  _sub(state, name), training, stream(0, "dropout"))
+
+    a, back_aux = run("aux", loc)
+    m, back_sem = run("sem", mask_channels(maps, features).astype(dtype))
+    out_ref, back_head = run("head", np.concatenate([a, m], axis=1))
+    assert_close(out, out_ref, dtype)
+    dx, g_head = back_head(dout)
+    _, g_sem = back_sem(dx[:, a.shape[1]:])
+    _, g_aux = back_aux(dx[:, :a.shape[1]])
+    grads_ref = {f"{name}.{k}": v for name, g in (("aux", g_aux), ("sem", g_sem),
+                                                  ("head", g_head)) for k, v in g.items()}
+    assert grads.keys() == grads_ref.keys() == params.keys()
+    if dtype == np.float32:
+        return  # float32 rounding grows along the backward chain; the layer oracles bound it
+    # a shift ahead of a batch-statistics BatchNorm (a bias, or the beta of
+    # the location BatchNorm) has zero gradient, so both sides are rounding
+    # noise: each tensor is measured against the largest gradient of its layer
+    for key in params:
+        layer = key.rsplit(".", 1)[0]
+        scale = max(float(np.abs(v).max()) for k, v in grads_ref.items()
+                    if k.rsplit(".", 1)[0] == layer)
+        assert_close(grads[key], grads_ref[key], dtype, scale=scale)

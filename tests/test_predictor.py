@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import streetbeam.rng as rng_mod
+from streetbeam.nn import Conv2d, Sequential
 from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor,
                                   SampleSet, TrainConfig, _batch_loss_grad,
-                                  accuracy, gradient_check, log_softmax,
-                                  mask_channels, predict, sigmoid,
+                                  accuracy, concept_ids, gradient_check,
+                                  log_softmax, mask_channels, predict, sigmoid,
                                   split_indices, train)
 from streetbeam.scene import from_plain, to_plain
 from streetbeam.semantics import CATALOG
@@ -56,20 +57,28 @@ def test_build_input_counting_and_order():
         mask_channels(maps, ("vehicle",))  # Location is mandatory
 
 
+def random_maps(rng, shape):
+    """uint8 label maps over the whole catalog."""
+    return rng.integers(0, CATALOG.M_con, size=shape).astype(np.uint8)
+
+
 def test_forward_eval_deterministic_and_shapes():
     model = Predictor("beam", in_channels=2, M_bm=4, arch=TINY_ARCH)
     params, state = model.init(0)
     rng = rng_mod.stream(1, "in")
     loc = rng.normal(size=(3, 3)).astype(np.float32)
-    masks = rng.random(size=(3, 2, 16, 32)).astype(np.float32)
-    y1, _ = model.forward(params, state, loc, masks)
-    y2, _ = model.forward(params, state, loc, masks)
+    maps = random_maps(rng, (3, 2, 16, 32))
+    feats = ("location", "vehicle")
+    y1, _ = model.forward(params, state, loc, maps, feats)
+    y2, _ = model.forward(params, state, loc, maps, feats)
     assert y1.shape == (3, 4)
     assert np.array_equal(y1, y2)  # dropout off in evaluation mode
+    with pytest.raises(ValueError, match="input channels"):
+        model.forward(params, state, loc, maps, ("location", "vehicle", "sky"))
 
     bl = Predictor("blockage", in_channels=2, M_bm=4, arch=TINY_ARCH)
     bp, bs = bl.init(0)
-    logit, _ = bl.forward(bp, bs, loc, masks)
+    logit, _ = bl.forward(bp, bs, loc, maps, feats)
     assert logit.shape == (3, 1)
     prob = sigmoid(logit[:, 0])
     assert prob.shape == (3,)
@@ -80,8 +89,8 @@ def test_location_only_network():
     model = Predictor("beam", in_channels=0, M_bm=4, arch=TINY_ARCH)
     params, state = model.init(0)
     loc = np.zeros((2, 3), dtype=np.float32)
-    masks = np.zeros((2, 0, 16, 32), dtype=np.float32)
-    y, _ = model.forward(params, state, loc, masks)
+    maps = np.zeros((2, 2, 16, 32), dtype=np.uint8)
+    y, _ = model.forward(params, state, loc, maps, ("location",))
     assert y.shape == (2, 4)
     assert not any(k.startswith("sem.") for k in params)
 
@@ -211,33 +220,47 @@ def test_split_hygiene():
 def test_gradient_check_beam_and_blockage():
     rng = rng_mod.stream(5, "gc")
     loc = rng.normal(size=(2, 3))
-    masks = rng.random(size=(2, 2, 16, 32))
+    feats = ("location", "vehicle", "building")
+    # one camera's random label maps over the two selected concepts: each
+    # pixel is in one mask, so no window is all zeros, which with the zero
+    # initial bias would put ReLU inputs exactly on the kink
+    maps = np.array([CATALOG.index("vehicle"), CATALOG.index("building")],
+                    dtype=np.uint8)[rng.integers(2, size=(2, 1, 16, 32))]
     for task, label in (("beam", [1, 3]), ("blockage", [0, 1])):
         model = Predictor(task, in_channels=2, M_bm=4, arch=TINY_ARCH)
         params, state = model.init(7)
-        err = gradient_check(model, params, state, loc, masks, label,
+        err = gradient_check(model, params, state, loc, maps, feats, label,
                              n_samples=120, seed=0)
         assert err < 1e-4, f"{task}: max relative gradient error {err}"
 
 
 @pytest.mark.parametrize("arch,hw", [(TINY_ARCH, (16, 32)), (ArchConfig(), (80, 160))])
 def test_first_conv_skips_only_the_discarded_input_gradient(arch, hw):
+    # the semantic branch reading label maps against a twin whose first
+    # layer is a plain Conv2d of the float (C, H, W, N) mask batch that
+    # computes its input gradient: same output, same parameter gradients
     model = Predictor("beam", in_channels=2, M_bm=8, arch=arch)
-    first = model.children["sem"].children["0"]
+    sem = model.children["sem"]
+    first = sem.children["0"]
     assert first.input_grad is False
-    twin = copy.deepcopy(model)
-    twin.children["sem"].children["0"].input_grad = True
+    twin = Sequential([Conv2d(first.c_in, first.c_out, first.k, first.stride, first.pad)]
+                      + list(sem.children.values())[1:])
     params, state = model.init(4)
+    params = {k[4:]: v for k, v in params.items() if k.startswith("sem.")}
+    state = {k[4:]: v for k, v in state.items() if k.startswith("sem.")}
     rng = rng_mod.stream(6, "skip")
-    loc = rng.normal(size=(6, 3)).astype(np.float32)
-    masks = (rng.random(size=(6, 2, *hw)) < 0.3).astype(np.float32)
-    labels = rng.integers(8, size=6)
-    grads = []
-    for net in (model, twin):
-        out, cache = net.forward(params, copy.deepcopy(state), loc, masks, training=True,
-                                 rng=rng_mod.stream(0, "dropout"))
-        _, dout = _batch_loss_grad(net, out, labels)
-        grads.append(net.backward(dout, cache, params))
+    maps = random_maps(rng, (6, 2, *hw))
+    feats = ("location", "vehicle")
+    masks = np.ascontiguousarray(mask_channels(maps, feats).transpose(1, 2, 3, 0))
+    outs, grads = [], []
+    for net, x in ((sem, (maps, concept_ids(feats))), (twin, masks)):
+        out, cache = net.forward(x, params, copy.deepcopy(state), True, None)
+        dx, g = net.backward(rng_mod.stream(7, "dy").normal(size=out.shape).astype(out.dtype),
+                             cache, params)
+        outs.append(out)
+        grads.append(g)
+    assert dx.shape == masks.shape  # the twin's input gradient, which the branch skips
+    assert outs[0].tobytes() == outs[1].tobytes()
     assert grads[0].keys() == grads[1].keys() == params.keys()
     for key in params:
         assert grads[0][key].tobytes() == grads[1][key].tobytes(), key
@@ -291,6 +314,6 @@ def test_desk_scale_arch_shapes():
     model = Predictor("beam", in_channels=4, M_bm=16, arch=arch)
     params, state = model.init(0)
     loc = np.zeros((2, 3), dtype=np.float32)
-    masks = np.zeros((2, 4, 80, 160), dtype=np.float32)
-    y, _ = model.forward(params, state, loc, masks)
+    maps = np.zeros((2, 2, 80, 160), dtype=np.uint8)
+    y, _ = model.forward(params, state, loc, maps, ("location", "vehicle", "sky"))
     assert y.shape == (2, 16)
