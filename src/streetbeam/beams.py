@@ -68,24 +68,25 @@ def topg_accuracy(labels, topg_sets, G: int) -> float:
     return hits / len(labels)
 
 
-def trr(channels, codebook: Codebook, topg_sets, G: int, P_k: float, sigma2: float) -> float:
+def trr(rates, topg_sets, G: int) -> float:
     """Mean over samples of (best rate within Top-G) / (optimal rate).
 
-    Samples with zero optimal rate are excluded with a logged warning count.
+    ``rates`` holds one row of codeword rates per sample, as
+    ``optimal_beam(...).rates``. Samples with zero optimal rate are excluded
+    with a logged warning count.
     """
-    if len(channels) != len(topg_sets):
-        raise ValueError("channels and Top-G sets have different lengths")
+    if len(rates) != len(topg_sets):
+        raise ValueError("rates and Top-G sets have different lengths")
     ratios = []
     skipped = 0
-    for ch, s in zip(channels, topg_sets):
+    for row, s in zip(rates, topg_sets):
         if len(s) != G:
             raise ValueError(f"every Top-G set must have exactly {G} indices")
-        ev = optimal_beam(ch, codebook, P_k, sigma2)
-        opt = ev.rates[ev.optimal_index]
+        opt = row.max()
         if opt <= 0:
             skipped += 1
             continue
-        best = max(ev.rates[i] for i in s)
+        best = max(row[i] for i in s)
         ratios.append(best / opt)
     if skipped:
         log.warning("trr: excluded %d sample(s) with zero optimal rate", skipped)

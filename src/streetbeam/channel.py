@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import speed_of_light as C_LIGHT
 
-from .scene import Frame, SceneConfig, from_plain, to_plain
+from .scene import Frame, SceneConfig, from_plain, to_plain, vehicle_boxes
 
 
 class TargetLostError(RuntimeError):
@@ -168,7 +168,9 @@ def trace_paths(frame: Frame, scene: SceneConfig, config: RayTraceConfig):
         raise TargetLostError("frame has no target user")
     bs = _bs_position(scene, config)
     user = np.asarray(frame.user_antenna_pos, dtype=float)
-    boxes = [v.box3d() for v in frame.vehicles if v.id != frame.target_user_id]
+    # Python-float rows: the scalar slab test indexes them faster than ndarrays
+    boxes = vehicle_boxes([v for v in frame.vehicles
+                           if v.id != frame.target_user_id]).tolist()
 
     candidates = []
 

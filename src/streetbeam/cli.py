@@ -113,13 +113,9 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    dataset, manifest = read_container(args.dataset)
-    try:
-        P_k, sigma2 = (manifest["raytrace_config"][k] for k in ("P_k", "sigma2"))
-    except KeyError as exc:
-        raise ContainerError(f"{args.dataset}: manifest is missing key {exc}") from None
+    dataset, _ = read_container(args.dataset)
     frag = pipeline.cmd_eval(dataset, args.out, args.task, horizon=args.horizon,
-                             g_list=_parse_g_list(args.g_list), P_k=P_k, sigma2=sigma2)
+                             g_list=_parse_g_list(args.g_list))
     print(json.dumps(frag, indent=1, sort_keys=True))
 
 

@@ -5,7 +5,7 @@ One directory per dataset:
     manifest.json        schema, configs, shapes, per-blob sha256 hashes
     labels.bin           (N, n_cams, H, W) u8 concept indices, row-major
     locations.bin        (N, 3) f32
-    beam_labels.bin      (N,) u16
+    rates.bin            (N, M_bm) f8 rate of every codeword (bits/s/Hz)
     blockage.bin         (N, n_horizons) u8
     frame_ids.bin        (N,) u32
     channels.bin         (N, K, N_t, 2) f32 interleaved re/im (optional)
@@ -25,12 +25,12 @@ from .predictor import SampleSet
 from .scene import SceneConfig
 from .semantics import CATALOG
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _BLOBS = {
     "labels": ("<u1", "label_maps"),
     "locations": ("<f4", "locations"),
-    "beam_labels": ("<u2", "beam_labels"),
+    "rates": ("<f8", "rates"),
     "blockage": ("<u1", "blockage"),
     "frame_ids": ("<u4", "frame_ids"),
 }
@@ -73,7 +73,6 @@ def write_container(path, samples: SampleSet, scene_cfg: SceneConfig,
         "camera_count": samples.n_cams,
         "horizons": list(samples.horizons),
         "sample_count": len(samples),
-        "M_bm": samples.M_bm,
         "shapes": shapes,
         "hashes": hashes,
         "has_channels": "channels" in arrays,
@@ -139,10 +138,9 @@ def _decode(path, manifest):
     return SampleSet(
         label_maps=cols["label_maps"],
         locations=cols["locations"].astype(np.float32),
-        beam_labels=cols["beam_labels"],
+        rates=cols["rates"],
         blockage=cols["blockage"],
         frame_ids=cols["frame_ids"],
         horizons=tuple(manifest["horizons"]),
-        M_bm=int(manifest["M_bm"]),
         channels=channels,
     )

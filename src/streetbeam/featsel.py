@@ -41,16 +41,11 @@ class EvaluatorError(RuntimeError):
 
 
 class CachedEvaluator:
-    """Caches a FeatureSet -> accuracy mapping keyed by canonical sets.
+    """Caches a FeatureSet -> accuracy mapping keyed by canonical sets."""
 
-    With ``check_determinism`` the underlying function is invoked twice on
-    first evaluation of each set and any mismatch aborts the search.
-    """
-
-    def __init__(self, fn, check_determinism=False):
+    def __init__(self, fn):
         self._fn = fn
         self._cache = {}
-        self.check_determinism = check_determinism
         self.call_count = 0  # underlying-function invocations
 
     def __call__(self, features) -> float:
@@ -58,12 +53,6 @@ class CachedEvaluator:
         if key not in self._cache:
             val = float(self._fn(key))
             self.call_count += 1
-            if self.check_determinism:
-                again = float(self._fn(key))
-                self.call_count += 1
-                if again != val:
-                    raise EvaluatorError(
-                        f"non-deterministic evaluator on {key}: {val} != {again}")
             if not 0 <= val <= 1:
                 raise EvaluatorError(f"evaluator returned {val} outside [0, 1] for {key}")
             self._cache[key] = val

@@ -80,7 +80,7 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
     # per-frame artifacts, computed once
     n = len(frames)
     targets = [frame.target_user_id for frame in frames]
-    los, channels, beams = [False] * n, [None] * n, [None] * n
+    los, channels, rates = [False] * n, [None] * n, [None] * n
     for t, frame in enumerate(frames):
         if targets[t] is None:
             continue
@@ -88,7 +88,7 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
         ch = assemble_channel(paths, rt_cfg)
         los[t] = any(p.is_los for p in paths)
         channels[t] = ch.entries
-        beams[t] = optimal_beam(ch, codebook, rt_cfg.P_k, rt_cfg.sigma2).optimal_index
+        rates[t] = optimal_beam(ch, codebook, rt_cfg.P_k, rt_cfg.sigma2).rates
 
     rows = []
     excluded = 0
@@ -102,7 +102,7 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
         rows.append({
             "maps": np.stack([m.labels for m in maps]),
             "loc": np.asarray(frames[t0].user_antenna_pos, dtype=np.float32),
-            "beam": beams[t0],
+            "rates": rates[t0],
             "blockage": blockage,
             "frame_id": t0,
             "channel": channels[t0],
@@ -115,11 +115,10 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
     return SampleSet(
         label_maps=np.stack([r["maps"] for r in rows]),
         locations=np.stack([r["loc"] for r in rows]),
-        beam_labels=np.array([r["beam"] for r in rows], dtype=np.uint16),
+        rates=np.stack([r["rates"] for r in rows]),
         blockage=np.array([r["blockage"] for r in rows], dtype=np.uint8),
         frame_ids=np.array([r["frame_id"] for r in rows], dtype=np.uint32),
         horizons=horizons,
-        M_bm=M_bm,
         channels=np.stack([r["channel"] for r in rows]) if store_channels else None,
     )
 
@@ -239,8 +238,12 @@ def _load_model_checkpoint(path, model: Predictor):
 
 
 def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
-             g_list=DEFAULT_G_LIST, P_k=None, sigma2=None):
-    """Evaluate a checkpointed model on the test split; write a fragment."""
+             g_list=DEFAULT_G_LIST):
+    """Evaluate a checkpointed model on the test split; write a fragment.
+
+    Top-G accuracy and TRR read the codeword rates stored per sample, so
+    the beam task needs neither the channels nor the link budget.
+    """
     horizon = _blockage_horizon(dataset, task, horizon)
     meta_path = os.path.join(out_dir, _stem(task, horizon) + ".meta.json")
     ckpt_path = os.path.join(out_dir, _stem(task, horizon) + ".esnn")
@@ -263,27 +266,19 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
     fragment = {"task": task, "horizon": horizon, "n": int(len(test_idx)),
                 "seed": meta["seed"]}
     if task == "beam":
-        if dataset.channels is None:
-            raise PipelineError("TRR evaluation needs stored channels; "
-                                "regenerate the dataset with channels on")
         out = predict(model, params, state, dataset, test_idx, features)
         order = np.argsort(-out, axis=1, kind="stable")
         labels = dataset.beam_labels[test_idx]
-        codebook = dft_codebook(dataset.channels.shape[2], dataset.M_bm)
-        chans = list(dataset.channels[test_idx])
-        defaults = RayTraceConfig()
-        if P_k is None:
-            P_k = defaults.P_k
-        if sigma2 is None:
-            sigma2 = defaults.sigma2
+        rates = dataset.rates[test_idx]
         fragment["g_list"] = list(g_list)
+        # full outages (best rate 0), which TRR leaves out
+        fragment["trr_excluded"] = int(np.count_nonzero(rates.max(axis=1) <= 0))
         fragment["topg_accuracy"] = {}
         fragment["trr"] = {}
         for g in g_list:
             sets = [tuple(int(i) for i in row[:g]) for row in order]
             fragment["topg_accuracy"][str(g)] = topg_accuracy(labels, sets, g)
-            fragment["trr"][str(g)] = trr(chans, codebook, sets, g,
-                                          P_k=P_k, sigma2=sigma2)
+            fragment["trr"][str(g)] = trr(rates, sets, g)
     else:
         fragment["blockage_accuracy"] = accuracy(model, params, state, dataset,
                                                  test_idx, features, task, horizon)

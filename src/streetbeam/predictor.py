@@ -30,18 +30,31 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SampleSet:
-    """Column-oriented dataset: one row per labeled sample."""
+    """Column-oriented dataset: one row per labeled sample.
+
+    ``rates`` holds every codeword rate of each sample, the exhaustive beam
+    search done once at generation; the beam label and the codebook size
+    are read from it.
+    """
     label_maps: np.ndarray    # (N, n_cams, H, W) uint8
     locations: np.ndarray     # (N, 3) float32
-    beam_labels: np.ndarray   # (N,) uint16
+    rates: np.ndarray         # (N, M_bm) float64 bits/s/Hz
     blockage: np.ndarray      # (N, n_horizons) uint8
     frame_ids: np.ndarray     # (N,) uint32
     horizons: tuple
-    M_bm: int
     channels: np.ndarray | None = None  # (N, K, N_t) complex, optional
 
     def __len__(self):
         return self.label_maps.shape[0]
+
+    @property
+    def beam_labels(self):
+        """(N,) optimal codeword per sample: the smallest index of maximal rate."""
+        return self.rates.argmax(axis=1)
+
+    @property
+    def M_bm(self):
+        return self.rates.shape[1]
 
     @property
     def n_cams(self):

@@ -149,10 +149,11 @@ class Vehicle:
         hl, hw = self.vclass.length / 2, self.vclass.width / 2
         return (cx - hl, cx + hl, cy - hw, cy + hw)
 
-    def box3d(self):
-        """(min_corner, max_corner) of the 3D bounding box."""
-        xmin, xmax, ymin, ymax = self.footprint()
-        return np.array([xmin, ymin, 0.0]), np.array([xmax, ymax, self.vclass.height])
+
+def vehicle_boxes(vehicles):
+    """(V, 2, 3) min and max corners of each vehicle's 3D bounding box."""
+    return np.array([(x0, y0, 0.0, x1, y1, v.vclass.height) for v in vehicles
+                     for x0, x1, y0, y1 in (v.footprint(),)], dtype=float).reshape(-1, 2, 3)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import CameraPose, ConfigError, Frame, SceneConfig
+from .scene import CameraPose, ConfigError, Frame, SceneConfig, vehicle_boxes
 
 CONCEPT_NAMES = (
     "building", "fence", "pedestrian", "pole", "roadline",
@@ -146,12 +146,6 @@ def _background(camera: CameraPose, config: SceneConfig, H, W):
     return bg
 
 
-def _vehicle_boxes(frame: Frame):
-    """(V, 2, 3) min and max corners of every vehicle box, as Vehicle.box3d."""
-    return np.array([(x0, y0, 0.0, x1, y1, v.vclass.height) for v in frame.vehicles
-                     for x0, x1, y0, y1 in (v.footprint(),)], dtype=float).reshape(-1, 2, 3)
-
-
 def _render(boxes, camera: CameraPose, config: SceneConfig, resolution, camera_id):
     H, W = resolution
     if H < 16 or W < 16:
@@ -207,12 +201,12 @@ def render_semantic_map(frame: Frame, camera: CameraPose, config: SceneConfig,
     Deterministic per-pixel depth test over: ground composite, the two
     facade planes, and every vehicle box. Sky is the background label.
     """
-    return _render(_vehicle_boxes(frame), camera, config, resolution, camera_id)
+    return _render(vehicle_boxes(frame.vehicles), camera, config, resolution, camera_id)
 
 
 def render_frame(frame: Frame, config: SceneConfig, resolution):
     """All per-camera maps of a frame, in camera order."""
-    boxes = _vehicle_boxes(frame)
+    boxes = vehicle_boxes(frame.vehicles)
     return [_render(boxes, cam, config, resolution, i)
             for i, cam in enumerate(config.camera_poses)]
 

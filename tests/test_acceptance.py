@@ -103,15 +103,16 @@ def test_criterion_03_metric_laws():
     for seed in (0, 1, 2):
         rng = stream(seed, "acc.c3")
         channels = rng.normal(size=(n, K, N_t)) + 1j * rng.normal(size=(n, K, N_t))
-        labels = np.array([optimal_beam(h, cb, P_k, sigma2).optimal_index
-                           for h in channels])
+        evs = [optimal_beam(h, cb, P_k, sigma2) for h in channels]
+        labels = np.array([ev.optimal_index for ev in evs])
+        rates = np.stack([ev.rates for ev in evs])
         scores = rng.normal(size=(n, M))
         order = np.argsort(-scores, axis=1, kind="stable")
         accs, trrs = [], []
         for G in range(1, M + 1):
             sets = [set(order[i, :G]) for i in range(n)]
             accs.append(topg_accuracy(labels, sets, G))
-            trrs.append(trr(channels, cb, sets, G, P_k, sigma2))
+            trrs.append(trr(rates, sets, G))
         assert all(a <= b + 1e-15 for a, b in zip(accs, accs[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(trrs, trrs[1:]))
         assert accs[-1] == 1.0
@@ -298,10 +299,10 @@ def _planted_dataset(n, M_bm=4, res=(16, 32)):
         labels[i] = q
     return SampleSet(label_maps=maps,
                      locations=rng.normal(size=(n, 3)).astype(np.float32),
-                     beam_labels=labels,
+                     rates=np.eye(M_bm)[labels],
                      blockage=(labels % 2).astype(np.uint8)[:, None],
                      frame_ids=np.arange(n, dtype=np.uint32),
-                     horizons=(1,), M_bm=M_bm)
+                     horizons=(1,))
 
 
 def test_criterion_09_feature_selection_sanity(tmp_path):
@@ -361,6 +362,7 @@ def test_criterion_10_determinism_and_roundtrip(tmp_path):
     assert np.array_equal(ds2.label_maps, ds.label_maps)
     assert np.array_equal(ds2.locations, ds.locations)
     assert np.array_equal(ds2.beam_labels, ds.beam_labels)
+    assert ds2.rates.tobytes() == ds.rates.tobytes()
     assert np.array_equal(ds2.blockage, ds.blockage)
     assert np.array_equal(ds2.frame_ids, ds.frame_ids)
     assert np.array_equal(ds2.channels, ds.channels)

@@ -23,6 +23,31 @@ def _reference_rates(h, codebook, P_k, sigma2):
     return np.array(rates)
 
 
+def _reference_trr(channels, codebook, topg_sets, G, P_k, sigma2):
+    """TRR searched from the channels, as it was before the rates were
+    stored: one ``optimal_beam`` per sample, ratio of the best Top-G rate to
+    the optimal rate, zero-rate samples skipped. ``trr`` on the rate rows of
+    the same channels must reproduce it bit for bit."""
+    if len(channels) != len(topg_sets):
+        raise ValueError("channels and Top-G sets have different lengths")
+    ratios = []
+    for ch, s in zip(channels, topg_sets):
+        if len(s) != G:
+            raise ValueError(f"every Top-G set must have exactly {G} indices")
+        ev = optimal_beam(ch, codebook, P_k, sigma2)
+        opt = ev.rates[ev.optimal_index]
+        if opt <= 0:
+            continue
+        ratios.append(max(ev.rates[i] for i in s) / opt)
+    if not ratios:
+        raise ValueError("no valid samples for TRR")
+    return float(np.mean(ratios))
+
+
+def rate_rows(channels, codebook, P_k, sigma2):
+    return np.stack([optimal_beam(h, codebook, P_k, sigma2).rates for h in channels])
+
+
 def street_channels(rt, frames=100, seed=503):
     """Traced channels of every frame with a target user on the
     acceptance-criterion-7 street (dense traffic, base station at 2 m)."""
@@ -155,10 +180,11 @@ def test_trr_trivial_and_monotone():
     rng = stream(4, "test.trr")
     cb = dft_codebook(8, 8)
     chans = [random_channel(rng, 2, 8) for _ in range(12)]
+    rates = rate_rows(chans, cb, 1.0, 0.1)
     evs = [optimal_beam(h, cb, 1.0, 0.1) for h in chans]
     # sets containing the optimal index -> 1.0
     sets = [(e.optimal_index,) for e in evs]
-    assert trr(chans, cb, sets, 1, 1.0, 0.1) == pytest.approx(1.0)
+    assert trr(rates, sets, 1) == pytest.approx(1.0)
     # monotone in G for nested sets, exactly 1 at G = M_bm
     prev_acc, prev_trr = 0.0, 0.0
     labels = [e.optimal_index for e in evs]
@@ -166,20 +192,49 @@ def test_trr_trivial_and_monotone():
     for G in (1, 2, 3, 8):
         gsets = [tuple(np.argsort(-s, kind="stable")[:G]) for s in scores]
         a = topg_accuracy(labels, gsets, G)
-        t = trr(chans, cb, gsets, G, 1.0, 0.1)
+        t = trr(rates, gsets, G)
         assert a >= prev_acc - 1e-12 and t >= prev_trr - 1e-12
         assert 0.0 <= t <= 1.0 + 1e-12
         prev_acc, prev_trr = a, t
     assert prev_acc == 1.0 and prev_trr == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="different lengths"):
+        trr(rates[:3], sets, 1)
+    with pytest.raises(ValueError, match="exactly 2"):
+        trr(rates, sets, 2)
 
 
 def test_trr_excludes_zero_optimal(caplog):
     cb = dft_codebook(4, 4)
     good = random_channel(stream(5, "t"), 1, 4)
     zero = np.zeros((1, 4), dtype=complex)
+    rates = rate_rows([good, zero], cb, 1.0, 0.1)
     sets = [(0,), (0,)]
-    val = trr([good, zero], cb, sets, 1, 1.0, 0.1)
-    only_good = trr([good], cb, [(0,)], 1, 1.0, 0.1)
+    with caplog.at_level("WARNING", logger="streetbeam.beams"):
+        val = trr(rates, sets, 1)
+    assert "excluded 1 sample" in caplog.text
+    only_good = trr(rates[:1], [(0,)], 1)
     assert val == pytest.approx(only_good)
-    with pytest.raises(ValueError):
-        trr([zero], cb, [(0,)], 1, 1.0, 0.1)
+    with pytest.raises(ValueError, match="no valid samples for TRR"):
+        trr(rates[1:], [(0,)], 1)
+
+
+def test_trr_on_rate_rows_bitwise_equals_channel_search():
+    rng = stream(6, "test.trr.ref")
+    # every shape of the brute-force oracle test, the zero channel included
+    for K, N_t, M_bm in ((4, 8, 8), (16, 16, 16), (128, 64, 64), (5, 6, 11), (1, 4, 4)):
+        cb = dft_codebook(N_t, M_bm)
+        chans = [random_channel(rng, K, N_t) for _ in range(6)] + \
+                [np.zeros((K, N_t), dtype=complex)]
+        rates = rate_rows(chans, cb, 10.0, 1.0)
+        order = np.argsort(-rng.normal(size=(len(chans), M_bm)), axis=1, kind="stable")
+        for G in range(1, M_bm + 1):
+            sets = [tuple(int(i) for i in row[:G]) for row in order]
+            got = trr(rates, sets, G)
+            want = _reference_trr(chans, cb, sets, G, 10.0, 1.0)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # all-outage input: both fail the same way
+        zero = [chans[-1]]
+        with pytest.raises(ValueError, match="no valid samples for TRR"):
+            _reference_trr(zero, cb, [(0,)], 1, 10.0, 1.0)
+        with pytest.raises(ValueError, match="no valid samples for TRR"):
+            trr(rates[-1:], [(0,)], 1)

@@ -32,7 +32,7 @@ def test_full_cli_run(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(["generate", "--config", str(cfg), "--out", out]) == 0
     ds, mf = read_container(tmp_path / "run" / "dataset")
-    assert mf["M_bm"] == 8 and len(ds) > 0
+    assert mf["shapes"]["rates"] == [len(ds), 8] and len(ds) > 0
 
     dataset = str(tmp_path / "run" / "dataset")
     assert main(["select", "--config", str(cfg), "--dataset", dataset,
@@ -143,14 +143,53 @@ def test_corrupt_artifacts_exit_2(tmp_path, capsys):
     ckpt.write_bytes(raw)
     manifest = tmp_path / "run" / "dataset" / "manifest.json"
     good = json.loads(manifest.read_text())
-    for section, key in ((None, "M_bm"), (None, "raytrace_config"),
-                         ("raytrace_config", "P_k"), ("raytrace_config", "sigma2")):
+    for section, key in (("shapes", "rates"), ("hashes", "rates")):
         mf = json.loads(json.dumps(good))
-        del (mf[section] if section else mf)[key]
+        del mf[section][key]
         manifest.write_text(json.dumps(mf))
         capsys.readouterr()
         assert main(["eval", "--dataset", dataset, "--task", "beam", "--out", out]) == 2
         assert key in capsys.readouterr().err
+
+
+def test_schema_1_container_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, frames=30)
+    out = str(tmp_path / "run")
+    dataset = str(tmp_path / "run" / "dataset")
+    assert main(["generate", "--config", str(cfg), "--out", out]) == 0
+    assert main(["train", "--config", str(cfg), "--dataset", dataset, "--task", "beam",
+                 "--epochs", "1", "--out", out, "--features", "location,vehicle"]) == 0
+    manifest = tmp_path / "run" / "dataset" / "manifest.json"
+    mf = json.loads(manifest.read_text())
+    mf["schema_version"] = 1
+    manifest.write_text(json.dumps(mf))
+    capsys.readouterr()
+    assert main(["eval", "--dataset", dataset, "--task", "beam", "--out", out]) == 2
+    assert "unsupported container schema version" in capsys.readouterr().err
+
+
+def test_eval_beam_without_stored_channels(tmp_path):
+    """Eval reads the stored rates, so a dataset without channels evaluates,
+    to the same TRR as the same dataset with channels."""
+    frags = []
+    for store in (True, False):
+        cfg = write_config(tmp_path, frames=40)
+        raw = json.loads(cfg.read_text())
+        raw["store_channels"] = store
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / f"run_{store}"
+        dataset = str(out / "dataset")
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "dataset" / "channels.bin").exists() == store
+        assert main(["train", "--config", str(cfg), "--dataset", dataset,
+                     "--task", "beam", "--epochs", "1", "--out", str(out),
+                     "--features", "location,vehicle"]) == 0
+        assert main(["eval", "--dataset", dataset, "--task", "beam",
+                     "--g-list", "1,2,8", "--out", str(out)]) == 0
+        frags.append(json.loads((out / "eval_beam.json").read_text()))
+    assert frags[0]["trr"] == frags[1]["trr"]
+    assert frags[0]["topg_accuracy"] == frags[1]["topg_accuracy"]
+    assert frags[1]["trr"]["8"] == 1.0
 
 
 def test_generate_seed_from_config_unless_given(tmp_path):
@@ -163,7 +202,7 @@ def test_generate_seed_from_config_unless_given(tmp_path):
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / name),
                      *extra]) == 0
         mf = json.loads((tmp_path / name / "dataset" / "manifest.json").read_text())
-        return mf["scene_config"]["seed"], mf["hashes"]["beam_labels"]
+        return mf["scene_config"]["seed"], mf["hashes"]["rates"]
 
     from_config = generate("config")
     assert from_config[0] == 5

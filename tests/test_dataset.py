@@ -18,11 +18,10 @@ def small_sampleset(n=6, with_channels=True):
     return SampleSet(
         label_maps=rng.integers(0, 20, size=(n, 2, 16, 32)).astype(np.uint8),
         locations=rng.normal(size=(n, 3)).astype(np.float32),
-        beam_labels=rng.integers(0, 8, size=n).astype(np.uint16),
+        rates=np.eye(8)[rng.integers(0, 8, size=n)],
         blockage=rng.integers(0, 2, size=(n, 2)).astype(np.uint8),
         frame_ids=np.arange(n, dtype=np.uint32),
         horizons=(1, 3),
-        M_bm=8,
         channels=channels,
     )
 
@@ -37,6 +36,7 @@ def test_roundtrip_bitwise(tmp_path):
     assert mf2 == manifest
     assert np.array_equal(loaded.label_maps, samples.label_maps)
     assert np.array_equal(loaded.locations, samples.locations)
+    assert loaded.rates.tobytes() == samples.rates.tobytes()
     assert np.array_equal(loaded.beam_labels, samples.beam_labels)
     assert np.array_equal(loaded.blockage, samples.blockage)
     assert np.array_equal(loaded.frame_ids, samples.frame_ids)
@@ -89,7 +89,7 @@ def test_write_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-@pytest.mark.parametrize("key", ["catalog", "shapes", "hashes", "horizons", "M_bm"])
+@pytest.mark.parametrize("key", ["catalog", "shapes", "hashes", "horizons"])
 def test_missing_manifest_key_is_container_error(tmp_path, key):
     path = tmp_path / "d"
     write_container(path, small_sampleset(), SceneConfig(), RayTraceConfig(N_t=8, K=4), (16, 32))

@@ -50,13 +50,6 @@ def test_cached_evaluator_counts_and_validates():
         bad(("a",))
 
 
-def test_cached_evaluator_detects_nondeterminism():
-    vals = iter([0.4, 0.6])
-    ev = CachedEvaluator(lambda s: next(vals), check_determinism=True)
-    with pytest.raises(EvaluatorError):
-        ev(("a",))
-
-
 def test_inclusion_all_ties_adds_smallest_id():
     ev = CachedEvaluator(lambda s: len(s) / 21)
     state = FsState(current=(), pinned=())

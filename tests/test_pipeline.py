@@ -46,12 +46,19 @@ def test_generate_deterministic_manifest(tmp_path):
 
 def test_generate_beam_labels_roundtrip_oracle(tmp_path):
     scene, rt = small_scene(frames=25), small_rt()
-    cmd_generate(scene, rt, tmp_path / "d", RES, (1, 3), 8)
+    gen, _ = cmd_generate(scene, rt, tmp_path / "d", RES, (1, 3), 8)
     ds, mf = read_container(tmp_path / "d")
     cb = dft_codebook(rt.N_t, ds.M_bm)
+    assert ds.rates.shape == (len(ds), 8) and ds.rates.dtype == np.float64
+    assert ds.rates.tobytes() == gen.rates.tobytes()
     for i in range(len(ds)):
         ev = optimal_beam(ds.channels[i], cb, rt.P_k, rt.sigma2)
         assert ev.optimal_index == ds.beam_labels[i]
+        # the stored rates are the search on the complex128 channel itself
+        assert gen.channels.dtype == np.complex128
+        exact = optimal_beam(gen.channels[i], cb, rt.P_k, rt.sigma2)
+        assert ds.rates[i].tobytes() == exact.rates.tobytes()
+        assert ds.beam_labels[i] == exact.optimal_index
 
 
 def test_generate_zero_usable_samples():
@@ -80,10 +87,10 @@ def planted_dataset(n=90, M_bm=4):
         labels[i] = q
     return SampleSet(label_maps=maps,
                      locations=rng.normal(size=(n, 3)).astype(np.float32),
-                     beam_labels=labels,
+                     rates=np.eye(M_bm)[labels],
                      blockage=(labels % 2).astype(np.uint8)[:, None],
                      frame_ids=np.arange(n, dtype=np.uint32),
-                     horizons=(1,), M_bm=M_bm)
+                     horizons=(1,))
 
 
 def test_select_planted_vehicle(tmp_path):
@@ -110,11 +117,6 @@ def run_trained_beam(tmp_path, ds, epochs=10):
 
 def test_train_eval_report_cycle(tmp_path):
     ds = planted_dataset(n=120)
-    # TRR evaluation needs channels: give each sample a deterministic channel
-    rng = stream(9, "ch")
-    ds.channels = (rng.normal(size=(120, 2, 4))
-                   + 1j * rng.normal(size=(120, 2, 4)))
-    ds = SampleSet(**{**ds.__dict__})
     res, meta = run_trained_beam(tmp_path, ds)
     assert (tmp_path / "beam.esnn").exists()
     assert meta["val_accuracy"] > 0.8
@@ -128,6 +130,8 @@ def test_train_eval_report_cycle(tmp_path):
     assert accs[-1] == 1.0 and trrs[-1] == pytest.approx(1.0)  # G = M_bm row
     for v in accs + trrs:
         assert 0.0 <= v <= 1.0 + 1e-12
+    # one-hot rates: the rate ratio of a Top-G set is whether it holds the label
+    assert trrs == accs and frag["trr_excluded"] == 0
 
     cfg = TrainConfig(epochs=10, seed=2, batch_size=32, arch=TINY_ARCH,
                       learning_rate=3e-3)

@@ -28,9 +28,9 @@ def planted_sampleset(n=80, hw=(16, 32), M_bm=4, seed=0):
         maps[i, 0, :, q * w:(q + 1) * w] = veh
         labels[i] = q
     blockage = (labels % 2).astype(np.uint8)[:, None]
-    return SampleSet(label_maps=maps, locations=locs, beam_labels=labels,
+    return SampleSet(label_maps=maps, locations=locs, rates=np.eye(M_bm)[labels],
                      blockage=blockage, frame_ids=np.arange(n, dtype=np.uint32),
-                     horizons=(1,), M_bm=M_bm)
+                     horizons=(1,))
 
 
 def test_mask_channels_downsample():

@@ -3,7 +3,7 @@ import pytest
 
 from streetbeam.scene import (BUS, CAR, VAN, ConfigError, Frame, SceneConfig,
                               ScenarioStreams, Vehicle, advance_frame,
-                              generate_scenario, vehicle_class)
+                              generate_scenario, vehicle_boxes, vehicle_class)
 
 
 def single_car_config(speed=10.0, frames=25, x0=10.0, lane=1):
@@ -26,6 +26,18 @@ def test_vehicle_class_dims_exact():
     assert (BUS.length, BUS.width, BUS.height) == (11.08, 3.25, 3.33)
     with pytest.raises(ConfigError):
         vehicle_class("truck")
+
+
+def test_vehicle_boxes_corners():
+    car = Vehicle(1, CAR, (10.0, 1.75), 0.0, 10.0, 1)
+    bus = Vehicle(2, BUS, (40.0, -1.75), np.pi, 9.0, 2)
+    boxes = vehicle_boxes([car, bus])
+    assert boxes.shape == (2, 2, 3) and boxes.dtype == np.float64
+    for v, (lo, hi) in zip((car, bus), boxes):
+        xmin, xmax, ymin, ymax = v.footprint()
+        assert lo.tolist() == [xmin, ymin, 0.0]
+        assert hi.tolist() == [xmax, ymax, v.vclass.height]
+    assert vehicle_boxes([]).shape == (0, 2, 3)
 
 
 def test_config_validation():

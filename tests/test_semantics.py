@@ -3,7 +3,7 @@ import pytest
 
 from streetbeam.rng import stream
 from streetbeam.scene import (CameraPose, ConfigError, Frame, SceneConfig, Vehicle,
-                              generate_scenario, vehicle_class)
+                              generate_scenario, vehicle_boxes, vehicle_class)
 from streetbeam.semantics import (BUILDING, CATALOG, CONCEPT_NAMES, GROUND,
                                   ROAD, ROADLINE, SIDEWALK, SKY, TERRAIN, VEHICLE,
                                   SemanticMap, corrupt_map, extract_mask,
@@ -89,7 +89,7 @@ def _reference_render(frame, camera, config, resolution):
     fwd, right, up = camera.basis()
     focal = (W / 2) / np.tan(camera.hfov / 2)
     for v in frame.vehicles:
-        lo, hi = v.box3d()
+        lo, hi = vehicle_boxes([v])[0]
         corners = np.array([[x, y, z] for x in (lo[0], hi[0])
                             for y in (lo[1], hi[1])
                             for z in (lo[2], hi[2])]) - pos
@@ -178,7 +178,7 @@ def test_vehicle_mask_inside_projected_bbox():
     H, W = RES
     fwd, right, up = cam.basis()
     focal = (W / 2) / np.tan(cam.hfov / 2)
-    lo, hi = car.box3d()
+    lo, hi = vehicle_boxes([car])[0]
     rows, cols = [], []
     for cx in (lo[0], hi[0]):
         for cy in (lo[1], hi[1]):
