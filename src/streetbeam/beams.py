@@ -1,13 +1,10 @@
 """DFT codebook, exhaustive beam search over all codeword rates, Top-G metrics."""
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelMatrix
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -72,24 +69,20 @@ def trr(rates, topg_sets, G: int) -> float:
     """Mean over samples of (best rate within Top-G) / (optimal rate).
 
     ``rates`` holds one row of codeword rates per sample, as
-    ``optimal_beam(...).rates``. Samples with zero optimal rate are excluded
-    with a logged warning count.
+    ``optimal_beam(...).rates``. Samples with zero optimal rate are excluded;
+    the caller reports how many.
     """
     if len(rates) != len(topg_sets):
         raise ValueError("rates and Top-G sets have different lengths")
     ratios = []
-    skipped = 0
     for row, s in zip(rates, topg_sets):
         if len(s) != G:
             raise ValueError(f"every Top-G set must have exactly {G} indices")
         opt = row.max()
         if opt <= 0:
-            skipped += 1
             continue
         best = max(row[i] for i in s)
         ratios.append(best / opt)
-    if skipped:
-        log.warning("trr: excluded %d sample(s) with zero optimal rate", skipped)
     if not ratios:
         raise ValueError("no valid samples for TRR")
     return float(np.mean(ratios))

@@ -3,7 +3,9 @@
 Deterministic image-method tracing produces per-path (amplitude, phase,
 delay, azimuth, elevation) tuples for the direct path, single bounces off
 the two building facades, and the ground bounce. Paths blocked by any
-vehicle box are discarded. The frequency-domain channel is assembled as
+non-target vehicle box are discarded: the candidate legs of all frames are
+tested against their own frame's boxes in one slab test per chunk of
+frames. The frequency-domain channel is assembled as
 
     h[k] = sum_l alpha_l * exp(-j 2 pi f_k tau_l + j phi_l) * a(az_l, el_l; f_k)
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import speed_of_light as C_LIGHT
 
-from .scene import Frame, SceneConfig, from_plain, to_plain, vehicle_boxes
+from .scene import SceneConfig, from_plain, to_plain, vehicle_boxes
 
 
 class TargetLostError(RuntimeError):
@@ -98,30 +100,41 @@ def _bs_position(scene: SceneConfig, config: RayTraceConfig):
     return p
 
 
-def _segment_blocked(p0, p1, boxes, eps=1e-9):
-    """3D segment vs axis-aligned box test (slab method on the segment param)."""
-    d = p1 - p0
-    for lo, hi in boxes:
-        t0, t1 = 0.0, 1.0
-        hit = True
-        for ax in range(3):
-            if abs(d[ax]) < eps:
-                if p0[ax] < lo[ax] - eps or p0[ax] > hi[ax] + eps:
-                    hit = False
-                    break
-                continue
-            ta = (lo[ax] - p0[ax]) / d[ax]
-            tb = (hi[ax] - p0[ax]) / d[ax]
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-            if t0 > t1 + eps:
-                hit = False
-                break
-        if hit and t1 > eps and t0 < 1 - eps:
-            return True
-    return False
+_CHUNK_FRAMES = 64  # frames per slab test; bounds its (3, pairs) temporaries
+
+
+def _legs_blocked(p0, p1, leg_frame, boxes, box_count, eps=1e-9):
+    """Whether each leg ``p0[i] -> p1[i]`` crosses a box of its own frame.
+
+    ``boxes`` holds the frames' boxes back to back, ``box_count[f]`` of them
+    for frame f, and ``leg_frame[i]`` is the frame of leg i. Every (leg, box)
+    pair is tested at once by the slab method on the segment parameter: an
+    axis with ``|d| < eps`` contributes the bounds (0, 1) and misses unless
+    ``p0`` lies within ``eps`` of the slab; the leg misses when
+    ``t0 > t1 + eps`` and hits when ``t1 > eps and t0 < 1 - eps``.
+    """
+    n = box_count[leg_frame]
+    first = np.cumsum(box_count) - box_count
+    leg = np.repeat(np.arange(len(leg_frame)), n)
+    box = np.repeat(first[leg_frame] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    # (3, pairs), C-ordered so that the reductions over axes run row by row
+    q = p0.T.take(leg, axis=1)
+    d = (p1 - p0).T.take(leg, axis=1)
+    lo = boxes[:, 0].T.take(box, axis=1)
+    hi = boxes[:, 1].T.take(box, axis=1)
+    par = np.abs(d) < eps
+    outside = (par & ((q < lo - eps) | (q > hi + eps))).any(axis=0)
+    step = np.where(par, 1.0, d)        # no 0/0 on parallel axes
+    ta = (lo - q) / step
+    tb = (hi - q) / step
+    # t0 only rises and t1 only falls over the axes, so testing t0 > t1 + eps
+    # once at the end equals testing it after every axis
+    t0 = np.where(par, 0.0, np.minimum(ta, tb)).max(axis=0, initial=0.0)
+    t1 = np.where(par, 1.0, np.maximum(ta, tb)).min(axis=0, initial=1.0)
+    hit = ~outside & ~(t0 > t1 + eps) & (t1 > eps) & (t0 < 1 - eps)
+    blocked = np.zeros(len(leg_frame), dtype=bool)
+    blocked[leg[hit]] = True
+    return blocked
 
 
 def _departure_angles(bs, toward):
@@ -157,61 +170,90 @@ def _make_path(bs, points, config: RayTraceConfig, n_bounces, is_los):
                          theta_az=theta_az, theta_el=theta_el, is_los=is_los)
 
 
-def trace_paths(frame: Frame, scene: SceneConfig, config: RayTraceConfig):
-    """Strongest unobstructed paths, sorted by amplitude descending.
+def _candidates(bs, users, scene: SceneConfig, config: RayTraceConfig):
+    """Candidate paths of F frames with target antennas ``users`` (F, 3).
 
-    Candidates: direct path, one specular bounce per facade (image method),
-    and the ground bounce. The target's own vehicle never occludes (the
-    antenna sits on its roof). Empty output means outage.
+    One ``(valid, points, n_bounces, is_los)`` entry per candidate, in the
+    order direct, facade +y, facade -y, ground: ``valid`` (F,) marks the
+    frames whose geometry admits it and ``points`` lists the (F, 3) path
+    points after the BS. The image method uses the same elementwise
+    operations for every frame that one frame alone would.
     """
-    if frame.user_antenna_pos is None:
-        raise TargetLostError("frame has no target user")
-    bs = _bs_position(scene, config)
-    user = np.asarray(frame.user_antenna_pos, dtype=float)
-    # Python-float rows: the scalar slab test indexes them faster than ndarrays
-    boxes = vehicle_boxes([v for v in frame.vehicles
-                           if v.id != frame.target_user_id]).tolist()
-
-    candidates = []
-
-    # direct path
-    if not _segment_blocked(bs, user, boxes):
-        candidates.append(_make_path(bs, [user], config, n_bounces=0, is_los=True))
-
-    if abs(config.reflection_coeff) > 0:
-        # facade bounces via the image method
-        for yf in (scene.facade_y, -scene.facade_y):
-            image = bs.copy()
-            image[1] = 2 * yf - bs[1]
-            d = user - image
-            if abs(d[1]) < 1e-12:
-                continue
-            s = (yf - image[1]) / d[1]
-            if not 0 < s < 1:
-                continue
-            bounce = image + s * d
-            if not (0 <= bounce[0] <= scene.street_length_m
-                    and 0 <= bounce[2] <= scene.building_height_m):
-                continue
-            if _segment_blocked(bs, bounce, boxes) or _segment_blocked(bounce, user, boxes):
-                continue
-            candidates.append(_make_path(bs, [bounce, user], config, n_bounces=1, is_los=False))
-
-        # ground bounce
+    cands = [(np.ones(len(users), dtype=bool), [users], 0, True)]
+    if abs(config.reflection_coeff) == 0:
+        return cands
+    for yf in (scene.facade_y, -scene.facade_y):
         image = bs.copy()
-        image[2] = -bs[2]
-        d = user - image
-        if abs(d[2]) > 1e-12:
-            s = -image[2] / d[2]
-            if 0 < s < 1:
-                bounce = image + s * d
-                if not (_segment_blocked(bs, bounce, boxes)
-                        or _segment_blocked(bounce, user, boxes)):
-                    candidates.append(_make_path(bs, [bounce, user], config,
-                                                 n_bounces=1, is_los=False))
+        image[1] = 2 * yf - bs[1]
+        d = users - image
+        ok = np.abs(d[:, 1]) >= 1e-12
+        s = (yf - image[1]) / np.where(ok, d[:, 1], 1.0)
+        bounce = image + s[:, None] * d
+        ok &= ((0 < s) & (s < 1)
+               & (0 <= bounce[:, 0]) & (bounce[:, 0] <= scene.street_length_m)
+               & (0 <= bounce[:, 2]) & (bounce[:, 2] <= scene.building_height_m))
+        cands.append((ok, [bounce, users], 1, False))
+    image = bs.copy()
+    image[2] = -bs[2]
+    d = users - image
+    ok = np.abs(d[:, 2]) > 1e-12
+    s = -image[2] / np.where(ok, d[:, 2], 1.0)
+    bounce = image + s[:, None] * d
+    ok &= (0 < s) & (s < 1)
+    cands.append((ok, [bounce, users], 1, False))
+    return cands
 
-    candidates.sort(key=lambda p: (-p.alpha, p.tau))
-    return candidates[:config.max_paths]
+
+def _trace_chunk(frames, bs, scene: SceneConfig, config: RayTraceConfig):
+    users = np.array([f.user_antenna_pos for f in frames], dtype=float)
+    others = [[v for v in f.vehicles if v.id != f.target_user_id] for f in frames]
+    boxes = vehicle_boxes([v for vs in others for v in vs])
+    box_count = np.array([len(vs) for vs in others], dtype=np.intp)
+    cands = _candidates(bs, users, scene, config)
+
+    # every leg of every geometrically valid candidate c of frame f, tagged
+    # with its slot c * F + f in the (candidate, frame) validity table
+    F = len(frames)
+    p0, p1, slot = [], [], []
+    for c, (ok, points, _, _) in enumerate(cands):
+        idx = np.flatnonzero(ok)
+        nodes = [np.broadcast_to(bs, users.shape)] + points
+        for a, b in zip(nodes, nodes[1:]):
+            p0.append(a[idx])
+            p1.append(b[idx])
+            slot.append(c * F + idx)
+    slot = np.concatenate(slot)
+    blocked = _legs_blocked(np.concatenate(p0), np.concatenate(p1), slot % F,
+                            boxes, box_count)
+    valid = np.stack([ok for ok, _, _, _ in cands])
+    valid.flat[slot[blocked]] = False
+
+    out = []
+    for f, row in enumerate(valid.T.tolist()):
+        paths = [_make_path(bs, [p[f] for p in points], config, n_bounces, is_los)
+                 for (_, points, n_bounces, is_los), v in zip(cands, row) if v]
+        paths.sort(key=lambda p: (-p.alpha, p.tau))
+        out.append(paths[:config.max_paths])
+    return out
+
+
+def trace_paths(frames, scene: SceneConfig, config: RayTraceConfig):
+    """Strongest unobstructed paths of each frame, sorted by amplitude descending.
+
+    Returns one path list per frame. Candidates: direct path, one specular
+    bounce per facade (image method), and the ground bounce. The target's
+    own vehicle never occludes (the antenna sits on its roof). An empty
+    list means outage. Frames are traced in chunks of ``_CHUNK_FRAMES``;
+    each chunk tests all its candidate legs in one slab test.
+    """
+    for frame in frames:
+        if frame.user_antenna_pos is None:
+            raise TargetLostError("frame has no target user")
+    bs = _bs_position(scene, config)
+    out = []
+    for i in range(0, len(frames), _CHUNK_FRAMES):
+        out.extend(_trace_chunk(frames[i:i + _CHUNK_FRAMES], bs, scene, config))
+    return out
 
 
 def assemble_channel(paths, config: RayTraceConfig) -> ChannelMatrix:

@@ -81,10 +81,9 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
     n = len(frames)
     targets = [frame.target_user_id for frame in frames]
     los, channels, rates = [False] * n, [None] * n, [None] * n
-    for t, frame in enumerate(frames):
-        if targets[t] is None:
-            continue
-        paths = trace_paths(frame, scene_cfg, rt_cfg)
+    traced = [t for t in range(n) if targets[t] is not None]
+    all_paths = trace_paths([frames[t] for t in traced], scene_cfg, rt_cfg)
+    for t, paths in zip(traced, all_paths):
         ch = assemble_channel(paths, rt_cfg)
         los[t] = any(p.is_los for p in paths)
         channels[t] = ch.entries
@@ -273,6 +272,9 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
         fragment["g_list"] = list(g_list)
         # full outages (best rate 0), which TRR leaves out
         fragment["trr_excluded"] = int(np.count_nonzero(rates.max(axis=1) <= 0))
+        if fragment["trr_excluded"]:
+            log.warning("trr: excluded %d sample(s) with zero optimal rate",
+                        fragment["trr_excluded"])
         fragment["topg_accuracy"] = {}
         fragment["trr"] = {}
         for g in g_list:

@@ -12,7 +12,7 @@ Coordinate frame: x along the street in [0, street_length_m], y lateral
 
 import types
 import typing
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -285,7 +285,7 @@ def _advance_positions(vehicles, config):
                 limit = lead.center[0] - sgn * (lead.vclass.length / 2 + v.vclass.length / 2 + _SPAWN_GAP)
                 if sgn * cx > sgn * limit:
                     cx = limit
-            moved = replace(v, center=(cx, v.center[1]))
+            moved = Vehicle(v.id, v.vclass, (cx, v.center[1]), v.heading, v.speed, v.lane)
             out.append(moved)
             lead = moved
     return sorted(out, key=lambda v: v.id)

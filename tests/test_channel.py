@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.constants import speed_of_light as C
 
-from streetbeam.channel import (PathComponent, RayTraceConfig, TargetLostError,
+from streetbeam.channel import (_CHUNK_FRAMES, PathComponent, RayTraceConfig,
+                                TargetLostError, _bs_position, _make_path,
                                 assemble_channel, steering_vector, trace_paths)
 from streetbeam.pipeline import blockage_labels
 from streetbeam.rng import stream
-from streetbeam.scene import Frame, SceneConfig, Vehicle, generate_scenario, vehicle_class
+from streetbeam.scene import (BUS, Frame, SceneConfig, Vehicle, generate_scenario,
+                              vehicle_boxes, vehicle_class)
 
 
 def small_cfg(**kw):
@@ -67,7 +69,7 @@ def test_los_free_space_closed_form():
     scene = SceneConfig()
     cfg = small_cfg(reflection_coeff=0j)  # LOS only
     fr = user_frame(scene, 120.0, scene.lane_center_y(1))
-    paths = trace_paths(fr, scene, cfg)
+    paths = trace_paths([fr], scene, cfg)[0]
     assert len(paths) == 1 and paths[0].is_los
     bs = np.asarray(scene.bs_position)
     user = np.asarray(fr.user_antenna_pos)
@@ -88,8 +90,8 @@ def test_bus_blocks_los():
     mid = (bs[:2] + np.array([100.0, user_y])) / 2
     bus = Vehicle(9, vehicle_class("bus"), tuple(mid), 0.0, 10.0, 0)
     fr = user_frame(scene, 100.0, user_y, extra=(bus,))
-    assert len(trace_paths(fr0, scene, cfg)) == 1  # sanity: open without the bus
-    assert trace_paths(fr, scene, cfg) == []       # blocked -> outage
+    assert len(trace_paths([fr0], scene, cfg)[0]) == 1  # sanity: open without the bus
+    assert trace_paths([fr], scene, cfg)[0] == []       # blocked -> outage
 
 
 def test_car_low_enough_not_blocking_high_ray():
@@ -103,14 +105,14 @@ def test_car_low_enough_not_blocking_high_ray():
     mid = (bs[:2] + np.array([100.0, user_y])) / 2
     car = Vehicle(9, vehicle_class("car"), tuple(mid), 0.0, 10.0, 0)
     fr = user_frame(scene, 100.0, user_y, name="bus", extra=(car,))
-    assert len(trace_paths(fr, scene, cfg)) == len(trace_paths(fr0, scene, cfg)) == 1
+    assert len(trace_paths([fr], scene, cfg)[0]) == len(trace_paths([fr0], scene, cfg)[0]) == 1
 
 
 def test_facade_reflection_image_method_length():
     scene = SceneConfig()
     cfg = small_cfg()
     fr = user_frame(scene, 120.0, scene.lane_center_y(1))
-    paths = trace_paths(fr, scene, cfg)
+    paths = trace_paths([fr], scene, cfg)[0]
     reflections = [p for p in paths if not p.is_los]
     assert reflections
     bs = np.asarray(scene.bs_position)
@@ -138,7 +140,7 @@ def test_paths_sorted_and_truncated():
     scene = SceneConfig()
     cfg = small_cfg(max_paths=2)
     fr = user_frame(scene, 120.0, scene.lane_center_y(1))
-    paths = trace_paths(fr, scene, cfg)
+    paths = trace_paths([fr], scene, cfg)[0]
     assert len(paths) <= 2
     alphas = [p.alpha for p in paths]
     assert alphas == sorted(alphas, reverse=True)
@@ -152,13 +154,13 @@ def test_occlusion_monotonicity():
     bs = np.asarray(scene.bs_position)
     mid = (bs[:2] + np.array([100.0, user_y])) / 2
     blocked_small = trace_paths(
-        user_frame(scene, 100.0, user_y,
-                   extra=(Vehicle(9, vehicle_class("van"), tuple(mid), 0.0, 1.0, 0),)),
-        scene, cfg) == []
+        [user_frame(scene, 100.0, user_y,
+                    extra=(Vehicle(9, vehicle_class("van"), tuple(mid), 0.0, 1.0, 0),))],
+        scene, cfg)[0] == []
     blocked_big = trace_paths(
-        user_frame(scene, 100.0, user_y,
-                   extra=(Vehicle(9, vehicle_class("bus"), tuple(mid), 0.0, 1.0, 0),)),
-        scene, cfg) == []
+        [user_frame(scene, 100.0, user_y,
+                    extra=(Vehicle(9, vehicle_class("bus"), tuple(mid), 0.0, 1.0, 0),))],
+        scene, cfg)[0] == []
     if blocked_small:
         assert blocked_big
 
@@ -225,7 +227,7 @@ def test_assemble_channel_bitwise_on_street_paths(cfg):
     for f in generate_scenario(scene):
         if f.target_user_id is None:
             continue
-        paths = trace_paths(f, scene, cfg)
+        paths = trace_paths([f], scene, cfg)[0]
         got = assemble_channel(paths, cfg).entries
         assert got.tobytes() == _reference_assemble(paths, cfg).tobytes()
         checked += 1
@@ -267,7 +269,7 @@ def label_inputs(frames, scene, cfg):
     """Per-frame target ids and LOS flags, as generate_dataset computes them."""
     targets = [f.target_user_id for f in frames]
     los = [f.target_user_id is not None
-           and any(p.is_los for p in trace_paths(f, scene, cfg)) for f in frames]
+           and any(p.is_los for p in trace_paths([f], scene, cfg)[0]) for f in frames]
     return targets, los
 
 
@@ -278,7 +280,7 @@ def test_blockage_label_horizon0_is_current_los():
     frames = generate_scenario(scene)
     targets, los = label_inputs(frames, scene, cfg)
     (lab,) = blockage_labels(targets, los, 0, (0,))
-    paths = trace_paths(frames[0], scene, cfg)
+    paths = trace_paths([frames[0]], scene, cfg)[0]
     assert lab == (0 if any(p.is_los for p in paths) else 1)
     assert lab == 0  # open street: LOS present
 
@@ -324,4 +326,168 @@ def test_trace_paths_deterministic():
     scene = SceneConfig()
     cfg = small_cfg()
     fr = user_frame(scene, 77.0, scene.lane_center_y(2))
-    assert trace_paths(fr, scene, cfg) == trace_paths(fr, scene, cfg)
+    assert trace_paths([fr], scene, cfg)[0] == trace_paths([fr], scene, cfg)[0]
+
+
+def test_trace_paths_batch_edges():
+    scene = SceneConfig()
+    cfg = small_cfg()
+    assert trace_paths([], scene, cfg) == []
+    lost = Frame(0, (), None, None)
+    fr = user_frame(scene, 77.0, scene.lane_center_y(2))
+    with pytest.raises(TargetLostError):
+        trace_paths([fr, lost], scene, cfg)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-frame tracer with its scalar slab test
+
+def _reference_segment_blocked(p0, p1, boxes, eps=1e-9):
+    """3D segment vs axis-aligned box test (slab method on the segment param)."""
+    d = p1 - p0
+    for lo, hi in boxes:
+        t0, t1 = 0.0, 1.0
+        hit = True
+        for ax in range(3):
+            if abs(d[ax]) < eps:
+                if p0[ax] < lo[ax] - eps or p0[ax] > hi[ax] + eps:
+                    hit = False
+                    break
+                continue
+            ta = (lo[ax] - p0[ax]) / d[ax]
+            tb = (hi[ax] - p0[ax]) / d[ax]
+            if ta > tb:
+                ta, tb = tb, ta
+            t0 = max(t0, ta)
+            t1 = min(t1, tb)
+            if t0 > t1 + eps:
+                hit = False
+                break
+        if hit and t1 > eps and t0 < 1 - eps:
+            return True
+    return False
+
+
+def _reference_trace_paths(frame, scene, config):
+    """One frame at a time, every candidate segment tested box by box."""
+    if frame.user_antenna_pos is None:
+        raise TargetLostError("frame has no target user")
+    bs = _bs_position(scene, config)
+    user = np.asarray(frame.user_antenna_pos, dtype=float)
+    boxes = vehicle_boxes([v for v in frame.vehicles
+                           if v.id != frame.target_user_id]).tolist()
+    blocked = _reference_segment_blocked
+    candidates = []
+    if not blocked(bs, user, boxes):
+        candidates.append(_make_path(bs, [user], config, n_bounces=0, is_los=True))
+    if abs(config.reflection_coeff) > 0:
+        for yf in (scene.facade_y, -scene.facade_y):
+            image = bs.copy()
+            image[1] = 2 * yf - bs[1]
+            d = user - image
+            if abs(d[1]) < 1e-12:
+                continue
+            s = (yf - image[1]) / d[1]
+            if not 0 < s < 1:
+                continue
+            bounce = image + s * d
+            if not (0 <= bounce[0] <= scene.street_length_m
+                    and 0 <= bounce[2] <= scene.building_height_m):
+                continue
+            if blocked(bs, bounce, boxes) or blocked(bounce, user, boxes):
+                continue
+            candidates.append(_make_path(bs, [bounce, user], config, n_bounces=1, is_los=False))
+        image = bs.copy()
+        image[2] = -bs[2]
+        d = user - image
+        if abs(d[2]) > 1e-12:
+            s = -image[2] / d[2]
+            if 0 < s < 1:
+                bounce = image + s * d
+                if not (blocked(bs, bounce, boxes) or blocked(bounce, user, boxes)):
+                    candidates.append(_make_path(bs, [bounce, user], config,
+                                                 n_bounces=1, is_los=False))
+    candidates.sort(key=lambda p: (-p.alpha, p.tau))
+    return candidates[:config.max_paths]
+
+
+def assert_matches_reference(frames, scene, cfg):
+    got = trace_paths(frames, scene, cfg)
+    assert got == [_reference_trace_paths(f, scene, cfg) for f in frames]
+    return got
+
+
+CRITERION7 = dict(frame_count=600, spawn_rate=0.6, bs_position=(100.0, -8.0, 2.0))
+
+
+@pytest.mark.parametrize("scene", [
+    SceneConfig(seed=501, **CRITERION7),
+    SceneConfig(seed=503, **CRITERION7),
+    SceneConfig(seed=504, **CRITERION7),
+    SceneConfig(frame_count=600, seed=0, spawn_rate=0.6),  # README street
+    SceneConfig(),
+], ids=["crit7-501", "crit7-503", "crit7-504", "readme", "default"])
+def test_trace_paths_equals_per_frame_reference_on_streets(scene):
+    frames = [f for f in generate_scenario(scene) if f.target_user_id is not None]
+    assert len(frames) > 2 * _CHUNK_FRAMES
+    for cfg in (RayTraceConfig(), RayTraceConfig(max_paths=2),
+                RayTraceConfig(reflection_coeff=0j)):
+        got = assert_matches_reference(frames, scene, cfg)
+        # chunk boundaries do not change a frame's paths
+        assert trace_paths(frames[5:140], scene, cfg) == got[5:140]
+    if scene.bs_position[2] == 2.0:  # the low BS of criterion 7 sees outages
+        assert any(paths == [] for paths in got)
+
+
+def probe_frame(user, lo=None, hi=None):
+    """Frame with an arbitrary target antenna and one bus given by a lower
+    or upper box corner in (x, y); the target's own car stays far away."""
+    target = Vehicle(0, vehicle_class("car"), (10.0, -5.25), 0.0, 10.0, 0)
+    vehicles = (target,)
+    if lo is not None or hi is not None:
+        x, y = lo if lo is not None else (hi[0] - BUS.length, hi[1] - BUS.width)
+        bus = Vehicle(1, BUS, (x + BUS.length / 2, y + BUS.width / 2), 0.0, 10.0, 1)
+        vehicles += (bus,)
+    return Frame(0, vehicles, 0, user)
+
+
+# BS at (100, -8, 2); each direct path runs at z = 2, inside the bus height
+SLAB_CASES = [
+    # leg parallel to the y faces (|d_y| < eps): p0 within eps of a face
+    ((120.0, -8 + 1e-10, 2.0), dict(lo=(105.0, -8 + 0.5e-9)), True),
+    ((120.0, -8 + 1e-10, 2.0), dict(lo=(105.0, -8 + 1.5e-9)), False),
+    ((120.0, -8 + 1e-10, 2.0), dict(hi=(116.08, -8 - 0.5e-9)), True),
+    ((120.0, -8 + 1e-10, 2.0), dict(hi=(116.08, -8 - 1.5e-9)), False),
+    # |d_y| just below eps counts as parallel, just above it does not
+    ((120.0, -8 + 0.9e-9, 2.0), dict(lo=(110.0, -8 + 1.05e-9)), False),
+    ((120.0, -8 + 1.1e-9, 2.0), dict(lo=(110.0, -8 + 1.05e-9)), True),
+    # grazing a box edge: t0 - t1 just below and just above eps
+    ((120.0, -4.0, 2.0), dict(hi=(121.08, -6 - 2e-9)), True),
+    ((120.0, -4.0, 2.0), dict(hi=(121.08, -6 - 6e-9)), False),
+    # box ending just after the leg starts: t1 just below and above eps
+    ((120.0, -8.0, 2.0), dict(hi=(100 + 1e-8, -7.0)), False),
+    ((120.0, -8.0, 2.0), dict(hi=(100 + 3e-8, -7.0)), True),
+    # box starting just before the leg ends: t0 just above and below 1 - eps
+    ((120.0, -8.0, 2.0), dict(lo=(120 - 1e-8, -9.0)), False),
+    ((120.0, -8.0, 2.0), dict(lo=(120 - 3e-8, -9.0)), True),
+    # leg ending on a box face, leg starting inside a box
+    ((120.0, -8.0, 2.0), dict(lo=(120.0, -9.0)), False),
+    ((120.0, -8.0, 2.0), dict(lo=(95.0, -9.0)), True),
+    # the target is the only vehicle: no boxes
+    ((120.0, -8.0, 2.0), dict(), False),
+]
+
+
+def test_slab_eps_rules_match_reference():
+    scene = SceneConfig(**CRITERION7)
+    frames = [probe_frame(user, **box) for user, box, _ in SLAB_CASES]
+    los_only = small_cfg(reflection_coeff=0j)
+    got = assert_matches_reference(frames, scene, los_only)
+    assert [paths == [] for paths in got] == [blocked for _, _, blocked in SLAB_CASES]
+    assert_matches_reference(frames, scene, small_cfg())
+    # one frame at a time, and mixed into a chunk of street frames
+    for f in frames:
+        assert_matches_reference([f], scene, los_only)
+    street = [f for f in generate_scenario(SceneConfig(seed=503, **CRITERION7))
+              if f.target_user_id is not None][:100]
+    assert_matches_reference(street[:40] + frames + street[40:], scene, small_cfg())

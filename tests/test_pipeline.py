@@ -153,6 +153,17 @@ def test_train_eval_report_cycle(tmp_path):
     assert (tmp_path / "metrics.csv").read_bytes() == c1
 
 
+def test_eval_logs_trr_exclusions_once(tmp_path, caplog):
+    ds = planted_dataset(n=60)
+    ds.rates[::3] = 0.0  # full outages, which TRR leaves out
+    run_trained_beam(tmp_path, ds, epochs=2)
+    with caplog.at_level("WARNING"):
+        frag = cmd_eval(ds, tmp_path, "beam", g_list=(1, 2, 3, 4))
+    lines = [r.getMessage() for r in caplog.records if "excluded" in r.getMessage()]
+    assert frag["trr_excluded"] > 0
+    assert lines == [f"trr: excluded {frag['trr_excluded']} sample(s) with zero optimal rate"]
+
+
 def test_eval_missing_artifacts(tmp_path):
     ds = planted_dataset(n=40)
     with pytest.raises(PipelineError):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from streetbeam.scene import (BUS, CAR, VAN, ConfigError, Frame, SceneConfig,
+from streetbeam import scene as scene_mod
+from streetbeam.scene import (_SPAWN_GAP, BUS, CAR, VAN, ConfigError, Frame, SceneConfig,
                               ScenarioStreams, Vehicle, advance_frame,
                               generate_scenario, vehicle_boxes, vehicle_class)
 
@@ -78,6 +81,40 @@ def test_determinism_bitwise():
     a = generate_scenario(cfg)
     b = generate_scenario(cfg)
     assert a == b
+
+
+def _reference_advance_positions(vehicles, config):
+    """Per-lane gap clamp that moves each vehicle with ``dataclasses.replace``."""
+    dt = config.slot_duration_s
+    out = []
+    by_lane = {}
+    for v in vehicles:
+        by_lane.setdefault(v.lane, []).append(v)
+    for lane, vs in by_lane.items():
+        sgn = 1.0 if config.lane_direction(lane) == 0.0 else -1.0
+        vs = sorted(vs, key=lambda v: sgn * v.center[0], reverse=True)
+        lead = None
+        for v in vs:
+            cx = v.center[0] + sgn * v.speed * dt
+            if lead is not None:
+                limit = lead.center[0] - sgn * (lead.vclass.length / 2 + v.vclass.length / 2 + _SPAWN_GAP)
+                if sgn * cx > sgn * limit:
+                    cx = limit
+            moved = replace(v, center=(cx, v.center[1]))
+            out.append(moved)
+            lead = moved
+    return sorted(out, key=lambda v: v.id)
+
+
+@pytest.mark.parametrize("seed", [501, 503])
+def test_advance_positions_equals_reference(seed, monkeypatch):
+    # the acceptance-criterion-7 street: dense traffic exercises the gap clamp
+    cfg = SceneConfig(frame_count=600, seed=seed, spawn_rate=0.6,
+                      bs_position=(100.0, -8.0, 2.0))
+    frames = generate_scenario(cfg)
+    monkeypatch.setattr(scene_mod, "_advance_positions", _reference_advance_positions)
+    assert generate_scenario(cfg) == frames
+    assert sum(len(f.vehicles) for f in frames) > 10 * len(frames)
 
 
 def test_despawn_at_street_end():
