@@ -9,19 +9,17 @@ from .channel import (ChannelMatrix, PathComponent, RayTraceConfig,
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import ContainerError, read_container, write_container
 from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator,
-                      EvaluatorError, FsState, brute_force_best, canonical,
-                      sffs)
+                      EvaluatorError, FsState, canonical, sffs)
 from .pipeline import (DEFAULT_G_LIST, DEFAULT_HORIZONS, PipelineError,
                        blockage_labels, cmd_eval, cmd_generate, cmd_report,
                        cmd_select, cmd_train, generate_dataset)
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig,
-                        TrainResult, accuracy, gradient_check, mask_channels,
-                        predict, split_indices, train)
+                        TrainResult, accuracy, mask_channels, predict,
+                        split_indices, train)
 from .rng import derive_seed, stream
 from .scene import (CameraPose, ConfigError, Frame, SceneConfig, Vehicle,
                     VehicleClass, advance_frame, generate_scenario)
 from .semantics import (CATALOG, CONCEPT_NAMES, ConceptCatalog, SemanticMap,
-                        corrupt_map, extract_mask, pixel_accuracy,
                         render_frame, render_semantic_map)
 
 __version__ = "0.1.0"

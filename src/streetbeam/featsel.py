@@ -3,11 +3,9 @@
 Works over any deterministic evaluator mapping a feature set to an
 accuracy in [0, 1]. Sets are always handled in a canonical sorted order
 (location first, then concept index) so history membership and tie
-breaking are insertion-order independent. Also provides an exhaustive
-subset search used as a verification oracle.
+breaking are insertion-order independent.
 """
 
-import itertools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -155,31 +153,6 @@ def sffs(universal, evaluator, pinned=(), v_max=None, return_state=False):
     if return_state:
         return state.current, state
     return state.current
-
-
-def brute_force_best(universal, evaluator, pinned=(), v_max=None, max_size=20):
-    """Exact argmax over all subsets containing ``pinned``; ties go to the
-    lexicographically smallest canonical set."""
-    universal = canonical(universal)
-    pinned = canonical(pinned)
-    free = [f for f in universal if f not in pinned]
-    if len(free) > max_size:
-        raise ValueError(f"universe too large for exhaustive search (> {max_size})")
-    if not isinstance(evaluator, CachedEvaluator):
-        evaluator = CachedEvaluator(evaluator)
-
-    best_set, best_key, best_acc = None, None, -1.0
-    for r in range(len(free) + 1):
-        for combo in itertools.combinations(free, r):
-            cand = canonical(pinned + combo)
-            if v_max is not None and len(cand) > v_max:
-                continue
-            acc = evaluator(cand)
-            # tie rule: fewest features first, then lexicographic canonical order
-            ckey = (len(cand), tuple(feature_key(f) for f in cand))
-            if acc > best_acc or (acc == best_acc and ckey < best_key):
-                best_set, best_key, best_acc = cand, ckey, acc
-    return best_set
 
 
 def write_trace(path, state: FsState):

@@ -19,9 +19,19 @@ predictor's network) derive from ``Composite``: each child has a name, and
 its tensors live under "<name>." in the parent's dicts. ``Composite.init``
 initializes the children in order, ``run`` calls a child's forward on its
 slice of the dicts and ``grad`` a child's backward, prefixing its
-gradients. Subclasses keep their own ``forward``/``backward`` that wire
-the children together. Layers without tensors derive from ``Layer``.
+gradients. A child's slice comes from (short, full) key pairs grouped once
+per key set (memoized on the dict's key tuple), not from a scan of every
+key per call; ``grad`` files the child's gradients under the same pairs.
+Subclasses keep their own ``forward``/``backward`` that wire the children
+together. Layers without tensors derive from ``Layer``.
+
+``Adam`` packs the parameters into one contiguous buffer and rebinds each
+tensor of the parameter dict to a view of it, so an optimizer step is a
+handful of elementwise operations over the whole buffer, bitwise equal to
+updating each tensor on its own.
 """
+
+import functools
 
 import numpy as np
 
@@ -29,9 +39,15 @@ _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
 
 
-def _sub(d, prefix):
-    p = prefix + "."
-    return {k[len(p):]: v for k, v in d.items() if k.startswith(p)}
+@functools.lru_cache(maxsize=1024)
+def _child_keys(keys):
+    """child name -> ((short, full) key pairs) of a dict with keys ``keys``,
+    where a full key is "<name>.<short>"."""
+    groups = {}
+    for k in keys:
+        name, _, short = k.partition(".")
+        groups.setdefault(name, []).append((short, k))
+    return {name: tuple(pairs) for name, pairs in groups.items()}
 
 
 def _ns(d, prefix):
@@ -102,9 +118,14 @@ class BatchNorm:
     def forward(self, x, p, s, training, rng):
         axes, shp = self._axes(x), self._shape(x)
         if training:
-            mean = x.mean(axis=axes)
+            # np.add.reduce / m is the arithmetic of x.mean and x.var,
+            # without their Python wrapper
+            total = np.add.reduce(x, axis=axes)
+            m = x.size // total.size  # values per feature
+            mean = total / m
             xc = x - mean.reshape(shp)
-            var = (xc * xc).mean(axis=axes)  # the arithmetic of x.var(axis=axes)
+            buf = np.multiply(xc, xc)  # squared deviations, then y
+            var = np.add.reduce(buf, axis=axes) / m
             # running stats updated in place so shared state dicts stay in sync
             s["running_mean"] *= 1 - _BN_MOMENTUM
             s["running_mean"] += (_BN_MOMENTUM * mean).astype(s["running_mean"].dtype)
@@ -113,24 +134,26 @@ class BatchNorm:
         else:
             mean, var = s["running_mean"], s["running_var"]
             xc = x - mean.reshape(shp)
+            buf = None
         inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         xhat = xc
         xhat *= inv_std.reshape(shp)
-        y = xhat * p["gamma"].reshape(shp)
+        y = np.multiply(xhat, p["gamma"].reshape(shp), out=buf)
         y += p["beta"].reshape(shp)
         return y, (xhat, inv_std, training)
 
     def backward(self, dy, cache, p):
         xhat, inv_std, training = cache
         axes, shp = self._axes(dy), self._shape(dy)
-        dgamma = (dy * xhat).sum(axis=axes)
-        dbeta = dy.sum(axis=axes)
+        buf = np.multiply(dy, xhat)  # dy * xhat, then the xhat correction
+        dgamma = np.add.reduce(buf, axis=axes)
+        dbeta = np.add.reduce(dy, axis=axes)
         scale = (p["gamma"] * inv_std).reshape(shp)
         if training:
             # d/dx of gamma * xhat: the two batch reductions are dbeta and dgamma
             m = dy.size // dbeta.size  # values per feature
             dx = dy - (dbeta / m).reshape(shp)
-            dx -= xhat * (dgamma / m).reshape(shp)
+            dx -= np.multiply(xhat, (dgamma / m).reshape(shp), out=buf)
             dx *= scale
         else:
             dx = dy * scale
@@ -139,7 +162,12 @@ class BatchNorm:
 
 def _pad(x, pad):
     """(C, H, W, N) input with ``pad`` zeros around H and W."""
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+    if not pad:
+        return x
+    c, h, w, n = x.shape
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    return xp
 
 
 def _im2col(xp, k, stride, oh, ow):
@@ -328,15 +356,22 @@ class Composite:
 
     def run(self, name, x, params, state, training, rng):
         """Forward of child ``name``; returns (output, cache)."""
-        return self.children[name].forward(x, _sub(params, name), _sub(state, name),
-                                           training, rng)
+        return self.children[name].forward(x, self._slice(params, name),
+                                           self._slice(state, name), training, rng)
 
     def grad(self, name, dy, cache, params, grads):
         """Backward of child ``name``: adds its gradients to ``grads``
         under its prefix and returns the input gradient."""
-        dx, g = self.children[name].backward(dy, cache, _sub(params, name))
-        grads.update(_ns(g, name))
+        pairs = _child_keys(tuple(params)).get(name, ())
+        dx, g = self.children[name].backward(dy, cache, {s: params[f] for s, f in pairs})
+        for s, f in pairs:
+            grads[f] = g[s]
         return dx
+
+    @staticmethod
+    def _slice(d, name):
+        """Child ``name``'s tensors of ``d`` under their short keys."""
+        return {s: d[f] for s, f in _child_keys(tuple(d)).get(name, ())}
 
 
 class Sequential(Composite):
@@ -405,23 +440,47 @@ class ResidualBlock(Composite):
 
 
 class Adam:
-    """Adaptive-moment optimizer over a flat parameter dict."""
+    """Adaptive-moment optimizer over a flat parameter dict.
+
+    The constructor packs the parameters, in the dict's key order, into one
+    contiguous buffer and rebinds each ``params[k]`` to a view of it, so a
+    step is five elementwise updates over the whole buffer. All parameters
+    must share one dtype. ``step`` takes the dict given to the constructor.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        dtypes = sorted({str(v.dtype) for v in params.values()})
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam needs one parameter dtype, got {dtypes}")
+        self.keys = tuple(params)
+        self.flat = np.concatenate([np.ravel(params[k]) for k in self.keys])
+        self.views = []
+        offset = 0
+        for k in self.keys:
+            size = params[k].size
+            params[k] = self.flat[offset:offset + size].reshape(params[k].shape)
+            self.views.append(params[k])
+            offset += size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def step(self, params, grads):
+        for k, view in zip(self.keys, self.views):
+            if params[k] is not view:
+                raise ValueError(f"parameter {k!r} is not a view of the optimizer's buffer; "
+                                 "step the dict the optimizer was built on")
+        # a missing gradient raises KeyError naming it
+        g = np.concatenate([np.ravel(grads[k]) for k in self.keys])
+        if len(grads) != len(self.keys):
+            raise KeyError(f"gradients of unknown parameters {sorted(set(grads) - set(self.keys))}")
         self.t += 1
         b1t = 1 - self.beta1 ** self.t
         b2t = 1 - self.beta2 ** self.t
-        for k, g in grads.items():
-            m = self.m[k]
-            v = self.v[k]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            params[k] -= (self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)).astype(params[k].dtype)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g * g
+        self.flat -= (self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)).astype(self.flat.dtype)

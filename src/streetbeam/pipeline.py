@@ -244,6 +244,11 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
     the beam task needs neither the channels nor the link budget.
     """
     horizon = _blockage_horizon(dataset, task, horizon)
+    if task == "beam":
+        for g in g_list:
+            if g > dataset.M_bm:
+                raise PipelineError(f"G = {g} exceeds the codebook size M_bm = "
+                                    f"{dataset.M_bm}")
     meta_path = os.path.join(out_dir, _stem(task, horizon) + ".meta.json")
     ckpt_path = os.path.join(out_dir, _stem(task, horizon) + ".esnn")
     for p in (meta_path, ckpt_path):

@@ -396,57 +396,3 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
     return TrainResult(model=model, params=params, state=state, features=feats,
                        val_accuracy=val_acc, split=(train_idx, val_idx, test_idx),
                        train_loss=train_loss, horizon=horizon)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-def gradient_check(model: Predictor, params, state, loc, maps, features, label,
-                   n_samples=120, step=1e-5, seed=0):
-    """Max relative error between analytic and central-difference gradients.
-
-    Runs in evaluation mode (dropout off, frozen normalization stats) on
-    64-bit shadow copies of the parameters; the uint8 label maps become
-    float64 mask columns in the first convolution. A sample whose difference
-    interval straddles a ReLU kink invalidates the central difference, not
-    the gradient, so suspect samples are re-measured at step/10 and step/100
-    and the smallest error kept: a genuine backpropagation error persists at
-    every step, a kink crossing vanishes.
-    """
-    p64 = {k: v.astype(np.float64) for k, v in params.items()}
-    s64 = {k: v.astype(np.float64) for k, v in state.items()}
-    loc = np.asarray(loc, dtype=np.float64)
-    labels = np.atleast_1d(np.asarray(label, dtype=np.int64))
-
-    def loss_of(p):
-        out, _ = model.forward(p, s64, loc, maps, features, training=False)
-        loss, _ = _batch_loss_grad(model, out, labels)
-        return loss
-
-    out, cache = model.forward(p64, s64, loc, maps, features, training=False)
-    _, dout = _batch_loss_grad(model, out, labels)
-    grads = model.backward(dout, cache, p64)
-
-    rng = np.random.default_rng(seed)
-    keys = sorted(p64.keys())
-    max_err = 0.0
-    for _ in range(max(n_samples, 100)):
-        k = keys[int(rng.integers(len(keys)))]
-        flat = p64[k].reshape(-1)
-        i = int(rng.integers(flat.size))
-        orig = flat[i]
-        analytic = grads[k].reshape(-1)[i]
-        err = np.inf
-        for h in (step, step / 10, step / 100):
-            flat[i] = orig + h
-            lp = loss_of(p64)
-            flat[i] = orig - h
-            lm = loss_of(p64)
-            flat[i] = orig
-            numeric = (lp - lm) / (2 * h)
-            err = min(err, abs(analytic - numeric)
-                      / max(abs(analytic), abs(numeric), 1e-8))
-            if err < 1e-7:
-                break
-        max_err = max(max_err, err)
-    return max_err

@@ -1,4 +1,4 @@
-"""Ground-truth semantic segmentation maps and per-concept masks.
+"""Ground-truth semantic segmentation maps.
 
 A pinhole camera with a per-pixel depth test rasterizes the scene
 primitives (sky background, building facades, ground/road/sidewalk/
@@ -209,43 +209,3 @@ def render_frame(frame: Frame, config: SceneConfig, resolution):
     boxes = vehicle_boxes(frame.vehicles)
     return [_render(boxes, cam, config, resolution, i)
             for i, cam in enumerate(config.camera_poses)]
-
-
-def extract_mask(smap: SemanticMap, concept: int) -> np.ndarray:
-    """Binary zero-mask isolating one concept from the segmentation map:
-    (H, W) uint8 in {0, 1}."""
-    if not 0 <= concept < CATALOG.M_con:
-        raise IndexError(f"concept index {concept} out of range 0..{CATALOG.M_con - 1}")
-    return (smap.labels == concept).astype(np.uint8)
-
-
-def corrupt_map(smap: SemanticMap, p: float, rng: np.random.Generator) -> SemanticMap:
-    """Resample each pixel uniformly over all labels with probability p.
-
-    Stands in for segmentation error of a learned extractor; p = 0 is the
-    identity. The uniform resample may re-draw the original label, so the
-    expected pixel accuracy against the input is 1 - p * (M_con - 1) / M_con.
-    """
-    if not 0 <= p <= 1:
-        raise ValueError("corruption probability must be in [0, 1]")
-    if p == 0:
-        return smap
-    labels = smap.labels.copy()
-    flip = rng.random(labels.shape) < p
-    labels[flip] = rng.integers(0, CATALOG.M_con, size=int(flip.sum()), dtype=np.uint8)
-    return SemanticMap(camera_id=smap.camera_id, labels=labels)
-
-
-def pixel_accuracy(pred, truth) -> float:
-    """Fraction of pixels whose predicted label matches the truth,
-    averaged over all pixels of all maps."""
-    if len(pred) != len(truth):
-        raise ValueError("prediction and truth map counts differ")
-    correct = 0
-    total = 0
-    for p, t in zip(pred, truth):
-        if p.labels.shape != t.labels.shape:
-            raise ValueError("map shapes differ")
-        correct += int((p.labels == t.labels).sum())
-        total += p.labels.size
-    return correct / total

@@ -11,18 +11,18 @@ import time
 import numpy as np
 import pytest
 
+from oracles import brute_force_best, corrupt_map, gradient_check, pixel_accuracy
 from streetbeam.beams import dft_codebook, optimal_beam, topg_accuracy, trr
 from streetbeam.channel import PathComponent, RayTraceConfig, assemble_channel
 from streetbeam.cli import main
 from streetbeam.dataset import read_container, write_container
-from streetbeam.featsel import CachedEvaluator, brute_force_best, canonical, sffs
+from streetbeam.featsel import CachedEvaluator, canonical, sffs
 from streetbeam.pipeline import cmd_select, generate_dataset
 from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor, SampleSet,
-                                  TrainConfig, gradient_check, predict, train)
+                                  TrainConfig, predict, train)
 from streetbeam.rng import stream
 from streetbeam.scene import SceneConfig
-from streetbeam.semantics import (CATALOG, SemanticMap, corrupt_map,
-                                  pixel_accuracy)
+from streetbeam.semantics import CATALOG, SemanticMap
 
 C = 299792458.0
 

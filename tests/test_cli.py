@@ -87,6 +87,14 @@ def test_validation_errors_exit_1(tmp_path, capsys):
           "--epochs", "1", "--out", out, "--features", "location,vehicle"])
     assert main(["eval", "--dataset", dataset, "--task", "beam",
                  "--g-list", "zero", "--out", out]) == 1
+    # a G above the codebook (M_bm = 8) fails before the checkpoint is read
+    capsys.readouterr()
+    (tmp_path / "run" / "beam.esnn").write_bytes(b"not a checkpoint")
+    assert main(["eval", "--dataset", dataset, "--task", "beam",
+                 "--g-list", "1,9", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "G = 9" in err and "M_bm = 8" in err, err
+    assert not (tmp_path / "run" / "eval_beam.json").exists()
     # invalid scene config
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scene": {"frame_count": 0}}))

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
+from oracles import brute_force_best
 from streetbeam.featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator,
-                                EvaluatorError, FsState, brute_force_best,
-                                canonical, exclusion_step, inclusion_step,
-                                sffs, write_trace)
+                                EvaluatorError, FsState, canonical,
+                                exclusion_step, inclusion_step, sffs,
+                                write_trace)
 
 
 def table_eval(table, default=0.0):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import streetbeam.predictor as predictor
+from oracles import _sub
 from streetbeam.nn import (Adam, AvgPool, BatchNorm, Conv2d, Dense, Dropout,
                            Flatten, LabelConv2d, ReLU, ResidualBlock, Sequential,
-                           _col2im, _sub)
-from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor, _batch_loss_grad,
-                                  concept_ids, mask_channels)
+                           _col2im, _pad)
+from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor, SampleSet,
+                                  TrainConfig, _batch_loss_grad, concept_ids,
+                                  mask_channels)
 from streetbeam.rng import stream
 from streetbeam.semantics import CATALOG
 
@@ -583,3 +586,209 @@ def test_predictor_matches_nchw_reference_network(task, arch, n, training, dtype
         scale = max(float(np.abs(v).max()) for k, v in grads_ref.items()
                     if k.rsplit(".", 1)[0] == layer)
         assert_close(grads[key], grads_ref[key], dtype, scale=scale)
+
+
+# ---------------------------------------------------------------------------
+# per-call fast paths against the code they replaced, bit for bit: the
+# per-tensor Adam, np.pad and the ndarray.mean batch norm
+
+class _ReferenceAdam:
+    """Adam with one moment pair per tensor, updating ``params`` in place."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        b1t = 1 - self.beta1 ** self.t
+        b2t = 1 - self.beta2 ** self.t
+        for k, g in grads.items():
+            m = self.m[k]
+            v = self.v[k]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            params[k] -= (self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)).astype(params[k].dtype)
+
+
+def _reference_pad_chwn(x, pad):
+    """(C, H, W, N) input with ``pad`` zeros around H and W, by np.pad."""
+    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+
+
+class _ReferenceBatchNorm(BatchNorm):
+    """Batch norm through ndarray.mean and ndarray.sum, with a fresh array
+    for every intermediate."""
+
+    def forward(self, x, p, s, training, rng):
+        axes, shp = self._axes(x), self._shape(x)
+        if training:
+            mean = x.mean(axis=axes)
+            xc = x - mean.reshape(shp)
+            var = (xc * xc).mean(axis=axes)
+            s["running_mean"] *= 1 - 0.1
+            s["running_mean"] += (0.1 * mean).astype(s["running_mean"].dtype)
+            s["running_var"] *= 1 - 0.1
+            s["running_var"] += (0.1 * var).astype(s["running_var"].dtype)
+        else:
+            mean, var = s["running_mean"], s["running_var"]
+            xc = x - mean.reshape(shp)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        xhat = xc
+        xhat *= inv_std.reshape(shp)
+        y = xhat * p["gamma"].reshape(shp)
+        y += p["beta"].reshape(shp)
+        return y, (xhat, inv_std, training)
+
+    def backward(self, dy, cache, p):
+        xhat, inv_std, training = cache
+        axes, shp = self._axes(dy), self._shape(dy)
+        dgamma = (dy * xhat).sum(axis=axes)
+        dbeta = dy.sum(axis=axes)
+        scale = (p["gamma"] * inv_std).reshape(shp)
+        if training:
+            m = dy.size // dbeta.size
+            dx = dy - (dbeta / m).reshape(shp)
+            dx -= xhat * (dgamma / m).reshape(shp)
+            dx *= scale
+        else:
+            dx = dy * scale
+        return dx, {"gamma": dgamma, "beta": dbeta}
+
+
+def _random_grads(seed, params):
+    """Gradients spread over five decades, with some exact zeros."""
+    rng = stream(seed, "grads")
+    grads = {}
+    for k, v in params.items():
+        g = rng.normal(size=v.shape) * 10.0 ** rng.uniform(-4, 1, size=v.shape)
+        g[rng.random(v.shape) < 0.05] = 0
+        grads[k] = g.astype(v.dtype)
+    return grads
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("task,arch", [("beam", TINY_ARCH), ("blockage", TINY_ARCH),
+                                       ("beam", ArchConfig())])
+def test_flat_adam_matches_per_tensor_reference(task, arch, dtype):
+    params, _ = Predictor(task, 4, 8, arch).init(3, dtype)
+    ref = {k: v.copy() for k, v in params.items()}
+    opt = Adam(params, lr=3e-3)
+    opt_ref = _ReferenceAdam(ref, lr=3e-3)
+    assert params.keys() == ref.keys()
+    for k in params:  # each parameter is a view of the one buffer
+        assert np.shares_memory(params[k], opt.flat) and params[k].shape == ref[k].shape
+        assert_bitwise(params[k], ref[k])
+    for step in range(5):
+        # the reference takes the gradients in reverse key order, as a
+        # backward pass delivers them
+        grads = _random_grads(step, params)
+        opt.step(params, grads)
+        opt_ref.step(ref, dict(reversed(grads.items())))
+        for k in params:
+            assert_bitwise(params[k], ref[k])
+    assert opt.flat.dtype == dtype
+
+
+def test_flat_adam_errors():
+    params = {"a.W": np.ones((2, 3), np.float32), "a.b": np.zeros(3, np.float32)}
+    opt = Adam(params)
+    with pytest.raises(KeyError, match="a.b"):
+        opt.step(params, {"a.W": np.ones((2, 3), np.float32)})
+    with pytest.raises(KeyError, match="z"):
+        opt.step(params, {"a.W": np.ones((2, 3), np.float32),
+                          "a.b": np.ones(3, np.float32), "z": np.ones(1, np.float32)})
+    params["a.b"] = params["a.b"].copy()  # no longer a view of the buffer
+    with pytest.raises(ValueError, match="a.b"):
+        opt.step(params, {"a.W": np.ones((2, 3), np.float32), "a.b": np.ones(3, np.float32)})
+    assert opt.t == 0
+    with pytest.raises(ValueError, match="dtype"):
+        Adam({"w": np.ones(2, np.float32), "b": np.ones(2, np.float64)})
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape,pad", [((4, 8, 16, 32), 1), ((3, 7, 9, 2), 2),
+                                       ((2, 5, 6, 1), 0), ((16, 20, 40, 128), 1)])
+def test_pad_matches_np_pad(shape, pad, dtype):
+    x = _random(40, shape, dtype)
+    x[0, 0, 0] = -0.0  # signed zeros survive the copy
+    assert_bitwise(_pad(x, pad), _reference_pad_chwn(x, pad))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("x_shape", [(4, 8, 16, 32), (16, 20, 40, 128), (3, 5, 7, 2),
+                                     (32, 3), (128, 256), (2, 5)])
+def test_batchnorm_matches_ndarray_mean_reference(x_shape, training, dtype):
+    c = x_shape[0] if len(x_shape) == 4 else x_shape[1]
+    bn, bn_ref = BatchNorm(c), _ReferenceBatchNorm(c)
+    p, s = bn.init(stream(0, "i"), dtype)
+    p["gamma"] = _random(41, p["gamma"].shape, dtype)
+    p["beta"] = _random(42, p["beta"].shape, dtype)
+    s["running_mean"] = _random(43, s["running_mean"].shape, dtype)
+    s["running_var"] = np.abs(_random(44, s["running_var"].shape, dtype)) + 0.5
+    s_ref = {k: v.copy() for k, v in s.items()}
+    x = _random(45, x_shape, dtype) * 3 + 1
+    dy = _random(46, x_shape, dtype)
+    for _ in range(2):  # the second pass starts from updated running stats
+        y, cache = bn.forward(x, p, s, training, None)
+        y_ref, cache_ref = bn_ref.forward(x.copy(), p, s_ref, training, None)
+        assert_bitwise(y, y_ref)
+        for a, ref in zip(cache[:2], cache_ref[:2]):
+            assert_bitwise(a, ref)
+        for k in s:
+            assert_bitwise(s[k], s_ref[k])
+        dx, grads = bn.backward(dy, cache, p)
+        dx_ref, grads_ref = bn_ref.backward(dy, cache_ref, p)
+        assert_bitwise(dx, dx_ref)
+        for k in grads_ref:
+            assert_bitwise(grads[k], grads_ref[k])
+
+
+def test_composite_slices_any_key_order():
+    """A parameter dict in another key order (a checkpoint loads them
+    sorted) gives the same outputs and gradients."""
+    model = Predictor("beam", 4, 8, TINY_ARCH)
+    params, state = model.init(1, np.float64)
+    maps = _label_maps(47, (6, 2) + TINY_ARCH.input_hw)
+    loc = _random(48, (6, 3), np.float64)
+    features = ("location", "vehicle", "building")
+    outs = []
+    for p, s in ((params, state), (dict(sorted(params.items())), dict(sorted(state.items())))):
+        out, cache = model.forward(p, {k: v.copy() for k, v in s.items()}, loc, maps,
+                                   features, True, stream(0, "dropout"))
+        _, dout = _batch_loss_grad(model, out, np.arange(6) % 8)
+        outs.append((out, model.backward(dout, cache, p)))
+    (out, grads), (out2, grads2) = outs
+    assert_bitwise(out, out2)
+    assert grads.keys() == grads2.keys() == params.keys()
+    for k in grads:
+        assert_bitwise(grads[k], grads2[k])
+
+
+def _synthetic_sampleset(n=48, hw=(16, 32), M_bm=8):
+    rng = stream(49, "synthetic")
+    return SampleSet(label_maps=_label_maps(50, (n, 2) + hw),
+                     locations=rng.normal(size=(n, 3)).astype(np.float32),
+                     rates=rng.exponential(size=(n, M_bm)),
+                     blockage=rng.integers(2, size=(n, 1)).astype(np.uint8),
+                     frame_ids=np.arange(n, dtype=np.uint32), horizons=(1,))
+
+
+@pytest.mark.parametrize("task", ["beam", "blockage"])
+def test_train_with_flat_adam_matches_per_tensor_adam(task, monkeypatch):
+    dataset = _synthetic_sampleset()
+    cfg = TrainConfig(learning_rate=3e-3, batch_size=16, epochs=3, seed=2, arch=TINY_ARCH)
+    features = ("location", "vehicle", "building")
+    res = predictor.train(dataset, features, task, cfg)
+    monkeypatch.setattr(predictor, "Adam", _ReferenceAdam)
+    res_ref = predictor.train(dataset, features, task, cfg)
+    assert np.array(res.train_loss).tobytes() == np.array(res_ref.train_loss).tobytes()
+    for got, ref in ((res.params, res_ref.params), (res.state, res_ref.state)):
+        assert got.keys() == ref.keys()
+        for k in ref:
+            assert_bitwise(got[k], ref[k])

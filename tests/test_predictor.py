@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import streetbeam.rng as rng_mod
+from oracles import gradient_check
 from streetbeam.nn import Conv2d, Sequential
 from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor,
                                   SampleSet, TrainConfig, _batch_loss_grad,
-                                  accuracy, concept_ids, gradient_check,
-                                  log_softmax, mask_channels, predict, sigmoid,
+                                  accuracy, concept_ids, log_softmax,
+                                  mask_channels, predict, sigmoid,
                                   split_indices, train)
 from streetbeam.scene import from_plain, to_plain
 from streetbeam.semantics import CATALOG

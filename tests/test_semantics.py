@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import corrupt_map, extract_mask, pixel_accuracy
 from streetbeam.rng import stream
 from streetbeam.scene import (CameraPose, ConfigError, Frame, SceneConfig, Vehicle,
                               generate_scenario, vehicle_boxes, vehicle_class)
 from streetbeam.semantics import (BUILDING, CATALOG, CONCEPT_NAMES, GROUND,
                                   ROAD, ROADLINE, SIDEWALK, SKY, TERRAIN, VEHICLE,
-                                  SemanticMap, corrupt_map, extract_mask,
-                                  pixel_accuracy, render_frame,
-                                  render_semantic_map)
+                                  SemanticMap, render_frame, render_semantic_map)
 
 RES = (48, 96)
 
