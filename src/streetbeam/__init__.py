@@ -17,8 +17,8 @@ from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig,
                         TrainResult, accuracy, mask_channels, predict,
                         split_indices, train)
 from .rng import derive_seed, stream
-from .scene import (CameraPose, ConfigError, Frame, SceneConfig, Vehicle,
-                    VehicleClass, advance_frame, generate_scenario)
+from .scene import (CameraPose, ConfigError, Frame, SceneConfig, VehicleClass,
+                    advance_frame, generate_scenario)
 from .semantics import (CATALOG, CONCEPT_NAMES, ConceptCatalog, SemanticMap,
                         render_frame, render_semantic_map)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import speed_of_light as C_LIGHT
 
-from .scene import SceneConfig, from_plain, to_plain, vehicle_boxes
+from .scene import SceneConfig, from_plain, to_plain
 
 
 class TargetLostError(RuntimeError):
@@ -206,9 +206,9 @@ def _candidates(bs, users, scene: SceneConfig, config: RayTraceConfig):
 
 def _trace_chunk(frames, bs, scene: SceneConfig, config: RayTraceConfig):
     users = np.array([f.user_antenna_pos for f in frames], dtype=float)
-    others = [[v for v in f.vehicles if v.id != f.target_user_id] for f in frames]
-    boxes = vehicle_boxes([v for vs in others for v in vs])
-    box_count = np.array([len(vs) for vs in others], dtype=np.intp)
+    others = [f.boxes[f.ids != f.target_user_id] for f in frames]
+    boxes = np.concatenate(others)
+    box_count = np.array([len(b) for b in others], dtype=np.intp)
     cands = _candidates(bs, users, scene, config)
 
     # every leg of every geometrically valid candidate c of frame f, tagged
@@ -247,7 +247,7 @@ def trace_paths(frames, scene: SceneConfig, config: RayTraceConfig):
     each chunk tests all its candidate legs in one slab test.
     """
     for frame in frames:
-        if frame.user_antenna_pos is None:
+        if frame.target_user_id is None:
             raise TargetLostError("frame has no target user")
     bs = _bs_position(scene, config)
     out = []

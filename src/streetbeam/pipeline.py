@@ -256,6 +256,9 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
             raise PipelineError(f"missing artifact {p}; run train first")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if task == "beam" and meta["M_bm"] != dataset.M_bm:
+        raise PipelineError(f"checkpoint codebook size M_bm = {meta['M_bm']} differs "
+                            f"from the dataset's M_bm = {dataset.M_bm}")
     features = canonical(meta["features"])
     arch = from_plain(ArchConfig, meta["arch"])
     in_channels = (len(features) - 1) * dataset.n_cams

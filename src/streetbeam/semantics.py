@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import CameraPose, ConfigError, Frame, SceneConfig, vehicle_boxes
+from .scene import CameraPose, ConfigError, Frame, SceneConfig
 
 CONCEPT_NAMES = (
     "building", "fence", "pedestrian", "pole", "roadline",
@@ -201,11 +201,11 @@ def render_semantic_map(frame: Frame, camera: CameraPose, config: SceneConfig,
     Deterministic per-pixel depth test over: ground composite, the two
     facade planes, and every vehicle box. Sky is the background label.
     """
-    return _render(vehicle_boxes(frame.vehicles), camera, config, resolution, camera_id)
+    return _render(frame.boxes, camera, config, resolution, camera_id)
 
 
 def render_frame(frame: Frame, config: SceneConfig, resolution):
     """All per-camera maps of a frame, in camera order."""
-    boxes = vehicle_boxes(frame.vehicles)
+    boxes = frame.boxes
     return [_render(boxes, cam, config, resolution, i)
             for i, cam in enumerate(config.camera_poses)]

@@ -1,15 +1,19 @@
 """Verification oracles that only the tests use: concept masks, map
 corruption and pixel accuracy, an exhaustive subset search, the
-finite-difference gradient check of a predictor, and the prefix slice of a
-flat tensor dict.
+finite-difference gradient check of a predictor, the prefix slice of a
+flat tensor dict, and the object-based scenario generator with the helper
+that builds array frames from its vehicles.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from streetbeam.featsel import CachedEvaluator, canonical, feature_key
 from streetbeam.predictor import Predictor, _batch_loss_grad
+from streetbeam.scene import (_SPAWN_GAP, VEHICLE_CLASSES, CameraPose, ConfigError, Frame,
+                              ScenarioStreams, SceneConfig, VehicleClass, vehicle_class)
 from streetbeam.semantics import CATALOG, SemanticMap
 
 
@@ -133,3 +137,207 @@ def gradient_check(model: Predictor, params, state, loc, maps, features, label,
                 break
         max_err = max(max_err, err)
     return max_err
+
+
+# ---------------------------------------------------------------------------
+# the object-based scenario generator, one frozen Vehicle per vehicle per
+# slot: streetbeam.scene's array frames must reproduce its frames bitwise
+
+@dataclass(frozen=True)
+class Vehicle:
+    id: int
+    vclass: VehicleClass
+    center: tuple   # (x, y) ground-plane center, meters
+    heading: float  # radians; 0 or pi in this scene
+    speed: float    # m/s
+    lane: int
+
+    def footprint(self):
+        """Axis-aligned footprint (xmin, xmax, ymin, ymax).
+
+        Valid because headings are restricted to the lane axis.
+        """
+        cx, cy = self.center
+        hl, hw = self.vclass.length / 2, self.vclass.width / 2
+        return (cx - hl, cx + hl, cy - hw, cy + hw)
+
+
+def vehicle_boxes(vehicles):
+    """(V, 2, 3) min and max corners of each vehicle's 3D bounding box."""
+    return np.array([(x0, y0, 0.0, x1, y1, v.vclass.height) for v in vehicles
+                     for x0, x1, y0, y1 in (v.footprint(),)], dtype=float).reshape(-1, 2, 3)
+
+
+@dataclass(frozen=True)
+class VehicleFrame:
+    t_index: int
+    vehicles: tuple          # tuple of Vehicle
+    target_user_id: int | None
+    user_antenna_pos: tuple | None  # (x, y, z); z = target vehicle height
+    spawn_draw: int = 0      # Poisson draw for this slot (attempted spawns)
+
+
+def make_frame(vehicles=(), target_user_id=None, t_index=0, spawn_draw=0) -> Frame:
+    """streetbeam Frame holding ``vehicles`` (Vehicle objects in id order)."""
+    return Frame(t_index,
+                 np.array([v.id for v in vehicles], dtype=np.int64),
+                 np.array([VEHICLE_CLASSES.index(v.vclass) for v in vehicles], dtype=np.int64),
+                 np.array([v.center[0] for v in vehicles], dtype=float),
+                 np.array([v.center[1] for v in vehicles], dtype=float),
+                 np.array([v.speed for v in vehicles], dtype=float),
+                 np.array([v.lane for v in vehicles], dtype=np.int64),
+                 target_user_id, spawn_draw)
+
+
+def frame_fields(frame: Frame):
+    """Every field of a streetbeam Frame, arrays as (dtype, bytes): equal
+    tuples mean bitwise equal frames."""
+    arrays = (frame.ids, frame.classes, frame.x, frame.y, frame.speed, frame.lane)
+    return (frame.t_index, frame.target_user_id, frame.spawn_draw,
+            *((a.dtype.str, a.tobytes()) for a in arrays))
+
+
+def _lane_direction(config, lane):
+    """Heading of the lane axis: +x for negative-y lanes, -x otherwise."""
+    return 0.0 if config.lane_center_y(lane) < 0 else np.pi
+
+
+def sees(camera: CameraPose, point) -> bool:
+    """Horizontal-frustum visibility of a world point."""
+    fwd, right, _ = camera.basis()
+    d = np.asarray(point, dtype=float) - np.asarray(camera.position, dtype=float)
+    x_c = float(d @ fwd)
+    y_c = float(d @ right)
+    return x_c > 0 and abs(np.arctan2(y_c, x_c)) < camera.hfov / 2
+
+
+def _overlaps(fp_a, fp_b, margin=0.0):
+    return (fp_a[0] - margin < fp_b[1] and fp_b[0] < fp_a[1] + margin
+            and fp_a[2] - margin < fp_b[3] and fp_b[2] < fp_a[3] + margin)
+
+
+def _in_street(veh: Vehicle, config: SceneConfig) -> bool:
+    xmin, xmax, _, _ = veh.footprint()
+    return xmax > 0 and xmin < config.street_length_m
+
+
+def _advance_positions(vehicles, config):
+    """Move vehicles one slot with a no-overtake gap clamp per lane."""
+    dt = config.slot_duration_s
+    out = []
+    by_lane = {}
+    for v in vehicles:
+        by_lane.setdefault(v.lane, []).append(v)
+    for lane, vs in by_lane.items():
+        sgn = 1.0 if _lane_direction(config, lane) == 0.0 else -1.0
+        # lead vehicle first (largest coordinate along travel direction)
+        vs = sorted(vs, key=lambda v: sgn * v.center[0], reverse=True)
+        lead = None
+        for v in vs:
+            cx = v.center[0] + sgn * v.speed * dt
+            if lead is not None:
+                # keep a bumper gap behind the vehicle ahead
+                limit = lead.center[0] - sgn * (lead.vclass.length / 2 + v.vclass.length / 2 + _SPAWN_GAP)
+                if sgn * cx > sgn * limit:
+                    cx = limit
+            moved = Vehicle(v.id, v.vclass, (cx, v.center[1]), v.heading, v.speed, v.lane)
+            out.append(moved)
+            lead = moved
+    return sorted(out, key=lambda v: v.id)
+
+
+def advance_frame(frame: VehicleFrame, config: SceneConfig, streams: ScenarioStreams | None = None,
+                  next_id=None) -> VehicleFrame:
+    """Advance one 50 ms slot: move, despawn, spawn, re-target.
+
+    ``streams`` may be None for kinematics-only use (no spawning).
+    Returns the next VehicleFrame; the input frame is not mutated.
+    """
+    moved = _advance_positions(frame.vehicles, config)
+    survivors = [v for v in moved if _in_street(v, config)]
+
+    if next_id is None:
+        next_id = 1 + max((v.id for v in frame.vehicles), default=-1)
+
+    spawn_draw = 0
+    if streams is not None and config.spawn_rate > 0:
+        spawn_draw = int(streams.spawn.poisson(config.spawn_rate))
+        for _ in range(spawn_draw):
+            lane = int(streams.spawn.integers(config.lane_count))
+            vc = VEHICLE_CLASSES[int(streams.vclass.integers(len(VEHICLE_CLASSES)))]
+            speed = float(streams.speed.uniform(*config.speed_range_mps))
+            if _lane_direction(config, lane) == 0.0:
+                cx = vc.length / 2
+            else:
+                cx = config.street_length_m - vc.length / 2
+            cand = Vehicle(next_id, vc, (cx, config.lane_center_y(lane)),
+                           _lane_direction(config, lane), speed, lane)
+            if any(_overlaps(cand.footprint(), v.footprint(), _SPAWN_GAP) for v in survivors):
+                continue  # entry blocked this slot
+            survivors.append(cand)
+            next_id += 1
+
+    vehicles = tuple(sorted(survivors, key=lambda v: v.id))
+    target_id = frame.target_user_id
+    if target_id is not None and not any(v.id == target_id for v in vehicles):
+        target_id = None
+    if target_id is None:
+        target_id = _pick_target(vehicles, config, streams.target if streams else None)
+
+    return VehicleFrame(
+        t_index=frame.t_index + 1,
+        vehicles=vehicles,
+        target_user_id=target_id,
+        user_antenna_pos=_antenna_pos(vehicles, target_id),
+        spawn_draw=spawn_draw,
+    )
+
+
+def _pick_target(vehicles, config, target_rng):
+    if not vehicles:
+        return None
+    visible = [
+        v for v in vehicles
+        if all(sees(cam, (v.center[0], v.center[1], v.vclass.height)) for cam in config.camera_poses)
+    ]
+    pool = visible if visible else list(vehicles)
+    if target_rng is None:
+        return pool[0].id
+    return pool[int(target_rng.integers(len(pool)))].id
+
+
+def _antenna_pos(vehicles, target_id):
+    if target_id is None:
+        return None
+    v = next(v for v in vehicles if v.id == target_id)
+    return (v.center[0], v.center[1], v.vclass.height)
+
+
+def generate_scenario(config: SceneConfig):
+    """Generate ``config.frame_count`` VehicleFrames; pure function of the config.
+
+    Raises ConfigError when no vehicle can ever exist (spawn_rate == 0 and
+    no pre-placed vehicles), since no target user would be available.
+    """
+    if config.frame_count < 1:
+        raise ConfigError("frame_count must be >= 1")
+    if config.spawn_rate == 0 and not config.initial_vehicles:
+        raise ConfigError("spawn_rate = 0 with no initial vehicles leaves no candidate target")
+
+    streams = ScenarioStreams.from_seed(config.seed)
+    vehicles = []
+    for i, (name, center, lane, speed) in enumerate(config.initial_vehicles):
+        vc = vehicle_class(name)
+        vehicles.append(Vehicle(i, vc, tuple(center), _lane_direction(config, lane), float(speed), lane))
+    vehicles = tuple(vehicles)
+    target_id = _pick_target(vehicles, config, streams.target)
+    frame0 = VehicleFrame(0, vehicles, target_id, _antenna_pos(vehicles, target_id))
+
+    frames = [frame0]
+    next_id = len(vehicles)
+    for _ in range(config.frame_count - 1):
+        nxt = advance_frame(frames[-1], config, streams, next_id=next_id)
+        # ids are never reused, even after despawns
+        next_id = max(next_id, 1 + max((v.id for v in nxt.vehicles), default=-1))
+        frames.append(nxt)
+    return frames

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.constants import speed_of_light as C
 
+from oracles import Vehicle, make_frame
 from streetbeam.channel import (_CHUNK_FRAMES, PathComponent, RayTraceConfig,
                                 TargetLostError, _bs_position, _make_path,
                                 assemble_channel, steering_vector, trace_paths)
 from streetbeam.pipeline import blockage_labels
 from streetbeam.rng import stream
-from streetbeam.scene import (BUS, Frame, SceneConfig, Vehicle, generate_scenario,
-                              vehicle_boxes, vehicle_class)
+from streetbeam.scene import BUS, VAN, SceneConfig, generate_scenario, vehicle_class
 
 
 def small_cfg(**kw):
@@ -20,8 +20,7 @@ def small_cfg(**kw):
 def user_frame(scene, x, y, vid=0, name="car", extra=()):
     vc = vehicle_class(name)
     target = Vehicle(vid, vc, (x, y), 0.0, 10.0, 1)
-    vehicles = (target,) + tuple(extra)
-    return Frame(0, vehicles, vid, (x, y, vc.height))
+    return make_frame((target,) + tuple(extra), vid)
 
 
 def test_config_validation_and_defaults():
@@ -333,7 +332,7 @@ def test_trace_paths_batch_edges():
     scene = SceneConfig()
     cfg = small_cfg()
     assert trace_paths([], scene, cfg) == []
-    lost = Frame(0, (), None, None)
+    lost = make_frame()
     fr = user_frame(scene, 77.0, scene.lane_center_y(2))
     with pytest.raises(TargetLostError):
         trace_paths([fr, lost], scene, cfg)
@@ -370,12 +369,11 @@ def _reference_segment_blocked(p0, p1, boxes, eps=1e-9):
 
 def _reference_trace_paths(frame, scene, config):
     """One frame at a time, every candidate segment tested box by box."""
-    if frame.user_antenna_pos is None:
+    if frame.target_user_id is None:
         raise TargetLostError("frame has no target user")
     bs = _bs_position(scene, config)
     user = np.asarray(frame.user_antenna_pos, dtype=float)
-    boxes = vehicle_boxes([v for v in frame.vehicles
-                           if v.id != frame.target_user_id]).tolist()
+    boxes = frame.boxes[frame.ids != frame.target_user_id].tolist()
     blocked = _reference_segment_blocked
     candidates = []
     if not blocked(bs, user, boxes):
@@ -440,54 +438,55 @@ def test_trace_paths_equals_per_frame_reference_on_streets(scene):
 
 
 def probe_frame(user, lo=None, hi=None):
-    """Frame with an arbitrary target antenna and one bus given by a lower
-    or upper box corner in (x, y); the target's own car stays far away."""
-    target = Vehicle(0, vehicle_class("car"), (10.0, -5.25), 0.0, 10.0, 0)
-    vehicles = (target,)
+    """Frame whose target van is centred at ``user`` (x, y), with one bus
+    given by a lower or upper box corner in (x, y)."""
+    vehicles = (Vehicle(0, VAN, user, 0.0, 10.0, 0),)
     if lo is not None or hi is not None:
         x, y = lo if lo is not None else (hi[0] - BUS.length, hi[1] - BUS.width)
         bus = Vehicle(1, BUS, (x + BUS.length / 2, y + BUS.width / 2), 0.0, 10.0, 1)
         vehicles += (bus,)
-    return Frame(0, vehicles, 0, user)
+    return make_frame(vehicles, 0)
 
 
-# BS at (100, -8, 2); each direct path runs at z = 2, inside the bus height
+# BS at (100, -8) raised to the van roof: each direct path runs at
+# z = VAN.height, inside the bus height
 SLAB_CASES = [
     # leg parallel to the y faces (|d_y| < eps): p0 within eps of a face
-    ((120.0, -8 + 1e-10, 2.0), dict(lo=(105.0, -8 + 0.5e-9)), True),
-    ((120.0, -8 + 1e-10, 2.0), dict(lo=(105.0, -8 + 1.5e-9)), False),
-    ((120.0, -8 + 1e-10, 2.0), dict(hi=(116.08, -8 - 0.5e-9)), True),
-    ((120.0, -8 + 1e-10, 2.0), dict(hi=(116.08, -8 - 1.5e-9)), False),
+    ((120.0, -8 + 1e-10), dict(lo=(105.0, -8 + 0.5e-9)), True),
+    ((120.0, -8 + 1e-10), dict(lo=(105.0, -8 + 1.5e-9)), False),
+    ((120.0, -8 + 1e-10), dict(hi=(116.08, -8 - 0.5e-9)), True),
+    ((120.0, -8 + 1e-10), dict(hi=(116.08, -8 - 1.5e-9)), False),
     # |d_y| just below eps counts as parallel, just above it does not
-    ((120.0, -8 + 0.9e-9, 2.0), dict(lo=(110.0, -8 + 1.05e-9)), False),
-    ((120.0, -8 + 1.1e-9, 2.0), dict(lo=(110.0, -8 + 1.05e-9)), True),
+    ((120.0, -8 + 0.9e-9), dict(lo=(110.0, -8 + 1.05e-9)), False),
+    ((120.0, -8 + 1.1e-9), dict(lo=(110.0, -8 + 1.05e-9)), True),
     # grazing a box edge: t0 - t1 just below and just above eps
-    ((120.0, -4.0, 2.0), dict(hi=(121.08, -6 - 2e-9)), True),
-    ((120.0, -4.0, 2.0), dict(hi=(121.08, -6 - 6e-9)), False),
+    ((120.0, -4.0), dict(hi=(121.08, -6 - 2e-9)), True),
+    ((120.0, -4.0), dict(hi=(121.08, -6 - 6e-9)), False),
     # box ending just after the leg starts: t1 just below and above eps
-    ((120.0, -8.0, 2.0), dict(hi=(100 + 1e-8, -7.0)), False),
-    ((120.0, -8.0, 2.0), dict(hi=(100 + 3e-8, -7.0)), True),
+    ((120.0, -8.0), dict(hi=(100 + 1e-8, -7.0)), False),
+    ((120.0, -8.0), dict(hi=(100 + 3e-8, -7.0)), True),
     # box starting just before the leg ends: t0 just above and below 1 - eps
-    ((120.0, -8.0, 2.0), dict(lo=(120 - 1e-8, -9.0)), False),
-    ((120.0, -8.0, 2.0), dict(lo=(120 - 3e-8, -9.0)), True),
+    ((120.0, -8.0), dict(lo=(120 - 1e-8, -9.0)), False),
+    ((120.0, -8.0), dict(lo=(120 - 3e-8, -9.0)), True),
     # leg ending on a box face, leg starting inside a box
-    ((120.0, -8.0, 2.0), dict(lo=(120.0, -9.0)), False),
-    ((120.0, -8.0, 2.0), dict(lo=(95.0, -9.0)), True),
+    ((120.0, -8.0), dict(lo=(120.0, -9.0)), False),
+    ((120.0, -8.0), dict(lo=(95.0, -9.0)), True),
     # the target is the only vehicle: no boxes
-    ((120.0, -8.0, 2.0), dict(), False),
+    ((120.0, -8.0), dict(), False),
 ]
 
 
 def test_slab_eps_rules_match_reference():
     scene = SceneConfig(**CRITERION7)
     frames = [probe_frame(user, **box) for user, box, _ in SLAB_CASES]
-    los_only = small_cfg(reflection_coeff=0j)
+    los_only = small_cfg(reflection_coeff=0j, bs_antenna_height=VAN.height)
     got = assert_matches_reference(frames, scene, los_only)
     assert [paths == [] for paths in got] == [blocked for _, _, blocked in SLAB_CASES]
-    assert_matches_reference(frames, scene, small_cfg())
+    assert_matches_reference(frames, scene, small_cfg(bs_antenna_height=VAN.height))
     # one frame at a time, and mixed into a chunk of street frames
     for f in frames:
         assert_matches_reference([f], scene, los_only)
     street = [f for f in generate_scenario(SceneConfig(seed=503, **CRITERION7))
               if f.target_user_id is not None][:100]
-    assert_matches_reference(street[:40] + frames + street[40:], scene, small_cfg())
+    assert_matches_reference(street[:40] + frames + street[40:], scene,
+                             small_cfg(bs_antenna_height=VAN.height))

@@ -100,18 +100,39 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     bad.write_text(json.dumps({"scene": {"frame_count": 0}}))
     assert main(["generate", "--config", str(bad), "--out", out]) == 1
     capsys.readouterr()
-    # unknown keys and non-object configs or sections fail closed, naming the key
+    # unknown keys, non-object configs or sections and out-of-range scene
+    # values fail closed with one line naming the key or value
+    car = ["car", [50.0, 1.75], 1, 10.0]
     for raw, named in (({"scene": {"spawn_rte": 0.6}}, "scene.spawn_rte"),
                        ({"raytrace": {"Nt": 8}}, "raytrace.Nt"),
                        ({"arch": {"widths": 3}}, "arch.widths"),
                        ({"horizon": [1]}, "horizon"),
                        ([], "config must be a JSON object"),
                        ({"scene": []}, "scene must be a JSON object"),
-                       ({"resolution": 16}, "resolution")):
+                       ({"resolution": 16}, "resolution"),
+                       ({"scene": {"spawn_rate": -0.5}}, "spawn_rate"),
+                       ({"scene": {"speed_range_mps": [-2.0, 8.0]}}, "speeds"),
+                       ({"scene": {"initial_vehicles": [["car", [50.0, None], 1, 10.0]]}},
+                        "center"),
+                       ({"scene": {"initial_vehicles": [car[:2] + [9, 10.0]]}}, "lane"),
+                       ({"scene": {"initial_vehicles": [car[:2] + [1.5, 10.0]]}}, "lane"),
+                       ({"scene": {"initial_vehicles": [car[:3] + [-1.0]]}}, "speed"),
+                       ({"scene": {"initial_vehicles": [["truck"] + car[1:]]}}, "truck"),
+                       ({"scene": {"initial_vehicles": [[["car"]] + car[1:]]}}, "class"),
+                       ({"scene": {"initial_vehicles": [["car", [50.0], 1, 10.0]]}},
+                        "(class, (x, y), lane, speed)"),
+                       ({"scene": {"initial_vehicles": [car[:3]]}},
+                        "(class, (x, y), lane, speed)")):
         bad.write_text(json.dumps(raw))
         assert main(["generate", "--config", str(bad), "--out", out]) == 1, raw
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err, (raw, err)
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+    for raw in ('{"scene": {"initial_vehicles": [["car", [50.0, 1.75], 1, NaN]]}}',
+                '{"scene": {"speed_range_mps": [8.0, Infinity]}}'):
+        bad.write_text(raw)
+        assert main(["generate", "--config", str(bad), "--out", out]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 def test_io_errors_exit_2(tmp_path, capsys):
@@ -244,3 +265,27 @@ def test_blockage_horizon_defaults_to_first_dataset_horizon(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "horizon 7" in err and "[1, 3]" in err, err
     assert not (run / "selected_blockage.json").exists()
+
+
+def test_eval_checkpoint_of_another_codebook_size_exits_1(tmp_path, capsys):
+    """A beam checkpoint scores only datasets of its own codebook size."""
+    runs = {}
+    for m in (16, 8):
+        cfg = write_config(tmp_path, frames=40)
+        raw = json.loads(cfg.read_text())
+        raw["M_bm"] = m
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / f"m{m}"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["train", "--config", str(cfg), "--dataset", str(out / "dataset"),
+                     "--task", "beam", "--epochs", "1", "--out", str(out),
+                     "--features", "location,vehicle"]) == 0
+        runs[m] = out
+    capsys.readouterr()
+    for ckpt, data in ((16, 8), (8, 16)):
+        out = runs[ckpt]
+        assert main(["eval", "--dataset", str(runs[data] / "dataset"), "--task", "beam",
+                     "--g-list", "1,2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"M_bm = {ckpt}" in err and f"M_bm = {data}" in err, err
+        assert not (out / "eval_beam.json").exists()

@@ -1,17 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from streetbeam import scene as scene_mod
-from streetbeam.scene import (_SPAWN_GAP, BUS, CAR, VAN, ConfigError, Frame, SceneConfig,
-                              ScenarioStreams, Vehicle, advance_frame,
-                              generate_scenario, vehicle_boxes, vehicle_class)
-
-
-def single_car_config(speed=10.0, frames=25, x0=10.0, lane=1):
-    return SceneConfig(frame_count=frames, spawn_rate=0.0, seed=0,
-                       initial_vehicles=(("car", (x0, None), lane, speed),))
+import oracles
+from oracles import Vehicle, frame_fields, make_frame
+from streetbeam.scene import (BUS, CAR, VAN, ConfigError, SceneConfig, ScenarioStreams,
+                              advance_frame, generate_scenario, vehicle_class)
 
 
 def make_config(**kw):
@@ -31,16 +24,16 @@ def test_vehicle_class_dims_exact():
         vehicle_class("truck")
 
 
-def test_vehicle_boxes_corners():
+def test_frame_boxes_corners():
     car = Vehicle(1, CAR, (10.0, 1.75), 0.0, 10.0, 1)
     bus = Vehicle(2, BUS, (40.0, -1.75), np.pi, 9.0, 2)
-    boxes = vehicle_boxes([car, bus])
+    boxes = make_frame((car, bus)).boxes
     assert boxes.shape == (2, 2, 3) and boxes.dtype == np.float64
     for v, (lo, hi) in zip((car, bus), boxes):
         xmin, xmax, ymin, ymax = v.footprint()
         assert lo.tolist() == [xmin, ymin, 0.0]
         assert hi.tolist() == [xmax, ymax, v.vclass.height]
-    assert vehicle_boxes([]).shape == (0, 2, 3)
+    assert make_frame().boxes.shape == (0, 2, 3)
 
 
 def test_config_validation():
@@ -50,6 +43,10 @@ def test_config_validation():
         SceneConfig(slot_duration_s=0.0)
     with pytest.raises(ConfigError):
         SceneConfig(speed_range_mps=(15.0, 8.0))
+    with pytest.raises(ConfigError):
+        SceneConfig(speed_range_mps=(-1.0, 8.0))
+    with pytest.raises(ConfigError):
+        SceneConfig(spawn_rate=-0.1)
     with pytest.raises(ConfigError):
         generate_scenario(SceneConfig(spawn_rate=0.0, initial_vehicles=()))
 
@@ -67,54 +64,50 @@ def test_constant_velocity_kinematics():
                       initial_vehicles=(place(None if False else SceneConfig(), 10.0, 1, 10.0),))
     frames = generate_scenario(cfg)
     assert len(frames) == 25
-    v0 = frames[0].vehicles[0]
-    sgn = 1.0 if cfg.lane_direction(1) == 0.0 else -1.0
+    x0 = frames[0].x[0]
+    sgn = float(cfg.lane_sign(1))
     for t, fr in enumerate(frames):
-        assert len(fr.vehicles) == 1
-        assert fr.vehicles[0].center[0] == pytest.approx(10.0 + sgn * 10.0 * 0.05 * t)
-    # 20 slots at 10 m/s -> 10 m displacement along heading
-    assert abs(frames[20].vehicles[0].center[0] - v0.center[0]) == pytest.approx(10.0)
+        assert len(fr.ids) == 1
+        assert fr.x[0] == pytest.approx(10.0 + sgn * 10.0 * 0.05 * t)
+    # 20 slots at 10 m/s -> 10 m displacement along the lane
+    assert abs(frames[20].x[0] - x0) == pytest.approx(10.0)
 
 
 def test_determinism_bitwise():
     cfg = make_config(frame_count=60, spawn_rate=0.4, seed=11)
     a = generate_scenario(cfg)
     b = generate_scenario(cfg)
-    assert a == b
+    assert [frame_fields(f) for f in a] == [frame_fields(f) for f in b]
 
 
-def _reference_advance_positions(vehicles, config):
-    """Per-lane gap clamp that moves each vehicle with ``dataclasses.replace``."""
-    dt = config.slot_duration_s
-    out = []
-    by_lane = {}
-    for v in vehicles:
-        by_lane.setdefault(v.lane, []).append(v)
-    for lane, vs in by_lane.items():
-        sgn = 1.0 if config.lane_direction(lane) == 0.0 else -1.0
-        vs = sorted(vs, key=lambda v: sgn * v.center[0], reverse=True)
-        lead = None
-        for v in vs:
-            cx = v.center[0] + sgn * v.speed * dt
-            if lead is not None:
-                limit = lead.center[0] - sgn * (lead.vclass.length / 2 + v.vclass.length / 2 + _SPAWN_GAP)
-                if sgn * cx > sgn * limit:
-                    cx = limit
-            moved = replace(v, center=(cx, v.center[1]))
-            out.append(moved)
-            lead = moved
-    return sorted(out, key=lambda v: v.id)
+CRITERION7 = dict(frame_count=600, spawn_rate=0.6, bs_position=(100.0, -8.0, 2.0))
 
 
-@pytest.mark.parametrize("seed", [501, 503])
-def test_advance_positions_equals_reference(seed, monkeypatch):
-    # the acceptance-criterion-7 street: dense traffic exercises the gap clamp
-    cfg = SceneConfig(frame_count=600, seed=seed, spawn_rate=0.6,
-                      bs_position=(100.0, -8.0, 2.0))
-    frames = generate_scenario(cfg)
-    monkeypatch.setattr(scene_mod, "_advance_positions", _reference_advance_positions)
-    assert generate_scenario(cfg) == frames
-    assert sum(len(f.vehicles) for f in frames) > 10 * len(frames)
+@pytest.mark.parametrize("cfg", [
+    *(SceneConfig(seed=seed, **CRITERION7) for seed in range(501, 511)),
+    SceneConfig(seed=0),
+    SceneConfig(seed=1),
+    SceneConfig(spawn_rate=1.5),
+    # pre-placed vehicles with integer centers and a parked bus
+    SceneConfig(frame_count=300, spawn_rate=0.5, seed=7, initial_vehicles=(
+        ("car", (50.0, 1.75), 1, 10.0), ("bus", (60, 1.75), 1, 0.0),
+        ("van", (80.0, -1.75), 2, 9.0), ("van", (10, -1.75), 1, 3.0))),
+], ids=[*(f"crit7-{seed}" for seed in range(501, 511)), "default-0", "default-1",
+        "spawn-1.5", "initial"])
+def test_frames_equal_object_generator(cfg):
+    """Every frame, box and antenna position equals the object-based
+    generator's bitwise."""
+    want = oracles.generate_scenario(cfg)
+    got = generate_scenario(cfg)
+    assert len(got) == len(want) == cfg.frame_count
+    for g, w in zip(got, want):
+        assert frame_fields(g) == frame_fields(make_frame(w.vehicles, w.target_user_id,
+                                                          w.t_index, w.spawn_draw))
+        assert g.user_antenna_pos == w.user_antenna_pos
+        assert g.boxes.tobytes() == oracles.vehicle_boxes(w.vehicles).tobytes()
+    if cfg.spawn_rate == CRITERION7["spawn_rate"]:
+        # dense traffic exercises the gap clamp
+        assert sum(len(f.ids) for f in got) > 10 * len(got)
 
 
 def test_despawn_at_street_end():
@@ -122,25 +115,26 @@ def test_despawn_at_street_end():
                       initial_vehicles=(place(SceneConfig(street_length_m=50.0), 49.0, 0, 14.0),))
     # lane 0 has negative y -> travels +x; car at x=49 of a 50 m street
     frames = generate_scenario(cfg)
-    assert len(frames[0].vehicles) == 1
+    assert len(frames[0].ids) == 1
     # after enough slots the footprint leaves the street and the car despawns
     fr = frames[0]
-    streams = ScenarioStreams.from_seed(0)
+    streams = ScenarioStreams.from_seed(cfg.seed)
     for _ in range(40):
-        fr = advance_frame(fr, cfg, streams)
-        if not fr.vehicles:
+        fr = advance_frame(fr, cfg, streams, next_id=1)
+        if not len(fr.ids):
             break
-    assert fr.vehicles == ()
+    assert fr.ids.shape == (0,)
     assert fr.target_user_id is None
 
 
 def test_empty_frame_stays_empty_without_spawning():
     cfg = SceneConfig(frame_count=2, spawn_rate=0.0,
                       initial_vehicles=(place(SceneConfig(), 10.0, 0),))
-    empty = Frame(0, (), None, None)
-    nxt = advance_frame(empty, cfg, None)
-    assert nxt.vehicles == ()
+    empty = make_frame()
+    nxt = advance_frame(empty, cfg, ScenarioStreams.from_seed(cfg.seed), next_id=1)
+    assert nxt.ids.shape == (0,) and nxt.boxes.shape == (0, 2, 3)
     assert nxt.target_user_id is None
+    assert nxt.user_antenna_pos is None
 
 
 def test_spawn_statistics_poisson_3sigma():
@@ -160,7 +154,7 @@ def test_no_interpenetration_and_bounds():
     cfg = make_config(frame_count=300, spawn_rate=0.8, seed=3)
     frames = generate_scenario(cfg)
     for fr in frames:
-        fps = [v.footprint() for v in fr.vehicles]
+        fps = [(lo[0], hi[0], lo[1], hi[1]) for lo, hi in fr.boxes.tolist()]
         for i in range(len(fps)):
             a = fps[i]
             assert a[1] > 0 and a[0] < cfg.street_length_m  # intersects street
@@ -175,8 +169,7 @@ def test_speeds_within_configured_range():
     cfg = make_config(frame_count=200, spawn_rate=0.6, seed=9,
                       speed_range_mps=(8.0, 15.0))
     for fr in generate_scenario(cfg):
-        for v in fr.vehicles:
-            assert 8.0 <= v.speed <= 15.0
+        assert ((8.0 <= fr.speed) & (fr.speed <= 15.0)).all()
 
 
 def test_target_user_and_antenna_position():
@@ -186,10 +179,10 @@ def test_target_user_and_antenna_position():
         if fr.target_user_id is None:
             assert fr.user_antenna_pos is None
             continue
-        (tv,) = [v for v in fr.vehicles if v.id == fr.target_user_id]
+        (i,) = np.flatnonzero(fr.ids == fr.target_user_id)
         x, y, z = fr.user_antenna_pos
-        assert (x, y) == tv.center
-        assert z == tv.vclass.height  # roof-mounted antenna, exact
+        assert (x, y) == (fr.x[i], fr.y[i])
+        assert z == (CAR, VAN, BUS)[fr.classes[i]].height  # roof-mounted antenna, exact
 
 
 def test_target_persists_while_present():
@@ -197,7 +190,7 @@ def test_target_persists_while_present():
     frames = generate_scenario(cfg)
     for prev, cur in zip(frames, frames[1:]):
         if prev.target_user_id is not None and \
-                any(v.id == prev.target_user_id for v in cur.vehicles):
+                prev.target_user_id in cur.ids:
             assert cur.target_user_id == prev.target_user_id
 
 
@@ -207,7 +200,7 @@ def test_ids_never_reused():
     seen_max = -1
     alive = set()
     for fr in frames:
-        ids = {v.id for v in fr.vehicles}
+        ids = set(fr.ids.tolist())
         new = ids - alive
         for i in new:
             assert i > seen_max or i in alive
@@ -221,14 +214,13 @@ def test_slot_arithmetic_surviving_ids():
     for prev, cur in zip(frames, frames[1:]):
         moved = {}
         dt = cfg.slot_duration_s
-        for v in prev.vehicles:
-            sgn = 1.0 if cfg.lane_direction(v.lane) == 0.0 else -1.0
-            moved[v.id] = v.center[0] + sgn * v.speed * dt
-        for v in cur.vehicles:
-            if v.id in moved:
+        sgn = cfg.lane_sign(prev.lane)
+        moved.update(zip(prev.ids.tolist(), prev.x + sgn * prev.speed * dt))
+        for vid, x, lane in zip(cur.ids.tolist(), cur.x, cur.lane):
+            if vid in moved:
                 # equal unless clamped behind a slower leader
-                sgn = 1.0 if cfg.lane_direction(v.lane) == 0.0 else -1.0
-                assert sgn * v.center[0] <= sgn * moved[v.id] + 1e-12
+                sgn = cfg.lane_sign(lane)
+                assert sgn * x <= sgn * moved[vid] + 1e-12
 
 
 def test_config_json_roundtrip():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import corrupt_map, extract_mask, pixel_accuracy
+from oracles import (Vehicle, corrupt_map, extract_mask, make_frame, pixel_accuracy,
+                     vehicle_boxes)
 from streetbeam.rng import stream
-from streetbeam.scene import (CameraPose, ConfigError, Frame, SceneConfig, Vehicle,
-                              generate_scenario, vehicle_boxes, vehicle_class)
+from streetbeam.scene import CameraPose, ConfigError, SceneConfig, generate_scenario, vehicle_class
 from streetbeam.semantics import (BUILDING, CATALOG, CONCEPT_NAMES, GROUND,
                                   ROAD, ROADLINE, SIDEWALK, SKY, TERRAIN, VEHICLE,
                                   SemanticMap, render_frame, render_semantic_map)
@@ -87,8 +87,7 @@ def _reference_render(frame, camera, config, resolution):
         inv = np.where(dirs != 0, 1.0 / dirs, np.inf)
     fwd, right, up = camera.basis()
     focal = (W / 2) / np.tan(camera.hfov / 2)
-    for v in frame.vehicles:
-        lo, hi = vehicle_boxes([v])[0]
+    for lo, hi in frame.boxes:
         corners = np.array([[x, y, z] for x in (lo[0], hi[0])
                             for y in (lo[1], hi[1])
                             for z in (lo[2], hi[2])]) - pos
@@ -127,7 +126,7 @@ def criterion7_frames(seed, frame_count=300):
 
 
 def empty_frame():
-    return Frame(0, (), None, None)
+    return make_frame()
 
 
 def car_at(x, y, vid=0, name="car"):
@@ -169,7 +168,7 @@ def test_vehicle_mask_inside_projected_bbox():
     cfg = SceneConfig()
     cam = cfg.camera_poses[0]
     car = car_at(cfg.street_length_m / 2, cfg.lane_center_y(1))
-    smap = render_semantic_map(Frame(0, (car,), 0, None), cam, cfg, RES)
+    smap = render_semantic_map(make_frame((car,)), cam, cfg, RES)
     ys, xs = np.nonzero(smap.labels == VEHICLE)
     assert len(ys) > 0
 
@@ -198,7 +197,7 @@ def test_vehicle_behind_camera_culled():
     cfg = SceneConfig()
     cam = CameraPose((50.0, 0.0, 5.0), yaw=0.0, pitch=0.0, hfov=1.2)
     car = car_at(30.0, 0.0)  # behind the +x-facing camera
-    smap = render_semantic_map(Frame(0, (car,), 0, None), cam, cfg, RES)
+    smap = render_semantic_map(make_frame((car,)), cam, cfg, RES)
     assert not (smap.labels == VEHICLE).any()
 
 
@@ -207,8 +206,8 @@ def test_nearer_vehicle_occludes_farther():
     cam = CameraPose((0.0, 0.0, 1.0), yaw=0.0, pitch=0.0, hfov=1.2)
     near = car_at(10.0, 0.0, vid=0, name="bus")
     far = car_at(20.0, 0.0, vid=1, name="bus")
-    both = render_semantic_map(Frame(0, (near, far), 0, None), cam, cfg, RES)
-    only_near = render_semantic_map(Frame(0, (near,), 0, None), cam, cfg, RES)
+    both = render_semantic_map(make_frame((near, far)), cam, cfg, RES)
+    only_near = render_semantic_map(make_frame((near,)), cam, cfg, RES)
     # identical geometry on the near box's pixels: the far bus is hidden
     near_px = only_near.labels == VEHICLE
     assert near_px.any()
@@ -307,7 +306,7 @@ def test_pixel_accuracy_cases():
 def test_render_deterministic():
     cfg = SceneConfig()
     car = car_at(90.0, cfg.lane_center_y(2))
-    fr = Frame(0, (car,), 0, None)
+    fr = make_frame((car,))
     a = render_semantic_map(fr, cfg.camera_poses[0], cfg, RES)
     b = render_semantic_map(fr, cfg.camera_poses[0], cfg, RES)
     assert np.array_equal(a.labels, b.labels)
@@ -337,22 +336,22 @@ def test_render_matches_reference_on_edge_cases():
     )
     straddling = car_at(50.0, 0.0)    # spans x 48.1..51.9 around the third camera
     behind = car_at(30.0, 3.0, vid=1)  # fully behind the third camera
-    edge_frames = [empty_frame(), Frame(0, (straddling,), 0, None),
-                   Frame(0, (behind,), 1, None), Frame(0, (straddling, behind), 0, None)]
+    edge_frames = [empty_frame(), make_frame((straddling,)),
+                   make_frame((behind,)), make_frame((straddling, behind))]
     res = (32, 64)
     for fr in edge_frames + frames[100::10]:
         for cam in cams:
             got = render_semantic_map(fr, cam, cfg, res).labels
             assert got.tobytes() == _reference_render(fr, cam, cfg, res).tobytes()
-    front = render_semantic_map(Frame(0, (straddling,), 0, None), cams[2], cfg, res).labels
+    front = render_semantic_map(make_frame((straddling,)), cams[2], cfg, res).labels
     assert (front == VEHICLE).any()
-    back = render_semantic_map(Frame(0, (behind,), 1, None), cams[2], cfg, res).labels
+    back = render_semantic_map(make_frame((behind,)), cams[2], cfg, res).labels
     assert not (back == VEHICLE).any()
 
 
 def test_background_cache_keyed_on_pose_resolution_and_geometry():
     # same cameras, different street geometry: no stale background is served
-    frame = Frame(0, (car_at(95.0, -5.25), car_at(110.0, 1.75, vid=1, name="bus")), 0, None)
+    frame = make_frame((car_at(95.0, -5.25), car_at(110.0, 1.75, vid=1, name="bus")))
     cams = SceneConfig().camera_poses
     for geometry in ({}, {"building_height_m": 4.0}, {"lane_count": 2},
                      {"street_length_m": 120.0}, {"sidewalk_width_m": 4.0},
@@ -376,7 +375,7 @@ def test_render_with_unhashable_config_fields():
 def test_returned_labels_do_not_alias_the_cache():
     cfg = SceneConfig()
     cam = cfg.camera_poses[0]
-    fr = Frame(0, (car_at(100.0, cfg.lane_center_y(1)),), 0, None)
+    fr = make_frame((car_at(100.0, cfg.lane_center_y(1)),))
     first = render_semantic_map(fr, cam, cfg, RES)
     first.labels[:] = VEHICLE
     again = render_semantic_map(empty_frame(), cam, cfg, RES)
