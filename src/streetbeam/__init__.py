@@ -1,11 +1,9 @@
 """Street-canyon mmWave simulation, semantic rendering, and beam/blockage
 prediction with floating feature selection."""
 
-from .beams import (BeamEvaluation, Codebook, dft_codebook, optimal_beam,
-                    topg_accuracy, trr)
-from .channel import (ChannelMatrix, PathComponent, RayTraceConfig,
-                      TargetLostError, assemble_channel, steering_vector,
-                      trace_paths)
+from .beams import BeamEvaluation, dft_codebook, optimal_beam, topg_accuracy, trr
+from .channel import (PathComponent, RayTraceConfig, TargetLostError,
+                      assemble_channel, steering_vector, trace_paths)
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import ContainerError, read_container, write_container
 from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator,
@@ -19,7 +17,6 @@ from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig,
 from .rng import derive_seed, stream
 from .scene import (CameraPose, ConfigError, Frame, SceneConfig, VehicleClass,
                     advance_frame, generate_scenario)
-from .semantics import (CATALOG, CONCEPT_NAMES, ConceptCatalog, SemanticMap,
-                        render_frame, render_semantic_map)
+from .semantics import CATALOG, CONCEPT_NAMES, ConceptCatalog, render_frame
 
 __version__ = "0.1.0"

@@ -4,21 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix
-
-
-@dataclass(frozen=True)
-class Codebook:
-    vectors: np.ndarray  # (M_bm, N_t) complex, unit-norm rows
-
-    @property
-    def M_bm(self):
-        return self.vectors.shape[0]
-
-    @property
-    def N_t(self):
-        return self.vectors.shape[1]
-
 
 @dataclass(frozen=True)
 class BeamEvaluation:
@@ -26,17 +11,19 @@ class BeamEvaluation:
     optimal_index: int     # smallest index among maximal rates
 
 
-def dft_codebook(N_t: int, M_bm: int) -> Codebook:
-    """Codeword m entry n = (1/sqrt(N_t)) * exp(-j 2 pi m n / M_bm)."""
+def dft_codebook(N_t: int, M_bm: int):
+    """(M_bm, N_t) complex unit-norm codewords: row m, entry n is
+    (1/sqrt(N_t)) * exp(-j 2 pi m n / M_bm)."""
     if N_t < 1 or M_bm < 1:
         raise ValueError("N_t and M_bm must be >= 1")
     m = np.arange(M_bm)[:, None]
     n = np.arange(N_t)[None, :]
-    return Codebook(vectors=np.exp(-2j * np.pi * m * n / M_bm) / np.sqrt(N_t))
+    return np.exp(-2j * np.pi * m * n / M_bm) / np.sqrt(N_t)
 
 
-def optimal_beam(channel, codebook: Codebook, P_k: float, sigma2: float) -> BeamEvaluation:
-    """Exhaustive search: the rate of every codeword m,
+def optimal_beam(channel, codebook, P_k: float, sigma2: float) -> BeamEvaluation:
+    """Exhaustive search over the (M_bm, N_t) ``codebook`` for the (K, N_t)
+    ``channel``: the rate of every codeword m,
     (1/K) * sum_k log2(1 + (P_k/sigma2) |h[k]^T w_m|^2), in one product.
 
     Broadcasting h over the (M_bm, N_t, 1) codeword stack runs the same
@@ -44,12 +31,10 @@ def optimal_beam(channel, codebook: Codebook, P_k: float, sigma2: float) -> Beam
     rounds differently), and each mean runs over a contiguous row of the
     (M_bm, K) gains, so the rates equal those of a per-codeword loop bit for bit.
     """
-    if codebook.M_bm < 1:
-        raise ValueError("codebook is empty")
-    h = channel.entries if isinstance(channel, ChannelMatrix) else np.asarray(channel)
-    if h.shape[1] != codebook.N_t:
+    h = np.asarray(channel)
+    if h.shape[1] != codebook.shape[1]:
         raise ValueError("channel and beam dimensions differ")
-    gains = np.abs(np.matmul(h, codebook.vectors[:, :, None])[..., 0]) ** 2  # (M_bm, K)
+    gains = np.abs(np.matmul(h, codebook[:, :, None])[..., 0]) ** 2  # (M_bm, K)
     rates = np.mean(np.log2(1 + (P_k / sigma2) * gains), axis=1)
     return BeamEvaluation(rates=rates, optimal_index=int(np.argmax(rates)))
 

@@ -75,12 +75,6 @@ class PathComponent:
     is_los: bool
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    entries: np.ndarray  # (K, N_t) complex128
-    config: RayTraceConfig
-
-
 def steering_vector(theta_az, theta_el, f, config: RayTraceConfig):
     """ULA manifold vector: entry n = exp(j*w*n*sin(el)*cos(az)), w = 2 pi d f / c.
 
@@ -256,11 +250,11 @@ def trace_paths(frames, scene: SceneConfig, config: RayTraceConfig):
     return out
 
 
-def assemble_channel(paths, config: RayTraceConfig) -> ChannelMatrix:
-    """Frequency-domain channel (K, N_t); zero matrix when all paths blocked."""
+def assemble_channel(paths, config: RayTraceConfig):
+    """Frequency-domain channel, (K, N_t) complex128; zero when all paths are blocked."""
     h = np.zeros((config.K, config.N_t), dtype=np.complex128)
     fk = config.subcarrier_freq(np.arange(config.K))
     for p in paths:
         gain = p.alpha * np.exp(-1j * 2 * np.pi * fk * p.tau + 1j * p.phi)  # (K,)
         h += gain[:, None] * steering_vector(p.theta_az, p.theta_el, fk[:, None], config)
-    return ChannelMatrix(entries=h, config=config)
+    return h

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 import argparse
 import json
 import logging
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -45,6 +46,11 @@ class RunConfig:
     M_bm: int | None = None
     store_channels: bool = True
     arch: ArchConfig | None = None  # None: pipeline.default_arch
+
+    def __post_init__(self):
+        if not (len(self.resolution) == 2 and all(
+                isinstance(v, numbers.Integral) and v >= 16 for v in self.resolution)):
+            raise ConfigError("resolution must be two integers >= 16")
 
 
 def _load_config(path):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import featsel
 from .beams import dft_codebook, optimal_beam, topg_accuracy, trr
-from .channel import RayTraceConfig, TargetLostError, assemble_channel, trace_paths
+from .channel import RayTraceConfig, assemble_channel, trace_paths
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import read_container, write_container
 from .featsel import LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, canonical, sffs
@@ -39,26 +39,24 @@ class PipelineError(ValueError):
 # ---------------------------------------------------------------------------
 # generation
 
-def blockage_labels(targets, los, t0, horizons):
-    """Future-blockage flags of the sample at slot t0, one per horizon h:
-    1 iff the target user has no direct path at slot t0 + h.
+def blockage_labels(targets, los, horizons):
+    """The usable sample slots and their future-blockage flags.
 
     ``targets[t]`` is the target user id of slot t (None if there is none)
-    and ``los[t]`` whether that user has a direct path. Raises IndexError
-    when the longest horizon runs past the last slot, and TargetLostError
-    unless the target of slot t0 persists through the whole window, so the
-    caller can exclude the sample explicitly.
+    and ``los[t]`` whether that user has a direct path. Slot t0 is usable
+    when its target persists through slot t0 + max(horizons). Returns the
+    (n,) usable slots ``t0`` in ascending order and their (n, n_h) uint8
+    flags, 1 iff the target has no direct path at slot t0 + h.
     """
-    max_h = max(horizons, default=0)
-    if not 0 <= t0 + max_h < len(targets):
-        raise IndexError("t0 + horizon outside the frame range")
-    target = targets[t0]
-    if target is None:
-        raise TargetLostError(f"no target user at slot {t0}")
-    for t in range(t0, t0 + max_h + 1):
-        if targets[t] != target:
-            raise TargetLostError(f"target {target} lost at slot {t}")
-    return [0 if los[t0 + h] else 1 for h in horizons]
+    horizons = np.asarray(horizons, dtype=np.intp)
+    max_h = int(horizons.max(initial=0))
+    n = max(len(targets) - max_h, 0)
+    # changes[t]: how often the target changed up to slot t
+    changes = np.cumsum([False] + [a != b for a, b in zip(targets, targets[1:])])
+    present = np.array([t is not None for t in targets[:n]], dtype=bool)
+    t0 = np.flatnonzero(present & (changes[max_h:max_h + n] == changes[:n]))
+    blockage = ~np.asarray(los, dtype=bool)[t0[:, None] + horizons]
+    return t0, blockage.astype(np.uint8)
 
 
 def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
@@ -68,58 +66,45 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
 
     A frame yields a sample only when its target user persists through the
     longest horizon; excluded frames are counted and logged, never dropped
-    silently.
+    silently. Every frame with a target is traced for its LOS flag; maps,
+    channels and rates are computed for the sample frames only.
     """
     horizons = tuple(sorted(horizons))
-    max_h = horizons[-1] if horizons else 0
-    frames = generate_scenario(scene_cfg)
     if M_bm is None:
         M_bm = rt_cfg.N_t
     codebook = dft_codebook(rt_cfg.N_t, M_bm)
-
-    # per-frame artifacts, computed once
-    n = len(frames)
+    frames = generate_scenario(scene_cfg)
     targets = [frame.target_user_id for frame in frames]
-    los, channels, rates = [False] * n, [None] * n, [None] * n
-    traced = [t for t in range(n) if targets[t] is not None]
-    all_paths = trace_paths([frames[t] for t in traced], scene_cfg, rt_cfg)
-    for t, paths in zip(traced, all_paths):
-        ch = assemble_channel(paths, rt_cfg)
-        los[t] = any(p.is_los for p in paths)
-        channels[t] = ch.entries
-        rates[t] = optimal_beam(ch, codebook, rt_cfg.P_k, rt_cfg.sigma2).rates
-
-    rows = []
-    excluded = 0
-    for t0 in range(len(frames) - max_h):
-        try:
-            blockage = blockage_labels(targets, los, t0, horizons)
-        except TargetLostError:
-            excluded += 1
-            continue
-        maps = render_frame(frames[t0], scene_cfg, resolution)
-        rows.append({
-            "maps": np.stack([m.labels for m in maps]),
-            "loc": np.asarray(frames[t0].user_antenna_pos, dtype=np.float32),
-            "rates": rates[t0],
-            "blockage": blockage,
-            "frame_id": t0,
-            "channel": channels[t0],
-        })
-    if not rows:
+    traced = [t for t, target in enumerate(targets) if target is not None]
+    paths = dict(zip(traced, trace_paths([frames[t] for t in traced], scene_cfg, rt_cfg)))
+    los = np.zeros(len(frames), dtype=bool)
+    los[traced] = [any(p.is_los for p in paths[t]) for t in traced]
+    t0, blockage = blockage_labels(targets, los, horizons)
+    if not len(t0):
         raise PipelineError("zero usable samples (no frame keeps its target "
                             "through the longest horizon)")
-    log.info("generated %d samples (%d frames excluded)", len(rows), excluded)
+    excluded = max(len(frames) - max(horizons, default=0), 0) - len(t0)
+    log.info("generated %d samples (%d frames excluded)", len(t0), excluded)
 
-    return SampleSet(
-        label_maps=np.stack([r["maps"] for r in rows]),
-        locations=np.stack([r["loc"] for r in rows]),
-        rates=np.stack([r["rates"] for r in rows]),
-        blockage=np.array([r["blockage"] for r in rows], dtype=np.uint8),
-        frame_ids=np.array([r["frame_id"] for r in rows], dtype=np.uint32),
+    n = len(t0)
+    samples = SampleSet(
+        label_maps=np.empty((n, len(scene_cfg.camera_poses), *resolution), dtype=np.uint8),
+        locations=np.empty((n, 3), dtype=np.float32),
+        rates=np.empty((n, M_bm)),
+        blockage=blockage,
+        frame_ids=t0.astype(np.uint32),
         horizons=horizons,
-        channels=np.stack([r["channel"] for r in rows]) if store_channels else None,
+        channels=np.empty((n, rt_cfg.K, rt_cfg.N_t), dtype=np.complex128)
+        if store_channels else None,
     )
+    for i, t in enumerate(t0.tolist()):
+        samples.label_maps[i] = render_frame(frames[t], scene_cfg, resolution)
+        samples.locations[i] = frames[t].user_antenna_pos
+        h = assemble_channel(paths[t], rt_cfg)
+        samples.rates[i] = optimal_beam(h, codebook, rt_cfg.P_k, rt_cfg.sigma2).rates
+        if store_channels:
+            samples.channels[i] = h
+    return samples
 
 
 def cmd_generate(scene_cfg, rt_cfg, out_path, resolution=(160, 320),

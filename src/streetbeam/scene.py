@@ -114,9 +114,10 @@ def vehicle_class(name: str) -> VehicleClass:
         raise ConfigError(f"unknown vehicle class {name!r}") from None
 
 
-def _check_initial_vehicle(entry, lane_count):
+def _check_initial_vehicle(entry, config):
     """ConfigError unless ``entry`` is (known class name, (x, y), lane, speed)
-    with a finite center, a lane of the street and a finite speed >= 0."""
+    with a finite center inside a lane of the street, that lane's index and
+    a finite speed >= 0."""
     try:
         name, (cx, cy), lane, speed = entry
     except (TypeError, ValueError):
@@ -125,11 +126,15 @@ def _check_initial_vehicle(entry, lane_count):
     vehicle_class(name)
     if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (cx, cy, speed)):
         raise ConfigError(f"initial vehicle {entry!r}: center and speed must be finite numbers")
-    if not (isinstance(lane, numbers.Integral) and 0 <= lane < lane_count):
+    if not (isinstance(lane, numbers.Integral) and 0 <= lane < config.lane_count):
         raise ConfigError(f"initial vehicle {entry!r}: lane must be an integer "
-                          f"in [0, {lane_count})")
+                          f"in [0, {config.lane_count})")
     if speed < 0:
         raise ConfigError(f"initial vehicle {entry!r}: speed must be >= 0")
+    axis = config.lane_center_y(lane)
+    if abs(cy - axis) > config.lane_width_m / 2:
+        raise ConfigError(f"initial vehicle {entry!r}: center y is off lane {lane}, "
+                          f"whose axis is y = {axis}")
 
 
 @dataclass(frozen=True)
@@ -219,8 +224,12 @@ class SceneConfig:
     initial_vehicles: tuple = ()  # pre-placed (class_name, center, lane, speed)
 
     def __post_init__(self):
-        if self.slot_duration_s <= 0:
-            raise ConfigError("slot_duration_s must be > 0")
+        for name, low in (("street_length_m", ">"), ("lane_width_m", ">"),
+                          ("building_height_m", ">"), ("slot_duration_s", ">"),
+                          ("sidewalk_width_m", ">="), ("building_setback_m", ">=")):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and (v > 0 if low == ">" else v >= 0)):
+                raise ConfigError(f"{name} must be finite and {low} 0")
         if self.frame_count < 1:
             raise ConfigError("frame_count must be >= 1")
         if self.speed_range_mps[0] > self.speed_range_mps[1]:
@@ -229,10 +238,10 @@ class SceneConfig:
             raise ConfigError("speeds must be finite and >= 0")
         if not self.spawn_rate >= 0:
             raise ConfigError("spawn_rate must be >= 0")
-        if self.lane_count < 1 or self.lane_width_m <= 0:
-            raise ConfigError("need at least one lane of positive width")
+        if self.lane_count < 1:
+            raise ConfigError("need at least one lane")
         for entry in self.initial_vehicles:
-            _check_initial_vehicle(entry, self.lane_count)
+            _check_initial_vehicle(entry, self)
         if self.camera_poses is None:
             object.__setattr__(
                 self, "camera_poses",

@@ -2,11 +2,13 @@
 
 A pinhole camera with a per-pixel depth test rasterizes the scene
 primitives (sky background, building facades, ground/road/sidewalk/
-roadline, vehicle boxes) into an H x W grid of concept indices. The
-static background is computed once per camera view and cached; each map
-depth-tests all vehicle boxes against it in one vectorized pass. Concepts
-the simulator cannot produce (pedestrian, water, ...) still exist in the
-catalog so the feature-selection search can consider and reject them.
+roadline, vehicle boxes) into an H x W uint8 array of concept indices;
+``render_frame`` returns the (n_cams, H, W) stack of one frame's maps, in
+the config's camera order. The static background is computed once per
+camera view and cached; each map depth-tests all vehicle boxes against it
+in one vectorized pass. Concepts the simulator cannot produce (pedestrian,
+water, ...) still exist in the catalog so the feature-selection search can
+consider and reject them.
 """
 
 from dataclasses import dataclass
@@ -47,16 +49,6 @@ TERRAIN = CATALOG.index("terrain")
 # the catalog has no dedicated "road" concept: the drivable surface is
 # labeled "ground" and unpaved ground-level area is labeled "terrain"
 ROAD = GROUND
-
-
-@dataclass(frozen=True)
-class SemanticMap:
-    camera_id: int
-    labels: np.ndarray  # (H, W) uint8 of concept indices
-
-    @property
-    def shape(self):
-        return self.labels.shape
 
 
 _ROADLINE_HALF_WIDTH = 0.12  # meters, painted stripe half width
@@ -146,12 +138,8 @@ def _background(camera: CameraPose, config: SceneConfig, H, W):
     return bg
 
 
-def _render(boxes, camera: CameraPose, config: SceneConfig, resolution, camera_id):
-    H, W = resolution
-    if H < 16 or W < 16:
-        raise ConfigError("render resolution must be at least 16x16")
-    if camera.hfov <= 0:
-        raise ConfigError("degenerate camera: field of view must be positive")
+def _render(boxes, camera: CameraPose, config: SceneConfig, H, W):
+    """(H, W) uint8 labels of one camera view of the ``boxes``."""
     inv, bg_labels, bg_depth, fwd, right, up = _background(camera, config, H, W)
     labels = bg_labels.copy()
 
@@ -191,21 +179,17 @@ def _render(boxes, camera: CameraPose, config: SceneConfig, resolution, camera_i
     # exactly when some box hits it nearer than the background
     hit = (tnear <= tfar) & (tfar > 0) & (t < bg_depth[pix])
     labels[pix[hit]] = VEHICLE
-    return SemanticMap(camera_id=camera_id, labels=labels.reshape(H, W))
+    return labels.reshape(H, W)
 
 
-def render_semantic_map(frame: Frame, camera: CameraPose, config: SceneConfig,
-                        resolution, camera_id=0) -> SemanticMap:
-    """Rasterize the frame from one camera into a label grid.
+def render_frame(frame: Frame, config: SceneConfig, resolution):
+    """(n_cams, H, W) uint8 label maps of a frame, one per camera in order.
 
     Deterministic per-pixel depth test over: ground composite, the two
     facade planes, and every vehicle box. Sky is the background label.
     """
-    return _render(frame.boxes, camera, config, resolution, camera_id)
-
-
-def render_frame(frame: Frame, config: SceneConfig, resolution):
-    """All per-camera maps of a frame, in camera order."""
+    H, W = resolution
+    if H < 16 or W < 16:
+        raise ConfigError("render resolution must be at least 16x16")
     boxes = frame.boxes
-    return [_render(boxes, cam, config, resolution, i)
-            for i, cam in enumerate(config.camera_poses)]
+    return np.stack([_render(boxes, cam, config, H, W) for cam in config.camera_poses])

@@ -1,8 +1,9 @@
 """Verification oracles that only the tests use: concept masks, map
 corruption and pixel accuracy, an exhaustive subset search, the
 finite-difference gradient check of a predictor, the prefix slice of a
-flat tensor dict, and the object-based scenario generator with the helper
-that builds array frames from its vehicles.
+flat tensor dict, the per-slot blockage labeler, and the object-based
+scenario generator with the helper that builds array frames from its
+vehicles.
 """
 
 import itertools
@@ -10,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from streetbeam.channel import TargetLostError
 from streetbeam.featsel import CachedEvaluator, canonical, feature_key
 from streetbeam.predictor import Predictor, _batch_loss_grad
 from streetbeam.scene import (_SPAWN_GAP, VEHICLE_CLASSES, CameraPose, ConfigError, Frame,
                               ScenarioStreams, SceneConfig, VehicleClass, vehicle_class)
-from streetbeam.semantics import CATALOG, SemanticMap
+from streetbeam.semantics import CATALOG
 
 
 def _sub(d, prefix):
@@ -23,15 +25,15 @@ def _sub(d, prefix):
     return {k[len(p):]: v for k, v in d.items() if k.startswith(p)}
 
 
-def extract_mask(smap: SemanticMap, concept: int) -> np.ndarray:
-    """Binary zero-mask isolating one concept from the segmentation map:
-    (H, W) uint8 in {0, 1}."""
+def extract_mask(labels: np.ndarray, concept: int) -> np.ndarray:
+    """Binary zero-mask isolating one concept from the (H, W) segmentation
+    map: (H, W) uint8 in {0, 1}."""
     if not 0 <= concept < CATALOG.M_con:
         raise IndexError(f"concept index {concept} out of range 0..{CATALOG.M_con - 1}")
-    return (smap.labels == concept).astype(np.uint8)
+    return (labels == concept).astype(np.uint8)
 
 
-def corrupt_map(smap: SemanticMap, p: float, rng: np.random.Generator) -> SemanticMap:
+def corrupt_map(labels: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
     """Resample each pixel uniformly over all labels with probability p.
 
     Stands in for segmentation error of a learned extractor; p = 0 is the
@@ -41,26 +43,47 @@ def corrupt_map(smap: SemanticMap, p: float, rng: np.random.Generator) -> Semant
     if not 0 <= p <= 1:
         raise ValueError("corruption probability must be in [0, 1]")
     if p == 0:
-        return smap
-    labels = smap.labels.copy()
+        return labels
+    labels = labels.copy()
     flip = rng.random(labels.shape) < p
     labels[flip] = rng.integers(0, CATALOG.M_con, size=int(flip.sum()), dtype=np.uint8)
-    return SemanticMap(camera_id=smap.camera_id, labels=labels)
+    return labels
 
 
 def pixel_accuracy(pred, truth) -> float:
     """Fraction of pixels whose predicted label matches the truth,
-    averaged over all pixels of all maps."""
+    averaged over all pixels of all (H, W) maps."""
     if len(pred) != len(truth):
         raise ValueError("prediction and truth map counts differ")
     correct = 0
     total = 0
     for p, t in zip(pred, truth):
-        if p.labels.shape != t.labels.shape:
+        if p.shape != t.shape:
             raise ValueError("map shapes differ")
-        correct += int((p.labels == t.labels).sum())
-        total += p.labels.size
+        correct += int((p == t).sum())
+        total += p.size
     return correct / total
+
+
+def blockage_labels(targets, los, t0, horizons):
+    """Future-blockage flags of the sample at slot t0, one per horizon h:
+    1 iff the target user has no direct path at slot t0 + h.
+
+    ``targets[t]`` is the target user id of slot t (None if there is none)
+    and ``los[t]`` whether that user has a direct path. Raises IndexError
+    when the longest horizon runs past the last slot, and TargetLostError
+    unless the target of slot t0 persists through the whole window.
+    """
+    max_h = max(horizons, default=0)
+    if not 0 <= t0 + max_h < len(targets):
+        raise IndexError("t0 + horizon outside the frame range")
+    target = targets[t0]
+    if target is None:
+        raise TargetLostError(f"no target user at slot {t0}")
+    for t in range(t0, t0 + max_h + 1):
+        if targets[t] != target:
+            raise TargetLostError(f"target {target} lost at slot {t}")
+    return [0 if los[t0 + h] else 1 for h in horizons]
 
 
 def brute_force_best(universal, evaluator, pinned=(), v_max=None, max_size=20):

@@ -167,12 +167,13 @@ def test_occlusion_monotonicity():
 def test_assemble_channel_trivial_and_destructive():
     cfg = small_cfg()
     p1 = PathComponent(1.0, 0.0, 0.0, 0.0, 0.0, True)
-    h = assemble_channel([p1], cfg).entries
+    h = assemble_channel([p1], cfg)
+    assert h.dtype == np.complex128 and h.shape == (cfg.K, cfg.N_t)
     assert np.allclose(h, 1.0)  # theta_el = 0 zeroes the steering phase
     p2 = PathComponent(1.0, np.pi, 0.0, 0.0, 0.0, False)
-    h2 = assemble_channel([p1, p2], cfg).entries
+    h2 = assemble_channel([p1, p2], cfg)
     assert np.linalg.norm(h2) < 1e-12
-    assert np.array_equal(assemble_channel([], cfg).entries, np.zeros((4, 8)))
+    assert np.array_equal(assemble_channel([], cfg), np.zeros((4, 8)))
 
 
 def test_assemble_channel_double_loop_oracle():
@@ -186,7 +187,7 @@ def test_assemble_channel_double_loop_oracle():
                                float(rng.uniform(-np.pi / 2, np.pi / 2)),
                                False)
                  for _ in range(int(rng.integers(1, 5)))]
-        h = assemble_channel(paths, cfg).entries
+        h = assemble_channel(paths, cfg)
         # independent scalar double-loop oracle
         oracle = np.zeros((cfg.K, cfg.N_t), dtype=complex)
         for k in range(cfg.K):
@@ -227,7 +228,7 @@ def test_assemble_channel_bitwise_on_street_paths(cfg):
         if f.target_user_id is None:
             continue
         paths = trace_paths([f], scene, cfg)[0]
-        got = assemble_channel(paths, cfg).entries
+        got = assemble_channel(paths, cfg)
         assert got.tobytes() == _reference_assemble(paths, cfg).tobytes()
         checked += 1
     assert checked > 90
@@ -237,7 +238,7 @@ def test_assemble_channel_bitwise_on_street_paths(cfg):
                                float(rng.uniform(0, 1e-6)), float(rng.uniform(-np.pi, np.pi)),
                                float(rng.uniform(-np.pi / 2, np.pi / 2)), False)
                  for _ in range(int(rng.integers(1, 5)))]
-        got = assemble_channel(paths, cfg).entries
+        got = assemble_channel(paths, cfg)
         assert got.tobytes() == _reference_assemble(paths, cfg).tobytes()
 
 
@@ -246,7 +247,7 @@ def test_energy_triangle_inequality():
     rng = stream(5, "test.energy")
     paths = [PathComponent(float(rng.uniform(0, 1)), 0.3, 1e-7, 0.5, 0.2, False)
              for _ in range(4)]
-    h = assemble_channel(paths, cfg).entries
+    h = assemble_channel(paths, cfg)
     bound = sum(p.alpha for p in paths) * np.sqrt(cfg.N_t)
     for k in range(cfg.K):
         assert np.linalg.norm(h[k]) <= bound + 1e-12
@@ -255,7 +256,7 @@ def test_energy_triangle_inequality():
 def test_single_path_frequency_consistency():
     cfg = small_cfg(N_t=4, K=8, subcarrier_spacing=2e6)
     p = PathComponent(2e-4, 1.0, 3e-7, 0.7, 0.4, True)
-    h = assemble_channel([p], cfg).entries
+    h = assemble_channel([p], cfg)
     # direct formula check per subcarrier (not a narrowband approximation)
     for k in range(cfg.K):
         fk = cfg.subcarrier_freq(k)
@@ -278,10 +279,11 @@ def test_blockage_label_horizon0_is_current_los():
     cfg = small_cfg()
     frames = generate_scenario(scene)
     targets, los = label_inputs(frames, scene, cfg)
-    (lab,) = blockage_labels(targets, los, 0, (0,))
+    t0, lab = blockage_labels(targets, los, (0,))
+    assert t0[0] == 0 and lab.dtype == np.uint8 and lab.shape == (len(t0), 1)
     paths = trace_paths([frames[0]], scene, cfg)[0]
-    assert lab == (0 if any(p.is_los for p in paths) else 1)
-    assert lab == 0  # open street: LOS present
+    assert lab[0, 0] == (0 if any(p.is_los for p in paths) else 1)
+    assert lab[0, 0] == 0  # open street: LOS present
 
 
 def test_blockage_label_bus_crossing():
@@ -292,33 +294,35 @@ def test_blockage_label_bus_crossing():
     mid = (bs[:2] + np.array([100.0, user_y])) / 2
     h = 10
     speed = 8.0
-    # lane 0 travels +x: start the bus h slots upstream of the midpoint
+    # lane 1 travels +x: start the bus h slots upstream of the midpoint
     start_x = mid[0] - speed * 0.05 * h
     scene = SceneConfig(
         frame_count=40, spawn_rate=0.0, seed=0,
         initial_vehicles=(("car", (100.0, user_y), 3, 0.0),
-                          ("bus", (start_x, mid[1]), 0, speed)))
+                          ("bus", (start_x, mid[1]), 1, speed)))
     cfg = small_cfg(reflection_coeff=0j)
     frames = generate_scenario(scene)
     # target must be the stationary car for the oracle to hold
     assert frames[0].target_user_id == 0
     targets, los = label_inputs(frames, scene, cfg)
-    assert blockage_labels(targets, los, 0, (h, 39)) == [1, 0]  # bus passed at 39
+    t0, lab = blockage_labels(targets, los, (h, 39))
+    assert t0.tolist() == [0]  # the one slot whose window fits the 40 frames
+    assert lab.tolist() == [[1, 0]]  # bus passed at 39
 
 
-def test_blockage_label_errors():
+def test_blockage_label_unusable_slots():
     scene = SceneConfig(frame_count=10, spawn_rate=0.0, seed=0,
                         initial_vehicles=(("car", (198.0, -5.25), 0, 14.0),))
     cfg = small_cfg()
     frames = generate_scenario(scene)
     targets, los = label_inputs(frames, scene, cfg)
-    with pytest.raises(IndexError):
-        blockage_labels(targets, los, 0, (100,))
-    # the car leaves the street within the window -> explicit signal
-    with pytest.raises(TargetLostError):
-        blockage_labels(targets, los, 0, (9,))
-    with pytest.raises(TargetLostError):
-        blockage_labels(targets, los, 0, (1, 9))  # the longest horizon sets the window
+    # the longest horizon runs past the last slot: no slot is usable
+    t0, lab = blockage_labels(targets, los, (100,))
+    assert len(t0) == 0 and lab.shape == (0, 1)
+    # the car leaves the street within the window: slot 0 is left out
+    assert 0 in blockage_labels(targets, los, (1,))[0]
+    assert 0 not in blockage_labels(targets, los, (9,))[0]
+    assert 0 not in blockage_labels(targets, los, (1, 9))[0]  # the longest horizon sets the window
 
 
 def test_trace_paths_deterministic():

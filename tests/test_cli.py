@@ -14,8 +14,8 @@ TINY_ARCH_JSON = {"input_hw": [16, 32], "aux_widths": [16, 8],
 def write_config(tmp_path, frames=60):
     cfg = {
         "scene": {"frame_count": frames, "seed": 1, "spawn_rate": 0.5,
-                  "initial_vehicles": [["car", [50.0, 1.75], 1, 10.0],
-                                       ["van", [80.0, -1.75], 2, 9.0]]},
+                  "initial_vehicles": [["car", [50.0, 1.75], 2, 10.0],
+                                       ["van", [80.0, -1.75], 1, 9.0]]},
         "raytrace": {"N_t": 8, "K": 4},
         "resolution": [16, 32],
         "horizons": [1, 3],
@@ -102,7 +102,7 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
     # unknown keys, non-object configs or sections and out-of-range scene
     # values fail closed with one line naming the key or value
-    car = ["car", [50.0, 1.75], 1, 10.0]
+    car = ["car", [50.0, 1.75], 2, 10.0]
     for raw, named in (({"scene": {"spawn_rte": 0.6}}, "scene.spawn_rte"),
                        ({"raytrace": {"Nt": 8}}, "raytrace.Nt"),
                        ({"arch": {"widths": 3}}, "arch.widths"),
@@ -110,6 +110,9 @@ def test_validation_errors_exit_1(tmp_path, capsys):
                        ([], "config must be a JSON object"),
                        ({"scene": []}, "scene must be a JSON object"),
                        ({"resolution": 16}, "resolution"),
+                       ({"resolution": [16.5, 32]}, "resolution"),
+                       ({"resolution": [-16, 32]}, "resolution"),
+                       ({"resolution": [16, 32, 3]}, "resolution"),
                        ({"scene": {"spawn_rate": -0.5}}, "spawn_rate"),
                        ({"scene": {"speed_range_mps": [-2.0, 8.0]}}, "speeds"),
                        ({"scene": {"initial_vehicles": [["car", [50.0, None], 1, 10.0]]}},
@@ -122,7 +125,17 @@ def test_validation_errors_exit_1(tmp_path, capsys):
                        ({"scene": {"initial_vehicles": [["car", [50.0], 1, 10.0]]}},
                         "(class, (x, y), lane, speed)"),
                        ({"scene": {"initial_vehicles": [car[:3]]}},
-                        "(class, (x, y), lane, speed)")):
+                        "(class, (x, y), lane, speed)"),
+                       # a center off its lane's axis by more than half a lane
+                       ({"scene": {"initial_vehicles": [car[:2] + [1, 10.0]]}}, "off lane 1"),
+                       # street geometry must be finite: positive lengths, and
+                       # non-negative sidewalk and setback
+                       ({"scene": {"slot_duration_s": float("inf")}}, "slot_duration_s"),
+                       ({"scene": {"street_length_m": float("nan")}}, "street_length_m"),
+                       ({"scene": {"lane_width_m": 0.0}}, "lane_width_m"),
+                       ({"scene": {"building_height_m": -float("inf")}}, "building_height_m"),
+                       ({"scene": {"sidewalk_width_m": -1.0}}, "sidewalk_width_m"),
+                       ({"scene": {"building_setback_m": float("inf")}}, "building_setback_m")):
         bad.write_text(json.dumps(raw))
         assert main(["generate", "--config", str(bad), "--out", out]) == 1, raw
         err = capsys.readouterr().err

@@ -2,16 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from streetbeam.beams import dft_codebook, optimal_beam
-from streetbeam.channel import RayTraceConfig
+from streetbeam.channel import RayTraceConfig, TargetLostError, assemble_channel, trace_paths
 from streetbeam.dataset import read_container
-from streetbeam.pipeline import (PipelineError, cmd_eval, cmd_generate,
-                                 cmd_report, cmd_select, cmd_train,
+from streetbeam.pipeline import (PipelineError, blockage_labels, cmd_eval,
+                                 cmd_generate, cmd_report, cmd_select, cmd_train,
                                  generate_dataset)
 from streetbeam.predictor import TINY_ARCH, SampleSet, TrainConfig
 from streetbeam.rng import stream
-from streetbeam.scene import SceneConfig
+from streetbeam.scene import SceneConfig, generate_scenario
+from streetbeam.semantics import render_frame
 from streetbeam.semantics import CATALOG
 
 RES = (16, 32)
@@ -19,8 +23,8 @@ RES = (16, 32)
 
 def small_scene(frames=60, seed=1):
     return SceneConfig(frame_count=frames, seed=seed, spawn_rate=0.5,
-                       initial_vehicles=(("car", (50.0, 1.75), 1, 10.0),
-                                         ("van", (80.0, -1.75), 2, 9.0)))
+                       initial_vehicles=(("car", (50.0, 1.75), 2, 10.0),
+                                         ("van", (80.0, -1.75), 1, 9.0)))
 
 
 def small_rt():
@@ -59,6 +63,67 @@ def test_generate_beam_labels_roundtrip_oracle(tmp_path):
         exact = optimal_beam(gen.channels[i], cb, rt.P_k, rt.sigma2)
         assert ds.rates[i].tobytes() == exact.rates.tobytes()
         assert ds.beam_labels[i] == exact.optimal_index
+
+
+def _usable_by_oracle(targets, los, horizons):
+    """(slot, flags) of every slot the per-slot labeler accepts."""
+    out = []
+    for t0 in range(len(targets)):
+        try:
+            out.append((t0, oracles.blockage_labels(targets, los, t0, horizons)))
+        except (IndexError, TargetLostError):
+            pass
+    return out
+
+
+@st.composite
+def label_inputs(draw):
+    """Target sequences built from runs of one id or None, so that targets
+    persist, get lost mid-window and come back; LOS flags; horizon sets,
+    from empty to longer than the sequence."""
+    runs = draw(st.lists(st.tuples(st.none() | st.integers(0, 3), st.integers(1, 12)),
+                         max_size=6))
+    targets = [target for target, length in runs for _ in range(length)]
+    los = draw(st.lists(st.booleans(), min_size=len(targets), max_size=len(targets)))
+    horizons = draw(st.lists(st.integers(0, 12) | st.integers(0, 80), max_size=4))
+    return targets, los, tuple(horizons)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(label_inputs())
+def test_blockage_labels_match_per_slot_oracle(inputs):
+    targets, los, horizons = inputs
+    t0, blockage = blockage_labels(targets, los, horizons)
+    want = _usable_by_oracle(targets, los, horizons)
+    assert t0.tolist() == [t for t, _ in want]
+    assert blockage.dtype == np.uint8 and blockage.shape == (len(want), len(horizons))
+    assert blockage.tolist() == [flags for _, flags in want]
+
+
+@pytest.mark.parametrize("horizons", [(3, 1), ()], ids=["h1-3", "no-horizons"])
+def test_generate_matches_per_frame_reference(horizons):
+    """Every column equals a per-frame build: trace, assemble and search
+    each frame alone, and label each slot with the per-slot oracle."""
+    scene, rt = small_scene(frames=40, seed=5), small_rt()
+    ds = generate_dataset(scene, rt, RES, horizons=horizons, M_bm=8)
+    frames = generate_scenario(scene)
+    paths = [trace_paths([f], scene, rt)[0] if f.target_user_id is not None else []
+             for f in frames]
+    targets = [f.target_user_id for f in frames]
+    los = [any(p.is_los for p in ps) for ps in paths]
+    want = _usable_by_oracle(targets, los, tuple(sorted(horizons)))
+    assert len(want) > 20
+    assert ds.frame_ids.tolist() == [t for t, _ in want]
+    assert ds.blockage.tolist() == [flags for _, flags in want]
+    assert ds.horizons == tuple(sorted(horizons))
+    cb = dft_codebook(rt.N_t, 8)
+    for i, (t, _) in enumerate(want):
+        h = assemble_channel(paths[t], rt)
+        assert ds.channels[i].tobytes() == h.tobytes()
+        assert ds.rates[i].tobytes() == optimal_beam(h, cb, rt.P_k, rt.sigma2).rates.tobytes()
+        assert ds.label_maps[i].tobytes() == render_frame(frames[t], scene, RES).tobytes()
+        want_loc = np.asarray(frames[t].user_antenna_pos, dtype=np.float32)
+        assert ds.locations[i].tobytes() == want_loc.tobytes()
 
 
 def test_generate_zero_usable_samples():

@@ -49,6 +49,22 @@ def test_config_validation():
         SceneConfig(spawn_rate=-0.1)
     with pytest.raises(ConfigError):
         generate_scenario(SceneConfig(spawn_rate=0.0, initial_vehicles=()))
+    # zero sidewalk and setback are a street; zero lengths are not
+    SceneConfig(sidewalk_width_m=0.0, building_setback_m=0.0)
+    for name in ("street_length_m", "lane_width_m", "building_height_m", "slot_duration_s"):
+        for bad in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match=name):
+                SceneConfig(**{name: bad})
+
+
+def test_initial_vehicle_center_within_its_lane():
+    cfg = SceneConfig()
+    axis, half = cfg.lane_center_y(1), cfg.lane_width_m / 2
+    for dy in (-half, 0.0, half):
+        SceneConfig(initial_vehicles=(("car", (50.0, axis + dy), 1, 10.0),))
+    for dy in (-half - 1e-9, half + 1e-9, 2 * half):
+        with pytest.raises(ConfigError, match="off lane 1"):
+            SceneConfig(initial_vehicles=(("car", (50.0, axis + dy), 1, 10.0),))
 
 
 def test_default_cameras_at_5m_both_sides():
@@ -90,8 +106,8 @@ CRITERION7 = dict(frame_count=600, spawn_rate=0.6, bs_position=(100.0, -8.0, 2.0
     SceneConfig(spawn_rate=1.5),
     # pre-placed vehicles with integer centers and a parked bus
     SceneConfig(frame_count=300, spawn_rate=0.5, seed=7, initial_vehicles=(
-        ("car", (50.0, 1.75), 1, 10.0), ("bus", (60, 1.75), 1, 0.0),
-        ("van", (80.0, -1.75), 2, 9.0), ("van", (10, -1.75), 1, 3.0))),
+        ("car", (50.0, 1.75), 2, 10.0), ("bus", (60, 1.75), 2, 0.0),
+        ("van", (80.0, -1.75), 1, 9.0), ("van", (10, -1.75), 1, 3.0))),
 ], ids=[*(f"crit7-{seed}" for seed in range(501, 511)), "default-0", "default-1",
         "spawn-1.5", "initial"])
 def test_frames_equal_object_generator(cfg):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from streetbeam.rng import stream
 from streetbeam.scene import CameraPose, ConfigError, SceneConfig, generate_scenario, vehicle_class
 from streetbeam.semantics import (BUILDING, CATALOG, CONCEPT_NAMES, GROUND,
                                   ROAD, ROADLINE, SIDEWALK, SKY, TERRAIN, VEHICLE,
-                                  SemanticMap, render_frame, render_semantic_map)
+                                  render_frame)
 
 RES = (48, 96)
 
@@ -20,8 +22,6 @@ _ROADLINE_HALF_WIDTH = 0.12
 
 
 def _reference_pixel_rays(camera, H, W):
-    if camera.hfov <= 0:
-        raise ConfigError("degenerate camera: field of view must be positive")
     fwd, right, up = camera.basis()
     focal = (W / 2) / np.tan(camera.hfov / 2)
     us = np.arange(W) - (W - 1) / 2
@@ -125,6 +125,11 @@ def criterion7_frames(seed, frame_count=300):
     return cfg, generate_scenario(cfg)
 
 
+def render_one(frame, camera, config, resolution):
+    """The (H, W) labels of ``frame`` seen by ``camera`` alone."""
+    return render_frame(frame, replace(config, camera_poses=(camera,)), resolution)[0]
+
+
 def empty_frame():
     return make_frame()
 
@@ -149,27 +154,27 @@ def test_catalog_exact():
 def test_empty_scene_labels():
     cfg = SceneConfig()
     cam = cfg.camera_poses[0]
-    smap = render_semantic_map(empty_frame(), cam, cfg, RES)
-    labs = set(np.unique(smap.labels))
+    labels = render_one(empty_frame(), cam, cfg, RES)
+    labs = set(np.unique(labels))
     allowed = {SKY, BUILDING, GROUND, SIDEWALK, ROADLINE, TERRAIN}
     assert labs <= allowed
     # level camera: everything above the horizon row is sky or facade
     H = RES[0]
-    top = smap.labels[: H // 2 - 1]
+    top = labels[: H // 2 - 1]
     assert set(np.unique(top)) <= {SKY, BUILDING}
     assert GROUND in labs
     # a camera pitched above the facade tops sees sky
     up_cam = CameraPose(cam.position, cam.yaw, pitch=1.0, hfov=cam.hfov)
-    up = render_semantic_map(empty_frame(), up_cam, cfg, RES)
-    assert SKY in set(np.unique(up.labels))
+    up = render_one(empty_frame(), up_cam, cfg, RES)
+    assert SKY in set(np.unique(up))
 
 
 def test_vehicle_mask_inside_projected_bbox():
     cfg = SceneConfig()
     cam = cfg.camera_poses[0]
     car = car_at(cfg.street_length_m / 2, cfg.lane_center_y(1))
-    smap = render_semantic_map(make_frame((car,)), cam, cfg, RES)
-    ys, xs = np.nonzero(smap.labels == VEHICLE)
+    labels = render_one(make_frame((car,)), cam, cfg, RES)
+    ys, xs = np.nonzero(labels == VEHICLE)
     assert len(ys) > 0
 
     # projection oracle: project the 8 box corners through the same pinhole
@@ -197,8 +202,8 @@ def test_vehicle_behind_camera_culled():
     cfg = SceneConfig()
     cam = CameraPose((50.0, 0.0, 5.0), yaw=0.0, pitch=0.0, hfov=1.2)
     car = car_at(30.0, 0.0)  # behind the +x-facing camera
-    smap = render_semantic_map(make_frame((car,)), cam, cfg, RES)
-    assert not (smap.labels == VEHICLE).any()
+    labels = render_one(make_frame((car,)), cam, cfg, RES)
+    assert not (labels == VEHICLE).any()
 
 
 def test_nearer_vehicle_occludes_farther():
@@ -206,44 +211,46 @@ def test_nearer_vehicle_occludes_farther():
     cam = CameraPose((0.0, 0.0, 1.0), yaw=0.0, pitch=0.0, hfov=1.2)
     near = car_at(10.0, 0.0, vid=0, name="bus")
     far = car_at(20.0, 0.0, vid=1, name="bus")
-    both = render_semantic_map(make_frame((near, far)), cam, cfg, RES)
-    only_near = render_semantic_map(make_frame((near,)), cam, cfg, RES)
+    both = render_one(make_frame((near, far)), cam, cfg, RES)
+    only_near = render_one(make_frame((near,)), cam, cfg, RES)
     # identical geometry on the near box's pixels: the far bus is hidden
-    near_px = only_near.labels == VEHICLE
+    near_px = only_near == VEHICLE
     assert near_px.any()
-    assert np.array_equal(both.labels[near_px], only_near.labels[near_px])
+    assert np.array_equal(both[near_px], only_near[near_px])
 
 
 def test_resolution_and_camera_validation():
-    # raised on every call, also once the camera view is cached
+    # raised on every call, also once the camera views are cached
     cfg = SceneConfig()
     cam = cfg.camera_poses[0]
-    render_semantic_map(empty_frame(), cam, cfg, (16, 16))  # fills the cache
+    render_frame(empty_frame(), cfg, (16, 16))  # fills the cache
     for _ in range(2):
         for res in ((8, 8), (15, 32), (32, 15)):
             with pytest.raises(ConfigError):
-                render_semantic_map(empty_frame(), cam, cfg, res)
-        for hfov in (0.0, -0.5):
-            bad = CameraPose(cam.position, cam.yaw, cam.pitch, hfov)
-            with pytest.raises(ConfigError):
-                render_semantic_map(empty_frame(), bad, cfg, (16, 16))
+                render_frame(empty_frame(), cfg, res)
+    # a degenerate camera never reaches the renderer: the config rejects it
+    for hfov in (0.0, -0.5):
+        bad = CameraPose(cam.position, cam.yaw, cam.pitch, hfov)
+        with pytest.raises(ConfigError):
+            replace(cfg, camera_poses=(cam, bad))
 
 
 def test_render_frame_per_camera():
     cfg = SceneConfig()
-    maps = render_frame(empty_frame(), cfg, RES)
-    assert len(maps) == len(cfg.camera_poses)
-    assert [m.camera_id for m in maps] == list(range(len(maps)))
+    fr = make_frame((car_at(100.0, cfg.lane_center_y(1)),))
+    maps = render_frame(fr, cfg, RES)
+    assert maps.dtype == np.uint8 and maps.shape == (len(cfg.camera_poses), *RES)
+    for cam, m in zip(cfg.camera_poses, maps):
+        assert m.tobytes() == render_one(fr, cam, cfg, RES).tobytes()
 
 
 def test_masks_partition_and_histogram():
     rng = stream(0, "test.masks")
     labels = rng.integers(0, CATALOG.M_con, size=(32, 64)).astype(np.uint8)
-    smap = SemanticMap(0, labels)
     hist = np.bincount(labels.reshape(-1), minlength=CATALOG.M_con)
     union = np.zeros_like(labels)
     for c in range(CATALOG.M_con):
-        m = extract_mask(smap, c)
+        m = extract_mask(labels, c)
         assert m.sum() == hist[c]
         assert not (union & m).any()  # pairwise disjoint
         union |= m
@@ -251,26 +258,24 @@ def test_masks_partition_and_histogram():
 
 
 def test_extract_mask_errors_and_trivial():
-    smap = SemanticMap(0, np.full((16, 16), SKY, dtype=np.uint8))
-    assert extract_mask(smap, VEHICLE).sum() == 0
+    labels = np.full((16, 16), SKY, dtype=np.uint8)
+    assert extract_mask(labels, VEHICLE).sum() == 0
     with pytest.raises(IndexError):
-        extract_mask(smap, CATALOG.M_con)
+        extract_mask(labels, CATALOG.M_con)
     with pytest.raises(IndexError):
-        extract_mask(smap, -1)
+        extract_mask(labels, -1)
 
 
 def test_corrupt_map_p0_identity():
     labels = np.arange(16 * 20, dtype=np.uint8).reshape(16, 20) % 20
-    smap = SemanticMap(0, labels)
-    out = corrupt_map(smap, 0.0, stream(0, "c"))
-    assert np.array_equal(out.labels, labels)
+    out = corrupt_map(labels, 0.0, stream(0, "c"))
+    assert np.array_equal(out, labels)
 
 
 def test_corrupt_map_p1_uniform_3sigma():
     n = 200 * 200
-    smap = SemanticMap(0, np.zeros((200, 200), dtype=np.uint8))
-    out = corrupt_map(smap, 1.0, stream(1, "c"))
-    counts = np.bincount(out.labels.reshape(-1), minlength=20)
+    out = corrupt_map(np.zeros((200, 200), dtype=np.uint8), 1.0, stream(1, "c"))
+    counts = np.bincount(out.reshape(-1), minlength=20)
     p = 1 / 20
     sigma = np.sqrt(n * p * (1 - p))
     for c in counts:
@@ -281,35 +286,34 @@ def test_corrupt_map_accuracy_bernoulli_oracle():
     # accuracy expectation 1 - p (M-1)/M = 0.905 at p = 0.1, M = 20
     n = 300 * 300
     labels = stream(2, "lab").integers(0, 20, size=(300, 300)).astype(np.uint8)
-    smap = SemanticMap(0, labels)
-    out = corrupt_map(smap, 0.1, stream(3, "c"))
-    acc = pixel_accuracy([out], [smap])
+    out = corrupt_map(labels, 0.1, stream(3, "c"))
+    acc = pixel_accuracy([out], [labels])
     exp = 0.905
     sigma = np.sqrt(exp * (1 - exp) / n)
     assert abs(acc - exp) <= 3 * sigma
 
 
 def test_pixel_accuracy_cases():
-    a = SemanticMap(0, np.zeros((16, 16), dtype=np.uint8))
-    b = SemanticMap(0, np.ones((16, 16), dtype=np.uint8))
+    a = np.zeros((16, 16), dtype=np.uint8)
+    b = np.ones((16, 16), dtype=np.uint8)
     assert pixel_accuracy([a], [a]) == 1.0
     assert pixel_accuracy([a], [b]) == 0.0
-    m1 = SemanticMap(0, np.array([[0, 1], [2, 3]], dtype=np.uint8))
-    m2 = SemanticMap(0, np.array([[0, 1], [2, 9]], dtype=np.uint8))
+    m1 = np.array([[0, 1], [2, 3]], dtype=np.uint8)
+    m2 = np.array([[0, 1], [2, 9]], dtype=np.uint8)
     assert pixel_accuracy([m1], [m2]) == 0.75
     with pytest.raises(ValueError):
         pixel_accuracy([a], [a, b])
     with pytest.raises(ValueError):
-        pixel_accuracy([a], [SemanticMap(0, np.zeros((8, 8), dtype=np.uint8))])
+        pixel_accuracy([a], [np.zeros((8, 8), dtype=np.uint8)])
 
 
 def test_render_deterministic():
     cfg = SceneConfig()
     car = car_at(90.0, cfg.lane_center_y(2))
     fr = make_frame((car,))
-    a = render_semantic_map(fr, cfg.camera_poses[0], cfg, RES)
-    b = render_semantic_map(fr, cfg.camera_poses[0], cfg, RES)
-    assert np.array_equal(a.labels, b.labels)
+    a = render_one(fr, cfg.camera_poses[0], cfg, RES)
+    b = render_one(fr, cfg.camera_poses[0], cfg, RES)
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("resolution,seed", [((80, 160), 3), ((16, 32), 11), ((16, 16), 19)])
@@ -318,11 +322,10 @@ def test_render_matches_reference_on_criterion7_street(resolution, seed):
     vehicles = 0
     for fr in frames[40::2]:
         maps = render_frame(fr, cfg, resolution)
-        assert [m.camera_id for m in maps] == list(range(len(cfg.camera_poses)))
+        assert maps.dtype == np.uint8 and maps.shape == (len(cfg.camera_poses), *resolution)
         for cam, m in zip(cfg.camera_poses, maps):
             ref = _reference_render(fr, cam, cfg, resolution)
-            assert m.labels.dtype == np.uint8 and m.labels.shape == resolution
-            assert m.labels.tobytes() == ref.tobytes(), f"frame {fr.t_index}"
+            assert m.tobytes() == ref.tobytes(), f"frame {fr.t_index}"
             vehicles += int((ref == VEHICLE).sum())
     assert vehicles > 0
 
@@ -341,11 +344,11 @@ def test_render_matches_reference_on_edge_cases():
     res = (32, 64)
     for fr in edge_frames + frames[100::10]:
         for cam in cams:
-            got = render_semantic_map(fr, cam, cfg, res).labels
+            got = render_one(fr, cam, cfg, res)
             assert got.tobytes() == _reference_render(fr, cam, cfg, res).tobytes()
-    front = render_semantic_map(make_frame((straddling,)), cams[2], cfg, res).labels
+    front = render_one(make_frame((straddling,)), cams[2], cfg, res)
     assert (front == VEHICLE).any()
-    back = render_semantic_map(make_frame((behind,)), cams[2], cfg, res).labels
+    back = render_one(make_frame((behind,)), cams[2], cfg, res)
     assert not (back == VEHICLE).any()
 
 
@@ -359,26 +362,26 @@ def test_background_cache_keyed_on_pose_resolution_and_geometry():
         cfg = SceneConfig(camera_poses=cams, **geometry)
         for res in ((16, 16), (24, 40)):
             for i, m in enumerate(render_frame(frame, cfg, res)):
-                assert m.labels.tobytes() == _reference_render(frame, cams[i], cfg, res).tobytes()
+                assert m.tobytes() == _reference_render(frame, cams[i], cfg, res).tobytes()
 
 
 def test_render_with_unhashable_config_fields():
     cfg = SceneConfig(bs_position=[100.0, -8.0, 2.0],
-                      initial_vehicles=[("car", [100.0, -5.25], 1, 10.0)])
+                      initial_vehicles=[("car", [100.0, -5.25], 0, 10.0)])
     with pytest.raises(TypeError):
         hash(cfg)
     frame = generate_scenario(cfg)[0]
     for i, m in enumerate(render_frame(frame, cfg, RES)):
-        assert m.labels.tobytes() == _reference_render(frame, cfg.camera_poses[i], cfg, RES).tobytes()
+        assert m.tobytes() == _reference_render(frame, cfg.camera_poses[i], cfg, RES).tobytes()
 
 
 def test_returned_labels_do_not_alias_the_cache():
     cfg = SceneConfig()
     cam = cfg.camera_poses[0]
     fr = make_frame((car_at(100.0, cfg.lane_center_y(1)),))
-    first = render_semantic_map(fr, cam, cfg, RES)
-    first.labels[:] = VEHICLE
-    again = render_semantic_map(empty_frame(), cam, cfg, RES)
-    assert again.labels.tobytes() == _reference_render(empty_frame(), cam, cfg, RES).tobytes()
-    assert render_semantic_map(fr, cam, cfg, RES).labels.tobytes() \
+    first = render_frame(fr, cfg, RES)
+    first[:] = VEHICLE
+    again = render_one(empty_frame(), cam, cfg, RES)
+    assert again.tobytes() == _reference_render(empty_frame(), cam, cfg, RES).tobytes()
+    assert render_one(fr, cam, cfg, RES).tobytes() \
         == _reference_render(fr, cam, cfg, RES).tobytes()
