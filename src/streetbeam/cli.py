@@ -51,6 +51,9 @@ class RunConfig:
         if not (len(self.resolution) == 2 and all(
                 isinstance(v, numbers.Integral) and v >= 16 for v in self.resolution)):
             raise ConfigError("resolution must be two integers >= 16")
+        if not all(isinstance(h, numbers.Integral) and not isinstance(h, bool) and h >= 0
+                   for h in self.horizons):
+            raise ConfigError("horizons must be integers >= 0")
 
 
 def _load_config(path):

@@ -3,13 +3,17 @@
 Works over any deterministic evaluator mapping a feature set to an
 accuracy in [0, 1]. Sets are always handled in a canonical sorted order
 (location first, then concept index) so history membership and tie
-breaking are insertion-order independent.
+breaking are insertion-order independent. A search step hands all its
+candidates to ``CachedEvaluator.many`` first, which can evaluate them on
+forked worker processes; the step then reads every value from the cache
+in canonical order, so the search is the same for any worker count.
 """
 
 import json
 import logging
 from dataclasses import dataclass, field
 
+from . import blas
 from .semantics import CONCEPT_NAMES
 
 log = logging.getLogger(__name__)
@@ -38,23 +42,75 @@ class EvaluatorError(RuntimeError):
     pass
 
 
-class CachedEvaluator:
-    """Caches a FeatureSet -> accuracy mapping keyed by canonical sets."""
+_worker_fn = None  # the evaluated function, in a forked worker process
 
-    def __init__(self, fn):
+
+def _init_worker(fn):
+    global _worker_fn
+    _worker_fn = fn
+    blas.set_threads(1)  # the pool runs one worker per CPU
+
+
+def _run_worker(key):
+    return float(_worker_fn(key))
+
+
+class CachedEvaluator:
+    """Caches a FeatureSet -> accuracy mapping keyed by canonical sets.
+
+    ``many`` evaluates sets on up to ``workers`` forked processes when
+    ``workers >= 2``; below that every evaluation runs in this process.
+    """
+
+    def __init__(self, fn, workers=1):
         self._fn = fn
         self._cache = {}
+        self._workers = workers
         self.call_count = 0  # underlying-function invocations
 
     def __call__(self, features) -> float:
         key = canonical(features)
         if key not in self._cache:
-            val = float(self._fn(key))
-            self.call_count += 1
-            if not 0 <= val <= 1:
-                raise EvaluatorError(f"evaluator returned {val} outside [0, 1] for {key}")
-            self._cache[key] = val
+            self._store(key, float(self._fn(key)))
         return self._cache[key]
+
+    def _store(self, key, val):
+        self.call_count += 1
+        if not 0 <= val <= 1:
+            raise EvaluatorError(f"evaluator returned {val} outside [0, 1] for {key}")
+        self._cache[key] = val
+
+    def many(self, sets) -> None:
+        """Evaluate the sets not cached yet on worker processes.
+
+        With fewer than two workers or two such sets this does nothing, and
+        ``__call__`` evaluates each set when it is first read. Otherwise
+        the sets run on forked processes, which inherit ``fn`` and its data
+        (spawned ones would need both pickled), so only the feature tuples
+        and the floats are pickled; the pool forks all its workers before
+        it starts its own thread. The results are stored in the given
+        order, and the first failing set's error is raised, so the cache,
+        ``call_count`` and the error are those of ``__call__`` on each set
+        in turn. Every worker is joined before this returns or raises.
+        """
+        pending = list(dict.fromkeys(
+            key for key in map(canonical, sets) if key not in self._cache))
+        if self._workers < 2 or len(pending) < 2:
+            return
+        # imported here, so that commands which never select do not pay for it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(min(self._workers, len(pending)),
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_init_worker,
+                                     initargs=(self._fn,)) as pool:
+                for key, val in zip(pending, pool.map(_run_worker, pending)):
+                    self._store(key, val)
+        except BrokenProcessPool as exc:
+            raise EvaluatorError(f"a feature-set evaluation worker died: {exc}") from exc
 
 
 @dataclass
@@ -85,6 +141,7 @@ def inclusion_step(state: FsState, universal, evaluator) -> None:
     remaining = [f for f in canonical(universal) if f not in state.current]
     if not remaining:
         raise SearchDone
+    evaluator.many(canonical(state.current + (f,)) for f in remaining)
     best_feat, best_acc = None, -1.0
     for f in remaining:  # canonical order makes argmax ties deterministic
         cand = canonical(state.current + (f,))
@@ -108,6 +165,8 @@ def exclusion_step(state: FsState, evaluator) -> bool:
     removable = [f for f in state.current if f not in state.pinned]
     if not removable or len(state.current) < 2:
         return False
+    evaluator.many([state.current] + [canonical(x for x in state.current if x != f)
+                                      for f in removable])
     base = evaluator(state.current)
     best_feat, best_acc = None, base
     for f in removable:

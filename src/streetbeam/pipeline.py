@@ -14,12 +14,13 @@ import time
 
 import numpy as np
 
-from . import featsel
+from . import blas, featsel
 from .beams import dft_codebook, optimal_beam, topg_accuracy, trr
 from .channel import RayTraceConfig, assemble_channel, trace_paths
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import read_container, write_container
-from .featsel import LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, canonical, sffs
+from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, EvaluatorError,
+                      canonical, sffs)
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, accuracy,
                         predict, split_indices, train)
 from .rng import derive_seed
@@ -30,6 +31,10 @@ log = logging.getLogger(__name__)
 
 DEFAULT_HORIZONS = (1, 6, 11, 16, 21, 26, 31, 36)
 DEFAULT_G_LIST = (1, 2, 3, 5)
+# Selection worker processes: the most whose speed and memory were measured.
+# Each holds its own activations and Adam buffers; at 160x320 and batch 128 a
+# worker peaked at about 430 MiB RSS, copy-on-write dataset pages included.
+SELECT_WORKERS_MAX = 2
 
 
 class PipelineError(ValueError):
@@ -124,7 +129,10 @@ def training_evaluator(dataset: SampleSet, task, horizon, epochs, seed,
 
     Each candidate set trains from scratch for a fixed epoch budget with a
     seed derived from (root seed, canonical set), so the evaluator is a
-    pure function of its argument.
+    pure function of its argument, and a search step's candidates train on
+    one worker process per usable CPU, at most ``SELECT_WORKERS_MAX``.
+    Where the workers' BLAS cannot be held to one thread each, they would
+    contend for the CPUs, so the candidates train in this process.
     """
     def fn(feats):
         run_seed = derive_seed(seed, task, str(horizon), ",".join(feats))
@@ -132,7 +140,8 @@ def training_evaluator(dataset: SampleSet, task, horizon, epochs, seed,
                           batch_size=batch_size, learning_rate=learning_rate)
         res = train(dataset, feats, task, cfg, horizon=horizon)
         return res.val_accuracy
-    return CachedEvaluator(fn)
+    workers = min(len(os.sched_getaffinity(0)), SELECT_WORKERS_MAX)
+    return CachedEvaluator(fn, workers if blas.can_set_threads() else 1)
 
 
 def default_arch(dataset: SampleSet, arch=None):
@@ -143,7 +152,11 @@ def default_arch(dataset: SampleSet, arch=None):
 def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=5,
                seed=0, v_max=None, pinned=(LOCATION,), arch=None,
                batch_size=128, learning_rate=1e-3):
-    """Run the floating search with the training-based evaluator."""
+    """Run the floating search with the training-based evaluator.
+
+    The outputs do not depend on the number of worker processes; a worker
+    that dies raises ``PipelineError``.
+    """
     if epochs < 1:
         raise PipelineError("selection budget must allow at least one epoch")
     if horizon is not None:
@@ -151,8 +164,11 @@ def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=5,
     arch = default_arch(dataset, arch)
     evaluator = training_evaluator(dataset, task, horizon, epochs, seed, arch,
                                    batch_size, learning_rate)
-    selected, state = sffs(UNIVERSAL_FEATURES, evaluator, pinned=pinned,
-                           v_max=v_max, return_state=True)
+    try:
+        selected, state = sffs(UNIVERSAL_FEATURES, evaluator, pinned=pinned,
+                               v_max=v_max, return_state=True)
+    except EvaluatorError as exc:
+        raise PipelineError(f"feature selection failed: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     featsel.write_trace(os.path.join(out_dir, f"select_{task}.trace.jsonl"), state)
     with open(os.path.join(out_dir, f"selected_{task}.json"), "w") as fh:

@@ -228,7 +228,8 @@ class SceneConfig:
                           ("building_height_m", ">"), ("slot_duration_s", ">"),
                           ("sidewalk_width_m", ">="), ("building_setback_m", ">=")):
             v = getattr(self, name)
-            if not (math.isfinite(v) and (v > 0 if low == ">" else v >= 0)):
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)
+                    and (v > 0 if low == ">" else v >= 0)):
                 raise ConfigError(f"{name} must be finite and {low} 0")
         if self.frame_count < 1:
             raise ConfigError("frame_count must be >= 1")

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -135,7 +136,13 @@ def test_validation_errors_exit_1(tmp_path, capsys):
                        ({"scene": {"lane_width_m": 0.0}}, "lane_width_m"),
                        ({"scene": {"building_height_m": -float("inf")}}, "building_height_m"),
                        ({"scene": {"sidewalk_width_m": -1.0}}, "sidewalk_width_m"),
-                       ({"scene": {"building_setback_m": float("inf")}}, "building_setback_m")):
+                       ({"scene": {"building_setback_m": float("inf")}}, "building_setback_m"),
+                       ({"scene": {"street_length_m": None}},
+                        "street_length_m must be finite and > 0"),
+                       # a negative horizon would read LOS from before the sample
+                       ({"horizons": [-3, 1]}, "horizons"),
+                       ({"horizons": [1, 2.5]}, "horizons"),
+                       ({"horizons": [True]}, "horizons")):
         bad.write_text(json.dumps(raw))
         assert main(["generate", "--config", str(bad), "--out", out]) == 1, raw
         err = capsys.readouterr().err
@@ -302,3 +309,20 @@ def test_eval_checkpoint_of_another_codebook_size_exits_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"M_bm = {ckpt}" in err and f"M_bm = {data}" in err, err
         assert not (out / "eval_beam.json").exists()
+
+
+def test_select_outputs_do_not_depend_on_usable_cpus(tmp_path, capsys, monkeypatch,
+                                                     no_children_left):
+    cfg = write_config(tmp_path, frames=30)
+    out = str(tmp_path / "run")
+    assert main(["generate", "--config", str(cfg), "--out", out]) == 0
+    select = ["select", "--config", str(cfg), "--dataset", str(tmp_path / "run" / "dataset"),
+              "--task", "beam", "--vmax", "2", "--epochs", "1"]
+    monkeypatch.setattr("streetbeam.blas.can_set_threads", lambda: True)
+    files = []
+    for cpus in (2, 1):  # as under `taskset -c 0,1` and `taskset -c 0`
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert main(select + ["--out", str(tmp_path / f"cpus{cpus}")]) == 0
+        files.append({p.name: p.read_bytes() for p in (tmp_path / f"cpus{cpus}").iterdir()})
+    assert files[0] == files[1]
+    assert set(files[0]) == {"select_beam.trace.jsonl", "selected_beam.json"}

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 
 import pytest
 
@@ -191,3 +192,55 @@ def test_evaluator_call_count_reproducible():
         sffs(("a", "b"), ev)
         counts.append(ev.call_count)
     assert counts[0] == counts[1]
+
+
+def test_many_matches_serial_calls(no_children_left):
+    table = {("a",): 0.5, ("b",): 0.6, ("a", "b"): 0.9, ("b", "c"): 0.95}
+    results = []
+    for workers in (1, 2, 3):
+        ev = CachedEvaluator(table_eval(table), workers=workers)
+        selected, state = sffs(("a", "b", "c", "d"), ev, return_state=True)
+        results.append((selected, state.trace, ev.call_count))
+    assert results[0] == results[1] == results[2]
+
+
+def test_many_dedups_and_skips_cached(no_children_left):
+    ev = CachedEvaluator(lambda s: len(s) / 4, workers=2)
+    ev(("a",))
+    ev.many([("a",), ("b", "a"), ("a", "b"), ("c",)])
+    assert ev.call_count == 3
+    assert [ev(s) for s in (("a", "b"), ("c",))] == [0.5, 0.25] and ev.call_count == 3
+
+
+def _raises_or_out_of_range(first, second):
+    def fn(feats):
+        if feats == first:
+            raise ValueError(f"cannot evaluate {feats}")
+        return 1.5 if feats == second else 0.5
+    return fn
+
+
+@pytest.mark.parametrize("order", [(("a",), ("b",)), (("b",), ("a",))])
+def test_many_parallel_raises_the_serial_error(order, no_children_left):
+    outcomes = []
+    for workers in (1, 2):
+        ev = CachedEvaluator(_raises_or_out_of_range(*order), workers=workers)
+        sets = [("c",), ("a",), ("b",), ("d",)]
+        with pytest.raises((ValueError, EvaluatorError)) as info:
+            ev.many(sets)  # a search step's reads, as in inclusion_step
+            for s in sets:
+                ev(s)
+        outcomes.append((type(info.value), str(info.value), ev.call_count))
+    assert outcomes[0] == outcomes[1]
+    # the first failing set in the given order decides the error
+    assert outcomes[0][0] is (ValueError if order[0] == ("a",) else EvaluatorError)
+
+
+def test_many_worker_death_fails_closed(no_children_left):
+    def fn(feats):
+        if feats == ("b",):
+            os._exit(1)
+        return 0.5
+    ev = CachedEvaluator(fn, workers=2)
+    with pytest.raises(EvaluatorError, match="worker died"):
+        ev.many([("a",), ("b",), ("c",)])

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import oracles
 from streetbeam.beams import dft_codebook, optimal_beam
 from streetbeam.channel import RayTraceConfig, TargetLostError, assemble_channel, trace_paths
 from streetbeam.dataset import read_container
-from streetbeam.pipeline import (PipelineError, blockage_labels, cmd_eval,
-                                 cmd_generate, cmd_report, cmd_select, cmd_train,
-                                 generate_dataset)
+from streetbeam.pipeline import (SELECT_WORKERS_MAX, PipelineError, blockage_labels,
+                                 cmd_eval, cmd_generate, cmd_report, cmd_select,
+                                 cmd_train, generate_dataset, training_evaluator)
 from streetbeam.predictor import TINY_ARCH, SampleSet, TrainConfig
 from streetbeam.rng import stream
 from streetbeam.scene import SceneConfig, generate_scenario
@@ -172,6 +173,51 @@ def test_select_planted_vehicle(tmp_path):
     sel = json.loads((tmp_path / "selected_beam.json").read_text())
     assert sel["features"] == list(selected)
     assert sel["evaluator_calls"] > 0
+
+
+def use_cpus(monkeypatch, n):
+    """Let selection see ``n`` usable CPUs whose workers' BLAS can be held
+    to one thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr("streetbeam.blas.can_set_threads", lambda: True)
+
+
+def test_select_outputs_do_not_depend_on_workers(tmp_path, monkeypatch,
+                                                 no_children_left):
+    ds = generate_dataset(small_scene(), small_rt(), RES, horizons=(1, 3))
+    outputs = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        cmd_select(ds, "beam", out, epochs=1, seed=0, v_max=3, arch=TINY_ARCH,
+                   batch_size=32)
+        outputs.append([(out / name).read_bytes() for name in
+                        ("select_beam.trace.jsonl", "selected_beam.json")])
+    # selected_beam.json holds evaluator_calls
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["evaluator_calls"] > 20
+
+
+def test_select_worker_count(monkeypatch):
+    ds = planted_dataset(n=40)
+    counts = []
+    for cpus, settable in ((1, True), (2, True), (8, True), (8, False)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr("streetbeam.blas.can_set_threads", lambda: settable)
+        ev = training_evaluator(ds, "beam", None, 1, 0, TINY_ARCH)
+        counts.append(ev._workers)
+    # workers whose BLAS runs several threads would contend for the CPUs
+    assert counts == [1, 2, SELECT_WORKERS_MAX, 1]
+
+
+def test_select_worker_death_raises_pipeline_error(tmp_path, monkeypatch,
+                                                   no_children_left):
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr("streetbeam.pipeline.train", lambda *a, **k: os._exit(1))
+    with pytest.raises(PipelineError, match="worker died"):
+        cmd_select(planted_dataset(n=40), "beam", tmp_path, epochs=1, v_max=2,
+                   arch=TINY_ARCH, batch_size=32)
+    assert not (tmp_path / "selected_beam.json").exists()
 
 
 def run_trained_beam(tmp_path, ds, epochs=10):
