@@ -1,7 +1,7 @@
 """Street-canyon mmWave simulation, semantic rendering, and beam/blockage
 prediction with floating feature selection."""
 
-from .beams import BeamEvaluation, dft_codebook, optimal_beam, topg_accuracy, trr
+from .beams import dft_codebook, optimal_beam, topg_accuracy, trr
 from .channel import (PathComponent, RayTraceConfig, TargetLostError,
                       assemble_channel, steering_vector, trace_paths)
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint

@@ -1,14 +1,6 @@
 """DFT codebook, exhaustive beam search over all codeword rates, Top-G metrics."""
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class BeamEvaluation:
-    rates: np.ndarray      # (M_bm,) bits/s/Hz
-    optimal_index: int     # smallest index among maximal rates
 
 
 def dft_codebook(N_t: int, M_bm: int):
@@ -21,10 +13,11 @@ def dft_codebook(N_t: int, M_bm: int):
     return np.exp(-2j * np.pi * m * n / M_bm) / np.sqrt(N_t)
 
 
-def optimal_beam(channel, codebook, P_k: float, sigma2: float) -> BeamEvaluation:
+def optimal_beam(channel, codebook, P_k: float, sigma2: float) -> np.ndarray:
     """Exhaustive search over the (M_bm, N_t) ``codebook`` for the (K, N_t)
-    ``channel``: the rate of every codeword m,
+    ``channel``: the (M_bm,) float64 rate of every codeword m,
     (1/K) * sum_k log2(1 + (P_k/sigma2) |h[k]^T w_m|^2), in one product.
+    The optimal beam is its argmax, the smallest index of maximal rate.
 
     Broadcasting h over the (M_bm, N_t, 1) codeword stack runs the same
     matrix-vector kernel as ``h @ w_m`` for each codeword (a single GEMM
@@ -35,39 +28,34 @@ def optimal_beam(channel, codebook, P_k: float, sigma2: float) -> BeamEvaluation
     if h.shape[1] != codebook.shape[1]:
         raise ValueError("channel and beam dimensions differ")
     gains = np.abs(np.matmul(h, codebook[:, :, None])[..., 0]) ** 2  # (M_bm, K)
-    rates = np.mean(np.log2(1 + (P_k / sigma2) * gains), axis=1)
-    return BeamEvaluation(rates=rates, optimal_index=int(np.argmax(rates)))
+    return np.mean(np.log2(1 + (P_k / sigma2) * gains), axis=1)
 
 
-def topg_accuracy(labels, topg_sets, G: int) -> float:
-    """Fraction of samples whose label beam falls in its Top-G set."""
-    if len(labels) != len(topg_sets):
-        raise ValueError("labels and Top-G sets have different lengths")
-    for s in topg_sets:
-        if len(s) != G:
-            raise ValueError(f"every Top-G set must have exactly {G} indices")
-    hits = sum(1 for lab, s in zip(labels, topg_sets) if int(lab) in s)
-    return hits / len(labels)
+def full_outages(rates):
+    """(n,) mask of the samples in full outage: no codeword has a positive rate."""
+    return np.asarray(rates).max(axis=1) <= 0
 
 
-def trr(rates, topg_sets, G: int) -> float:
+def topg_accuracy(labels, top) -> float:
+    """Fraction of samples whose label beam is among their Top-G codewords.
+
+    ``top`` is the (n, G) integer array of each sample's G best codewords.
+    """
+    top = np.asarray(top)
+    return np.count_nonzero((top == np.asarray(labels)[:, None]).any(axis=1)) / len(top)
+
+
+def trr(rates, top) -> float:
     """Mean over samples of (best rate within Top-G) / (optimal rate).
 
-    ``rates`` holds one row of codeword rates per sample, as
-    ``optimal_beam(...).rates``. Samples with zero optimal rate are excluded;
-    the caller reports how many.
+    ``rates`` holds one row of codeword rates per sample, as ``optimal_beam``
+    returns them, and ``top`` the (n, G) integer array of each sample's G
+    best codewords. Samples in full outage are excluded; the caller reports
+    how many.
     """
-    if len(rates) != len(topg_sets):
-        raise ValueError("rates and Top-G sets have different lengths")
-    ratios = []
-    for row, s in zip(rates, topg_sets):
-        if len(s) != G:
-            raise ValueError(f"every Top-G set must have exactly {G} indices")
-        opt = row.max()
-        if opt <= 0:
-            continue
-        best = max(row[i] for i in s)
-        ratios.append(best / opt)
-    if not ratios:
+    rates = np.asarray(rates)
+    ok = ~full_outages(rates)
+    if not ok.any():
         raise ValueError("no valid samples for TRR")
-    return float(np.mean(ratios))
+    best = np.take_along_axis(rates, np.asarray(top), axis=1).max(axis=1)
+    return float(np.mean(best[ok] / rates.max(axis=1)[ok]))

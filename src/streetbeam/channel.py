@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import speed_of_light as C_LIGHT
 
 from .scene import SceneConfig, from_plain, to_plain
+
+C_LIGHT = 299_792_458.0  # speed of light in m/s, exact by the SI definition of the metre
 
 
 class TargetLostError(RuntimeError):

@@ -9,8 +9,11 @@ forked worker processes; the step then reads every value from the cache
 in canonical order, so the search is the same for any worker count.
 """
 
+import ctypes
 import json
 import logging
+import os
+import signal
 from dataclasses import dataclass, field
 
 from . import blas
@@ -45,9 +48,20 @@ class EvaluatorError(RuntimeError):
 _worker_fn = None  # the evaluated function, in a forked worker process
 
 
-def _init_worker(fn):
+def _init_worker(fn, parent_pid):
+    """Set up a forked worker; it is killed when its parent dies.
+
+    Without that, a parent killed without unwinding (SIGKILL, ``os._exit``)
+    leaves its workers blocked forever on the pool's queue. The parent-death
+    signal covers deaths after it is set, the pid check those before it.
+    """
     global _worker_fn
     _worker_fn = fn
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)  # Linux only
+    if prctl is not None:
+        prctl(1, ctypes.c_ulong(signal.SIGKILL))  # PR_SET_PDEATHSIG
+    if os.getppid() != parent_pid:
+        os._exit(1)
     blas.set_threads(1)  # the pool runs one worker per CPU
 
 
@@ -106,7 +120,7 @@ class CachedEvaluator:
             with ProcessPoolExecutor(min(self._workers, len(pending)),
                                      mp_context=multiprocessing.get_context("fork"),
                                      initializer=_init_worker,
-                                     initargs=(self._fn,)) as pool:
+                                     initargs=(self._fn, os.getpid())) as pool:
                 for key, val in zip(pending, pool.map(_run_worker, pending)):
                     self._store(key, val)
         except BrokenProcessPool as exc:
@@ -119,7 +133,6 @@ class FsState:
     pinned: tuple                  # always kept in current
     history: set = field(default_factory=set)
     iteration: int = 0
-    v_max: int | None = None
     trace: list = field(default_factory=list)
 
     def log_step(self, step, candidate, accuracy, chosen):
@@ -132,15 +145,14 @@ class FsState:
         })
 
 
-class SearchDone(Exception):
-    """Inclusion step signals termination."""
+def inclusion_step(state: FsState, universal, evaluator) -> bool:
+    """Add the most significant missing feature; ties to smallest id.
 
-
-def inclusion_step(state: FsState, universal, evaluator) -> None:
-    """Add the most significant missing feature; ties to smallest id."""
+    Returns False when no feature is left to add.
+    """
     remaining = [f for f in canonical(universal) if f not in state.current]
     if not remaining:
-        raise SearchDone
+        return False
     evaluator.many(canonical(state.current + (f,)) for f in remaining)
     best_feat, best_acc = None, -1.0
     for f in remaining:  # canonical order makes argmax ties deterministic
@@ -153,6 +165,7 @@ def inclusion_step(state: FsState, universal, evaluator) -> None:
     state.current = canonical(state.current + (best_feat,))
     state.iteration += 1
     state.log_step("inclusion", state.current, best_acc, True)
+    return True
 
 
 def exclusion_step(state: FsState, evaluator) -> bool:
@@ -183,11 +196,12 @@ def exclusion_step(state: FsState, evaluator) -> bool:
     return True
 
 
-def sffs(universal, evaluator, pinned=(), v_max=None, return_state=False):
+def sffs(universal, evaluator, pinned=(), v_max=None):
     """Floating search: alternate inclusion with repeated conditional
     exclusion until the current set reappears in history (or hits v_max).
 
-    ``evaluator`` is wrapped in a cache if it is not one already.
+    ``evaluator`` is wrapped in a cache if it is not one already. Returns
+    the selected set and the search state, whose trace records every step.
     """
     universal = canonical(universal)
     pinned = canonical(pinned)
@@ -196,22 +210,14 @@ def sffs(universal, evaluator, pinned=(), v_max=None, return_state=False):
     if not isinstance(evaluator, CachedEvaluator):
         evaluator = CachedEvaluator(evaluator)
 
-    state = FsState(current=pinned, pinned=pinned, v_max=v_max)
-    while True:
-        if state.current in state.history:
-            break
-        if v_max is not None and len(state.current) >= v_max:
-            break
-        try:
-            inclusion_step(state, universal, evaluator)
-        except SearchDone:
-            break
+    state = FsState(current=pinned, pinned=pinned)
+    while (state.current not in state.history
+           and (v_max is None or len(state.current) < v_max)
+           and inclusion_step(state, universal, evaluator)):
         while exclusion_step(state, evaluator):
             pass
     log.info("sffs: %d evaluator calls, selected %s", evaluator.call_count, state.current)
-    if return_state:
-        return state.current, state
-    return state.current
+    return state.current, state
 
 
 def write_trace(path, state: FsState):

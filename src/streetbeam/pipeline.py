@@ -15,14 +15,14 @@ import time
 import numpy as np
 
 from . import blas, featsel
-from .beams import dft_codebook, optimal_beam, topg_accuracy, trr
+from .beams import dft_codebook, full_outages, optimal_beam, topg_accuracy, trr
 from .channel import RayTraceConfig, assemble_channel, trace_paths
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import read_container, write_container
 from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, EvaluatorError,
                       canonical, sffs)
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, accuracy,
-                        predict, split_indices, train)
+                        predict, split_indices, task_labels, train)
 from .rng import derive_seed
 from .scene import SceneConfig, from_plain, generate_scenario, to_plain
 from .semantics import render_frame
@@ -106,7 +106,7 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
         samples.label_maps[i] = render_frame(frames[t], scene_cfg, resolution)
         samples.locations[i] = frames[t].user_antenna_pos
         h = assemble_channel(paths[t], rt_cfg)
-        samples.rates[i] = optimal_beam(h, codebook, rt_cfg.P_k, rt_cfg.sigma2).rates
+        samples.rates[i] = optimal_beam(h, codebook, rt_cfg.P_k, rt_cfg.sigma2)
         if store_channels:
             samples.channels[i] = h
     return samples
@@ -155,18 +155,17 @@ def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=5,
     """Run the floating search with the training-based evaluator.
 
     The outputs do not depend on the number of worker processes; a worker
-    that dies raises ``PipelineError``.
+    that dies raises ``PipelineError``. ``horizon`` is checked and recorded
+    as given: without it each candidate trains at the default horizon.
     """
     if epochs < 1:
         raise PipelineError("selection budget must allow at least one epoch")
-    if horizon is not None:
-        horizon = _blockage_horizon(dataset, task, horizon)
+    task_labels(dataset, task, horizon)
     arch = default_arch(dataset, arch)
     evaluator = training_evaluator(dataset, task, horizon, epochs, seed, arch,
                                    batch_size, learning_rate)
     try:
-        selected, state = sffs(UNIVERSAL_FEATURES, evaluator, pinned=pinned,
-                               v_max=v_max, return_state=True)
+        selected, state = sffs(UNIVERSAL_FEATURES, evaluator, pinned=pinned, v_max=v_max)
     except EvaluatorError as exc:
         raise PipelineError(f"feature selection failed: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
@@ -187,22 +186,10 @@ def _stem(task, horizon):
     return task if task == "beam" else f"{task}_h{horizon}"
 
 
-def _blockage_horizon(dataset: SampleSet, task, horizon):
-    """The horizon a blockage run uses: ``horizon``, else the dataset's first."""
-    if task == "beam":
-        return horizon
-    if horizon is None:
-        return dataset.horizons[0]
-    if horizon not in dataset.horizons:
-        raise PipelineError(f"horizon {horizon} is not one of the dataset's "
-                            f"horizons {list(dataset.horizons)}")
-    return horizon
-
-
 def cmd_train(dataset: SampleSet, features, task, cfg: TrainConfig, out_dir,
               horizon=None):
     """Train on the train split and checkpoint the parameters."""
-    horizon = _blockage_horizon(dataset, task, horizon)
+    horizon, _ = task_labels(dataset, task, horizon)
     res = train(dataset, features, task, cfg, horizon=horizon)
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, _stem(task, horizon) + ".esnn"),
@@ -244,7 +231,7 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
     Top-G accuracy and TRR read the codeword rates stored per sample, so
     the beam task needs neither the channels nor the link budget.
     """
-    horizon = _blockage_horizon(dataset, task, horizon)
+    horizon, _ = task_labels(dataset, task, horizon)
     if task == "beam":
         for g in g_list:
             if g > dataset.M_bm:
@@ -279,17 +266,15 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
         labels = dataset.beam_labels[test_idx]
         rates = dataset.rates[test_idx]
         fragment["g_list"] = list(g_list)
-        # full outages (best rate 0), which TRR leaves out
-        fragment["trr_excluded"] = int(np.count_nonzero(rates.max(axis=1) <= 0))
+        fragment["trr_excluded"] = int(np.count_nonzero(full_outages(rates)))
         if fragment["trr_excluded"]:
             log.warning("trr: excluded %d sample(s) with zero optimal rate",
                         fragment["trr_excluded"])
         fragment["topg_accuracy"] = {}
         fragment["trr"] = {}
         for g in g_list:
-            sets = [tuple(int(i) for i in row[:g]) for row in order]
-            fragment["topg_accuracy"][str(g)] = topg_accuracy(labels, sets, g)
-            fragment["trr"][str(g)] = trr(rates, sets, g)
+            fragment["topg_accuracy"][str(g)] = topg_accuracy(labels, order[:, :g])
+            fragment["trr"][str(g)] = trr(rates, order[:, :g])
     else:
         fragment["blockage_accuracy"] = accuracy(model, params, state, dataset,
                                                  test_idx, features, task, horizon)

@@ -317,16 +317,24 @@ class TrainResult:
     val_accuracy: float
     split: tuple  # (train_idx, val_idx, test_idx)
     train_loss: list  # mean training loss of each epoch
-    horizon: int | None = None
 
 
-def _labels_for(dataset: SampleSet, task, horizon):
+def task_labels(dataset: SampleSet, task, horizon=None):
+    """(horizon, (N,) int64 labels) of a task on ``dataset``.
+
+    Beam labels are the optimal codewords, and ``horizon`` is returned as
+    given. Blockage labels are the flags at ``horizon``, by default the
+    dataset's first; a horizon the dataset lacks raises ValueError.
+    """
     if task == "beam":
-        return dataset.beam_labels.astype(np.int64)
+        return horizon, dataset.beam_labels.astype(np.int64)
     if horizon is None:
-        horizon = dataset.horizons[0]
+        horizon = next(iter(dataset.horizons), None)
+    if horizon not in dataset.horizons:
+        raise ValueError(f"horizon {horizon} is not one of the dataset's "
+                         f"horizons {list(dataset.horizons)}")
     col = list(dataset.horizons).index(horizon)
-    return dataset.blockage[:, col].astype(np.int64)
+    return horizon, dataset.blockage[:, col].astype(np.int64)
 
 
 def predict(model, params, state, dataset, idx, features, batch_size=256):
@@ -346,7 +354,7 @@ def accuracy(model, params, state, dataset, idx, features, task, horizon=None):
     if len(idx) == 0:
         return 0.0
     out = predict(model, params, state, dataset, idx, features)
-    labels = _labels_for(dataset, task, horizon)[idx]
+    labels = task_labels(dataset, task, horizon)[1][idx]
     if task == "beam":
         pred = np.argmax(out, axis=1)
     else:
@@ -364,7 +372,7 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
     feats = canonical(features)
     sem = semantic_features(feats)  # validates location presence
     in_channels = len(sem) * dataset.n_cams
-    labels = _labels_for(dataset, task, horizon)
+    _, labels = task_labels(dataset, task, horizon)
     train_idx, val_idx, test_idx = split_indices(dataset.frame_ids, cfg.split, cfg.seed)
 
     model = Predictor(task, in_channels, dataset.M_bm, cfg.arch)
@@ -395,4 +403,4 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
     val_acc = accuracy(model, params, state, dataset, val_idx, feats, task, horizon)
     return TrainResult(model=model, params=params, state=state, features=feats,
                        val_accuracy=val_acc, split=(train_idx, val_idx, test_idx),
-                       train_loss=train_loss, horizon=horizon)
+                       train_loss=train_loss)

@@ -1,9 +1,9 @@
 """Verification oracles that only the tests use: concept masks, map
-corruption and pixel accuracy, an exhaustive subset search, the
-finite-difference gradient check of a predictor, the prefix slice of a
-flat tensor dict, the per-slot blockage labeler, and the object-based
-scenario generator with the helper that builds array frames from its
-vehicles.
+corruption and pixel accuracy, per-sample loops of the Top-G accuracy and
+TRR, an exhaustive subset search, the finite-difference gradient check of
+a predictor, the prefix slice of a flat tensor dict, the per-slot blockage
+labeler, and the object-based scenario generator with the helper that
+builds array frames from its vehicles.
 """
 
 import itertools
@@ -63,6 +63,36 @@ def pixel_accuracy(pred, truth) -> float:
         correct += int((p == t).sum())
         total += p.size
     return correct / total
+
+
+def topg_accuracy(labels, topg_sets, G: int) -> float:
+    """Fraction of samples whose label beam falls in its Top-G set."""
+    if len(labels) != len(topg_sets):
+        raise ValueError("labels and Top-G sets have different lengths")
+    for s in topg_sets:
+        if len(s) != G:
+            raise ValueError(f"every Top-G set must have exactly {G} indices")
+    hits = sum(1 for lab, s in zip(labels, topg_sets) if int(lab) in s)
+    return hits / len(labels)
+
+
+def trr(rates, topg_sets, G: int) -> float:
+    """Mean over samples of (best rate within Top-G) / (optimal rate),
+    one sample at a time; samples with zero optimal rate are excluded."""
+    if len(rates) != len(topg_sets):
+        raise ValueError("rates and Top-G sets have different lengths")
+    ratios = []
+    for row, s in zip(rates, topg_sets):
+        if len(s) != G:
+            raise ValueError(f"every Top-G set must have exactly {G} indices")
+        opt = row.max()
+        if opt <= 0:
+            continue
+        best = max(row[i] for i in s)
+        ratios.append(best / opt)
+    if not ratios:
+        raise ValueError("no valid samples for TRR")
+    return float(np.mean(ratios))
 
 
 def blockage_labels(targets, los, t0, horizons):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.constants import speed_of_light as C
 
 from oracles import Vehicle, make_frame
 from streetbeam.channel import (_CHUNK_FRAMES, PathComponent, RayTraceConfig,
@@ -9,6 +8,8 @@ from streetbeam.channel import (_CHUNK_FRAMES, PathComponent, RayTraceConfig,
 from streetbeam.pipeline import blockage_labels
 from streetbeam.rng import stream
 from streetbeam.scene import BUS, VAN, SceneConfig, generate_scenario, vehicle_class
+
+C = 299_792_458.0  # m/s
 
 
 def small_cfg(**kw):

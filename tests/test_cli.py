@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -326,3 +328,14 @@ def test_select_outputs_do_not_depend_on_usable_cpus(tmp_path, capsys, monkeypat
         files.append({p.name: p.read_bytes() for p in (tmp_path / f"cpus{cpus}").iterdir()})
     assert files[0] == files[1]
     assert set(files[0]) == {"select_beam.trace.jsonl", "selected_beam.json"}
+
+
+def test_cli_import_leaves_out_scipy_and_the_worker_pool():
+    """Commands that never select do not import the selection pool's
+    modules, and nothing imports scipy."""
+    src = os.path.dirname(os.path.dirname(sys.modules["streetbeam"].__file__))
+    code = ("import sys, streetbeam.cli; print(*(m for m in ('scipy', 'multiprocessing', "
+            "'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == []

@@ -1,6 +1,10 @@
 import itertools
 import json
+import multiprocessing
 import os
+import signal
+import sys
+import time
 
 import pytest
 
@@ -102,7 +106,7 @@ def test_exclusion_never_removes_pinned_or_last():
 def test_sffs_two_feature_table():
     table = {(): 0.0, ("a",): 0.5, ("b",): 0.6, ("a", "b"): 0.9,
              ("a", "b", "c"): 0.85, ("a", "c"): 0.3, ("b", "c"): 0.3, ("c",): 0.1}
-    out = sffs(("a", "b", "c"), table_eval(table))
+    out, _ = sffs(("a", "b", "c"), table_eval(table))
     assert out == ("a", "b")
     assert out == brute_force_best(("a", "b", "c"), table_eval(table))
 
@@ -110,12 +114,12 @@ def test_sffs_two_feature_table():
 def test_sffs_single_dominant_feature():
     def fn(s):
         return 1.0 if s == ("d",) else 0.3 if s else 0.0
-    assert sffs(("a", "b", "c", "d"), fn) == ("d",)
+    assert sffs(("a", "b", "c", "d"), fn)[0] == ("d",)
 
 
 def test_sffs_vmax_bound():
     ev = lambda s: len(s) / 21  # monotone: wants everything
-    out = sffs(("a", "b", "c", "d"), ev, v_max=2)
+    out, _ = sffs(("a", "b", "c", "d"), ev, v_max=2)
     assert out == ("a", "b")  # tie-broken 2-set
 
 
@@ -123,7 +127,7 @@ def test_sffs_pinned_location_always_kept():
     def fn(s):
         # location actively hurts, but is pinned
         return 0.9 - 0.5 * (LOCATION in s) * 0 + 0.01 * len(s)
-    out = sffs(UNIVERSAL_FEATURES[:5], fn, pinned=(LOCATION,), v_max=3)
+    out, _ = sffs(UNIVERSAL_FEATURES[:5], fn, pinned=(LOCATION,), v_max=3)
     assert LOCATION in out
     with pytest.raises(ValueError):
         sffs(("a", "b"), fn, pinned=("zzz",))
@@ -141,7 +145,7 @@ def test_sffs_locally_optimal_dominates_greedy_and_matches_oracle():
             for combo in itertools.combinations(universal, r):
                 table[canonical(combo)] = float(rng.random())
         fn = table_eval(table)
-        out, state = sffs(universal, fn, return_state=True)
+        out, _ = sffs(universal, fn)
         acc = fn(out)
         # single-move local optimality
         for f in universal:
@@ -173,7 +177,7 @@ def test_brute_force_tie_and_vmax():
 
 def test_trace_jsonl(tmp_path):
     table = {(): 0.0, ("a",): 0.5, ("b",): 0.6, ("a", "b"): 0.9}
-    out, state = sffs(("a", "b"), table_eval(table), return_state=True)
+    _, state = sffs(("a", "b"), table_eval(table))
     path = tmp_path / "trace.jsonl"
     write_trace(path, state)
     recs = [json.loads(line) for line in path.read_text().splitlines()]
@@ -199,7 +203,7 @@ def test_many_matches_serial_calls(no_children_left):
     results = []
     for workers in (1, 2, 3):
         ev = CachedEvaluator(table_eval(table), workers=workers)
-        selected, state = sffs(("a", "b", "c", "d"), ev, return_state=True)
+        selected, state = sffs(("a", "b", "c", "d"), ev)
         results.append((selected, state.trace, ev.call_count))
     assert results[0] == results[1] == results[2]
 
@@ -244,3 +248,51 @@ def test_many_worker_death_fails_closed(no_children_left):
     ev = CachedEvaluator(fn, workers=2)
     with pytest.raises(EvaluatorError, match="worker died"):
         ev.many([("a",), ("b",), ("c",)])
+
+
+def _running(pid):
+    """Whether ``pid`` still runs; a dead process its new parent has not
+    reaped yet is a zombie and does not count."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal is Linux only")
+def test_many_workers_die_with_their_parent(tmp_path, no_children_left):
+    """A parent that exits without unwinding while ``many`` waits on its
+    sleeping workers takes them with it, instead of leaving them blocked."""
+    def fn(feats):
+        (tmp_path / f"worker-{os.getpid()}").touch()
+        time.sleep(30)
+        return 0.5
+
+    def parent():
+        signal.signal(signal.SIGUSR1, lambda *_: os._exit(0))
+        CachedEvaluator(fn, workers=2).many([("a",), ("b",)])
+
+    proc = multiprocessing.get_context("fork").Process(target=parent)
+    proc.start()
+    pids = []
+    try:
+        deadline = time.monotonic() + 20
+        while len(pids) < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+            pids = [int(p.name.split("-")[1]) for p in tmp_path.glob("worker-*")]
+        assert len(pids) == 2, "the workers did not start"
+        os.kill(proc.pid, signal.SIGUSR1)
+        proc.join(10)
+        assert proc.exitcode == 0
+        deadline = time.monotonic() + 5
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(map(_running, pids)), "a worker outlived its parent"
+    finally:
+        if proc.is_alive():
+            proc.kill()
+        proc.join()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)

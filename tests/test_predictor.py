@@ -11,7 +11,7 @@ from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor,
                                   SampleSet, TrainConfig, _batch_loss_grad,
                                   accuracy, concept_ids, log_softmax,
                                   mask_channels, predict, sigmoid,
-                                  split_indices, train)
+                                  split_indices, task_labels, train)
 from streetbeam.scene import from_plain, to_plain
 from streetbeam.semantics import CATALOG
 
@@ -297,6 +297,23 @@ def test_train_blockage_and_accuracy_helpers():
     acc = accuracy(res.model, res.params, res.state, ds, res.split[1],
                    res.features, "blockage", horizon=1)
     assert acc == pytest.approx(res.val_accuracy)
+
+
+def test_task_labels_and_horizons():
+    ds = planted_sampleset(n=20, M_bm=4)
+    ds.horizons, ds.blockage = (1, 6), np.hstack([ds.blockage, 1 - ds.blockage])
+    horizon, labels = task_labels(ds, "beam", horizon=6)  # kept as given
+    assert horizon == 6 and labels.tolist() == ds.rates.argmax(axis=1).tolist()
+    assert labels.dtype == np.int64
+    for given, want in ((None, 1), (1, 1), (6, 6)):
+        horizon, labels = task_labels(ds, "blockage", given)
+        assert horizon == want
+        assert labels.tolist() == ds.blockage[:, ds.horizons.index(want)].tolist()
+    with pytest.raises(ValueError, match=r"horizon 7 .* dataset's horizons \[1, 6\]"):
+        task_labels(ds, "blockage", 7)
+    ds.horizons, ds.blockage = (), ds.blockage[:, :0]
+    with pytest.raises(ValueError, match=r"horizons \[\]"):
+        task_labels(ds, "blockage")
 
 
 def test_train_config_validation():
