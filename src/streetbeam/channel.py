@@ -1,11 +1,21 @@
 """Geometric multipath channel model.
 
-Deterministic image-method tracing produces per-path (amplitude, phase,
-delay, azimuth, elevation) tuples for the direct path, single bounces off
-the two building facades, and the ground bounce. Paths blocked by any
-non-target vehicle box are discarded: the candidate legs of all frames are
-tested against their own frame's boxes in one slab test per chunk of
-frames. The frequency-domain channel is assembled as
+Deterministic image-method tracing finds the direct path, single bounces
+off the two building facades, and the ground bounce of each frame's target
+user. Paths blocked by any non-target vehicle box are discarded: the
+candidate legs of all frames are tested against their own frame's boxes in
+one slab test per chunk of frames. The surviving paths of F frames form one
+padded table, ``paths`` (F, P, 5) float64 with the columns
+
+    alpha (linear amplitude), phi (phase in [0, 2 pi)), tau (delay, s),
+    theta_az (azimuth at the BS array), theta_el (elevation)
+
+sorted per frame by (-alpha, tau), beside ``n_paths`` (F,) and ``los`` (F,).
+A leg's length is the BLAS dot of ``np.linalg.norm``, and asin and atan2
+run value by value in ``math``: numpy's vector loops round some of these
+values differently on some CPUs, and the table must equal the per-frame
+tracer bit for bit. The frequency-domain channel of one frame is assembled
+from its rows as
 
     h[k] = sum_l alpha_l * exp(-j 2 pi f_k tau_l + j phi_l) * a(az_l, el_l; f_k)
 
@@ -14,17 +24,14 @@ w = 2 pi d f / c.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import SceneConfig, from_plain, to_plain
+from .scene import ConfigError, SceneConfig, check_finite, from_plain, to_plain
 
 C_LIGHT = 299_792_458.0  # speed of light in m/s, exact by the SI definition of the metre
-
-
-class TargetLostError(RuntimeError):
-    """The target user despawned inside the labeling window."""
 
 
 @dataclass(frozen=True)
@@ -38,17 +45,20 @@ class RayTraceConfig:
     reflection_coeff: complex = 0.6 * np.exp(1j * np.pi)
     sigma2: float = 0.1               # noise power, W
     P_k: float = 1.0                  # per-subcarrier transmit power, W
-    bs_antenna_height: float | None = None  # overrides scene bs z if set
 
     def __post_init__(self):
-        if self.K < 1 or self.N_t < 1 or self.max_paths < 1:
-            raise ValueError("K, N_t and max_paths must all be >= 1")
-        if abs(self.reflection_coeff) > 1:
-            raise ValueError("|reflection coefficient| must be <= 1")
-        if self.sigma2 <= 0 or self.P_k <= 0:
-            raise ValueError("sigma2 and P_k must be positive")
+        for name in ("K", "N_t", "max_paths"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1")
+        check_finite(self, (("f_c", ">"), ("subcarrier_spacing", ">="),
+                            ("sigma2", ">"), ("P_k", ">")))
+        g = self.reflection_coeff
+        if not (isinstance(g, numbers.Complex) and abs(g) <= 1):
+            raise ConfigError("reflection_coeff must be a number with |reflection_coeff| <= 1")
         if self.d is None:
             object.__setattr__(self, "d", C_LIGHT / self.f_c / 2)
+        check_finite(self, (("d", ">"),))
 
     @property
     def wavelength(self):
@@ -66,16 +76,6 @@ class RayTraceConfig:
         return from_plain(cls, d)
 
 
-@dataclass(frozen=True)
-class PathComponent:
-    alpha: float      # linear amplitude, >= 0
-    phi: float        # phase, radians in [0, 2pi)
-    tau: float        # delay, seconds
-    theta_az: float   # azimuth at the BS array, (-pi, pi]
-    theta_el: float   # elevation at the BS array, [-pi/2, pi/2]
-    is_los: bool
-
-
 def steering_vector(theta_az, theta_el, f, config: RayTraceConfig):
     """ULA manifold vector: entry n = exp(j*w*n*sin(el)*cos(az)), w = 2 pi d f / c.
 
@@ -87,27 +87,21 @@ def steering_vector(theta_az, theta_el, f, config: RayTraceConfig):
     return np.exp(1j * w * n * np.sin(theta_el) * np.cos(theta_az))
 
 
-def _bs_position(scene: SceneConfig, config: RayTraceConfig):
-    p = np.asarray(scene.bs_position, dtype=float)
-    if config.bs_antenna_height is not None:
-        p = p.copy()
-        p[2] = config.bs_antenna_height
-    return p
-
-
 _CHUNK_FRAMES = 64  # frames per slab test; bounds its (3, pairs) temporaries
 
 
-def _legs_blocked(p0, p1, leg_frame, boxes, box_count, eps=1e-9):
-    """Whether each leg ``p0[i] -> p1[i]`` crosses a box of its own frame.
+def _legs_blocked(p0, p1, leg_frame, frames, eps=1e-9):
+    """Whether each leg ``p0[i] -> p1[i]`` crosses the box of a vehicle
+    other than the target in its frame ``frames[leg_frame[i]]``.
 
-    ``boxes`` holds the frames' boxes back to back, ``box_count[f]`` of them
-    for frame f, and ``leg_frame[i]`` is the frame of leg i. Every (leg, box)
-    pair is tested at once by the slab method on the segment parameter: an
-    axis with ``|d| < eps`` contributes the bounds (0, 1) and misses unless
-    ``p0`` lies within ``eps`` of the slab; the leg misses when
-    ``t0 > t1 + eps`` and hits when ``t1 > eps and t0 < 1 - eps``.
+    Every (leg, box) pair is tested at once by the slab method on the
+    segment parameter: an axis with ``|d| < eps`` contributes the bounds
+    (0, 1) and misses unless ``p0`` lies within ``eps`` of the slab; the leg
+    misses when ``t0 > t1 + eps`` and hits when ``t1 > eps and t0 < 1 - eps``.
     """
+    others = [f.boxes[f.ids != f.target_user_id] for f in frames]
+    boxes = np.concatenate(others)
+    box_count = np.array([len(b) for b in others], dtype=np.intp)
     n = box_count[leg_frame]
     first = np.cumsum(box_count) - box_count
     leg = np.repeat(np.arange(len(leg_frame)), n)
@@ -132,8 +126,9 @@ def _legs_blocked(p0, p1, leg_frame, boxes, box_count, eps=1e-9):
     return blocked
 
 
-def _departure_angles(bs, toward):
-    """Departure azimuth and the ULA steering angle of the BS array.
+def _departure_angles(d, r):
+    """Departure azimuth and the ULA steering angle of the BS array for the
+    (n, 3) first legs ``d`` of n paths, whose lengths are ``r``.
 
     The array lies along the x axis, so the phase gradient is driven by the
     x projection of the unit departure direction. With elevation e above the
@@ -142,120 +137,116 @@ def _departure_angles(bs, toward):
     exactly while keeping theta_el inside [-pi/2, pi/2]. The sign of e is
     dropped because an x-axis ULA cannot resolve it (conical ambiguity).
     """
-    d = toward - bs
-    r = np.linalg.norm(d)
-    elev = math.asin(max(-1.0, min(1.0, d[2] / r)))
-    theta_el = math.pi / 2 - abs(elev)
-    theta_az = math.atan2(d[1], d[0])
-    if theta_az <= -math.pi:
-        theta_az = math.pi
+    elev = np.array([math.asin(z) for z in np.clip(d[:, 2] / r, -1.0, 1.0).tolist()])
+    theta_el = math.pi / 2 - np.abs(elev)
+    theta_az = np.array([math.atan2(y, x) for x, y in d[:, :2].tolist()])
+    theta_az[theta_az <= -math.pi] = math.pi
     return theta_az, theta_el
 
 
-def _make_path(bs, points, config: RayTraceConfig, n_bounces, is_los):
-    """Assemble a PathComponent from the BS plus the ordered path points."""
+def _path_rows(bs, points, n_bounces, config: RayTraceConfig):
+    """(n, 5) table rows of n paths from the BS through the (n, 3) ``points``."""
     nodes = [bs] + points
-    dist = sum(np.linalg.norm(nodes[i + 1] - nodes[i]) for i in range(len(nodes) - 1))
+    legs = [b - a for a, b in zip(nodes, nodes[1:])]
+    # per row the BLAS dot that np.linalg.norm takes of one vector
+    length = [np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]) for v in legs]
+    dist = sum(length)
     tau = dist / C_LIGHT
     gamma = config.reflection_coeff
     alpha = config.wavelength / (4 * np.pi * dist) * abs(gamma) ** n_bounces
     phi = (-2 * np.pi * config.f_c * tau + n_bounces * np.angle(gamma)) % (2 * np.pi)
-    theta_az, theta_el = _departure_angles(bs, nodes[1])
-    return PathComponent(alpha=float(alpha), phi=float(phi), tau=float(tau),
-                         theta_az=theta_az, theta_el=theta_el, is_los=is_los)
+    return np.stack([alpha, phi, tau, *_departure_angles(legs[0], length[0])], axis=1)
 
 
-def _candidates(bs, users, scene: SceneConfig, config: RayTraceConfig):
+def _candidates(bs, users, targeted, scene: SceneConfig, config: RayTraceConfig):
     """Candidate paths of F frames with target antennas ``users`` (F, 3).
 
-    One ``(valid, points, n_bounces, is_los)`` entry per candidate, in the
-    order direct, facade +y, facade -y, ground: ``valid`` (F,) marks the
-    frames whose geometry admits it and ``points`` lists the (F, 3) path
-    points after the BS. The image method uses the same elementwise
-    operations for every frame that one frame alone would.
+    One ``(valid, points, n_bounces)`` entry per candidate, in the order
+    direct, facade +y, facade -y, ground: ``valid`` (F,) marks the
+    ``targeted`` frames whose geometry admits it and ``points`` lists the
+    (F, 3) path points after the BS. The image method uses the same
+    elementwise operations for every frame that one frame alone would.
     """
-    cands = [(np.ones(len(users), dtype=bool), [users], 0, True)]
+    cands = [(targeted.copy(), [users], 0)]
     if abs(config.reflection_coeff) == 0:
         return cands
     for yf in (scene.facade_y, -scene.facade_y):
         image = bs.copy()
         image[1] = 2 * yf - bs[1]
         d = users - image
-        ok = np.abs(d[:, 1]) >= 1e-12
+        ok = targeted & (np.abs(d[:, 1]) >= 1e-12)
         s = (yf - image[1]) / np.where(ok, d[:, 1], 1.0)
         bounce = image + s[:, None] * d
         ok &= ((0 < s) & (s < 1)
                & (0 <= bounce[:, 0]) & (bounce[:, 0] <= scene.street_length_m)
                & (0 <= bounce[:, 2]) & (bounce[:, 2] <= scene.building_height_m))
-        cands.append((ok, [bounce, users], 1, False))
+        cands.append((ok, [bounce, users], 1))
     image = bs.copy()
     image[2] = -bs[2]
     d = users - image
-    ok = np.abs(d[:, 2]) > 1e-12
+    ok = targeted & (np.abs(d[:, 2]) > 1e-12)
     s = -image[2] / np.where(ok, d[:, 2], 1.0)
     bounce = image + s[:, None] * d
     ok &= (0 < s) & (s < 1)
-    cands.append((ok, [bounce, users], 1, False))
+    cands.append((ok, [bounce, users], 1))
     return cands
 
 
-def _trace_chunk(frames, bs, scene: SceneConfig, config: RayTraceConfig):
-    users = np.array([f.user_antenna_pos for f in frames], dtype=float)
-    others = [f.boxes[f.ids != f.target_user_id] for f in frames]
-    boxes = np.concatenate(others)
-    box_count = np.array([len(b) for b in others], dtype=np.intp)
-    cands = _candidates(bs, users, scene, config)
+def trace_paths(frames, scene: SceneConfig, config: RayTraceConfig):
+    """The padded path table of ``frames``: ``(paths, n_paths, los)``.
+
+    ``paths`` (F, P, 5) holds the strongest unobstructed paths of each
+    frame as the module docstring says, ``P = min(max_paths, candidates)``,
+    with zero rows after the first ``n_paths[f]``; ``los[f]`` is true when
+    the direct path survived. Candidates: direct path, one specular bounce
+    per facade (image method), and the ground bounce. The target's own
+    vehicle never occludes (the antenna sits on its roof). A frame without
+    a target has no paths; ``n_paths[f] == 0`` means outage. The legs of
+    each chunk of ``_CHUNK_FRAMES`` frames go through one slab test.
+    """
+    bs = np.asarray(scene.bs_position, dtype=float)
+    F = len(frames)
+    targeted = np.array([f.target_user_id is not None for f in frames], dtype=bool)
+    users = np.array([f.user_antenna_pos or (0.0, 0.0, 0.0) for f in frames],
+                     dtype=float).reshape(F, 3)
+    cands = _candidates(bs, users, targeted, scene, config)
 
     # every leg of every geometrically valid candidate c of frame f, tagged
     # with its slot c * F + f in the (candidate, frame) validity table
-    F = len(frames)
-    p0, p1, slot = [], [], []
-    for c, (ok, points, _, _) in enumerate(cands):
+    p0, p1, slot, leg_frame = [], [], [], []
+    for c, (ok, points, _) in enumerate(cands):
         idx = np.flatnonzero(ok)
         nodes = [np.broadcast_to(bs, users.shape)] + points
         for a, b in zip(nodes, nodes[1:]):
             p0.append(a[idx])
             p1.append(b[idx])
             slot.append(c * F + idx)
-    slot = np.concatenate(slot)
-    blocked = _legs_blocked(np.concatenate(p0), np.concatenate(p1), slot % F,
-                            boxes, box_count)
-    valid = np.stack([ok for ok, _, _, _ in cands])
-    valid.flat[slot[blocked]] = False
+            leg_frame.append(idx)
+    p0, p1, slot, leg_frame = map(np.concatenate, (p0, p1, slot, leg_frame))
+    valid = np.stack([ok for ok, _, _ in cands])
+    for i in range(0, F, _CHUNK_FRAMES):
+        chunk = frames[i:i + _CHUNK_FRAMES]
+        legs = np.flatnonzero((leg_frame >= i) & (leg_frame < i + len(chunk)))
+        blocked = _legs_blocked(p0[legs], p1[legs], leg_frame[legs] - i, chunk)
+        valid.flat[slot[legs[blocked]]] = False
 
-    out = []
-    for f, row in enumerate(valid.T.tolist()):
-        paths = [_make_path(bs, [p[f] for p in points], config, n_bounces, is_los)
-                 for (_, points, n_bounces, is_los), v in zip(cands, row) if v]
-        paths.sort(key=lambda p: (-p.alpha, p.tau))
-        out.append(paths[:config.max_paths])
-    return out
-
-
-def trace_paths(frames, scene: SceneConfig, config: RayTraceConfig):
-    """Strongest unobstructed paths of each frame, sorted by amplitude descending.
-
-    Returns one path list per frame. Candidates: direct path, one specular
-    bounce per facade (image method), and the ground bounce. The target's
-    own vehicle never occludes (the antenna sits on its roof). An empty
-    list means outage. Frames are traced in chunks of ``_CHUNK_FRAMES``;
-    each chunk tests all its candidate legs in one slab test.
-    """
-    for frame in frames:
-        if frame.target_user_id is None:
-            raise TargetLostError("frame has no target user")
-    bs = _bs_position(scene, config)
-    out = []
-    for i in range(0, len(frames), _CHUNK_FRAMES):
-        out.extend(_trace_chunk(frames[i:i + _CHUNK_FRAMES], bs, scene, config))
-    return out
+    rows = np.zeros((F, len(cands), 5))
+    for c, (_, points, n_bounces) in enumerate(cands):
+        idx = np.flatnonzero(valid[c])
+        rows[idx, c] = _path_rows(bs, [p[idx] for p in points], n_bounces, config)
+    # a stable sort by (-alpha, tau) with the blocked candidates last
+    order = np.lexsort((rows[..., 2], np.where(valid.T, -rows[..., 0], np.inf)))
+    P = min(config.max_paths, len(cands))
+    paths = np.take_along_axis(rows, order[..., None], axis=1)[:, :P]
+    return paths, np.minimum(valid.sum(axis=0), P), valid[0]
 
 
 def assemble_channel(paths, config: RayTraceConfig):
-    """Frequency-domain channel, (K, N_t) complex128; zero when all paths are blocked."""
+    """Frequency-domain channel of one frame's (n, 5) path rows, (K, N_t)
+    complex128; zero when n = 0."""
     h = np.zeros((config.K, config.N_t), dtype=np.complex128)
     fk = config.subcarrier_freq(np.arange(config.K))
-    for p in paths:
-        gain = p.alpha * np.exp(-1j * 2 * np.pi * fk * p.tau + 1j * p.phi)  # (K,)
-        h += gain[:, None] * steering_vector(p.theta_az, p.theta_el, fk[:, None], config)
+    for alpha, phi, tau, theta_az, theta_el in paths.tolist():
+        gain = alpha * np.exp(-1j * 2 * np.pi * fk * tau + 1j * phi)  # (K,)
+        h += gain[:, None] * steering_vector(theta_az, theta_el, fk[:, None], config)
     return h

@@ -71,7 +71,12 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: tensor name is not utf-8") from None
         (rank,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+        data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
+        try:
+            data = data.reshape(dims)
+        except ValueError:  # rank above numpy's limit, or a size that overflows
+            raise CheckpointError(f"{path}: tensor {name!r} has an unusable shape "
+                                  f"of rank {rank}") from None
         tensors[name] = data.astype(np.float32)
     if not tensors:
         raise CheckpointError(f"{path}: checkpoint holds no tensors")

@@ -71,8 +71,8 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
 
     A frame yields a sample only when its target user persists through the
     longest horizon; excluded frames are counted and logged, never dropped
-    silently. Every frame with a target is traced for its LOS flag; maps,
-    channels and rates are computed for the sample frames only.
+    silently. Every frame is traced for its LOS flag; maps, channels and
+    rates are computed for the sample frames only.
     """
     horizons = tuple(sorted(horizons))
     if M_bm is None:
@@ -80,10 +80,7 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
     codebook = dft_codebook(rt_cfg.N_t, M_bm)
     frames = generate_scenario(scene_cfg)
     targets = [frame.target_user_id for frame in frames]
-    traced = [t for t, target in enumerate(targets) if target is not None]
-    paths = dict(zip(traced, trace_paths([frames[t] for t in traced], scene_cfg, rt_cfg)))
-    los = np.zeros(len(frames), dtype=bool)
-    los[traced] = [any(p.is_los for p in paths[t]) for t in traced]
+    paths, n_paths, los = trace_paths(frames, scene_cfg, rt_cfg)
     t0, blockage = blockage_labels(targets, los, horizons)
     if not len(t0):
         raise PipelineError("zero usable samples (no frame keeps its target "
@@ -105,7 +102,7 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
     for i, t in enumerate(t0.tolist()):
         samples.label_maps[i] = render_frame(frames[t], scene_cfg, resolution)
         samples.locations[i] = frames[t].user_antenna_pos
-        h = assemble_channel(paths[t], rt_cfg)
+        h = assemble_channel(paths[t, :n_paths[t]], rt_cfg)
         samples.rates[i] = optimal_beam(h, codebook, rt_cfg.P_k, rt_cfg.sigma2)
         if store_channels:
             samples.channels[i] = h

@@ -75,8 +75,11 @@ def _from_plain(typ, value, where):
     if is_dataclass(typ):
         return from_plain(typ, value, where + ".")
     if typ is complex and isinstance(value, (list, tuple)):
-        re, im = value
-        return complex(re, im)
+        try:
+            re, im = value
+            return complex(re, im)
+        except (TypeError, ValueError):
+            raise ConfigError(f"config key {where} must be a [re, im] pair of numbers") from None
     if typ is tuple or typing.get_origin(typ) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"config key {where} must be a list")
@@ -86,6 +89,16 @@ def _from_plain(typ, value, where):
         return tuple(_from_plain(tuple, v, where) if isinstance(v, list) else v
                      for v in value)
     return value
+
+
+def check_finite(config, bounds):
+    """ConfigError unless each field ``name`` of ``bounds`` is a finite real
+    number that is ``> 0`` or ``>= 0``, as its ``low`` says."""
+    for name, low in bounds:
+        v = getattr(config, name)
+        if not (isinstance(v, numbers.Real) and math.isfinite(v)
+                and (v > 0 if low == ">" else v >= 0)):
+            raise ConfigError(f"{name} must be finite and {low} 0")
 
 
 @dataclass(frozen=True)
@@ -224,13 +237,9 @@ class SceneConfig:
     initial_vehicles: tuple = ()  # pre-placed (class_name, center, lane, speed)
 
     def __post_init__(self):
-        for name, low in (("street_length_m", ">"), ("lane_width_m", ">"),
-                          ("building_height_m", ">"), ("slot_duration_s", ">"),
-                          ("sidewalk_width_m", ">="), ("building_setback_m", ">=")):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and math.isfinite(v)
-                    and (v > 0 if low == ">" else v >= 0)):
-                raise ConfigError(f"{name} must be finite and {low} 0")
+        check_finite(self, (("street_length_m", ">"), ("lane_width_m", ">"),
+                            ("building_height_m", ">"), ("slot_duration_s", ">"),
+                            ("sidewalk_width_m", ">="), ("building_setback_m", ">=")))
         if self.frame_count < 1:
             raise ConfigError("frame_count must be >= 1")
         if self.speed_range_mps[0] > self.speed_range_mps[1]:

@@ -2,21 +2,27 @@
 corruption and pixel accuracy, per-sample loops of the Top-G accuracy and
 TRR, an exhaustive subset search, the finite-difference gradient check of
 a predictor, the prefix slice of a flat tensor dict, the per-slot blockage
-labeler, and the object-based scenario generator with the helper that
-builds array frames from its vehicles.
+labeler, the per-frame ray tracer with its scalar slab test, and the
+object-based scenario generator with the helper that builds array frames
+from its vehicles.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from streetbeam.channel import TargetLostError
+from streetbeam.channel import C_LIGHT
 from streetbeam.featsel import CachedEvaluator, canonical, feature_key
 from streetbeam.predictor import Predictor, _batch_loss_grad
 from streetbeam.scene import (_SPAWN_GAP, VEHICLE_CLASSES, CameraPose, ConfigError, Frame,
                               ScenarioStreams, SceneConfig, VehicleClass, vehicle_class)
 from streetbeam.semantics import CATALOG
+
+
+class TargetLostError(RuntimeError):
+    """The target user despawned inside the labeling window."""
 
 
 def _sub(d, prefix):
@@ -114,6 +120,133 @@ def blockage_labels(targets, los, t0, horizons):
         if targets[t] != target:
             raise TargetLostError(f"target {target} lost at slot {t}")
     return [0 if los[t0 + h] else 1 for h in horizons]
+
+
+# ---------------------------------------------------------------------------
+# the per-frame tracer, one PathComponent per surviving candidate and every
+# leg tested box by box: streetbeam.channel's path table must reproduce it
+# bitwise
+
+@dataclass(frozen=True)
+class PathComponent:
+    alpha: float      # linear amplitude, >= 0
+    phi: float        # phase, radians in [0, 2pi)
+    tau: float        # delay, seconds
+    theta_az: float   # azimuth at the BS array, (-pi, pi]
+    theta_el: float   # elevation at the BS array, [-pi/2, pi/2]
+    is_los: bool
+
+
+def path_rows(paths):
+    """(n, 5) rows of PathComponents in streetbeam.channel's table."""
+    return np.array([(p.alpha, p.phi, p.tau, p.theta_az, p.theta_el) for p in paths],
+                    dtype=float).reshape(-1, 5)
+
+
+def segment_blocked(p0, p1, boxes, eps=1e-9):
+    """3D segment vs axis-aligned box test (slab method on the segment param)."""
+    d = p1 - p0
+    for lo, hi in boxes:
+        t0, t1 = 0.0, 1.0
+        hit = True
+        for ax in range(3):
+            if abs(d[ax]) < eps:
+                if p0[ax] < lo[ax] - eps or p0[ax] > hi[ax] + eps:
+                    hit = False
+                    break
+                continue
+            ta = (lo[ax] - p0[ax]) / d[ax]
+            tb = (hi[ax] - p0[ax]) / d[ax]
+            if ta > tb:
+                ta, tb = tb, ta
+            t0 = max(t0, ta)
+            t1 = min(t1, tb)
+            if t0 > t1 + eps:
+                hit = False
+                break
+        if hit and t1 > eps and t0 < 1 - eps:
+            return True
+    return False
+
+
+def _departure_angles(bs, toward):
+    """Departure azimuth and ULA steering angle, theta_el = pi/2 - |elevation|."""
+    d = toward - bs
+    r = np.linalg.norm(d)
+    elev = math.asin(max(-1.0, min(1.0, d[2] / r)))
+    theta_el = math.pi / 2 - abs(elev)
+    theta_az = math.atan2(d[1], d[0])
+    if theta_az <= -math.pi:
+        theta_az = math.pi
+    return theta_az, theta_el
+
+
+def _make_path(bs, points, config, n_bounces, is_los):
+    """Assemble a PathComponent from the BS plus the ordered path points."""
+    nodes = [bs] + points
+    dist = sum(np.linalg.norm(nodes[i + 1] - nodes[i]) for i in range(len(nodes) - 1))
+    tau = dist / C_LIGHT
+    gamma = config.reflection_coeff
+    alpha = config.wavelength / (4 * np.pi * dist) * abs(gamma) ** n_bounces
+    phi = (-2 * np.pi * config.f_c * tau + n_bounces * np.angle(gamma)) % (2 * np.pi)
+    theta_az, theta_el = _departure_angles(bs, nodes[1])
+    return PathComponent(alpha=float(alpha), phi=float(phi), tau=float(tau),
+                         theta_az=theta_az, theta_el=theta_el, is_los=is_los)
+
+
+def trace_frame(frame, scene, config):
+    """The strongest unobstructed paths of one frame, sorted by (-alpha, tau)
+    and cut at ``config.max_paths``; [] for a frame without a target."""
+    if frame.target_user_id is None:
+        return []
+    bs = np.asarray(scene.bs_position, dtype=float)
+    user = np.asarray(frame.user_antenna_pos, dtype=float)
+    boxes = frame.boxes[frame.ids != frame.target_user_id].tolist()
+    blocked = segment_blocked
+    candidates = []
+    if not blocked(bs, user, boxes):
+        candidates.append(_make_path(bs, [user], config, n_bounces=0, is_los=True))
+    if abs(config.reflection_coeff) > 0:
+        for yf in (scene.facade_y, -scene.facade_y):
+            image = bs.copy()
+            image[1] = 2 * yf - bs[1]
+            d = user - image
+            if abs(d[1]) < 1e-12:
+                continue
+            s = (yf - image[1]) / d[1]
+            if not 0 < s < 1:
+                continue
+            bounce = image + s * d
+            if not (0 <= bounce[0] <= scene.street_length_m
+                    and 0 <= bounce[2] <= scene.building_height_m):
+                continue
+            if blocked(bs, bounce, boxes) or blocked(bounce, user, boxes):
+                continue
+            candidates.append(_make_path(bs, [bounce, user], config, n_bounces=1, is_los=False))
+        image = bs.copy()
+        image[2] = -bs[2]
+        d = user - image
+        if abs(d[2]) > 1e-12:
+            s = -image[2] / d[2]
+            if 0 < s < 1:
+                bounce = image + s * d
+                if not (blocked(bs, bounce, boxes) or blocked(bounce, user, boxes)):
+                    candidates.append(_make_path(bs, [bounce, user], config,
+                                                 n_bounces=1, is_los=False))
+    candidates.sort(key=lambda p: (-p.alpha, p.tau))
+    return candidates[:config.max_paths]
+
+
+def trace_table(frames, scene, config):
+    """``(paths, n_paths, los)`` of ``frames`` built from ``trace_frame``,
+    padded as streetbeam.channel.trace_paths pads its table."""
+    traced = [trace_frame(f, scene, config) for f in frames]
+    P = min(config.max_paths, 4 if abs(config.reflection_coeff) > 0 else 1)
+    paths = np.zeros((len(frames), P, 5))
+    for f, frame_paths in enumerate(traced):
+        paths[f, :len(frame_paths)] = path_rows(frame_paths)
+    return (paths, np.array([len(p) for p in traced], dtype=np.intp),
+            np.array([any(p.is_los for p in ps) for ps in traced], dtype=bool))
 
 
 def brute_force_best(universal, evaluator, pinned=(), v_max=None, max_size=20):

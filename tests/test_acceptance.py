@@ -13,7 +13,7 @@ import pytest
 
 from oracles import brute_force_best, corrupt_map, gradient_check, pixel_accuracy
 from streetbeam.beams import dft_codebook, optimal_beam, topg_accuracy, trr
-from streetbeam.channel import PathComponent, RayTraceConfig, assemble_channel
+from streetbeam.channel import RayTraceConfig, assemble_channel
 from streetbeam.cli import main
 from streetbeam.dataset import read_container, write_container
 from streetbeam.featsel import CachedEvaluator, canonical, sffs
@@ -83,10 +83,8 @@ def test_criterion_02_analytic_alignment():
         c = 2.0 * m / M
         if c > 1.0:
             c -= 2.0
-        path = PathComponent(alpha=alpha, phi=0.0, tau=0.0,
-                             theta_az=float(np.arccos(c)), theta_el=np.pi / 2,
-                             is_los=True)
-        h = assemble_channel([path], cfg)
+        # columns alpha, phi, tau, theta_az, theta_el
+        h = assemble_channel(np.array([[alpha, 0.0, 0.0, np.arccos(c), np.pi / 2]]), cfg)
         assert optimal_beam(h, cb, cfg.P_k, cfg.sigma2).argmax() == m
         gain = abs(h[0] @ cb[m])
         assert abs(gain - np.sqrt(N_t) * alpha) <= 1e-9
@@ -122,28 +120,23 @@ def test_criterion_04_channel_assembly_oracle():
     cfg = RayTraceConfig(N_t=6, K=5)
     fk = [cfg.subcarrier_freq(k) for k in range(cfg.K)]
     for _ in range(100):
-        paths = [PathComponent(alpha=float(rng.random()),
-                               phi=float(rng.uniform(0, 2 * np.pi)),
-                               tau=float(rng.uniform(0, 1e-6)),
-                               theta_az=float(rng.uniform(-np.pi, np.pi)),
-                               theta_el=float(rng.uniform(-np.pi / 2, np.pi / 2)),
-                               is_los=False)
-                 for _ in range(int(rng.integers(1, 6)))]
+        paths = np.array([(rng.random(), rng.uniform(0, 2 * np.pi), rng.uniform(0, 1e-6),
+                           rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi / 2, np.pi / 2))
+                          for _ in range(int(rng.integers(1, 6)))])
         h = assemble_channel(paths, cfg)
         oracle = np.zeros((cfg.K, cfg.N_t), dtype=complex)
         for k in range(cfg.K):
             for n in range(cfg.N_t):
                 acc = 0j
-                for p in paths:
+                for alpha, phi, tau, theta_az, theta_el in paths:
                     w = 2 * np.pi * cfg.d * fk[k] / C
-                    a = np.exp(1j * w * n * np.sin(p.theta_el) * np.cos(p.theta_az))
-                    acc += p.alpha * np.exp(-1j * 2 * np.pi * fk[k] * p.tau + 1j * p.phi) * a
+                    a = np.exp(1j * w * n * np.sin(theta_el) * np.cos(theta_az))
+                    acc += alpha * np.exp(-1j * 2 * np.pi * fk[k] * tau + 1j * phi) * a
                 oracle[k, n] = acc
         scale = max(np.max(np.abs(oracle)), 1e-300)
         assert np.max(np.abs(h - oracle)) <= 1e-12 * scale
-    p1 = PathComponent(0.8, 0.0, 0.0, 0.3, 0.4, True)
-    p2 = PathComponent(0.8, np.pi, 0.0, 0.3, 0.4, False)
-    h2 = assemble_channel([p1, p2], cfg)
+    h2 = assemble_channel(np.array([[0.8, 0.0, 0.0, 0.3, 0.4], [0.8, np.pi, 0.0, 0.3, 0.4]]),
+                          cfg)
     assert np.linalg.norm(h2) < 1e-12
     print("PASS criterion 4: 100/100 assembly oracles + destructive pair")
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from streetbeam.beams import dft_codebook, full_outages, optimal_beam, topg_accuracy, trr
-from streetbeam.channel import (PathComponent, RayTraceConfig, assemble_channel,
-                                trace_paths)
+from streetbeam.channel import RayTraceConfig, assemble_channel, trace_paths
 from streetbeam.rng import stream
 from streetbeam.scene import SceneConfig, generate_scenario
 
@@ -58,7 +57,8 @@ def street_channels(rt, frames=100, seed=503):
     scene = SceneConfig(frame_count=frames, seed=seed, spawn_rate=0.6,
                         bs_position=(100.0, -8.0, 2.0))
     frames = [f for f in generate_scenario(scene) if f.target_user_id is not None]
-    return [assemble_channel(paths, rt) for paths in trace_paths(frames, scene, rt)]
+    paths, n_paths, _ = trace_paths(frames, scene, rt)
+    return [assemble_channel(p[:n], rt) for p, n in zip(paths, n_paths)]
 
 
 def test_dft_codebook_2x2():
@@ -147,8 +147,7 @@ def test_on_grid_path_matches_codeword():
         c = 2 * m / M
         if c > 1:
             c -= 2  # wrap into [-1, 1]
-        p = PathComponent(1.0, 0.0, 0.0, float(np.arccos(c)), np.pi / 2, True)
-        h = assemble_channel([p], cfg)
+        h = assemble_channel(np.array([[1.0, 0.0, 0.0, np.arccos(c), np.pi / 2]]), cfg)
         gains = np.abs(h[0] @ cb.T)
         assert gains[m] == pytest.approx(np.sqrt(N), abs=1e-9)
         assert optimal_beam(h, cb, 1.0, 0.1).argmax() == m

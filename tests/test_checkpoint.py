@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -103,3 +104,52 @@ def test_checkpoint_decode_errors(tmp_path):
     path.write_bytes(bytes(huge))
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+    # no payload, but rank 65 is above numpy's limit, or the dims beside a
+    # zero one overflow the address space
+    for dims in ((0,) + (1,) * 64, (0, 2**32 - 1, 2**32 - 1)):
+        path.write_bytes(MAGIC + struct.pack(f"<IH1sB{len(dims)}I", VERSION, 1, b"w",
+                                             len(dims), *dims))
+        with pytest.raises(CheckpointError, match="shape"):
+            load_checkpoint(path)
+
+
+def _record_headers(raw):
+    """(start, end) byte range of each tensor record's header: name length,
+    name, rank and dims."""
+    off, out = 8, []
+    while off < len(raw):
+        (nlen,) = struct.unpack_from("<H", raw, off)
+        rank = raw[off + 2 + nlen]
+        end = off + 2 + nlen + 1 + 4 * rank
+        out.append((off, end))
+        off = end + 4 * math.prod(struct.unpack_from(f"<{rank}I", raw, end - 4 * rank))
+    assert off == len(raw)
+    return out
+
+
+def test_header_bit_flips_fail_closed(tmp_path):
+    """Every single-bit flip of a record header either raises CheckpointError
+    or loads the model's exact tensor names and shapes: a rank above numpy's
+    limit or dims that cannot form an array never escape as ValueError."""
+    model = Predictor("beam", in_channels=2, M_bm=4, arch=TINY_ARCH)
+    params, state = model.init(3)
+    want = [{k: v.shape for k, v in d.items()} for d in (params, state)]
+    path = tmp_path / "model.esnn"
+    save_checkpoint(path, params, state)
+    raw = path.read_bytes()
+    headers = _record_headers(raw)
+    assert len(headers) == len(params) + len(state)
+    flipped = tmp_path / "flipped.esnn"
+    for start, end in headers:
+        for i in range(start, end):
+            for bit in range(8):
+                bad = bytearray(raw)
+                bad[i] ^= 1 << bit
+                flipped.write_bytes(bytes(bad))
+                try:
+                    load_checkpoint(flipped)
+                    loaded = _load_model_checkpoint(flipped, model)
+                except CheckpointError:
+                    continue
+                assert [{k: v.shape for k, v in d.items()} for d in loaded] == want
+

@@ -141,6 +141,23 @@ def test_validation_errors_exit_1(tmp_path, capsys):
                        ({"scene": {"building_setback_m": float("inf")}}, "building_setback_m"),
                        ({"scene": {"street_length_m": None}},
                         "street_length_m must be finite and > 0"),
+                       # the BS position comes only from scene.bs_position
+                       ({"raytrace": {"bs_antenna_height": 2.47}},
+                        "unknown config key raytrace.bs_antenna_height"),
+                       # ray-trace values that divided by zero, raised a
+                       # TypeError or gave data from a meaningless channel
+                       ({"raytrace": {"f_c": 0}}, "f_c must be finite and > 0"),
+                       ({"raytrace": {"f_c": -28e9}}, "f_c must be finite and > 0"),
+                       ({"raytrace": {"d": 0}}, "d must be finite and > 0"),
+                       ({"raytrace": {"N_t": 2.5}}, "N_t must be an integer"),
+                       ({"raytrace": {"K": 0}}, "K must be an integer"),
+                       ({"raytrace": {"max_paths": 1.5}}, "max_paths must be an integer"),
+                       ({"raytrace": {"reflection_coeff": [0.5, "x"]}},
+                        "raytrace.reflection_coeff"),
+                       ({"raytrace": {"reflection_coeff": [1.5, 0.0]}}, "reflection_coeff"),
+                       ({"raytrace": {"subcarrier_spacing": -1e6}}, "subcarrier_spacing"),
+                       ({"raytrace": {"sigma2": float("nan")}}, "sigma2 must be finite"),
+                       ({"raytrace": {"P_k": float("inf")}}, "P_k must be finite"),
                        # a negative horizon would read LOS from before the sample
                        ({"horizons": [-3, 1]}, "horizons"),
                        ({"horizons": [1, 2.5]}, "horizons"),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from streetbeam.beams import dft_codebook, optimal_beam
-from streetbeam.channel import RayTraceConfig, TargetLostError, assemble_channel, trace_paths
+from streetbeam.channel import RayTraceConfig, assemble_channel
 from streetbeam.dataset import read_container
 from streetbeam.pipeline import (SELECT_WORKERS_MAX, PipelineError, blockage_labels,
                                  cmd_eval, cmd_generate, cmd_report, cmd_select,
@@ -72,7 +72,7 @@ def _usable_by_oracle(targets, los, horizons):
     for t0 in range(len(targets)):
         try:
             out.append((t0, oracles.blockage_labels(targets, los, t0, horizons)))
-        except (IndexError, TargetLostError):
+        except (IndexError, oracles.TargetLostError):
             pass
     return out
 
@@ -108,8 +108,7 @@ def test_generate_matches_per_frame_reference(horizons):
     scene, rt = small_scene(frames=40, seed=5), small_rt()
     ds = generate_dataset(scene, rt, RES, horizons=horizons, M_bm=8)
     frames = generate_scenario(scene)
-    paths = [trace_paths([f], scene, rt)[0] if f.target_user_id is not None else []
-             for f in frames]
+    paths = [oracles.trace_frame(f, scene, rt) for f in frames]
     targets = [f.target_user_id for f in frames]
     los = [any(p.is_los for p in ps) for ps in paths]
     want = _usable_by_oracle(targets, los, tuple(sorted(horizons)))
@@ -119,7 +118,7 @@ def test_generate_matches_per_frame_reference(horizons):
     assert ds.horizons == tuple(sorted(horizons))
     cb = dft_codebook(rt.N_t, 8)
     for i, (t, _) in enumerate(want):
-        h = assemble_channel(paths[t], rt)
+        h = assemble_channel(oracles.path_rows(paths[t]), rt)
         assert ds.channels[i].tobytes() == h.tobytes()
         assert ds.rates[i].tobytes() == optimal_beam(h, cb, rt.P_k, rt.sigma2).tobytes()
         assert ds.label_maps[i].tobytes() == render_frame(frames[t], scene, RES).tobytes()
