@@ -7,7 +7,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import ContainerError, read_container, write_container
 from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator,
                       EvaluatorError, FsState, canonical, sffs)
-from .pipeline import (DEFAULT_G_LIST, DEFAULT_HORIZONS, PipelineError,
+from .pipeline import (DEFAULT_G_LIST, DEFAULT_HORIZONS, PipelineError, RunConfig,
                        blockage_labels, cmd_eval, cmd_generate, cmd_report,
                        cmd_select, cmd_train, generate_dataset)
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig,

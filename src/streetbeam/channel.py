@@ -24,12 +24,11 @@ w = 2 pi d f / c.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import ConfigError, SceneConfig, check_finite, from_plain, to_plain
+from .scene import ConfigError, SceneConfig, check_fields, check_min
 
 C_LIGHT = 299_792_458.0  # speed of light in m/s, exact by the SI definition of the metre
 
@@ -47,18 +46,16 @@ class RayTraceConfig:
     P_k: float = 1.0                  # per-subcarrier transmit power, W
 
     def __post_init__(self):
-        for name in ("K", "N_t", "max_paths"):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
-                raise ConfigError(f"{name} must be an integer >= 1")
-        check_finite(self, (("f_c", ">"), ("subcarrier_spacing", ">="),
-                            ("sigma2", ">"), ("P_k", ">")))
-        g = self.reflection_coeff
-        if not (isinstance(g, numbers.Complex) and abs(g) <= 1):
-            raise ConfigError("reflection_coeff must be a number with |reflection_coeff| <= 1")
+        check_fields(self)
+        check_min(self, 1, ("K", "N_t", "max_paths"))
+        check_min(self, 0, ("subcarrier_spacing",))
+        check_min(self, 0, ("f_c", "sigma2", "P_k"), strict=True)
+        if abs(self.reflection_coeff) > 1:
+            raise ConfigError("reflection_coeff must have |reflection_coeff| <= 1")
         if self.d is None:
             object.__setattr__(self, "d", C_LIGHT / self.f_c / 2)
-        check_finite(self, (("d", ">"),))
+            check_fields(self)  # a tiny f_c makes the spacing overflow
+        check_min(self, 0, ("d",), strict=True)
 
     @property
     def wavelength(self):
@@ -67,13 +64,6 @@ class RayTraceConfig:
     def subcarrier_freq(self, k):
         """f_{D,k} = f_c + (k - K/2) * spacing."""
         return self.f_c + (np.asarray(k) - self.K / 2) * self.subcarrier_spacing
-
-    def to_dict(self):
-        return to_plain(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return from_plain(cls, d)
 
 
 def steering_vector(theta_az, theta_el, f, config: RayTraceConfig):

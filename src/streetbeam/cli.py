@@ -14,19 +14,17 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 import argparse
 import json
 import logging
-import numbers
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from . import pipeline
-from .channel import RayTraceConfig
 from .checkpoint import CheckpointError
 from .dataset import ContainerError, read_container
 from .featsel import LOCATION, UNIVERSAL_FEATURES, canonical
-from .pipeline import DEFAULT_G_LIST, DEFAULT_HORIZONS, PipelineError
-from .predictor import ArchConfig, TrainConfig
-from .scene import ConfigError, SceneConfig, from_plain
+from .pipeline import DEFAULT_G_LIST, PipelineError, RunConfig
+from .predictor import TrainConfig
+from .scene import ConfigError, from_plain
 
 log = logging.getLogger(__name__)
 
@@ -34,26 +32,6 @@ log = logging.getLogger(__name__)
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Full run config: scene, ray tracing, rendering and architecture."""
-    scene: SceneConfig = field(default_factory=SceneConfig)
-    raytrace: RayTraceConfig = field(default_factory=RayTraceConfig)
-    resolution: tuple = (160, 320)
-    horizons: tuple = DEFAULT_HORIZONS
-    M_bm: int | None = None
-    store_channels: bool = True
-    arch: ArchConfig | None = None  # None: pipeline.default_arch
-
-    def __post_init__(self):
-        if not (len(self.resolution) == 2 and all(
-                isinstance(v, numbers.Integral) and v >= 16 for v in self.resolution)):
-            raise ConfigError("resolution must be two integers >= 16")
-        if not all(isinstance(h, numbers.Integral) and not isinstance(h, bool) and h >= 0
-                   for h in self.horizons):
-            raise ConfigError("horizons must be integers >= 0")
 
 
 def _load_config(path):
@@ -87,13 +65,10 @@ def _features_for(args, out_dir):
 
 def _cmd_generate(args):
     cfg = _load_config(args.config)
-    scene = cfg.scene
     if args.seed is not None:
-        scene = replace(scene, seed=args.seed)
+        cfg = replace(cfg, scene=replace(cfg.scene, seed=args.seed))
     out = os.path.join(args.out, "dataset")
-    samples, manifest = pipeline.cmd_generate(
-        scene, cfg.raytrace, out, cfg.resolution, cfg.horizons, cfg.M_bm,
-        cfg.store_channels)
+    samples, manifest = pipeline.cmd_generate(cfg, out)
     print(f"wrote {manifest['sample_count']} samples to {out}")
 
 
@@ -102,10 +77,8 @@ def _cmd_select(args):
     dataset, _ = read_container(args.dataset)
     pinned = canonical(args.pin_feature or [LOCATION])
     selected = pipeline.cmd_select(
-        dataset, args.task, args.out, horizon=args.horizon,
-        epochs=args.epochs if args.epochs is not None else 5,
-        seed=args.seed, v_max=args.vmax, pinned=pinned,
-        arch=cfg.arch)
+        dataset, args.task, args.out, horizon=args.horizon, epochs=args.epochs,
+        seed=args.seed, v_max=args.vmax, pinned=pinned, arch=cfg.arch)
     print(f"selected features for {args.task}: {', '.join(selected)}")
 
 
@@ -113,8 +86,7 @@ def _cmd_train(args):
     cfg = _load_config(args.config)
     dataset, _ = read_container(args.dataset)
     feats = _features_for(args, args.out)
-    tc = TrainConfig(seed=args.seed,
-                     epochs=args.epochs if args.epochs is not None else 30,
+    tc = TrainConfig(seed=args.seed, epochs=args.epochs,
                      arch=pipeline.default_arch(dataset, cfg.arch))
     _, meta = pipeline.cmd_train(dataset, feats, args.task, tc, args.out,
                                  horizon=args.horizon)
@@ -160,7 +132,7 @@ def build_parser():
 
     sp = sub.add_parser("select", help="floating feature-selection search")
     common(sp, config=True, dataset=True, task=True)
-    sp.add_argument("--epochs", type=int, default=None)
+    sp.add_argument("--epochs", type=int, default=pipeline.SELECT_EPOCHS)
     sp.add_argument("--vmax", type=int, default=None,
                     help="stop once the set reaches this size")
     sp.add_argument("--pin-feature", action="append", default=None,
@@ -169,7 +141,7 @@ def build_parser():
 
     sp = sub.add_parser("train", help="train and checkpoint one task")
     common(sp, config=True, dataset=True, task=True)
-    sp.add_argument("--epochs", type=int, default=None)
+    sp.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     sp.add_argument("--features", default=None,
                     help="comma-separated feature set (default: select output)")
     sp.set_defaults(fn=_cmd_train)

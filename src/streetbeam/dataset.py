@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import RayTraceConfig
 from .predictor import SampleSet
-from .scene import SceneConfig
+from .scene import SceneConfig, to_plain
 from .semantics import CATALOG
 
 SCHEMA_VERSION = 2
@@ -44,8 +44,7 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_container(path, samples: SampleSet, scene_cfg: SceneConfig,
-                    rt_cfg: RayTraceConfig, resolution):
+def write_container(path, samples: SampleSet, scene_cfg: SceneConfig, rt_cfg: RayTraceConfig):
     os.makedirs(path, exist_ok=True)
     arrays = {name: np.ascontiguousarray(getattr(samples, attr), dtype=dtype)
               for name, (dtype, attr) in _BLOBS.items()}
@@ -66,10 +65,10 @@ def write_container(path, samples: SampleSet, scene_cfg: SceneConfig,
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "scene_config": scene_cfg.to_dict(),
-        "raytrace_config": rt_cfg.to_dict(),
+        "scene_config": to_plain(scene_cfg),
+        "raytrace_config": to_plain(rt_cfg),
         "catalog": list(CATALOG.names),
-        "resolution": list(resolution),
+        "resolution": list(samples.map_hw),
         "camera_count": samples.n_cams,
         "horizons": list(samples.horizons),
         "sample_count": len(samples),

@@ -448,8 +448,10 @@ class Adam:
     must share one dtype. ``step`` takes the dict given to the constructor.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3):
+        self.lr = lr
         self.t = 0
         dtypes = sorted({str(v.dtype) for v in params.values()})
         if len(dtypes) > 1:
@@ -476,11 +478,11 @@ class Adam:
         if len(grads) != len(self.keys):
             raise KeyError(f"gradients of unknown parameters {sorted(set(grads) - set(self.keys))}")
         self.t += 1
-        b1t = 1 - self.beta1 ** self.t
-        b2t = 1 - self.beta2 ** self.t
+        b1t = 1 - self.BETA1 ** self.t
+        b2t = 1 - self.BETA2 ** self.t
         m, v = self.m, self.v
-        m *= self.beta1
-        m += (1 - self.beta1) * g
-        v *= self.beta2
-        v += (1 - self.beta2) * g * g
-        self.flat -= (self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)).astype(self.flat.dtype)
+        m *= self.BETA1
+        m += (1 - self.BETA1) * g
+        v *= self.BETA2
+        v += (1 - self.BETA2) * g * g
+        self.flat -= (self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)).astype(self.flat.dtype)

@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,13 +25,15 @@ from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, EvaluatorEr
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, accuracy,
                         predict, split_indices, task_labels, train)
 from .rng import derive_seed
-from .scene import SceneConfig, from_plain, generate_scenario, to_plain
+from .scene import (SceneConfig, check_fields, check_min, from_plain, generate_scenario,
+                    to_plain)
 from .semantics import render_frame
 
 log = logging.getLogger(__name__)
 
 DEFAULT_HORIZONS = (1, 6, 11, 16, 21, 26, 31, 36)
 DEFAULT_G_LIST = (1, 2, 3, 5)
+SELECT_EPOCHS = 5  # training epochs of each candidate set in the search
 # Selection worker processes: the most whose speed and memory were measured.
 # Each holds its own activations and Adam buffers; at 160x320 and batch 128 a
 # worker peaked at about 430 MiB RSS, copy-on-write dataset pages included.
@@ -39,6 +42,26 @@ SELECT_WORKERS_MAX = 2
 
 class PipelineError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Full run config: scene, ray tracing, rendering and architecture."""
+    scene: SceneConfig = field(default_factory=SceneConfig)
+    raytrace: RayTraceConfig = field(default_factory=RayTraceConfig)
+    resolution: tuple[int, int] = (160, 320)
+    horizons: tuple[int, ...] = DEFAULT_HORIZONS
+    M_bm: int | None = None         # codebook size; None: raytrace.N_t
+    store_channels: bool = True
+    arch: ArchConfig | None = None  # None: default_arch
+
+    def __post_init__(self):
+        check_fields(self)
+        check_min(self, 16, ("resolution",))
+        check_min(self, 0, ("horizons",))
+        if self.M_bm is None:
+            object.__setattr__(self, "M_bm", self.raytrace.N_t)
+        check_min(self, 1, ("M_bm",))
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +87,7 @@ def blockage_labels(targets, los, horizons):
     return t0, blockage.astype(np.uint8)
 
 
-def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
-                     resolution=(160, 320), horizons=DEFAULT_HORIZONS,
-                     M_bm=None, store_channels=True) -> SampleSet:
+def generate_dataset(cfg: RunConfig) -> SampleSet:
     """Simulate, render, trace and label one dataset.
 
     A frame yields a sample only when its target user persists through the
@@ -74,10 +95,9 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
     silently. Every frame is traced for its LOS flag; maps, channels and
     rates are computed for the sample frames only.
     """
-    horizons = tuple(sorted(horizons))
-    if M_bm is None:
-        M_bm = rt_cfg.N_t
-    codebook = dft_codebook(rt_cfg.N_t, M_bm)
+    scene_cfg, rt_cfg, resolution = cfg.scene, cfg.raytrace, cfg.resolution
+    horizons = tuple(sorted(cfg.horizons))
+    codebook = dft_codebook(rt_cfg.N_t, cfg.M_bm)
     frames = generate_scenario(scene_cfg)
     targets = [frame.target_user_id for frame in frames]
     paths, n_paths, los = trace_paths(frames, scene_cfg, rt_cfg)
@@ -92,51 +112,45 @@ def generate_dataset(scene_cfg: SceneConfig, rt_cfg: RayTraceConfig,
     samples = SampleSet(
         label_maps=np.empty((n, len(scene_cfg.camera_poses), *resolution), dtype=np.uint8),
         locations=np.empty((n, 3), dtype=np.float32),
-        rates=np.empty((n, M_bm)),
+        rates=np.empty((n, cfg.M_bm)),
         blockage=blockage,
         frame_ids=t0.astype(np.uint32),
         horizons=horizons,
         channels=np.empty((n, rt_cfg.K, rt_cfg.N_t), dtype=np.complex128)
-        if store_channels else None,
+        if cfg.store_channels else None,
     )
     for i, t in enumerate(t0.tolist()):
         samples.label_maps[i] = render_frame(frames[t], scene_cfg, resolution)
         samples.locations[i] = frames[t].user_antenna_pos
         h = assemble_channel(paths[t, :n_paths[t]], rt_cfg)
         samples.rates[i] = optimal_beam(h, codebook, rt_cfg.P_k, rt_cfg.sigma2)
-        if store_channels:
+        if cfg.store_channels:
             samples.channels[i] = h
     return samples
 
 
-def cmd_generate(scene_cfg, rt_cfg, out_path, resolution=(160, 320),
-                 horizons=DEFAULT_HORIZONS, M_bm=None, store_channels=True):
-    samples = generate_dataset(scene_cfg, rt_cfg, resolution, horizons, M_bm,
-                               store_channels)
-    manifest = write_container(out_path, samples, scene_cfg, rt_cfg, resolution)
+def cmd_generate(cfg: RunConfig, out_path):
+    samples = generate_dataset(cfg)
+    manifest = write_container(out_path, samples, cfg.scene, cfg.raytrace)
     return samples, manifest
 
 
 # ---------------------------------------------------------------------------
 # feature selection
 
-def training_evaluator(dataset: SampleSet, task, horizon, epochs, seed,
-                       arch: ArchConfig, batch_size=128, learning_rate=1e-3):
+def training_evaluator(dataset: SampleSet, task, horizon, cfg: TrainConfig):
     """Deterministic FeatureSet -> validation-accuracy mapping.
 
-    Each candidate set trains from scratch for a fixed epoch budget with a
-    seed derived from (root seed, canonical set), so the evaluator is a
-    pure function of its argument, and a search step's candidates train on
-    one worker process per usable CPU, at most ``SELECT_WORKERS_MAX``.
-    Where the workers' BLAS cannot be held to one thread each, they would
-    contend for the CPUs, so the candidates train in this process.
+    Each candidate set trains from scratch as ``cfg`` says, with a seed
+    derived from (``cfg.seed``, canonical set), so the evaluator is a pure
+    function of its argument, and a search step's candidates train on one
+    worker process per usable CPU, at most ``SELECT_WORKERS_MAX``. Where
+    the workers' BLAS cannot be held to one thread each, they would contend
+    for the CPUs, so the candidates train in this process.
     """
     def fn(feats):
-        run_seed = derive_seed(seed, task, str(horizon), ",".join(feats))
-        cfg = TrainConfig(epochs=epochs, seed=run_seed, arch=arch,
-                          batch_size=batch_size, learning_rate=learning_rate)
-        res = train(dataset, feats, task, cfg, horizon=horizon)
-        return res.val_accuracy
+        seed = derive_seed(cfg.seed, task, str(horizon), ",".join(feats))
+        return train(dataset, feats, task, replace(cfg, seed=seed), horizon=horizon).val_accuracy
     workers = min(len(os.sched_getaffinity(0)), SELECT_WORKERS_MAX)
     return CachedEvaluator(fn, workers if blas.can_set_threads() else 1)
 
@@ -146,21 +160,19 @@ def default_arch(dataset: SampleSet, arch=None):
     return arch if arch is not None else ArchConfig(input_hw=tuple(dataset.map_hw))
 
 
-def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=5,
+def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=SELECT_EPOCHS,
                seed=0, v_max=None, pinned=(LOCATION,), arch=None,
-               batch_size=128, learning_rate=1e-3):
+               batch_size=TrainConfig.batch_size, learning_rate=TrainConfig.learning_rate):
     """Run the floating search with the training-based evaluator.
 
     The outputs do not depend on the number of worker processes; a worker
     that dies raises ``PipelineError``. ``horizon`` is checked and recorded
     as given: without it each candidate trains at the default horizon.
     """
-    if epochs < 1:
-        raise PipelineError("selection budget must allow at least one epoch")
+    cfg = TrainConfig(epochs=epochs, seed=seed, arch=default_arch(dataset, arch),
+                      batch_size=batch_size, learning_rate=learning_rate)
     task_labels(dataset, task, horizon)
-    arch = default_arch(dataset, arch)
-    evaluator = training_evaluator(dataset, task, horizon, epochs, seed, arch,
-                                   batch_size, learning_rate)
+    evaluator = training_evaluator(dataset, task, horizon, cfg)
     try:
         selected, state = sffs(UNIVERSAL_FEATURES, evaluator, pinned=pinned, v_max=v_max)
     except EvaluatorError as exc:
@@ -191,20 +203,10 @@ def cmd_train(dataset: SampleSet, features, task, cfg: TrainConfig, out_dir,
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, _stem(task, horizon) + ".esnn"),
                     res.params, res.state)
-    meta = {
-        "task": task,
-        "horizon": horizon,
-        "features": list(res.features),
-        "seed": cfg.seed,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "split": list(cfg.split),
-        "arch": to_plain(cfg.arch),
-        "M_bm": dataset.M_bm,
-        "val_accuracy": res.val_accuracy,
-        "train_loss": res.train_loss,
-    }
+    meta = {"task": task, "horizon": horizon, "features": list(res.features),
+            **to_plain(cfg),  # seed, epochs, batch_size, learning_rate, split, arch
+            "M_bm": dataset.M_bm, "val_accuracy": res.val_accuracy,
+            "train_loss": res.train_loss}
     with open(os.path.join(out_dir, _stem(task, horizon) + ".meta.json"), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -287,9 +289,7 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
 
 def cmd_report(run_dir):
     """Assemble report.json and metrics.csv from the run artifacts."""
-    missing = []
     frags = []
-    beam_frag = None
     if not os.path.isdir(run_dir):
         raise PipelineError(f"run directory {run_dir} does not exist")
     for name in sorted(os.listdir(run_dir)):
@@ -297,15 +297,13 @@ def cmd_report(run_dir):
             with open(os.path.join(run_dir, name)) as fh:
                 frags.append(json.load(fh))
     if not frags:
-        missing.append("eval_*.json (no evaluation fragments)")
+        raise PipelineError("missing artifacts: eval_*.json (no evaluation fragments)")
     selected = {}
     for task in ("beam", "blockage"):
         p = os.path.join(run_dir, f"selected_{task}.json")
         if os.path.exists(p):
             with open(p) as fh:
                 selected[task] = json.load(fh)["features"]
-    if missing:
-        raise PipelineError("missing artifacts: " + "; ".join(missing))
 
     rows = []  # (metric, key, value, n, seed)
     report = {"selected_features": selected, "metrics": {}, "seeds": {}}
@@ -314,16 +312,12 @@ def cmd_report(run_dir):
             report["metrics"]["beam"] = {
                 "topg_accuracy": frag["topg_accuracy"], "trr": frag["trr"]}
             report["seeds"]["beam"] = frag["seed"]
-            for g in frag["g_list"]:
-                rows.append(("topg_accuracy", f"G={g}",
-                             frag["topg_accuracy"][str(g)], frag["n"], frag["seed"]))
-            for g in frag["g_list"]:
-                rows.append(("trr", f"G={g}", frag["trr"][str(g)],
-                             frag["n"], frag["seed"]))
+            for metric in ("topg_accuracy", "trr"):
+                rows += [(metric, f"G={g}", frag[metric][str(g)], frag["n"], frag["seed"])
+                         for g in frag["g_list"]]
         else:
             h = frag["horizon"]
-            report["metrics"].setdefault("blockage", {})[str(h)] = \
-                frag["blockage_accuracy"]
+            report["metrics"].setdefault("blockage", {})[str(h)] = frag["blockage_accuracy"]
             report["seeds"][f"blockage_h{h}"] = frag["seed"]
             rows.append(("blockage_accuracy", f"horizon={h}",
                          frag["blockage_accuracy"], frag["n"], frag["seed"]))

@@ -12,7 +12,7 @@ differences.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from . import rng as rng_mod
 from .featsel import LOCATION, canonical
 from .nn import (Adam, AvgPool, BatchNorm, Composite, Conv2d, Dense, Dropout,
                  Flatten, LabelConv2d, ReLU, ResidualBlock, Sequential)
+from .scene import ConfigError, check_fields, check_min
 from .semantics import CATALOG
 
 log = logging.getLogger(__name__)
@@ -117,15 +118,25 @@ def mask_channels(label_maps, features, out_hw=None):
 @dataclass(frozen=True)
 class ArchConfig:
     """Desk-scale network shape; all widths configurable."""
-    input_hw: tuple = (80, 160)
-    aux_widths: tuple = (256, 16)
-    beam_conv: tuple = ((16, 4), (16, 2))  # (filters, stride) per conv block
-    beam_res: tuple = ((8, 2), (8, 1))     # (filters, stride) per residual block
+    input_hw: tuple[int, int] = (80, 160)
+    aux_widths: tuple[int, int] = (256, 16)
+    # (filters, stride) of each conv block, then of each residual block
+    beam_conv: tuple[tuple[int, int], ...] = ((16, 4), (16, 2))
+    beam_res: tuple[tuple[int, int], ...] = ((8, 2), (8, 1))
     beam_hidden: int = 256
-    bl_conv: tuple = ((16, 4),)
-    bl_res: tuple = ((8, 2),)
+    bl_conv: tuple[tuple[int, int], ...] = ((16, 4),)
+    bl_res: tuple[tuple[int, int], ...] = ((8, 2),)
     bl_hidden: int = 64
     dropout: float = 0.1
+
+    def __post_init__(self):
+        check_fields(self)
+        check_min(self, 1, [f.name for f in fields(self) if f.name != "dropout"])
+        for name in ("beam_conv", "bl_conv"):  # a first convolution reads the label maps
+            if not getattr(self, name):
+                raise ConfigError(f"{name} needs at least one block")
+        if not 0 <= self.dropout < 1:
+            raise ConfigError("dropout must lie in [0, 1)")
 
 
 # small preset for fast unit tests
@@ -264,28 +275,27 @@ class TrainConfig:
     batch_size: int = 128
     epochs: int = 30
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    split: tuple = (0.7, 0.15, 0.15)
+    split: tuple[float, float, float] = (0.7, 0.15, 0.15)
     arch: ArchConfig = field(default_factory=ArchConfig)
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.epochs) <= 0:
-            raise ValueError("learning rate, batch size and epochs must be positive")
+        check_fields(self)
+        check_min(self, 0, ("learning_rate",), strict=True)
+        check_min(self, 1, ("epochs",))
+        check_min(self, 2, ("batch_size",))  # batch statistics need two samples
         if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+            raise ConfigError("split fractions must sum to 1")
 
 
-def split_indices(frame_ids, split, seed, n_blocks=10):
+def split_indices(frame_ids, split, seed):
     """Disjoint train/val/test index arrays keyed on frame id.
 
-    Frames are grouped into contiguous blocks which are then shuffled and
-    dealt out, so temporally adjacent frames never straddle a boundary.
+    Frames fall into ten contiguous blocks (fewer with fewer frames) that are
+    shuffled and dealt out, so adjacent frames never straddle a boundary.
     """
     frame_ids = np.asarray(frame_ids)
     uniq = np.unique(frame_ids)
-    n_blocks = min(n_blocks, len(uniq))
+    n_blocks = min(10, len(uniq))
     blocks = np.array_split(uniq, n_blocks)
     order = rng_mod.stream(seed, "split").permutation(n_blocks)
     n = len(frame_ids)
@@ -377,7 +387,7 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
 
     model = Predictor(task, in_channels, dataset.M_bm, cfg.arch)
     params, state = model.init(cfg.seed)
-    opt = Adam(params, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    opt = Adam(params, lr=cfg.learning_rate)
     shuffle_rng = rng_mod.stream(cfg.seed, "shuffle")
     dropout_rng = rng_mod.stream(cfg.seed, "dropout")
 

@@ -16,6 +16,7 @@ order: ``ids`` (int64, never reused), ``classes`` (int64 index into
 ``boxes`` and the target's ``user_antenna_pos`` are derived from them.
 """
 
+import cmath
 import math
 import numbers
 import types
@@ -32,8 +33,8 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# dataclass <-> plain JSON, driven by the field types: tuples are JSON lists,
-# complex numbers [re, im] pairs, dataclass fields nested objects
+# the config schema is the config dataclasses' field annotations; in JSON a
+# tuple is a list, a complex an [re, im] pair and a dataclass an object
 
 def to_plain(obj, typ=None):
     """JSON-ready copy of a dataclass instance (or of one field value)."""
@@ -48,11 +49,8 @@ def to_plain(obj, typ=None):
 
 
 def from_plain(cls, data, where=""):
-    """``cls`` from a JSON object; unknown keys raise ConfigError.
-
-    ``where`` is the dotted key path of ``data`` in a larger config, for
-    error messages.
-    """
+    """``cls`` from a JSON object; unknown keys raise ConfigError. ``where``
+    is the dotted key path of ``data`` in a larger config, for messages."""
     name = where.rstrip(".") or "config"
     if not isinstance(data, dict):
         raise ConfigError(f"{name} must be a JSON object")
@@ -67,38 +65,78 @@ def from_plain(cls, data, where=""):
         raise ConfigError(f"{name}: {exc}") from None
 
 
+def _unwrap(typ):
+    """X of an ``X | None`` annotation; any other annotation as it is."""
+    if isinstance(typ, types.UnionType):
+        return next(t for t in typ.__args__ if t is not type(None))
+    return typ
+
+
 def _from_plain(typ, value, where):
-    if isinstance(typ, types.UnionType):  # X | None
-        if value is None:
-            return None
-        typ = next(t for t in typ.__args__ if t is not type(None))
-    if is_dataclass(typ):
+    """``value`` with JSON objects made dataclasses, [re, im] pairs complex
+    numbers and other lists tuples, as ``typ`` says; check_fields judges it."""
+    typ = _unwrap(typ)
+    if is_dataclass(typ) and value is not None:
         return from_plain(typ, value, where + ".")
-    if typ is complex and isinstance(value, (list, tuple)):
+    if not isinstance(value, list):
+        return value
+    if typ is complex:
         try:
             re, im = value
             return complex(re, im)
         except (TypeError, ValueError):
             raise ConfigError(f"config key {where} must be a [re, im] pair of numbers") from None
+    args = typing.get_args(typ)
+    item = args[0] if args[-1:] == (Ellipsis,) else None
+    return tuple(_from_plain(item, v, where) for v in value)
+
+
+_SCALARS = {  # annotation: (what a value must be, its test); a bool passes only as a bool
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral)),
+    float: ("a finite number", lambda v: isinstance(v, numbers.Real) and math.isfinite(v)),
+    complex: ("a number with finite parts",
+              lambda v: isinstance(v, numbers.Complex) and cmath.isfinite(v)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
+def check_fields(config):
+    """ConfigError naming the field unless each field of the dataclass
+    ``config`` holds a value of its annotation: ``int``, ``float`` (finite),
+    ``complex`` (finite parts), ``bool`` (no bool is a number), ``X | None``,
+    a dataclass, or a list or tuple checked item by item against
+    ``tuple[X, ...]`` or ``tuple[X, Y]``."""
+    for f in fields(config):
+        _check(f.type, getattr(config, f.name), f.name)
+
+
+def _check(typ, value, name):
+    if value is None and typ is not _unwrap(typ):
+        return  # X | None
+    typ = _unwrap(typ)
     if typ is tuple or typing.get_origin(typ) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"config key {where} must be a list")
-        item = typing.get_args(typ)
-        if item:  # tuple[X, ...]
-            return tuple(_from_plain(item[0], v, where) for v in value)
-        return tuple(_from_plain(tuple, v, where) if isinstance(v, list) else v
-                     for v in value)
-    return value
+        if not isinstance(value, (tuple, list)):
+            raise ConfigError(f"{name} must be a list")
+        items = typing.get_args(typ)
+        if items[-1:] == (Ellipsis,):
+            items = items[:1] * len(value)
+        elif items and len(items) != len(value):
+            raise ConfigError(f"{name} must be a list of {len(items)}")
+        for i, (t, v) in enumerate(zip(items, value)):
+            _check(t, v, f"{name}[{i}]")
+    elif is_dataclass(typ):
+        if not isinstance(value, typ):
+            raise ConfigError(f"{name} must be a {typ.__name__}")
+    elif isinstance(value, bool) != (typ is bool) or not _SCALARS[typ][1](value):
+        raise ConfigError(f"{name} must be {_SCALARS[typ][0]}")
 
 
-def check_finite(config, bounds):
-    """ConfigError unless each field ``name`` of ``bounds`` is a finite real
-    number that is ``> 0`` or ``>= 0``, as its ``low`` says."""
-    for name, low in bounds:
-        v = getattr(config, name)
-        if not (isinstance(v, numbers.Real) and math.isfinite(v)
-                and (v > 0 if low == ">" else v >= 0)):
-            raise ConfigError(f"{name} must be finite and {low} 0")
+def check_min(config, low, names, strict=False):
+    """ConfigError unless each number in the fields ``names`` is >= ``low`` (> if strict)."""
+    for name in names:
+        v = min(np.ravel(getattr(config, name)).tolist(), default=math.inf)
+        if v < low or (strict and v == low):
+            raise ConfigError(f"{name} must be {'>' if strict else '>='} {low}")
 
 
 @dataclass(frozen=True)
@@ -137,11 +175,11 @@ def _check_initial_vehicle(entry, config):
         raise ConfigError(f"initial vehicle {entry!r} is not "
                           "(class, (x, y), lane, speed)") from None
     vehicle_class(name)
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (cx, cy, speed)):
-        raise ConfigError(f"initial vehicle {entry!r}: center and speed must be finite numbers")
-    if not (isinstance(lane, numbers.Integral) and 0 <= lane < config.lane_count):
-        raise ConfigError(f"initial vehicle {entry!r}: lane must be an integer "
-                          f"in [0, {config.lane_count})")
+    for typ, v, what in ((float, cx, "center x"), (float, cy, "center y"),
+                         (float, speed, "speed"), (int, lane, "lane")):
+        _check(typ, v, f"initial vehicle {entry!r}: {what}")
+    if not 0 <= lane < config.lane_count:
+        raise ConfigError(f"initial vehicle {entry!r}: lane must be in [0, {config.lane_count})")
     if speed < 0:
         raise ConfigError(f"initial vehicle {entry!r}: speed must be >= 0")
     axis = config.lane_center_y(lane)
@@ -152,10 +190,13 @@ def _check_initial_vehicle(entry, config):
 
 @dataclass(frozen=True)
 class CameraPose:
-    position: tuple  # (x, y, z) meters
+    position: tuple[float, float, float]  # (x, y, z) meters
     yaw: float       # radians, about +z, 0 = +x
     pitch: float     # radians, positive = up
     hfov: float      # horizontal field of view, radians
+
+    def __post_init__(self):
+        check_fields(self)
 
     def basis(self):
         """Right-handed (forward, right, up) unit vectors of the camera."""
@@ -227,29 +268,24 @@ class SceneConfig:
     sidewalk_width_m: float = 2.0
     building_setback_m: float = 3.0
     building_height_m: float = 20.0
-    bs_position: tuple = (100.0, -8.0, 6.0)
+    bs_position: tuple[float, float, float] = (100.0, -8.0, 6.0)
     camera_poses: tuple[CameraPose, ...] | None = None
     slot_duration_s: float = 0.05
     frame_count: int = 200
     spawn_rate: float = 0.12      # expected vehicles per slot
-    speed_range_mps: tuple = (8.0, 15.0)
+    speed_range_mps: tuple[float, float] = (8.0, 15.0)
     seed: int = 0
     initial_vehicles: tuple = ()  # pre-placed (class_name, center, lane, speed)
 
     def __post_init__(self):
-        check_finite(self, (("street_length_m", ">"), ("lane_width_m", ">"),
-                            ("building_height_m", ">"), ("slot_duration_s", ">"),
-                            ("sidewalk_width_m", ">="), ("building_setback_m", ">=")))
-        if self.frame_count < 1:
-            raise ConfigError("frame_count must be >= 1")
+        check_fields(self)
+        check_min(self, 0, ("street_length_m", "lane_width_m", "building_height_m",
+                            "slot_duration_s"), strict=True)
+        check_min(self, 0, ("sidewalk_width_m", "building_setback_m", "spawn_rate",
+                            "speed_range_mps"))
+        check_min(self, 1, ("frame_count", "lane_count"))
         if self.speed_range_mps[0] > self.speed_range_mps[1]:
             raise ConfigError("speed range min must be <= max")
-        if not (self.speed_range_mps[0] >= 0 and math.isfinite(self.speed_range_mps[1])):
-            raise ConfigError("speeds must be finite and >= 0")
-        if not self.spawn_rate >= 0:
-            raise ConfigError("spawn_rate must be >= 0")
-        if self.lane_count < 1:
-            raise ConfigError("need at least one lane")
         for entry in self.initial_vehicles:
             _check_initial_vehicle(entry, self)
         if self.camera_poses is None:
@@ -260,8 +296,7 @@ class SceneConfig:
         if len(self.camera_poses) < 1:
             raise ConfigError("at least one camera is required")
         for cam in self.camera_poses:
-            if cam.hfov <= 0:
-                raise ConfigError("camera field of view must be positive")
+            check_min(cam, 0, ("hfov",), strict=True)
 
     @property
     def road_half_width(self):
@@ -279,9 +314,6 @@ class SceneConfig:
         """Travel direction along x, elementwise over lanes: +1 for lanes on
         the negative-y half, -1 otherwise."""
         return np.where(self.lane_center_y(lane) < 0, 1.0, -1.0)
-
-    def to_dict(self):
-        return to_plain(self)
 
     @classmethod
     def from_dict(cls, d):

@@ -17,11 +17,11 @@ from streetbeam.channel import RayTraceConfig, assemble_channel
 from streetbeam.cli import main
 from streetbeam.dataset import read_container, write_container
 from streetbeam.featsel import CachedEvaluator, canonical, sffs
-from streetbeam.pipeline import cmd_select, generate_dataset
+from streetbeam.pipeline import RunConfig, cmd_select, generate_dataset
 from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor, SampleSet,
                                   TrainConfig, predict, train)
 from streetbeam.rng import stream
-from streetbeam.scene import SceneConfig
+from streetbeam.scene import SceneConfig, from_plain
 from streetbeam.semantics import CATALOG
 
 C = 299792458.0
@@ -220,8 +220,8 @@ def _evaluation_scene(seed, frames):
 def test_criterion_07_planted_signal_end_to_end():
     t0 = time.monotonic()
     rt = RayTraceConfig(N_t=16, K=16)
-    ds = generate_dataset(_evaluation_scene(0, 2040), rt, resolution=(80, 160),
-                          horizons=(1,), M_bm=16, store_channels=False)
+    ds = generate_dataset(RunConfig(_evaluation_scene(0, 2040), rt, resolution=(80, 160),
+                                    horizons=(1,), M_bm=16, store_channels=False))
     assert len(ds) >= 1800  # ~2000 usable samples
     assert ds.label_maps.shape[1] == 2  # two cameras
 
@@ -257,9 +257,9 @@ def test_criterion_08_horizon_trend():
     arch = ArchConfig(input_hw=(32, 64))
     acc1, acc36 = [], []
     for seed in (0, 1, 2):
-        ds = generate_dataset(_evaluation_scene(seed, 600), rt,
-                              resolution=(32, 64), horizons=(1, 36),
-                              M_bm=16, store_channels=False)
+        ds = generate_dataset(RunConfig(_evaluation_scene(seed, 600), rt,
+                                        resolution=(32, 64), horizons=(1, 36),
+                                        M_bm=16, store_channels=False))
         cfg = TrainConfig(epochs=10, seed=seed, arch=arch, batch_size=64,
                           learning_rate=1e-3)
         acc1.append(train(ds, ("location", "vehicle"), "blockage", cfg,
@@ -346,8 +346,8 @@ def test_criterion_10_determinism_and_roundtrip(tmp_path):
     # (b) container write/read round-trips bitwise
     ds, mf = read_container(tmp_path / "a" / "dataset")
     scene = SceneConfig.from_dict(mf["scene_config"])
-    rt = RayTraceConfig.from_dict(mf["raytrace_config"])
-    write_container(tmp_path / "copy", ds, scene, rt, (16, 32))
+    rt = from_plain(RayTraceConfig, mf["raytrace_config"])
+    write_container(tmp_path / "copy", ds, scene, rt)
     ds2, _ = read_container(tmp_path / "copy")
     assert np.array_equal(ds2.label_maps, ds.label_maps)
     assert np.array_equal(ds2.locations, ds.locations)

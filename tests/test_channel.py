@@ -9,7 +9,8 @@ from streetbeam.channel import (_CHUNK_FRAMES, RayTraceConfig, assemble_channel,
                                 steering_vector, trace_paths)
 from streetbeam.pipeline import blockage_labels
 from streetbeam.rng import stream
-from streetbeam.scene import BUS, VAN, SceneConfig, generate_scenario, vehicle_class
+from streetbeam.scene import (BUS, VAN, SceneConfig, from_plain, generate_scenario, to_plain,
+                              vehicle_class)
 
 C = 299_792_458.0  # m/s
 
@@ -57,7 +58,7 @@ def test_config_validation_and_defaults():
         with pytest.raises(ValueError):
             RayTraceConfig(**bad)
     assert RayTraceConfig(subcarrier_spacing=0.0).subcarrier_spacing == 0.0
-    rt = RayTraceConfig.from_dict(cfg.to_dict())
+    rt = from_plain(RayTraceConfig, to_plain(cfg))
     assert rt == cfg
 
 

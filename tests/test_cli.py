@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from streetbeam.cli import main
+from streetbeam.cli import _load_config, main
 from streetbeam.dataset import read_container
+from streetbeam.scene import to_plain
 
 TINY_ARCH_JSON = {"input_hw": [16, 32], "aux_widths": [16, 8],
                   "beam_conv": [[4, 2]], "beam_res": [[4, 1]], "beam_hidden": 16,
@@ -117,7 +118,7 @@ def test_validation_errors_exit_1(tmp_path, capsys):
                        ({"resolution": [-16, 32]}, "resolution"),
                        ({"resolution": [16, 32, 3]}, "resolution"),
                        ({"scene": {"spawn_rate": -0.5}}, "spawn_rate"),
-                       ({"scene": {"speed_range_mps": [-2.0, 8.0]}}, "speeds"),
+                       ({"scene": {"speed_range_mps": [-2.0, 8.0]}}, "speed_range_mps"),
                        ({"scene": {"initial_vehicles": [["car", [50.0, None], 1, 10.0]]}},
                         "center"),
                        ({"scene": {"initial_vehicles": [car[:2] + [9, 10.0]]}}, "lane"),
@@ -140,28 +141,43 @@ def test_validation_errors_exit_1(tmp_path, capsys):
                        ({"scene": {"sidewalk_width_m": -1.0}}, "sidewalk_width_m"),
                        ({"scene": {"building_setback_m": float("inf")}}, "building_setback_m"),
                        ({"scene": {"street_length_m": None}},
-                        "street_length_m must be finite and > 0"),
+                        "street_length_m must be a finite number"),
                        # the BS position comes only from scene.bs_position
                        ({"raytrace": {"bs_antenna_height": 2.47}},
                         "unknown config key raytrace.bs_antenna_height"),
                        # ray-trace values that divided by zero, raised a
                        # TypeError or gave data from a meaningless channel
-                       ({"raytrace": {"f_c": 0}}, "f_c must be finite and > 0"),
-                       ({"raytrace": {"f_c": -28e9}}, "f_c must be finite and > 0"),
-                       ({"raytrace": {"d": 0}}, "d must be finite and > 0"),
+                       ({"raytrace": {"f_c": 0}}, "f_c must be > 0"),
+                       ({"raytrace": {"f_c": -28e9}}, "f_c must be > 0"),
+                       ({"raytrace": {"d": 0}}, "d must be > 0"),
                        ({"raytrace": {"N_t": 2.5}}, "N_t must be an integer"),
-                       ({"raytrace": {"K": 0}}, "K must be an integer"),
+                       ({"raytrace": {"K": 0}}, "K must be >= 1"),
                        ({"raytrace": {"max_paths": 1.5}}, "max_paths must be an integer"),
                        ({"raytrace": {"reflection_coeff": [0.5, "x"]}},
                         "raytrace.reflection_coeff"),
                        ({"raytrace": {"reflection_coeff": [1.5, 0.0]}}, "reflection_coeff"),
                        ({"raytrace": {"subcarrier_spacing": -1e6}}, "subcarrier_spacing"),
-                       ({"raytrace": {"sigma2": float("nan")}}, "sigma2 must be finite"),
-                       ({"raytrace": {"P_k": float("inf")}}, "P_k must be finite"),
+                       ({"raytrace": {"sigma2": float("nan")}}, "sigma2 must be a finite number"),
+                       ({"raytrace": {"P_k": float("inf")}}, "P_k must be a finite number"),
                        # a negative horizon would read LOS from before the sample
                        ({"horizons": [-3, 1]}, "horizons"),
                        ({"horizons": [1, 2.5]}, "horizons"),
-                       ({"horizons": [True]}, "horizons")):
+                       ({"horizons": [True]}, "horizons"),
+                       # every field is held to its annotation: integers,
+                       # finite numbers and booleans are what they say
+                       ({"M_bm": 2.5}, "M_bm must be an integer"),
+                       ({"M_bm": True}, "M_bm must be an integer"),
+                       ({"M_bm": "16"}, "M_bm must be an integer"),
+                       ({"M_bm": 0}, "M_bm must be >= 1"),
+                       ({"scene": {"frame_count": 30.5}}, "frame_count must be an integer"),
+                       ({"scene": {"lane_count": 2.5}}, "lane_count must be an integer"),
+                       ({"scene": {"seed": 1.5}}, "seed must be an integer"),
+                       ({"store_channels": "no"}, "store_channels must be true or false"),
+                       ({"arch": {"beam_hidden": 2.5}}, "beam_hidden must be an integer"),
+                       ({"arch": {"dropout": "x"}}, "dropout must be a finite number"),
+                       ({"arch": {"beam_conv": [[4, 0]]}}, "beam_conv"),
+                       ({"arch": {"bl_conv": []}}, "bl_conv"),
+                       ({"arch": {"dropout": 1.0}}, "dropout must lie in [0, 1)")):
         bad.write_text(json.dumps(raw))
         assert main(["generate", "--config", str(bad), "--out", out]) == 1, raw
         err = capsys.readouterr().err
@@ -172,6 +188,22 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         bad.write_text(raw)
         assert main(["generate", "--config", str(bad), "--out", out]) == 1
         assert "finite" in capsys.readouterr().err
+
+
+def test_readme_config_block_loads(tmp_path):
+    """The config documented in README.md loads through the run-config
+    loader with each of its values, so the documented schema is the code's."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(block)
+    plain = to_plain(_load_config(str(path)))
+    for key, value in json.loads(block).items():
+        if isinstance(value, dict):
+            assert {k: plain[key][k] for k in value} == value, key
+        else:
+            assert plain[key] == value, key
 
 
 def test_io_errors_exit_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ from streetbeam.channel import RayTraceConfig
 from streetbeam.dataset import ContainerError, read_container, write_container
 from streetbeam.predictor import SampleSet
 from streetbeam.rng import stream
-from streetbeam.scene import SceneConfig
+from streetbeam.scene import SceneConfig, from_plain
 
 
 def small_sampleset(n=6, with_channels=True):
@@ -31,7 +31,7 @@ def test_roundtrip_bitwise(tmp_path):
     scene = SceneConfig(frame_count=10)
     rt = RayTraceConfig(N_t=8, K=4)
     path = tmp_path / "ds"
-    manifest = write_container(path, samples, scene, rt, (16, 32))
+    manifest = write_container(path, samples, scene, rt)
     loaded, mf2 = read_container(path)
     assert mf2 == manifest
     assert np.array_equal(loaded.label_maps, samples.label_maps)
@@ -43,14 +43,14 @@ def test_roundtrip_bitwise(tmp_path):
     # channels round-trip bitwise at 32-bit precision (stored interleaved f32)
     assert np.array_equal(loaded.channels, samples.channels.astype(np.complex64))
     assert loaded.horizons == (1, 3) and loaded.M_bm == 8
-    assert RayTraceConfig.from_dict(manifest["raytrace_config"]) == rt
+    assert manifest["resolution"] == [16, 32]
+    assert from_plain(RayTraceConfig, manifest["raytrace_config"]) == rt
     assert SceneConfig.from_dict(manifest["scene_config"]) == scene
 
 
 def test_optional_channels(tmp_path):
     samples = small_sampleset(with_channels=False)
-    write_container(tmp_path / "d", samples, SceneConfig(), RayTraceConfig(N_t=8, K=4),
-                    (16, 32))
+    write_container(tmp_path / "d", samples, SceneConfig(), RayTraceConfig(N_t=8, K=4))
     loaded, mf = read_container(tmp_path / "d")
     assert loaded.channels is None and mf["has_channels"] is False
 
@@ -58,7 +58,7 @@ def test_optional_channels(tmp_path):
 def test_hash_verification_detects_corruption(tmp_path):
     samples = small_sampleset()
     path = tmp_path / "d"
-    write_container(path, samples, SceneConfig(), RayTraceConfig(N_t=8, K=4), (16, 32))
+    write_container(path, samples, SceneConfig(), RayTraceConfig(N_t=8, K=4))
     blob = path / "labels.bin"
     data = bytearray(blob.read_bytes())
     data[0] ^= 0xFF
@@ -70,7 +70,7 @@ def test_hash_verification_detects_corruption(tmp_path):
 def test_shape_and_manifest_errors(tmp_path):
     samples = small_sampleset()
     path = tmp_path / "d"
-    write_container(path, samples, SceneConfig(), RayTraceConfig(N_t=8, K=4), (16, 32))
+    write_container(path, samples, SceneConfig(), RayTraceConfig(N_t=8, K=4))
     with pytest.raises(ContainerError):
         read_container(tmp_path / "nonexistent")
     mf = json.loads((path / "manifest.json").read_text())
@@ -83,8 +83,8 @@ def test_shape_and_manifest_errors(tmp_path):
 def test_write_is_deterministic(tmp_path):
     samples = small_sampleset()
     scene, rt = SceneConfig(), RayTraceConfig(N_t=8, K=4)
-    write_container(tmp_path / "a", samples, scene, rt, (16, 32))
-    write_container(tmp_path / "b", samples, scene, rt, (16, 32))
+    write_container(tmp_path / "a", samples, scene, rt)
+    write_container(tmp_path / "b", samples, scene, rt)
     for name in ("manifest.json", "labels.bin", "channels.bin"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -92,7 +92,7 @@ def test_write_is_deterministic(tmp_path):
 @pytest.mark.parametrize("key", ["catalog", "shapes", "hashes", "horizons"])
 def test_missing_manifest_key_is_container_error(tmp_path, key):
     path = tmp_path / "d"
-    write_container(path, small_sampleset(), SceneConfig(), RayTraceConfig(N_t=8, K=4), (16, 32))
+    write_container(path, small_sampleset(), SceneConfig(), RayTraceConfig(N_t=8, K=4))
     mf = json.loads((path / "manifest.json").read_text())
     del mf[key]
     (path / "manifest.json").write_text(json.dumps(mf))
@@ -102,7 +102,7 @@ def test_missing_manifest_key_is_container_error(tmp_path, key):
 
 def test_malformed_manifest_is_container_error(tmp_path):
     path = tmp_path / "d"
-    write_container(path, small_sampleset(), SceneConfig(), RayTraceConfig(N_t=8, K=4), (16, 32))
+    write_container(path, small_sampleset(), SceneConfig(), RayTraceConfig(N_t=8, K=4))
     good = json.loads((path / "manifest.json").read_text())
     variants = ["{not json", "[1, 2]", "\xff"]
     del good["shapes"]["labels"]

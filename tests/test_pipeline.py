@@ -10,9 +10,10 @@ import oracles
 from streetbeam.beams import dft_codebook, optimal_beam
 from streetbeam.channel import RayTraceConfig, assemble_channel
 from streetbeam.dataset import read_container
-from streetbeam.pipeline import (SELECT_WORKERS_MAX, PipelineError, blockage_labels,
-                                 cmd_eval, cmd_generate, cmd_report, cmd_select,
-                                 cmd_train, generate_dataset, training_evaluator)
+from streetbeam.pipeline import (SELECT_WORKERS_MAX, PipelineError, RunConfig,
+                                 blockage_labels, cmd_eval, cmd_generate, cmd_report,
+                                 cmd_select, cmd_train, generate_dataset,
+                                 training_evaluator)
 from streetbeam.predictor import TINY_ARCH, SampleSet, TrainConfig
 from streetbeam.rng import stream
 from streetbeam.scene import SceneConfig, generate_scenario
@@ -32,9 +33,13 @@ def small_rt():
     return RayTraceConfig(N_t=8, K=4)
 
 
+def run_config(scene, rt, **kw):
+    return RunConfig(scene, rt, resolution=RES, **kw)
+
+
 def test_generate_counts_and_cutoff(tmp_path):
     scene = small_scene(frames=30)
-    ds = generate_dataset(scene, small_rt(), RES, horizons=(1, 5), M_bm=8)
+    ds = generate_dataset(run_config(scene, small_rt(), horizons=(1, 5), M_bm=8))
     # the last max-horizon frames can never produce samples
     assert len(ds) <= 30 - 5
     assert ds.frame_ids.max() < 30 - 5
@@ -44,14 +49,15 @@ def test_generate_counts_and_cutoff(tmp_path):
 
 def test_generate_deterministic_manifest(tmp_path):
     scene, rt = small_scene(frames=25), small_rt()
-    _, m1 = cmd_generate(scene, rt, tmp_path / "a", RES, (1, 3), 8)
-    _, m2 = cmd_generate(scene, rt, tmp_path / "b", RES, (1, 3), 8)
+    cfg = run_config(scene, rt, horizons=(1, 3), M_bm=8)
+    _, m1 = cmd_generate(cfg, tmp_path / "a")
+    _, m2 = cmd_generate(cfg, tmp_path / "b")
     assert m1["hashes"] == m2["hashes"]
 
 
 def test_generate_beam_labels_roundtrip_oracle(tmp_path):
     scene, rt = small_scene(frames=25), small_rt()
-    gen, _ = cmd_generate(scene, rt, tmp_path / "d", RES, (1, 3), 8)
+    gen, _ = cmd_generate(run_config(scene, rt, horizons=(1, 3), M_bm=8), tmp_path / "d")
     ds, mf = read_container(tmp_path / "d")
     cb = dft_codebook(rt.N_t, ds.M_bm)
     assert ds.rates.shape == (len(ds), 8) and ds.rates.dtype == np.float64
@@ -106,7 +112,7 @@ def test_generate_matches_per_frame_reference(horizons):
     """Every column equals a per-frame build: trace, assemble and search
     each frame alone, and label each slot with the per-slot oracle."""
     scene, rt = small_scene(frames=40, seed=5), small_rt()
-    ds = generate_dataset(scene, rt, RES, horizons=horizons, M_bm=8)
+    ds = generate_dataset(run_config(scene, rt, horizons=horizons, M_bm=8))
     frames = generate_scenario(scene)
     paths = [oracles.trace_frame(f, scene, rt) for f in frames]
     targets = [f.target_user_id for f in frames]
@@ -129,7 +135,7 @@ def test_generate_matches_per_frame_reference(horizons):
 def test_generate_zero_usable_samples():
     scene = small_scene(frames=5)
     with pytest.raises(PipelineError):
-        generate_dataset(scene, small_rt(), RES, horizons=(36,))
+        generate_dataset(run_config(scene, small_rt(), horizons=(36,)))
 
 
 def planted_dataset(n=90, M_bm=4):
@@ -183,7 +189,7 @@ def use_cpus(monkeypatch, n):
 
 def test_select_outputs_do_not_depend_on_workers(tmp_path, monkeypatch,
                                                  no_children_left):
-    ds = generate_dataset(small_scene(), small_rt(), RES, horizons=(1, 3))
+    ds = generate_dataset(run_config(small_scene(), small_rt(), horizons=(1, 3)))
     outputs = []
     for cpus in (1, 2):
         use_cpus(monkeypatch, cpus)
@@ -203,7 +209,7 @@ def test_select_worker_count(monkeypatch):
     for cpus, settable in ((1, True), (2, True), (8, True), (8, False)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr("streetbeam.blas.can_set_threads", lambda: settable)
-        ev = training_evaluator(ds, "beam", None, 1, 0, TINY_ARCH)
+        ev = training_evaluator(ds, "beam", None, TrainConfig(epochs=1, arch=TINY_ARCH))
         counts.append(ev._workers)
     # workers whose BLAS runs several threads would contend for the CPUs
     assert counts == [1, 2, SELECT_WORKERS_MAX, 1]

@@ -321,6 +321,11 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(split=(0.5, 0.2, 0.2))
+    # a one-sample batch is skipped, so it would train nothing
+    with pytest.raises(ValueError, match="batch_size"):
+        TrainConfig(batch_size=1)
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=float("nan"))
     with pytest.raises(ValueError):
         train(planted_sampleset(n=10), ("vehicle",), "beam",
               TrainConfig(epochs=1, arch=TINY_ARCH))

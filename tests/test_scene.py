@@ -4,7 +4,7 @@ import pytest
 import oracles
 from oracles import Vehicle, frame_fields, make_frame
 from streetbeam.scene import (BUS, CAR, VAN, ConfigError, SceneConfig, ScenarioStreams,
-                              advance_frame, generate_scenario, vehicle_class)
+                              advance_frame, generate_scenario, to_plain, vehicle_class)
 
 
 def make_config(**kw):
@@ -242,4 +242,4 @@ def test_slot_arithmetic_surviving_ids():
 def test_config_json_roundtrip():
     cfg = make_config(frame_count=10, spawn_rate=0.3, seed=21,
                       initial_vehicles=(place(SceneConfig(), 30.0, 2, 9.0, "bus"),))
-    assert SceneConfig.from_dict(cfg.to_dict()) == cfg
+    assert SceneConfig.from_dict(to_plain(cfg)) == cfg
