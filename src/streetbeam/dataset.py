@@ -10,8 +10,10 @@ One directory per dataset:
     frame_ids.bin        (N,) u32
     channels.bin         (N, K, N_t, 2) f32 interleaved re/im (optional)
 
-Hashes are verified on load; shapes are explicit in the manifest so the
-container round-trips bitwise.
+Hashes are verified on load, the manifest's own too: ``manifest_sha256``
+hashes the manifest without that key, and the file must be exactly its
+canonical JSON, so a flipped or lost byte anywhere is caught. Shapes are
+explicit in the manifest so the container round-trips bitwise.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ from .predictor import SampleSet
 from .scene import SceneConfig, to_plain
 from .semantics import CATALOG
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _BLOBS = {
     "labels": ("<u1", "label_maps"),
@@ -40,8 +42,12 @@ class ContainerError(IOError):
     pass
 
 
-def _sha256(data: bytes) -> str:
+def _sha256(data) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _canonical(manifest) -> bytes:
+    return (json.dumps(manifest, indent=1, sort_keys=True) + "\n").encode()
 
 
 def write_container(path, samples: SampleSet, scene_cfg: SceneConfig, rt_cfg: RayTraceConfig):
@@ -56,11 +62,10 @@ def write_container(path, samples: SampleSet, scene_cfg: SceneConfig, rt_cfg: Ra
         arrays["channels"] = inter
 
     hashes, shapes = {}, {}
-    for name, arr in arrays.items():
-        data = arr.tobytes()
+    for name, arr in arrays.items():  # the contiguous arrays' own buffers, not copies
         with open(os.path.join(path, f"{name}.bin"), "wb") as fh:
-            fh.write(data)
-        hashes[name] = _sha256(data)
+            fh.write(arr)
+        hashes[name] = _sha256(arr)
         shapes[name] = list(arr.shape)
 
     manifest = {
@@ -76,9 +81,9 @@ def write_container(path, samples: SampleSet, scene_cfg: SceneConfig, rt_cfg: Ra
         "hashes": hashes,
         "has_channels": "channels" in arrays,
     }
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    manifest["manifest_sha256"] = _sha256(_canonical(manifest))
+    with open(os.path.join(path, "manifest.json"), "wb") as fh:
+        fh.write(_canonical(manifest))
     return manifest
 
 
@@ -86,11 +91,10 @@ def _read_blob(path, name, dtype, shape, expected_hash):
     fn = os.path.join(path, f"{name}.bin")
     if not os.path.exists(fn):
         raise ContainerError(f"missing blob {fn}")
-    with open(fn, "rb") as fh:
-        data = fh.read()
+    data = np.fromfile(fn, dtype=np.uint8)  # read into a writable array, not via bytes
     if _sha256(data) != expected_hash:
         raise ContainerError(f"hash mismatch for blob {name}")
-    arr = np.frombuffer(data, dtype=dtype)
+    arr = data.view(dtype)
     expect = int(np.prod(shape)) if shape else arr.size
     if arr.size != expect:
         raise ContainerError(f"blob {name} has {arr.size} items, manifest says {expect}")
@@ -100,25 +104,32 @@ def _read_blob(path, name, dtype, shape, expected_hash):
 def read_container(path):
     """Returns (SampleSet, manifest). Verifies every blob hash.
 
-    Raises ContainerError for a missing, unreadable or incomplete manifest
-    (including a missing key) and for a missing, corrupt or misshapen blob.
+    Raises ContainerError for a missing, unreadable, incomplete (including
+    a missing key) or altered manifest and for a missing, corrupt or
+    misshapen blob. The manifest's checksum is checked last, so an error
+    names the first key or blob that does not fit.
     """
     mf = os.path.join(path, "manifest.json")
     if not os.path.exists(mf):
         raise ContainerError(f"missing manifest {mf}")
     with open(mf, "rb") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise ContainerError(f"{mf}: manifest is not valid JSON ({exc})") from None
+        raw = fh.read()
+    try:
+        manifest = json.loads(raw)
+    except ValueError as exc:
+        raise ContainerError(f"{mf}: manifest is not valid JSON ({exc})") from None
     if not isinstance(manifest, dict) or manifest.get("schema_version") != SCHEMA_VERSION:
         raise ContainerError("unsupported container schema version")
     try:
-        return _decode(path, manifest), manifest
+        samples = _decode(path, manifest)
     except KeyError as exc:
         raise ContainerError(f"{mf}: manifest is missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ContainerError(f"{mf}: malformed manifest ({exc})") from None
+    body = {k: v for k, v in manifest.items() if k != "manifest_sha256"}
+    if raw != _canonical(manifest) or manifest.get("manifest_sha256") != _sha256(_canonical(body)):
+        raise ContainerError(f"{mf}: manifest does not match its checksum")
+    return samples, manifest
 
 
 def _decode(path, manifest):
@@ -127,7 +138,7 @@ def _decode(path, manifest):
     cols = {}
     for name, (dtype, attr) in _BLOBS.items():
         cols[attr] = _read_blob(path, name, dtype, manifest["shapes"][name],
-                                manifest["hashes"][name]).copy()
+                                manifest["hashes"][name])
     channels = None
     if manifest.get("has_channels"):
         inter = _read_blob(path, "channels", "<f4", manifest["shapes"]["channels"],

@@ -25,9 +25,9 @@ from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, EvaluatorEr
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, accuracy,
                         predict, split_indices, task_labels, train)
 from .rng import derive_seed
-from .scene import (SceneConfig, check_fields, check_min, from_plain, generate_scenario,
-                    to_plain)
-from .semantics import render_frame
+from .scene import (SceneConfig, check_fields, check_max, check_min, from_plain,
+                    generate_scenario, to_plain)
+from .semantics import MAX_SIDE, render_frames
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +58,7 @@ class RunConfig:
     def __post_init__(self):
         check_fields(self)
         check_min(self, 16, ("resolution",))
+        check_max(self, MAX_SIDE, ("resolution",))
         check_min(self, 0, ("horizons",))
         if self.M_bm is None:
             object.__setattr__(self, "M_bm", self.raytrace.N_t)
@@ -110,7 +111,7 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
 
     n = len(t0)
     samples = SampleSet(
-        label_maps=np.empty((n, len(scene_cfg.camera_poses), *resolution), dtype=np.uint8),
+        label_maps=render_frames([frames[t] for t in t0.tolist()], scene_cfg, resolution),
         locations=np.empty((n, 3), dtype=np.float32),
         rates=np.empty((n, cfg.M_bm)),
         blockage=blockage,
@@ -120,7 +121,6 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
         if cfg.store_channels else None,
     )
     for i, t in enumerate(t0.tolist()):
-        samples.label_maps[i] = render_frame(frames[t], scene_cfg, resolution)
         samples.locations[i] = frames[t].user_antenna_pos
         h = assemble_channel(paths[t, :n_paths[t]], rt_cfg)
         samples.rates[i] = optimal_beam(h, codebook, rt_cfg.P_k, rt_cfg.sigma2)

@@ -20,8 +20,8 @@ from . import rng as rng_mod
 from .featsel import LOCATION, canonical
 from .nn import (Adam, AvgPool, BatchNorm, Composite, Conv2d, Dense, Dropout,
                  Flatten, LabelConv2d, ReLU, ResidualBlock, Sequential)
-from .scene import ConfigError, check_fields, check_min
-from .semantics import CATALOG
+from .scene import ConfigError, check_fields, check_max, check_min
+from .semantics import CATALOG, MAX_SIDE
 
 log = logging.getLogger(__name__)
 
@@ -115,6 +115,11 @@ def mask_channels(label_maps, features, out_hw=None):
 # ---------------------------------------------------------------------------
 # architecture
 
+# largest filter count, stride, width or hidden size of a network: about
+# 16 times the defaults, and a size typed in error fails before training
+MAX_WIDTH = 4096
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     """Desk-scale network shape; all widths configurable."""
@@ -132,6 +137,9 @@ class ArchConfig:
     def __post_init__(self):
         check_fields(self)
         check_min(self, 1, [f.name for f in fields(self) if f.name != "dropout"])
+        check_max(self, MAX_SIDE, ("input_hw",))
+        check_max(self, MAX_WIDTH, [f.name for f in fields(self)
+                                    if f.name not in ("input_hw", "dropout")])
         for name in ("beam_conv", "bl_conv"):  # a first convolution reads the label maps
             if not getattr(self, name):
                 raise ConfigError(f"{name} needs at least one block")

@@ -139,6 +139,13 @@ def check_min(config, low, names, strict=False):
             raise ConfigError(f"{name} must be {'>' if strict else '>='} {low}")
 
 
+def check_max(config, high, names):
+    """ConfigError unless each number in the fields ``names`` is <= ``high``."""
+    for name in names:
+        if max(np.ravel(getattr(config, name)).tolist(), default=-math.inf) > high:
+            raise ConfigError(f"{name} must be <= {high}")
+
+
 @dataclass(frozen=True)
 class VehicleClass:
     name: str

@@ -3,19 +3,21 @@
 A pinhole camera with a per-pixel depth test rasterizes the scene
 primitives (sky background, building facades, ground/road/sidewalk/
 roadline, vehicle boxes) into an H x W uint8 array of concept indices;
-``render_frame`` returns the (n_cams, H, W) stack of one frame's maps, in
-the config's camera order. The static background is computed once per
-camera view and cached; each map depth-tests all vehicle boxes against it
-in one vectorized pass. Concepts the simulator cannot produce (pedestrian,
-water, ...) still exist in the catalog so the feature-selection search can
-consider and reject them.
+``render_frames`` returns the (F, n_cams, H, W) maps of a frame list, in
+the config's camera order, and ``render_frame`` one frame's (n_cams, H, W).
+The static background is computed once per camera view and cached. Each
+camera depth-tests a batch of frames at once: the batch's boxes are
+projected together and every (pixel, box) pair of the batch goes through
+one slab test against the background. Concepts the simulator cannot
+produce (pedestrian, water, ...) still exist in the catalog so the
+feature-selection search can consider and reject them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import CameraPose, ConfigError, Frame, SceneConfig
+from .scene import CameraPose, ConfigError, Frame, SceneConfig, _boxes
 
 CONCEPT_NAMES = (
     "building", "fence", "pedestrian", "pole", "roadline",
@@ -52,6 +54,9 @@ ROAD = GROUND
 
 
 _ROADLINE_HALF_WIDTH = 0.12  # meters, painted stripe half width
+# largest map side in pixels: full-HD frames fit, and a size typed in error
+# fails before anything is allocated
+MAX_SIDE = 2048
 
 _BACKGROUND_FIELDS = ("street_length_m", "lane_count", "lane_width_m",
                       "sidewalk_width_m", "building_setback_m", "building_height_m")
@@ -138,17 +143,28 @@ def _background(camera: CameraPose, config: SceneConfig, H, W):
     return bg
 
 
-def _render(boxes, camera: CameraPose, config: SceneConfig, H, W):
-    """(H, W) uint8 labels of one camera view of the ``boxes``."""
+# frames whose maps go through one slab test per camera: about this many map
+# pixels, at least one frame. Larger batches were slower at 80x160 (cache).
+_BATCH_PIXELS = 1 << 16
+
+
+def _ranges(counts):
+    """0, 1, ..., c - 1 for each c in ``counts``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _render(labels, boxes, frame_of, camera: CameraPose, config: SceneConfig, H, W):
+    """Fill ``labels`` (F, H*W), one camera's flattened maps of a batch of
+    frames, with the view of the ``boxes``; box i is in frame ``frame_of[i]``."""
     inv, bg_labels, bg_depth, fwd, right, up = _background(camera, config, H, W)
-    labels = bg_labels.copy()
+    labels[:] = bg_labels
 
     # Each box is tested only inside the pixel bounding rectangle of its
     # projected corners; with all corners in front of the camera the image
     # of a convex box lies inside the hull of the corner images. A box
     # straddling the image plane is tested on every pixel.
     rel = boxes - np.asarray(camera.position, dtype=float)  # (V, 2, 3)
-    corners = rel[np.arange(len(rel))[:, None], _CORNERS[:, None], np.arange(3)]  # (8, V, 3)
+    corners = np.where(_CORNERS[:, None], rel[:, 1], rel[:, 0])  # (8, V, 3)
     focal = (W / 2) / np.tan(camera.hfov / 2)
     f = corners @ fwd
     straddle = (f <= 1e-9).any(axis=0)
@@ -162,34 +178,48 @@ def _render(boxes, camera: CameraPose, config: SceneConfig, H, W):
     (r0, c0), (nr, nc) = start[:, keep].astype(np.intp), (stop - start)[:, keep].astype(np.intp)
     n = nr * nc
 
-    # every (pixel, vehicle) pair of the rectangles, then one slab test
-    # with the three axes as rows: (3, pairs)
-    veh = np.repeat(keep, n)
-    local = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    row, col = np.divmod(local, np.repeat(nc, n))
-    pix = np.repeat(r0 * W + c0, n) + row * W + col
-    ip = inv.take(pix, axis=1)
-    lo, hi = rel.transpose(1, 2, 0)
-    t1 = lo.take(veh, axis=1) * ip
-    t2 = hi.take(veh, axis=1) * ip
-    tnear = np.minimum(t1, t2).max(axis=0)
-    tfar = np.maximum(t1, t2).min(axis=0)
+    # every (pixel, box) pair of the rectangles, row by row, then one slab
+    # test, one axis at a time
+    first = np.repeat(r0 * W + c0, nr) + W * _ranges(nr)  # (box rows,)
+    row_len = np.repeat(nc, nr)
+    pix = np.repeat(first, row_len) + _ranges(row_len)
+    tnear, tfar = np.full(len(pix), -np.inf), np.full(len(pix), np.inf)
+    for a, (lo, hi) in enumerate(rel[keep].transpose(2, 1, 0)):  # (2, boxes) per axis
+        ip = inv[a].take(pix)
+        t1, t2 = np.repeat(lo, n) * ip, np.repeat(hi, n) * ip
+        np.maximum(tnear, np.minimum(t1, t2), out=tnear)
+        np.minimum(tfar, np.maximum(t1, t2), out=tfar)
     t = np.where(tnear > 0, tnear, tfar)
     # an in-order z-buffer only lowers depth, so a pixel ends as a vehicle
     # exactly when some box hits it nearer than the background
     hit = (tnear <= tfar) & (tfar > 0) & (t < bg_depth[pix])
-    labels[pix[hit]] = VEHICLE
-    return labels.reshape(H, W)
+    labels[np.repeat(frame_of[keep], n)[hit], pix[hit]] = VEHICLE
 
 
-def render_frame(frame: Frame, config: SceneConfig, resolution):
-    """(n_cams, H, W) uint8 label maps of a frame, one per camera in order.
+def render_frames(frames, config: SceneConfig, resolution):
+    """(F, n_cams, H, W) uint8 label maps of ``frames``, one per camera in order.
 
     Deterministic per-pixel depth test over: ground composite, the two
     facade planes, and every vehicle box. Sky is the background label.
+    Each camera renders the frames in batches of about ``_BATCH_PIXELS``
+    map pixels.
     """
     H, W = resolution
-    if H < 16 or W < 16:
-        raise ConfigError("render resolution must be at least 16x16")
-    boxes = frame.boxes
-    return np.stack([_render(boxes, cam, config, H, W) for cam in config.camera_poses])
+    if min(H, W) < 16 or max(H, W) > MAX_SIDE:
+        raise ConfigError(f"render resolution must be 16 to {MAX_SIDE} pixels a side")
+    cams = config.camera_poses
+    maps = np.empty((len(frames), len(cams), H * W), dtype=np.uint8)
+    step = max(_BATCH_PIXELS // (H * W), 1)
+    for f0 in range(0, len(frames), step):
+        batch = frames[f0:f0 + step]
+        boxes = _boxes(*(np.concatenate([getattr(fr, k) for fr in batch])
+                         for k in ("classes", "x", "y")))
+        frame_of = np.repeat(np.arange(len(batch)), [len(fr.ids) for fr in batch])
+        for c, cam in enumerate(cams):
+            _render(maps[f0:f0 + step, c], boxes, frame_of, cam, config, H, W)
+    return maps.reshape(len(frames), len(cams), H, W)
+
+
+def render_frame(frame: Frame, config: SceneConfig, resolution):
+    """(n_cams, H, W) uint8 label maps of one frame: ``render_frames([frame])[0]``."""
+    return render_frames([frame], config, resolution)[0]

@@ -177,12 +177,22 @@ def test_validation_errors_exit_1(tmp_path, capsys):
                        ({"arch": {"dropout": "x"}}, "dropout must be a finite number"),
                        ({"arch": {"beam_conv": [[4, 0]]}}, "beam_conv"),
                        ({"arch": {"bl_conv": []}}, "bl_conv"),
-                       ({"arch": {"dropout": 1.0}}, "dropout must lie in [0, 1)")):
+                       ({"arch": {"dropout": 1.0}}, "dropout must lie in [0, 1)"),
+                       # sizes are bounded above too, so a typo fails before
+                       # anything is allocated
+                       ({"resolution": [100000, 100000]}, "resolution must be <= 2048"),
+                       ({"arch": {"aux_widths": [100000000, 1]}}, "aux_widths must be <= 4096"),
+                       ({"arch": {"input_hw": [16, 4096]}}, "input_hw must be <= 2048"),
+                       ({"arch": {"beam_res": [[8, 2], [5000, 1]]}}, "beam_res must be <= 4096")):
         bad.write_text(json.dumps(raw))
         assert main(["generate", "--config", str(bad), "--out", out]) == 1, raw
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err, (raw, err)
         assert err.count("\n") == 1 and "Traceback" not in err, err
+    bad.write_text(json.dumps({"arch": {"aux_widths": [100000000, 1]}}))
+    assert main(["train", "--config", str(bad), "--dataset", dataset, "--task", "beam",
+                 "--epochs", "1", "--out", out, "--features", "location,vehicle"]) == 1
+    assert "aux_widths must be <= 4096" in capsys.readouterr().err
     for raw in ('{"scene": {"initial_vehicles": [["car", [50.0, 1.75], 1, NaN]]}}',
                 '{"scene": {"speed_range_mps": [8.0, Infinity]}}'):
         bad.write_text(raw)
@@ -250,6 +260,12 @@ def test_corrupt_artifacts_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["eval", "--dataset", dataset, "--task", "beam", "--out", out]) == 2
         assert key in capsys.readouterr().err
+    # a changed value that leaves the manifest valid JSON
+    raw = json.dumps(good, indent=1, sort_keys=True).encode() + b"\n"
+    assert b'"frame_count": 30' in raw
+    manifest.write_bytes(raw.replace(b'"frame_count": 30', b'"frame_count": 31'))
+    assert main(["eval", "--dataset", dataset, "--task", "beam", "--out", out]) == 2
+    assert "manifest does not match its checksum" in capsys.readouterr().err
 
 
 def test_schema_1_container_exits_2(tmp_path, capsys):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streetbeam.channel import RayTraceConfig
 from streetbeam.dataset import ContainerError, read_container, write_container
@@ -113,3 +115,58 @@ def test_malformed_manifest_is_container_error(tmp_path):
         (path / "manifest.json").write_text(text, encoding="latin-1")
         with pytest.raises(ContainerError):
             read_container(path)
+
+
+FILES = ("manifest.json", "labels.bin", "locations.bin", "rates.bin", "blockage.bin",
+         "frame_ids.bin", "channels.bin")
+
+
+@pytest.fixture(scope="module")
+def tiny_container(tmp_path_factory):
+    """A two-sample container with channels and its files' bytes."""
+    path = tmp_path_factory.mktemp("tiny") / "d"
+    write_container(path, small_sampleset(n=2), SceneConfig(frame_count=10),
+                    RayTraceConfig(N_t=8, K=4))
+    files = {name: (path / name).read_bytes() for name in FILES}
+    assert set(files) == {p.name for p in path.iterdir()}
+    return path, files
+
+
+def _read_altered(container, name, data):
+    """read_container with file ``name`` replaced by ``data``, then restored."""
+    path, files = container
+    (path / name).write_bytes(data)
+    try:
+        with pytest.raises(ContainerError):
+            read_container(path)
+    finally:
+        (path / name).write_bytes(files[name])
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(FILES), data=st.data())
+def test_any_bit_flip_is_container_error(tiny_container, name, data):
+    """One flipped bit anywhere, the manifest's values included, fails closed."""
+    raw = bytearray(tiny_container[1][name])
+    raw[data.draw(st.integers(0, len(raw) - 1), label="offset")] ^= 1 << data.draw(
+        st.integers(0, 7), label="bit")
+    _read_altered(tiny_container, name, bytes(raw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(FILES), data=st.data())
+def test_any_truncation_is_container_error(tiny_container, name, data):
+    raw = tiny_container[1][name]
+    _read_altered(tiny_container, name, raw[:data.draw(st.integers(0, len(raw) - 1))])
+
+
+def test_manifest_value_edits_are_container_errors(tiny_container):
+    """Edits that keep the manifest valid JSON, which no blob hash covers."""
+    raw = tiny_container[1]["manifest.json"]
+    for old, new in ((b'"horizons": [\n  1,\n  3\n ]', b'"horizons": [\n  1,\n  2\n ]'),
+                     (b'"frame_count": 10', b'"frame_count": 11'),
+                     (b'"seed": 0', b'"seed": 1'),
+                     (b'"catalog"', b' "catalog"'),
+                     (b'\n}\n', b'\n}')):
+        assert raw.count(old) >= 1, old
+        _read_altered(tiny_container, "manifest.json", raw.replace(old, new, 1))

@@ -1,15 +1,20 @@
+import functools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (Vehicle, corrupt_map, extract_mask, make_frame, pixel_accuracy,
                      vehicle_boxes)
 from streetbeam.rng import stream
 from streetbeam.scene import CameraPose, ConfigError, SceneConfig, generate_scenario, vehicle_class
-from streetbeam.semantics import (BUILDING, CATALOG, CONCEPT_NAMES, GROUND,
+from streetbeam import semantics
+from streetbeam.semantics import (BUILDING, CATALOG, CONCEPT_NAMES, GROUND, MAX_SIDE,
                                   ROAD, ROADLINE, SIDEWALK, SKY, TERRAIN, VEHICLE,
-                                  render_frame)
+                                  render_frame, render_frames)
 
 RES = (48, 96)
 
@@ -225,7 +230,7 @@ def test_resolution_and_camera_validation():
     cam = cfg.camera_poses[0]
     render_frame(empty_frame(), cfg, (16, 16))  # fills the cache
     for _ in range(2):
-        for res in ((8, 8), (15, 32), (32, 15)):
+        for res in ((8, 8), (15, 32), (32, 15), (16, MAX_SIDE + 1), (10**5, 10**5)):
             with pytest.raises(ConfigError):
                 render_frame(empty_frame(), cfg, res)
     # a degenerate camera never reaches the renderer: the config rejects it
@@ -330,26 +335,112 @@ def test_render_matches_reference_on_criterion7_street(resolution, seed):
     assert vehicles > 0
 
 
+EDGE_CAMS = (
+    CameraPose((60.0, -9.0, 8.0), yaw=0.5, pitch=-0.4, hfov=1.1),    # along the street
+    CameraPose([140.0, 9.0, 3.0], yaw=-2.6, pitch=0.15, hfov=2.2),   # list position
+    CameraPose((50.0, 1.5, 2.0), yaw=0.0, pitch=-0.3, hfov=1.2),
+)
+
+
+def edge_frames():
+    """An empty frame, then a car straddling the third edge camera's image
+    plane (x 48.1..51.9), a car fully behind it, and both."""
+    straddling, behind = car_at(50.0, 0.0), car_at(30.0, 3.0, vid=1)
+    return [empty_frame(), make_frame((straddling,)), make_frame((behind,)),
+            make_frame((straddling, behind))]
+
+
 def test_render_matches_reference_on_edge_cases():
     cfg, frames = criterion7_frames(23, frame_count=200)
-    cams = (
-        CameraPose((60.0, -9.0, 8.0), yaw=0.5, pitch=-0.4, hfov=1.1),    # along the street
-        CameraPose([140.0, 9.0, 3.0], yaw=-2.6, pitch=0.15, hfov=2.2),   # list position
-        CameraPose((50.0, 1.5, 2.0), yaw=0.0, pitch=-0.3, hfov=1.2),
-    )
-    straddling = car_at(50.0, 0.0)    # spans x 48.1..51.9 around the third camera
-    behind = car_at(30.0, 3.0, vid=1)  # fully behind the third camera
-    edge_frames = [empty_frame(), make_frame((straddling,)),
-                   make_frame((behind,)), make_frame((straddling, behind))]
     res = (32, 64)
-    for fr in edge_frames + frames[100::10]:
-        for cam in cams:
+    edges = edge_frames()
+    for fr in edges + frames[100::10]:
+        for cam in EDGE_CAMS:
             got = render_one(fr, cam, cfg, res)
             assert got.tobytes() == _reference_render(fr, cam, cfg, res).tobytes()
-    front = render_one(make_frame((straddling,)), cams[2], cfg, res)
+    front = render_one(edges[1], EDGE_CAMS[2], cfg, res)
     assert (front == VEHICLE).any()
-    back = render_one(make_frame((behind,)), cams[2], cfg, res)
+    back = render_one(edges[2], EDGE_CAMS[2], cfg, res)
     assert not (back == VEHICLE).any()
+
+
+# ---------------------------------------------------------------------------
+# render_frames: frames are depth-tested in batches of about
+# semantics._BATCH_PIXELS map pixels per camera
+
+def batch_frames(resolution):
+    """Frames per render batch at ``resolution``."""
+    H, W = resolution
+    return max(semantics._BATCH_PIXELS // (H * W), 1)
+
+
+def assert_reference_maps(maps, frames, cfg, resolution):
+    assert maps.dtype == np.uint8
+    assert maps.shape == (len(frames), len(cfg.camera_poses), *resolution)
+    for fr, frame_maps in zip(frames, maps):
+        for cam, m in zip(cfg.camera_poses, frame_maps):
+            assert m.tobytes() == _reference_render(fr, cam, cfg, resolution).tobytes(), \
+                f"frame {fr.t_index}"
+
+
+@pytest.mark.parametrize("resolution,seed", [((80, 160), 5), ((16, 32), 13)])
+def test_render_frames_matches_reference_over_three_batches(resolution, seed):
+    step = batch_frames(resolution)
+    cfg, frames = criterion7_frames(seed, frame_count=150 + 2 * step + 2)
+    frames = frames[150:]  # vehicles have driven into view
+    assert len(frames) > 2 * step
+    maps = render_frames(frames, cfg, resolution)
+    assert_reference_maps(maps, frames, cfg, resolution)
+    for b in range(3):
+        assert (maps[b * step:(b + 1) * step] == VEHICLE).any(), f"batch {b}"
+
+
+def test_render_frames_one_frame_per_batch():
+    resolution = (160, 320)
+    assert batch_frames(resolution) == 1
+    cfg, frames = criterion7_frames(17, frame_count=154)
+    frames = frames[150:]
+    maps = render_frames(frames, cfg, resolution)
+    assert_reference_maps(maps, frames, cfg, resolution)
+    assert (maps == VEHICLE).any()
+
+
+def test_render_frames_mixes_edge_cases_with_street_frames_in_one_batch():
+    cfg, frames = criterion7_frames(23, frame_count=200)
+    cfg = replace(cfg, camera_poses=EDGE_CAMS)
+    empty, straddling, behind, both = edge_frames()
+    mixed = [frames[100], empty, straddling, frames[110], behind, both, frames[120]]
+    res = (32, 64)
+    assert batch_frames(res) >= len(mixed)
+    assert_reference_maps(render_frames(mixed, cfg, res), mixed, cfg, res)
+
+
+POOL_RES = (16, 32)
+
+
+@functools.lru_cache(maxsize=1)
+def frame_pool():
+    """A config with the default cameras and the straddled edge camera, a
+    pool of edge and street frames, and each pool frame's maps rendered alone."""
+    cfg, frames = criterion7_frames(29, frame_count=220)
+    cfg = replace(cfg, camera_poses=cfg.camera_poses + EDGE_CAMS[2:])
+    pool = edge_frames() + frames[150::7]
+    return cfg, pool, [render_frame(fr, cfg, POOL_RES) for fr in pool]
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.lists(st.integers(0, 13), max_size=12), per_batch=st.integers(1, 5))
+def test_render_frames_gives_each_frame_its_maps_alone(order, per_batch):
+    """Any sub-list or reordering of frames, in batches of any size, gives
+    each frame the maps it gets when rendered alone."""
+    cfg, pool, alone = frame_pool()
+    assert len(pool) == 14
+    H, W = POOL_RES
+    with mock.patch.object(semantics, "_BATCH_PIXELS", per_batch * H * W):
+        maps = render_frames([pool[i] for i in order], cfg, POOL_RES)
+    assert maps.shape == (len(order), len(cfg.camera_poses), H, W)
+    for i, m in zip(order, maps):
+        assert m.tobytes() == alone[i].tobytes()
 
 
 def test_background_cache_keyed_on_pose_resolution_and_geometry():
