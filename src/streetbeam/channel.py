@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import ConfigError, SceneConfig, check_fields, check_min
+from .scene import ConfigError, SceneConfig, _boxes, check_fields, check_min
 
 C_LIGHT = 299_792_458.0  # speed of light in m/s, exact by the SI definition of the metre
 
@@ -89,9 +89,11 @@ def _legs_blocked(p0, p1, leg_frame, frames, eps=1e-9):
     (0, 1) and misses unless ``p0`` lies within ``eps`` of the slab; the leg
     misses when ``t0 > t1 + eps`` and hits when ``t1 > eps and t0 < 1 - eps``.
     """
-    others = [f.boxes[f.ids != f.target_user_id] for f in frames]
-    boxes = np.concatenate(others)
-    box_count = np.array([len(b) for b in others], dtype=np.intp)
+    others = [f.ids != f.target_user_id for f in frames]
+    keep = np.concatenate(others)
+    boxes = _boxes(*(np.concatenate([getattr(f, k) for f in frames])[keep]
+                     for k in ("classes", "x", "y")))
+    box_count = np.array([np.count_nonzero(o) for o in others], dtype=np.intp)
     n = box_count[leg_frame]
     first = np.cumsum(box_count) - box_count
     leg = np.repeat(np.arange(len(leg_frame)), n)

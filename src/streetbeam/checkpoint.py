@@ -2,14 +2,17 @@
 
 Layout (all little-endian): magic b"ESNN", version u32, then a run of
 named tensors until EOF: name length u16, name bytes (utf-8), rank u8,
-dims u32 each, then 32-bit float payload row-major. Parameters and
-normalization running statistics are stored in one flat namespace.
+dims u32 each, then 32-bit float payload row-major. A tensor's name is its
+``nn.leaves`` path in the parameter tree, or "state." and its path in the
+state tree of normalization running statistics; records are sorted by name.
 """
 
 import math
 import struct
 
 import numpy as np
+
+from .nn import leaves
 
 MAGIC = b"ESNN"
 VERSION = 1
@@ -20,9 +23,10 @@ class CheckpointError(IOError):
 
 
 def save_checkpoint(path, params, state=None):
-    tensors = dict(params)
-    if state:
-        tensors.update({f"state.{k}": v for k, v in state.items()})
+    """Write the tensors of the ``params`` and ``state`` trees (flat dicts
+    are one-level trees)."""
+    tensors = {name: d[k] for name, d, k in leaves(params)}
+    tensors.update({name: d[k] for name, d, k in leaves(state or {}, "state.")})
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -38,7 +42,8 @@ def save_checkpoint(path, params, state=None):
 
 
 def load_checkpoint(path):
-    """Returns (params, state) dicts of float32 arrays.
+    """Returns (params, state) flat dicts of float32 arrays keyed by tensor
+    name.
 
     Raises CheckpointError unless the file is a whole checkpoint: right
     magic and version, every tensor record complete, at least one tensor.

@@ -145,6 +145,30 @@ class FsState:
         })
 
 
+def _take_best(state: FsState, step, cands, evaluator, base=None) -> bool:
+    """Move to the best of the candidate sets ``cands``, given in canonical
+    order of the feature each adds or removes; returns whether it moved.
+
+    All candidates (and ``base``) go to ``evaluator.many`` first, then each
+    is logged as a ``step`` entry. The strict ``>`` keeps the first of equal
+    accuracies, so ties go to the smallest id. With ``base`` given, the best
+    candidate must beat its accuracy.
+    """
+    evaluator.many(cands if base is None else [base, *cands])
+    best, best_acc = None, -1.0 if base is None else evaluator(base)
+    for cand in cands:
+        acc = evaluator(cand)
+        state.log_step(step, cand, acc, False)
+        if acc > best_acc:
+            best, best_acc = cand, acc
+    if best is None:
+        return False
+    state.current = best
+    state.iteration += 1
+    state.log_step(step, best, best_acc, True)
+    return True
+
+
 def inclusion_step(state: FsState, universal, evaluator) -> bool:
     """Add the most significant missing feature; ties to smallest id.
 
@@ -153,19 +177,9 @@ def inclusion_step(state: FsState, universal, evaluator) -> bool:
     remaining = [f for f in canonical(universal) if f not in state.current]
     if not remaining:
         return False
-    evaluator.many(canonical(state.current + (f,)) for f in remaining)
-    best_feat, best_acc = None, -1.0
-    for f in remaining:  # canonical order makes argmax ties deterministic
-        cand = canonical(state.current + (f,))
-        acc = evaluator(cand)
-        state.log_step("inclusion", cand, acc, False)
-        if acc > best_acc:
-            best_feat, best_acc = f, acc
     state.history.add(state.current)
-    state.current = canonical(state.current + (best_feat,))
-    state.iteration += 1
-    state.log_step("inclusion", state.current, best_acc, True)
-    return True
+    return _take_best(state, "inclusion", [canonical(state.current + (f,)) for f in remaining],
+                      evaluator)
 
 
 def exclusion_step(state: FsState, evaluator) -> bool:
@@ -178,22 +192,9 @@ def exclusion_step(state: FsState, evaluator) -> bool:
     removable = [f for f in state.current if f not in state.pinned]
     if not removable or len(state.current) < 2:
         return False
-    evaluator.many([state.current] + [canonical(x for x in state.current if x != f)
-                                      for f in removable])
-    base = evaluator(state.current)
-    best_feat, best_acc = None, base
-    for f in removable:
-        cand = canonical(x for x in state.current if x != f)
-        acc = evaluator(cand)
-        state.log_step("exclusion", cand, acc, False)
-        if acc > best_acc:
-            best_feat, best_acc = f, acc
-    if best_feat is None:
-        return False
-    state.current = canonical(x for x in state.current if x != best_feat)
-    state.iteration += 1
-    state.log_step("exclusion", state.current, best_acc, True)
-    return True
+    return _take_best(state, "exclusion",
+                      [canonical(x for x in state.current if x != f) for f in removable],
+                      evaluator, base=state.current)
 
 
 def sffs(universal, evaluator, pinned=(), v_max=None):

@@ -1,9 +1,13 @@
 """Minimal numpy neural-network layers with hand-rolled backpropagation.
 
-Parameters and running statistics live in flat dicts keyed by dot-joined
-paths ("sem.0.W"), which keeps checkpointing and finite-difference
-gradient checking trivial. All layers are dtype-preserving so the same
-graph can run in float32 for training and float64 for gradient checks.
+Parameters and running statistics live in nested dicts that mirror the
+module tree: a layer's tensors sit under their own keys ("W"), and a
+composite's child "sem" owns the subtree ``params["sem"]``. ``leaves``
+walks a tree depth first and names each tensor by its dot-joined path
+("sem.4.conv1.W"), which is how checkpoints, the optimizer and
+finite-difference gradient checks address tensors. All layers are
+dtype-preserving so the same graph can run in float32 for training and
+float64 for gradient checks.
 
 Layout: image activations are 4-D ``(C, H, W, N)``, batch innermost, so
 every strided window copy of a convolution or pooling layer moves rows of
@@ -15,23 +19,18 @@ in (c, h, w) order; ``Dense``, ``Dropout`` and 2-D ``BatchNorm`` work on
 ``LabelConv2d``, which builds its columns from the maps directly.
 
 Modules made of other modules (``Sequential``, ``ResidualBlock`` and the
-predictor's network) derive from ``Composite``: each child has a name, and
-its tensors live under "<name>." in the parent's dicts. ``Composite.init``
+predictor's network) derive from ``Composite``: each child has a name
+under which its tensors sit in the parent's trees. ``Composite.init``
 initializes the children in order, ``run`` calls a child's forward on its
-slice of the dicts and ``grad`` a child's backward, prefixing its
-gradients. A child's slice comes from (short, full) key pairs grouped once
-per key set (memoized on the dict's key tuple), not from a scan of every
-key per call; ``grad`` files the child's gradients under the same pairs.
-Subclasses keep their own ``forward``/``backward`` that wire the children
-together. Layers without tensors derive from ``Layer``.
+subtrees and ``grad`` a child's backward, filing its gradient subtree
+under its name. Subclasses keep their own ``forward``/``backward`` that
+wire the children together. Layers without tensors derive from ``Layer``.
 
 ``Adam`` packs the parameters into one contiguous buffer and rebinds each
-tensor of the parameter dict to a view of it, so an optimizer step is a
+tensor of the parameter tree to a view of it, so an optimizer step is a
 handful of elementwise operations over the whole buffer, bitwise equal to
 updating each tensor on its own.
 """
-
-import functools
 
 import numpy as np
 
@@ -39,19 +38,14 @@ _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
 
 
-@functools.lru_cache(maxsize=1024)
-def _child_keys(keys):
-    """child name -> ((short, full) key pairs) of a dict with keys ``keys``,
-    where a full key is "<name>.<short>"."""
-    groups = {}
-    for k in keys:
-        name, _, short = k.partition(".")
-        groups.setdefault(name, []).append((short, k))
-    return {name: tuple(pairs) for name, pairs in groups.items()}
-
-
-def _ns(d, prefix):
-    return {f"{prefix}.{k}": v for k, v in d.items()}
+def leaves(tree, prefix=""):
+    """(dotted name, dict, key) of each tensor of a nested dict ``tree``,
+    depth first in insertion order; ``dict[key]`` is the tensor."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, tree, key
 
 
 def fan_in_uniform(rng, shape, fan_in, dtype):
@@ -344,34 +338,24 @@ class Flatten(Layer):
 
 class Composite:
     """A module built from named children, ``self.children`` (name ->
-    module, in initialization order)."""
+    module, in initialization order); child ``name`` owns ``params[name]``
+    and ``state[name]``."""
 
     def init(self, rng, dtype):
         params, state = {}, {}
         for name, child in self.children.items():
-            p, s = child.init(rng, dtype)
-            params.update(_ns(p, name))
-            state.update(_ns(s, name))
+            params[name], state[name] = child.init(rng, dtype)
         return params, state
 
     def run(self, name, x, params, state, training, rng):
         """Forward of child ``name``; returns (output, cache)."""
-        return self.children[name].forward(x, self._slice(params, name),
-                                           self._slice(state, name), training, rng)
+        return self.children[name].forward(x, params[name], state[name], training, rng)
 
     def grad(self, name, dy, cache, params, grads):
-        """Backward of child ``name``: adds its gradients to ``grads``
-        under its prefix and returns the input gradient."""
-        pairs = _child_keys(tuple(params)).get(name, ())
-        dx, g = self.children[name].backward(dy, cache, {s: params[f] for s, f in pairs})
-        for s, f in pairs:
-            grads[f] = g[s]
+        """Backward of child ``name``: files its gradients under ``grads[name]``
+        and returns the input gradient."""
+        dx, grads[name] = self.children[name].backward(dy, cache, params[name])
         return dx
-
-    @staticmethod
-    def _slice(d, name):
-        """Child ``name``'s tensors of ``d`` under their short keys."""
-        return {s: d[f] for s, f in _child_keys(tuple(d)).get(name, ())}
 
 
 class Sequential(Composite):
@@ -440,12 +424,13 @@ class ResidualBlock(Composite):
 
 
 class Adam:
-    """Adaptive-moment optimizer over a flat parameter dict.
+    """Adaptive-moment optimizer over a parameter tree.
 
-    The constructor packs the parameters, in the dict's key order, into one
-    contiguous buffer and rebinds each ``params[k]`` to a view of it, so a
-    step is five elementwise updates over the whole buffer. All parameters
-    must share one dtype. ``step`` takes the dict given to the constructor.
+    The constructor packs the parameters, in ``leaves`` order, into one
+    contiguous buffer and rebinds each tensor of the tree to a view of it,
+    so a step is five elementwise updates over the whole buffer. All
+    parameters must share one dtype. ``step`` takes the tree given to the
+    constructor and gradients of the same names.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -453,30 +438,33 @@ class Adam:
     def __init__(self, params, lr=1e-3):
         self.lr = lr
         self.t = 0
-        dtypes = sorted({str(v.dtype) for v in params.values()})
+        slots = list(leaves(params))
+        dtypes = sorted({str(d[k].dtype) for _, d, k in slots})
         if len(dtypes) > 1:
             raise ValueError(f"Adam needs one parameter dtype, got {dtypes}")
-        self.keys = tuple(params)
-        self.flat = np.concatenate([np.ravel(params[k]) for k in self.keys])
+        self.names = tuple(name for name, _, _ in slots)
+        self.flat = np.concatenate([np.ravel(d[k]) for _, d, k in slots])
         self.views = []
         offset = 0
-        for k in self.keys:
-            size = params[k].size
-            params[k] = self.flat[offset:offset + size].reshape(params[k].shape)
-            self.views.append(params[k])
+        for _, d, k in slots:
+            size = d[k].size
+            d[k] = self.flat[offset:offset + size].reshape(d[k].shape)
+            self.views.append(d[k])
             offset += size
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
 
     def step(self, params, grads):
-        for k, view in zip(self.keys, self.views):
-            if params[k] is not view:
-                raise ValueError(f"parameter {k!r} is not a view of the optimizer's buffer; "
-                                 "step the dict the optimizer was built on")
+        current = {name: d[k] for name, d, k in leaves(params)}
+        for name, view in zip(self.names, self.views):
+            if current.get(name) is not view:
+                raise ValueError(f"parameter {name!r} is not a view of the optimizer's "
+                                 "buffer; step the tree the optimizer was built on")
+        grads = {name: d[k] for name, d, k in leaves(grads)}
         # a missing gradient raises KeyError naming it
-        g = np.concatenate([np.ravel(grads[k]) for k in self.keys])
-        if len(grads) != len(self.keys):
-            raise KeyError(f"gradients of unknown parameters {sorted(set(grads) - set(self.keys))}")
+        g = np.concatenate([np.ravel(grads[name]) for name in self.names])
+        if len(grads) != len(self.names):
+            raise KeyError(f"gradients of unknown parameters {sorted(set(grads) - set(self.names))}")
         self.t += 1
         b1t = 1 - self.BETA1 ** self.t
         b2t = 1 - self.BETA2 ** self.t

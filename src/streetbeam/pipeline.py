@@ -3,14 +3,13 @@ selection, final training, evaluation, and report emission.
 
 All stages communicate only through files (the dataset container, ESNN
 checkpoints, JSON fragments) so the CLI commands can run as independent
-processes. Outputs are deterministic for a fixed config and seed; wall
-clock goes to a separate timing file so reports stay byte-stable.
+processes. Outputs are deterministic for a fixed config and seed, and
+hold no wall-clock times, so reports stay byte-stable.
 """
 
 import json
 import logging
 import os
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +21,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import read_container, write_container
 from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, EvaluatorError,
                       canonical, sffs)
+from .nn import leaves
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, accuracy,
                         predict, split_indices, task_labels, train)
 from .rng import derive_seed
@@ -42,6 +42,13 @@ SELECT_WORKERS_MAX = 2
 
 class PipelineError(ValueError):
     pass
+
+
+def _write_json(path, obj):
+    """``obj`` as JSON with indent 1, sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -179,11 +186,9 @@ def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=SELECT_EP
         raise PipelineError(f"feature selection failed: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     featsel.write_trace(os.path.join(out_dir, f"select_{task}.trace.jsonl"), state)
-    with open(os.path.join(out_dir, f"selected_{task}.json"), "w") as fh:
-        json.dump({"task": task, "horizon": horizon, "features": list(selected),
-                   "seed": seed, "evaluator_calls": evaluator.call_count},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, f"selected_{task}.json"),
+                {"task": task, "horizon": horizon, "features": list(selected),
+                 "seed": seed, "evaluator_calls": evaluator.call_count})
     return selected
 
 
@@ -207,20 +212,22 @@ def cmd_train(dataset: SampleSet, features, task, cfg: TrainConfig, out_dir,
             **to_plain(cfg),  # seed, epochs, batch_size, learning_rate, split, arch
             "M_bm": dataset.M_bm, "val_accuracy": res.val_accuracy,
             "train_loss": res.train_loss}
-    with open(os.path.join(out_dir, _stem(task, horizon) + ".meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, _stem(task, horizon) + ".meta.json"), meta)
     return res, meta
 
 
 def _load_model_checkpoint(path, model: Predictor):
-    """load_checkpoint, plus a CheckpointError unless the tensor names and
+    """``model``'s parameter and state trees filled by name from the
+    checkpoint at ``path``; a CheckpointError unless the tensor names and
     shapes are exactly those of ``model``."""
-    loaded = load_checkpoint(path)
-    for got, want in zip(loaded, model.init(0)):
-        if {k: v.shape for k, v in got.items()} != {k: v.shape for k, v in want.items()}:
+    trees = model.init(0)
+    for got, tree in zip(load_checkpoint(path), trees):
+        slots = list(leaves(tree))
+        if {k: v.shape for k, v in got.items()} != {name: d[k].shape for name, d, k in slots}:
             raise CheckpointError(f"{path}: tensors do not match the {model.task} model")
-    return loaded
+        for name, d, k in slots:
+            d[k] = got[name]
+    return trees
 
 
 def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
@@ -278,9 +285,7 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
         fragment["blockage_accuracy"] = accuracy(model, params, state, dataset,
                                                  test_idx, features, task, horizon)
 
-    with open(os.path.join(out_dir, f"eval_{_stem(task, horizon)}.json"), "w") as fh:
-        json.dump(fragment, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, f"eval_{_stem(task, horizon)}.json"), fragment)
     return fragment
 
 
@@ -322,13 +327,9 @@ def cmd_report(run_dir):
             rows.append(("blockage_accuracy", f"horizon={h}",
                          frag["blockage_accuracy"], frag["n"], frag["seed"]))
 
-    with open(os.path.join(run_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(run_dir, "report.json"), report)
     with open(os.path.join(run_dir, "metrics.csv"), "w") as fh:
         fh.write("metric,key,value,n,seed\n")
         for metric, key, value, n, seed in rows:
             fh.write(f"{metric},{key},{value!r},{n},{seed}\n")
-    with open(os.path.join(run_dir, "timing.json"), "w") as fh:
-        json.dump({"written_at": time.time()}, fh)
     return report

@@ -1,12 +1,13 @@
 """Verification oracles that only the tests use: concept masks, map
 corruption and pixel accuracy, per-sample loops of the Top-G accuracy and
 TRR, an exhaustive subset search, the finite-difference gradient check of
-a predictor, the prefix slice of a flat tensor dict, the per-slot blockage
+a predictor, the name -> tensor view of a tensor tree, the per-slot blockage
 labeler, the per-frame ray tracer with its scalar slab test, and the
 object-based scenario generator with the helper that builds array frames
 from its vehicles.
 """
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ import numpy as np
 
 from streetbeam.channel import C_LIGHT
 from streetbeam.featsel import CachedEvaluator, canonical, feature_key
+from streetbeam.nn import leaves
 from streetbeam.predictor import Predictor, _batch_loss_grad
 from streetbeam.scene import (_SPAWN_GAP, VEHICLE_CLASSES, CameraPose, ConfigError, Frame,
                               ScenarioStreams, SceneConfig, VehicleClass, vehicle_class)
@@ -25,10 +27,10 @@ class TargetLostError(RuntimeError):
     """The target user despawned inside the labeling window."""
 
 
-def _sub(d, prefix):
-    """The tensors of ``d`` under "<prefix>.", keyed without the prefix."""
-    p = prefix + "."
-    return {k[len(p):]: v for k, v in d.items() if k.startswith(p)}
+def named(tree):
+    """name -> tensor of a parameter or state tree, names as ``nn.leaves``
+    gives them."""
+    return {name: d[k] for name, d, k in leaves(tree)}
 
 
 def extract_mask(labels: np.ndarray, concept: int) -> np.ndarray:
@@ -286,8 +288,9 @@ def gradient_check(model: Predictor, params, state, loc, maps, features, label,
     and the smallest error kept: a genuine backpropagation error persists at
     every step, a kink crossing vanishes.
     """
-    p64 = {k: v.astype(np.float64) for k, v in params.items()}
-    s64 = {k: v.astype(np.float64) for k, v in state.items()}
+    p64, s64 = copy.deepcopy((params, state))
+    for _, d, k in (*leaves(p64), *leaves(s64)):
+        d[k] = d[k].astype(np.float64)
     loc = np.asarray(loc, dtype=np.float64)
     labels = np.atleast_1d(np.asarray(label, dtype=np.int64))
 
@@ -298,14 +301,15 @@ def gradient_check(model: Predictor, params, state, loc, maps, features, label,
 
     out, cache = model.forward(p64, s64, loc, maps, features, training=False)
     _, dout = _batch_loss_grad(model, out, labels)
-    grads = model.backward(dout, cache, p64)
+    grads = named(model.backward(dout, cache, p64))
 
     rng = np.random.default_rng(seed)
-    keys = sorted(p64.keys())
+    tensors = named(p64)
+    keys = sorted(tensors)
     max_err = 0.0
     for _ in range(max(n_samples, 100)):
         k = keys[int(rng.integers(len(keys)))]
-        flat = p64[k].reshape(-1)
+        flat = tensors[k].reshape(-1)
         i = int(rng.integers(flat.size))
         orig = flat[i]
         analytic = grads[k].reshape(-1)[i]

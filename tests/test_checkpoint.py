@@ -1,14 +1,17 @@
+import copy
 import math
 import struct
 
 import numpy as np
 import pytest
 
+from oracles import named
 from streetbeam.checkpoint import (MAGIC, VERSION, CheckpointError,
                                    load_checkpoint, save_checkpoint)
 from streetbeam.pipeline import _load_model_checkpoint
-from streetbeam.predictor import TINY_ARCH, Predictor
+from streetbeam.predictor import TINY_ARCH, Predictor, _batch_loss_grad
 from streetbeam.rng import stream
+from streetbeam.semantics import CATALOG
 
 
 def test_roundtrip_arbitrary_tensors(tmp_path):
@@ -48,12 +51,65 @@ def test_model_params_roundtrip_bitwise(tmp_path):
     params, state = model.init(3)
     path = tmp_path / "model.esnn"
     save_checkpoint(path, params, state)
-    p2, s2 = load_checkpoint(path)
+    for got, want in zip(load_checkpoint(path), (params, state)):
+        want = named(want)
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+    p2, s2 = _load_model_checkpoint(path, model)
     loc = np.zeros((2, 3), dtype=np.float32)
     maps = np.zeros((2, 2, 16, 32), dtype=np.uint8)
     y1, _ = model.forward(params, state, loc, maps, ("location", "vehicle"))
     y2, _ = model.forward(p2, s2, loc, maps, ("location", "vehicle"))
     assert np.array_equal(y1, y2)
+
+
+def test_loaded_checkpoint_matches_in_memory_model(tmp_path):
+    """The file stores tensors sorted by name, not in the model's order;
+    filled by name into the model's own trees they give the in-memory
+    model's outputs and gradients bit for bit."""
+    model = Predictor("beam", 4, 8, TINY_ARCH)
+    params, state = model.init(1)
+    path = tmp_path / "model.esnn"
+    save_checkpoint(path, params, state)
+    in_model_order = list(named(params)) + ["state." + k for k in named(state)]
+    raw = path.read_bytes()
+    stored = [raw[a + 2:a + 2 + struct.unpack_from("<H", raw, a)[0]].decode()
+              for a, _ in _record_headers(raw)]
+    assert stored == sorted(in_model_order) != in_model_order
+    loaded = _load_model_checkpoint(path, model)
+    maps = stream(47, "maps").integers(CATALOG.M_con, size=(6, 2, 16, 32)).astype(np.uint8)
+    loc = stream(48, "loc").normal(size=(6, 3)).astype(np.float32)
+    features = ("location", "vehicle", "building")
+    outs = []
+    for p, s in ((params, state), loaded):
+        out, cache = model.forward(p, copy.deepcopy(s), loc, maps, features, True,
+                                   stream(0, "dropout"))
+        _, dout = _batch_loss_grad(model, out, np.arange(6) % 8)
+        outs.append((out, named(model.backward(dout, cache, p))))
+    (out, grads), (out2, grads2) = outs
+    assert out.tobytes() == out2.tobytes()
+    assert grads.keys() == grads2.keys() == named(params).keys()
+    for k in grads:
+        assert grads[k].tobytes() == grads2[k].tobytes(), k
+
+
+@pytest.mark.parametrize("edit", ["extra", "missing", "misshapen", "missing_state"])
+def test_model_checkpoint_tensor_mismatch_fails_closed(tmp_path, edit):
+    model = Predictor("blockage", 2, 4, TINY_ARCH)
+    params, state = (named(d) for d in model.init(2))
+    if edit == "extra":
+        params["sem.9.W"] = np.ones(3, dtype=np.float32)
+    elif edit == "missing":
+        del params["head.4.b"]
+    elif edit == "misshapen":
+        params["aux.1.W"] = params["aux.1.W"].T
+    else:
+        del state["sem.1.running_var"]
+    path = tmp_path / "model.esnn"
+    save_checkpoint(path, params, state)
+    with pytest.raises(CheckpointError, match="do not match the blockage model"):
+        _load_model_checkpoint(path, model)
 
 
 def test_bad_magic_and_version(tmp_path):
@@ -133,12 +189,12 @@ def test_header_bit_flips_fail_closed(tmp_path):
     limit or dims that cannot form an array never escape as ValueError."""
     model = Predictor("beam", in_channels=2, M_bm=4, arch=TINY_ARCH)
     params, state = model.init(3)
-    want = [{k: v.shape for k, v in d.items()} for d in (params, state)]
+    want = [{k: v.shape for k, v in named(d).items()} for d in (params, state)]
     path = tmp_path / "model.esnn"
     save_checkpoint(path, params, state)
     raw = path.read_bytes()
     headers = _record_headers(raw)
-    assert len(headers) == len(params) + len(state)
+    assert len(headers) == len(want[0]) + len(want[1])
     flipped = tmp_path / "flipped.esnn"
     for start, end in headers:
         for i in range(start, end):
@@ -151,5 +207,5 @@ def test_header_bit_flips_fail_closed(tmp_path):
                     loaded = _load_model_checkpoint(flipped, model)
                 except CheckpointError:
                     continue
-                assert [{k: v.shape for k, v in d.items()} for d in loaded] == want
+                assert [{k: v.shape for k, v in named(d).items()} for d in loaded] == want
 

@@ -1,11 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 
 import streetbeam.predictor as predictor
-from oracles import _sub
+from oracles import named
 from streetbeam.nn import (Adam, AvgPool, BatchNorm, Conv2d, Dense, Dropout,
                            Flatten, LabelConv2d, ReLU, ResidualBlock, Sequential,
-                           _col2im, _pad)
+                           _col2im, _pad, leaves)
 from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor, SampleSet,
                                   TrainConfig, _batch_loss_grad, concept_ids,
                                   mask_channels)
@@ -43,7 +45,8 @@ def fd_layer_check(layer, x, seed=0, training=True, step=1e-6, tol=1e-5):
         assert abs(dx.reshape(-1)[i] - num) <= tol * max(1.0, abs(num))
 
     # parameter gradients
-    for k, v in params.items():
+    grads = named(grads)
+    for k, v in named(params).items():
         pf = v.reshape(-1)
         pick = stream(seed, "nn.pickp." + k).choice(pf.size, size=min(20, pf.size), replace=False)
         for i in pick:
@@ -168,7 +171,7 @@ def test_sequential_composition_and_gradients():
     seq = Sequential([Dense(6, 8), ReLU(), Dense(8, 3)])
     fd_layer_check(seq, x)
     p, s = seq.init(stream(0, "i"), np.float64)
-    assert set(p) == {"0.W", "0.b", "2.W", "2.b"}
+    assert set(named(p)) == {"0.W", "0.b", "2.W", "2.b"}
 
 
 def test_linear_network_gradient_exact():
@@ -180,8 +183,7 @@ def test_linear_network_gradient_exact():
     y, cache = seq.forward(x, p, s, False, None)
     _, grads = seq.backward(r, cache, p)
     step = 1e-6
-    k = "0.W"
-    flat = p[k].reshape(-1)
+    flat = p["0"]["W"].reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
@@ -190,7 +192,7 @@ def test_linear_network_gradient_exact():
         lm = float((seq.forward(x, p, s, False, None)[0] * r).sum())
         flat[i] = orig
         num = (lp - lm) / (2 * step)
-        assert abs(grads[k].reshape(-1)[i] - num) < 1e-9
+        assert abs(grads["0"]["W"].reshape(-1)[i] - num) < 1e-9
 
 
 def test_adam_matches_manual_update():
@@ -473,12 +475,11 @@ def _reference_forward(layer, x, p, s, training, rng):
     backward(dy) returns (dx, grads)."""
     if isinstance(layer, (Sequential, ResidualBlock)):
         def run(name, inp):
-            y, back = _reference_forward(layer.children[name], inp, _sub(p, name),
-                                         _sub(s, name), training, rng)
+            y, back = _reference_forward(layer.children[name], inp, p[name], s[name],
+                                         training, rng)
 
             def named_back(dy, grads):
-                dx, g = back(dy)
-                grads.update({f"{name}.{k}": v for k, v in g.items()})
+                dx, grads[name] = back(dy)
                 return dx
             return y, named_back
         if isinstance(layer, Sequential):
@@ -551,20 +552,20 @@ def test_predictor_matches_nchw_reference_network(task, arch, n, training, dtype
     features = ("location", "vehicle", "building")
     model = Predictor(task, 4, 8, arch)
     params, state = model.init(5, dtype)
-    for k in state:  # nontrivial running statistics for evaluation mode
-        state[k] = (np.abs(_random(30, state[k].shape, dtype)) + 0.5 if k.endswith("var")
-                    else _random(31, state[k].shape, dtype))
+    for _, d, k in leaves(state):  # nontrivial running statistics for evaluation mode
+        d[k] = (np.abs(_random(30, d[k].shape, dtype)) + 0.5 if k.endswith("var")
+                else _random(31, d[k].shape, dtype))
     maps = _label_maps(32, (n, 2) + arch.input_hw)
     loc = _random(33, (n, 3), dtype)
     labels = stream(34, "labels").integers(8 if task == "beam" else 2, size=n)
-    out, cache = model.forward(params, {k: v.copy() for k, v in state.items()}, loc, maps,
+    out, cache = model.forward(params, copy.deepcopy(state), loc, maps,
                                features, training, stream(0, "dropout"))
     _, dout = _batch_loss_grad(model, out, labels)
     grads = model.backward(dout, cache, params)
 
     def run(name, x):
-        return _reference_forward(model.children[name], x, _sub(params, name),
-                                  _sub(state, name), training, stream(0, "dropout"))
+        return _reference_forward(model.children[name], x, params[name],
+                                  state[name], training, stream(0, "dropout"))
 
     a, back_aux = run("aux", loc)
     m, back_sem = run("sem", mask_channels(maps, features).astype(dtype))
@@ -573,8 +574,8 @@ def test_predictor_matches_nchw_reference_network(task, arch, n, training, dtype
     dx, g_head = back_head(dout)
     _, g_sem = back_sem(dx[:, a.shape[1]:])
     _, g_aux = back_aux(dx[:, :a.shape[1]])
-    grads_ref = {f"{name}.{k}": v for name, g in (("aux", g_aux), ("sem", g_sem),
-                                                  ("head", g_head)) for k, v in g.items()}
+    grads, params = named(grads), named(params)
+    grads_ref = named({"aux": g_aux, "sem": g_sem, "head": g_head})
     assert grads.keys() == grads_ref.keys() == params.keys()
     if dtype == np.float32:
         return  # float32 rounding grows along the backward chain; the layer oracles bound it
@@ -593,19 +594,21 @@ def test_predictor_matches_nchw_reference_network(task, arch, n, training, dtype
 # per-tensor Adam, np.pad and the ndarray.mean batch norm
 
 class _ReferenceAdam:
-    """Adam with one moment pair per tensor, updating ``params`` in place."""
+    """Adam with one moment pair per tensor, updating the tensors of the
+    ``params`` tree in place."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = {k: np.zeros_like(v) for k, v in named(params).items()}
+        self.v = {k: np.zeros_like(v) for k, v in named(params).items()}
 
     def step(self, params, grads):
         self.t += 1
         b1t = 1 - self.beta1 ** self.t
         b2t = 1 - self.beta2 ** self.t
-        for k, g in grads.items():
+        params = named(params)
+        for k, g in named(grads).items():
             m = self.m[k]
             v = self.v[k]
             m *= self.beta1
@@ -661,13 +664,14 @@ class _ReferenceBatchNorm(BatchNorm):
 
 
 def _random_grads(seed, params):
-    """Gradients spread over five decades, with some exact zeros."""
+    """A gradient tree shaped like ``params``, spread over five decades,
+    with some exact zeros."""
     rng = stream(seed, "grads")
-    grads = {}
-    for k, v in params.items():
-        g = rng.normal(size=v.shape) * 10.0 ** rng.uniform(-4, 1, size=v.shape)
-        g[rng.random(v.shape) < 0.05] = 0
-        grads[k] = g.astype(v.dtype)
+    grads = copy.deepcopy(params)
+    for _, d, k in leaves(grads):
+        g = rng.normal(size=d[k].shape) * 10.0 ** rng.uniform(-4, 1, size=d[k].shape)
+        g[rng.random(d[k].shape) < 0.05] = 0
+        d[k] = g.astype(d[k].dtype)
     return grads
 
 
@@ -676,35 +680,37 @@ def _random_grads(seed, params):
                                        ("beam", ArchConfig())])
 def test_flat_adam_matches_per_tensor_reference(task, arch, dtype):
     params, _ = Predictor(task, 4, 8, arch).init(3, dtype)
-    ref = {k: v.copy() for k, v in params.items()}
+    ref = copy.deepcopy(params)
     opt = Adam(params, lr=3e-3)
     opt_ref = _ReferenceAdam(ref, lr=3e-3)
-    assert params.keys() == ref.keys()
-    for k in params:  # each parameter is a view of the one buffer
-        assert np.shares_memory(params[k], opt.flat) and params[k].shape == ref[k].shape
-        assert_bitwise(params[k], ref[k])
+    got, want = named(params), named(ref)
+    assert got.keys() == want.keys()
+    for k in got:  # each parameter is a view of the one buffer
+        assert np.shares_memory(got[k], opt.flat) and got[k].shape == want[k].shape
+        assert_bitwise(got[k], want[k])
     for step in range(5):
-        # the reference takes the gradients in reverse key order, as a
+        # the reference takes the gradients in reverse name order, as a
         # backward pass delivers them
         grads = _random_grads(step, params)
         opt.step(params, grads)
-        opt_ref.step(ref, dict(reversed(grads.items())))
-        for k in params:
-            assert_bitwise(params[k], ref[k])
+        opt_ref.step(ref, dict(reversed(named(grads).items())))
+        got, want = named(params), named(ref)
+        for k in got:
+            assert_bitwise(got[k], want[k])
     assert opt.flat.dtype == dtype
 
 
 def test_flat_adam_errors():
-    params = {"a.W": np.ones((2, 3), np.float32), "a.b": np.zeros(3, np.float32)}
+    params = {"a": {"W": np.ones((2, 3), np.float32), "b": np.zeros(3, np.float32)}}
     opt = Adam(params)
     with pytest.raises(KeyError, match="a.b"):
-        opt.step(params, {"a.W": np.ones((2, 3), np.float32)})
+        opt.step(params, {"a": {"W": np.ones((2, 3), np.float32)}})
     with pytest.raises(KeyError, match="z"):
-        opt.step(params, {"a.W": np.ones((2, 3), np.float32),
-                          "a.b": np.ones(3, np.float32), "z": np.ones(1, np.float32)})
-    params["a.b"] = params["a.b"].copy()  # no longer a view of the buffer
+        opt.step(params, {"a": {"W": np.ones((2, 3), np.float32),
+                                "b": np.ones(3, np.float32)}, "z": np.ones(1, np.float32)})
+    params["a"]["b"] = params["a"]["b"].copy()  # no longer a view of the buffer
     with pytest.raises(ValueError, match="a.b"):
-        opt.step(params, {"a.W": np.ones((2, 3), np.float32), "a.b": np.ones(3, np.float32)})
+        opt.step(params, {"a": {"W": np.ones((2, 3), np.float32), "b": np.ones(3, np.float32)}})
     assert opt.t == 0
     with pytest.raises(ValueError, match="dtype"):
         Adam({"w": np.ones(2, np.float32), "b": np.ones(2, np.float64)})
@@ -749,27 +755,6 @@ def test_batchnorm_matches_ndarray_mean_reference(x_shape, training, dtype):
             assert_bitwise(grads[k], grads_ref[k])
 
 
-def test_composite_slices_any_key_order():
-    """A parameter dict in another key order (a checkpoint loads them
-    sorted) gives the same outputs and gradients."""
-    model = Predictor("beam", 4, 8, TINY_ARCH)
-    params, state = model.init(1, np.float64)
-    maps = _label_maps(47, (6, 2) + TINY_ARCH.input_hw)
-    loc = _random(48, (6, 3), np.float64)
-    features = ("location", "vehicle", "building")
-    outs = []
-    for p, s in ((params, state), (dict(sorted(params.items())), dict(sorted(state.items())))):
-        out, cache = model.forward(p, {k: v.copy() for k, v in s.items()}, loc, maps,
-                                   features, True, stream(0, "dropout"))
-        _, dout = _batch_loss_grad(model, out, np.arange(6) % 8)
-        outs.append((out, model.backward(dout, cache, p)))
-    (out, grads), (out2, grads2) = outs
-    assert_bitwise(out, out2)
-    assert grads.keys() == grads2.keys() == params.keys()
-    for k in grads:
-        assert_bitwise(grads[k], grads2[k])
-
-
 def _synthetic_sampleset(n=48, hw=(16, 32), M_bm=8):
     rng = stream(49, "synthetic")
     return SampleSet(label_maps=_label_maps(50, (n, 2) + hw),
@@ -789,6 +774,7 @@ def test_train_with_flat_adam_matches_per_tensor_adam(task, monkeypatch):
     res_ref = predictor.train(dataset, features, task, cfg)
     assert np.array(res.train_loss).tobytes() == np.array(res_ref.train_loss).tobytes()
     for got, ref in ((res.params, res_ref.params), (res.state, res_ref.state)):
+        got, ref = named(got), named(ref)
         assert got.keys() == ref.keys()
         for k in ref:
             assert_bitwise(got[k], ref[k])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import streetbeam.rng as rng_mod
-from oracles import gradient_check
+from oracles import gradient_check, named
 from streetbeam.nn import Conv2d, Sequential
 from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor,
                                   SampleSet, TrainConfig, _batch_loss_grad,
@@ -93,7 +93,7 @@ def test_location_only_network():
     maps = np.zeros((2, 2, 16, 32), dtype=np.uint8)
     y, _ = model.forward(params, state, loc, maps, ("location",))
     assert y.shape == (2, 4)
-    assert not any(k.startswith("sem.") for k in params)
+    assert not any(k.startswith("sem.") for k in named(params))
 
 
 # Tensor names and shapes of Predictor(task, in_channels, M_bm=8, TINY_ARCH):
@@ -141,9 +141,10 @@ _SEM_STATE = [
 ])
 def test_predictor_tensor_names_pinned(task, in_channels, head, head_state, sem, sem_state):
     params, state = Predictor(task, in_channels, 8, TINY_ARCH).init(0)
-    assert sorted((k, v.shape) for k, v in params.items()) == sorted(_AUX_TENSORS + head + sem)
-    assert sorted((k, v.shape) for k, v in state.items()) == sorted(_AUX_STATE + head_state
-                                                                    + sem_state)
+    assert (sorted((k, v.shape) for k, v in named(params).items())
+            == sorted(_AUX_TENSORS + head + sem))
+    assert (sorted((k, v.shape) for k, v in named(state).items())
+            == sorted(_AUX_STATE + head_state + sem_state))
 
 
 @pytest.mark.parametrize("arch", [ArchConfig(), TINY_ARCH])
@@ -247,8 +248,7 @@ def test_first_conv_skips_only_the_discarded_input_gradient(arch, hw):
     twin = Sequential([Conv2d(first.c_in, first.c_out, first.k, first.stride, first.pad)]
                       + list(sem.children.values())[1:])
     params, state = model.init(4)
-    params = {k[4:]: v for k, v in params.items() if k.startswith("sem.")}
-    state = {k[4:]: v for k, v in state.items() if k.startswith("sem.")}
+    params, state = params["sem"], state["sem"]
     rng = rng_mod.stream(6, "skip")
     maps = random_maps(rng, (6, 2, *hw))
     feats = ("location", "vehicle")
@@ -259,11 +259,11 @@ def test_first_conv_skips_only_the_discarded_input_gradient(arch, hw):
         dx, g = net.backward(rng_mod.stream(7, "dy").normal(size=out.shape).astype(out.dtype),
                              cache, params)
         outs.append(out)
-        grads.append(g)
+        grads.append(named(g))
     assert dx.shape == masks.shape  # the twin's input gradient, which the branch skips
     assert outs[0].tobytes() == outs[1].tobytes()
-    assert grads[0].keys() == grads[1].keys() == params.keys()
-    for key in params:
+    assert grads[0].keys() == grads[1].keys() == named(params).keys()
+    for key in grads[0]:
         assert grads[0][key].tobytes() == grads[1][key].tobytes(), key
 
 
@@ -273,8 +273,10 @@ def test_train_deterministic_and_learns_planted_signal():
                       learning_rate=3e-3)
     res1 = train(ds, ("location", "vehicle"), "beam", cfg)
     res2 = train(ds, ("location", "vehicle"), "beam", cfg)
-    for k in res1.params:
-        assert np.array_equal(res1.params[k], res2.params[k]), k
+    p1, p2 = named(res1.params), named(res2.params)
+    assert p1.keys() == p2.keys()
+    for k in p1:
+        assert np.array_equal(p1[k], p2[k]), k
     # one mean training loss per epoch, reproducible, falling as it learns
     assert len(res1.train_loss) == cfg.epochs and res1.train_loss == res2.train_loss
     assert res1.train_loss[-1] < res1.train_loss[0]
