@@ -14,6 +14,12 @@ Hashes are verified on load, the manifest's own too: ``manifest_sha256``
 hashes the manifest without that key, and the file must be exactly its
 canonical JSON, so a flipped or lost byte anywhere is caught. Shapes are
 explicit in the manifest so the container round-trips bitwise.
+
+The channel blob holds the bytes of the complex64 column, which is
+interleaved re/im f32. The writer hashes and writes the column buffers
+themselves (a complex128 channel column is cast once), and the reader
+returns every column as a view of the blob it has just hashed, so neither
+copies the channel tensor.
 """
 
 import hashlib
@@ -55,11 +61,8 @@ def write_container(path, samples: SampleSet, scene_cfg: SceneConfig, rt_cfg: Ra
     arrays = {name: np.ascontiguousarray(getattr(samples, attr), dtype=dtype)
               for name, (dtype, attr) in _BLOBS.items()}
     if samples.channels is not None:
-        ch = np.ascontiguousarray(samples.channels)
-        inter = np.empty(ch.shape + (2,), dtype="<f4")
-        inter[..., 0] = ch.real
-        inter[..., 1] = ch.imag
-        arrays["channels"] = inter
+        ch = np.ascontiguousarray(samples.channels, dtype="<c8")
+        arrays["channels"] = ch.view("<f4").reshape(ch.shape + (2,))
 
     hashes, shapes = {}, {}
     for name, arr in arrays.items():  # the contiguous arrays' own buffers, not copies
@@ -143,11 +146,13 @@ def _decode(path, manifest):
     if manifest.get("has_channels"):
         inter = _read_blob(path, "channels", "<f4", manifest["shapes"]["channels"],
                            manifest["hashes"]["channels"])
-        channels = inter[..., 0] + 1j * inter[..., 1]
+        if inter.shape[-1:] != (2,):
+            raise ContainerError("channel blob is not (..., 2) re/im pairs")
+        channels = inter.view("<c8")[..., 0]
 
     return SampleSet(
         label_maps=cols["label_maps"],
-        locations=cols["locations"].astype(np.float32),
+        locations=cols["locations"].astype(np.float32, copy=False),
         rates=cols["rates"],
         blockage=cols["blockage"],
         frame_ids=cols["frame_ids"],

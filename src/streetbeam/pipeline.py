@@ -101,7 +101,9 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
     A frame yields a sample only when its target user persists through the
     longest horizon; excluded frames are counted and logged, never dropped
     silently. Every frame is traced for its LOS flag; maps, channels and
-    rates are computed for the sample frames only.
+    rates are computed for the sample frames only. The rates are searched on
+    each full-precision complex128 channel; the stored channel column is its
+    complex64 rounding, as the container keeps it.
     """
     scene_cfg, rt_cfg, resolution = cfg.scene, cfg.raytrace, cfg.resolution
     horizons = tuple(sorted(cfg.horizons))
@@ -124,7 +126,7 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
         blockage=blockage,
         frame_ids=t0.astype(np.uint32),
         horizons=horizons,
-        channels=np.empty((n, rt_cfg.K, rt_cfg.N_t), dtype=np.complex128)
+        channels=np.empty((n, rt_cfg.K, rt_cfg.N_t), dtype=np.complex64)
         if cfg.store_channels else None,
     )
     for i, t in enumerate(t0.tolist()):

@@ -43,7 +43,7 @@ class SampleSet:
     blockage: np.ndarray      # (N, n_horizons) uint8
     frame_ids: np.ndarray     # (N,) uint32
     horizons: tuple
-    channels: np.ndarray | None = None  # (N, K, N_t) complex, optional
+    channels: np.ndarray | None = None  # (N, K, N_t) complex64 as stored, optional
 
     def __len__(self):
         return self.label_maps.shape[0]

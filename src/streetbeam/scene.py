@@ -12,8 +12,8 @@ Coordinate frame: x along the street in [0, street_length_m], y lateral
 A ``Frame`` holds its vehicles as parallel (V,) arrays in ascending id
 order: ``ids`` (int64, never reused), ``classes`` (int64 index into
 ``VEHICLE_CLASSES``), center ``x`` and ``y`` (float64, meters), ``speed``
-(float64, m/s along the lane axis) and ``lane`` (int64). The (V, 2, 3)
-``boxes`` and the target's ``user_antenna_pos`` are derived from them.
+(float64, m/s along the lane axis) and ``lane`` (int64). The target's
+``user_antenna_pos`` is derived from them.
 """
 
 import cmath
@@ -242,11 +242,6 @@ class Frame:
     lane: np.ndarray
     target_user_id: int | None
     spawn_draw: int = 0      # Poisson draw for this slot (attempted spawns)
-
-    @property
-    def boxes(self):
-        """(V, 2, 3) min and max corners of each vehicle's 3D bounding box."""
-        return _boxes(self.classes, self.x, self.y)
 
     @property
     def user_antenna_pos(self):

@@ -19,7 +19,8 @@ from streetbeam.featsel import CachedEvaluator, canonical, feature_key
 from streetbeam.nn import leaves
 from streetbeam.predictor import Predictor, _batch_loss_grad
 from streetbeam.scene import (_SPAWN_GAP, VEHICLE_CLASSES, CameraPose, ConfigError, Frame,
-                              ScenarioStreams, SceneConfig, VehicleClass, vehicle_class)
+                              ScenarioStreams, SceneConfig, VehicleClass, _boxes,
+                              vehicle_class)
 from streetbeam.semantics import CATALOG
 
 
@@ -203,7 +204,7 @@ def trace_frame(frame, scene, config):
         return []
     bs = np.asarray(scene.bs_position, dtype=float)
     user = np.asarray(frame.user_antenna_pos, dtype=float)
-    boxes = frame.boxes[frame.ids != frame.target_user_id].tolist()
+    boxes = frame_boxes(frame)[frame.ids != frame.target_user_id].tolist()
     blocked = segment_blocked
     candidates = []
     if not blocked(bs, user, boxes):
@@ -350,6 +351,12 @@ class Vehicle:
         cx, cy = self.center
         hl, hw = self.vclass.length / 2, self.vclass.width / 2
         return (cx - hl, cx + hl, cy - hw, cy + hw)
+
+
+def frame_boxes(frame):
+    """(V, 2, 3) min and max corners of each vehicle's 3D bounding box in
+    a ``scene.Frame``, in its vehicle order."""
+    return _boxes(frame.classes, frame.x, frame.y)
 
 
 def vehicle_boxes(vehicles):

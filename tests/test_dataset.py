@@ -1,12 +1,18 @@
 import json
+import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streetbeam import dataset
 from streetbeam.channel import RayTraceConfig
 from streetbeam.dataset import ContainerError, read_container, write_container
+from streetbeam.pipeline import RunConfig, cmd_generate
 from streetbeam.predictor import SampleSet
 from streetbeam.rng import stream
 from streetbeam.scene import SceneConfig, from_plain
@@ -48,6 +54,82 @@ def test_roundtrip_bitwise(tmp_path):
     assert manifest["resolution"] == [16, 32]
     assert from_plain(RayTraceConfig, manifest["raytrace_config"]) == rt
     assert SceneConfig.from_dict(manifest["scene_config"]) == scene
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@st.composite
+def halfway(draw):
+    """A float64 exactly halfway between two multiples of a float32 step,
+    subnormal steps and the step above the largest float32 included: the
+    cast rounds it half to even."""
+    m = draw(st.integers(0, 2**24 - 1))
+    e = draw(st.integers(-149, 104))
+    return draw(st.sampled_from([1.0, -1.0])) * math.ldexp(2 * m + 1, e - 1)
+
+
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]),
+    st.floats(width=32),                                  # float32 subnormals included
+    st.floats(-2.0**-126, 2.0**-126),                     # round into the subnormals
+    halfway(),
+    st.floats(min_value=F32_MAX) | st.floats(max_value=-F32_MAX),  # to +-max or +-inf
+    st.floats(),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dims=st.tuples(st.integers(1, 3), st.integers(1, 4)), data=st.data())
+def test_channel_blob_bytes_match_interleave(dims, data):
+    """The channel blob of a complex128 column, of its complex64 cast and
+    the interleave of its parts as f32 are the same bytes."""
+    K, N_t = dims
+    n = K * N_t
+    re, im = (np.array(data.draw(st.lists(PARTS, min_size=n, max_size=n))).reshape(1, K, N_t)
+              for _ in range(2))
+    ch = np.empty(re.shape, dtype=np.complex128)  # re + 1j * im would turn inf into nan
+    ch.real, ch.imag = re, im
+    base = small_sampleset(n=1)
+    blobs = []
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+        for i, column in enumerate((ch, ch.astype(np.complex64))):
+            write_container(Path(tmp) / str(i), replace(base, channels=column),
+                            SceneConfig(), RayTraceConfig(N_t=N_t, K=K))
+            blobs.append((Path(tmp) / str(i) / "channels.bin").read_bytes())
+        inter = np.stack([ch.real, ch.imag], -1).astype("<f4")
+    assert blobs[0] == blobs[1] == inter.tobytes()
+
+
+def test_generate_write_read_keeps_complex64_views(tmp_path):
+    """The generated channel column is the one read back, bit for bit, and
+    the reader returns views of the blobs it hashed, not copies."""
+    scene = SceneConfig(frame_count=25, seed=1, spawn_rate=0.5,
+                        initial_vehicles=(("car", (50.0, 1.75), 2, 10.0),))
+    cfg = RunConfig(scene, RayTraceConfig(N_t=8, K=4), resolution=(16, 32),
+                    horizons=(1,), M_bm=8)
+    gen, _ = cmd_generate(cfg, tmp_path / "d")
+    ds, _ = read_container(tmp_path / "d")
+    assert len(ds) > 0
+    assert gen.channels.dtype == ds.channels.dtype == np.complex64
+    assert gen.channels.tobytes() == ds.channels.tobytes()
+    for col in (ds.label_maps, ds.locations, ds.rates, ds.blockage, ds.frame_ids,
+                ds.channels):
+        assert not col.flags.owndata
+
+
+def test_channel_shape_without_re_im_pairs_is_container_error(tmp_path):
+    """A re-checksummed manifest whose channel shape does not end in the
+    re/im pair fails closed, though the blob's item count fits."""
+    path = tmp_path / "d"
+    write_container(path, small_sampleset(), SceneConfig(), RayTraceConfig(N_t=8, K=4))
+    mf = json.loads((path / "manifest.json").read_text())
+    del mf["manifest_sha256"]
+    mf["shapes"]["channels"] = [6, 4, 4, 4]
+    mf["manifest_sha256"] = dataset._sha256(dataset._canonical(mf))
+    (path / "manifest.json").write_bytes(dataset._canonical(mf))
+    with pytest.raises(ContainerError, match="re/im"):
+        read_container(path)
 
 
 def test_optional_channels(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import Vehicle, frame_fields, make_frame
+from oracles import Vehicle, frame_boxes, frame_fields, make_frame
 from streetbeam.scene import (BUS, CAR, VAN, ConfigError, SceneConfig, ScenarioStreams,
                               advance_frame, generate_scenario, to_plain, vehicle_class)
 
@@ -27,13 +27,13 @@ def test_vehicle_class_dims_exact():
 def test_frame_boxes_corners():
     car = Vehicle(1, CAR, (10.0, 1.75), 0.0, 10.0, 1)
     bus = Vehicle(2, BUS, (40.0, -1.75), np.pi, 9.0, 2)
-    boxes = make_frame((car, bus)).boxes
+    boxes = frame_boxes(make_frame((car, bus)))
     assert boxes.shape == (2, 2, 3) and boxes.dtype == np.float64
     for v, (lo, hi) in zip((car, bus), boxes):
         xmin, xmax, ymin, ymax = v.footprint()
         assert lo.tolist() == [xmin, ymin, 0.0]
         assert hi.tolist() == [xmax, ymax, v.vclass.height]
-    assert make_frame().boxes.shape == (0, 2, 3)
+    assert frame_boxes(make_frame()).shape == (0, 2, 3)
 
 
 def test_config_validation():
@@ -120,7 +120,7 @@ def test_frames_equal_object_generator(cfg):
         assert frame_fields(g) == frame_fields(make_frame(w.vehicles, w.target_user_id,
                                                           w.t_index, w.spawn_draw))
         assert g.user_antenna_pos == w.user_antenna_pos
-        assert g.boxes.tobytes() == oracles.vehicle_boxes(w.vehicles).tobytes()
+        assert frame_boxes(g).tobytes() == oracles.vehicle_boxes(w.vehicles).tobytes()
     if cfg.spawn_rate == CRITERION7["spawn_rate"]:
         # dense traffic exercises the gap clamp
         assert sum(len(f.ids) for f in got) > 10 * len(got)
@@ -148,7 +148,7 @@ def test_empty_frame_stays_empty_without_spawning():
                       initial_vehicles=(place(SceneConfig(), 10.0, 0),))
     empty = make_frame()
     nxt = advance_frame(empty, cfg, ScenarioStreams.from_seed(cfg.seed), next_id=1)
-    assert nxt.ids.shape == (0,) and nxt.boxes.shape == (0, 2, 3)
+    assert nxt.ids.shape == (0,) and frame_boxes(nxt).shape == (0, 2, 3)
     assert nxt.target_user_id is None
     assert nxt.user_antenna_pos is None
 
@@ -170,7 +170,7 @@ def test_no_interpenetration_and_bounds():
     cfg = make_config(frame_count=300, spawn_rate=0.8, seed=3)
     frames = generate_scenario(cfg)
     for fr in frames:
-        fps = [(lo[0], hi[0], lo[1], hi[1]) for lo, hi in fr.boxes.tolist()]
+        fps = [(lo[0], hi[0], lo[1], hi[1]) for lo, hi in frame_boxes(fr).tolist()]
         for i in range(len(fps)):
             a = fps[i]
             assert a[1] > 0 and a[0] < cfg.street_length_m  # intersects street

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (Vehicle, corrupt_map, extract_mask, make_frame, pixel_accuracy,
-                     vehicle_boxes)
+from oracles import (Vehicle, corrupt_map, extract_mask, frame_boxes, make_frame,
+                     pixel_accuracy, vehicle_boxes)
 from streetbeam.rng import stream
 from streetbeam.scene import CameraPose, ConfigError, SceneConfig, generate_scenario, vehicle_class
 from streetbeam import semantics
@@ -92,7 +92,7 @@ def _reference_render(frame, camera, config, resolution):
         inv = np.where(dirs != 0, 1.0 / dirs, np.inf)
     fwd, right, up = camera.basis()
     focal = (W / 2) / np.tan(camera.hfov / 2)
-    for lo, hi in frame.boxes:
+    for lo, hi in frame_boxes(frame):
         corners = np.array([[x, y, z] for x in (lo[0], hi[0])
                             for y in (lo[1], hi[1])
                             for z in (lo[2], hi[2])]) - pos
