@@ -2,7 +2,8 @@
 prediction with floating feature selection."""
 
 from .beams import dft_codebook, optimal_beam, topg_accuracy, trr
-from .channel import RayTraceConfig, assemble_channel, steering_vector, trace_paths
+from .channel import (RayTraceConfig, assemble_channel, assemble_channels, steering_vector,
+                      trace_paths)
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import ContainerError, read_container, write_container
 from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator,
@@ -15,7 +16,7 @@ from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig,
                         split_indices, train)
 from .rng import derive_seed, stream
 from .scene import (CameraPose, ConfigError, Frame, SceneConfig, VehicleClass,
-                    advance_frame, generate_scenario)
+                    generate_scenario)
 from .semantics import CATALOG, CONCEPT_NAMES, ConceptCatalog, render_frame
 
 __version__ = "0.1.0"

@@ -233,12 +233,28 @@ def trace_paths(frames, scene: SceneConfig, config: RayTraceConfig):
     return paths, np.minimum(valid.sum(axis=0), P), valid[0]
 
 
+def assemble_channels(paths, n_paths, config: RayTraceConfig):
+    """Frequency-domain channels of F frames, (F, K, N_t) complex128, from
+    their padded path table ``paths`` (F, P, 5) and ``n_paths`` (F,), as
+    ``trace_paths`` returns them; zero where ``n_paths`` is 0.
+
+    Path slot p is added only to the frames that have it, so each channel
+    sums its own paths in table order, with the elementwise operations of
+    the per-path sum in the module docstring and equal to it bit for bit.
+    The temporaries hold a few (F, K, N_t) arrays: callers pass chunks.
+    """
+    fk = config.subcarrier_freq(np.arange(config.K))
+    h = np.zeros((len(paths), config.K, config.N_t), dtype=np.complex128)
+    for p in range(paths.shape[1]):
+        rows = np.flatnonzero(n_paths > p)
+        alpha, phi, tau, theta_az, theta_el = paths[rows, p].T[..., None]  # (r, 1) each
+        gain = alpha * np.exp(-1j * 2 * np.pi * fk * tau + 1j * phi)  # (r, K)
+        h[rows] += gain[..., None] * steering_vector(theta_az[..., None], theta_el[..., None],
+                                                     fk[:, None], config)
+    return h
+
+
 def assemble_channel(paths, config: RayTraceConfig):
     """Frequency-domain channel of one frame's (n, 5) path rows, (K, N_t)
-    complex128; zero when n = 0."""
-    h = np.zeros((config.K, config.N_t), dtype=np.complex128)
-    fk = config.subcarrier_freq(np.arange(config.K))
-    for alpha, phi, tau, theta_az, theta_el in paths.tolist():
-        gain = alpha * np.exp(-1j * 2 * np.pi * fk * tau + 1j * phi)  # (K,)
-        h += gain[:, None] * steering_vector(theta_az, theta_el, fk[:, None], config)
-    return h
+    complex128; zero when n = 0. The one-frame case of ``assemble_channels``."""
+    return assemble_channels(paths[None], np.array([len(paths)]), config)[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import blas, featsel
 from .beams import dft_codebook, full_outages, optimal_beam, topg_accuracy, trr
-from .channel import RayTraceConfig, assemble_channel, trace_paths
+from .channel import RayTraceConfig, assemble_channels, trace_paths
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import read_container, write_container
 from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, EvaluatorError,
@@ -38,6 +38,9 @@ SELECT_EPOCHS = 5  # training epochs of each candidate set in the search
 # Each holds its own activations and Adam buffers; at 160x320 and batch 128 a
 # worker peaked at about 430 MiB RSS, copy-on-write dataset pages included.
 SELECT_WORKERS_MAX = 2
+# channel entries (samples x K x N_t) assembled and searched at once; bounds
+# the chunk's complex temporaries to a few hundred KiB each
+_CHUNK_ENTRIES = 1 << 15
 
 
 class PipelineError(ValueError):
@@ -101,9 +104,12 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
     A frame yields a sample only when its target user persists through the
     longest horizon; excluded frames are counted and logged, never dropped
     silently. Every frame is traced for its LOS flag; maps, channels and
-    rates are computed for the sample frames only. The rates are searched on
-    each full-precision complex128 channel; the stored channel column is its
-    complex64 rounding, as the container keeps it.
+    rates are computed for the sample frames only. The channels of the live
+    samples, those with a path, are assembled and searched in chunks of
+    about ``_CHUNK_ENTRIES`` channel entries; every outage sample gets the
+    zero channel and the zero channel's rate row, searched once. The rates
+    are searched on each full-precision complex128 channel; the stored
+    channel column is its complex64 rounding, as the container keeps it.
     """
     scene_cfg, rt_cfg, resolution = cfg.scene, cfg.raytrace, cfg.resolution
     horizons = tuple(sorted(cfg.horizons))
@@ -118,23 +124,26 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
     excluded = max(len(frames) - max(horizons, default=0), 0) - len(t0)
     log.info("generated %d samples (%d frames excluded)", len(t0), excluded)
 
-    n = len(t0)
+    n, K, N_t = len(t0), rt_cfg.K, rt_cfg.N_t
     samples = SampleSet(
         label_maps=render_frames([frames[t] for t in t0.tolist()], scene_cfg, resolution),
-        locations=np.empty((n, 3), dtype=np.float32),
+        locations=np.array([frames[t].user_antenna_pos for t in t0.tolist()], dtype=np.float32),
         rates=np.empty((n, cfg.M_bm)),
         blockage=blockage,
         frame_ids=t0.astype(np.uint32),
         horizons=horizons,
-        channels=np.empty((n, rt_cfg.K, rt_cfg.N_t), dtype=np.complex64)
-        if cfg.store_channels else None,
+        channels=np.zeros((n, K, N_t), dtype=np.complex64) if cfg.store_channels else None,
     )
-    for i, t in enumerate(t0.tolist()):
-        samples.locations[i] = frames[t].user_antenna_pos
-        h = assemble_channel(paths[t, :n_paths[t]], rt_cfg)
-        samples.rates[i] = optimal_beam(h, codebook, rt_cfg.P_k, rt_cfg.sigma2)
+    samples.rates[:] = optimal_beam(np.zeros((K, N_t), dtype=np.complex128), codebook,
+                                    rt_cfg.P_k, rt_cfg.sigma2)
+    live = np.flatnonzero(n_paths[t0])
+    step = max(_CHUNK_ENTRIES // (K * N_t), 1)
+    for i in range(0, len(live), step):
+        rows = live[i:i + step]
+        h = assemble_channels(paths[t0[rows]], n_paths[t0[rows]], rt_cfg)
+        samples.rates[rows] = optimal_beam(h, codebook, rt_cfg.P_k, rt_cfg.sigma2)
         if cfg.store_channels:
-            samples.channels[i] = h
+            samples.channels[rows] = h
     return samples
 
 

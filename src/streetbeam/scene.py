@@ -16,12 +16,13 @@ order: ``ids`` (int64, never reused), ``classes`` (int64 index into
 ``user_antenna_pos`` is derived from them.
 """
 
+import array
 import cmath
 import math
 import numbers
 import types
 import typing
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -343,80 +344,35 @@ class ScenarioStreams:
 _SPAWN_GAP = 0.5  # minimum bumper gap kept on spawn and when following, meters
 
 
-def _moved_x(frame, config):
-    """Center x after one slot, with a no-overtake gap clamp per lane."""
-    sgn = config.lane_sign(frame.lane)
-    x = frame.x + sgn * frame.speed * config.slot_duration_s
-    # each lane's lead vehicle first (largest coordinate along travel direction)
-    order = np.argsort(-(sgn * frame.x), kind="stable").tolist()
-    x, sgn, lane = x.tolist(), sgn.tolist(), frame.lane.tolist()
-    half = (_DIMS[frame.classes, 0] / 2).tolist()
-    ahead = {}  # lane -> index of the vehicle last placed in it
-    for i in order:
-        j = ahead.get(lane[i])
-        if j is not None:
-            # keep a bumper gap behind the vehicle ahead
-            limit = x[j] - sgn[i] * (half[j] + half[i] + _SPAWN_GAP)
-            if sgn[i] * x[i] > sgn[i] * limit:
-                x[i] = limit
-        ahead[lane[i]] = i
-    return np.array(x, dtype=float)
-
-
-def advance_frame(frame: Frame, config: SceneConfig, streams: ScenarioStreams,
-                  next_id: int) -> Frame:
-    """Advance one 50 ms slot: move, despawn, spawn, re-target.
-
-    Spawned vehicles take ids from ``next_id`` up. Returns the next Frame;
-    the input frame is not mutated.
-    """
-    x = _moved_x(frame, config)
-    half = _DIMS[frame.classes, 0] / 2
-    in_street = (x + half > 0) & (x - half < config.street_length_m)
-    cols = [a[in_street] for a in (frame.ids, frame.classes, x, frame.y, frame.speed, frame.lane)]
-
-    spawn_draw = 0
-    if config.spawn_rate > 0:
-        spawn_draw = int(streams.spawn.poisson(config.spawn_rate))
-    for _ in range(spawn_draw):
-        lane = int(streams.spawn.integers(config.lane_count))
-        c = int(streams.vclass.integers(len(VEHICLE_CLASSES)))
-        speed = float(streams.speed.uniform(*config.speed_range_mps))
-        hl = VEHICLE_CLASSES[c].length / 2
-        cx = hl if config.lane_sign(lane) > 0 else config.street_length_m - hl
-        cy = config.lane_center_y(lane)
-        lo, hi = _boxes([c], np.array([cx]), np.array([cy]))[0, :, :2]
-        others = _boxes(cols[1], cols[2], cols[3])[:, :, :2]
-        near = (lo - _SPAWN_GAP < others[:, 1]) & (others[:, 0] < hi + _SPAWN_GAP)
-        if near.all(axis=1).any():
-            continue  # entry blocked this slot
-        cols = [np.append(a, v) for a, v in zip(cols, (next_id, c, cx, cy, speed, lane))]
-        next_id += 1
-
-    nxt = Frame(frame.t_index + 1, *cols, frame.target_user_id, spawn_draw)
-    if nxt.target_user_id is None or nxt.target_user_id not in nxt.ids:
-        nxt = replace(nxt, target_user_id=_pick_target(nxt, config, streams.target))
-    return nxt
-
-
-def _pick_target(frame, config, target_rng):
+def _pick_target(ids, classes, x, y, config, target_rng):
     """Id of a vehicle drawn among those whose roof every camera sees in its
     horizontal field of view (among all when none is); None on an empty street."""
-    if not len(frame.ids):
+    if not ids:
         return None
-    roofs = np.stack([frame.x, frame.y, _DIMS[frame.classes, 2]], axis=1)
+    roofs = np.stack([x, y, _DIMS[classes, 2]], axis=1)
     visible = np.ones(len(roofs), dtype=bool)
     for cam in config.camera_poses:
         fwd, right, _ = cam.basis()
         d = roofs - np.asarray(cam.position, dtype=float)
         x_c, y_c = d @ fwd, d @ right
         visible &= (x_c > 0) & (np.abs(np.arctan2(y_c, x_c)) < cam.hfov / 2)
-    pool = frame.ids[visible] if visible.any() else frame.ids
+    pool = np.asarray(ids)[visible] if visible.any() else ids
     return int(pool[int(target_rng.integers(len(pool)))])
 
 
 def generate_scenario(config: SceneConfig):
     """Generate ``config.frame_count`` frames; pure function of the config.
+
+    The street is stepped on Python scalars, one list per vehicle column in
+    id order. Each slot after the first moves every vehicle along its lane,
+    clamps it a bumper gap behind the vehicle ahead in its lane (each lane's
+    lead vehicle first), despawns the vehicles that left the street, spawns
+    the slot's Poisson draw at the entry edges unless the entry is blocked,
+    and re-targets when the target is gone. The columns of all slots collect
+    in typed buffers and become one block per column, which the frames slice:
+    thousands of small live per-frame buffers fragment the heap, and repeated
+    generates in one process then grew peak RSS by about 12% (gen-wideband,
+    seed 511).
 
     Raises ConfigError when no vehicle can ever exist (spawn_rate == 0 and
     no pre-placed vehicles), since no target user would be available.
@@ -425,29 +381,59 @@ def generate_scenario(config: SceneConfig):
         raise ConfigError("spawn_rate = 0 with no initial vehicles leaves no candidate target")
 
     streams = ScenarioStreams.from_seed(config.seed)
+    length, dt, gap = config.street_length_m, config.slot_duration_s, _SPAWN_GAP
+    sign = [float(config.lane_sign(k)) for k in range(config.lane_count)]
+    hl, hw = [c.length / 2 for c in VEHICLE_CLASSES], [c.width / 2 for c in VEHICLE_CLASSES]
     rows = config.initial_vehicles
-    frame = Frame(
-        t_index=0,
-        ids=np.arange(len(rows), dtype=np.int64),
-        classes=np.array([VEHICLE_CLASSES.index(vehicle_class(r[0])) for r in rows],
-                         dtype=np.int64),
-        x=np.array([r[1][0] for r in rows], dtype=float),
-        y=np.array([r[1][1] for r in rows], dtype=float),
-        speed=np.array([r[3] for r in rows], dtype=float),
-        lane=np.array([r[2] for r in rows], dtype=np.int64),
-        target_user_id=None,
-    )
-    frames = [replace(frame, target_user_id=_pick_target(frame, config, streams.target))]
-    next_id = len(rows)
-    for _ in range(config.frame_count - 1):
-        nxt = advance_frame(frames[-1], config, streams, next_id)
-        # ids are never reused, even after despawns
-        next_id = max(next_id, 1 + int(nxt.ids.max(initial=-1)))
-        frames.append(nxt)
-    # one block per column, sliced by the frames: thousands of small live
-    # per-frame buffers fragment the heap, and repeated generates in one
-    # process then grew peak RSS by about 12% (gen-wideband, seed 511)
-    names = ("ids", "classes", "x", "y", "speed", "lane")
-    bounds = np.cumsum([len(f.ids) for f in frames])[:-1]
-    cols = [np.split(np.concatenate([getattr(f, n) for f in frames]), bounds) for n in names]
-    return [replace(f, **dict(zip(names, vals))) for f, *vals in zip(frames, *cols)]
+    ids = list(range(len(rows)))  # never reused, even after despawns
+    classes = [VEHICLE_CLASSES.index(vehicle_class(r[0])) for r in rows]
+    x, y = [float(r[1][0]) for r in rows], [float(r[1][1]) for r in rows]
+    speed, lane = [float(r[3]) for r in rows], [int(r[2]) for r in rows]
+    next_id, target, draw = len(rows), None, 0
+    bufs = [array.array(code) for code in "qqdddq"]  # the columns of every slot
+    slots = []  # (vehicle count, target, spawn draw) of every slot
+    for t in range(config.frame_count):
+        if t:
+            sgn = [sign[k] for k in lane]
+            moved = [xi + s * v * dt for xi, s, v in zip(x, sgn, speed)]
+            ahead = {}  # lane -> index of the vehicle last placed in it
+            # each lane's lead vehicle first (largest coordinate along travel direction)
+            key = [-(s * xi) for s, xi in zip(sgn, x)]
+            for i in sorted(range(len(x)), key=key.__getitem__):
+                j = ahead.get(lane[i])
+                if j is not None:
+                    # keep a bumper gap behind the vehicle ahead
+                    limit = moved[j] - sgn[i] * (hl[classes[j]] + hl[classes[i]] + gap)
+                    if sgn[i] * moved[i] > sgn[i] * limit:
+                        moved[i] = limit
+                ahead[lane[i]] = i
+            keep = [i for i, (xi, c) in enumerate(zip(moved, classes))
+                    if xi + hl[c] > 0 and xi - hl[c] < length]
+            cols = [ids, classes, moved, y, speed, lane]
+            if len(keep) < len(ids):
+                cols = [[col[i] for i in keep] for col in cols]
+            ids, classes, x, y, speed, lane = cols
+            draw = int(streams.spawn.poisson(config.spawn_rate)) if config.spawn_rate > 0 else 0
+            for _ in range(draw):
+                k = int(streams.spawn.integers(config.lane_count))
+                c = int(streams.vclass.integers(len(VEHICLE_CLASSES)))
+                v = float(streams.speed.uniform(*config.speed_range_mps))
+                cx, cy = hl[c] if sign[k] > 0 else length - hl[c], config.lane_center_y(k)
+                if any(cx - hl[c] - gap < xo + hl[co] and xo - hl[co] < cx + hl[c] + gap
+                       and cy - hw[c] - gap < yo + hw[co] and yo - hw[co] < cy + hw[c] + gap
+                       for co, xo, yo in zip(classes, x, y)):
+                    continue  # entry blocked this slot
+                for col, value in zip(cols, (next_id, c, cx, cy, v, k)):
+                    col.append(value)
+                next_id += 1
+        if target not in ids:
+            target = _pick_target(ids, classes, x, y, config, streams.target)
+        for buf, col in zip(bufs, (ids, classes, x, y, speed, lane)):
+            buf.fromlist(col)
+        slots.append((len(ids), target, draw))
+    cols = [np.frombuffer(buf, np.int64 if buf.typecode == "q" else float) for buf in bufs]
+    frames, start = [], 0
+    for t, (n, target, draw) in enumerate(slots):
+        frames.append(Frame(t, *(col[start:start + n] for col in cols), target, draw))
+        start += n
+    return frames

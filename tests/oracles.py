@@ -2,9 +2,9 @@
 corruption and pixel accuracy, per-sample loops of the Top-G accuracy and
 TRR, an exhaustive subset search, the finite-difference gradient check of
 a predictor, the name -> tensor view of a tensor tree, the per-slot blockage
-labeler, the per-frame ray tracer with its scalar slab test, and the
-object-based scenario generator with the helper that builds array frames
-from its vehicles.
+labeler, the per-frame ray tracer with its scalar slab test, the per-path
+channel sum, and the object-based scenario generator with the helper that
+builds array frames from its vehicles.
 """
 
 import copy
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from streetbeam.channel import C_LIGHT
+from streetbeam.channel import C_LIGHT, steering_vector
 from streetbeam.featsel import CachedEvaluator, canonical, feature_key
 from streetbeam.nn import leaves
 from streetbeam.predictor import Predictor, _batch_loss_grad
@@ -144,6 +144,18 @@ def path_rows(paths):
     """(n, 5) rows of PathComponents in streetbeam.channel's table."""
     return np.array([(p.alpha, p.phi, p.tau, p.theta_az, p.theta_el) for p in paths],
                     dtype=float).reshape(-1, 5)
+
+
+def assemble_channel(paths, config):
+    """Frequency-domain channel of one frame's (n, 5) path rows, (K, N_t)
+    complex128, summed path by path; zero when n = 0.
+    ``streetbeam.channel.assemble_channels`` must reproduce it bit for bit."""
+    h = np.zeros((config.K, config.N_t), dtype=np.complex128)
+    fk = config.subcarrier_freq(np.arange(config.K))
+    for alpha, phi, tau, theta_az, theta_el in paths.tolist():
+        gain = alpha * np.exp(-1j * 2 * np.pi * fk * tau + 1j * phi)  # (K,)
+        h += gain[:, None] * steering_vector(theta_az, theta_el, fk[:, None], config)
+    return h
 
 
 def segment_blocked(p0, p1, boxes, eps=1e-9):

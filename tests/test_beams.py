@@ -110,13 +110,17 @@ def test_optimal_beam_brute_force_oracle():
     for K, N_t, M_bm in ((4, 8, 8), (16, 16, 16), (128, 64, 64), (5, 6, 11), (1, 4, 4)):
         cb = dft_codebook(N_t, M_bm)
         for snr in (0.1, 10.0, 1e4):
-            for h in [random_channel(rng, K, N_t) for _ in range(10)] + \
-                     [np.zeros((K, N_t), dtype=complex)]:
+            chans = [random_channel(rng, K, N_t) for _ in range(10)] + \
+                [np.zeros((K, N_t), dtype=complex)]
+            for h in chans:
                 rates = optimal_beam(h, cb, snr, 1.0)
                 want = _reference_rates(h, cb, snr, 1.0)
                 assert rates.shape == (M_bm,)
                 assert rates.tobytes() == want.tobytes()
                 assert rates.argmax() == int(np.argmax(want))
+            # a leading batch axis gives each channel its own rate row
+            rows = [_reference_rates(h, cb, snr, 1.0) for h in chans]
+            assert optimal_beam(np.stack(chans), cb, snr, 1.0).tobytes() == np.stack(rows).tobytes()
 
 
 @pytest.mark.parametrize("rt", [RayTraceConfig(), RayTraceConfig(N_t=16, K=16)],
@@ -125,10 +129,13 @@ def test_optimal_beam_bitwise_on_street_channels(rt):
     cb = dft_codebook(rt.N_t, rt.N_t)
     chans = street_channels(rt)
     assert len(chans) > 90
-    for ch in chans:
+    # batches of 3 channels: the rows must not depend on the batch
+    batched = np.concatenate([optimal_beam(np.stack(chans[i:i + 3]), cb, rt.P_k, rt.sigma2)
+                              for i in range(0, len(chans), 3)])
+    for ch, row in zip(chans, batched):
         rates = optimal_beam(ch, cb, rt.P_k, rt.sigma2)
         want = _reference_rates(ch, cb, rt.P_k, rt.sigma2)
-        assert rates.dtype == np.float64 and rates.tobytes() == want.tobytes()
+        assert rates.dtype == np.float64 and rates.tobytes() == want.tobytes() == row.tobytes()
         assert rates.argmax() == int(np.argmax(want))
 
 

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from oracles import Vehicle, make_frame
 from streetbeam.channel import (_CHUNK_FRAMES, RayTraceConfig, assemble_channel,
-                                steering_vector, trace_paths)
+                                assemble_channels, steering_vector, trace_paths)
 from streetbeam.pipeline import blockage_labels
 from streetbeam.rng import stream
 from streetbeam.scene import (BUS, VAN, SceneConfig, from_plain, generate_scenario, to_plain,
@@ -232,8 +232,14 @@ def _reference_assemble(paths, config):
     return h
 
 
-@pytest.mark.parametrize("cfg", [RayTraceConfig(), RayTraceConfig(N_t=16, K=16)],
-                         ids=["default", "Nt16-K16"])
+def chunked_channels(paths, n_paths, cfg, step=7):
+    """``assemble_channels`` of a padded table, ``step`` frames at a time."""
+    return np.concatenate([assemble_channels(paths[i:i + step], n_paths[i:i + step], cfg)
+                           for i in range(0, len(paths), step)])
+
+
+@pytest.mark.parametrize("cfg", [RayTraceConfig(), RayTraceConfig(N_t=16, K=16),
+                                 small_cfg(N_t=3, K=5)], ids=["default", "Nt16-K16", "Nt3-K5"])
 def test_assemble_channel_bitwise_on_street_paths(cfg):
     # the acceptance-criterion-7 street: dense traffic, base station at 2 m
     scene = SceneConfig(frame_count=100, seed=503, spawn_rate=0.6,
@@ -241,15 +247,22 @@ def test_assemble_channel_bitwise_on_street_paths(cfg):
     frames = [f for f in generate_scenario(scene) if f.target_user_id is not None]
     assert len(frames) > 90
     paths, n_paths, _ = trace_paths(frames, scene, cfg)
+    chunked = chunked_channels(paths, n_paths, cfg)
     for f, frame in enumerate(frames):
         got = assemble_channel(paths[f, :n_paths[f]], cfg)
         want = _reference_assemble(oracles.trace_frame(frame, scene, cfg), cfg)
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes() == chunked[f].tobytes()
     rng = stream(6, "test.bitwise")
     for _ in range(20):
         paths = random_paths(rng, int(rng.integers(1, 5)))
         want = [oracles.PathComponent(*row, is_los=False) for row in paths.tolist()]
         got = assemble_channel(paths, cfg)
+        assert got.tobytes() == _reference_assemble(want, cfg).tobytes()
+    # frames of 0 to 4 paths, with garbage in the padding after them
+    table = np.stack([random_paths(rng, 4) for _ in range(20)])
+    n_paths = rng.integers(0, 5, len(table))
+    for paths, n, got in zip(table, n_paths, chunked_channels(table, n_paths, cfg)):
+        want = [oracles.PathComponent(*row, is_los=False) for row in paths[:n].tolist()]
         assert got.tobytes() == _reference_assemble(want, cfg).tobytes()
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from streetbeam.beams import dft_codebook, optimal_beam
-from streetbeam.channel import RayTraceConfig, assemble_channel
+from streetbeam import pipeline
+from streetbeam.channel import RayTraceConfig
 from streetbeam.dataset import read_container
 from streetbeam.pipeline import (SELECT_WORKERS_MAX, PipelineError, RunConfig,
                                  blockage_labels, cmd_eval, cmd_generate, cmd_report,
@@ -105,30 +107,50 @@ def test_blockage_labels_match_per_slot_oracle(inputs):
     assert blockage.tolist() == [flags for _, flags in want]
 
 
-@pytest.mark.parametrize("horizons", [(3, 1), ()], ids=["h1-3", "no-horizons"])
-def test_generate_matches_per_frame_reference(horizons):
+# a 40-frame street whose samples have 0, 1, 3 or 4 paths: the two buses
+# shade the base station at 2 m, below their roofs
+OUTAGE_SCENE = SceneConfig(frame_count=40, seed=68, spawn_rate=0.5, bs_position=(100.0, -8.0, 2.0),
+                           initial_vehicles=(("bus", (105.8, -5.25), 0, 10.0),
+                                             ("bus", (119.8, 1.75), 2, 5.0)))
+
+
+@pytest.mark.parametrize("horizons, sigma2", [((3, 1), 0.1), ((), 0.1), ((3, 1), 5e-324)],
+                         ids=["h1-3", "no-horizons", "sigma2-min"])
+def test_generate_matches_per_frame_reference(horizons, sigma2):
     """Every column equals a per-frame build: trace, assemble and search
-    each frame alone, and label each slot with the per-slot oracle."""
-    scene, rt = small_scene(frames=40, seed=5), small_rt()
-    ds = generate_dataset(run_config(scene, rt, horizons=horizons, M_bm=8))
+    each frame alone, and label each slot with the per-slot oracle. The
+    live samples run through several chunks, and the outage samples share
+    one zero-channel rate row, which must equal each outage's own search.
+    At sigma2 = 5e-324, P_k / sigma2 overflows to inf, so that row is NaN."""
+    scene, rt = OUTAGE_SCENE, RayTraceConfig(N_t=8, K=4, sigma2=sigma2)
+    per_chunk = 3
+    with mock.patch.object(pipeline, "_CHUNK_ENTRIES", per_chunk * rt.K * rt.N_t), \
+            np.errstate(over="ignore", invalid="ignore"):
+        ds = generate_dataset(run_config(scene, rt, horizons=horizons, M_bm=8))
     frames = generate_scenario(scene)
     paths = [oracles.trace_frame(f, scene, rt) for f in frames]
     targets = [f.target_user_id for f in frames]
     los = [any(p.is_los for p in ps) for ps in paths]
     want = _usable_by_oracle(targets, los, tuple(sorted(horizons)))
     assert len(want) > 20
+    live = sum(len(paths[t]) > 0 for t, _ in want)
+    assert 0 < live < len(want)  # outage and live samples
+    assert live > per_chunk      # at least two chunks of live samples
     assert ds.frame_ids.tolist() == [t for t, _ in want]
     assert ds.blockage.tolist() == [flags for _, flags in want]
     assert ds.horizons == tuple(sorted(horizons))
     cb = dft_codebook(rt.N_t, 8)
     for i, (t, _) in enumerate(want):
-        h = assemble_channel(oracles.path_rows(paths[t]), rt)
+        h = oracles.assemble_channel(oracles.path_rows(paths[t]), rt)
         # the column stores h rounded to complex64; the rates are searched on h
         assert ds.channels[i].tobytes() == h.astype(np.complex64).tobytes()
-        assert ds.rates[i].tobytes() == optimal_beam(h, cb, rt.P_k, rt.sigma2).tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert ds.rates[i].tobytes() == optimal_beam(h, cb, rt.P_k, rt.sigma2).tobytes()
         assert ds.label_maps[i].tobytes() == render_frame(frames[t], scene, RES).tobytes()
         want_loc = np.asarray(frames[t].user_antenna_pos, dtype=np.float32)
         assert ds.locations[i].tobytes() == want_loc.tobytes()
+    if sigma2 == 5e-324:
+        assert np.isnan(ds.rates).any()
 
 
 def test_generate_zero_usable_samples():

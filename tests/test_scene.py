@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import Vehicle, frame_boxes, frame_fields, make_frame
-from streetbeam.scene import (BUS, CAR, VAN, ConfigError, SceneConfig, ScenarioStreams,
-                              advance_frame, generate_scenario, to_plain, vehicle_class)
+from streetbeam.scene import (BUS, CAR, VAN, ConfigError, SceneConfig, generate_scenario,
+                              to_plain, vehicle_class)
 
 
 def make_config(**kw):
@@ -126,31 +128,59 @@ def test_frames_equal_object_generator(cfg):
         assert sum(len(f.ids) for f in got) > 10 * len(got)
 
 
+@st.composite
+def scene_configs(draw):
+    """Streets of 1 to 6 lanes and 20 to 300 m, spawn rates from 0 to 2,
+    speed ranges with equal bounds and 0, and up to 4 pre-placed vehicles,
+    some parked, some on one spot (at least one when nothing spawns)."""
+    lanes, length = draw(st.integers(1, 6)), draw(st.floats(20, 300))
+    low = draw(st.sampled_from([0.0, 8.0]) | st.floats(0, 20))
+    high = draw(st.just(low) | st.floats(low, 25))
+    rate = draw(st.sampled_from([0.0, 2.0]) | st.floats(0, 2))
+    street = SceneConfig(street_length_m=length, lane_count=lanes)
+    vehicles = []
+    for _ in range(draw(st.integers(1 if rate == 0 else 0, 4))):
+        lane = draw(st.integers(0, lanes - 1))
+        x = draw(st.sampled_from([length / 2, 5.0]) | st.floats(0, length))
+        y = street.lane_center_y(lane) + draw(st.floats(-0.9, 0.9)) * street.lane_width_m / 2
+        speed = draw(st.just(0.0) | st.floats(0, 20))
+        vehicles.append((draw(st.sampled_from(["car", "van", "bus"])), (x, y), lane, speed))
+    return SceneConfig(street_length_m=length, lane_count=lanes, spawn_rate=rate,
+                       speed_range_mps=(low, high), frame_count=draw(st.integers(1, 120)),
+                       seed=draw(st.integers(0, 2**32)), initial_vehicles=tuple(vehicles))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scene_configs())
+def test_frames_equal_object_generator_on_random_streets(cfg):
+    want = oracles.generate_scenario(cfg)
+    got = generate_scenario(cfg)
+    assert [frame_fields(g) for g in got] == [
+        frame_fields(make_frame(w.vehicles, w.target_user_id, w.t_index, w.spawn_draw))
+        for w in want]
+    assert [g.user_antenna_pos for g in got] == [w.user_antenna_pos for w in want]
+
+
 def test_despawn_at_street_end():
-    cfg = SceneConfig(frame_count=3, spawn_rate=0.0, street_length_m=50.0,
+    cfg = SceneConfig(frame_count=40, spawn_rate=0.0, street_length_m=50.0,
                       initial_vehicles=(place(SceneConfig(street_length_m=50.0), 49.0, 0, 14.0),))
     # lane 0 has negative y -> travels +x; car at x=49 of a 50 m street
     frames = generate_scenario(cfg)
     assert len(frames[0].ids) == 1
     # after enough slots the footprint leaves the street and the car despawns
-    fr = frames[0]
-    streams = ScenarioStreams.from_seed(cfg.seed)
-    for _ in range(40):
-        fr = advance_frame(fr, cfg, streams, next_id=1)
-        if not len(fr.ids):
-            break
+    fr = frames[-1]
     assert fr.ids.shape == (0,)
     assert fr.target_user_id is None
 
 
 def test_empty_frame_stays_empty_without_spawning():
-    cfg = SceneConfig(frame_count=2, spawn_rate=0.0,
-                      initial_vehicles=(place(SceneConfig(), 10.0, 0),))
-    empty = make_frame()
-    nxt = advance_frame(empty, cfg, ScenarioStreams.from_seed(cfg.seed), next_id=1)
-    assert nxt.ids.shape == (0,) and frame_boxes(nxt).shape == (0, 2, 3)
-    assert nxt.target_user_id is None
-    assert nxt.user_antenna_pos is None
+    # at 3 m a slot the car leaves the street on the first move; none spawns after it
+    cfg = SceneConfig(frame_count=3, spawn_rate=0.0,
+                      initial_vehicles=(place(SceneConfig(), 199.0, 0, 60.0),))
+    for nxt in generate_scenario(cfg)[1:]:
+        assert nxt.ids.shape == (0,) and frame_boxes(nxt).shape == (0, 2, 3)
+        assert nxt.target_user_id is None
+        assert nxt.user_antenna_pos is None
 
 
 def test_spawn_statistics_poisson_3sigma():
