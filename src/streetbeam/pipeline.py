@@ -19,8 +19,7 @@ from .beams import dft_codebook, full_outages, optimal_beam, topg_accuracy, trr
 from .channel import RayTraceConfig, assemble_channels, trace_paths
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import read_container, write_container
-from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, EvaluatorError,
-                      canonical, sffs)
+from .featsel import LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, EvaluatorError, sffs
 from .nn import leaves
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, accuracy,
                         predict, split_indices, task_labels, train)
@@ -219,7 +218,7 @@ def cmd_train(dataset: SampleSet, features, task, cfg: TrainConfig, out_dir,
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, _stem(task, horizon) + ".esnn"),
                     res.params, res.state)
-    meta = {"task": task, "horizon": horizon, "features": list(res.features),
+    meta = {"task": task, "horizon": horizon, "features": list(res.model.features),
             **to_plain(cfg),  # seed, epochs, batch_size, learning_rate, split, arch
             "M_bm": dataset.M_bm, "val_accuracy": res.val_accuracy,
             "train_loss": res.train_loss}
@@ -245,10 +244,11 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
              g_list=DEFAULT_G_LIST):
     """Evaluate a checkpointed model on the test split; write a fragment.
 
+    The model is rebuilt for the feature set its ``.meta.json`` records.
     Top-G accuracy and TRR read the codeword rates stored per sample, so
     the beam task needs neither the channels nor the link budget.
     """
-    horizon, _ = task_labels(dataset, task, horizon)
+    horizon, labels = task_labels(dataset, task, horizon)
     if task == "beam":
         for g in g_list:
             if g > dataset.M_bm:
@@ -264,10 +264,8 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
     if task == "beam" and meta["M_bm"] != dataset.M_bm:
         raise PipelineError(f"checkpoint codebook size M_bm = {meta['M_bm']} differs "
                             f"from the dataset's M_bm = {dataset.M_bm}")
-    features = canonical(meta["features"])
-    arch = from_plain(ArchConfig, meta["arch"])
-    in_channels = (len(features) - 1) * dataset.n_cams
-    model = Predictor(task, in_channels, meta["M_bm"], arch)
+    model = Predictor(task, meta["features"], dataset.n_cams, meta["M_bm"],
+                      from_plain(ArchConfig, meta["arch"]))
     params, state = _load_model_checkpoint(ckpt_path, model)
 
     _, _, test_idx = split_indices(dataset.frame_ids, tuple(meta["split"]),
@@ -278,9 +276,8 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
     fragment = {"task": task, "horizon": horizon, "n": int(len(test_idx)),
                 "seed": meta["seed"]}
     if task == "beam":
-        out = predict(model, params, state, dataset, test_idx, features)
+        out = predict(model, params, state, dataset, test_idx)
         order = np.argsort(-out, axis=1, kind="stable")
-        labels = dataset.beam_labels[test_idx]
         rates = dataset.rates[test_idx]
         fragment["g_list"] = list(g_list)
         fragment["trr_excluded"] = int(np.count_nonzero(full_outages(rates)))
@@ -290,11 +287,11 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
         fragment["topg_accuracy"] = {}
         fragment["trr"] = {}
         for g in g_list:
-            fragment["topg_accuracy"][str(g)] = topg_accuracy(labels, order[:, :g])
+            fragment["topg_accuracy"][str(g)] = topg_accuracy(labels[test_idx], order[:, :g])
             fragment["trr"][str(g)] = trr(rates, order[:, :g])
     else:
         fragment["blockage_accuracy"] = accuracy(model, params, state, dataset,
-                                                 test_idx, features, task, horizon)
+                                                 test_idx, labels)
 
     _write_json(os.path.join(out_dir, f"eval_{_stem(task, horizon)}.json"), fragment)
     return fragment

@@ -24,6 +24,7 @@ from .scene import ConfigError, check_fields, check_max, check_min
 from .semantics import CATALOG, MAX_SIDE
 
 log = logging.getLogger(__name__)
+PREDICT_BATCH = 256  # samples per evaluation-mode forward pass of predict
 
 
 # ---------------------------------------------------------------------------
@@ -76,18 +77,13 @@ def _downsample(arr, out_hw):
     return arr[..., ::h // oh, ::w // ow]
 
 
-def semantic_features(features):
-    """Canonical non-location features of a set; location must be present."""
+def concept_ids(features):
+    """uint8 catalog ids of the non-location features of a set, in canonical
+    order; the set must contain location."""
     feats = canonical(features)
     if LOCATION not in feats:
         raise ValueError("the feature set must contain the location feature")
-    return [f for f in feats if f != LOCATION]
-
-
-def concept_ids(features):
-    """uint8 catalog ids of the semantic features, in canonical order."""
-    return np.array([CATALOG.index(f) for f in semantic_features(features)],
-                    dtype=np.uint8)
+    return np.array([CATALOG.index(f) for f in feats if f != LOCATION], dtype=np.uint8)
 
 
 def mask_channels(label_maps, features, out_hw=None):
@@ -98,18 +94,12 @@ def mask_channels(label_maps, features, out_hw=None):
     order (major) then camera order (minor); shape (N, C, H', W') float32
     with C = (len(features) - 1) * n_cams.
     """
-    sem = semantic_features(features)
+    ids = concept_ids(features)
     if out_hw is not None:
         label_maps = _downsample(label_maps, out_hw)
-    n, n_cams = label_maps.shape[:2]
-    chans = []
-    for f in sem:
-        idx = CATALOG.index(f)
-        for cam in range(n_cams):
-            chans.append(label_maps[:, cam] == idx)
-    if not chans:
-        return np.zeros((n, 0) + label_maps.shape[2:], dtype=np.float32)
-    return np.stack(chans, axis=1).astype(np.float32)
+    n, n_cams, h, w = label_maps.shape
+    masks = label_maps[:, None] == ids[:, None, None, None]  # (N, C, n_cams, H, W)
+    return masks.reshape(n, len(ids) * n_cams, h, w).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +145,16 @@ TINY_ARCH = ArchConfig(input_hw=(16, 32), aux_widths=(16, 8),
 
 class Predictor(Composite):
     """Auxiliary branch + optional semantic branch + decision head
-    (children "aux", "sem", "head")."""
+    (children "aux", "sem", "head"), built for one feature set: the semantic
+    branch masks its ``concepts`` in each of ``n_cams`` cameras, and is left
+    out when the set is location alone."""
 
-    def __init__(self, task, in_channels, M_bm, arch: ArchConfig):
+    def __init__(self, task, features, n_cams, M_bm, arch: ArchConfig):
         if task not in ("beam", "blockage"):
             raise ValueError(f"unknown task {task!r}")
         self.task = task
-        self.in_channels = in_channels
-        self.M_bm = M_bm
-        self.arch = arch
+        self.features = canonical(features)
+        self.concepts = concept_ids(self.features)
 
         w1, w2 = arch.aux_widths
         self.children = {"aux": Sequential([
@@ -176,9 +167,9 @@ class Predictor(Composite):
         conv_spec = arch.beam_conv if task == "beam" else arch.bl_conv
         res_spec = arch.beam_res if task == "beam" else arch.bl_res
         self.sem_dim = 0
-        if in_channels > 0:
+        if len(self.concepts):
             layers = []
-            c_prev = in_channels
+            c_prev = len(self.concepts) * n_cams
             h, w = arch.input_hw
             for filters, stride in conv_spec:
                 conv = (Conv2d(c_prev, filters, 3, stride, 1) if layers else
@@ -209,21 +200,17 @@ class Predictor(Composite):
     def init(self, seed, dtype=np.float32):
         return super().init(rng_mod.stream(seed, "predictor.init"), dtype)
 
-    def forward(self, params, state, loc, maps, features, training=False, rng=None):
+    def forward(self, params, state, loc, maps, training=False, rng=None):
         """Returns (output, cache): beam logits (N, M_bm) or blockage logit (N, 1).
 
         loc: (N, 3) target locations. maps: (N, n_cams, H, W) uint8 label
         maps at ``arch.input_hw`` or an integer multiple of it, of which the
-        semantic branch masks the concepts of ``features``.
+        semantic branch masks the model's ``concepts``.
         """
         x, ca = self.run("aux", loc, params, state, training, rng)
         cm = None
         if "sem" in self.children:
-            ids = concept_ids(features)
-            if len(ids) * maps.shape[1] != self.in_channels:
-                raise ValueError(f"{len(ids)} concepts x {maps.shape[1]} cameras do not "
-                                 f"make the network's {self.in_channels} input channels")
-            m, cm = self.run("sem", (maps, ids), params, state, training, rng)
+            m, cm = self.run("sem", (maps, self.concepts), params, state, training, rng)
             x = np.concatenate([x, m], axis=1)
         y, ch = self.run("head", x, params, state, training, rng)
         return y, (ca, cm, ch)
@@ -331,7 +318,6 @@ class TrainResult:
     model: Predictor
     params: dict
     state: dict
-    features: tuple
     val_accuracy: float
     split: tuple  # (train_idx, val_idx, test_idx)
     train_loss: list  # mean training loss of each epoch
@@ -355,29 +341,29 @@ def task_labels(dataset: SampleSet, task, horizon=None):
     return horizon, dataset.blockage[:, col].astype(np.int64)
 
 
-def predict(model, params, state, dataset, idx, features, batch_size=256):
-    """Eval-mode network outputs for the given sample indices."""
+def predict(model, params, state, dataset, idx):
+    """Eval-mode outputs of ``model`` for the samples ``idx`` of ``dataset``,
+    ``PREDICT_BATCH`` samples per forward pass."""
     outs = []
-    for lo in range(0, len(idx), batch_size):
-        sel = idx[lo:lo + batch_size]
+    for lo in range(0, len(idx), PREDICT_BATCH):
+        sel = idx[lo:lo + PREDICT_BATCH]
         loc = dataset.locations[sel].astype(np.float32)
-        y, _ = model.forward(params, state, loc, dataset.label_maps[sel], features,
-                             training=False)
+        y, _ = model.forward(params, state, loc, dataset.label_maps[sel], training=False)
         outs.append(y)
     return np.concatenate(outs) if outs else np.zeros((0, 1))
 
 
-def accuracy(model, params, state, dataset, idx, features, task, horizon=None):
-    """Top-1 beam accuracy (argmax) or blockage accuracy (0.5 threshold)."""
+def accuracy(model, params, state, dataset, idx, labels):
+    """Top-1 beam accuracy (argmax) or blockage accuracy (0.5 threshold) of
+    ``model`` on the samples ``idx``, against the task's (N,) ``labels``."""
     if len(idx) == 0:
         return 0.0
-    out = predict(model, params, state, dataset, idx, features)
-    labels = task_labels(dataset, task, horizon)[1][idx]
-    if task == "beam":
+    out = predict(model, params, state, dataset, idx)
+    if model.task == "beam":
         pred = np.argmax(out, axis=1)
     else:
         pred = (sigmoid(out[:, 0]) >= 0.5).astype(np.int64)
-    return float(np.mean(pred == labels))
+    return float(np.mean(pred == labels[idx]))
 
 
 def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) -> TrainResult:
@@ -387,13 +373,10 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
     the init, the shuffles and the dropout masks all come from named child
     streams of cfg.seed, and batches run sequentially.
     """
-    feats = canonical(features)
-    sem = semantic_features(feats)  # validates location presence
-    in_channels = len(sem) * dataset.n_cams
+    model = Predictor(task, features, dataset.n_cams, dataset.M_bm, cfg.arch)
     _, labels = task_labels(dataset, task, horizon)
     train_idx, val_idx, test_idx = split_indices(dataset.frame_ids, cfg.split, cfg.seed)
 
-    model = Predictor(task, in_channels, dataset.M_bm, cfg.arch)
     params, state = model.init(cfg.seed)
     opt = Adam(params, lr=cfg.learning_rate)
     shuffle_rng = rng_mod.stream(cfg.seed, "shuffle")
@@ -408,7 +391,7 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
             if len(sel) < 2:
                 continue  # batch statistics need more than one sample
             loc = dataset.locations[sel].astype(np.float32)
-            out, cache = model.forward(params, state, loc, dataset.label_maps[sel], feats,
+            out, cache = model.forward(params, state, loc, dataset.label_maps[sel],
                                        training=True, rng=dropout_rng)
             loss, dout = _batch_loss_grad(model, out, labels[sel])
             grads = model.backward(dout, cache, params)
@@ -418,7 +401,6 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
         train_loss.append(ep_loss / max(ep_n, 1))
         log.debug("epoch %d: train loss %.4f", epoch, train_loss[-1])
 
-    val_acc = accuracy(model, params, state, dataset, val_idx, feats, task, horizon)
-    return TrainResult(model=model, params=params, state=state, features=feats,
-                       val_accuracy=val_acc, split=(train_idx, val_idx, test_idx),
-                       train_loss=train_loss)
+    val_acc = accuracy(model, params, state, dataset, val_idx, labels)
+    return TrainResult(model=model, params=params, state=state, val_accuracy=val_acc,
+                       split=(train_idx, val_idx, test_idx), train_loss=train_loss)

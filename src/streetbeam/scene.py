@@ -175,7 +175,7 @@ def vehicle_class(name: str) -> VehicleClass:
 
 def _check_initial_vehicle(entry, config):
     """ConfigError unless ``entry`` is (known class name, (x, y), lane, speed)
-    with a finite center inside a lane of the street, that lane's index and
+    with a finite center on the street, inside the lane of that index, and
     a finite speed >= 0."""
     try:
         name, (cx, cy), lane, speed = entry
@@ -190,6 +190,9 @@ def _check_initial_vehicle(entry, config):
         raise ConfigError(f"initial vehicle {entry!r}: lane must be in [0, {config.lane_count})")
     if speed < 0:
         raise ConfigError(f"initial vehicle {entry!r}: speed must be >= 0")
+    if not 0 <= cx <= config.street_length_m:
+        raise ConfigError(f"initial vehicle {entry!r}: center x must lie in "
+                          f"[0, {config.street_length_m}]")
     axis = config.lane_center_y(lane)
     if abs(cy - axis) > config.lane_width_m / 2:
         raise ConfigError(f"initial vehicle {entry!r}: center y is off lane {lane}, "

@@ -289,7 +289,7 @@ def brute_force_best(universal, evaluator, pinned=(), v_max=None, max_size=20):
     return best_set
 
 
-def gradient_check(model: Predictor, params, state, loc, maps, features, label,
+def gradient_check(model: Predictor, params, state, loc, maps, label,
                    n_samples=120, step=1e-5, seed=0):
     """Max relative error between analytic and central-difference gradients.
 
@@ -308,11 +308,11 @@ def gradient_check(model: Predictor, params, state, loc, maps, features, label,
     labels = np.atleast_1d(np.asarray(label, dtype=np.int64))
 
     def loss_of(p):
-        out, _ = model.forward(p, s64, loc, maps, features, training=False)
+        out, _ = model.forward(p, s64, loc, maps, training=False)
         loss, _ = _batch_loss_grad(model, out, labels)
         return loss
 
-    out, cache = model.forward(p64, s64, loc, maps, features, training=False)
+    out, cache = model.forward(p64, s64, loc, maps, training=False)
     _, dout = _batch_loss_grad(model, out, labels)
     grads = named(model.backward(dout, cache, p64))
 

@@ -147,7 +147,8 @@ def test_criterion_05_gradient_checks():
     arch = ArchConfig()  # full-resolution 80x160 networks
     errs = {}
     for task in ("beam", "blockage"):
-        model = Predictor(task, in_channels=2, M_bm=16, arch=arch)
+        model = Predictor(task, ("location", "vehicle", "building"), n_cams=1, M_bm=16,
+                          arch=arch)
         params, state = model.init(seed=1)
         loc = rng.normal(size=(2, 3))
         # one camera's random label maps over the two selected concepts: each
@@ -156,8 +157,7 @@ def test_criterion_05_gradient_checks():
         maps = np.array([CATALOG.index("vehicle"), CATALOG.index("building")],
                         dtype=np.uint8)[rng.integers(2, size=(2, 1, 80, 160))]
         label = rng.integers(0, 16 if task == "beam" else 2, size=2)
-        errs[task] = gradient_check(model, params, state, loc, maps,
-                                    ("location", "vehicle", "building"), label,
+        errs[task] = gradient_check(model, params, state, loc, maps, label,
                                     n_samples=120, seed=0)
         assert errs[task] < 1e-4
     elapsed = time.monotonic() - t0
@@ -230,7 +230,7 @@ def test_criterion_07_planted_signal_end_to_end():
                       learning_rate=1e-3)
     rb = train(ds, feats, "beam", cfg)
     te = rb.split[2]
-    out = predict(rb.model, rb.params, rb.state, ds, te, feats)
+    out = predict(rb.model, rb.params, rb.state, ds, te)
     order = np.argsort(-out, axis=1, kind="stable")
     lab = ds.beam_labels[te]
     top1 = float(np.mean(order[:, 0] == lab))
@@ -240,7 +240,7 @@ def test_criterion_07_planted_signal_end_to_end():
 
     rk = train(ds, feats, "blockage", cfg, horizon=1)
     te_b = rk.split[2]
-    outb = predict(rk.model, rk.params, rk.state, ds, te_b, feats)
+    outb = predict(rk.model, rk.params, rk.state, ds, te_b)
     pred = 1.0 / (1.0 + np.exp(-outb[:, 0])) >= 0.5
     y = ds.blockage[te_b, 0]
     acc = float(np.mean(pred == y))

@@ -47,7 +47,7 @@ def test_binary_layout(tmp_path):
 
 
 def test_model_params_roundtrip_bitwise(tmp_path):
-    model = Predictor("beam", in_channels=2, M_bm=4, arch=TINY_ARCH)
+    model = Predictor("beam", ("location", "vehicle"), n_cams=2, M_bm=4, arch=TINY_ARCH)
     params, state = model.init(3)
     path = tmp_path / "model.esnn"
     save_checkpoint(path, params, state)
@@ -59,8 +59,8 @@ def test_model_params_roundtrip_bitwise(tmp_path):
     p2, s2 = _load_model_checkpoint(path, model)
     loc = np.zeros((2, 3), dtype=np.float32)
     maps = np.zeros((2, 2, 16, 32), dtype=np.uint8)
-    y1, _ = model.forward(params, state, loc, maps, ("location", "vehicle"))
-    y2, _ = model.forward(p2, s2, loc, maps, ("location", "vehicle"))
+    y1, _ = model.forward(params, state, loc, maps)
+    y2, _ = model.forward(p2, s2, loc, maps)
     assert np.array_equal(y1, y2)
 
 
@@ -68,7 +68,7 @@ def test_loaded_checkpoint_matches_in_memory_model(tmp_path):
     """The file stores tensors sorted by name, not in the model's order;
     filled by name into the model's own trees they give the in-memory
     model's outputs and gradients bit for bit."""
-    model = Predictor("beam", 4, 8, TINY_ARCH)
+    model = Predictor("beam", ("location", "vehicle", "building"), 2, 8, TINY_ARCH)
     params, state = model.init(1)
     path = tmp_path / "model.esnn"
     save_checkpoint(path, params, state)
@@ -80,11 +80,9 @@ def test_loaded_checkpoint_matches_in_memory_model(tmp_path):
     loaded = _load_model_checkpoint(path, model)
     maps = stream(47, "maps").integers(CATALOG.M_con, size=(6, 2, 16, 32)).astype(np.uint8)
     loc = stream(48, "loc").normal(size=(6, 3)).astype(np.float32)
-    features = ("location", "vehicle", "building")
     outs = []
     for p, s in ((params, state), loaded):
-        out, cache = model.forward(p, copy.deepcopy(s), loc, maps, features, True,
-                                   stream(0, "dropout"))
+        out, cache = model.forward(p, copy.deepcopy(s), loc, maps, True, stream(0, "dropout"))
         _, dout = _batch_loss_grad(model, out, np.arange(6) % 8)
         outs.append((out, named(model.backward(dout, cache, p))))
     (out, grads), (out2, grads2) = outs
@@ -96,7 +94,7 @@ def test_loaded_checkpoint_matches_in_memory_model(tmp_path):
 
 @pytest.mark.parametrize("edit", ["extra", "missing", "misshapen", "missing_state"])
 def test_model_checkpoint_tensor_mismatch_fails_closed(tmp_path, edit):
-    model = Predictor("blockage", 2, 4, TINY_ARCH)
+    model = Predictor("blockage", ("location", "vehicle"), 2, 4, TINY_ARCH)
     params, state = (named(d) for d in model.init(2))
     if edit == "extra":
         params["sem.9.W"] = np.ones(3, dtype=np.float32)
@@ -124,7 +122,7 @@ def test_bad_magic_and_version(tmp_path):
 
 
 def test_truncated_checkpoint_fails_closed(tmp_path):
-    model = Predictor("beam", in_channels=2, M_bm=4, arch=TINY_ARCH)
+    model = Predictor("beam", ("location", "vehicle"), n_cams=2, M_bm=4, arch=TINY_ARCH)
     full = tmp_path / "model.esnn"
     save_checkpoint(full, *model.init(3))
     raw = full.read_bytes()
@@ -187,7 +185,7 @@ def test_header_bit_flips_fail_closed(tmp_path):
     """Every single-bit flip of a record header either raises CheckpointError
     or loads the model's exact tensor names and shapes: a rank above numpy's
     limit or dims that cannot form an array never escape as ValueError."""
-    model = Predictor("beam", in_channels=2, M_bm=4, arch=TINY_ARCH)
+    model = Predictor("beam", ("location", "vehicle"), n_cams=2, M_bm=4, arch=TINY_ARCH)
     params, state = model.init(3)
     want = [{k: v.shape for k, v in named(d).items()} for d in (params, state)]
     path = tmp_path / "model.esnn"

@@ -132,6 +132,9 @@ def test_validation_errors_exit_1(tmp_path, capsys):
                         "(class, (x, y), lane, speed)"),
                        # a center off its lane's axis by more than half a lane
                        ({"scene": {"initial_vehicles": [car[:2] + [1, 10.0]]}}, "off lane 1"),
+                       # a center beyond the end of the 200 m street
+                       ({"scene": {"initial_vehicles": [["car", [250.0, 1.75], 2, 10.0]]}},
+                        "center x must lie in [0, 200.0]"),
                        # street geometry must be finite: positive lengths, and
                        # non-negative sidewalk and setback
                        ({"scene": {"slot_duration_s": float("inf")}}, "slot_duration_s"),

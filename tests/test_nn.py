@@ -550,7 +550,7 @@ def _reference_forward(layer, x, p, s, training, rng):
                                          ("beam", ArchConfig(), 8)])
 def test_predictor_matches_nchw_reference_network(task, arch, n, training, dtype):
     features = ("location", "vehicle", "building")
-    model = Predictor(task, 4, 8, arch)
+    model = Predictor(task, features, 2, 8, arch)
     params, state = model.init(5, dtype)
     for _, d, k in leaves(state):  # nontrivial running statistics for evaluation mode
         d[k] = (np.abs(_random(30, d[k].shape, dtype)) + 0.5 if k.endswith("var")
@@ -558,8 +558,8 @@ def test_predictor_matches_nchw_reference_network(task, arch, n, training, dtype
     maps = _label_maps(32, (n, 2) + arch.input_hw)
     loc = _random(33, (n, 3), dtype)
     labels = stream(34, "labels").integers(8 if task == "beam" else 2, size=n)
-    out, cache = model.forward(params, copy.deepcopy(state), loc, maps,
-                               features, training, stream(0, "dropout"))
+    out, cache = model.forward(params, copy.deepcopy(state), loc, maps, training,
+                               stream(0, "dropout"))
     _, dout = _batch_loss_grad(model, out, labels)
     grads = model.backward(dout, cache, params)
 
@@ -679,7 +679,7 @@ def _random_grads(seed, params):
 @pytest.mark.parametrize("task,arch", [("beam", TINY_ARCH), ("blockage", TINY_ARCH),
                                        ("beam", ArchConfig())])
 def test_flat_adam_matches_per_tensor_reference(task, arch, dtype):
-    params, _ = Predictor(task, 4, 8, arch).init(3, dtype)
+    params, _ = Predictor(task, ("location", "vehicle", "building"), 2, 8, arch).init(3, dtype)
     ref = copy.deepcopy(params)
     opt = Adam(params, lr=3e-3)
     opt_ref = _ReferenceAdam(ref, lr=3e-3)

@@ -9,9 +9,9 @@ from oracles import gradient_check, named
 from streetbeam.nn import Conv2d, Sequential
 from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor,
                                   SampleSet, TrainConfig, _batch_loss_grad,
-                                  accuracy, concept_ids, log_softmax,
-                                  mask_channels, predict, sigmoid,
-                                  split_indices, task_labels, train)
+                                  accuracy, log_softmax, mask_channels,
+                                  predict, sigmoid, split_indices,
+                                  task_labels, train)
 from streetbeam.scene import from_plain, to_plain
 from streetbeam.semantics import CATALOG
 
@@ -64,22 +64,25 @@ def random_maps(rng, shape):
 
 
 def test_forward_eval_deterministic_and_shapes():
-    model = Predictor("beam", in_channels=2, M_bm=4, arch=TINY_ARCH)
+    model = Predictor("beam", ("location", "vehicle"), n_cams=2, M_bm=4, arch=TINY_ARCH)
     params, state = model.init(0)
     rng = rng_mod.stream(1, "in")
     loc = rng.normal(size=(3, 3)).astype(np.float32)
     maps = random_maps(rng, (3, 2, 16, 32))
-    feats = ("location", "vehicle")
-    y1, _ = model.forward(params, state, loc, maps, feats)
-    y2, _ = model.forward(params, state, loc, maps, feats)
+    y1, _ = model.forward(params, state, loc, maps)
+    y2, _ = model.forward(params, state, loc, maps)
     assert y1.shape == (3, 4)
     assert np.array_equal(y1, y2)  # dropout off in evaluation mode
-    with pytest.raises(ValueError, match="input channels"):
-        model.forward(params, state, loc, maps, ("location", "vehicle", "sky"))
+    # the network is built for a canonical set: insertion order does not matter
+    swapped = Predictor("beam", ("vehicle", "location"), n_cams=2, M_bm=4, arch=TINY_ARCH)
+    assert swapped.features == model.features == ("location", "vehicle")
+    assert swapped.forward(params, state, loc, maps)[0].tobytes() == y1.tobytes()
+    with pytest.raises(ValueError, match="location"):
+        Predictor("beam", ("vehicle",), n_cams=2, M_bm=4, arch=TINY_ARCH)
 
-    bl = Predictor("blockage", in_channels=2, M_bm=4, arch=TINY_ARCH)
+    bl = Predictor("blockage", ("location", "vehicle"), n_cams=2, M_bm=4, arch=TINY_ARCH)
     bp, bs = bl.init(0)
-    logit, _ = bl.forward(bp, bs, loc, maps, feats)
+    logit, _ = bl.forward(bp, bs, loc, maps)
     assert logit.shape == (3, 1)
     prob = sigmoid(logit[:, 0])
     assert prob.shape == (3,)
@@ -87,16 +90,16 @@ def test_forward_eval_deterministic_and_shapes():
 
 
 def test_location_only_network():
-    model = Predictor("beam", in_channels=0, M_bm=4, arch=TINY_ARCH)
+    model = Predictor("beam", ("location",), n_cams=2, M_bm=4, arch=TINY_ARCH)
     params, state = model.init(0)
     loc = np.zeros((2, 3), dtype=np.float32)
     maps = np.zeros((2, 2, 16, 32), dtype=np.uint8)
-    y, _ = model.forward(params, state, loc, maps, ("location",))
+    y, _ = model.forward(params, state, loc, maps)
     assert y.shape == (2, 4)
     assert not any(k.startswith("sem.") for k in named(params))
 
 
-# Tensor names and shapes of Predictor(task, in_channels, M_bm=8, TINY_ARCH):
+# Tensor names and shapes of Predictor(task, features, n_cams=2, M_bm=8, TINY_ARCH):
 # checkpoints store tensors by these names, so any change here breaks old
 # .esnn files. (name, shape) over params then state.
 _AUX_TENSORS = [
@@ -122,25 +125,25 @@ _SEM_STATE = [
 ]
 
 
-@pytest.mark.parametrize("task,in_channels,head,head_state,sem,sem_state", [
-    ("beam", 2,
+@pytest.mark.parametrize("task,features,head,head_state,sem,sem_state", [
+    ("beam", ("location", "vehicle"),
      [("head.0.W", (16, 136)), ("head.0.b", (16,)), ("head.1.beta", (16,)),
       ("head.1.gamma", (16,)), ("head.4.W", (8, 16)), ("head.4.b", (8,))],
      [("head.1.running_mean", (16,)), ("head.1.running_var", (16,))],
      _SEM_TENSORS, _SEM_STATE),
-    ("blockage", 2,
+    ("blockage", ("location", "vehicle"),
      [("head.0.W", (8, 136)), ("head.0.b", (8,)), ("head.1.beta", (8,)),
       ("head.1.gamma", (8,)), ("head.4.W", (1, 8)), ("head.4.b", (1,))],
      [("head.1.running_mean", (8,)), ("head.1.running_var", (8,))],
      _SEM_TENSORS, _SEM_STATE),
-    ("beam", 0,
+    ("beam", ("location",),
      [("head.0.W", (16, 8)), ("head.0.b", (16,)), ("head.1.beta", (16,)),
       ("head.1.gamma", (16,)), ("head.4.W", (8, 16)), ("head.4.b", (8,))],
      [("head.1.running_mean", (16,)), ("head.1.running_var", (16,))],
      [], []),
-])
-def test_predictor_tensor_names_pinned(task, in_channels, head, head_state, sem, sem_state):
-    params, state = Predictor(task, in_channels, 8, TINY_ARCH).init(0)
+], ids=["beam", "blockage", "beam-location-only"])
+def test_predictor_tensor_names_pinned(task, features, head, head_state, sem, sem_state):
+    params, state = Predictor(task, features, 2, 8, TINY_ARCH).init(0)
     assert (sorted((k, v.shape) for k, v in named(params).items())
             == sorted(_AUX_TENSORS + head + sem))
     assert (sorted((k, v.shape) for k, v in named(state).items())
@@ -174,7 +177,7 @@ def test_sigmoid_and_log_softmax():
 
 def _loss(task, logits, labels):
     """Training's batch loss of float64 network outputs."""
-    model = Predictor(task, in_channels=0, M_bm=logits.shape[1], arch=TINY_ARCH)
+    model = Predictor(task, ("location",), n_cams=2, M_bm=logits.shape[1], arch=TINY_ARCH)
     return _batch_loss_grad(model, np.asarray(logits, dtype=float),
                             np.asarray(labels, dtype=np.int64))[0]
 
@@ -229,9 +232,9 @@ def test_gradient_check_beam_and_blockage():
     maps = np.array([CATALOG.index("vehicle"), CATALOG.index("building")],
                     dtype=np.uint8)[rng.integers(2, size=(2, 1, 16, 32))]
     for task, label in (("beam", [1, 3]), ("blockage", [0, 1])):
-        model = Predictor(task, in_channels=2, M_bm=4, arch=TINY_ARCH)
+        model = Predictor(task, feats, n_cams=1, M_bm=4, arch=TINY_ARCH)
         params, state = model.init(7)
-        err = gradient_check(model, params, state, loc, maps, feats, label,
+        err = gradient_check(model, params, state, loc, maps, label,
                              n_samples=120, seed=0)
         assert err < 1e-4, f"{task}: max relative gradient error {err}"
 
@@ -241,7 +244,8 @@ def test_first_conv_skips_only_the_discarded_input_gradient(arch, hw):
     # the semantic branch reading label maps against a twin whose first
     # layer is a plain Conv2d of the float (C, H, W, N) mask batch that
     # computes its input gradient: same output, same parameter gradients
-    model = Predictor("beam", in_channels=2, M_bm=8, arch=arch)
+    feats = ("location", "vehicle")
+    model = Predictor("beam", feats, n_cams=2, M_bm=8, arch=arch)
     sem = model.children["sem"]
     first = sem.children["0"]
     assert first.input_grad is False
@@ -251,10 +255,9 @@ def test_first_conv_skips_only_the_discarded_input_gradient(arch, hw):
     params, state = params["sem"], state["sem"]
     rng = rng_mod.stream(6, "skip")
     maps = random_maps(rng, (6, 2, *hw))
-    feats = ("location", "vehicle")
     masks = np.ascontiguousarray(mask_channels(maps, feats).transpose(1, 2, 3, 0))
     outs, grads = [], []
-    for net, x in ((sem, (maps, concept_ids(feats))), (twin, masks)):
+    for net, x in ((sem, (maps, model.concepts)), (twin, masks)):
         out, cache = net.forward(x, params, copy.deepcopy(state), True, None)
         dx, g = net.backward(rng_mod.stream(7, "dy").normal(size=out.shape).astype(out.dtype),
                              cache, params)
@@ -293,11 +296,11 @@ def test_train_blockage_and_accuracy_helpers():
                       learning_rate=3e-3)
     res = train(ds, ("location", "vehicle"), "blockage", cfg, horizon=1)
     assert res.val_accuracy > 0.9  # blockage = parity of the planted bar
-    out = predict(res.model, res.params, res.state, ds, res.split[1],
-                  res.features)
+    assert res.model.features == ("location", "vehicle")
+    out = predict(res.model, res.params, res.state, ds, res.split[1])
     assert out.shape == (len(res.split[1]), 1)
     acc = accuracy(res.model, res.params, res.state, ds, res.split[1],
-                   res.features, "blockage", horizon=1)
+                   task_labels(ds, "blockage", 1)[1])
     assert acc == pytest.approx(res.val_accuracy)
 
 
@@ -336,9 +339,9 @@ def test_train_config_validation():
 def test_desk_scale_arch_shapes():
     # the default architecture accepts 80x160 inputs end to end
     arch = ArchConfig()
-    model = Predictor("beam", in_channels=4, M_bm=16, arch=arch)
+    model = Predictor("beam", ("location", "vehicle", "sky"), n_cams=2, M_bm=16, arch=arch)
     params, state = model.init(0)
     loc = np.zeros((2, 3), dtype=np.float32)
     maps = np.zeros((2, 2, 80, 160), dtype=np.uint8)
-    y, _ = model.forward(params, state, loc, maps, ("location", "vehicle", "sky"))
+    y, _ = model.forward(params, state, loc, maps)
     assert y.shape == (2, 16)
