@@ -29,13 +29,11 @@ from .scene import ConfigError, from_plain
 log = logging.getLogger(__name__)
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _load_config(path):
-    return from_plain(RunConfig, _load_json(path) if path else {})
+    if not path:
+        return from_plain(RunConfig, {})
+    with open(path) as fh:
+        return from_plain(RunConfig, json.load(fh))
 
 
 def _parse_g_list(text):
@@ -58,7 +56,7 @@ def _features_for(args, out_dir):
         return feats
     sel = os.path.join(out_dir, f"selected_{args.task}.json")
     if os.path.exists(sel):
-        return canonical(_load_json(sel)["features"])
+        return canonical(pipeline.read_json(sel, ("features",))["features"])
     raise PipelineError(
         f"no feature set: pass --features or run select first ({sel} missing)")
 
@@ -86,8 +84,7 @@ def _cmd_train(args):
     cfg = _load_config(args.config)
     dataset, _ = read_container(args.dataset)
     feats = _features_for(args, args.out)
-    tc = TrainConfig(seed=args.seed, epochs=args.epochs,
-                     arch=pipeline.default_arch(dataset, cfg.arch))
+    tc = TrainConfig(seed=args.seed, epochs=args.epochs, arch=cfg.arch)
     _, meta = pipeline.cmd_train(dataset, feats, args.task, tc, args.out,
                                  horizon=args.horizon)
     print(f"trained {args.task}: validation accuracy {meta['val_accuracy']:.4f}")

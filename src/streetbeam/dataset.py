@@ -76,8 +76,8 @@ def write_container(path, samples: SampleSet, scene_cfg: SceneConfig, rt_cfg: Ra
         "scene_config": to_plain(scene_cfg),
         "raytrace_config": to_plain(rt_cfg),
         "catalog": list(CATALOG.names),
-        "resolution": list(samples.map_hw),
-        "camera_count": samples.n_cams,
+        "resolution": list(samples.map_shape[1:]),
+        "camera_count": samples.map_shape[0],
         "horizons": list(samples.horizons),
         "sample_count": len(samples),
         "shapes": shapes,

@@ -245,38 +245,34 @@ PAD_LABEL = 255
 class LabelConv2d(Conv2d):
     """First convolution of a network whose input is integer label maps.
 
-    The input is ``(maps, ids)``: uint8 maps (N, M, H, W) and the label ids
-    (n_ids,) to one-hot, each below ``PAD_LABEL``. Input channel
-    ``a * M + m`` is ``maps[:, m] == ids[a]`` read at ``input_hw``; maps
-    at an integer multiple of it are subsampled by that factor. The columns
-    come straight from the maps: pad them with ``PAD_LABEL``, gather the
-    k x k strided taps, compare them with ``ids`` and cast to the parameter
-    dtype. The input is data, so there is no input gradient.
+    It holds the label ``ids`` (n_ids,) it one-hots, each below
+    ``PAD_LABEL``, and reads uint8 maps (N, n_cams, H, W) as they are: input
+    channel ``a * n_cams + m`` is ``maps[:, m] == ids[a]``, so ``c_in`` is
+    ``n_ids * n_cams``. The columns come straight from the maps: pad them
+    with ``PAD_LABEL``, gather the k x k strided taps, compare them with
+    ``ids`` and cast to the parameter dtype. The input is data, so there is
+    no input gradient.
     """
 
     input_grad = False
 
-    def __init__(self, c_in, c_out, input_hw, kernel=3, stride=1, pad=1):
-        super().__init__(c_in, c_out, kernel, stride, pad)
-        self.input_hw = tuple(input_hw)
+    def __init__(self, ids, n_cams, c_out, kernel=3, stride=1, pad=1):
+        super().__init__(len(ids) * n_cams, c_out, kernel, stride, pad)
+        self.ids = ids
 
-    def _columns(self, x, dtype):
-        maps, ids = x
-        n, m, H, W = maps.shape
-        h, w = self.input_hw
-        if H % h or W % w:
-            raise ValueError(f"map resolution {(H, W)} not an integer multiple of {(h, w)}")
+    def _columns(self, maps, dtype):
+        n, m, h, w = maps.shape
         oh, ow = self.out_hw(h, w)
         k, st, pad = self.k, self.stride, self.pad
         xp = np.full((n, m, h + 2 * pad, w + 2 * pad), PAD_LABEL, dtype=np.uint8)
-        xp[:, :, pad:pad + h, pad:pad + w] = maps[:, :, ::H // h, ::W // w]
+        xp[:, :, pad:pad + h, pad:pad + w] = maps
         taps = np.empty((m, k, k, oh, ow, n), dtype=np.uint8)
         for i in range(k):
             for j in range(k):
                 taps[:, i, j] = xp[:, :, i:i + st * oh:st,
                                    j:j + st * ow:st].transpose(1, 2, 3, 0)
-        cols = np.empty((len(ids),) + taps.shape, dtype=dtype)
-        np.equal(taps, np.reshape(ids, (-1,) + (1,) * taps.ndim), out=cols)
+        cols = np.empty((len(self.ids),) + taps.shape, dtype=dtype)
+        np.equal(taps, np.reshape(self.ids, (-1,) + (1,) * taps.ndim), out=cols)
         return cols.reshape(-1, oh * ow * n), (self.c_out, oh, ow, n)
 
 

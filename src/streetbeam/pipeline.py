@@ -46,6 +46,17 @@ class PipelineError(ValueError):
     pass
 
 
+def read_json(path, keys):
+    """The JSON object in the file at ``path``; a PipelineError names the
+    file and the first of ``keys`` it lacks."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise PipelineError(f"{path}: missing key {key!r}")
+    return obj
+
+
 def _write_json(path, obj):
     """``obj`` as JSON with indent 1, sorted keys and a trailing newline."""
     with open(path, "w") as fh:
@@ -62,7 +73,7 @@ class RunConfig:
     horizons: tuple[int, ...] = DEFAULT_HORIZONS
     M_bm: int | None = None         # codebook size; None: raytrace.N_t
     store_channels: bool = True
-    arch: ArchConfig | None = None  # None: default_arch
+    arch: ArchConfig = field(default_factory=ArchConfig)
 
     def __post_init__(self):
         check_fields(self)
@@ -172,21 +183,18 @@ def training_evaluator(dataset: SampleSet, task, horizon, cfg: TrainConfig):
     return CachedEvaluator(fn, workers if blas.can_set_threads() else 1)
 
 
-def default_arch(dataset: SampleSet, arch=None):
-    """``arch`` if given, else the default architecture at the dataset's map size."""
-    return arch if arch is not None else ArchConfig(input_hw=tuple(dataset.map_hw))
-
-
 def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=SELECT_EPOCHS,
-               seed=0, v_max=None, pinned=(LOCATION,), arch=None,
+               seed=0, v_max=None, pinned=(LOCATION,), arch=ArchConfig(),
                batch_size=TrainConfig.batch_size, learning_rate=TrainConfig.learning_rate):
     """Run the floating search with the training-based evaluator.
 
-    The outputs do not depend on the number of worker processes; a worker
-    that dies raises ``PipelineError``. ``horizon`` is checked and recorded
-    as given: without it each candidate trains at the default horizon.
+    Each candidate's network, of shape ``arch``, reads the dataset's label
+    maps at their own size. The outputs do not depend on the number of
+    worker processes; a worker that dies raises ``PipelineError``.
+    ``horizon`` is checked and recorded as given: without it each candidate
+    trains at the default horizon.
     """
-    cfg = TrainConfig(epochs=epochs, seed=seed, arch=default_arch(dataset, arch),
+    cfg = TrainConfig(epochs=epochs, seed=seed, arch=arch,
                       batch_size=batch_size, learning_rate=learning_rate)
     task_labels(dataset, task, horizon)
     evaluator = training_evaluator(dataset, task, horizon, cfg)
@@ -220,7 +228,8 @@ def cmd_train(dataset: SampleSet, features, task, cfg: TrainConfig, out_dir,
                     res.params, res.state)
     meta = {"task": task, "horizon": horizon, "features": list(res.model.features),
             **to_plain(cfg),  # seed, epochs, batch_size, learning_rate, split, arch
-            "M_bm": dataset.M_bm, "val_accuracy": res.val_accuracy,
+            "M_bm": dataset.M_bm, "map_shape": list(dataset.map_shape),
+            "val_accuracy": res.val_accuracy,
             "train_loss": res.train_loss}
     _write_json(os.path.join(out_dir, _stem(task, horizon) + ".meta.json"), meta)
     return res, meta
@@ -244,9 +253,11 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
              g_list=DEFAULT_G_LIST):
     """Evaluate a checkpointed model on the test split; write a fragment.
 
-    The model is rebuilt for the feature set its ``.meta.json`` records.
-    Top-G accuracy and TRR read the codeword rates stored per sample, so
-    the beam task needs neither the channels nor the link budget.
+    The model is rebuilt for the feature set and the map shape its
+    ``.meta.json`` records; another map shape or codebook size, or a meta
+    file that lacks a key, raises ``PipelineError`` before the checkpoint
+    is read. Top-G accuracy and TRR read the codeword rates stored per
+    sample, so the beam task needs neither the channels nor the link budget.
     """
     horizon, labels = task_labels(dataset, task, horizon)
     if task == "beam":
@@ -259,12 +270,14 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
     for p in (meta_path, ckpt_path):
         if not os.path.exists(p):
             raise PipelineError(f"missing artifact {p}; run train first")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    meta = read_json(meta_path, ("features", "M_bm", "map_shape", "arch", "split", "seed"))
     if task == "beam" and meta["M_bm"] != dataset.M_bm:
         raise PipelineError(f"checkpoint codebook size M_bm = {meta['M_bm']} differs "
                             f"from the dataset's M_bm = {dataset.M_bm}")
-    model = Predictor(task, meta["features"], dataset.n_cams, meta["M_bm"],
+    if meta["map_shape"] != list(dataset.map_shape):
+        raise PipelineError(f"checkpoint map shape {meta['map_shape']} differs from "
+                            f"the dataset's map shape {list(dataset.map_shape)}")
+    model = Predictor(task, meta["features"], dataset.map_shape, meta["M_bm"],
                       from_plain(ArchConfig, meta["arch"]))
     params, state = _load_model_checkpoint(ckpt_path, model)
 
@@ -302,26 +315,26 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
 
 def cmd_report(run_dir):
     """Assemble report.json and metrics.csv from the run artifacts."""
-    frags = []
+    frags = []  # (beam task?, fragment)
     if not os.path.isdir(run_dir):
         raise PipelineError(f"run directory {run_dir} does not exist")
     for name in sorted(os.listdir(run_dir)):
         if name.startswith("eval_") and name.endswith(".json"):
-            with open(os.path.join(run_dir, name)) as fh:
-                frags.append(json.load(fh))
+            beam = name == "eval_beam.json"
+            keys = ("g_list", "topg_accuracy", "trr") if beam else ("horizon", "blockage_accuracy")
+            frags.append((beam, read_json(os.path.join(run_dir, name), ("n", "seed") + keys)))
     if not frags:
         raise PipelineError("missing artifacts: eval_*.json (no evaluation fragments)")
     selected = {}
     for task in ("beam", "blockage"):
         p = os.path.join(run_dir, f"selected_{task}.json")
         if os.path.exists(p):
-            with open(p) as fh:
-                selected[task] = json.load(fh)["features"]
+            selected[task] = read_json(p, ("features",))["features"]
 
     rows = []  # (metric, key, value, n, seed)
     report = {"selected_features": selected, "metrics": {}, "seeds": {}}
-    for frag in frags:
-        if frag["task"] == "beam":
+    for beam, frag in frags:
+        if beam:
             report["metrics"]["beam"] = {
                 "topg_accuracy": frag["topg_accuracy"], "trr": frag["trr"]}
             report["seeds"]["beam"] = frag["seed"]

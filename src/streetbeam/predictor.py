@@ -21,7 +21,7 @@ from .featsel import LOCATION, canonical
 from .nn import (Adam, AvgPool, BatchNorm, Composite, Conv2d, Dense, Dropout,
                  Flatten, LabelConv2d, ReLU, ResidualBlock, Sequential)
 from .scene import ConfigError, check_fields, check_max, check_min
-from .semantics import CATALOG, MAX_SIDE
+from .semantics import CATALOG
 
 log = logging.getLogger(__name__)
 PREDICT_BATCH = 256  # samples per evaluation-mode forward pass of predict
@@ -59,22 +59,8 @@ class SampleSet:
         return self.rates.shape[1]
 
     @property
-    def n_cams(self):
-        return self.label_maps.shape[1]
-
-    @property
-    def map_hw(self):
-        return self.label_maps.shape[2:]
-
-
-def _downsample(arr, out_hw):
-    h, w = arr.shape[-2:]
-    oh, ow = out_hw
-    if (h, w) == (oh, ow):
-        return arr
-    if h % oh or w % ow:
-        raise ValueError(f"map resolution {(h, w)} not an integer multiple of {out_hw}")
-    return arr[..., ::h // oh, ::w // ow]
+    def map_shape(self):
+        return self.label_maps.shape[1:]
 
 
 def concept_ids(features):
@@ -86,7 +72,7 @@ def concept_ids(features):
     return np.array([CATALOG.index(f) for f in feats if f != LOCATION], dtype=np.uint8)
 
 
-def mask_channels(label_maps, features, out_hw=None):
+def mask_channels(label_maps, features):
     """Stack selected concept masks as channels: the float mask batch the
     semantic branch's first convolution never builds, kept as its reference.
 
@@ -95,8 +81,6 @@ def mask_channels(label_maps, features, out_hw=None):
     with C = (len(features) - 1) * n_cams.
     """
     ids = concept_ids(features)
-    if out_hw is not None:
-        label_maps = _downsample(label_maps, out_hw)
     n, n_cams, h, w = label_maps.shape
     masks = label_maps[:, None] == ids[:, None, None, None]  # (N, C, n_cams, H, W)
     return masks.reshape(n, len(ids) * n_cams, h, w).astype(np.float32)
@@ -113,7 +97,6 @@ MAX_WIDTH = 4096
 @dataclass(frozen=True)
 class ArchConfig:
     """Desk-scale network shape; all widths configurable."""
-    input_hw: tuple[int, int] = (80, 160)
     aux_widths: tuple[int, int] = (256, 16)
     # (filters, stride) of each conv block, then of each residual block
     beam_conv: tuple[tuple[int, int], ...] = ((16, 4), (16, 2))
@@ -127,9 +110,7 @@ class ArchConfig:
     def __post_init__(self):
         check_fields(self)
         check_min(self, 1, [f.name for f in fields(self) if f.name != "dropout"])
-        check_max(self, MAX_SIDE, ("input_hw",))
-        check_max(self, MAX_WIDTH, [f.name for f in fields(self)
-                                    if f.name not in ("input_hw", "dropout")])
+        check_max(self, MAX_WIDTH, [f.name for f in fields(self) if f.name != "dropout"])
         for name in ("beam_conv", "bl_conv"):  # a first convolution reads the label maps
             if not getattr(self, name):
                 raise ConfigError(f"{name} needs at least one block")
@@ -138,18 +119,18 @@ class ArchConfig:
 
 
 # small preset for fast unit tests
-TINY_ARCH = ArchConfig(input_hw=(16, 32), aux_widths=(16, 8),
-                       beam_conv=((4, 2),), beam_res=((4, 1),), beam_hidden=16,
-                       bl_conv=((4, 2),), bl_res=((4, 1),), bl_hidden=8)
+TINY_ARCH = ArchConfig(aux_widths=(16, 8), beam_conv=((4, 2),), beam_res=((4, 1),),
+                       beam_hidden=16, bl_conv=((4, 2),), bl_res=((4, 1),), bl_hidden=8)
 
 
 class Predictor(Composite):
     """Auxiliary branch + optional semantic branch + decision head
-    (children "aux", "sem", "head"), built for one feature set: the semantic
-    branch masks its ``concepts`` in each of ``n_cams`` cameras, and is left
-    out when the set is location alone."""
+    (children "aux", "sem", "head"), built for one feature set and one map
+    shape: the semantic branch masks its ``concepts`` in label maps of
+    ``map_shape`` (n_cams, H, W), the dataset's own, and is left out when
+    the set is location alone."""
 
-    def __init__(self, task, features, n_cams, M_bm, arch: ArchConfig):
+    def __init__(self, task, features, map_shape, M_bm, arch: ArchConfig):
         if task not in ("beam", "blockage"):
             raise ValueError(f"unknown task {task!r}")
         self.task = task
@@ -169,11 +150,10 @@ class Predictor(Composite):
         self.sem_dim = 0
         if len(self.concepts):
             layers = []
-            c_prev = len(self.concepts) * n_cams
-            h, w = arch.input_hw
+            n_cams, h, w = map_shape
             for filters, stride in conv_spec:
                 conv = (Conv2d(c_prev, filters, 3, stride, 1) if layers else
-                        LabelConv2d(c_prev, filters, arch.input_hw, 3, stride, 1))
+                        LabelConv2d(self.concepts, n_cams, filters, 3, stride, 1))
                 layers += [conv, BatchNorm(filters), ReLU()]
                 h, w = conv.out_hw(h, w)
                 c_prev = filters
@@ -204,13 +184,13 @@ class Predictor(Composite):
         """Returns (output, cache): beam logits (N, M_bm) or blockage logit (N, 1).
 
         loc: (N, 3) target locations. maps: (N, n_cams, H, W) uint8 label
-        maps at ``arch.input_hw`` or an integer multiple of it, of which the
+        maps of the ``map_shape`` the model was built for, of which the
         semantic branch masks the model's ``concepts``.
         """
         x, ca = self.run("aux", loc, params, state, training, rng)
         cm = None
         if "sem" in self.children:
-            m, cm = self.run("sem", (maps, self.concepts), params, state, training, rng)
+            m, cm = self.run("sem", maps, params, state, training, rng)
             x = np.concatenate([x, m], axis=1)
         y, ch = self.run("head", x, params, state, training, rng)
         return y, (ca, cm, ch)
@@ -373,7 +353,7 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
     the init, the shuffles and the dropout masks all come from named child
     streams of cfg.seed, and batches run sequentially.
     """
-    model = Predictor(task, features, dataset.n_cams, dataset.M_bm, cfg.arch)
+    model = Predictor(task, features, dataset.map_shape, dataset.M_bm, cfg.arch)
     _, labels = task_labels(dataset, task, horizon)
     train_idx, val_idx, test_idx = split_indices(dataset.frame_ids, cfg.split, cfg.seed)
 

@@ -5,7 +5,7 @@ primitives (sky background, building facades, ground/road/sidewalk/
 roadline, vehicle boxes) into an H x W uint8 array of concept indices;
 ``render_frames`` returns the (F, n_cams, H, W) maps of a frame list, in
 the config's camera order, and ``render_frame`` one frame's (n_cams, H, W).
-The static background is computed once per camera view and cached. Each
+The static background of each camera view is computed once per call. Each
 camera depth-tests a batch of frames at once: the batch's boxes are
 projected together and every (pixel, box) pair of the batch goes through
 one slab test against the background. Concepts the simulator cannot
@@ -58,9 +58,6 @@ _ROADLINE_HALF_WIDTH = 0.12  # meters, painted stripe half width
 # fails before anything is allocated
 MAX_SIDE = 2048
 
-_BACKGROUND_FIELDS = ("street_length_m", "lane_count", "lane_width_m",
-                      "sidewalk_width_m", "building_setback_m", "building_height_m")
-_BACKGROUNDS = {}  # (camera pose, H, W, _BACKGROUND_FIELDS values) -> _background
 # box corner k takes axis a from the max corner when bit (2 - a) of k is set
 _CORNERS = np.array([[(k >> (2 - a)) & 1 for a in range(3)] for k in range(8)])
 
@@ -84,17 +81,13 @@ def _ground_labels(x, y, config: SceneConfig):
 
 
 def _background(camera: CameraPose, config: SceneConfig, H, W):
-    """The static background of one camera view: flattened read-only
-    (inverse ray directions (3, H*W), labels, depth) of sky, ground and
-    facades, followed by the camera's (forward, right, up) basis.
+    """The static background of one camera view: flattened (inverse ray
+    directions (3, H*W), labels, depth) of sky, ground and facades, followed
+    by the camera's (forward, right, up) basis.
 
-    The cameras never move, so it is computed once per camera pose,
-    resolution and street geometry and shared by every frame.
+    The cameras never move, so ``render_frames`` computes it once per camera
+    and shares it among the frames it renders.
     """
-    key = (tuple(camera.position), camera.yaw, camera.pitch, camera.hfov, H, W,
-           *(getattr(config, name) for name in _BACKGROUND_FIELDS))
-    if key in _BACKGROUNDS:
-        return _BACKGROUNDS[key]
     pos = np.asarray(camera.position, dtype=float)
     fwd, right, up = camera.basis()
     focal = (W / 2) / np.tan(camera.hfov / 2)
@@ -134,13 +127,7 @@ def _background(camera: CameraPose, config: SceneConfig, H, W):
 
     with np.errstate(divide="ignore"):
         inv = np.where(dirs != 0, 1.0 / dirs, np.inf)
-    bg = (inv.reshape(-1, 3).T.copy(), labels.reshape(-1), depth.reshape(-1), fwd, right, up)
-    for arr in bg:
-        arr.flags.writeable = False
-    if len(_BACKGROUNDS) >= 64:  # bound the cache
-        _BACKGROUNDS.clear()
-    _BACKGROUNDS[key] = bg
-    return bg
+    return inv.reshape(-1, 3).T.copy(), labels.reshape(-1), depth.reshape(-1), fwd, right, up
 
 
 # frames whose maps go through one slab test per camera: about this many map
@@ -153,10 +140,11 @@ def _ranges(counts):
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _render(labels, boxes, frame_of, camera: CameraPose, config: SceneConfig, H, W):
+def _render(labels, boxes, frame_of, camera: CameraPose, background, H, W):
     """Fill ``labels`` (F, H*W), one camera's flattened maps of a batch of
-    frames, with the view of the ``boxes``; box i is in frame ``frame_of[i]``."""
-    inv, bg_labels, bg_depth, fwd, right, up = _background(camera, config, H, W)
+    frames, with the view of the ``boxes`` against the camera's
+    ``_background``; box i is in frame ``frame_of[i]``."""
+    inv, bg_labels, bg_depth, fwd, right, up = background
     labels[:] = bg_labels
 
     # Each box is tested only inside the pixel bounding rectangle of its
@@ -208,6 +196,7 @@ def render_frames(frames, config: SceneConfig, resolution):
     if min(H, W) < 16 or max(H, W) > MAX_SIDE:
         raise ConfigError(f"render resolution must be 16 to {MAX_SIDE} pixels a side")
     cams = config.camera_poses
+    backgrounds = [_background(cam, config, H, W) for cam in cams]
     maps = np.empty((len(frames), len(cams), H * W), dtype=np.uint8)
     step = max(_BATCH_PIXELS // (H * W), 1)
     for f0 in range(0, len(frames), step):
@@ -216,7 +205,7 @@ def render_frames(frames, config: SceneConfig, resolution):
                          for k in ("classes", "x", "y")))
         frame_of = np.repeat(np.arange(len(batch)), [len(fr.ids) for fr in batch])
         for c, cam in enumerate(cams):
-            _render(maps[f0:f0 + step, c], boxes, frame_of, cam, config, H, W)
+            _render(maps[f0:f0 + step, c], boxes, frame_of, cam, backgrounds[c], H, W)
     return maps.reshape(len(frames), len(cams), H, W)
 
 

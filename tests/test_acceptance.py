@@ -147,8 +147,8 @@ def test_criterion_05_gradient_checks():
     arch = ArchConfig()  # full-resolution 80x160 networks
     errs = {}
     for task in ("beam", "blockage"):
-        model = Predictor(task, ("location", "vehicle", "building"), n_cams=1, M_bm=16,
-                          arch=arch)
+        model = Predictor(task, ("location", "vehicle", "building"), map_shape=(1, 80, 160),
+                          M_bm=16, arch=arch)
         params, state = model.init(seed=1)
         loc = rng.normal(size=(2, 3))
         # one camera's random label maps over the two selected concepts: each
@@ -254,7 +254,7 @@ def test_criterion_07_planted_signal_end_to_end():
 
 def test_criterion_08_horizon_trend():
     rt = RayTraceConfig(N_t=16, K=16)
-    arch = ArchConfig(input_hw=(32, 64))
+    arch = ArchConfig()
     acc1, acc36 = [], []
     for seed in (0, 1, 2):
         ds = generate_dataset(RunConfig(_evaluation_scene(seed, 600), rt,
@@ -315,7 +315,7 @@ def test_criterion_10_determinism_and_roundtrip(tmp_path):
         "resolution": [16, 32],
         "horizons": [1],
         "M_bm": 8,
-        "arch": {"input_hw": [16, 32], "aux_widths": [16, 8],
+        "arch": {"aux_widths": [16, 8],
                  "beam_conv": [[4, 2]], "beam_res": [[4, 1]], "beam_hidden": 16,
                  "bl_conv": [[4, 2]], "bl_res": [[4, 1]], "bl_hidden": 8},
     }

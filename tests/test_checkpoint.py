@@ -47,7 +47,8 @@ def test_binary_layout(tmp_path):
 
 
 def test_model_params_roundtrip_bitwise(tmp_path):
-    model = Predictor("beam", ("location", "vehicle"), n_cams=2, M_bm=4, arch=TINY_ARCH)
+    model = Predictor("beam", ("location", "vehicle"), map_shape=(2, 16, 32), M_bm=4,
+                      arch=TINY_ARCH)
     params, state = model.init(3)
     path = tmp_path / "model.esnn"
     save_checkpoint(path, params, state)
@@ -68,7 +69,8 @@ def test_loaded_checkpoint_matches_in_memory_model(tmp_path):
     """The file stores tensors sorted by name, not in the model's order;
     filled by name into the model's own trees they give the in-memory
     model's outputs and gradients bit for bit."""
-    model = Predictor("beam", ("location", "vehicle", "building"), 2, 8, TINY_ARCH)
+    model = Predictor("beam", ("location", "vehicle", "building"), (2, 16, 32), 8,
+                      TINY_ARCH)
     params, state = model.init(1)
     path = tmp_path / "model.esnn"
     save_checkpoint(path, params, state)
@@ -94,7 +96,7 @@ def test_loaded_checkpoint_matches_in_memory_model(tmp_path):
 
 @pytest.mark.parametrize("edit", ["extra", "missing", "misshapen", "missing_state"])
 def test_model_checkpoint_tensor_mismatch_fails_closed(tmp_path, edit):
-    model = Predictor("blockage", ("location", "vehicle"), 2, 4, TINY_ARCH)
+    model = Predictor("blockage", ("location", "vehicle"), (2, 16, 32), 4, TINY_ARCH)
     params, state = (named(d) for d in model.init(2))
     if edit == "extra":
         params["sem.9.W"] = np.ones(3, dtype=np.float32)
@@ -122,7 +124,8 @@ def test_bad_magic_and_version(tmp_path):
 
 
 def test_truncated_checkpoint_fails_closed(tmp_path):
-    model = Predictor("beam", ("location", "vehicle"), n_cams=2, M_bm=4, arch=TINY_ARCH)
+    model = Predictor("beam", ("location", "vehicle"), map_shape=(2, 16, 32), M_bm=4,
+                      arch=TINY_ARCH)
     full = tmp_path / "model.esnn"
     save_checkpoint(full, *model.init(3))
     raw = full.read_bytes()
@@ -185,7 +188,8 @@ def test_header_bit_flips_fail_closed(tmp_path):
     """Every single-bit flip of a record header either raises CheckpointError
     or loads the model's exact tensor names and shapes: a rank above numpy's
     limit or dims that cannot form an array never escape as ValueError."""
-    model = Predictor("beam", ("location", "vehicle"), n_cams=2, M_bm=4, arch=TINY_ARCH)
+    model = Predictor("beam", ("location", "vehicle"), map_shape=(2, 16, 32), M_bm=4,
+                      arch=TINY_ARCH)
     params, state = model.init(3)
     want = [{k: v.shape for k, v in named(d).items()} for d in (params, state)]
     path = tmp_path / "model.esnn"

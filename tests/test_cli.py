@@ -10,7 +10,7 @@ from streetbeam.cli import _load_config, main
 from streetbeam.dataset import read_container
 from streetbeam.scene import to_plain
 
-TINY_ARCH_JSON = {"input_hw": [16, 32], "aux_widths": [16, 8],
+TINY_ARCH_JSON = {"aux_widths": [16, 8],
                   "beam_conv": [[4, 2]], "beam_res": [[4, 1]], "beam_hidden": 16,
                   "bl_conv": [[4, 2]], "bl_res": [[4, 1]], "bl_hidden": 8}
 
@@ -185,7 +185,7 @@ def test_validation_errors_exit_1(tmp_path, capsys):
                        # anything is allocated
                        ({"resolution": [100000, 100000]}, "resolution must be <= 2048"),
                        ({"arch": {"aux_widths": [100000000, 1]}}, "aux_widths must be <= 4096"),
-                       ({"arch": {"input_hw": [16, 4096]}}, "input_hw must be <= 2048"),
+                       ({"arch": {"input_hw": [16, 32]}}, "unknown config key arch.input_hw"),
                        ({"arch": {"beam_res": [[8, 2], [5000, 1]]}}, "beam_res must be <= 4096")):
         bad.write_text(json.dumps(raw))
         assert main(["generate", "--config", str(bad), "--out", out]) == 1, raw
@@ -379,6 +379,67 @@ def test_eval_checkpoint_of_another_codebook_size_exits_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"M_bm = {ckpt}" in err and f"M_bm = {data}" in err, err
         assert not (out / "eval_beam.json").exists()
+
+
+def test_eval_on_another_map_shape_exits_1(tmp_path, capsys):
+    """A checkpoint scores only datasets of the map shape it was trained on."""
+    cfg = write_config(tmp_path, frames=30)
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--dataset", str(out / "dataset"),
+                 "--task", "beam", "--epochs", "1", "--out", str(out),
+                 "--features", "location,vehicle"]) == 0
+    assert json.loads((out / "beam.meta.json").read_text())["map_shape"] == [2, 16, 32]
+    raw = json.loads(cfg.read_text())
+    raw["resolution"] = [32, 64]
+    cfg.write_text(json.dumps(raw))
+    big = tmp_path / "big"
+    assert main(["generate", "--config", str(cfg), "--out", str(big)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(big / "dataset"), "--task", "beam",
+                 "--g-list", "1,2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: checkpoint map shape [2, 16, 32] differs from the dataset's "
+                   "map shape [2, 32, 64]\n"), err
+    assert not (out / "eval_beam.json").exists()
+
+
+def test_json_artifact_without_a_key_exits_1(tmp_path, capsys):
+    """A meta file, fragment or selection that lacks a key its reader needs
+    fails closed with one error line naming the file and the key."""
+    cfg = write_config(tmp_path, frames=30)
+    run = tmp_path / "run"
+    dataset = str(run / "dataset")
+    train = ["train", "--config", str(cfg), "--dataset", dataset, "--task", "beam",
+             "--epochs", "1", "--out", str(run)]
+    evaluate = ["eval", "--dataset", dataset, "--task", "beam", "--g-list", "1,2",
+                "--out", str(run)]
+    assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 0
+    assert main(train + ["--features", "location,vehicle"]) == 0
+    assert main(evaluate) == 0
+    (run / "selected_beam.json").write_text(json.dumps({"features": ["location"]}))
+
+    def without(name, key):
+        return {k: v for k, v in json.loads((run / name).read_text()).items() if k != key}
+
+    # a meta file written while the arch carried the map size as input_hw
+    meta = without("beam.meta.json", "map_shape")
+    pre_map_shape = {**meta, "arch": {"input_hw": [16, 32], **meta["arch"]}}
+    for name, key, argv, broken in (
+            ("beam.meta.json", "features", evaluate, without("beam.meta.json", "features")),
+            ("beam.meta.json", "map_shape", evaluate, pre_map_shape),
+            ("eval_beam.json", "topg_accuracy", ["report", "--out", str(run)],
+             without("eval_beam.json", "topg_accuracy")),
+            ("selected_beam.json", "features", train, {})):
+        path = run / name
+        good = path.read_text()
+        path.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert main(argv) == 1, (name, key)
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: missing key '{key}'\n", err
+        path.write_text(good)
+    assert not (run / "report.json").exists()
 
 
 def test_select_outputs_do_not_depend_on_usable_cpus(tmp_path, capsys, monkeypatch,

@@ -407,8 +407,8 @@ def test_batchnorm_matches_three_reduction_reference(x_shape, training, dtype):
 def _reference_label_columns(conv, maps, features, dtype):
     """(C*k*k, OH*OW*N) columns of the float mask batch ``mask_channels``
     builds, padded and unfolded by the oracles above."""
-    masks = mask_channels(maps, features, conv.input_hw).astype(dtype)
-    oh, ow = conv.out_hw(*conv.input_hw)
+    masks = mask_channels(maps, features).astype(dtype)
+    oh, ow = conv.out_hw(*maps.shape[2:])
     cols = _reference_im2col(_reference_pad(masks, conv.pad), conv.k, conv.stride, oh, ow)
     return cols.transpose(1, 2, 3, 4, 5, 0).reshape(-1, oh * ow * len(maps)), masks
 
@@ -419,15 +419,15 @@ def _label_maps(seed, shape, absent=()):
     return np.asarray(ids, dtype=np.uint8)[stream(seed, "maps").integers(len(ids), size=shape)]
 
 
-# (first conv (c_out, stride, input_hw), maps shape, features, concepts drawn absent)
+# (first conv (c_out, stride), maps shape, features, concepts drawn absent)
 LABEL_CASES = [
-    ((16, 4, (80, 160)), (128, 2, 80, 160), ("location", "vehicle"), ()),  # default arch
-    ((4, 2, (16, 32)), (32, 2, 16, 32), ("location", "vehicle"), ()),      # TINY: overlapping
-    ((16, 4, (80, 160)), (4, 2, 160, 320), ("location", "vehicle"), ()),   # maps at 2x
-    ((4, 2, (16, 32)), (3, 2, 48, 64), ("location", "vehicle"), ()),       # 3x by 2x
-    ((4, 2, (16, 32)), (5, 1, 16, 32), ("location", "vehicle"), ()),       # one camera
-    ((4, 2, (16, 32)), (5, 2, 16, 32), ("location", "vehicle", "building", "sky"), ()),
-    ((4, 2, (16, 32)), (5, 2, 16, 32), ("location", "vehicle", "pole"), ("pole",)),
+    ((16, 4), (128, 2, 80, 160), ("location", "vehicle"), ()),  # default arch
+    ((4, 2), (32, 2, 16, 32), ("location", "vehicle"), ()),     # TINY: overlapping
+    ((16, 4), (4, 2, 160, 320), ("location", "vehicle"), ()),   # maps at 2x, read as they are
+    ((4, 2), (3, 2, 48, 64), ("location", "vehicle"), ()),      # 3x by 2x, read as they are
+    ((4, 2), (5, 1, 16, 32), ("location", "vehicle"), ()),      # one camera
+    ((4, 2), (5, 2, 16, 32), ("location", "vehicle", "building", "sky"), ()),
+    ((4, 2), (5, 2, 16, 32), ("location", "vehicle", "pole"), ("pole",)),
 ]
 
 
@@ -435,18 +435,17 @@ LABEL_CASES = [
 @pytest.mark.parametrize("conv_spec,maps_shape,features,absent", LABEL_CASES)
 def test_label_conv_columns_match_mask_oracle(conv_spec, maps_shape, features, absent,
                                               dtype):
-    c_out, stride, input_hw = conv_spec
-    ids = concept_ids(features)
-    conv = LabelConv2d(len(ids) * maps_shape[1], c_out, input_hw, 3, stride, 1)
+    c_out, stride = conv_spec
+    conv = LabelConv2d(concept_ids(features), maps_shape[1], c_out, 3, stride, 1)
     maps = _label_maps(20, maps_shape, absent)
-    cols, y_shape = conv._columns((maps, ids), dtype)
+    cols, y_shape = conv._columns(maps, dtype)
     cols_ref, masks = _reference_label_columns(conv, maps, features, dtype)
     assert_bitwise(cols, cols_ref)
-    assert y_shape == (c_out,) + conv.out_hw(*input_hw) + (maps_shape[0],)
+    assert y_shape == (c_out,) + conv.out_hw(*maps_shape[2:]) + (maps_shape[0],)
     # so the layer is a Conv2d of the (C, H, W, N) masks, with no input gradient
     p, _ = conv.init(stream(0, "i"), dtype)
     plain = Conv2d(conv.c_in, c_out, 3, stride, 1)
-    y, cache = conv.forward((maps, ids), p, {}, True, None)
+    y, cache = conv.forward(maps, p, {}, True, None)
     y_ref, cache_ref = plain.forward(_chwn(masks), p, {}, True, None)
     assert_bitwise(y, y_ref)
     dy = _random(21, y.shape, dtype)
@@ -457,18 +456,15 @@ def test_label_conv_columns_match_mask_oracle(conv_spec, maps_shape, features, a
         assert_bitwise(grads[key], grads_ref[key])
 
 
-def test_label_conv_rejects_non_integer_map_ratio():
-    conv = LabelConv2d(2, 4, (16, 32), 3, 2, 1)
-    p, _ = conv.init(stream(0, "i"), np.float32)
-    ids = np.array([CATALOG.index("vehicle")], dtype=np.uint8)
-    for hw in [(24, 32), (16, 48), (8, 16), (32, 40)]:
-        with pytest.raises(ValueError, match="integer multiple"):
-            conv.forward((_label_maps(0, (2, 2) + hw), ids), p, {}, True, None)
-
-
 # ---------------------------------------------------------------------------
 # the whole predictor against a network of the NCHW oracles on the same
 # parameters, fed the float mask batch: checkpoints keep their meaning
+
+def _map_shape(arch):
+    """(n_cams, H, W) of the two cameras' maps a test network of ``arch``
+    reads: 16 x 32 for TINY_ARCH, 80 x 160 for the default."""
+    return (2, 16, 32) if arch == TINY_ARCH else (2, 80, 160)
+
 
 def _reference_forward(layer, x, p, s, training, rng):
     """NCHW forward of ``layer`` by the oracles above: (y, backward), where
@@ -550,12 +546,12 @@ def _reference_forward(layer, x, p, s, training, rng):
                                          ("beam", ArchConfig(), 8)])
 def test_predictor_matches_nchw_reference_network(task, arch, n, training, dtype):
     features = ("location", "vehicle", "building")
-    model = Predictor(task, features, 2, 8, arch)
+    model = Predictor(task, features, _map_shape(arch), 8, arch)
     params, state = model.init(5, dtype)
     for _, d, k in leaves(state):  # nontrivial running statistics for evaluation mode
         d[k] = (np.abs(_random(30, d[k].shape, dtype)) + 0.5 if k.endswith("var")
                 else _random(31, d[k].shape, dtype))
-    maps = _label_maps(32, (n, 2) + arch.input_hw)
+    maps = _label_maps(32, (n,) + _map_shape(arch))
     loc = _random(33, (n, 3), dtype)
     labels = stream(34, "labels").integers(8 if task == "beam" else 2, size=n)
     out, cache = model.forward(params, copy.deepcopy(state), loc, maps, training,
@@ -679,7 +675,8 @@ def _random_grads(seed, params):
 @pytest.mark.parametrize("task,arch", [("beam", TINY_ARCH), ("blockage", TINY_ARCH),
                                        ("beam", ArchConfig())])
 def test_flat_adam_matches_per_tensor_reference(task, arch, dtype):
-    params, _ = Predictor(task, ("location", "vehicle", "building"), 2, 8, arch).init(3, dtype)
+    params, _ = Predictor(task, ("location", "vehicle", "building"), _map_shape(arch), 8,
+                          arch).init(3, dtype)
     ref = copy.deepcopy(params)
     opt = Adam(params, lr=3e-3)
     opt_ref = _ReferenceAdam(ref, lr=3e-3)

@@ -34,14 +34,6 @@ def planted_sampleset(n=80, hw=(16, 32), M_bm=4, seed=0):
                      horizons=(1,))
 
 
-def test_mask_channels_downsample():
-    ds = planted_sampleset(n=4)
-    masks = mask_channels(ds.label_maps, ("location", "vehicle"), out_hw=(8, 16))
-    assert masks.shape == (4, 2, 8, 16)
-    with pytest.raises(ValueError):
-        mask_channels(ds.label_maps, ("location", "vehicle"), out_hw=(7, 16))
-
-
 def test_build_input_counting_and_order():
     maps = rng_mod.stream(0, "maps").integers(0, 20, size=(3, 2, 16, 32)).astype(np.uint8)
     assert mask_channels(maps, ("location",)).shape == (3, 0, 16, 32)
@@ -58,13 +50,16 @@ def test_build_input_counting_and_order():
         mask_channels(maps, ("vehicle",))  # Location is mandatory
 
 
+TINY_MAPS = (2, 16, 32)  # (n_cams, H, W) of the maps the TINY_ARCH tests read
+
+
 def random_maps(rng, shape):
     """uint8 label maps over the whole catalog."""
     return rng.integers(0, CATALOG.M_con, size=shape).astype(np.uint8)
 
 
 def test_forward_eval_deterministic_and_shapes():
-    model = Predictor("beam", ("location", "vehicle"), n_cams=2, M_bm=4, arch=TINY_ARCH)
+    model = Predictor("beam", ("location", "vehicle"), TINY_MAPS, M_bm=4, arch=TINY_ARCH)
     params, state = model.init(0)
     rng = rng_mod.stream(1, "in")
     loc = rng.normal(size=(3, 3)).astype(np.float32)
@@ -74,13 +69,13 @@ def test_forward_eval_deterministic_and_shapes():
     assert y1.shape == (3, 4)
     assert np.array_equal(y1, y2)  # dropout off in evaluation mode
     # the network is built for a canonical set: insertion order does not matter
-    swapped = Predictor("beam", ("vehicle", "location"), n_cams=2, M_bm=4, arch=TINY_ARCH)
+    swapped = Predictor("beam", ("vehicle", "location"), TINY_MAPS, M_bm=4, arch=TINY_ARCH)
     assert swapped.features == model.features == ("location", "vehicle")
     assert swapped.forward(params, state, loc, maps)[0].tobytes() == y1.tobytes()
     with pytest.raises(ValueError, match="location"):
-        Predictor("beam", ("vehicle",), n_cams=2, M_bm=4, arch=TINY_ARCH)
+        Predictor("beam", ("vehicle",), TINY_MAPS, M_bm=4, arch=TINY_ARCH)
 
-    bl = Predictor("blockage", ("location", "vehicle"), n_cams=2, M_bm=4, arch=TINY_ARCH)
+    bl = Predictor("blockage", ("location", "vehicle"), TINY_MAPS, M_bm=4, arch=TINY_ARCH)
     bp, bs = bl.init(0)
     logit, _ = bl.forward(bp, bs, loc, maps)
     assert logit.shape == (3, 1)
@@ -90,7 +85,7 @@ def test_forward_eval_deterministic_and_shapes():
 
 
 def test_location_only_network():
-    model = Predictor("beam", ("location",), n_cams=2, M_bm=4, arch=TINY_ARCH)
+    model = Predictor("beam", ("location",), TINY_MAPS, M_bm=4, arch=TINY_ARCH)
     params, state = model.init(0)
     loc = np.zeros((2, 3), dtype=np.float32)
     maps = np.zeros((2, 2, 16, 32), dtype=np.uint8)
@@ -99,7 +94,7 @@ def test_location_only_network():
     assert not any(k.startswith("sem.") for k in named(params))
 
 
-# Tensor names and shapes of Predictor(task, features, n_cams=2, M_bm=8, TINY_ARCH):
+# Tensor names and shapes of Predictor(task, features, TINY_MAPS, M_bm=8, TINY_ARCH):
 # checkpoints store tensors by these names, so any change here breaks old
 # .esnn files. (name, shape) over params then state.
 _AUX_TENSORS = [
@@ -143,7 +138,7 @@ _SEM_STATE = [
      [], []),
 ], ids=["beam", "blockage", "beam-location-only"])
 def test_predictor_tensor_names_pinned(task, features, head, head_state, sem, sem_state):
-    params, state = Predictor(task, features, 2, 8, TINY_ARCH).init(0)
+    params, state = Predictor(task, features, TINY_MAPS, 8, TINY_ARCH).init(0)
     assert (sorted((k, v.shape) for k, v in named(params).items())
             == sorted(_AUX_TENSORS + head + sem))
     assert (sorted((k, v.shape) for k, v in named(state).items())
@@ -157,11 +152,11 @@ def test_arch_meta_json_round_trip(arch):
 
 
 def test_arch_meta_json_layout():
-    # the "arch" block of *.meta.json files written so far
+    # the "arch" block of *.meta.json files; the map size is their "map_shape"
     assert to_plain(TINY_ARCH) == {
-        "input_hw": [16, 32], "aux_widths": [16, 8], "beam_conv": [[4, 2]],
-        "beam_res": [[4, 1]], "beam_hidden": 16, "bl_conv": [[4, 2]],
-        "bl_res": [[4, 1]], "bl_hidden": 8, "dropout": 0.1}
+        "aux_widths": [16, 8], "beam_conv": [[4, 2]], "beam_res": [[4, 1]],
+        "beam_hidden": 16, "bl_conv": [[4, 2]], "bl_res": [[4, 1]], "bl_hidden": 8,
+        "dropout": 0.1}
 
 
 def test_sigmoid_and_log_softmax():
@@ -177,7 +172,7 @@ def test_sigmoid_and_log_softmax():
 
 def _loss(task, logits, labels):
     """Training's batch loss of float64 network outputs."""
-    model = Predictor(task, ("location",), n_cams=2, M_bm=logits.shape[1], arch=TINY_ARCH)
+    model = Predictor(task, ("location",), TINY_MAPS, M_bm=logits.shape[1], arch=TINY_ARCH)
     return _batch_loss_grad(model, np.asarray(logits, dtype=float),
                             np.asarray(labels, dtype=np.int64))[0]
 
@@ -232,7 +227,7 @@ def test_gradient_check_beam_and_blockage():
     maps = np.array([CATALOG.index("vehicle"), CATALOG.index("building")],
                     dtype=np.uint8)[rng.integers(2, size=(2, 1, 16, 32))]
     for task, label in (("beam", [1, 3]), ("blockage", [0, 1])):
-        model = Predictor(task, feats, n_cams=1, M_bm=4, arch=TINY_ARCH)
+        model = Predictor(task, feats, (1, 16, 32), M_bm=4, arch=TINY_ARCH)
         params, state = model.init(7)
         err = gradient_check(model, params, state, loc, maps, label,
                              n_samples=120, seed=0)
@@ -245,7 +240,7 @@ def test_first_conv_skips_only_the_discarded_input_gradient(arch, hw):
     # layer is a plain Conv2d of the float (C, H, W, N) mask batch that
     # computes its input gradient: same output, same parameter gradients
     feats = ("location", "vehicle")
-    model = Predictor("beam", feats, n_cams=2, M_bm=8, arch=arch)
+    model = Predictor("beam", feats, (2, *hw), M_bm=8, arch=arch)
     sem = model.children["sem"]
     first = sem.children["0"]
     assert first.input_grad is False
@@ -257,7 +252,7 @@ def test_first_conv_skips_only_the_discarded_input_gradient(arch, hw):
     maps = random_maps(rng, (6, 2, *hw))
     masks = np.ascontiguousarray(mask_channels(maps, feats).transpose(1, 2, 3, 0))
     outs, grads = [], []
-    for net, x in ((sem, (maps, model.concepts)), (twin, masks)):
+    for net, x in ((sem, maps), (twin, masks)):
         out, cache = net.forward(x, params, copy.deepcopy(state), True, None)
         dx, g = net.backward(rng_mod.stream(7, "dy").normal(size=out.shape).astype(out.dtype),
                              cache, params)
@@ -339,7 +334,8 @@ def test_train_config_validation():
 def test_desk_scale_arch_shapes():
     # the default architecture accepts 80x160 inputs end to end
     arch = ArchConfig()
-    model = Predictor("beam", ("location", "vehicle", "sky"), n_cams=2, M_bm=16, arch=arch)
+    model = Predictor("beam", ("location", "vehicle", "sky"), (2, 80, 160), M_bm=16,
+                      arch=arch)
     params, state = model.init(0)
     loc = np.zeros((2, 3), dtype=np.float32)
     maps = np.zeros((2, 2, 80, 160), dtype=np.uint8)

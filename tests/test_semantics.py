@@ -20,7 +20,7 @@ RES = (48, 96)
 
 
 # ---------------------------------------------------------------------------
-# reference renderer: the straightforward per-vehicle z-buffer the cached,
+# reference renderer: the straightforward per-vehicle z-buffer the
 # vectorized renderer must reproduce byte for byte
 
 _ROADLINE_HALF_WIDTH = 0.12
@@ -225,10 +225,10 @@ def test_nearer_vehicle_occludes_farther():
 
 
 def test_resolution_and_camera_validation():
-    # raised on every call, also once the camera views are cached
+    # raised on every call, also after a valid one
     cfg = SceneConfig()
     cam = cfg.camera_poses[0]
-    render_frame(empty_frame(), cfg, (16, 16))  # fills the cache
+    render_frame(empty_frame(), cfg, (16, 16))
     for _ in range(2):
         for res in ((8, 8), (15, 32), (32, 15), (16, MAX_SIDE + 1), (10**5, 10**5)):
             with pytest.raises(ConfigError):
