@@ -2,8 +2,7 @@
 prediction with floating feature selection."""
 
 from .beams import dft_codebook, optimal_beam, topg_accuracy, trr
-from .channel import (RayTraceConfig, assemble_channel, assemble_channels, steering_vector,
-                      trace_paths)
+from .channel import RayTraceConfig, assemble_channel, assemble_channels, trace_paths
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import ContainerError, read_container, write_container
 from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator,

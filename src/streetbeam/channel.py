@@ -20,7 +20,12 @@ from its rows as
     h[k] = sum_l alpha_l * exp(-j 2 pi f_k tau_l + j phi_l) * a(az_l, el_l; f_k)
 
 over a ULA manifold a(.) with entry n = exp(j * w * n * sin(el) * cos(az)),
-w = 2 pi d f / c.
+w = 2 pi d f / c. With u = w * sin(el) * cos(az), ``assemble_channels``
+evaluates entry n as exp(j (n mod b) u) * exp(j b floor(n / b) u): per path
+it takes complex exps of a fine table over the b offsets and of a coarse
+table over the multiples of b, folds the path's gain into the coarse one,
+and adds their outer product to the channel. That is ceil(N_t / b) + b
+exps per (path, subcarrier) in place of N_t.
 """
 
 import math
@@ -66,18 +71,8 @@ class RayTraceConfig:
         return self.f_c + (np.asarray(k) - self.K / 2) * self.subcarrier_spacing
 
 
-def steering_vector(theta_az, theta_el, f, config: RayTraceConfig):
-    """ULA manifold vector: entry n = exp(j*w*n*sin(el)*cos(az)), w = 2 pi d f / c.
-
-    ``f`` broadcasts against the antenna axis: a (K, 1) column of subcarrier
-    frequencies gives the (K, N_t) manifold of one path.
-    """
-    w = 2 * np.pi * config.d * f / C_LIGHT
-    n = np.arange(config.N_t)
-    return np.exp(1j * w * n * np.sin(theta_el) * np.cos(theta_az))
-
-
 _CHUNK_FRAMES = 64  # frames per slab test; bounds its (3, pairs) temporaries
+_SPLIT = 8  # antennas per fine steering table; 8 beat 4 and 16 at N_t 64, K 128
 
 
 def _legs_blocked(p0, p1, leg_frame, frames, eps=1e-9):
@@ -239,18 +234,31 @@ def assemble_channels(paths, n_paths, config: RayTraceConfig):
     ``trace_paths`` returns them; zero where ``n_paths`` is 0.
 
     Path slot p is added only to the frames that have it, so each channel
-    sums its own paths in table order, with the elementwise operations of
-    the per-path sum in the module docstring and equal to it bit for bit.
-    The temporaries hold a few (F, K, N_t) arrays: callers pass chunks.
+    sums its own paths in table order, through the split tables of the
+    module docstring. Every operation is elementwise per frame, so a
+    channel does not depend on the other frames of the call: chunks of the
+    table give the whole table's channels bit for bit. Against the per-path
+    sum evaluated in extended precision, each entry is within 4 ulps of each
+    path's largest phase, weighted by the path's amplitude: the bound
+    ``tests/oracles.py`` states, which the per-path sum with one exp per
+    entry meets as well. The temporaries hold a few (F, K, N_t) arrays:
+    callers pass chunks.
     """
-    fk = config.subcarrier_freq(np.arange(config.K))
-    h = np.zeros((len(paths), config.K, config.N_t), dtype=np.complex128)
-    for p in range(paths.shape[1]):
+    K, N_t = config.K, config.N_t
+    fk = config.subcarrier_freq(np.arange(K))
+    w = 2 * np.pi * config.d * fk / C_LIGHT
+    fine_n = np.arange(min(_SPLIT, N_t))
+    coarse_n = np.arange(0, N_t, _SPLIT)
+    h = np.zeros((len(paths), K, N_t), dtype=np.complex128)
+    for p in range(int(n_paths.max(initial=0))):  # every slot with a row
         rows = np.flatnonzero(n_paths > p)
         alpha, phi, tau, theta_az, theta_el = paths[rows, p].T[..., None]  # (r, 1) each
+        u = (w * np.sin(theta_el) * np.cos(theta_az))[..., None]  # (r, K, 1)
         gain = alpha * np.exp(-1j * 2 * np.pi * fk * tau + 1j * phi)  # (r, K)
-        h[rows] += gain[..., None] * steering_vector(theta_az[..., None], theta_el[..., None],
-                                                     fk[:, None], config)
+        coarse = gain[..., None] * np.exp(1j * coarse_n * u)  # (r, K, ceil(N_t / b))
+        fine = np.exp(1j * fine_n * u)  # (r, K, b)
+        term = coarse[..., None] * fine[..., None, :]
+        h[rows] += term.reshape(len(rows), K, -1)[..., :N_t]
     return h
 
 

@@ -47,18 +47,20 @@ def _parse_g_list(text):
 
 
 def _features_for(args, out_dir):
-    """Explicit --features wins; otherwise the stored selection result."""
+    """Explicit --features wins; otherwise the stored selection result.
+    Either must name features of ``UNIVERSAL_FEATURES`` only."""
     if args.features:
-        feats = canonical(args.features.split(","))
-        unknown = [f for f in feats if f not in UNIVERSAL_FEATURES]
-        if unknown:
-            raise PipelineError(f"unknown features: {unknown}")
-        return feats
-    sel = os.path.join(out_dir, f"selected_{args.task}.json")
-    if os.path.exists(sel):
-        return canonical(pipeline.read_json(sel, ("features",))["features"])
-    raise PipelineError(
-        f"no feature set: pass --features or run select first ({sel} missing)")
+        source, feats = "--features", args.features.split(",")
+    else:
+        source = os.path.join(out_dir, f"selected_{args.task}.json")
+        if not os.path.exists(source):
+            raise PipelineError(
+                f"no feature set: pass --features or run select first ({source} missing)")
+        feats = pipeline.read_json(source, ("features",), lists=("features",))["features"]
+    unknown = [f for f in feats if f not in UNIVERSAL_FEATURES]
+    if unknown:
+        raise PipelineError(f"{source}: unknown features: {unknown}")
+    return canonical(feats)
 
 
 def _cmd_generate(args):

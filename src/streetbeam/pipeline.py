@@ -46,14 +46,18 @@ class PipelineError(ValueError):
     pass
 
 
-def read_json(path, keys):
+def read_json(path, keys, lists=()):
     """The JSON object in the file at ``path``; a PipelineError names the
-    file and the first of ``keys`` it lacks."""
+    file and the first of ``keys`` it lacks, or the first of ``lists``, a
+    subset of ``keys``, whose value is not a JSON array."""
     with open(path) as fh:
         obj = json.load(fh)
     for key in keys:
         if not isinstance(obj, dict) or key not in obj:
             raise PipelineError(f"{path}: missing key {key!r}")
+    for key in lists:
+        if not isinstance(obj[key], list):
+            raise PipelineError(f"{path}: {key!r} must be a list, got {obj[key]!r}")
     return obj
 
 
@@ -270,7 +274,8 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
     for p in (meta_path, ckpt_path):
         if not os.path.exists(p):
             raise PipelineError(f"missing artifact {p}; run train first")
-    meta = read_json(meta_path, ("features", "M_bm", "map_shape", "arch", "split", "seed"))
+    meta = read_json(meta_path, ("features", "M_bm", "map_shape", "arch", "split", "seed"),
+                     lists=("features", "map_shape", "split"))
     if task == "beam" and meta["M_bm"] != dataset.M_bm:
         raise PipelineError(f"checkpoint codebook size M_bm = {meta['M_bm']} differs "
                             f"from the dataset's M_bm = {dataset.M_bm}")
@@ -320,9 +325,15 @@ def cmd_report(run_dir):
         raise PipelineError(f"run directory {run_dir} does not exist")
     for name in sorted(os.listdir(run_dir)):
         if name.startswith("eval_") and name.endswith(".json"):
+            path = os.path.join(run_dir, name)
             beam = name == "eval_beam.json"
             keys = ("g_list", "topg_accuracy", "trr") if beam else ("horizon", "blockage_accuracy")
-            frags.append((beam, read_json(os.path.join(run_dir, name), ("n", "seed") + keys)))
+            frag = read_json(path, ("n", "seed") + keys, lists=("g_list",) if beam else ())
+            for metric in ("topg_accuracy", "trr") if beam else ():
+                for g in frag["g_list"]:
+                    if not isinstance(frag[metric], dict) or str(g) not in frag[metric]:
+                        raise PipelineError(f"{path}: missing key {metric}[{str(g)!r}]")
+            frags.append((beam, frag))
     if not frags:
         raise PipelineError("missing artifacts: eval_*.json (no evaluation fragments)")
     selected = {}

@@ -3,8 +3,10 @@ corruption and pixel accuracy, per-sample loops of the Top-G accuracy and
 TRR, an exhaustive subset search, the finite-difference gradient check of
 a predictor, the name -> tensor view of a tensor tree, the per-slot blockage
 labeler, the per-frame ray tracer with its scalar slab test, the per-path
-channel sum, and the object-based scenario generator with the helper that
-builds array frames from its vehicles.
+channel sum with its steering vector, extended-precision references of the
+channel and the beam rates with their float64 error bounds, and the
+object-based scenario generator with the helper that builds array frames
+from its vehicles.
 """
 
 import copy
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from streetbeam.channel import C_LIGHT, steering_vector
+from streetbeam.channel import C_LIGHT
 from streetbeam.featsel import CachedEvaluator, canonical, feature_key
 from streetbeam.nn import leaves
 from streetbeam.predictor import Predictor, _batch_loss_grad
@@ -146,16 +148,93 @@ def path_rows(paths):
                     dtype=float).reshape(-1, 5)
 
 
+def steering_vector(theta_az, theta_el, f, config):
+    """ULA manifold vector: entry n = exp(j*w*n*sin(el)*cos(az)), w = 2 pi d f / c.
+
+    ``f`` broadcasts against the antenna axis: a (K, 1) column of subcarrier
+    frequencies gives the (K, N_t) manifold of one path.
+    """
+    w = 2 * np.pi * config.d * f / C_LIGHT
+    n = np.arange(config.N_t)
+    return np.exp(1j * w * n * np.sin(theta_el) * np.cos(theta_az))
+
+
 def assemble_channel(paths, config):
     """Frequency-domain channel of one frame's (n, 5) path rows, (K, N_t)
-    complex128, summed path by path; zero when n = 0.
-    ``streetbeam.channel.assemble_channels`` must reproduce it bit for bit."""
+    complex128, summed path by path with one complex exp per manifold entry;
+    zero when n = 0. ``streetbeam.channel.assemble_channels`` evaluates the
+    manifold from split tables and must stay within ``channel_tolerance`` of
+    ``channel_reference``, as this sum does."""
     h = np.zeros((config.K, config.N_t), dtype=np.complex128)
     fk = config.subcarrier_freq(np.arange(config.K))
     for alpha, phi, tau, theta_az, theta_el in paths.tolist():
         gain = alpha * np.exp(-1j * 2 * np.pi * fk * tau + 1j * phi)  # (K,)
         h += gain[:, None] * steering_vector(theta_az, theta_el, fk[:, None], config)
     return h
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def channel_reference(paths, config):
+    """The per-path sum of ``assemble_channel`` over one frame's (n, 5) path
+    rows in np.clongdouble: the same float64 inputs and constants, every
+    operation rounded in extended precision. (K, N_t)."""
+    ld = np.longdouble
+    pi = ld(np.pi)  # the float64 pi that the channel code uses
+    fk = ld(config.f_c) + (np.arange(config.K, dtype=ld) - ld(config.K) / 2) \
+        * ld(config.subcarrier_spacing)
+    w = 2 * pi * ld(config.d) * fk / ld(C_LIGHT)
+    n = np.arange(config.N_t, dtype=ld)
+    h = np.zeros((config.K, config.N_t), dtype=np.clongdouble)
+    for alpha, phi, tau, theta_az, theta_el in np.asarray(paths, dtype=ld):
+        gain = alpha * np.exp(1j * (phi - 2 * pi * fk * tau))
+        u = w * np.sin(theta_el) * np.cos(theta_az)
+        h += gain[:, None] * np.exp(1j * np.outer(u, n))
+    return h
+
+
+def channel_tolerance(paths, config):
+    """Bound on |h - channel_reference| for a float64 evaluation of one
+    frame's channel: 4 ulps of each path's largest phase, 2 pi f tau + phi +
+    N_t w + 1 rad at the top subcarrier, weighted by the path's amplitude and
+    summed over the paths. A phase argument rounded in float64 is off by an
+    ulp or two of its size, and the exps and the products add a few ulps of
+    each term; the per-path sum and the split tables both stay near 1.1
+    such units on street and random paths."""
+    paths = np.asarray(paths, dtype=float).reshape(-1, 5)
+    f_max = np.abs(config.subcarrier_freq(np.arange(config.K))).max()
+    w_max = 2 * np.pi * config.d * f_max / C_LIGHT
+    alpha, phi, tau = paths[:, 0], paths[:, 1], paths[:, 2]
+    phase = 2 * np.pi * f_max * np.abs(tau) + np.abs(phi) + config.N_t * w_max + 1
+    return 4 * EPS * float(np.sum(np.abs(alpha) * phase))
+
+
+def rates_reference(h, codebook, P_k, sigma2):
+    """The (M_bm,) rates of the (K, N_t) channel ``h``, one per codeword, in
+    np.longdouble from the float64 channel and codebook."""
+    g = np.abs(np.asarray(h, dtype=np.clongdouble) @ np.asarray(codebook, np.clongdouble).T) ** 2
+    snr = np.longdouble(P_k) / np.longdouble(sigma2)
+    return np.mean(np.log2(1 + snr * g), axis=0)
+
+
+def rate_tolerance(h, codebook, P_k, sigma2):
+    """Bound on |rates - rates_reference| for a float64 search of one (K,
+    N_t) channel, per codeword. A complex dot product of length N_t is off by
+    at most delta = 2 N_t eps sum_n |h_n| |w_n| in any summation order, so a
+    gain g = |x|^2 moves by at most (2|x| + delta) delta and log2(1 + snr g)
+    by at most snr that / ((1 + snr g_low) ln 2), g_low its lowest value.
+    Rounding 1 + snr g moves each log2 by up to an ulp of 1 over ln 2, and
+    the log2, the sum over K and the division add (K + 4) ulps of the rate."""
+    h, codebook = np.asarray(h), np.asarray(codebook)
+    K, N_t = h.shape
+    snr = P_k / sigma2
+    x = np.abs(h @ codebook.T)
+    delta = 2 * N_t * EPS * (np.abs(h) @ np.abs(codebook).T)
+    dg = (2 * x + delta) * delta
+    step = snr * dg / ((1 + snr * np.maximum(x ** 2 - dg, 0)) * np.log(2))
+    rates = np.mean(np.log2(1 + snr * x ** 2), axis=0)
+    return step.mean(axis=0) + EPS * (4 + (K + 4) * rates)
 
 
 def segment_blocked(p0, p1, boxes, eps=1e-9):

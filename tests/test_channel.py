@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import Vehicle, make_frame
-from streetbeam.channel import (_CHUNK_FRAMES, RayTraceConfig, assemble_channel,
-                                assemble_channels, steering_vector, trace_paths)
+from oracles import Vehicle, make_frame, steering_vector
+from streetbeam.channel import (_CHUNK_FRAMES, _SPLIT, RayTraceConfig, assemble_channel,
+                                assemble_channels, trace_paths)
 from streetbeam.pipeline import blockage_labels
 from streetbeam.rng import stream
 from streetbeam.scene import (BUS, VAN, SceneConfig, from_plain, generate_scenario, to_plain,
@@ -219,8 +219,8 @@ def test_assemble_channel_double_loop_oracle():
 
 def _reference_assemble(paths, config):
     """Loop over PathComponents with the ULA manifold written out inline, as
-    an outer product of the subcarrier phase rates and the antenna indices.
-    ``assemble_channel`` must reproduce it bit for bit."""
+    an outer product of the subcarrier phase rates and the antenna indices,
+    one complex exp per entry."""
     h = np.zeros((config.K, config.N_t), dtype=np.complex128)
     fk = config.subcarrier_freq(np.arange(config.K))
     for p in paths:
@@ -232,6 +232,13 @@ def _reference_assemble(paths, config):
     return h
 
 
+def assert_near_reference(h, rows, config):
+    """``h`` is within ``oracles.channel_tolerance`` of the extended-precision
+    per-path sum of the (n, 5) path ``rows``."""
+    err = np.abs(h - oracles.channel_reference(rows, config)).max(initial=0)
+    assert err <= oracles.channel_tolerance(rows, config)
+
+
 def chunked_channels(paths, n_paths, cfg, step=7):
     """``assemble_channels`` of a padded table, ``step`` frames at a time."""
     return np.concatenate([assemble_channels(paths[i:i + step], n_paths[i:i + step], cfg)
@@ -239,31 +246,52 @@ def chunked_channels(paths, n_paths, cfg, step=7):
 
 
 @pytest.mark.parametrize("cfg", [RayTraceConfig(), RayTraceConfig(N_t=16, K=16),
-                                 small_cfg(N_t=3, K=5)], ids=["default", "Nt16-K16", "Nt3-K5"])
+                                 small_cfg(N_t=12, K=5), small_cfg(N_t=3, K=5)],
+                         ids=["default", "Nt16-K16", "Nt12-K5", "Nt3-K5"])
 def test_assemble_channel_bitwise_on_street_paths(cfg):
+    """A frame's channel is the same bits alone, in the whole table and in
+    chunks of it; it and the per-path sums with one exp per entry stay within
+    ``oracles.channel_tolerance`` of the extended-precision sum."""
     # the acceptance-criterion-7 street: dense traffic, base station at 2 m
     scene = SceneConfig(frame_count=100, seed=503, spawn_rate=0.6,
                         bs_position=(100.0, -8.0, 2.0))
     frames = [f for f in generate_scenario(scene) if f.target_user_id is not None]
     assert len(frames) > 90
     paths, n_paths, _ = trace_paths(frames, scene, cfg)
+    whole = assemble_channels(paths, n_paths, cfg)
     chunked = chunked_channels(paths, n_paths, cfg)
     for f, frame in enumerate(frames):
         got = assemble_channel(paths[f, :n_paths[f]], cfg)
-        want = _reference_assemble(oracles.trace_frame(frame, scene, cfg), cfg)
-        assert got.tobytes() == want.tobytes() == chunked[f].tobytes()
+        assert got.tobytes() == whole[f].tobytes() == chunked[f].tobytes()
+        want = oracles.trace_frame(frame, scene, cfg)
+        rows = oracles.path_rows(want)
+        for h in (got, _reference_assemble(want, cfg), oracles.assemble_channel(rows, cfg)):
+            assert_near_reference(h, rows, cfg)
     rng = stream(6, "test.bitwise")
     for _ in range(20):
         paths = random_paths(rng, int(rng.integers(1, 5)))
         want = [oracles.PathComponent(*row, is_los=False) for row in paths.tolist()]
-        got = assemble_channel(paths, cfg)
-        assert got.tobytes() == _reference_assemble(want, cfg).tobytes()
+        assert_near_reference(assemble_channel(paths, cfg), paths, cfg)
+        assert_near_reference(_reference_assemble(want, cfg), paths, cfg)
     # frames of 0 to 4 paths, with garbage in the padding after them
     table = np.stack([random_paths(rng, 4) for _ in range(20)])
     n_paths = rng.integers(0, 5, len(table))
-    for paths, n, got in zip(table, n_paths, chunked_channels(table, n_paths, cfg)):
-        want = [oracles.PathComponent(*row, is_los=False) for row in paths[:n].tolist()]
-        assert got.tobytes() == _reference_assemble(want, cfg).tobytes()
+    whole = assemble_channels(table, n_paths, cfg)
+    for paths, n, got, one in zip(table, n_paths, chunked_channels(table, n_paths, cfg), whole):
+        assert got.tobytes() == one.tobytes() == assemble_channel(paths[:n], cfg).tobytes()
+        assert_near_reference(got, paths[:n], cfg)
+
+
+def test_split_tables_cover_every_antenna():
+    """N_t below, at, between and above multiples of the fine table's
+    length: every antenna gets its own entry, within tolerance of the sum."""
+    rng = stream(8, "test.split")
+    for N_t in (1, _SPLIT - 1, _SPLIT, _SPLIT + 1, 3 * _SPLIT - 2, 4 * _SPLIT):
+        cfg = small_cfg(N_t=N_t, K=3)
+        paths = random_paths(rng, 3)
+        h = assemble_channel(paths, cfg)
+        assert h.shape == (3, N_t)
+        assert_near_reference(h, paths, cfg)
 
 
 def test_energy_triangle_inequality():

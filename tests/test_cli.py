@@ -442,6 +442,57 @@ def test_json_artifact_without_a_key_exits_1(tmp_path, capsys):
     assert not (run / "report.json").exists()
 
 
+def test_json_artifact_with_a_bad_value_exits_1(tmp_path, capsys):
+    """A selection naming an unknown feature, a meta file whose list keys
+    hold no list, and a beam fragment whose metric tables lack a G of its
+    g_list fail closed with one error line naming the file and the value."""
+    cfg = write_config(tmp_path, frames=30)
+    run = tmp_path / "run"
+    dataset = str(run / "dataset")
+    train = ["train", "--config", str(cfg), "--dataset", dataset, "--task", "beam",
+             "--epochs", "1", "--out", str(run)]
+    evaluate = ["eval", "--dataset", dataset, "--task", "beam", "--g-list", "1,2",
+                "--out", str(run)]
+    report = ["report", "--out", str(run)]
+    assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 0
+    assert main(train + ["--features", "location,vehicle"]) == 0
+    assert main(evaluate) == 0
+    (run / "selected_beam.json").write_text(json.dumps({"features": ["location"]}))
+
+    def edited(name, key, value):
+        return {**json.loads((run / name).read_text()), key: value}
+
+    def dropped_g(metric):
+        frag = json.loads((run / "eval_beam.json").read_text())
+        return {**frag, metric: {"1": frag[metric]["1"]}}
+
+    for name, argv, broken, message in (
+            ("selected_beam.json", train, {"features": ["location", "warpdrive"]},
+             "unknown features: ['warpdrive']"),
+            ("selected_beam.json", train, {"features": "location"},
+             "'features' must be a list, got 'location'"),
+            ("beam.meta.json", evaluate, edited("beam.meta.json", "split", 0.7),
+             "'split' must be a list, got 0.7"),
+            ("beam.meta.json", evaluate, edited("beam.meta.json", "map_shape", "2x16x32"),
+             "'map_shape' must be a list, got '2x16x32'"),
+            ("beam.meta.json", evaluate, edited("beam.meta.json", "features", "vehicle"),
+             "'features' must be a list, got 'vehicle'"),
+            ("eval_beam.json", report, dropped_g("topg_accuracy"),
+             "missing key topg_accuracy['2']"),
+            ("eval_beam.json", report, dropped_g("trr"), "missing key trr['2']"),
+            ("eval_beam.json", report, edited("eval_beam.json", "g_list", 2),
+             "'g_list' must be a list, got 2")):
+        path = run / name
+        good = path.read_text()
+        path.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert main(argv) == 1, (name, message)
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {message}\n", err
+        path.write_text(good)
+    assert not (run / "report.json").exists()
+
+
 def test_select_outputs_do_not_depend_on_usable_cpus(tmp_path, capsys, monkeypatch,
                                                      no_children_left):
     cfg = write_config(tmp_path, frames=30)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from streetbeam.beams import dft_codebook, optimal_beam
-from streetbeam import pipeline
-from streetbeam.channel import RayTraceConfig
+from streetbeam import blas, pipeline
+from streetbeam.channel import RayTraceConfig, assemble_channel
 from streetbeam.dataset import read_container
 from streetbeam.pipeline import (SELECT_WORKERS_MAX, PipelineError, RunConfig,
                                  blockage_labels, cmd_eval, cmd_generate, cmd_report,
@@ -120,13 +120,19 @@ def test_generate_matches_per_frame_reference(horizons, sigma2):
     """Every column equals a per-frame build: trace, assemble and search
     each frame alone, and label each slot with the per-slot oracle. The
     live samples run through several chunks, and the outage samples share
-    one zero-channel rate row, which must equal each outage's own search.
-    At sigma2 = 5e-324, P_k / sigma2 overflows to inf, so that row is NaN."""
+    one zero-channel rate row, which must equal each outage's own search;
+    the default chunking gives the same bits. Each channel stays within
+    ``oracles.channel_tolerance`` of the extended-precision per-path sum. At sigma2 = 5e-324, P_k / sigma2 overflows to inf,
+    so that row is NaN."""
     scene, rt = OUTAGE_SCENE, RayTraceConfig(N_t=8, K=4, sigma2=sigma2)
+    cfg = run_config(scene, rt, horizons=horizons, M_bm=8)
     per_chunk = 3
-    with mock.patch.object(pipeline, "_CHUNK_ENTRIES", per_chunk * rt.K * rt.N_t), \
-            np.errstate(over="ignore", invalid="ignore"):
-        ds = generate_dataset(run_config(scene, rt, horizons=horizons, M_bm=8))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with mock.patch.object(pipeline, "_CHUNK_ENTRIES", per_chunk * rt.K * rt.N_t):
+            ds = generate_dataset(cfg)
+        default = generate_dataset(cfg)
+    for name in ("label_maps", "locations", "rates", "blockage", "frame_ids", "channels"):
+        assert getattr(ds, name).tobytes() == getattr(default, name).tobytes(), name
     frames = generate_scenario(scene)
     paths = [oracles.trace_frame(f, scene, rt) for f in frames]
     targets = [f.target_user_id for f in frames]
@@ -141,16 +147,42 @@ def test_generate_matches_per_frame_reference(horizons, sigma2):
     assert ds.horizons == tuple(sorted(horizons))
     cb = dft_codebook(rt.N_t, 8)
     for i, (t, _) in enumerate(want):
-        h = oracles.assemble_channel(oracles.path_rows(paths[t]), rt)
+        rows = oracles.path_rows(paths[t])
+        h = assemble_channel(rows, rt)
         # the column stores h rounded to complex64; the rates are searched on h
         assert ds.channels[i].tobytes() == h.astype(np.complex64).tobytes()
         with np.errstate(over="ignore", invalid="ignore"):
             assert ds.rates[i].tobytes() == optimal_beam(h, cb, rt.P_k, rt.sigma2).tobytes()
+        ref = oracles.channel_reference(rows, rt)
+        assert np.abs(h - ref).max() <= oracles.channel_tolerance(rows, rt)
         assert ds.label_maps[i].tobytes() == render_frame(frames[t], scene, RES).tobytes()
         want_loc = np.asarray(frames[t].user_antenna_pos, dtype=np.float32)
         assert ds.locations[i].tobytes() == want_loc.tobytes()
     if sigma2 == 5e-324:
         assert np.isnan(ds.rates).any()
+
+
+@pytest.fixture
+def blas_threads_restored():
+    """After the test, this process's BLAS runs on OpenBLAS's own default
+    again: OPENBLAS_NUM_THREADS, or else one thread per usable CPU."""
+    if not blas.can_set_threads():
+        pytest.skip("no OpenBLAS thread setter")
+    yield
+    blas.set_threads(int(os.environ.get("OPENBLAS_NUM_THREADS") or 0)
+                     or len(os.sched_getaffinity(0)))
+
+
+def test_generate_independent_of_blas_threads(blas_threads_restored):
+    """The beam search's GEMMs on one BLAS thread give the same dataset bits
+    as on the default thread count, at the default N_t 64, K 128 and M_bm 64."""
+    cfg = run_config(OUTAGE_SCENE, RayTraceConfig(), horizons=(1,), M_bm=64)
+    default = generate_dataset(cfg)
+    blas.set_threads(1)
+    one = generate_dataset(cfg)
+    assert len(default) > 20
+    for name in ("label_maps", "locations", "rates", "blockage", "frame_ids", "channels"):
+        assert getattr(one, name).tobytes() == getattr(default, name).tobytes(), name
 
 
 def test_generate_zero_usable_samples():
