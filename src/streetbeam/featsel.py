@@ -4,9 +4,10 @@ Works over any deterministic evaluator mapping a feature set to an
 accuracy in [0, 1]. Sets are always handled in a canonical sorted order
 (location first, then concept index) so history membership and tie
 breaking are insertion-order independent. A search step hands all its
-candidates to ``CachedEvaluator.many`` first, which can evaluate them on
-forked worker processes; the step then reads every value from the cache
-in canonical order, so the search is the same for any worker count.
+candidates to ``CachedEvaluator.many`` first, which evaluates them as
+stacks of same-size sets, on forked worker processes or in this one; the
+step then reads every value from the cache in canonical order, so the
+search is the same for any worker count and stacking.
 """
 
 import ctypes
@@ -65,27 +66,51 @@ def _init_worker(fn, parent_pid):
     blas.set_threads(1)  # the pool runs one worker per CPU
 
 
-def _run_worker(key):
-    return float(_worker_fn(key))
+def _evaluate(fn, keys):
+    """The values of ``keys`` in order, up to the first whose evaluation
+    fails, then that failure's exception. A stack that raises is evaluated
+    again set by set, so the failure is the one the first failing set
+    raises alone."""
+    if len(keys) > 1:
+        try:
+            return [float(v) for v in fn(keys)]
+        except Exception as exc:
+            log.warning("a stack of %d sets failed (%r); evaluating each set alone",
+                        len(keys), exc)
+    values = []
+    for key in keys:
+        try:
+            values.append(float(fn([key])[0]))
+        except Exception as exc:
+            return values + [exc]
+    return values
+
+
+def _run_worker(keys):
+    return _evaluate(_worker_fn, keys)
 
 
 class CachedEvaluator:
     """Caches a FeatureSet -> accuracy mapping keyed by canonical sets.
 
-    ``many`` evaluates sets on up to ``workers`` forked processes when
-    ``workers >= 2``; below that every evaluation runs in this process.
+    ``fn`` maps a list of canonical sets of one size, a stack, to their
+    values in order; each value must not depend on the rest of the stack.
+    ``many`` evaluates stacks of at most ``max_stack`` sets (no bound if
+    None) on up to ``workers`` forked processes when ``workers >= 2``;
+    below that every evaluation runs in this process.
     """
 
-    def __init__(self, fn, workers=1):
+    def __init__(self, fn, workers=1, max_stack=None):
         self._fn = fn
         self._cache = {}
         self._workers = workers
+        self._max_stack = max_stack
         self.call_count = 0  # underlying-function invocations
 
     def __call__(self, features) -> float:
         key = canonical(features)
         if key not in self._cache:
-            self._store(key, float(self._fn(key)))
+            self._store(key, float(self._fn([key])[0]))
         return self._cache[key]
 
     def _store(self, key, val):
@@ -94,35 +119,66 @@ class CachedEvaluator:
             raise EvaluatorError(f"evaluator returned {val} outside [0, 1] for {key}")
         self._cache[key] = val
 
-    def many(self, sets) -> None:
-        """Evaluate the sets not cached yet on worker processes.
+    def _stacks(self, pending):
+        """``pending`` split into stacks: the sets of each size, in order,
+        dealt into one contiguous run per worker, or into more runs where
+        those would exceed ``max_stack``."""
+        by_size = {}
+        for key in pending:
+            by_size.setdefault(len(key), []).append(key)
+        stacks = []
+        for group in by_size.values():
+            n = min(self._workers, len(group))
+            if self._max_stack is not None:
+                n = max(n, -(-len(group) // self._max_stack))
+            bounds = [len(group) * i // n for i in range(n + 1)]
+            stacks += [group[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return stacks
 
-        With fewer than two workers or two such sets this does nothing, and
-        ``__call__`` evaluates each set when it is first read. Otherwise
-        the sets run on forked processes, which inherit ``fn`` and its data
-        (spawned ones would need both pickled), so only the feature tuples
-        and the floats are pickled; the pool forks all its workers before
-        it starts its own thread. The results are stored in the given
-        order, and the first failing set's error is raised, so the cache,
-        ``call_count`` and the error are those of ``__call__`` on each set
-        in turn. Every worker is joined before this returns or raises.
+    def many(self, sets) -> None:
+        """Evaluate the sets not cached yet, as stacks of same-size sets.
+
+        Each worker gets one stack of each set size, or stacks of
+        ``max_stack`` sets, which the pool hands to whichever worker is free.
+        With two workers or more and two stacks or more, the stacks run on
+        forked processes, which inherit ``fn`` and its data (spawned ones
+        would need both pickled), so only the feature tuples, the floats and
+        a failure's exception are pickled; the pool forks all its workers
+        before it starts its own thread. Otherwise they run in this process.
+        The results are stored in the given order, and the first failing
+        set's error is raised, so the cache, ``call_count`` and the error
+        are those of ``__call__`` on each set in turn. Every worker is
+        joined before this returns or raises.
         """
         pending = list(dict.fromkeys(
             key for key in map(canonical, sets) if key not in self._cache))
-        if self._workers < 2 or len(pending) < 2:
-            return
+        stacks = self._stacks(pending)
+        if self._workers < 2 or len(stacks) < 2:
+            results = [_evaluate(self._fn, keys) for keys in stacks]
+        else:
+            results = self._run_pool(stacks)
+        outcome = {}
+        for keys, values in zip(stacks, results):
+            outcome.update(zip(keys, values))
+        # a stack holds its sets in the given order, so a set evaluated
+        # after a failure in its stack comes after that failure here
+        for key in pending:
+            if isinstance(outcome[key], Exception):
+                raise outcome[key]
+            self._store(key, outcome[key])
+
+    def _run_pool(self, stacks):
         # imported here, so that commands which never select do not pay for it
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            with ProcessPoolExecutor(min(self._workers, len(pending)),
+            with ProcessPoolExecutor(min(self._workers, len(stacks)),
                                      mp_context=multiprocessing.get_context("fork"),
                                      initializer=_init_worker,
                                      initargs=(self._fn, os.getpid())) as pool:
-                for key, val in zip(pending, pool.map(_run_worker, pending)):
-                    self._store(key, val)
+                return list(pool.map(_run_worker, stacks))
         except BrokenProcessPool as exc:
             raise EvaluatorError(f"a feature-set evaluation worker died: {exc}") from exc
 
@@ -201,15 +257,16 @@ def sffs(universal, evaluator, pinned=(), v_max=None):
     """Floating search: alternate inclusion with repeated conditional
     exclusion until the current set reappears in history (or hits v_max).
 
-    ``evaluator`` is wrapped in a cache if it is not one already. Returns
-    the selected set and the search state, whose trace records every step.
+    ``evaluator`` is wrapped in a cache if it is not one already; a plain
+    function then evaluates one set at a time. Returns the selected set and
+    the search state, whose trace records every step.
     """
     universal = canonical(universal)
     pinned = canonical(pinned)
     if any(p not in universal for p in pinned):
         raise ValueError("pinned features must be a subset of the universal set")
     if not isinstance(evaluator, CachedEvaluator):
-        evaluator = CachedEvaluator(evaluator)
+        evaluator = CachedEvaluator(lambda keys, fn=evaluator: [fn(k) for k in keys])
 
     state = FsState(current=pinned, pinned=pinned)
     while (state.current not in state.history

@@ -26,10 +26,24 @@ subtrees and ``grad`` a child's backward, filing its gradient subtree
 under its name. Subclasses keep their own ``forward``/``backward`` that
 wire the children together. Layers without tensors derive from ``Layer``.
 
-``Adam`` packs the parameters into one contiguous buffer and rebinds each
-tensor of the parameter tree to a view of it, so an optimizer step is a
-handful of elementwise operations over the whole buffer, bitwise equal to
-updating each tensor on its own.
+Stacks: a graph runs S models of one shape at once, one forward and one
+backward per batch, with the models folded into the channel and feature
+axes. Model s owns channels ``s*C:(s+1)*C`` of an image activation
+``(S*C, H, W, N)`` and features ``s*F:(s+1)*F`` of a vector activation
+``(N, S*F)``, so a stack of one is a single model, and ``Flatten`` and
+the elementwise layers treat a stack as one wide model. Each tensor of a
+stack's parameter and state trees carries a leading model axis
+``(S, ...)``; a layer reads S from its tensors' sizes, so a single model's
+tensors, without that axis, are a stack of one. A GEMM runs as one
+``np.matmul`` over the model axis, whose slices equal the single model's
+2-D GEMM bit for bit, and each reduction sums a model's values in the
+order the model alone sums them, so every model of a stack computes
+exactly what it computes alone. ``Dropout`` takes one generator per model.
+
+``Adam`` packs the parameters into one contiguous buffer with a row per
+model and rebinds each tensor of the parameter tree to a view of it, so an
+optimizer step is a handful of elementwise operations over the rows of
+the models it steps, bitwise equal to updating each tensor on its own.
 """
 
 import numpy as np
@@ -46,6 +60,22 @@ def leaves(tree, prefix=""):
             yield from leaves(value, f"{prefix}{key}.")
         else:
             yield prefix + key, tree, key
+
+
+def tree_map(fn, tree, *others):
+    """A tree shaped like ``tree`` whose tensor at each name is ``fn`` of the
+    tensors at that name in ``tree`` and ``others``."""
+    return {key: tree_map(fn, value, *(o[key] for o in others)) if isinstance(value, dict)
+            else fn(value, *(o[key] for o in others)) for key, value in tree.items()}
+
+
+def _sum_batch(x, models):
+    """Per-feature sums over the batch axis of (N, models*F) input, each
+    model's as it sums alone: numpy adds the rows of a 2-D array in turn,
+    but sums a lone column (F = 1) pairwise."""
+    if models > 1 and x.shape[1] == models:
+        return np.add.reduce(np.ascontiguousarray(x.T), axis=1)
+    return np.add.reduce(x, axis=0)
 
 
 def fan_in_uniform(rng, shape, fan_in, dtype):
@@ -70,12 +100,28 @@ class Dense:
             "b": np.zeros(self.n_out, dtype=dtype),
         }, {}
 
+    def _per_model(self, a, width, models):
+        """(models, N, width) view of (N, models*width) activations. With
+        a width of 1 a GEMM becomes a GEMV, whose rounding depends on the
+        operands' strides, so then each model's rows are copied contiguous,
+        as a single model's are."""
+        a = a.reshape(a.shape[0], models, width).transpose(1, 0, 2)
+        return np.ascontiguousarray(a) if 1 in (self.n_in, self.n_out) else a
+
     def forward(self, x, p, s, training, rng):
-        return x @ p["W"].T + p["b"], x
+        W = p["W"].reshape(-1, self.n_out, self.n_in)
+        y = np.matmul(self._per_model(x, self.n_in, len(W)), W.transpose(0, 2, 1))
+        y += p["b"].reshape(len(W), 1, self.n_out)
+        return y.transpose(1, 0, 2).reshape(x.shape[0], -1), x
 
     def backward(self, dy, cache, p):
         x = cache
-        return dy @ p["W"], {"W": dy.T @ x, "b": dy.sum(axis=0)}
+        W = p["W"].reshape(-1, self.n_out, self.n_in)
+        dy3 = self._per_model(dy, self.n_out, len(W))
+        dx = np.matmul(dy3, W).transpose(1, 0, 2).reshape(dy.shape[0], -1)
+        dW = np.matmul(dy3.transpose(0, 2, 1), self._per_model(x, self.n_in, len(W)))
+        return dx, {"W": dW.reshape(p["W"].shape),
+                    "b": _sum_batch(dy, len(W)).reshape(p["b"].shape)}
 
 
 class ReLU(Layer):
@@ -109,22 +155,27 @@ class BatchNorm:
     def _shape(x):
         return (1, -1) if x.ndim == 2 else (-1, 1, 1, 1)
 
+    def _sum(self, x):
+        """Per-feature sums over the batch (and spatial) axes."""
+        if x.ndim == 2:
+            return _sum_batch(x, x.shape[1] // self.num_features)
+        return np.add.reduce(x, axis=self._axes(x))
+
     def forward(self, x, p, s, training, rng):
-        axes, shp = self._axes(x), self._shape(x)
+        shp = self._shape(x)
         if training:
             # np.add.reduce / m is the arithmetic of x.mean and x.var,
             # without their Python wrapper
-            total = np.add.reduce(x, axis=axes)
+            total = self._sum(x)
             m = x.size // total.size  # values per feature
             mean = total / m
             xc = x - mean.reshape(shp)
             buf = np.multiply(xc, xc)  # squared deviations, then y
-            var = np.add.reduce(buf, axis=axes) / m
+            var = self._sum(buf) / m
             # running stats updated in place so shared state dicts stay in sync
-            s["running_mean"] *= 1 - _BN_MOMENTUM
-            s["running_mean"] += (_BN_MOMENTUM * mean).astype(s["running_mean"].dtype)
-            s["running_var"] *= 1 - _BN_MOMENTUM
-            s["running_var"] += (_BN_MOMENTUM * var).astype(s["running_var"].dtype)
+            for key, batch in (("running_mean", mean), ("running_var", var)):
+                s[key] *= 1 - _BN_MOMENTUM
+                s[key] += (_BN_MOMENTUM * batch).astype(s[key].dtype).reshape(s[key].shape)
         else:
             mean, var = s["running_mean"], s["running_var"]
             xc = x - mean.reshape(shp)
@@ -138,11 +189,11 @@ class BatchNorm:
 
     def backward(self, dy, cache, p):
         xhat, inv_std, training = cache
-        axes, shp = self._axes(dy), self._shape(dy)
+        shp = self._shape(dy)
         buf = np.multiply(dy, xhat)  # dy * xhat, then the xhat correction
-        dgamma = np.add.reduce(buf, axis=axes)
-        dbeta = np.add.reduce(dy, axis=axes)
-        scale = (p["gamma"] * inv_std).reshape(shp)
+        dgamma = self._sum(buf)
+        dbeta = self._sum(dy)
+        scale = (p["gamma"].reshape(-1) * inv_std.reshape(-1)).reshape(shp)
         if training:
             # d/dx of gamma * xhat: the two batch reductions are dbeta and dgamma
             m = dy.size // dbeta.size  # values per feature
@@ -151,7 +202,8 @@ class BatchNorm:
             dx *= scale
         else:
             dx = dy * scale
-        return dx, {"gamma": dgamma, "beta": dbeta}
+        return dx, {"gamma": dgamma.reshape(p["gamma"].shape),
+                    "beta": dbeta.reshape(p["beta"].shape)}
 
 
 def _pad(x, pad):
@@ -213,26 +265,34 @@ class Conv2d:
                 (w + 2 * self.pad - self.k) // self.stride + 1)
 
     def _columns(self, x, dtype):
-        """im2col columns (C*k*k, OH*OW*N) of input ``x`` and the output
-        shape (C_out, OH, OW, N)."""
+        """im2col columns (S*C*k*k, OH*OW*N) of input ``x`` (S*C, H, W, N)
+        and the output shape (S*C_out, OH, OW, N)."""
         c, h, w, n = x.shape
         oh, ow = self.out_hw(h, w)
         return (_im2col(_pad(x, self.pad), self.k, self.stride, oh, ow),
-                (self.c_out, oh, ow, n))
+                (c // self.c_in * self.c_out, oh, ow, n))
+
+    def _weights(self, p):
+        """(S, C_out, C*k*k) view of the weights of a stack of S models."""
+        return p["W"].reshape(-1, self.c_out, self.c_in * self.k * self.k)
 
     def forward(self, x, p, s, training, rng):
-        cols, y_shape = self._columns(x, p["W"].dtype)
-        y = p["W"].reshape(self.c_out, -1) @ cols
-        y += p["b"][:, None]
+        W = self._weights(p)
+        cols, y_shape = self._columns(x, W.dtype)
+        cols = cols.reshape(len(W), W.shape[2], -1)
+        y = np.matmul(W, cols)
+        y += p["b"].reshape(len(W), self.c_out, 1)
         return y.reshape(y_shape), (cols, x.shape if self.input_grad else None)
 
     def backward(self, dy, cache, p):
         cols, x_shape = cache
-        dy2 = dy.reshape(self.c_out, -1)
-        grads = {"W": (dy2 @ cols.T).reshape(p["W"].shape), "b": dy2.sum(axis=1)}
+        W = self._weights(p)
+        dy3 = dy.reshape(len(W), self.c_out, -1)
+        grads = {"W": np.matmul(dy3, cols.transpose(0, 2, 1)).reshape(p["W"].shape),
+                 "b": np.add.reduce(dy3, axis=2).reshape(p["b"].shape)}
         if not self.input_grad:
             return None, grads
-        dcols = p["W"].reshape(self.c_out, -1).T @ dy2
+        dcols = np.matmul(W.transpose(0, 2, 1), dy3)
         dx = _col2im(dcols.reshape((x_shape[0], self.k, self.k) + dy.shape[1:]), x_shape,
                      self.k, self.stride, self.pad)
         return dx, grads
@@ -252,13 +312,17 @@ class LabelConv2d(Conv2d):
     with ``PAD_LABEL``, gather the k x k strided taps, compare them with
     ``ids`` and cast to the parameter dtype. The input is data, so there is
     no input gradient.
+
+    For a stack of S models, ``ids`` is (S, n_ids), a row per model, and
+    the maps are (N, S*n_cams, H, W): model s reads maps channels
+    ``s*n_cams:(s+1)*n_cams`` and one-hots its own ids.
     """
 
     input_grad = False
 
     def __init__(self, ids, n_cams, c_out, kernel=3, stride=1, pad=1):
-        super().__init__(len(ids) * n_cams, c_out, kernel, stride, pad)
-        self.ids = ids
+        self.ids = np.atleast_2d(ids)
+        super().__init__(self.ids.shape[1] * n_cams, c_out, kernel, stride, pad)
 
     def _columns(self, maps, dtype):
         n, m, h, w = maps.shape
@@ -271,9 +335,11 @@ class LabelConv2d(Conv2d):
             for j in range(k):
                 taps[:, i, j] = xp[:, :, i:i + st * oh:st,
                                    j:j + st * ow:st].transpose(1, 2, 3, 0)
-        cols = np.empty((len(self.ids),) + taps.shape, dtype=dtype)
-        np.equal(taps, np.reshape(self.ids, (-1,) + (1,) * taps.ndim), out=cols)
-        return cols.reshape(-1, oh * ow * n), (self.c_out, oh, ow, n)
+        models, n_ids = self.ids.shape
+        taps = taps.reshape((models, 1, m // models) + taps.shape[1:])
+        cols = np.empty((models, n_ids) + taps.shape[2:], dtype=dtype)
+        np.equal(taps, self.ids.reshape((models, n_ids) + (1,) * (taps.ndim - 2)), out=cols)
+        return cols.reshape(-1, oh * ow * n), (models * self.c_out, oh, ow, n)
 
 
 class AvgPool(Layer):
@@ -305,6 +371,10 @@ class AvgPool(Layer):
 
 
 class Dropout(Layer):
+    """Inverted dropout of (N, S*F) input; ``rng`` is a sequence of one
+    generator per model of the stack, which draws that model's (N, F)
+    mask."""
+
     def __init__(self, rate):
         self.rate = rate
 
@@ -312,7 +382,8 @@ class Dropout(Layer):
         if not training or self.rate == 0:
             return x, None
         keep = 1.0 - self.rate
-        mask = (rng.random(x.shape) < keep) / keep
+        draw = (x.shape[0], x.shape[1] // len(rng))
+        mask = (np.stack([r.random(draw) for r in rng], axis=1).reshape(x.shape) < keep) / keep
         mask = mask.astype(x.dtype)
         return x * mask, mask
 
@@ -420,53 +491,62 @@ class ResidualBlock(Composite):
 
 
 class Adam:
-    """Adaptive-moment optimizer over a parameter tree.
+    """Adaptive-moment optimizer over a parameter tree of ``models`` models.
 
     The constructor packs the parameters, in ``leaves`` order, into one
-    contiguous buffer and rebinds each tensor of the tree to a view of it,
-    so a step is five elementwise updates over the whole buffer. All
-    parameters must share one dtype. ``step`` takes the tree given to the
-    constructor and gradients of the same names.
+    contiguous buffer (models, P), a row per model, and rebinds each tensor
+    of the tree to a view of it, so a step is five elementwise updates over
+    the rows it steps. With ``models`` > 1, every tensor has a leading model
+    axis. All parameters must share one dtype. ``step`` takes the tree given
+    to the constructor and gradients of the same names; each model keeps
+    its own moments and step count, so stepping some models of a stack
+    leaves the others as they are.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr=1e-3):
+    def __init__(self, params, lr=1e-3, models=1):
         self.lr = lr
-        self.t = 0
+        self.t = np.zeros(models, dtype=np.int64)  # steps taken by each model
         slots = list(leaves(params))
         dtypes = sorted({str(d[k].dtype) for _, d, k in slots})
         if len(dtypes) > 1:
             raise ValueError(f"Adam needs one parameter dtype, got {dtypes}")
         self.names = tuple(name for name, _, _ in slots)
-        self.flat = np.concatenate([np.ravel(d[k]) for _, d, k in slots])
+        self.flat = np.concatenate([d[k].reshape(models, -1) for _, d, k in slots], axis=1)
         self.views = []
         offset = 0
         for _, d, k in slots:
-            size = d[k].size
-            d[k] = self.flat[offset:offset + size].reshape(d[k].shape)
+            size = d[k].size // models
+            d[k] = self.flat[:, offset:offset + size].reshape(d[k].shape)
             self.views.append(d[k])
             offset += size
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
 
-    def step(self, params, grads):
+    def step(self, params, grads, models=slice(None)):
+        """One update of the models ``models`` (a slice of the stack), whose
+        gradients ``grads`` carry a leading axis of those models."""
         current = {name: d[k] for name, d, k in leaves(params)}
         for name, view in zip(self.names, self.views):
             if current.get(name) is not view:
                 raise ValueError(f"parameter {name!r} is not a view of the optimizer's "
                                  "buffer; step the tree the optimizer was built on")
         grads = {name: d[k] for name, d, k in leaves(grads)}
+        t = self.t[models]
         # a missing gradient raises KeyError naming it
-        g = np.concatenate([np.ravel(grads[name]) for name in self.names])
+        g = np.concatenate([grads[name].reshape(len(t), -1) for name in self.names], axis=1)
         if len(grads) != len(self.names):
             raise KeyError(f"gradients of unknown parameters {sorted(set(grads) - set(self.names))}")
-        self.t += 1
-        b1t = 1 - self.BETA1 ** self.t
-        b2t = 1 - self.BETA2 ** self.t
-        m, v = self.m, self.v
+        t += 1
+        # each model's bias corrections, rounded to the buffer dtype as the
+        # scalars of a single model's update are
+        b1t, b2t = (np.array([[1 - beta ** int(ti)] for ti in t], dtype=self.flat.dtype)
+                    for beta in (self.BETA1, self.BETA2))
+        m, v = self.m[models], self.v[models]
         m *= self.BETA1
         m += (1 - self.BETA1) * g
         v *= self.BETA2
         v += (1 - self.BETA2) * g * g
-        self.flat -= (self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)).astype(self.flat.dtype)
+        self.flat[models] -= (self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)).astype(
+            self.flat.dtype)

@@ -22,7 +22,8 @@ from .dataset import read_container, write_container
 from .featsel import LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, EvaluatorError, sffs
 from .nn import leaves
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, accuracy,
-                        predict, split_indices, task_labels, train)
+                        predict, split_indices, stack_size, task_labels, train,
+                        train_stack)
 from .rng import derive_seed
 from .scene import (SceneConfig, check_fields, check_max, check_min, from_plain,
                     generate_scenario, to_plain)
@@ -35,7 +36,9 @@ DEFAULT_G_LIST = (1, 2, 3, 5)
 SELECT_EPOCHS = 5  # training epochs of each candidate set in the search
 # Selection worker processes: the most whose speed and memory were measured.
 # Each holds its own activations and Adam buffers; at 160x320 and batch 128 a
-# worker peaked at about 430 MiB RSS, copy-on-write dataset pages included.
+# worker, which trains one model at a time there, peaked at about 430 MiB
+# RSS, copy-on-write dataset pages included. A select-tiny worker (TINY_ARCH,
+# 16x32, batch 32) training stacks of 9 and 10 peaked at 57 MiB.
 SELECT_WORKERS_MAX = 2
 # channel entries (samples x K x N_t) assembled and searched at once; bounds
 # the chunk's complex temporaries to a few hundred KiB each
@@ -175,16 +178,23 @@ def training_evaluator(dataset: SampleSet, task, horizon, cfg: TrainConfig):
 
     Each candidate set trains from scratch as ``cfg`` says, with a seed
     derived from (``cfg.seed``, canonical set), so the evaluator is a pure
-    function of its argument, and a search step's candidates train on one
-    worker process per usable CPU, at most ``SELECT_WORKERS_MAX``. Where
-    the workers' BLAS cannot be held to one thread each, they would contend
-    for the CPUs, so the candidates train in this process.
+    function of its argument. A search step's candidates of one size train
+    as stacks (``train_stack``), bit for bit as each would alone: one stack
+    per worker process, with one worker per usable CPU, at most
+    ``SELECT_WORKERS_MAX``. A stack holds at most ``stack_size`` models,
+    so at the default arch, where that is one, each set is a stack of its
+    own and goes to whichever worker comes free. Where the workers' BLAS
+    cannot be held to one thread each, they would contend for the CPUs, so
+    the stacks train in this process.
     """
-    def fn(feats):
-        seed = derive_seed(cfg.seed, task, str(horizon), ",".join(feats))
-        return train(dataset, feats, task, replace(cfg, seed=seed), horizon=horizon).val_accuracy
+    def stack(sets):
+        cfgs = [replace(cfg, seed=derive_seed(cfg.seed, task, str(horizon), ",".join(feats)))
+                for feats in sets]
+        return [res.val_accuracy for res in
+                train_stack(dataset, sets, task, cfgs, horizon=horizon)]
     workers = min(len(os.sched_getaffinity(0)), SELECT_WORKERS_MAX)
-    return CachedEvaluator(fn, workers if blas.can_set_threads() else 1)
+    return CachedEvaluator(stack, workers if blas.can_set_threads() else 1,
+                           stack_size(dataset.map_shape, cfg.batch_size))
 
 
 def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=SELECT_EPOCHS,

@@ -11,20 +11,26 @@ batch is ever built. Everything runs on the numpy layers in
 differences.
 """
 
+import copy
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import rng as rng_mod
 from .featsel import LOCATION, canonical
 from .nn import (Adam, AvgPool, BatchNorm, Composite, Conv2d, Dense, Dropout,
-                 Flatten, LabelConv2d, ReLU, ResidualBlock, Sequential)
+                 Flatten, LabelConv2d, ReLU, ResidualBlock, Sequential, tree_map)
 from .scene import ConfigError, check_fields, check_max, check_min
 from .semantics import CATALOG
 
 log = logging.getLogger(__name__)
 PREDICT_BATCH = 256  # samples per evaluation-mode forward pass of predict
+# map pixels (n_cams x H x W x batch) of the models a training stack holds
+# at once; their activations and im2col columns grow with it. The default
+# arch's 160x320 maps at batch 128 take 13.1 M, so it trains one model at a
+# time; a TINY_ARCH search at 16x32 and batch 32 takes 32 K per model.
+_STACK_PIXELS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +134,8 @@ class Predictor(Composite):
     (children "aux", "sem", "head"), built for one feature set and one map
     shape: the semantic branch masks its ``concepts`` in label maps of
     ``map_shape`` (n_cams, H, W), the dataset's own, and is left out when
-    the set is location alone."""
+    the set is location alone. ``Predictor.stack`` runs several such models
+    of one shape as one network (see ``streetbeam.nn``)."""
 
     def __init__(self, task, features, map_shape, M_bm, arch: ArchConfig):
         if task not in ("beam", "blockage"):
@@ -177,6 +184,19 @@ class Predictor(Composite):
             Dense(hidden, out_dim),
         ])
 
+    @classmethod
+    def stack(cls, models):
+        """One network running ``models``, Predictors of one task, map shape,
+        codebook size and arch whose feature sets have one size, as a stack
+        in the given order: a copy of the first whose first convolution
+        one-hots each model's own concepts."""
+        if len(models) == 1:
+            return models[0]
+        net = copy.deepcopy(models[0])
+        if "sem" in net.children:
+            net.children["sem"].children["0"].ids = np.stack([m.concepts for m in models])
+        return net
+
     def init(self, seed, dtype=np.float32):
         return super().init(rng_mod.stream(seed, "predictor.init"), dtype)
 
@@ -185,13 +205,18 @@ class Predictor(Composite):
 
         loc: (N, 3) target locations. maps: (N, n_cams, H, W) uint8 label
         maps of the ``map_shape`` the model was built for, of which the
-        semantic branch masks the model's ``concepts``.
+        semantic branch masks the model's ``concepts``. A stack of S models
+        takes each model's own batch folded in, loc (N, S*3) and maps
+        (N, S*n_cams, H, W), and returns (N, S*M_bm) or (N, S). In training,
+        ``rng`` holds one dropout generator per model.
         """
         x, ca = self.run("aux", loc, params, state, training, rng)
         cm = None
         if "sem" in self.children:
             m, cm = self.run("sem", maps, params, state, training, rng)
-            x = np.concatenate([x, m], axis=1)
+            n = x.shape[0]
+            x = np.concatenate([x.reshape(n, -1, self.aux_dim),
+                                m.reshape(n, -1, self.sem_dim)], axis=2).reshape(n, -1)
         y, ch = self.run("head", x, params, state, training, rng)
         return y, (ca, cm, ch)
 
@@ -199,9 +224,11 @@ class Predictor(Composite):
         ca, cm, ch = cache
         grads = {}
         dx = self.grad("head", dy, ch, params, grads)
+        n = dx.shape[0]
+        dx = dx.reshape(n, -1, self.aux_dim + self.sem_dim)
         if "sem" in self.children:
-            self.grad("sem", dx[:, self.aux_dim:], cm, params, grads)
-        self.grad("aux", dx[:, :self.aux_dim], ca, params, grads)
+            self.grad("sem", dx[:, :, self.aux_dim:].reshape(n, -1), cm, params, grads)
+        self.grad("aux", dx[:, :, :self.aux_dim].reshape(n, -1), ca, params, grads)
         return grads
 
 
@@ -224,21 +251,28 @@ def log_softmax(logits):
 
 
 def _batch_loss_grad(model, out, labels):
-    """Mean loss over a batch and its gradient wrt the network output."""
-    n = out.shape[0]
+    """Mean losses over a batch and their gradient wrt the network output.
+
+    labels: (N, S), a column per model of a stack of S, whose outputs are
+    folded (N, S*out). The losses are an (S,) array; each model's mean adds
+    its own N terms in a row, as it does alone.
+    """
+    n, models = labels.shape
+    rows, cols = np.arange(n)[:, None], np.arange(models)
     if model.task == "beam":
-        ls = log_softmax(out)
-        loss = -ls[np.arange(n), labels].mean()
+        ls = log_softmax(out.reshape(n, models, -1))
+        loss = -ls[rows, cols, labels].T.copy().mean(axis=1)
         dout = np.exp(ls)
-        dout[np.arange(n), labels] -= 1
+        dout[rows, cols, labels] -= 1
         dout /= n
     else:
-        z = out[:, 0]
+        z = out.reshape(n, models)
         y = labels.astype(z.dtype)
         # stable BCE-with-logits
-        loss = np.mean(np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z))))
-        dout = ((sigmoid(z) - y) / n)[:, None]
-    return float(loss), dout.astype(out.dtype)
+        terms = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
+        loss = terms.T.copy().mean(axis=1)
+        dout = (sigmoid(z) - y) / n
+    return loss, dout.reshape(out.shape).astype(out.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -346,41 +380,116 @@ def accuracy(model, params, state, dataset, idx, labels):
     return float(np.mean(pred == labels[idx]))
 
 
+def stack_size(map_shape, batch_size):
+    """Most models a training stack holds at once: ``_STACK_PIXELS`` over
+    the map pixels of one model's batch, and at least one."""
+    return max(1, _STACK_PIXELS // (int(np.prod(map_shape)) * batch_size))
+
+
 def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) -> TrainResult:
     """Mini-batch ADAM training with fresh seeded initialization.
 
     Deterministic for a fixed (dataset, features, task, cfg): the split,
     the init, the shuffles and the dropout masks all come from named child
-    streams of cfg.seed, and batches run sequentially.
+    streams of cfg.seed, and batches run sequentially. It is a stack of one
+    of ``train_stack``.
     """
-    model = Predictor(task, features, dataset.map_shape, dataset.M_bm, cfg.arch)
+    return train_stack(dataset, [features], task, [cfg], horizon)[0]
+
+
+def train_stack(dataset: SampleSet, feature_sets, task, cfgs, horizon=None) -> list:
+    """``train`` of each feature set of one size with its config, as stacks.
+
+    The configs may differ in seed only. Returns the TrainResults
+    in the given order, each bit for bit what ``train`` returns for its set
+    and config alone. The sets are ordered by train-split size, largest
+    first, and trained ``stack_size`` at a time.
+    """
+    base = cfgs[0]
+    if any(replace(cfg, seed=base.seed) != base for cfg in cfgs):
+        raise ValueError("a training stack's configs may differ in seed only")
     _, labels = task_labels(dataset, task, horizon)
-    train_idx, val_idx, test_idx = split_indices(dataset.frame_ids, cfg.split, cfg.seed)
+    models = [Predictor(task, feats, dataset.map_shape, dataset.M_bm, base.arch)
+              for feats in feature_sets]
+    if len({len(m.concepts) for m in models}) > 1:
+        raise ValueError("a training stack's feature sets must have one size")
+    splits = [split_indices(dataset.frame_ids, cfg.split, cfg.seed) for cfg in cfgs]
+    order = sorted(range(len(models)), key=lambda i: -len(splits[i][0]))
+    size = stack_size(dataset.map_shape, base.batch_size)
+    results = [None] * len(models)
+    for lo in range(0, len(order), size):
+        idx = order[lo:lo + size]
+        stacked = _train_stack(dataset, labels, [models[i] for i in idx],
+                               [splits[i] for i in idx], [cfgs[i] for i in idx])
+        for i, res in zip(idx, stacked):
+            results[i] = res
+    return results
 
-    params, state = model.init(cfg.seed)
-    opt = Adam(params, lr=cfg.learning_rate)
-    shuffle_rng = rng_mod.stream(cfg.seed, "shuffle")
-    dropout_rng = rng_mod.stream(cfg.seed, "dropout")
 
-    train_loss = []
+def _batches(train_sizes, batch_size):
+    """(start, lo, hi, n) of each step of an epoch, in order: models lo:hi,
+    whose train sizes are ``train_sizes`` (largest first), each take
+    samples start:start+n of their shuffles. Steps at one start run the
+    models with a batch of one size there together; a batch of one sample
+    is skipped, as batch statistics need more than one."""
+    steps = []
+    for start in range(0, train_sizes[0], batch_size):
+        ns = [min(batch_size, size - start) for size in train_sizes]
+        lo = 0
+        while lo < len(ns) and ns[lo] >= 2:
+            hi = lo + 1
+            while hi < len(ns) and ns[hi] == ns[lo]:
+                hi += 1
+            steps.append((start, lo, hi, ns[lo]))
+            lo = hi
+    return steps
+
+
+def _train_stack(dataset, labels, models, splits, cfgs):
+    """Train ``models`` as one stack (train-split sizes largest first);
+    each model keeps its own init, shuffle and dropout streams, Adam
+    moments and step count."""
+    cfg = cfgs[0]
+    trees = [m.init(c.seed) for m, c in zip(models, cfgs)]
+    params = tree_map(lambda *a: np.stack(a), *(p for p, _ in trees))
+    state = tree_map(lambda *a: np.stack(a), *(s for _, s in trees))
+    opt = Adam(params, lr=cfg.learning_rate, models=len(models))
+    shuffles = [rng_mod.stream(c.seed, "shuffle") for c in cfgs]
+    dropouts = [rng_mod.stream(c.seed, "dropout") for c in cfgs]
+    train_sizes = [len(train_idx) for train_idx, _, _ in splits]
+    steps = _batches(train_sizes, cfg.batch_size)
+    groups = {}  # (lo, hi) -> network and tree views of models lo:hi
+
+    def group(lo, hi):
+        if (lo, hi) not in groups:
+            groups[lo, hi] = (Predictor.stack(models[lo:hi]),
+                              *(tree_map(lambda a: a[lo:hi], t) for t in (params, state)))
+        return groups[lo, hi]
+
+    train_loss = [[] for _ in models]
+    perms = np.empty((len(models), train_sizes[0]), dtype=np.intp)
     for epoch in range(cfg.epochs):
-        perm = shuffle_rng.permutation(train_idx)
-        ep_loss, ep_n = 0.0, 0
-        for lo in range(0, len(perm), cfg.batch_size):
-            sel = perm[lo:lo + cfg.batch_size]
-            if len(sel) < 2:
-                continue  # batch statistics need more than one sample
-            loc = dataset.locations[sel].astype(np.float32)
-            out, cache = model.forward(params, state, loc, dataset.label_maps[sel],
-                                       training=True, rng=dropout_rng)
-            loss, dout = _batch_loss_grad(model, out, labels[sel])
-            grads = model.backward(dout, cache, params)
-            opt.step(params, grads)
-            ep_loss += loss * len(sel)
-            ep_n += len(sel)
-        train_loss.append(ep_loss / max(ep_n, 1))
-        log.debug("epoch %d: train loss %.4f", epoch, train_loss[-1])
+        for i, (rng, (train_idx, _, _)) in enumerate(zip(shuffles, splits)):
+            perms[i, :len(train_idx)] = rng.permutation(train_idx)
+        ep_loss, ep_n = np.zeros(len(models)), np.zeros(len(models), dtype=np.int64)
+        for start, lo, hi, n in steps:
+            net, p, s = group(lo, hi)
+            sel = perms[lo:hi, start:start + n].T  # (n, models) sample ids
+            loc = dataset.locations[sel].astype(np.float32).reshape(n, -1)
+            maps = dataset.label_maps[sel].reshape((n, -1) + dataset.map_shape[1:])
+            out, cache = net.forward(p, s, loc, maps, training=True, rng=dropouts[lo:hi])
+            loss, dout = _batch_loss_grad(net, out, labels[sel])
+            opt.step(params, net.backward(dout, cache, p), slice(lo, hi))
+            ep_loss[lo:hi] += loss.astype(np.float64) * n
+            ep_n[lo:hi] += n
+        for i, mean in enumerate(ep_loss / np.maximum(ep_n, 1)):
+            train_loss[i].append(float(mean))
+        log.debug("epoch %d: train loss %s", epoch, [f"{tl[-1]:.4f}" for tl in train_loss])
 
-    val_acc = accuracy(model, params, state, dataset, val_idx, labels)
-    return TrainResult(model=model, params=params, state=state, val_accuracy=val_acc,
-                       split=(train_idx, val_idx, test_idx), train_loss=train_loss)
+    results = []
+    for i, (model, split) in enumerate(zip(models, splits)):
+        p, s = (tree_map(lambda a: a[i], t) for t in (params, state))
+        val_acc = accuracy(model, p, s, dataset, split[1], labels)
+        results.append(TrainResult(model=model, params=p, state=s, val_accuracy=val_acc,
+                                   split=split, train_loss=train_loss[i]))
+    return results

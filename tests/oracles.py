@@ -343,6 +343,12 @@ def trace_table(frames, scene, config):
             np.array([any(p.is_los for p in ps) for ps in traced], dtype=bool))
 
 
+def per_set(fn):
+    """A ``CachedEvaluator`` function that evaluates ``fn`` on each set of a
+    stack in turn."""
+    return lambda keys: [fn(key) for key in keys]
+
+
 def brute_force_best(universal, evaluator, pinned=(), v_max=None, max_size=20):
     """Exact argmax over all subsets containing ``pinned``; ties go to the
     lexicographically smallest canonical set."""
@@ -352,7 +358,7 @@ def brute_force_best(universal, evaluator, pinned=(), v_max=None, max_size=20):
     if len(free) > max_size:
         raise ValueError(f"universe too large for exhaustive search (> {max_size})")
     if not isinstance(evaluator, CachedEvaluator):
-        evaluator = CachedEvaluator(evaluator)
+        evaluator = CachedEvaluator(per_set(evaluator))
 
     best_set, best_key, best_acc = None, None, -1.0
     for r in range(len(free) + 1):
@@ -388,11 +394,11 @@ def gradient_check(model: Predictor, params, state, loc, maps, label,
 
     def loss_of(p):
         out, _ = model.forward(p, s64, loc, maps, training=False)
-        loss, _ = _batch_loss_grad(model, out, labels)
-        return loss
+        loss, _ = _batch_loss_grad(model, out, labels[:, None])
+        return float(loss[0])
 
     out, cache = model.forward(p64, s64, loc, maps, training=False)
-    _, dout = _batch_loss_grad(model, out, labels)
+    _, dout = _batch_loss_grad(model, out, labels[:, None])
     grads = named(model.backward(dout, cache, p64))
 
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_best, corrupt_map, gradient_check, pixel_accuracy
+from oracles import brute_force_best, corrupt_map, gradient_check, per_set, pixel_accuracy
 from streetbeam.beams import dft_codebook, optimal_beam, topg_accuracy, trr
 from streetbeam.channel import RayTraceConfig, assemble_channel
 from streetbeam.cli import main
@@ -180,7 +180,7 @@ def test_criterion_06_sffs_oracle():
                 table[key] = float(rng.random())
             return table[key]
 
-        ev = CachedEvaluator(fn)
+        ev = CachedEvaluator(per_set(fn))
         sel, _ = sffs(universe, ev)
         acc = ev(sel)
         # single-move local optimality

@@ -84,8 +84,8 @@ def test_loaded_checkpoint_matches_in_memory_model(tmp_path):
     loc = stream(48, "loc").normal(size=(6, 3)).astype(np.float32)
     outs = []
     for p, s in ((params, state), loaded):
-        out, cache = model.forward(p, copy.deepcopy(s), loc, maps, True, stream(0, "dropout"))
-        _, dout = _batch_loss_grad(model, out, np.arange(6) % 8)
+        out, cache = model.forward(p, copy.deepcopy(s), loc, maps, True, [stream(0, "dropout")])
+        _, dout = _batch_loss_grad(model, out, (np.arange(6) % 8)[:, None])
         outs.append((out, named(model.backward(dout, cache, p))))
     (out, grads), (out2, grads2) = outs
     assert out.tobytes() == out2.tobytes()

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from oracles import brute_force_best
+from oracles import brute_force_best, per_set
 from streetbeam.featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator,
                                 EvaluatorError, FsState, canonical,
                                 exclusion_step, inclusion_step, sffs,
@@ -47,17 +47,17 @@ def test_canonical_order():
 
 def test_cached_evaluator_counts_and_validates():
     calls = []
-    ev = CachedEvaluator(lambda s: (calls.append(s), 0.5)[1])
+    ev = CachedEvaluator(per_set(lambda s: (calls.append(s), 0.5)[1]))
     assert ev(("a", "b")) == 0.5
     assert ev(("b", "a")) == 0.5  # canonical cache hit
     assert ev.call_count == 1 and len(calls) == 1
-    bad = CachedEvaluator(lambda s: 1.5)
+    bad = CachedEvaluator(per_set(lambda s: 1.5))
     with pytest.raises(EvaluatorError):
         bad(("a",))
 
 
 def test_inclusion_all_ties_adds_smallest_id():
-    ev = CachedEvaluator(lambda s: len(s) / 21)
+    ev = CachedEvaluator(per_set(lambda s: len(s) / 21))
     state = FsState(current=(), pinned=())
     inclusion_step(state, ("c", "a", "b"), ev)
     assert state.current == ("a",)
@@ -66,21 +66,21 @@ def test_inclusion_all_ties_adds_smallest_id():
 
 def test_inclusion_unique_best_singleton():
     table = {("b",): 0.9, ("a",): 0.1, ("c",): 0.2}
-    ev = CachedEvaluator(table_eval(table))
+    ev = CachedEvaluator(per_set(table_eval(table)))
     state = FsState(current=(), pinned=())
     inclusion_step(state, ("a", "b", "c"), ev)
     assert state.current == ("b",)
 
 
 def test_inclusion_respects_pinned():
-    ev = CachedEvaluator(lambda s: len(s) / 21)
+    ev = CachedEvaluator(per_set(lambda s: len(s) / 21))
     state = FsState(current=(LOCATION,), pinned=(LOCATION,))
     inclusion_step(state, UNIVERSAL_FEATURES, ev)
     assert state.current.count(LOCATION) == 1 and len(state.current) == 2
 
 
 def test_exclusion_monotone_never_removes():
-    ev = CachedEvaluator(lambda s: len(s) / 21)
+    ev = CachedEvaluator(per_set(lambda s: len(s) / 21))
     state = FsState(current=canonical(("a", "b", "c")), pinned=())
     assert exclusion_step(state, ev) is False
     assert state.current == ("a", "b", "c")
@@ -90,7 +90,7 @@ def test_exclusion_removes_hurting_feature():
     def fn(s):
         return 0.2 if "bad" in s else 0.8
     state = FsState(current=canonical(("a", "bad")), pinned=())
-    assert exclusion_step(state, CachedEvaluator(fn)) is True
+    assert exclusion_step(state, CachedEvaluator(per_set(fn))) is True
     assert state.current == ("a",)
 
 
@@ -98,9 +98,9 @@ def test_exclusion_never_removes_pinned_or_last():
     def fn(s):
         return 1.0 - 0.1 * len(s)
     state = FsState(current=(LOCATION,), pinned=(LOCATION,))
-    assert exclusion_step(state, CachedEvaluator(fn)) is False
+    assert exclusion_step(state, CachedEvaluator(per_set(fn))) is False
     state2 = FsState(current=("a",), pinned=())
-    assert exclusion_step(state2, CachedEvaluator(fn)) is False  # size guard
+    assert exclusion_step(state2, CachedEvaluator(per_set(fn))) is False  # size guard
 
 
 def test_sffs_two_feature_table():
@@ -155,7 +155,7 @@ def test_sffs_locally_optimal_dominates_greedy_and_matches_oracle():
             for f in out:
                 assert fn(canonical(x for x in out if x != f)) <= acc
         # dominance over plain forward selection
-        assert acc >= fn(greedy_forward(universal, CachedEvaluator(fn)))
+        assert acc >= fn(greedy_forward(universal, CachedEvaluator(per_set(fn))))
         if out == brute_force_best(universal, fn):
             matches += 1
     # floating search is not globally optimal in general; the match rate
@@ -192,7 +192,7 @@ def test_evaluator_call_count_reproducible():
     table = {(): 0.0, ("a",): 0.5, ("b",): 0.6, ("a", "b"): 0.9}
     counts = []
     for _ in range(2):
-        ev = CachedEvaluator(table_eval(table))
+        ev = CachedEvaluator(per_set(table_eval(table)))
         sffs(("a", "b"), ev)
         counts.append(ev.call_count)
     assert counts[0] == counts[1]
@@ -202,18 +202,47 @@ def test_many_matches_serial_calls(no_children_left):
     table = {("a",): 0.5, ("b",): 0.6, ("a", "b"): 0.9, ("b", "c"): 0.95}
     results = []
     for workers in (1, 2, 3):
-        ev = CachedEvaluator(table_eval(table), workers=workers)
+        ev = CachedEvaluator(per_set(table_eval(table)), workers=workers)
         selected, state = sffs(("a", "b", "c", "d"), ev)
         results.append((selected, state.trace, ev.call_count))
     assert results[0] == results[1] == results[2]
 
 
 def test_many_dedups_and_skips_cached(no_children_left):
-    ev = CachedEvaluator(lambda s: len(s) / 4, workers=2)
+    ev = CachedEvaluator(per_set(lambda s: len(s) / 4), workers=2)
     ev(("a",))
     ev.many([("a",), ("b", "a"), ("a", "b"), ("c",)])
     assert ev.call_count == 3
     assert [ev(s) for s in (("a", "b"), ("c",))] == [0.5, 0.25] and ev.call_count == 3
+
+
+def test_many_stacks_each_set_size(no_children_left):
+    """An exclusion step whose base is not cached yet has sets of two sizes:
+    it evaluates one stack of each, or stacks of at most ``max_stack``, and
+    the search reads what one set at a time gives."""
+    table = {("a", "b", "c"): 0.5, ("a", "b"): 0.4, ("a", "c"): 0.7, ("b", "c"): 0.6}
+    fn = table_eval(table)
+    seen = []
+
+    def stack(keys):
+        seen.append(list(keys))
+        return [fn(key) for key in keys]
+
+    outcomes, stacks = [], []
+    for ev in (CachedEvaluator(stack, max_stack=1), CachedEvaluator(stack),
+               CachedEvaluator(stack, max_stack=2), CachedEvaluator(stack, workers=2)):
+        state = FsState(current=("a", "b", "c"), pinned=())
+        moved = exclusion_step(state, ev)
+        outcomes.append((moved, state.current, state.trace, ev.call_count))
+        stacks.append(seen[:])
+        seen.clear()
+    assert stacks[:3] == [
+        [[("a", "b", "c")], [("b", "c")], [("a", "c")], [("a", "b")]],
+        [[("a", "b", "c")], [("b", "c"), ("a", "c"), ("a", "b")]],
+        [[("a", "b", "c")], [("b", "c")], [("a", "c"), ("a", "b")]]]
+    assert stacks[3] == []  # the two-worker stacks ran in the workers
+    assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+    assert outcomes[0][:2] == (True, ("a", "c")) and outcomes[0][3] == 4
 
 
 def _raises_or_out_of_range(first, second):
@@ -228,7 +257,7 @@ def _raises_or_out_of_range(first, second):
 def test_many_parallel_raises_the_serial_error(order, no_children_left):
     outcomes = []
     for workers in (1, 2):
-        ev = CachedEvaluator(_raises_or_out_of_range(*order), workers=workers)
+        ev = CachedEvaluator(per_set(_raises_or_out_of_range(*order)), workers=workers)
         sets = [("c",), ("a",), ("b",), ("d",)]
         with pytest.raises((ValueError, EvaluatorError)) as info:
             ev.many(sets)  # a search step's reads, as in inclusion_step
@@ -245,7 +274,7 @@ def test_many_worker_death_fails_closed(no_children_left):
         if feats == ("b",):
             os._exit(1)
         return 0.5
-    ev = CachedEvaluator(fn, workers=2)
+    ev = CachedEvaluator(per_set(fn), workers=2)
     with pytest.raises(EvaluatorError, match="worker died"):
         ev.many([("a",), ("b",), ("c",)])
 
@@ -272,7 +301,7 @@ def test_many_workers_die_with_their_parent(tmp_path, no_children_left):
 
     def parent():
         signal.signal(signal.SIGUSR1, lambda *_: os._exit(0))
-        CachedEvaluator(fn, workers=2).many([("a",), ("b",)])
+        CachedEvaluator(per_set(fn), workers=2).many([("a",), ("b",)])
 
     proc = multiprocessing.get_context("fork").Process(target=parent)
     proc.start()

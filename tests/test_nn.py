@@ -145,7 +145,7 @@ def test_dropout_eval_identity_and_train_scaling():
     d = Dropout(0.4)
     y_eval, _ = d.forward(x, {}, {}, False, None)
     assert np.array_equal(y_eval, x)
-    y_tr, mask = d.forward(x, {}, {}, True, stream(0, "d"))
+    y_tr, mask = d.forward(x, {}, {}, True, [stream(0, "d")])
     kept = y_tr[y_tr > 0]
     assert np.allclose(kept, 1 / 0.6)
     # inverted dropout keeps the expectation
@@ -555,8 +555,8 @@ def test_predictor_matches_nchw_reference_network(task, arch, n, training, dtype
     loc = _random(33, (n, 3), dtype)
     labels = stream(34, "labels").integers(8 if task == "beam" else 2, size=n)
     out, cache = model.forward(params, copy.deepcopy(state), loc, maps, training,
-                               stream(0, "dropout"))
-    _, dout = _batch_loss_grad(model, out, labels)
+                               [stream(0, "dropout")])
+    _, dout = _batch_loss_grad(model, out, labels[:, None])
     grads = model.backward(dout, cache, params)
 
     def run(name, x):
@@ -591,15 +591,16 @@ def test_predictor_matches_nchw_reference_network(task, arch, n, training, dtype
 
 class _ReferenceAdam:
     """Adam with one moment pair per tensor, updating the tensors of the
-    ``params`` tree in place."""
+    ``params`` tree in place; one model, or a stack of one."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, models=1):
+        assert models == 1
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in named(params).items()}
         self.v = {k: np.zeros_like(v) for k, v in named(params).items()}
 
-    def step(self, params, grads):
+    def step(self, params, grads, models=slice(None)):
         self.t += 1
         b1t = 1 - self.beta1 ** self.t
         b2t = 1 - self.beta2 ** self.t
@@ -775,3 +776,30 @@ def test_train_with_flat_adam_matches_per_tensor_adam(task, monkeypatch):
         assert got.keys() == ref.keys()
         for k in ref:
             assert_bitwise(got[k], ref[k])
+
+
+@pytest.mark.parametrize("task", ["beam", "blockage"])
+def test_train_stack_matches_each_set_trained_alone(task):
+    """Every model of a training stack is bit for bit the model its set
+    trains alone: parameters, state, epoch losses and validation accuracy,
+    for ragged stacks whose models take different numbers of steps."""
+    dataset = _synthetic_sampleset(n=92)
+    seeds = [0, 2, 3, 1] + list(range(4, 19))
+    cfgs = [TrainConfig(learning_rate=3e-3, batch_size=8, epochs=2, seed=seed, arch=TINY_ARCH)
+            for seed in seeds]
+    sets = [("location", name) for name in CATALOG.names[:19]]
+    alone = [predictor.train(dataset, feats, task, cfg) for feats, cfg in zip(sets, cfgs)]
+    sizes = [len(res.split[0]) for res in alone]
+    # 9- and 10-batch epochs, and a last batch of one sample, which training skips
+    assert {-(-size // 8) for size in sizes} == {9, 10} and 8 * 9 + 1 in sizes
+    assert len(set(sizes[:2])) == 2  # even the stack of two is ragged
+    for k in (1, 2, 5, 19):
+        for got, want in zip(predictor.train_stack(dataset, sets[:k], task, cfgs[:k]), alone):
+            assert got.model.features == want.model.features
+            assert np.array(got.train_loss).tobytes() == np.array(want.train_loss).tobytes()
+            assert got.val_accuracy == want.val_accuracy
+            for a, b in ((got.params, want.params), (got.state, want.state)):
+                a, b = named(a), named(b)
+                assert a.keys() == b.keys()
+                for name in b:
+                    assert_bitwise(a[name], b[name])

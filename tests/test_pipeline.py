@@ -271,7 +271,7 @@ def test_select_worker_count(monkeypatch):
 def test_select_worker_death_raises_pipeline_error(tmp_path, monkeypatch,
                                                    no_children_left):
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr("streetbeam.pipeline.train", lambda *a, **k: os._exit(1))
+    monkeypatch.setattr("streetbeam.pipeline.train_stack", lambda *a, **k: os._exit(1))
     with pytest.raises(PipelineError, match="worker died"):
         cmd_select(planted_dataset(n=40), "beam", tmp_path, epochs=1, v_max=2,
                    arch=TINY_ARCH, batch_size=32)

@@ -11,7 +11,7 @@ from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor,
                                   SampleSet, TrainConfig, _batch_loss_grad,
                                   accuracy, log_softmax, mask_channels,
                                   predict, sigmoid, split_indices,
-                                  task_labels, train)
+                                  stack_size, task_labels, train)
 from streetbeam.scene import from_plain, to_plain
 from streetbeam.semantics import CATALOG
 
@@ -173,8 +173,8 @@ def test_sigmoid_and_log_softmax():
 def _loss(task, logits, labels):
     """Training's batch loss of float64 network outputs."""
     model = Predictor(task, ("location",), TINY_MAPS, M_bm=logits.shape[1], arch=TINY_ARCH)
-    return _batch_loss_grad(model, np.asarray(logits, dtype=float),
-                            np.asarray(labels, dtype=np.int64))[0]
+    return float(_batch_loss_grad(model, np.asarray(logits, dtype=float),
+                                  np.asarray(labels, dtype=np.int64)[:, None])[0][0])
 
 
 def test_beam_loss_oracle():
@@ -341,3 +341,12 @@ def test_desk_scale_arch_shapes():
     maps = np.zeros((2, 2, 80, 160), dtype=np.uint8)
     y, _ = model.forward(params, state, loc, maps)
     assert y.shape == (2, 16)
+
+
+def test_stack_size_keeps_the_default_arch_to_one_model():
+    """A training stack holds one model of the default arch's 160x320 maps
+    at the default batch, so a selection worker's memory does not grow
+    with stacking, and several of a TINY_ARCH search at 16x32."""
+    assert TrainConfig().batch_size == 128
+    assert stack_size((2, 160, 320), TrainConfig().batch_size) == 1
+    assert stack_size((2, 16, 32), 32) > 1
