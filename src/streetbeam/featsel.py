@@ -7,7 +7,9 @@ breaking are insertion-order independent. A search step hands all its
 candidates to ``CachedEvaluator.many`` first, which evaluates them as
 stacks of same-size sets, on forked worker processes or in this one; the
 step then reads every value from the cache in canonical order, so the
-search is the same for any worker count and stacking.
+search is the same for any worker count and stacking. The workers are
+forked at the search's first parallel step and serve every later one
+until the evaluator is closed.
 """
 
 import ctypes
@@ -96,8 +98,10 @@ class CachedEvaluator:
     ``fn`` maps a list of canonical sets of one size, a stack, to their
     values in order; each value must not depend on the rest of the stack.
     ``many`` evaluates stacks of at most ``max_stack`` sets (no bound if
-    None) on up to ``workers`` forked processes when ``workers >= 2``;
-    below that every evaluation runs in this process.
+    None) on ``workers`` forked processes when ``workers >= 2``; below that
+    every evaluation runs in this process. The workers are forked at the
+    first ``many`` that has two stacks or more and live until ``close``,
+    which a ``with`` block calls on leaving.
     """
 
     def __init__(self, fn, workers=1, max_stack=None):
@@ -105,7 +109,21 @@ class CachedEvaluator:
         self._cache = {}
         self._workers = workers
         self._max_stack = max_stack
+        self._pool = None  # the worker pool, from the first parallel ``many``
         self.call_count = 0  # underlying-function invocations
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self) -> None:
+        """Shut the worker pool down, if there is one: stacks not started
+        yet are dropped, and every worker is joined."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
 
     def __call__(self, features) -> float:
         key = canonical(features)
@@ -141,14 +159,16 @@ class CachedEvaluator:
         Each worker gets one stack of each set size, or stacks of
         ``max_stack`` sets, which the pool hands to whichever worker is free.
         With two workers or more and two stacks or more, the stacks run on
-        forked processes, which inherit ``fn`` and its data (spawned ones
-        would need both pickled), so only the feature tuples, the floats and
-        a failure's exception are pickled; the pool forks all its workers
-        before it starts its own thread. Otherwise they run in this process.
-        The results are stored in the given order, and the first failing
-        set's error is raised, so the cache, ``call_count`` and the error
-        are those of ``__call__`` on each set in turn. Every worker is
-        joined before this returns or raises.
+        the evaluator's forked processes, which inherit ``fn`` and its data
+        as they were at the first such call (spawned ones would need both
+        pickled), so only the feature tuples, the floats and a failure's
+        exception are pickled; the pool forks all its workers before it
+        starts its own thread, and keeps them for later calls. Otherwise the
+        stacks run in this process. The results are stored in the given
+        order, and the first failing set's error is raised, so the cache,
+        ``call_count`` and the error are those of ``__call__`` on each set
+        in turn. A worker that dies raises ``EvaluatorError`` after every
+        worker is joined.
         """
         pending = list(dict.fromkeys(
             key for key in map(canonical, sets) if key not in self._cache))
@@ -173,13 +193,15 @@ class CachedEvaluator:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(self._workers,
+                                             mp_context=multiprocessing.get_context("fork"),
+                                             initializer=_init_worker,
+                                             initargs=(self._fn, os.getpid()))
         try:
-            with ProcessPoolExecutor(min(self._workers, len(stacks)),
-                                     mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_init_worker,
-                                     initargs=(self._fn, os.getpid())) as pool:
-                return list(pool.map(_run_worker, stacks))
+            return list(self._pool.map(_run_worker, stacks))
         except BrokenProcessPool as exc:
+            self.close()
             raise EvaluatorError(f"a feature-set evaluation worker died: {exc}") from exc
 
 

@@ -185,7 +185,9 @@ def training_evaluator(dataset: SampleSet, task, horizon, cfg: TrainConfig):
     so at the default arch, where that is one, each set is a stack of its
     own and goes to whichever worker comes free. Where the workers' BLAS
     cannot be held to one thread each, they would contend for the CPUs, so
-    the stacks train in this process.
+    the stacks train in this process. The workers are forked at the
+    search's first parallel step and serve the rest of it; use the
+    evaluator in a ``with`` block, which joins them on leaving.
     """
     def stack(sets):
         cfgs = [replace(cfg, seed=derive_seed(cfg.seed, task, str(horizon), ",".join(feats)))
@@ -204,18 +206,19 @@ def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=SELECT_EP
 
     Each candidate's network, of shape ``arch``, reads the dataset's label
     maps at their own size. The outputs do not depend on the number of
-    worker processes; a worker that dies raises ``PipelineError``.
+    worker processes; a worker that dies raises ``PipelineError``. No
+    worker outlives this call, whether it returns or raises.
     ``horizon`` is checked and recorded as given: without it each candidate
     trains at the default horizon.
     """
     cfg = TrainConfig(epochs=epochs, seed=seed, arch=arch,
                       batch_size=batch_size, learning_rate=learning_rate)
     task_labels(dataset, task, horizon)
-    evaluator = training_evaluator(dataset, task, horizon, cfg)
-    try:
-        selected, state = sffs(UNIVERSAL_FEATURES, evaluator, pinned=pinned, v_max=v_max)
-    except EvaluatorError as exc:
-        raise PipelineError(f"feature selection failed: {exc}") from exc
+    with training_evaluator(dataset, task, horizon, cfg) as evaluator:
+        try:
+            selected, state = sffs(UNIVERSAL_FEATURES, evaluator, pinned=pinned, v_max=v_max)
+        except EvaluatorError as exc:
+            raise PipelineError(f"feature selection failed: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     featsel.write_trace(os.path.join(out_dir, f"select_{task}.trace.jsonl"), state)
     _write_json(os.path.join(out_dir, f"selected_{task}.json"),

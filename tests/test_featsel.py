@@ -202,18 +202,18 @@ def test_many_matches_serial_calls(no_children_left):
     table = {("a",): 0.5, ("b",): 0.6, ("a", "b"): 0.9, ("b", "c"): 0.95}
     results = []
     for workers in (1, 2, 3):
-        ev = CachedEvaluator(per_set(table_eval(table)), workers=workers)
-        selected, state = sffs(("a", "b", "c", "d"), ev)
+        with CachedEvaluator(per_set(table_eval(table)), workers=workers) as ev:
+            selected, state = sffs(("a", "b", "c", "d"), ev)
         results.append((selected, state.trace, ev.call_count))
     assert results[0] == results[1] == results[2]
 
 
 def test_many_dedups_and_skips_cached(no_children_left):
-    ev = CachedEvaluator(per_set(lambda s: len(s) / 4), workers=2)
-    ev(("a",))
-    ev.many([("a",), ("b", "a"), ("a", "b"), ("c",)])
-    assert ev.call_count == 3
-    assert [ev(s) for s in (("a", "b"), ("c",))] == [0.5, 0.25] and ev.call_count == 3
+    with CachedEvaluator(per_set(lambda s: len(s) / 4), workers=2) as ev:
+        ev(("a",))
+        ev.many([("a",), ("b", "a"), ("a", "b"), ("c",)])
+        assert ev.call_count == 3
+        assert [ev(s) for s in (("a", "b"), ("c",))] == [0.5, 0.25] and ev.call_count == 3
 
 
 def test_many_stacks_each_set_size(no_children_left):
@@ -231,8 +231,9 @@ def test_many_stacks_each_set_size(no_children_left):
     outcomes, stacks = [], []
     for ev in (CachedEvaluator(stack, max_stack=1), CachedEvaluator(stack),
                CachedEvaluator(stack, max_stack=2), CachedEvaluator(stack, workers=2)):
-        state = FsState(current=("a", "b", "c"), pinned=())
-        moved = exclusion_step(state, ev)
+        with ev:
+            state = FsState(current=("a", "b", "c"), pinned=())
+            moved = exclusion_step(state, ev)
         outcomes.append((moved, state.current, state.trace, ev.call_count))
         stacks.append(seen[:])
         seen.clear()
@@ -257,12 +258,12 @@ def _raises_or_out_of_range(first, second):
 def test_many_parallel_raises_the_serial_error(order, no_children_left):
     outcomes = []
     for workers in (1, 2):
-        ev = CachedEvaluator(per_set(_raises_or_out_of_range(*order)), workers=workers)
-        sets = [("c",), ("a",), ("b",), ("d",)]
-        with pytest.raises((ValueError, EvaluatorError)) as info:
-            ev.many(sets)  # a search step's reads, as in inclusion_step
-            for s in sets:
-                ev(s)
+        with CachedEvaluator(per_set(_raises_or_out_of_range(*order)), workers=workers) as ev:
+            sets = [("c",), ("a",), ("b",), ("d",)]
+            with pytest.raises((ValueError, EvaluatorError)) as info:
+                ev.many(sets)  # a search step's reads, as in inclusion_step
+                for s in sets:
+                    ev(s)
         outcomes.append((type(info.value), str(info.value), ev.call_count))
     assert outcomes[0] == outcomes[1]
     # the first failing set in the given order decides the error
@@ -274,9 +275,45 @@ def test_many_worker_death_fails_closed(no_children_left):
         if feats == ("b",):
             os._exit(1)
         return 0.5
-    ev = CachedEvaluator(per_set(fn), workers=2)
-    with pytest.raises(EvaluatorError, match="worker died"):
+    with CachedEvaluator(per_set(fn), workers=2) as ev:
+        with pytest.raises(EvaluatorError, match="worker died"):
+            ev.many([("a",), ("b",), ("c",)])
+
+
+def test_many_worker_death_in_a_later_step_fails_closed(no_children_left):
+    """The workers that ran one step die in the next: that step raises, and
+    every worker is joined before ``many`` returns."""
+    def fn(feats):
+        if feats == ("a", "c"):
+            os._exit(1)
+        return 0.5
+    with CachedEvaluator(per_set(fn), workers=2) as ev:
         ev.many([("a",), ("b",), ("c",)])
+        with pytest.raises(EvaluatorError, match="worker died"):
+            ev.many([("a", "b"), ("a", "c"), ("b", "c")])
+        assert multiprocessing.active_children() == []
+        assert ev.call_count == 3 and ev(("b",)) == 0.5
+
+
+def test_search_forks_its_workers_once(tmp_path, no_children_left):
+    """The workers forked at a search's first parallel step run the stacks
+    of every later one."""
+    log = tmp_path / "pids"
+
+    def stack(keys):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return [len(key) / 4 for key in keys]
+
+    with CachedEvaluator(stack, workers=2) as ev:
+        assert sffs(("a", "b", "c", "d"), ev, v_max=3)[0] == ("a", "b", "c")
+    assert multiprocessing.active_children() == []
+    pids = [int(pid) for pid in log.read_text().split()]
+    # three inclusion steps, of 4, 3 and 2 sets, ran two stacks each on the
+    # workers; the last exclusion step's one new set ran in this process
+    workers = [pid for pid in pids if pid != os.getpid()]
+    assert len(workers) == 6 and len(pids) == 7
+    assert len(set(workers)) <= 2
 
 
 def _running(pid):
@@ -301,7 +338,8 @@ def test_many_workers_die_with_their_parent(tmp_path, no_children_left):
 
     def parent():
         signal.signal(signal.SIGUSR1, lambda *_: os._exit(0))
-        CachedEvaluator(per_set(fn), workers=2).many([("a",), ("b",)])
+        with CachedEvaluator(per_set(fn), workers=2) as ev:
+            ev.many([("a",), ("b",)])
 
     proc = multiprocessing.get_context("fork").Process(target=parent)
     proc.start()

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -270,12 +272,21 @@ def test_select_worker_count(monkeypatch):
 
 def test_select_worker_death_raises_pipeline_error(tmp_path, monkeypatch,
                                                    no_children_left):
+    """A worker dies in the search's first parallel step (the sets of size
+    2), or in its second (size 3) after the first succeeded."""
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr("streetbeam.pipeline.train_stack", lambda *a, **k: os._exit(1))
-    with pytest.raises(PipelineError, match="worker died"):
-        cmd_select(planted_dataset(n=40), "beam", tmp_path, epochs=1, v_max=2,
-                   arch=TINY_ARCH, batch_size=32)
-    assert not (tmp_path / "selected_beam.json").exists()
+    ds = planted_dataset(n=40)
+    for dies_at in (2, 3):
+        def train_stack(dataset, sets, *args, **kwargs):
+            if len(sets[0]) == dies_at:
+                os._exit(1)
+            return [SimpleNamespace(val_accuracy=0.5)] * len(sets)
+        monkeypatch.setattr("streetbeam.pipeline.train_stack", train_stack)
+        out = tmp_path / f"dies_at{dies_at}"
+        with pytest.raises(PipelineError, match="worker died"):
+            cmd_select(ds, "beam", out, epochs=1, v_max=3, arch=TINY_ARCH, batch_size=32)
+        assert not (out / "selected_beam.json").exists()
+        assert multiprocessing.active_children() == []
 
 
 def run_trained_beam(tmp_path, ds, epochs=10):
