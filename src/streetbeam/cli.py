@@ -32,8 +32,12 @@ log = logging.getLogger(__name__)
 def _load_config(path):
     if not path:
         return from_plain(RunConfig, {})
-    with open(path) as fh:
-        return from_plain(RunConfig, json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            plain = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    return from_plain(RunConfig, plain)
 
 
 def _parse_g_list(text):

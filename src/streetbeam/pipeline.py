@@ -35,10 +35,12 @@ DEFAULT_HORIZONS = (1, 6, 11, 16, 21, 26, 31, 36)
 DEFAULT_G_LIST = (1, 2, 3, 5)
 SELECT_EPOCHS = 5  # training epochs of each candidate set in the search
 # Selection worker processes: the most whose speed and memory were measured.
-# Each holds its own activations and Adam buffers; at 160x320 and batch 128 a
-# worker, which trains one model at a time there, peaked at about 430 MiB
-# RSS, copy-on-write dataset pages included. A select-tiny worker (TINY_ARCH,
-# 16x32, batch 32) training stacks of 9 and 10 peaked at 57 MiB.
+# Each holds its own activations and Adam buffers, and keeps the heap its
+# training steps free. At 160x320 and batch 128 a worker, which trains one
+# model at a time there, peaked at 374-380 MiB RSS (262 samples, one epoch;
+# 335-347 MiB with glibc's default malloc thresholds), copy-on-write dataset
+# pages included. A select-tiny worker (TINY_ARCH, 16x32, batch 32) training
+# stacks of 9 and 10 peaked at 57 MiB either way.
 SELECT_WORKERS_MAX = 2
 # channel entries (samples x K x N_t) assembled and searched at once; bounds
 # the chunk's complex temporaries to a few hundred KiB each
@@ -51,10 +53,14 @@ class PipelineError(ValueError):
 
 def read_json(path, keys, lists=()):
     """The JSON object in the file at ``path``; a PipelineError names the
-    file and the first of ``keys`` it lacks, or the first of ``lists``, a
-    subset of ``keys``, whose value is not a JSON array."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    file if it is not UTF-8 JSON, or the first of ``keys`` it lacks, or the
+    first of ``lists``, a subset of ``keys``, whose value is not a JSON
+    array."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise PipelineError(f"{path}: invalid JSON: {exc}") from exc
     for key in keys:
         if not isinstance(obj, dict) or key not in obj:
             raise PipelineError(f"{path}: missing key {key!r}")
@@ -353,7 +359,7 @@ def cmd_report(run_dir):
     for task in ("beam", "blockage"):
         p = os.path.join(run_dir, f"selected_{task}.json")
         if os.path.exists(p):
-            selected[task] = read_json(p, ("features",))["features"]
+            selected[task] = read_json(p, ("features",), lists=("features",))["features"]
 
     rows = []  # (metric, key, value, n, seed)
     report = {"selected_features": selected, "metrics": {}, "seeds": {}}

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import blas
 from . import rng as rng_mod
 from .featsel import LOCATION, canonical
 from .nn import (Adam, AvgPool, BatchNorm, Composite, Conv2d, Dense, Dropout,
@@ -403,8 +404,10 @@ def train_stack(dataset: SampleSet, feature_sets, task, cfgs, horizon=None) -> l
     The configs may differ in seed only. Returns the TrainResults
     in the given order, each bit for bit what ``train`` returns for its set
     and config alone. The sets are ordered by train-split size, largest
-    first, and trained ``stack_size`` at a time.
+    first, and trained ``stack_size`` at a time. The process keeps the
+    heap its steps free (``blas.keep_freed_heap``) from the first call on.
     """
+    blas.keep_freed_heap()
     base = cfgs[0]
     if any(replace(cfg, seed=base.seed) != base for cfg in cfgs):
         raise ValueError("a training stack's configs may differ in seed only")

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -196,11 +197,15 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     assert main(["train", "--config", str(bad), "--dataset", dataset, "--task", "beam",
                  "--epochs", "1", "--out", out, "--features", "location,vehicle"]) == 1
     assert "aux_widths must be <= 4096" in capsys.readouterr().err
-    for raw in ('{"scene": {"initial_vehicles": [["car", [50.0, 1.75], 1, NaN]]}}',
-                '{"scene": {"speed_range_mps": [8.0, Infinity]}}'):
+    for raw, named in (('{"scene": {"initial_vehicles": [["car", [50.0, 1.75], 1, NaN]]}}',
+                        "finite"),
+                       ('{"scene": {"speed_range_mps": [8.0, Infinity]}}', "finite"),
+                       # a truncated config names its file
+                       ('{"scene": {"frame_count": ', f"error: {bad}: invalid JSON: "
+                        "Expecting value: line 1 column 27 (char 26)\n")):
         bad.write_text(raw)
         assert main(["generate", "--config", str(bad), "--out", out]) == 1
-        assert "finite" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
 
 def test_readme_config_block_loads(tmp_path):
@@ -443,9 +448,10 @@ def test_json_artifact_without_a_key_exits_1(tmp_path, capsys):
 
 
 def test_json_artifact_with_a_bad_value_exits_1(tmp_path, capsys):
-    """A selection naming an unknown feature, a meta file whose list keys
-    hold no list, and a beam fragment whose metric tables lack a G of its
-    g_list fail closed with one error line naming the file and the value."""
+    """A selection naming an unknown feature or holding no feature list, a
+    meta file whose list keys hold no list, a beam fragment whose metric
+    tables lack a G of its g_list, and a truncated or non-UTF-8 file fail
+    closed with one error line naming the file and the value."""
     cfg = write_config(tmp_path, frames=30)
     run = tmp_path / "run"
     dataset = str(run / "dataset")
@@ -471,6 +477,13 @@ def test_json_artifact_with_a_bad_value_exits_1(tmp_path, capsys):
              "unknown features: ['warpdrive']"),
             ("selected_beam.json", train, {"features": "location"},
              "'features' must be a list, got 'location'"),
+            ("selected_beam.json", report, {"features": "location"},
+             "'features' must be a list, got 'location'"),
+            ("selected_beam.json", train, b'{"features": ',
+             "invalid JSON: Expecting value: line 1 column 14 (char 13)"),
+            ("beam.meta.json", evaluate, b'{\n "M_bm": 8,\n "arch": {',
+             "invalid JSON: Expecting property name enclosed in double quotes: "
+             "line 3 column 11 (char 24)"),
             ("beam.meta.json", evaluate, edited("beam.meta.json", "split", 0.7),
              "'split' must be a list, got 0.7"),
             ("beam.meta.json", evaluate, edited("beam.meta.json", "map_shape", "2x16x32"),
@@ -481,10 +494,13 @@ def test_json_artifact_with_a_bad_value_exits_1(tmp_path, capsys):
              "missing key topg_accuracy['2']"),
             ("eval_beam.json", report, dropped_g("trr"), "missing key trr['2']"),
             ("eval_beam.json", report, edited("eval_beam.json", "g_list", 2),
-             "'g_list' must be a list, got 2")):
+             "'g_list' must be a list, got 2"),
+            ("eval_beam.json", report, b'\xff{}',
+             "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+             "invalid start byte")):
         path = run / name
         good = path.read_text()
-        path.write_text(json.dumps(broken))
+        path.write_bytes(broken if isinstance(broken, bytes) else json.dumps(broken).encode())
         capsys.readouterr()
         assert main(argv) == 1, (name, message)
         err = capsys.readouterr().err
@@ -519,3 +535,32 @@ def test_cli_import_leaves_out_scipy_and_the_worker_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.split() == []
+
+
+def test_training_outputs_do_not_depend_on_the_allocator_setting(tmp_path):
+    """A model trained in a fresh process with glibc's default malloc
+    thresholds (``blas.keep_freed_heap`` replaced by a no-op) writes the
+    checkpoint and meta file of one trained with the freed heap kept: the
+    setting moves arrays from mmapped pages into the heap, which changes
+    their addresses, never the arithmetic. At 48x96 the im2col columns
+    outgrow glibc's default 128 KiB mmap threshold."""
+    cfg = write_config(tmp_path)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "resolution": [48, 96]}))
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    src = os.path.dirname(os.path.dirname(sys.modules["streetbeam"].__file__))
+    code = ("import sys\nfrom streetbeam import blas, cli\n"
+            "if sys.argv[1] == 'default':\n    blas.keep_freed_heap = lambda: False\n"
+            "print(cli.main(sys.argv[2:]), blas.keep_freed_heap())")
+    outputs = {}
+    for malloc in ("kept", "default"):
+        out = tmp_path / malloc
+        train = ["train", "--config", str(cfg), "--dataset", str(tmp_path / "run" / "dataset"),
+                 "--task", "beam", "--features", "location,vehicle", "--epochs", "3",
+                 "--out", str(out)]
+        run = subprocess.run([sys.executable, "-c", code, malloc, *train], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        kept = platform.libc_ver()[0] == "glibc" and malloc == "kept"
+        assert run.stdout.split()[-2:] == ["0", str(kept)], run.stdout
+        outputs[malloc] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(outputs["kept"]) == {"beam.esnn", "beam.meta.json"}
+    assert outputs["kept"] == outputs["default"]
