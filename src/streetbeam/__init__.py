@@ -6,13 +6,12 @@ from .channel import RayTraceConfig, assemble_channel, assemble_channels, trace_
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import ContainerError, read_container, write_container
 from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator,
-                      EvaluatorError, FsState, canonical, sffs)
+                      EvaluatorError, canonical, sffs)
 from .pipeline import (DEFAULT_G_LIST, DEFAULT_HORIZONS, PipelineError, RunConfig,
                        blockage_labels, cmd_eval, cmd_generate, cmd_report,
                        cmd_select, cmd_train, generate_dataset)
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig,
-                        TrainResult, accuracy, mask_channels, predict,
-                        split_indices, train)
+                        accuracy, mask_channels, predict, split_indices, train)
 from .rng import derive_seed, stream
 from .scene import (CameraPose, ConfigError, Frame, SceneConfig, VehicleClass,
                     generate_scenario)

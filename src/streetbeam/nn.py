@@ -496,18 +496,17 @@ class Adam:
     The constructor packs the parameters, in ``leaves`` order, into one
     contiguous buffer (models, P), a row per model, and rebinds each tensor
     of the tree to a view of it, so a step is five elementwise updates over
-    the rows it steps. With ``models`` > 1, every tensor has a leading model
+    the buffer. With ``models`` > 1, every tensor has a leading model
     axis. All parameters must share one dtype. ``step`` takes the tree given
-    to the constructor and gradients of the same names; each model keeps
-    its own moments and step count, so stepping some models of a stack
-    leaves the others as they are.
+    to the constructor and gradients of the same names, and steps every
+    model of the stack; each model keeps its own moments.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params, lr=1e-3, models=1):
         self.lr = lr
-        self.t = np.zeros(models, dtype=np.int64)  # steps taken by each model
+        self.t = 0  # steps taken
         slots = list(leaves(params))
         dtypes = sorted({str(d[k].dtype) for _, d, k in slots})
         if len(dtypes) > 1:
@@ -524,29 +523,26 @@ class Adam:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
 
-    def step(self, params, grads, models=slice(None)):
-        """One update of the models ``models`` (a slice of the stack), whose
-        gradients ``grads`` carry a leading axis of those models."""
+    def step(self, params, grads):
+        """One update of every model of the stack, whose gradients ``grads``
+        carry a leading model axis."""
         current = {name: d[k] for name, d, k in leaves(params)}
         for name, view in zip(self.names, self.views):
             if current.get(name) is not view:
                 raise ValueError(f"parameter {name!r} is not a view of the optimizer's "
                                  "buffer; step the tree the optimizer was built on")
         grads = {name: d[k] for name, d, k in leaves(grads)}
-        t = self.t[models]
         # a missing gradient raises KeyError naming it
-        g = np.concatenate([grads[name].reshape(len(t), -1) for name in self.names], axis=1)
+        g = np.concatenate([grads[name].reshape(len(self.flat), -1) for name in self.names],
+                           axis=1)
         if len(grads) != len(self.names):
             raise KeyError(f"gradients of unknown parameters {sorted(set(grads) - set(self.names))}")
-        t += 1
-        # each model's bias corrections, rounded to the buffer dtype as the
-        # scalars of a single model's update are
-        b1t, b2t = (np.array([[1 - beta ** int(ti)] for ti in t], dtype=self.flat.dtype)
-                    for beta in (self.BETA1, self.BETA2))
-        m, v = self.m[models], self.v[models]
-        m *= self.BETA1
-        m += (1 - self.BETA1) * g
-        v *= self.BETA2
-        v += (1 - self.BETA2) * g * g
-        self.flat[models] -= (self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)).astype(
+        self.t += 1
+        # bias corrections rounded to the buffer dtype, as a single model's are
+        b1t, b2t = (self.flat.dtype.type(1 - beta ** self.t) for beta in (self.BETA1, self.BETA2))
+        self.m *= self.BETA1
+        self.m += (1 - self.BETA1) * g
+        self.v *= self.BETA2
+        self.v += (1 - self.BETA2) * g * g
+        self.flat -= (self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + self.EPS)).astype(
             self.flat.dtype)

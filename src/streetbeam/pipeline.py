@@ -10,7 +10,7 @@ hold no wall-clock times, so reports stay byte-stable.
 import json
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,9 +182,11 @@ def cmd_generate(cfg: RunConfig, out_path):
 def training_evaluator(dataset: SampleSet, task, horizon, cfg: TrainConfig):
     """Deterministic FeatureSet -> validation-accuracy mapping.
 
-    Each candidate set trains from scratch as ``cfg`` says, with a seed
-    derived from (``cfg.seed``, canonical set), so the evaluator is a pure
-    function of its argument. A search step's candidates of one size train
+    Each candidate set trains from scratch as ``cfg`` says and is scored
+    on the validation samples of the one split of ``cfg.seed``; its init,
+    shuffles and dropout masks come from a seed derived from (``cfg.seed``,
+    task, horizon, canonical set), so the evaluator is a pure function of
+    its argument. A search step's candidates of one size train
     as stacks (``train_stack``), bit for bit as each would alone: one stack
     per worker process, with one worker per usable CPU, at most
     ``SELECT_WORKERS_MAX``. A stack holds at most ``stack_size`` models,
@@ -196,10 +198,9 @@ def training_evaluator(dataset: SampleSet, task, horizon, cfg: TrainConfig):
     evaluator in a ``with`` block, which joins them on leaving.
     """
     def stack(sets):
-        cfgs = [replace(cfg, seed=derive_seed(cfg.seed, task, str(horizon), ",".join(feats)))
-                for feats in sets]
+        seeds = [derive_seed(cfg.seed, task, str(horizon), ",".join(feats)) for feats in sets]
         return [res.val_accuracy for res in
-                train_stack(dataset, sets, task, cfgs, horizon=horizon)]
+                train_stack(dataset, sets, task, cfg, seeds, horizon=horizon)]
     workers = min(len(os.sched_getaffinity(0)), SELECT_WORKERS_MAX)
     return CachedEvaluator(stack, workers if blas.can_set_threads() else 1,
                            stack_size(dataset.map_shape, cfg.batch_size))
@@ -211,9 +212,12 @@ def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=SELECT_EP
     """Run the floating search with the training-based evaluator.
 
     Each candidate's network, of shape ``arch``, reads the dataset's label
-    maps at their own size. The outputs do not depend on the number of
-    worker processes; a worker that dies raises ``PipelineError``. No
-    worker outlives this call, whether it returns or raises.
+    maps at their own size. ``seed`` draws the one train/validation split
+    of every candidate; each candidate's init, shuffles and dropout masks
+    come from ``derive_seed(seed, task, str(horizon), ",".join(set))``.
+    The outputs do not depend on the number of worker processes; a worker
+    that dies raises ``PipelineError``. No worker outlives this call,
+    whether it returns or raises.
     ``horizon`` is checked and recorded as given: without it each candidate
     trains at the default horizon.
     """

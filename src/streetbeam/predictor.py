@@ -13,7 +13,7 @@ differences.
 
 import copy
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -395,104 +395,76 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
     streams of cfg.seed, and batches run sequentially. It is a stack of one
     of ``train_stack``.
     """
-    return train_stack(dataset, [features], task, [cfg], horizon)[0]
+    return train_stack(dataset, [features], task, cfg, [cfg.seed], horizon)[0]
 
 
-def train_stack(dataset: SampleSet, feature_sets, task, cfgs, horizon=None) -> list:
-    """``train`` of each feature set of one size with its config, as stacks.
+def train_stack(dataset: SampleSet, feature_sets, task, cfg: TrainConfig, seeds,
+                horizon=None) -> list:
+    """``train`` of each feature set of one size, as stacks on one split.
 
-    The configs may differ in seed only. Returns the TrainResults
-    in the given order, each bit for bit what ``train`` returns for its set
-    and config alone. The sets are ordered by train-split size, largest
-    first, and trained ``stack_size`` at a time. The process keeps the
-    heap its steps free (``blas.keep_freed_heap``) from the first call on.
+    The split comes from ``cfg.seed``, so every model trains and is
+    validated on the same samples; the model of ``feature_sets[i]`` draws
+    its init, shuffles and dropout masks from ``seeds[i]``. Returns the
+    TrainResults in the given order, each bit for bit what a stack of one
+    returns for its set and seed. The sets train ``stack_size`` at a time.
+    The process keeps the heap its steps free (``blas.keep_freed_heap``)
+    from the first call on.
     """
     blas.keep_freed_heap()
-    base = cfgs[0]
-    if any(replace(cfg, seed=base.seed) != base for cfg in cfgs):
-        raise ValueError("a training stack's configs may differ in seed only")
+    if len(seeds) != len(feature_sets):
+        raise ValueError("a training stack needs one seed per feature set")
     _, labels = task_labels(dataset, task, horizon)
-    models = [Predictor(task, feats, dataset.map_shape, dataset.M_bm, base.arch)
+    models = [Predictor(task, feats, dataset.map_shape, dataset.M_bm, cfg.arch)
               for feats in feature_sets]
     if len({len(m.concepts) for m in models}) > 1:
         raise ValueError("a training stack's feature sets must have one size")
-    splits = [split_indices(dataset.frame_ids, cfg.split, cfg.seed) for cfg in cfgs]
-    order = sorted(range(len(models)), key=lambda i: -len(splits[i][0]))
-    size = stack_size(dataset.map_shape, base.batch_size)
-    results = [None] * len(models)
-    for lo in range(0, len(order), size):
-        idx = order[lo:lo + size]
-        stacked = _train_stack(dataset, labels, [models[i] for i in idx],
-                               [splits[i] for i in idx], [cfgs[i] for i in idx])
-        for i, res in zip(idx, stacked):
-            results[i] = res
+    split = split_indices(dataset.frame_ids, cfg.split, cfg.seed)
+    size = stack_size(dataset.map_shape, cfg.batch_size)
+    results = []
+    for lo in range(0, len(models), size):
+        results += _train_stack(dataset, labels, models[lo:lo + size], split, cfg,
+                                seeds[lo:lo + size])
     return results
 
 
-def _batches(train_sizes, batch_size):
-    """(start, lo, hi, n) of each step of an epoch, in order: models lo:hi,
-    whose train sizes are ``train_sizes`` (largest first), each take
-    samples start:start+n of their shuffles. Steps at one start run the
-    models with a batch of one size there together; a batch of one sample
-    is skipped, as batch statistics need more than one."""
-    steps = []
-    for start in range(0, train_sizes[0], batch_size):
-        ns = [min(batch_size, size - start) for size in train_sizes]
-        lo = 0
-        while lo < len(ns) and ns[lo] >= 2:
-            hi = lo + 1
-            while hi < len(ns) and ns[hi] == ns[lo]:
-                hi += 1
-            steps.append((start, lo, hi, ns[lo]))
-            lo = hi
-    return steps
-
-
-def _train_stack(dataset, labels, models, splits, cfgs):
-    """Train ``models`` as one stack (train-split sizes largest first);
-    each model keeps its own init, shuffle and dropout streams, Adam
-    moments and step count."""
-    cfg = cfgs[0]
-    trees = [m.init(c.seed) for m, c in zip(models, cfgs)]
+def _train_stack(dataset, labels, models, split, cfg, seeds):
+    """Train ``models`` as one stack on the train samples of ``split``;
+    each model keeps its own init, shuffle and dropout streams, from its
+    seed, and its own Adam moments."""
+    train_idx, val_idx, _ = split
+    trees = [m.init(seed) for m, seed in zip(models, seeds)]
     params = tree_map(lambda *a: np.stack(a), *(p for p, _ in trees))
     state = tree_map(lambda *a: np.stack(a), *(s for _, s in trees))
     opt = Adam(params, lr=cfg.learning_rate, models=len(models))
-    shuffles = [rng_mod.stream(c.seed, "shuffle") for c in cfgs]
-    dropouts = [rng_mod.stream(c.seed, "dropout") for c in cfgs]
-    train_sizes = [len(train_idx) for train_idx, _, _ in splits]
-    steps = _batches(train_sizes, cfg.batch_size)
-    groups = {}  # (lo, hi) -> network and tree views of models lo:hi
-
-    def group(lo, hi):
-        if (lo, hi) not in groups:
-            groups[lo, hi] = (Predictor.stack(models[lo:hi]),
-                              *(tree_map(lambda a: a[lo:hi], t) for t in (params, state)))
-        return groups[lo, hi]
-
+    net = Predictor.stack(models)
+    shuffles = [rng_mod.stream(seed, "shuffle") for seed in seeds]
+    dropouts = [rng_mod.stream(seed, "dropout") for seed in seeds]
     train_loss = [[] for _ in models]
-    perms = np.empty((len(models), train_sizes[0]), dtype=np.intp)
+    perms = np.empty((len(models), len(train_idx)), dtype=np.intp)
     for epoch in range(cfg.epochs):
-        for i, (rng, (train_idx, _, _)) in enumerate(zip(shuffles, splits)):
-            perms[i, :len(train_idx)] = rng.permutation(train_idx)
-        ep_loss, ep_n = np.zeros(len(models)), np.zeros(len(models), dtype=np.int64)
-        for start, lo, hi, n in steps:
-            net, p, s = group(lo, hi)
-            sel = perms[lo:hi, start:start + n].T  # (n, models) sample ids
+        for row, rng in zip(perms, shuffles):
+            row[:] = rng.permutation(train_idx)
+        ep_loss, ep_n = np.zeros(len(models)), 0
+        for start in range(0, len(train_idx), cfg.batch_size):
+            sel = perms[:, start:start + cfg.batch_size].T  # (n, models) sample ids
+            n = len(sel)
+            if n < 2:  # batch statistics need two samples
+                continue
             loc = dataset.locations[sel].astype(np.float32).reshape(n, -1)
             maps = dataset.label_maps[sel].reshape((n, -1) + dataset.map_shape[1:])
-            out, cache = net.forward(p, s, loc, maps, training=True, rng=dropouts[lo:hi])
+            out, cache = net.forward(params, state, loc, maps, training=True, rng=dropouts)
             loss, dout = _batch_loss_grad(net, out, labels[sel])
-            opt.step(params, net.backward(dout, cache, p), slice(lo, hi))
-            ep_loss[lo:hi] += loss.astype(np.float64) * n
-            ep_n[lo:hi] += n
-        for i, mean in enumerate(ep_loss / np.maximum(ep_n, 1)):
+            opt.step(params, net.backward(dout, cache, params))
+            ep_loss += loss.astype(np.float64) * n
+            ep_n += n
+        for i, mean in enumerate(ep_loss / max(ep_n, 1)):
             train_loss[i].append(float(mean))
         log.debug("epoch %d: train loss %s", epoch, [f"{tl[-1]:.4f}" for tl in train_loss])
 
     results = []
-    for i, (model, split) in enumerate(zip(models, splits)):
+    for i, model in enumerate(models):
         p, s = (tree_map(lambda a: a[i], t) for t in (params, state))
-        val_acc = accuracy(model, p, s, dataset, split[1], labels)
+        val_acc = accuracy(model, p, s, dataset, val_idx, labels)
         results.append(TrainResult(model=model, params=p, state=s, val_accuracy=val_acc,
                                    split=split, train_loss=train_loss[i]))
     return results

@@ -600,7 +600,7 @@ class _ReferenceAdam:
         self.m = {k: np.zeros_like(v) for k, v in named(params).items()}
         self.v = {k: np.zeros_like(v) for k, v in named(params).items()}
 
-    def step(self, params, grads, models=slice(None)):
+    def step(self, params, grads):
         self.t += 1
         b1t = 1 - self.beta1 ** self.t
         b2t = 1 - self.beta2 ** self.t
@@ -778,28 +778,44 @@ def test_train_with_flat_adam_matches_per_tensor_adam(task, monkeypatch):
             assert_bitwise(got[k], ref[k])
 
 
+def _assert_same_result(got, want):
+    assert got.model.features == want.model.features
+    assert all(np.array_equal(a, b) for a, b in zip(got.split, want.split))
+    assert np.array(got.train_loss).tobytes() == np.array(want.train_loss).tobytes()
+    assert got.val_accuracy == want.val_accuracy
+    for a, b in ((got.params, want.params), (got.state, want.state)):
+        a, b = named(a), named(b)
+        assert a.keys() == b.keys()
+        for name in b:
+            assert_bitwise(a[name], b[name])
+
+
 @pytest.mark.parametrize("task", ["beam", "blockage"])
 def test_train_stack_matches_each_set_trained_alone(task):
     """Every model of a training stack is bit for bit the model its set
-    trains alone: parameters, state, epoch losses and validation accuracy,
-    for ragged stacks whose models take different numbers of steps."""
-    dataset = _synthetic_sampleset(n=92)
+    trains alone, as a stack of one with the same config and seed:
+    parameters, state, epoch losses and validation accuracy; ``train`` is
+    the stack of one whose seed is the config's."""
+    dataset = _synthetic_sampleset(n=81)
+    cfg = TrainConfig(learning_rate=3e-3, batch_size=8, epochs=2, seed=0, arch=TINY_ARCH)
     seeds = [0, 2, 3, 1] + list(range(4, 19))
-    cfgs = [TrainConfig(learning_rate=3e-3, batch_size=8, epochs=2, seed=seed, arch=TINY_ARCH)
-            for seed in seeds]
     sets = [("location", name) for name in CATALOG.names[:19]]
-    alone = [predictor.train(dataset, feats, task, cfg) for feats, cfg in zip(sets, cfgs)]
-    sizes = [len(res.split[0]) for res in alone]
-    # 9- and 10-batch epochs, and a last batch of one sample, which training skips
-    assert {-(-size // 8) for size in sizes} == {9, 10} and 8 * 9 + 1 in sizes
-    assert len(set(sizes[:2])) == 2  # even the stack of two is ragged
+    alone = [predictor.train_stack(dataset, [feats], task, cfg, [seed])[0]
+             for feats, seed in zip(sets, seeds)]
+    # 8-sample batches and a last batch of one sample, which training skips
+    assert len(alone[0].split[0]) == 8 * 7 + 1
+    _assert_same_result(predictor.train(dataset, sets[0], task, cfg), alone[0])
     for k in (1, 2, 5, 19):
-        for got, want in zip(predictor.train_stack(dataset, sets[:k], task, cfgs[:k]), alone):
-            assert got.model.features == want.model.features
-            assert np.array(got.train_loss).tobytes() == np.array(want.train_loss).tobytes()
-            assert got.val_accuracy == want.val_accuracy
-            for a, b in ((got.params, want.params), (got.state, want.state)):
-                a, b = named(a), named(b)
-                assert a.keys() == b.keys()
-                for name in b:
-                    assert_bitwise(a[name], b[name])
+        for got, want in zip(predictor.train_stack(dataset, sets[:k], task, cfg, seeds[:k]),
+                             alone):
+            _assert_same_result(got, want)
+
+
+def test_train_stack_rejects_mixed_set_sizes_and_missing_seeds():
+    dataset = _synthetic_sampleset()
+    cfg = TrainConfig(batch_size=8, epochs=1, arch=TINY_ARCH)
+    with pytest.raises(ValueError, match="one size"):
+        predictor.train_stack(dataset, [("location", "vehicle"), ("location",)],
+                              "beam", cfg, [0, 1])
+    with pytest.raises(ValueError, match="one seed per feature set"):
+        predictor.train_stack(dataset, [("location", "vehicle")], "beam", cfg, [0, 1])

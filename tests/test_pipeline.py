@@ -20,7 +20,8 @@ from streetbeam.pipeline import (SELECT_WORKERS_MAX, PipelineError, RunConfig,
                                  blockage_labels, cmd_eval, cmd_generate, cmd_report,
                                  cmd_select, cmd_train, generate_dataset,
                                  training_evaluator)
-from streetbeam.predictor import TINY_ARCH, SampleSet, TrainConfig, train_stack
+from streetbeam.predictor import (TINY_ARCH, SampleSet, TrainConfig, split_indices,
+                                  train_stack)
 from streetbeam.rng import stream
 from streetbeam.scene import SceneConfig, generate_scenario
 from streetbeam.semantics import render_frame
@@ -291,6 +292,27 @@ def test_select_worker_death_raises_pipeline_error(tmp_path, monkeypatch,
         assert multiprocessing.active_children() == []
 
 
+def test_search_scores_every_candidate_on_one_validation_split(monkeypatch):
+    """Every candidate set of a search is validated on the split of the
+    search's own seed, whatever seed its training draws."""
+    use_cpus(monkeypatch, 1)  # the stacks train in this process
+    ds = planted_dataset(n=60)
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=3, arch=TINY_ARCH)
+    seen = []
+
+    def accuracy(model, params, state, dataset, idx, labels):
+        seen.append(idx)
+        return 0.5
+    monkeypatch.setattr("streetbeam.predictor.accuracy", accuracy)
+    sets = [("location", name) for name in ("vehicle", "pole", "building", "sky")]
+    with training_evaluator(ds, "beam", None, cfg) as evaluator:
+        evaluator.many(sets)
+    assert len(seen) == len(sets)
+    val = split_indices(ds.frame_ids, cfg.split, cfg.seed)[1]
+    for idx in seen:
+        assert np.array_equal(idx, val)
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
 def test_repeat_training_stack_refaults_no_freed_pages():
     """A training process keeps the heap its steps free: an identical
@@ -299,13 +321,13 @@ def test_repeat_training_stack_refaults_no_freed_pages():
     counts is checked, as a single repeat now and then faulted up to 93."""
     ds = generate_dataset(run_config(small_scene(), small_rt(), horizons=(1,)))
     sets = [("location", name) for name in CATALOG.names[1:6]]
-    cfgs = [TrainConfig(epochs=2, batch_size=32, seed=seed, arch=TINY_ARCH)
-            for seed in range(len(sets))]
-    train_stack(ds, sets, "beam", cfgs)
+    cfg = TrainConfig(epochs=2, batch_size=32, arch=TINY_ARCH)
+    seeds = list(range(len(sets)))
+    train_stack(ds, sets, "beam", cfg, seeds)
     faults = []
     for _ in range(2):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        train_stack(ds, sets, "beam", cfgs)
+        train_stack(ds, sets, "beam", cfg, seeds)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert len(ds) > 50
     assert min(faults) < 100, faults
