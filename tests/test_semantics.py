@@ -1,4 +1,5 @@
 import functools
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -65,11 +66,11 @@ def _reference_render(frame, camera, config, resolution):
     depth = np.full((H, W), np.inf)
 
     dz = dirs[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * inf on a parallel ray
         t = -pos[2] / dz
+        gx = pos[0] + t * dirs[..., 0]
+        gy = pos[1] + t * dirs[..., 1]
     hit = (dz < 0) & (t > 0)
-    gx = pos[0] + t * dirs[..., 0]
-    gy = pos[1] + t * dirs[..., 1]
     glab = _reference_ground_labels(gx, gy, config)
     take = hit & (t < depth)
     labels[take] = glab[take]
@@ -79,8 +80,8 @@ def _reference_render(frame, camera, config, resolution):
         dy = dirs[..., 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (yf - pos[1]) / dy
-        fx = pos[0] + t * dirs[..., 0]
-        fz = pos[2] + t * dirs[..., 2]
+            fx = pos[0] + t * dirs[..., 0]
+            fz = pos[2] + t * dirs[..., 2]
         hit = (np.abs(dy) > 0) & (t > 0) \
             & (fx >= 0) & (fx <= config.street_length_m) \
             & (fz >= 0) & (fz <= config.building_height_m)
@@ -364,14 +365,70 @@ def test_render_matches_reference_on_edge_cases():
     assert not (back == VEHICLE).any()
 
 
-# ---------------------------------------------------------------------------
-# render_frames: frames are depth-tested in batches of about
-# semantics._BATCH_PIXELS map pixels per camera
+def same_bits_per_row(a):
+    """Whether every image row of ``a`` (..., H, W) holds the bits of the first."""
+    return bool((a.view(np.uint64) == a[..., :1, :].view(np.uint64)).all())
 
-def batch_frames(resolution):
-    """Frames per render batch at ``resolution``."""
-    H, W = resolution
-    return max(semantics._BATCH_PIXELS // (H * W), 1)
+
+@settings(max_examples=60, deadline=None)
+@given(yaw=st.floats(-4.0, 4.0), pitch=st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),
+       hfov=st.floats(0.2, 2.5), resolution=st.sampled_from([(16, 16), (17, 33), (48, 96)]))
+def test_inverse_directions_factorise_along_the_image_axes(yaw, pitch, hfov, resolution):
+    """The renderer's premises: a camera's right axis is level, so an image
+    row has one inverse z direction; at pitch 0 the image rows also share
+    their x and y inverse directions."""
+    cam = CameraPose((100.0, 2.0, 5.0), yaw, pitch, hfov)
+    assert cam.basis()[1][2] == 0.0
+    inv = semantics._background(cam, SceneConfig(), *resolution)[0]
+    assert inv.shape == (3, *resolution)
+    assert same_bits_per_row(np.swapaxes(inv[2], 0, 1))  # columns agree within a row
+    if pitch == 0.0:
+        assert same_bits_per_row(inv[:2])
+
+
+def test_edge_cameras_take_the_per_pixel_x_y_path():
+    # the EDGE_CAMS byte-equality tests cover per-pixel x and y slabs
+    for cam in EDGE_CAMS:
+        inv = semantics._background(cam, SceneConfig(), 32, 64)[0]
+        assert not same_bits_per_row(inv[:2])
+
+
+def test_rays_in_a_face_plane_render_without_warnings():
+    """A level camera at a car's roof height with an odd map height has a
+    row of rays in the roof plane, and a yaw-0 level camera with odd H and W
+    rays parallel to the ground and the facades: 0 * inf there is a NaN
+    miss, not a RuntimeWarning."""
+    roof = CameraPose((100.0, 9.0, 1.55), yaw=np.pi, pitch=0.0, hfov=1.6)
+    along = CameraPose((100.0, 0.0, 5.0), yaw=0.0, pitch=0.0, hfov=1.2)
+    assert vehicle_class("car").height == roof.position[2]
+    cfg = SceneConfig(frame_count=60, spawn_rate=0.6, camera_poses=(roof, along))
+    frames = generate_scenario(cfg)[::3]
+    res = (17, 33)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        maps = render_frames(frames, cfg, res)
+        assert_reference_maps(maps, frames, cfg, res)
+    assert (maps[:, 0] == VEHICLE).any()
+
+
+# ---------------------------------------------------------------------------
+# render_frames: each camera projects the boxes of the frame list in blocks of
+# semantics._BLOCK_BOXES boxes and depth-tests them in chunks of whole boxes
+# of about semantics._CHUNK_PAIRS (pixel, box) pairs
+
+def render_in_blocks(frames, cfg, resolution, per_block, per_chunk=1):
+    """``render_frames`` with blocks of ``per_block`` boxes and chunks of
+    about ``per_chunk`` pairs: one box per chunk by default."""
+    with mock.patch.multiple(semantics, _BLOCK_BOXES=per_block, _CHUNK_PAIRS=per_chunk):
+        return render_frames(frames, cfg, resolution)
+
+
+def batch_frames(frames, per_block):
+    """The slice of the frames whose boxes are in each block of ``per_block`` boxes."""
+    ends = np.cumsum([len(fr.ids) for fr in frames])  # box count up to each frame
+    return [slice(int(np.searchsorted(ends, b0, side="right")),
+                  int(np.searchsorted(ends, min(b0 + per_block, ends[-1]) - 1, side="right")) + 1)
+            for b0 in range(0, int(ends[-1]), per_block)]
 
 
 def assert_reference_maps(maps, frames, cfg, resolution):
@@ -385,22 +442,24 @@ def assert_reference_maps(maps, frames, cfg, resolution):
 
 @pytest.mark.parametrize("resolution,seed", [((80, 160), 5), ((16, 32), 13)])
 def test_render_frames_matches_reference_over_three_batches(resolution, seed):
-    step = batch_frames(resolution)
-    cfg, frames = criterion7_frames(seed, frame_count=150 + 2 * step + 2)
+    cfg, frames = criterion7_frames(seed, frame_count=162)
     frames = frames[150:]  # vehicles have driven into view
-    assert len(frames) > 2 * step
-    maps = render_frames(frames, cfg, resolution)
+    per_block = 7  # blocks and chunks split the boxes of one frame
+    batches = batch_frames(frames, per_block)
+    assert len(batches) > 2
+    assert any(sl.stop - sl.start > 1 for sl in batches)
+    maps = render_in_blocks(frames, cfg, resolution, per_block)
     assert_reference_maps(maps, frames, cfg, resolution)
     for b in range(3):
-        assert (maps[b * step:(b + 1) * step] == VEHICLE).any(), f"batch {b}"
+        assert (maps[batches[b]] == VEHICLE).any(), f"batch {b}"
 
 
 def test_render_frames_one_frame_per_batch():
     resolution = (160, 320)
-    assert batch_frames(resolution) == 1
     cfg, frames = criterion7_frames(17, frame_count=154)
     frames = frames[150:]
-    maps = render_frames(frames, cfg, resolution)
+    assert all(sl.stop - sl.start == 1 for sl in batch_frames(frames, 1))
+    maps = render_in_blocks(frames, cfg, resolution, per_block=1)
     assert_reference_maps(maps, frames, cfg, resolution)
     assert (maps == VEHICLE).any()
 
@@ -411,8 +470,30 @@ def test_render_frames_mixes_edge_cases_with_street_frames_in_one_batch():
     empty, straddling, behind, both = edge_frames()
     mixed = [frames[100], empty, straddling, frames[110], behind, both, frames[120]]
     res = (32, 64)
-    assert batch_frames(res) >= len(mixed)
+    assert batch_frames(mixed, semantics._BLOCK_BOXES) == [slice(0, len(mixed))]
     assert_reference_maps(render_frames(mixed, cfg, res), mixed, cfg, res)
+
+
+def test_render_frames_of_no_frames():
+    cfg = replace(SceneConfig(), camera_poses=SceneConfig().camera_poses + EDGE_CAMS)
+    maps = render_frames([], cfg, RES)
+    assert maps.dtype == np.uint8 and maps.shape == (0, len(cfg.camera_poses), *RES)
+
+
+def test_render_frames_where_no_camera_sees_a_box():
+    cfg, frames = criterion7_frames(23, frame_count=200)
+    # the third edge camera looks down the street in +x from x = 50, and a
+    # camera pitched to the sky sees nothing below the facade tops
+    sky = CameraPose((100.0, 0.0, 2.0), yaw=0.0, pitch=1.4, hfov=0.4)
+    cfg = replace(cfg, camera_poses=(EDGE_CAMS[2], sky))
+    behind = [make_frame((car_at(x, y, vid=i),)) for i, (x, y) in
+              enumerate([(30.0, 3.0), (10.0, -5.25), (44.0, 1.75)])]
+    unseen = [empty_frame(), *behind, make_frame(tuple(car_at(x, 0.0, vid=i) for i, x in
+                                                       enumerate((5.0, 15.0, 25.0, 35.0))))]
+    for per_block, per_chunk in ((semantics._BLOCK_BOXES, semantics._CHUNK_PAIRS), (2, 1)):
+        maps = render_in_blocks(unseen, cfg, (17, 33), per_block, per_chunk)
+        assert_reference_maps(maps, unseen, cfg, (17, 33))
+        assert not (maps == VEHICLE).any()
 
 
 POOL_RES = (16, 32)
@@ -429,15 +510,15 @@ def frame_pool():
 
 
 @settings(max_examples=150, deadline=None)
-@given(order=st.lists(st.integers(0, 13), max_size=12), per_batch=st.integers(1, 5))
-def test_render_frames_gives_each_frame_its_maps_alone(order, per_batch):
-    """Any sub-list or reordering of frames, in batches of any size, gives
-    each frame the maps it gets when rendered alone."""
+@given(order=st.lists(st.integers(0, 13), max_size=12), per_block=st.integers(1, 40),
+       per_chunk=st.sampled_from([1, 50, 400, 1 << 16]))
+def test_render_frames_gives_each_frame_its_maps_alone(order, per_block, per_chunk):
+    """Any sub-list or reordering of frames, in blocks of any size and chunks
+    of one to many boxes, gives each frame the maps it gets when rendered alone."""
     cfg, pool, alone = frame_pool()
     assert len(pool) == 14
     H, W = POOL_RES
-    with mock.patch.object(semantics, "_BATCH_PIXELS", per_batch * H * W):
-        maps = render_frames([pool[i] for i in order], cfg, POOL_RES)
+    maps = render_in_blocks([pool[i] for i in order], cfg, POOL_RES, per_block, per_chunk)
     assert maps.shape == (len(order), len(cfg.camera_poses), H, W)
     for i, m in zip(order, maps):
         assert m.tobytes() == alone[i].tobytes()
