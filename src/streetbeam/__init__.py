@@ -2,7 +2,7 @@
 prediction with floating feature selection."""
 
 from .beams import dft_codebook, optimal_beam, topg_accuracy, trr
-from .channel import RayTraceConfig, assemble_channel, assemble_channels, trace_paths
+from .channel import RayTraceConfig, assemble_channels, trace_paths
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import ContainerError, read_container, write_container
 from .featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator,
@@ -11,10 +11,10 @@ from .pipeline import (DEFAULT_G_LIST, DEFAULT_HORIZONS, PipelineError, RunConfi
                        blockage_labels, cmd_eval, cmd_generate, cmd_report,
                        cmd_select, cmd_train, generate_dataset)
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig,
-                        accuracy, mask_channels, predict, split_indices, train)
+                        accuracy, predict, split_indices, train)
 from .rng import derive_seed, stream
 from .scene import (CameraPose, ConfigError, Frame, SceneConfig, VehicleClass,
                     generate_scenario)
-from .semantics import CATALOG, CONCEPT_NAMES, ConceptCatalog, render_frame
+from .semantics import CATALOG, CONCEPT_NAMES
 
 __version__ = "0.1.0"

@@ -32,12 +32,7 @@ log = logging.getLogger(__name__)
 def _load_config(path):
     if not path:
         return from_plain(RunConfig, {})
-    try:
-        with open(path, encoding="utf-8") as fh:
-            plain = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return from_plain(RunConfig, plain)
+    return from_plain(RunConfig, pipeline.read_json(path, ()))
 
 
 def _parse_g_list(text):

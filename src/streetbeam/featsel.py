@@ -1,14 +1,14 @@
 """Floating feature-selection search (inclusion / conditional exclusion).
 
-Works over any deterministic evaluator mapping a feature set to an
-accuracy in [0, 1]. Sets are always handled in a canonical sorted order
-(location first, then concept index) so history membership and tie
-breaking are insertion-order independent. A search step hands all its
-candidates to ``CachedEvaluator.many`` first, which evaluates them as
-stacks of same-size sets, on forked worker processes or in this one; the
-step then reads every value from the cache in canonical order, so the
-search is the same for any worker count and stacking. The workers are
-forked at the search's first parallel step and serve every later one
+Works over a ``CachedEvaluator``, a cache of a deterministic mapping from
+a feature set to an accuracy in [0, 1]. Sets are always handled in a
+canonical sorted order (location first, then concept index) so history
+membership and tie breaking are insertion-order independent. A search
+step hands all its candidates to ``CachedEvaluator.many`` first, which
+evaluates them as stacks of same-size sets, on forked worker processes or
+in this one; the step then reads every value from the cache in canonical
+order, so the search is the same for any worker count and stacking. The
+workers are forked at the search's first step and serve every later one
 until the evaluator is closed.
 """
 
@@ -97,19 +97,17 @@ class CachedEvaluator:
 
     ``fn`` maps a list of canonical sets of one size, a stack, to their
     values in order; each value must not depend on the rest of the stack.
-    ``many`` evaluates stacks of at most ``max_stack`` sets (no bound if
-    None) on ``workers`` forked processes when ``workers >= 2``; below that
-    every evaluation runs in this process. The workers are forked at the
-    first ``many`` that has two stacks or more and live until ``close``,
+    Every set is evaluated through ``many``: on ``workers`` forked
+    processes when ``workers >= 2``, below that in this process. The
+    workers are forked at the first evaluation and live until ``close``,
     which a ``with`` block calls on leaving.
     """
 
-    def __init__(self, fn, workers=1, max_stack=None):
+    def __init__(self, fn, workers=1):
         self._fn = fn
         self._cache = {}
         self._workers = workers
-        self._max_stack = max_stack
-        self._pool = None  # the worker pool, from the first parallel ``many``
+        self._pool = None  # the worker pool, from the first pooled ``many``
         self.call_count = 0  # underlying-function invocations
 
     def __enter__(self):
@@ -127,8 +125,7 @@ class CachedEvaluator:
 
     def __call__(self, features) -> float:
         key = canonical(features)
-        if key not in self._cache:
-            self._store(key, float(self._fn([key])[0]))
+        self.many([key])
         return self._cache[key]
 
     def _store(self, key, val):
@@ -139,16 +136,13 @@ class CachedEvaluator:
 
     def _stacks(self, pending):
         """``pending`` split into stacks: the sets of each size, in order,
-        dealt into one contiguous run per worker, or into more runs where
-        those would exceed ``max_stack``."""
+        dealt into one contiguous run per worker."""
         by_size = {}
         for key in pending:
             by_size.setdefault(len(key), []).append(key)
         stacks = []
         for group in by_size.values():
             n = min(self._workers, len(group))
-            if self._max_stack is not None:
-                n = max(n, -(-len(group) // self._max_stack))
             bounds = [len(group) * i // n for i in range(n + 1)]
             stacks += [group[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         return stacks
@@ -156,24 +150,24 @@ class CachedEvaluator:
     def many(self, sets) -> None:
         """Evaluate the sets not cached yet, as stacks of same-size sets.
 
-        Each worker gets one stack of each set size, or stacks of
-        ``max_stack`` sets, which the pool hands to whichever worker is free.
-        With two workers or more and two stacks or more, the stacks run on
-        the evaluator's forked processes, which inherit ``fn`` and its data
-        as they were at the first such call (spawned ones would need both
-        pickled), so only the feature tuples, the floats and a failure's
-        exception are pickled; the pool forks all its workers before it
-        starts its own thread, and keeps them for later calls. Otherwise the
-        stacks run in this process. The results are stored in the given
-        order, and the first failing set's error is raised, so the cache,
-        ``call_count`` and the error are those of ``__call__`` on each set
-        in turn. A worker that dies raises ``EvaluatorError`` after every
-        worker is joined.
+        Each worker gets one stack of each set size. With two workers or
+        more, every stack runs on the evaluator's forked processes, which
+        inherit ``fn`` and its data as they were at the first evaluation
+        (spawned ones would need both pickled), so only the feature tuples,
+        the floats and a failure's exception are pickled; the pool forks
+        all its workers before it starts its own thread, and keeps them for
+        later calls. With one worker the stacks run in this process. The
+        results are stored in the given order, and the first failing set's
+        error is raised, so the cache, ``call_count`` and the error are
+        those of evaluating each set alone in turn. A worker that dies
+        raises ``EvaluatorError`` after every worker is joined.
         """
         pending = list(dict.fromkeys(
             key for key in map(canonical, sets) if key not in self._cache))
+        if not pending:
+            return
         stacks = self._stacks(pending)
-        if self._workers < 2 or len(stacks) < 2:
+        if self._workers < 2:
             results = [_evaluate(self._fn, keys) for keys in stacks]
         else:
             results = self._run_pool(stacks)
@@ -279,16 +273,13 @@ def sffs(universal, evaluator, pinned=(), v_max=None):
     """Floating search: alternate inclusion with repeated conditional
     exclusion until the current set reappears in history (or hits v_max).
 
-    ``evaluator`` is wrapped in a cache if it is not one already; a plain
-    function then evaluates one set at a time. Returns the selected set and
+    ``evaluator`` is a ``CachedEvaluator``. Returns the selected set and
     the search state, whose trace records every step.
     """
     universal = canonical(universal)
     pinned = canonical(pinned)
     if any(p not in universal for p in pinned):
         raise ValueError("pinned features must be a subset of the universal set")
-    if not isinstance(evaluator, CachedEvaluator):
-        evaluator = CachedEvaluator(lambda keys, fn=evaluator: [fn(k) for k in keys])
 
     state = FsState(current=pinned, pinned=pinned)
     while (state.current not in state.history

@@ -22,8 +22,7 @@ from .dataset import read_container, write_container
 from .featsel import LOCATION, UNIVERSAL_FEATURES, CachedEvaluator, EvaluatorError, sffs
 from .nn import leaves
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, accuracy,
-                        predict, split_indices, stack_size, task_labels, train,
-                        train_stack)
+                        predict, split_indices, task_labels, train, train_stack)
 from .rng import derive_seed
 from .scene import (SceneConfig, check_fields, check_max, check_min, from_plain,
                     generate_scenario, to_plain)
@@ -189,21 +188,19 @@ def training_evaluator(dataset: SampleSet, task, horizon, cfg: TrainConfig):
     its argument. A search step's candidates of one size train
     as stacks (``train_stack``), bit for bit as each would alone: one stack
     per worker process, with one worker per usable CPU, at most
-    ``SELECT_WORKERS_MAX``. A stack holds at most ``stack_size`` models,
-    so at the default arch, where that is one, each set is a stack of its
-    own and goes to whichever worker comes free. Where the workers' BLAS
+    ``SELECT_WORKERS_MAX``, so with two CPUs or more every candidate
+    trains on a worker, whose BLAS runs one thread. Where the workers' BLAS
     cannot be held to one thread each, they would contend for the CPUs, so
     the stacks train in this process. The workers are forked at the
-    search's first parallel step and serve the rest of it; use the
-    evaluator in a ``with`` block, which joins them on leaving.
+    search's first step and serve the rest of it; use the evaluator in a
+    ``with`` block, which joins them on leaving.
     """
     def stack(sets):
         seeds = [derive_seed(cfg.seed, task, str(horizon), ",".join(feats)) for feats in sets]
         return [res.val_accuracy for res in
                 train_stack(dataset, sets, task, cfg, seeds, horizon=horizon)]
     workers = min(len(os.sched_getaffinity(0)), SELECT_WORKERS_MAX)
-    return CachedEvaluator(stack, workers if blas.can_set_threads() else 1,
-                           stack_size(dataset.map_shape, cfg.batch_size))
+    return CachedEvaluator(stack, workers if blas.can_set_threads() else 1)
 
 
 def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=SELECT_EPOCHS,

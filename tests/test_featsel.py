@@ -106,7 +106,7 @@ def test_exclusion_never_removes_pinned_or_last():
 def test_sffs_two_feature_table():
     table = {(): 0.0, ("a",): 0.5, ("b",): 0.6, ("a", "b"): 0.9,
              ("a", "b", "c"): 0.85, ("a", "c"): 0.3, ("b", "c"): 0.3, ("c",): 0.1}
-    out, _ = sffs(("a", "b", "c"), table_eval(table))
+    out, _ = sffs(("a", "b", "c"), CachedEvaluator(per_set(table_eval(table))))
     assert out == ("a", "b")
     assert out == brute_force_best(("a", "b", "c"), table_eval(table))
 
@@ -114,12 +114,12 @@ def test_sffs_two_feature_table():
 def test_sffs_single_dominant_feature():
     def fn(s):
         return 1.0 if s == ("d",) else 0.3 if s else 0.0
-    assert sffs(("a", "b", "c", "d"), fn)[0] == ("d",)
+    assert sffs(("a", "b", "c", "d"), CachedEvaluator(per_set(fn)))[0] == ("d",)
 
 
 def test_sffs_vmax_bound():
     ev = lambda s: len(s) / 21  # monotone: wants everything
-    out, _ = sffs(("a", "b", "c", "d"), ev, v_max=2)
+    out, _ = sffs(("a", "b", "c", "d"), CachedEvaluator(per_set(ev)), v_max=2)
     assert out == ("a", "b")  # tie-broken 2-set
 
 
@@ -127,10 +127,11 @@ def test_sffs_pinned_location_always_kept():
     def fn(s):
         # location actively hurts, but is pinned
         return 0.9 - 0.5 * (LOCATION in s) * 0 + 0.01 * len(s)
-    out, _ = sffs(UNIVERSAL_FEATURES[:5], fn, pinned=(LOCATION,), v_max=3)
+    out, _ = sffs(UNIVERSAL_FEATURES[:5], CachedEvaluator(per_set(fn)), pinned=(LOCATION,),
+                  v_max=3)
     assert LOCATION in out
     with pytest.raises(ValueError):
-        sffs(("a", "b"), fn, pinned=("zzz",))
+        sffs(("a", "b"), CachedEvaluator(per_set(fn)), pinned=("zzz",))
 
 
 def test_sffs_locally_optimal_dominates_greedy_and_matches_oracle():
@@ -145,7 +146,7 @@ def test_sffs_locally_optimal_dominates_greedy_and_matches_oracle():
             for combo in itertools.combinations(universal, r):
                 table[canonical(combo)] = float(rng.random())
         fn = table_eval(table)
-        out, _ = sffs(universal, fn)
+        out, _ = sffs(universal, CachedEvaluator(per_set(fn)))
         acc = fn(out)
         # single-move local optimality
         for f in universal:
@@ -177,7 +178,7 @@ def test_brute_force_tie_and_vmax():
 
 def test_trace_jsonl(tmp_path):
     table = {(): 0.0, ("a",): 0.5, ("b",): 0.6, ("a", "b"): 0.9}
-    _, state = sffs(("a", "b"), table_eval(table))
+    _, state = sffs(("a", "b"), CachedEvaluator(per_set(table_eval(table))))
     path = tmp_path / "trace.jsonl"
     write_trace(path, state)
     recs = [json.loads(line) for line in path.read_text().splitlines()]
@@ -218,8 +219,8 @@ def test_many_dedups_and_skips_cached(no_children_left):
 
 def test_many_stacks_each_set_size(no_children_left):
     """An exclusion step whose base is not cached yet has sets of two sizes:
-    it evaluates one stack of each, or stacks of at most ``max_stack``, and
-    the search reads what one set at a time gives."""
+    it evaluates one stack of each, and the search reads what one set at a
+    time gives."""
     table = {("a", "b", "c"): 0.5, ("a", "b"): 0.4, ("a", "c"): 0.7, ("b", "c"): 0.6}
     fn = table_eval(table)
     seen = []
@@ -229,21 +230,33 @@ def test_many_stacks_each_set_size(no_children_left):
         return [fn(key) for key in keys]
 
     outcomes, stacks = [], []
-    for ev in (CachedEvaluator(stack, max_stack=1), CachedEvaluator(stack),
-               CachedEvaluator(stack, max_stack=2), CachedEvaluator(stack, workers=2)):
+    for ev in (CachedEvaluator(stack), CachedEvaluator(stack, workers=2)):
         with ev:
             state = FsState(current=("a", "b", "c"), pinned=())
             moved = exclusion_step(state, ev)
         outcomes.append((moved, state.current, state.trace, ev.call_count))
         stacks.append(seen[:])
         seen.clear()
-    assert stacks[:3] == [
-        [[("a", "b", "c")], [("b", "c")], [("a", "c")], [("a", "b")]],
-        [[("a", "b", "c")], [("b", "c"), ("a", "c"), ("a", "b")]],
-        [[("a", "b", "c")], [("b", "c")], [("a", "c"), ("a", "b")]]]
-    assert stacks[3] == []  # the two-worker stacks ran in the workers
-    assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+    assert stacks[0] == [[("a", "b", "c")], [("b", "c"), ("a", "c"), ("a", "b")]]
+    assert stacks[1] == []  # the two-worker stacks ran in the workers
+    assert outcomes[0] == outcomes[1]
     assert outcomes[0][:2] == (True, ("a", "c")) and outcomes[0][3] == 4
+
+
+def test_pooled_evaluator_trains_a_lone_set_on_a_worker(no_children_left):
+    """With two workers, a lone pending set and a ``__call__`` miss both
+    run on a worker: this process never calls ``fn``."""
+    calls = []
+
+    def stack(keys):
+        calls.append((os.getpid(), list(keys)))
+        return [len(key) / 4 for key in keys]
+
+    with CachedEvaluator(stack, workers=2) as ev:
+        ev.many([("a",)])
+        assert ev(("b", "a")) == 0.5 and ev.call_count == 2
+    assert calls == []
+    assert ev(("a",)) == 0.25 and ev.call_count == 2  # a cache hit after close
 
 
 def _raises_or_out_of_range(first, second):
@@ -296,8 +309,8 @@ def test_many_worker_death_in_a_later_step_fails_closed(no_children_left):
 
 
 def test_search_forks_its_workers_once(tmp_path, no_children_left):
-    """The workers forked at a search's first parallel step run the stacks
-    of every later one."""
+    """The workers forked at a search's first step run the stacks of every
+    later one."""
     log = tmp_path / "pids"
 
     def stack(keys):
@@ -310,9 +323,9 @@ def test_search_forks_its_workers_once(tmp_path, no_children_left):
     assert multiprocessing.active_children() == []
     pids = [int(pid) for pid in log.read_text().split()]
     # three inclusion steps, of 4, 3 and 2 sets, ran two stacks each on the
-    # workers; the last exclusion step's one new set ran in this process
+    # workers, and so did the last exclusion step's one new set
     workers = [pid for pid in pids if pid != os.getpid()]
-    assert len(workers) == 6 and len(pids) == 7
+    assert len(workers) == 7 and len(pids) == 7
     assert len(set(workers)) <= 2
 
 

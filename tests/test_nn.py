@@ -791,11 +791,12 @@ def _assert_same_result(got, want):
 
 
 @pytest.mark.parametrize("task", ["beam", "blockage"])
-def test_train_stack_matches_each_set_trained_alone(task):
+def test_train_stack_matches_each_set_trained_alone(task, monkeypatch):
     """Every model of a training stack is bit for bit the model its set
     trains alone, as a stack of one with the same config and seed:
     parameters, state, epoch losses and validation accuracy; ``train`` is
-    the stack of one whose seed is the config's."""
+    the stack of one whose seed is the config's. So is every model of a
+    call that ``stack_size`` cuts into several stacks."""
     dataset = _synthetic_sampleset(n=81)
     cfg = TrainConfig(learning_rate=3e-3, batch_size=8, epochs=2, seed=0, arch=TINY_ARCH)
     seeds = [0, 2, 3, 1] + list(range(4, 19))
@@ -809,6 +810,19 @@ def test_train_stack_matches_each_set_trained_alone(task):
         for got, want in zip(predictor.train_stack(dataset, sets[:k], task, cfg, seeds[:k]),
                              alone):
             _assert_same_result(got, want)
+    # room for two models a stack: five sets train as stacks of 2, 2 and 1
+    monkeypatch.setattr(predictor, "_STACK_PIXELS",
+                        2 * int(np.prod(dataset.map_shape)) * cfg.batch_size)
+    assert predictor.stack_size(dataset.map_shape, cfg.batch_size) == 2
+    runs, train_run = [], predictor._train_stack
+
+    def record(dataset, labels, models, *args):
+        runs.append(len(models))
+        return train_run(dataset, labels, models, *args)
+    monkeypatch.setattr(predictor, "_train_stack", record)
+    for got, want in zip(predictor.train_stack(dataset, sets[:5], task, cfg, seeds[:5]), alone):
+        _assert_same_result(got, want)
+    assert runs == [2, 2, 1]
 
 
 def test_train_stack_rejects_mixed_set_sizes_and_missing_seeds():

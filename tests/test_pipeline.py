@@ -275,8 +275,8 @@ def test_select_worker_count(monkeypatch):
 
 def test_select_worker_death_raises_pipeline_error(tmp_path, monkeypatch,
                                                    no_children_left):
-    """A worker dies in the search's first parallel step (the sets of size
-    2), or in its second (size 3) after the first succeeded."""
+    """A worker dies in the search's first step (the sets of size 2), or
+    in its second (size 3) after the first succeeded."""
     use_cpus(monkeypatch, 2)
     ds = planted_dataset(n=40)
     for dies_at in (2, 3):
