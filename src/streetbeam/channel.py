@@ -21,11 +21,11 @@ from its rows as
 
 over a ULA manifold a(.) with entry n = exp(j * w * n * sin(el) * cos(az)),
 w = 2 pi d f / c. With u = w * sin(el) * cos(az), ``assemble_channels``
-evaluates entry n as exp(j (n mod b) u) * exp(j b floor(n / b) u): per path
-it takes complex exps of a fine table over the b offsets and of a coarse
-table over the multiples of b, folds the path's gain into the coarse one,
-and adds their outer product to the channel. That is ceil(N_t / b) + b
-exps per (path, subcarrier) in place of N_t.
+evaluates entry n as exp(j (n mod b) u) * exp(j b floor(n / b) u): per
+(path, subcarrier) it takes two complex exps, e1 = exp(j u) and
+eb = exp(j b u), builds the fine table 1, e1, e1^2, ... over the b offsets
+and the gain-scaled coarse table gain, gain eb, gain eb^2, ... over the
+multiples of b by repeated multiplication, and adds their outer product.
 """
 
 import math
@@ -233,8 +233,11 @@ def assemble_channels(paths, n_paths, config: RayTraceConfig):
     their padded path table ``paths`` (F, P, 5) and ``n_paths`` (F,), as
     ``trace_paths`` returns them; zero where ``n_paths`` is 0.
 
-    Path slot p is added only to the frames that have it, so each channel
-    sums its own paths in table order, through the split tables of the
+    The frames are ordered once by descending path count (a stable sort),
+    so the frames that have path slot p lead the call's buffers and the
+    slot's outer products accumulate in place on that leading slice; one
+    permutation returns the channels in the caller's order. Each channel
+    sums its own paths in table order, through the multiplied tables of the
     module docstring. Every operation is elementwise per frame, so a
     channel does not depend on the other frames of the call: chunks of the
     table give the whole table's channels bit for bit. Against the per-path
@@ -247,19 +250,26 @@ def assemble_channels(paths, n_paths, config: RayTraceConfig):
     K, N_t = config.K, config.N_t
     fk = config.subcarrier_freq(np.arange(K))
     w = 2 * np.pi * config.d * fk / C_LIGHT
-    fine_n = np.arange(min(_SPLIT, N_t))
-    coarse_n = np.arange(0, N_t, _SPLIT)
+    b = min(_SPLIT, N_t)
+    order = np.argsort(-n_paths, kind="stable")  # slot p's frames lead
+    paths, n_paths = paths[order], n_paths[order]
     h = np.zeros((len(paths), K, N_t), dtype=np.complex128)
+    fine = np.ones((len(paths), K, b), dtype=np.complex128)  # 1, e1, e1^2, ...
+    coarse = np.empty((len(paths), K, -(-N_t // b)), dtype=np.complex128)  # gain, gain eb, ...
+    term = np.empty(coarse.shape + (b,), dtype=np.complex128)
     for p in range(int(n_paths.max(initial=0))):  # every slot with a row
-        rows = np.flatnonzero(n_paths > p)
-        alpha, phi, tau, theta_az, theta_el = paths[rows, p].T[..., None]  # (r, 1) each
-        u = (w * np.sin(theta_el) * np.cos(theta_az))[..., None]  # (r, K, 1)
-        gain = alpha * np.exp(-1j * 2 * np.pi * fk * tau + 1j * phi)  # (r, K)
-        coarse = gain[..., None] * np.exp(1j * coarse_n * u)  # (r, K, ceil(N_t / b))
-        fine = np.exp(1j * fine_n * u)  # (r, K, b)
-        term = coarse[..., None] * fine[..., None, :]
-        h[rows] += term.reshape(len(rows), K, -1)[..., :N_t]
-    return h
+        r = np.count_nonzero(n_paths > p)
+        alpha, phi, tau, theta_az, theta_el = paths[:r, p].T[..., None]  # (r, 1) each
+        u = w * np.sin(theta_el) * np.cos(theta_az)  # (r, K)
+        e1, eb = np.exp(1j * u), np.exp(1j * (b * u))
+        np.multiply(alpha, np.exp(-1j * 2 * np.pi * fk * tau + 1j * phi), out=coarse[:r, :, 0])
+        for i in range(1, b):
+            np.multiply(fine[:r, :, i - 1], e1, out=fine[:r, :, i])
+        for i in range(1, coarse.shape[2]):
+            np.multiply(coarse[:r, :, i - 1], eb, out=coarse[:r, :, i])
+        np.multiply(coarse[:r, :, :, None], fine[:r, :, None], out=term[:r])
+        h[:r] += term[:r].reshape(r, K, -1)[..., :N_t]
+    return h[np.argsort(order)]
 
 
 def assemble_channel(paths, config: RayTraceConfig):

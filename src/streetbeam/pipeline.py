@@ -216,8 +216,14 @@ def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=SELECT_EP
     that dies raises ``PipelineError``. No worker outlives this call,
     whether it returns or raises.
     ``horizon`` is checked and recorded as given: without it each candidate
-    trains at the default horizon.
+    trains at the default horizon. Every predictor reads the location, so
+    ``pinned`` must hold it, and ``v_max`` must be at least the pinned
+    set's size: else ``PipelineError`` before any worker or file.
     """
+    if LOCATION not in pinned:
+        raise PipelineError(f"pinned features must include {LOCATION}, got {list(pinned)}")
+    if v_max is not None and v_max < len(pinned):
+        raise PipelineError(f"v_max must be >= the {len(pinned)} pinned features, got {v_max}")
     cfg = TrainConfig(epochs=epochs, seed=seed, arch=arch,
                       batch_size=batch_size, learning_rate=learning_rate)
     task_labels(dataset, task, horizon)

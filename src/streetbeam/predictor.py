@@ -291,6 +291,7 @@ class TrainConfig:
     def __post_init__(self):
         check_fields(self)
         check_min(self, 0, ("learning_rate",), strict=True)
+        check_min(self, 0, ("seed",))
         check_min(self, 1, ("epochs",))
         check_min(self, 2, ("batch_size",))  # batch statistics need two samples
         if abs(sum(self.split) - 1.0) > 1e-9:

@@ -288,7 +288,7 @@ class SceneConfig:
         check_min(self, 0, ("street_length_m", "lane_width_m", "building_height_m",
                             "slot_duration_s"), strict=True)
         check_min(self, 0, ("sidewalk_width_m", "building_setback_m", "spawn_rate",
-                            "speed_range_mps"))
+                            "speed_range_mps", "seed"))
         check_min(self, 1, ("frame_count", "lane_count"))
         if self.speed_range_mps[0] > self.speed_range_mps[1]:
             raise ConfigError("speed range min must be <= max")

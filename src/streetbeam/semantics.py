@@ -104,9 +104,10 @@ def _background(camera: CameraPose, config: SceneConfig, H, W):
 
     # ground plane z = 0
     dz = dirs[..., 2]
-    # a ray parallel to a plane gets t = +-inf, and a NaN coordinate where it
+    # a ray parallel to a plane, or off it by a direction component near the
+    # smallest normal float, gets t = +-inf, and a NaN coordinate where it
     # also has no x or y component (0 * inf); the hit tests exclude such rays
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = -pos[2] / dz
         gx = pos[0] + t * dirs[..., 0]
         gy = pos[1] + t * dirs[..., 1]
@@ -119,7 +120,7 @@ def _background(camera: CameraPose, config: SceneConfig, H, W):
     # building facades at y = +-facade_y, 0 <= x <= L, 0 <= z <= height
     for yf in (config.facade_y, -config.facade_y):
         dy = dirs[..., 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t = (yf - pos[1]) / dy
             fx = pos[0] + t * dirs[..., 0]
             fz = pos[2] + t * dirs[..., 2]
@@ -130,7 +131,7 @@ def _background(camera: CameraPose, config: SceneConfig, H, W):
         labels[take] = BUILDING
         depth[take] = t[take]
 
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         inv = np.where(dirs != 0, 1.0 / dirs, np.inf)
     return np.moveaxis(inv, -1, 0), labels.reshape(-1), depth.reshape(-1), fwd, right, up
 

@@ -294,6 +294,42 @@ def test_split_tables_cover_every_antenna():
         assert_near_reference(h, paths, cfg)
 
 
+@pytest.mark.parametrize("N_t", [16 * _SPLIT + 3, 256])
+def test_multiplied_tables_stay_within_tolerance_at_endfire(N_t):
+    """Endfire paths (theta_el = pi/2, theta_az 0 or pi) have the largest
+    |u|, so the longest chains of table products have the largest phases."""
+    cfg = small_cfg(N_t=N_t, K=16)
+    rng = stream(9, "test.endfire")
+    for az in (0.0, np.pi):
+        paths = random_paths(rng, 3)
+        paths[:, 3:] = az, np.pi / 2
+        for rows in (paths[:1], paths):
+            assert_near_reference(assemble_channel(rows, cfg), rows, cfg)
+
+
+def test_empty_and_all_outage_tables_give_zero_channels():
+    cfg = small_cfg(N_t=12, K=5)
+    for F in (0, 3):
+        h = assemble_channels(np.zeros((F, 4, 5)), np.zeros(F, dtype=np.int64), cfg)
+        assert h.dtype == np.complex128 and h.shape == (F, 5, 12)
+        assert not h.any()
+
+
+@pytest.mark.parametrize("n_paths", [[0, 1, 2, 3, 4], [1, 2, 3, 4, 4],
+                                     [0, 3, 0, 1, 0, 4, 0, 2, 0]],
+                         ids=["ascending", "ascending-no-outage", "interleaved-zeros"])
+def test_channels_return_in_input_order(n_paths):
+    """The frames are ordered by path count inside the call only: each
+    channel comes back at its frame's place, the same bits as alone."""
+    cfg = small_cfg(N_t=12, K=5)
+    rng = stream(10, "test.order")
+    table = np.stack([random_paths(rng, 4) for _ in n_paths])
+    h = assemble_channels(table, np.array(n_paths), cfg)
+    for paths, n, got in zip(table, n_paths, h):
+        assert got.tobytes() == assemble_channel(paths[:n], cfg).tobytes()
+    assert not h[np.array(n_paths) == 0].any()
+
+
 def test_energy_triangle_inequality():
     cfg = small_cfg(N_t=8, K=3)
     rng = stream(5, "test.energy")

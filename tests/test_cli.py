@@ -206,6 +206,43 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         bad.write_text(raw)
         assert main(["generate", "--config", str(bad), "--out", out]) == 1
         assert named in capsys.readouterr().err
+    # a negative seed is named before any work, in place of numpy's complaint
+    for cmd in (["generate", "--config", str(cfg), "--seed", "-1"],
+                ["train", "--config", str(cfg), "--dataset", dataset, "--task", "beam",
+                 "--epochs", "1", "--features", "location", "--seed", "-1"],
+                ["select", "--config", str(cfg), "--dataset", dataset, "--task", "beam",
+                 "--epochs", "1", "--vmax", "2", "--seed", "-5"]):
+        assert main(cmd + ["--out", str(tmp_path / "neg")]) == 1, cmd
+        assert capsys.readouterr().err == "error: seed must be >= 0\n", cmd
+    assert not (tmp_path / "neg").exists()
+
+
+NO_LOCATION = "pinned features must include location, got ['sky']"
+
+
+@pytest.mark.parametrize("args, named", [
+    (["--pin-feature", "sky", "--vmax", "2"], NO_LOCATION),
+    # a search that stops at once would write a selection train rejects
+    (["--pin-feature", "sky", "--vmax", "1"], NO_LOCATION),
+    # or one larger than v_max
+    (["--vmax", "0"], "v_max must be >= the 1 pinned features, got 0"),
+    (["--vmax", "-1"], "v_max must be >= the 1 pinned features, got -1"),
+], ids=["pin-sky-vmax2", "pin-sky-vmax1", "vmax0", "vmax-negative"])
+def test_select_without_a_valid_selection_exits_1(tmp_path, capsys, monkeypatch, args, named):
+    """Select inputs that admit no valid selection fail before any worker
+    is forked or any file is written."""
+    cfg = write_config(tmp_path, frames=30)
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def no_evaluator(*_, **__):
+        raise AssertionError("the evaluator was built")
+    monkeypatch.setattr("streetbeam.pipeline.training_evaluator", no_evaluator)
+    assert main(["select", "--config", str(cfg), "--dataset", str(out / "dataset"),
+                 "--task", "beam", "--epochs", "1", "--out", str(out)] + args) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["dataset"]
 
 
 def test_readme_config_block_loads(tmp_path):
