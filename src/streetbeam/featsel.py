@@ -5,9 +5,9 @@ a feature set to an accuracy in [0, 1]. Sets are always handled in a
 canonical sorted order (location first, then concept index) so history
 membership and tie breaking are insertion-order independent. A search
 step hands all its candidates to ``CachedEvaluator.many`` first, which
-evaluates them as stacks of same-size sets, on forked worker processes or
-in this one; the step then reads every value from the cache in canonical
-order, so the search is the same for any worker count and stacking. The
+evaluates them in one batch per worker, on forked worker processes or in
+this one; the step then reads every value from the cache in canonical
+order, so the search is the same for any worker count and batching. The
 workers are forked at the search's first step and serve every later one
 until the evaluator is closed.
 """
@@ -68,39 +68,19 @@ def _init_worker(fn, parent_pid):
     blas.set_threads(1)  # the pool runs one worker per CPU
 
 
-def _evaluate(fn, keys):
-    """The values of ``keys`` in order, up to the first whose evaluation
-    fails, then that failure's exception. A stack that raises is evaluated
-    again set by set, so the failure is the one the first failing set
-    raises alone."""
-    if len(keys) > 1:
-        try:
-            return [float(v) for v in fn(keys)]
-        except Exception as exc:
-            log.warning("a stack of %d sets failed (%r); evaluating each set alone",
-                        len(keys), exc)
-    values = []
-    for key in keys:
-        try:
-            values.append(float(fn([key])[0]))
-        except Exception as exc:
-            return values + [exc]
-    return values
-
-
 def _run_worker(keys):
-    return _evaluate(_worker_fn, keys)
+    return _worker_fn(keys)
 
 
 class CachedEvaluator:
     """Caches a FeatureSet -> accuracy mapping keyed by canonical sets.
 
-    ``fn`` maps a list of canonical sets of one size, a stack, to their
-    values in order; each value must not depend on the rest of the stack.
-    Every set is evaluated through ``many``: on ``workers`` forked
-    processes when ``workers >= 2``, below that in this process. The
-    workers are forked at the first evaluation and live until ``close``,
-    which a ``with`` block calls on leaving.
+    ``fn`` maps a list of canonical sets, a batch, to their values in
+    order; each value must not depend on the rest of the batch. Every set
+    is evaluated through ``many``: on ``workers`` forked processes when
+    ``workers >= 2``, below that in this process. The workers are forked
+    at the first evaluation and live until ``close``, which a ``with``
+    block calls on leaving.
     """
 
     def __init__(self, fn, workers=1):
@@ -117,7 +97,7 @@ class CachedEvaluator:
         self.close()
 
     def close(self) -> None:
-        """Shut the worker pool down, if there is one: stacks not started
+        """Shut the worker pool down, if there is one: batches not started
         yet are dropped, and every worker is joined."""
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
@@ -128,60 +108,41 @@ class CachedEvaluator:
         self.many([key])
         return self._cache[key]
 
-    def _store(self, key, val):
-        self.call_count += 1
-        if not 0 <= val <= 1:
-            raise EvaluatorError(f"evaluator returned {val} outside [0, 1] for {key}")
-        self._cache[key] = val
-
-    def _stacks(self, pending):
-        """``pending`` split into stacks: the sets of each size, in order,
-        dealt into one contiguous run per worker."""
-        by_size = {}
-        for key in pending:
-            by_size.setdefault(len(key), []).append(key)
-        stacks = []
-        for group in by_size.values():
-            n = min(self._workers, len(group))
-            bounds = [len(group) * i // n for i in range(n + 1)]
-            stacks += [group[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        return stacks
-
     def many(self, sets) -> None:
-        """Evaluate the sets not cached yet, as stacks of same-size sets.
+        """Evaluate the sets not cached yet, dealt in the given order into
+        one contiguous batch per worker.
 
-        Each worker gets one stack of each set size. With two workers or
-        more, every stack runs on the evaluator's forked processes, which
-        inherit ``fn`` and its data as they were at the first evaluation
-        (spawned ones would need both pickled), so only the feature tuples,
-        the floats and a failure's exception are pickled; the pool forks
-        all its workers before it starts its own thread, and keeps them for
-        later calls. With one worker the stacks run in this process. The
-        results are stored in the given order, and the first failing set's
-        error is raised, so the cache, ``call_count`` and the error are
-        those of evaluating each set alone in turn. A worker that dies
-        raises ``EvaluatorError`` after every worker is joined.
+        With two workers or more, every batch runs on the evaluator's forked
+        processes, which inherit ``fn`` and its data as they were at the
+        first evaluation (spawned ones would need both pickled), so only the
+        feature tuples, the floats and a failure's exception are pickled;
+        the pool forks all its workers before it starts its own thread, and
+        keeps them for later calls. With one worker the batch runs in this
+        process. A batch whose ``fn`` raises fails the call with that
+        exception, and a value outside [0, 1] with ``EvaluatorError``; a
+        failed call caches nothing and leaves ``call_count`` as it was. A
+        worker that dies raises ``EvaluatorError`` after every worker is
+        joined.
         """
         pending = list(dict.fromkeys(
             key for key in map(canonical, sets) if key not in self._cache))
         if not pending:
             return
-        stacks = self._stacks(pending)
+        n = min(self._workers, len(pending))
+        bounds = [len(pending) * i // n for i in range(n + 1)]
+        batches = [pending[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         if self._workers < 2:
-            results = [_evaluate(self._fn, keys) for keys in stacks]
+            results = [self._fn(keys) for keys in batches]
         else:
-            results = self._run_pool(stacks)
-        outcome = {}
-        for keys, values in zip(stacks, results):
-            outcome.update(zip(keys, values))
-        # a stack holds its sets in the given order, so a set evaluated
-        # after a failure in its stack comes after that failure here
-        for key in pending:
-            if isinstance(outcome[key], Exception):
-                raise outcome[key]
-            self._store(key, outcome[key])
+            results = self._run_pool(batches)
+        values = [float(v) for batch in results for v in batch]
+        for key, val in zip(pending, values):
+            if not 0 <= val <= 1:
+                raise EvaluatorError(f"evaluator returned {val} outside [0, 1] for {key}")
+        self._cache.update(zip(pending, values))
+        self.call_count += len(pending)
 
-    def _run_pool(self, stacks):
+    def _run_pool(self, batches):
         # imported here, so that commands which never select do not pay for it
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -193,7 +154,7 @@ class CachedEvaluator:
                                              initializer=_init_worker,
                                              initargs=(self._fn, os.getpid()))
         try:
-            return list(self._pool.map(_run_worker, stacks))
+            return list(self._pool.map(_run_worker, batches))
         except BrokenProcessPool as exc:
             self.close()
             raise EvaluatorError(f"a feature-set evaluation worker died: {exc}") from exc

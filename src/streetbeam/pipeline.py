@@ -129,9 +129,10 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
     rates are computed for the sample frames only. The channels of the live
     samples, those with a path, are assembled and searched in chunks of
     about ``_CHUNK_ENTRIES`` channel entries; every outage sample gets the
-    zero channel and the zero channel's rate row, searched once. The rates
-    are searched on each full-precision complex128 channel; the stored
-    channel column is its complex64 rounding, as the container keeps it.
+    zero channel and the zero channel's rate row, written without a search
+    (+0.0 wherever ``P_k / sigma2`` is finite). The rates are searched on
+    each full-precision complex128 channel; the stored channel column is
+    its complex64 rounding, as the container keeps it.
     """
     scene_cfg, rt_cfg, resolution = cfg.scene, cfg.raytrace, cfg.resolution
     horizons = tuple(sorted(cfg.horizons))
@@ -150,14 +151,13 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
     samples = SampleSet(
         label_maps=render_frames([frames[t] for t in t0.tolist()], scene_cfg, resolution),
         locations=np.array([frames[t].user_antenna_pos for t in t0.tolist()], dtype=np.float32),
-        rates=np.empty((n, cfg.M_bm)),
+        # the zero channel's rate row: +0.0, or NaN where P_k / sigma2 overflows
+        rates=np.full((n, cfg.M_bm), np.log2(1 + rt_cfg.P_k / rt_cfg.sigma2 * 0.0)),
         blockage=blockage,
         frame_ids=t0.astype(np.uint32),
         horizons=horizons,
         channels=np.zeros((n, K, N_t), dtype=np.complex64) if cfg.store_channels else None,
     )
-    samples.rates[:] = optimal_beam(np.zeros((K, N_t), dtype=np.complex128), codebook,
-                                    rt_cfg.P_k, rt_cfg.sigma2)
     live = np.flatnonzero(n_paths[t0])
     step = max(_CHUNK_ENTRIES // (K * N_t), 1)
     for i in range(0, len(live), step):
@@ -185,22 +185,22 @@ def training_evaluator(dataset: SampleSet, task, horizon, cfg: TrainConfig):
     on the validation samples of the one split of ``cfg.seed``; its init,
     shuffles and dropout masks come from a seed derived from (``cfg.seed``,
     task, horizon, canonical set), so the evaluator is a pure function of
-    its argument. A search step's candidates of one size train
-    as stacks (``train_stack``), bit for bit as each would alone: one stack
-    per worker process, with one worker per usable CPU, at most
+    its argument. A search step's candidates are dealt into one batch per
+    worker process, which ``train_stack`` trains as stacks, bit for bit as
+    each would alone, with one worker per usable CPU, at most
     ``SELECT_WORKERS_MAX``, so with two CPUs or more every candidate
     trains on a worker, whose BLAS runs one thread. Where the workers' BLAS
     cannot be held to one thread each, they would contend for the CPUs, so
-    the stacks train in this process. The workers are forked at the
+    the candidates train in this process. The workers are forked at the
     search's first step and serve the rest of it; use the evaluator in a
     ``with`` block, which joins them on leaving.
     """
-    def stack(sets):
+    def batch(sets):
         seeds = [derive_seed(cfg.seed, task, str(horizon), ",".join(feats)) for feats in sets]
         return [res.val_accuracy for res in
                 train_stack(dataset, sets, task, cfg, seeds, horizon=horizon)]
     workers = min(len(os.sched_getaffinity(0)), SELECT_WORKERS_MAX)
-    return CachedEvaluator(stack, workers if blas.can_set_threads() else 1)
+    return CachedEvaluator(batch, workers if blas.can_set_threads() else 1)
 
 
 def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=SELECT_EPOCHS,

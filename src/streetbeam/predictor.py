@@ -401,13 +401,15 @@ def train(dataset: SampleSet, features, task, cfg: TrainConfig, horizon=None) ->
 
 def train_stack(dataset: SampleSet, feature_sets, task, cfg: TrainConfig, seeds,
                 horizon=None) -> list:
-    """``train`` of each feature set of one size, as stacks on one split.
+    """``train`` of each feature set, as stacks on one split.
 
     The split comes from ``cfg.seed``, so every model trains and is
     validated on the same samples; the model of ``feature_sets[i]`` draws
     its init, shuffles and dropout masks from ``seeds[i]``. Returns the
     TrainResults in the given order, each bit for bit what a stack of one
-    returns for its set and seed. The sets train ``stack_size`` at a time.
+    returns for its set and seed. A stack's first convolution takes one
+    concept count for all its models, so the sets are grouped by size, in
+    the given order, and each group trains ``stack_size`` sets at a time.
     The process keeps the heap its steps free (``blas.keep_freed_heap``)
     from the first call on.
     """
@@ -417,15 +419,18 @@ def train_stack(dataset: SampleSet, feature_sets, task, cfg: TrainConfig, seeds,
     _, labels = task_labels(dataset, task, horizon)
     models = [Predictor(task, feats, dataset.map_shape, dataset.M_bm, cfg.arch)
               for feats in feature_sets]
-    if len({len(m.concepts) for m in models}) > 1:
-        raise ValueError("a training stack's feature sets must have one size")
     split = split_indices(dataset.frame_ids, cfg.split, cfg.seed)
     size = stack_size(dataset.map_shape, cfg.batch_size)
-    results = []
-    for lo in range(0, len(models), size):
-        results += _train_stack(dataset, labels, models[lo:lo + size], split, cfg,
-                                seeds[lo:lo + size])
-    return results
+    by_size = {}
+    for i, model in enumerate(models):
+        by_size.setdefault(len(model.concepts), []).append(i)
+    results = {}
+    for group in by_size.values():
+        for lo in range(0, len(group), size):
+            chunk = group[lo:lo + size]
+            results.update(zip(chunk, _train_stack(dataset, labels, [models[i] for i in chunk],
+                                                   split, cfg, [seeds[i] for i in chunk])))
+    return [results[i] for i in range(len(models))]
 
 
 def _train_stack(dataset, labels, models, split, cfg, seeds):

@@ -34,10 +34,6 @@ CONCEPT_NAMES = (
 class ConceptCatalog:
     names: tuple = CONCEPT_NAMES
 
-    @property
-    def M_con(self):
-        return len(self.names)
-
     def index(self, name: str) -> int:
         return self.names.index(name)
 

@@ -23,7 +23,7 @@ from streetbeam.predictor import Predictor, _batch_loss_grad
 from streetbeam.scene import (_SPAWN_GAP, VEHICLE_CLASSES, CameraPose, ConfigError, Frame,
                               ScenarioStreams, SceneConfig, VehicleClass, _boxes,
                               vehicle_class)
-from streetbeam.semantics import CATALOG
+from streetbeam.semantics import CONCEPT_NAMES
 
 
 class TargetLostError(RuntimeError):
@@ -39,8 +39,8 @@ def named(tree):
 def extract_mask(labels: np.ndarray, concept: int) -> np.ndarray:
     """Binary zero-mask isolating one concept from the (H, W) segmentation
     map: (H, W) uint8 in {0, 1}."""
-    if not 0 <= concept < CATALOG.M_con:
-        raise IndexError(f"concept index {concept} out of range 0..{CATALOG.M_con - 1}")
+    if not 0 <= concept < len(CONCEPT_NAMES):
+        raise IndexError(f"concept index {concept} out of range 0..{len(CONCEPT_NAMES) - 1}")
     return (labels == concept).astype(np.uint8)
 
 
@@ -57,7 +57,7 @@ def corrupt_map(labels: np.ndarray, p: float, rng: np.random.Generator) -> np.nd
         return labels
     labels = labels.copy()
     flip = rng.random(labels.shape) < p
-    labels[flip] = rng.integers(0, CATALOG.M_con, size=int(flip.sum()), dtype=np.uint8)
+    labels[flip] = rng.integers(0, len(CONCEPT_NAMES), size=int(flip.sum()), dtype=np.uint8)
     return labels
 
 
@@ -345,7 +345,7 @@ def trace_table(frames, scene, config):
 
 def per_set(fn):
     """A ``CachedEvaluator`` function that evaluates ``fn`` on each set of a
-    stack in turn."""
+    batch in turn."""
     return lambda keys: [fn(key) for key in keys]
 
 

@@ -11,7 +11,7 @@ from streetbeam.checkpoint import (MAGIC, VERSION, CheckpointError,
 from streetbeam.pipeline import _load_model_checkpoint
 from streetbeam.predictor import TINY_ARCH, Predictor, _batch_loss_grad
 from streetbeam.rng import stream
-from streetbeam.semantics import CATALOG
+from streetbeam.semantics import CONCEPT_NAMES
 
 
 def test_roundtrip_arbitrary_tensors(tmp_path):
@@ -80,7 +80,7 @@ def test_loaded_checkpoint_matches_in_memory_model(tmp_path):
               for a, _ in _record_headers(raw)]
     assert stored == sorted(in_model_order) != in_model_order
     loaded = _load_model_checkpoint(path, model)
-    maps = stream(47, "maps").integers(CATALOG.M_con, size=(6, 2, 16, 32)).astype(np.uint8)
+    maps = stream(47, "maps").integers(len(CONCEPT_NAMES), size=(6, 2, 16, 32)).astype(np.uint8)
     loc = stream(48, "loc").normal(size=(6, 3)).astype(np.float32)
     outs = []
     for p, s in ((params, state), loaded):

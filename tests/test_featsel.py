@@ -217,28 +217,33 @@ def test_many_dedups_and_skips_cached(no_children_left):
         assert [ev(s) for s in (("a", "b"), ("c",))] == [0.5, 0.25] and ev.call_count == 3
 
 
-def test_many_stacks_each_set_size(no_children_left):
+def test_many_deals_one_batch_per_worker(tmp_path, no_children_left):
     """An exclusion step whose base is not cached yet has sets of two sizes:
-    it evaluates one stack of each, and the search reads what one set at a
-    time gives."""
+    ``fn`` gets them in the given order as one contiguous batch per worker,
+    and the search reads what one worker gives."""
     table = {("a", "b", "c"): 0.5, ("a", "b"): 0.4, ("a", "c"): 0.7, ("b", "c"): 0.6}
     fn = table_eval(table)
-    seen = []
+    log = tmp_path / "batches"
 
-    def stack(keys):
-        seen.append(list(keys))
+    def batch(keys):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), keys]) + "\n")
         return [fn(key) for key in keys]
 
-    outcomes, stacks = [], []
-    for ev in (CachedEvaluator(stack), CachedEvaluator(stack, workers=2)):
-        with ev:
+    outcomes, batches = [], []
+    for workers in (1, 2):
+        with CachedEvaluator(batch, workers=workers) as ev:
             state = FsState(current=("a", "b", "c"), pinned=())
             moved = exclusion_step(state, ev)
         outcomes.append((moved, state.current, state.trace, ev.call_count))
-        stacks.append(seen[:])
-        seen.clear()
-    assert stacks[0] == [[("a", "b", "c")], [("b", "c"), ("a", "c"), ("a", "b")]]
-    assert stacks[1] == []  # the two-worker stacks ran in the workers
+        batches.append([json.loads(line) for line in log.read_text().splitlines()])
+        log.unlink()
+    base_first = [["a", "b", "c"], ["b", "c"], ["a", "c"], ["a", "b"]]
+    assert [keys for _, keys in batches[0]] == [base_first]
+    assert batches[0][0][0] == os.getpid()
+    # the two-worker batches ran in the workers, in either order
+    assert sorted(keys for _, keys in batches[1]) == sorted([base_first[:2], base_first[2:]])
+    assert os.getpid() not in [pid for pid, _ in batches[1]]
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][:2] == (True, ("a", "c")) and outcomes[0][3] == 4
 
@@ -248,11 +253,11 @@ def test_pooled_evaluator_trains_a_lone_set_on_a_worker(no_children_left):
     run on a worker: this process never calls ``fn``."""
     calls = []
 
-    def stack(keys):
+    def batch(keys):
         calls.append((os.getpid(), list(keys)))
         return [len(key) / 4 for key in keys]
 
-    with CachedEvaluator(stack, workers=2) as ev:
+    with CachedEvaluator(batch, workers=2) as ev:
         ev.many([("a",)])
         assert ev(("b", "a")) == 0.5 and ev.call_count == 2
     assert calls == []
@@ -267,20 +272,22 @@ def _raises_or_out_of_range(first, second):
     return fn
 
 
-@pytest.mark.parametrize("order", [(("a",), ("b",)), (("b",), ("a",))])
+@pytest.mark.parametrize("order", [(("a",), ("b",)), (("b",), ("a",)), (None, ("b",))])
 def test_many_parallel_raises_the_serial_error(order, no_children_left):
+    """A set that raises fails the whole ``many`` call with its error, and
+    a value out of range with ``EvaluatorError``; the failed call caches
+    nothing, for one worker or two."""
     outcomes = []
     for workers in (1, 2):
         with CachedEvaluator(per_set(_raises_or_out_of_range(*order)), workers=workers) as ev:
-            sets = [("c",), ("a",), ("b",), ("d",)]
+            ev(("e",))
             with pytest.raises((ValueError, EvaluatorError)) as info:
-                ev.many(sets)  # a search step's reads, as in inclusion_step
-                for s in sets:
-                    ev(s)
-        outcomes.append((type(info.value), str(info.value), ev.call_count))
+                ev.many([("c",), ("a",), ("b",), ("d",)])  # a search step's sets
+            assert ev.call_count == 1
+            assert ev(("c",)) == 0.5 and ev.call_count == 2  # evaluated anew
+        outcomes.append((type(info.value), str(info.value)))
     assert outcomes[0] == outcomes[1]
-    # the first failing set in the given order decides the error
-    assert outcomes[0][0] is (ValueError if order[0] == ("a",) else EvaluatorError)
+    assert outcomes[0][0] is (ValueError if order[0] is not None else EvaluatorError)
 
 
 def test_many_worker_death_fails_closed(no_children_left):
@@ -309,20 +316,20 @@ def test_many_worker_death_in_a_later_step_fails_closed(no_children_left):
 
 
 def test_search_forks_its_workers_once(tmp_path, no_children_left):
-    """The workers forked at a search's first step run the stacks of every
+    """The workers forked at a search's first step run the batches of every
     later one."""
     log = tmp_path / "pids"
 
-    def stack(keys):
+    def batch(keys):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return [len(key) / 4 for key in keys]
 
-    with CachedEvaluator(stack, workers=2) as ev:
+    with CachedEvaluator(batch, workers=2) as ev:
         assert sffs(("a", "b", "c", "d"), ev, v_max=3)[0] == ("a", "b", "c")
     assert multiprocessing.active_children() == []
     pids = [int(pid) for pid in log.read_text().split()]
-    # three inclusion steps, of 4, 3 and 2 sets, ran two stacks each on the
+    # three inclusion steps, of 4, 3 and 2 sets, ran two batches each on the
     # workers, and so did the last exclusion step's one new set
     workers = [pid for pid in pids if pid != os.getpid()]
     assert len(workers) == 7 and len(pids) == 7

@@ -825,11 +825,26 @@ def test_train_stack_matches_each_set_trained_alone(task, monkeypatch):
     assert runs == [2, 2, 1]
 
 
-def test_train_stack_rejects_mixed_set_sizes_and_missing_seeds():
+def test_train_stack_groups_mixed_set_sizes_and_rejects_missing_seeds(monkeypatch):
+    """Sets of several sizes train as one stack per size, in the order each
+    size first appears, and come back in the given order, each bit for bit
+    what it gives alone."""
     dataset = _synthetic_sampleset()
     cfg = TrainConfig(batch_size=8, epochs=1, arch=TINY_ARCH)
-    with pytest.raises(ValueError, match="one size"):
-        predictor.train_stack(dataset, [("location", "vehicle"), ("location",)],
-                              "beam", cfg, [0, 1])
+    sets = [("location", "vehicle"), ("location",), ("location", "building", "vehicle"),
+            ("location", "pole")]
+    seeds = [4, 0, 2, 1]
+    alone = [predictor.train_stack(dataset, [feats], "beam", cfg, [seed])[0]
+             for feats, seed in zip(sets, seeds)]
+    runs, train_run = [], predictor._train_stack
+
+    def record(dataset, labels, models, *args):
+        runs.append([m.features for m in models])
+        return train_run(dataset, labels, models, *args)
+    monkeypatch.setattr(predictor, "_train_stack", record)
+    for got, want in zip(predictor.train_stack(dataset, sets, "beam", cfg, seeds), alone,
+                         strict=True):
+        _assert_same_result(got, want)
+    assert runs == [[sets[0], sets[3]], [sets[1]], [sets[2]]]
     with pytest.raises(ValueError, match="one seed per feature set"):
         predictor.train_stack(dataset, [("location", "vehicle")], "beam", cfg, [0, 1])

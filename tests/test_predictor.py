@@ -13,7 +13,7 @@ from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor,
                                   predict, sigmoid, split_indices,
                                   stack_size, task_labels, train)
 from streetbeam.scene import from_plain, to_plain
-from streetbeam.semantics import CATALOG
+from streetbeam.semantics import CATALOG, CONCEPT_NAMES
 
 
 def planted_sampleset(n=80, hw=(16, 32), M_bm=4, seed=0):
@@ -55,7 +55,7 @@ TINY_MAPS = (2, 16, 32)  # (n_cams, H, W) of the maps the TINY_ARCH tests read
 
 def random_maps(rng, shape):
     """uint8 label maps over the whole catalog."""
-    return rng.integers(0, CATALOG.M_con, size=shape).astype(np.uint8)
+    return rng.integers(0, len(CONCEPT_NAMES), size=shape).astype(np.uint8)
 
 
 def test_forward_eval_deterministic_and_shapes():

@@ -152,7 +152,7 @@ def test_catalog_exact():
         "sky", "ground", "bridge", "railtrack", "trafficlight",
         "static", "dynamic", "water", "terrain", "unlabeled",
     )
-    assert CATALOG.M_con == 20
+    assert CATALOG.names == CONCEPT_NAMES
     for i, name in enumerate(CONCEPT_NAMES):
         assert CATALOG.index(name) == i
 
@@ -252,10 +252,10 @@ def test_render_frame_per_camera():
 
 def test_masks_partition_and_histogram():
     rng = stream(0, "test.masks")
-    labels = rng.integers(0, CATALOG.M_con, size=(32, 64)).astype(np.uint8)
-    hist = np.bincount(labels.reshape(-1), minlength=CATALOG.M_con)
+    labels = rng.integers(0, len(CONCEPT_NAMES), size=(32, 64)).astype(np.uint8)
+    hist = np.bincount(labels.reshape(-1), minlength=len(CONCEPT_NAMES))
     union = np.zeros_like(labels)
-    for c in range(CATALOG.M_con):
+    for c in range(len(CONCEPT_NAMES)):
         m = extract_mask(labels, c)
         assert m.sum() == hist[c]
         assert not (union & m).any()  # pairwise disjoint
@@ -267,7 +267,7 @@ def test_extract_mask_errors_and_trivial():
     labels = np.full((16, 16), SKY, dtype=np.uint8)
     assert extract_mask(labels, VEHICLE).sum() == 0
     with pytest.raises(IndexError):
-        extract_mask(labels, CATALOG.M_con)
+        extract_mask(labels, len(CONCEPT_NAMES))
     with pytest.raises(IndexError):
         extract_mask(labels, -1)
 
