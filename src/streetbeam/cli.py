@@ -42,6 +42,8 @@ def _parse_g_list(text):
         raise PipelineError(f"--g-list must be comma-separated integers, got {text!r}")
     if not gs or min(gs) < 1:
         raise PipelineError("--g-list entries must be positive")
+    if len(set(gs)) != len(gs):
+        raise PipelineError("--g-list entries must be distinct")
     return gs
 
 

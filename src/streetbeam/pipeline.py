@@ -24,8 +24,8 @@ from .nn import leaves
 from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, accuracy,
                         predict, split_indices, task_labels, train, train_stack)
 from .rng import derive_seed
-from .scene import (SceneConfig, check_fields, check_max, check_min, from_plain,
-                    generate_scenario, to_plain)
+from .scene import (ConfigError, SceneConfig, check_fields, check_max, check_min,
+                    from_plain, generate_scenario, to_plain)
 from .semantics import MAX_SIDE, render_frames
 
 log = logging.getLogger(__name__)
@@ -285,9 +285,10 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
 
     The model is rebuilt for the feature set and the map shape its
     ``.meta.json`` records; another map shape or codebook size, or a meta
-    file that lacks a key, raises ``PipelineError`` before the checkpoint
-    is read. Top-G accuracy and TRR read the codeword rates stored per
-    sample, so the beam task needs neither the channels nor the link budget.
+    file that lacks a key or whose seed, split or arch ``TrainConfig``
+    rejects, raises ``PipelineError`` before the checkpoint is read. Top-G
+    accuracy and TRR read the codeword rates stored per sample, so the beam
+    task needs neither the channels nor the link budget.
     """
     horizon, labels = task_labels(dataset, task, horizon)
     if task == "beam":
@@ -308,17 +309,18 @@ def cmd_eval(dataset: SampleSet, out_dir, task, horizon=None,
     if meta["map_shape"] != list(dataset.map_shape):
         raise PipelineError(f"checkpoint map shape {meta['map_shape']} differs from "
                             f"the dataset's map shape {list(dataset.map_shape)}")
-    model = Predictor(task, meta["features"], dataset.map_shape, meta["M_bm"],
-                      from_plain(ArchConfig, meta["arch"]))
+    try:
+        tc = from_plain(TrainConfig, {k: meta[k] for k in ("seed", "split", "arch")})
+    except ConfigError as exc:
+        raise PipelineError(f"{meta_path}: {exc}") from None
+    model = Predictor(task, meta["features"], dataset.map_shape, meta["M_bm"], tc.arch)
     params, state = _load_model_checkpoint(ckpt_path, model)
 
-    _, _, test_idx = split_indices(dataset.frame_ids, tuple(meta["split"]),
-                                   meta["seed"])
+    _, _, test_idx = split_indices(dataset.frame_ids, tc.split, tc.seed)
     if len(test_idx) == 0:
         raise PipelineError("empty test split")
 
-    fragment = {"task": task, "horizon": horizon, "n": int(len(test_idx)),
-                "seed": meta["seed"]}
+    fragment = {"task": task, "horizon": horizon, "n": int(len(test_idx)), "seed": tc.seed}
     if task == "beam":
         out = predict(model, params, state, dataset, test_idx)
         order = np.argsort(-out, axis=1, kind="stable")

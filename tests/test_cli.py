@@ -1,6 +1,8 @@
+import importlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 
@@ -14,6 +16,51 @@ from streetbeam.scene import to_plain
 TINY_ARCH_JSON = {"aux_widths": [16, 8],
                   "beam_conv": [[4, 2]], "beam_res": [[4, 1]], "beam_hidden": 16,
                   "bl_conv": [[4, 2]], "bl_res": [[4, 1]], "bl_hidden": 8}
+
+SRC = os.path.dirname(os.path.dirname(sys.modules["streetbeam"].__file__))
+ROOT = os.path.dirname(os.path.dirname(__file__))
+
+# Run configs of the subprocess checks. CFG8 is a 16x32 street with N_t = K = 8.
+# WIDE takes the default RayTraceConfig (N_t 64, K 128), whose coarse steering
+# table is multiplied, where N_t 8 has a single block. ROOF puts a level camera
+# at a car's roof height with odd map sides, so rays lie in box face planes.
+# TWO is a 2-sample dataset; CFG80 trains the default arch at 80x160.
+STREET = {"frame_count": 60, "spawn_rate": 0.6}
+CFG8 = {"scene": STREET, "raytrace": {"N_t": 8, "K": 8}, "resolution": [16, 32],
+        "horizons": [1]}
+WIDE = {"scene": STREET, "resolution": [16, 32], "horizons": [1]}
+ROOF = {**CFG8, "resolution": [17, 33],
+        "scene": {**STREET, "camera_poses": [{"position": [100.0, 9.0, 1.55],
+                                              "yaw": 3.141592653589793, "pitch": 0.0,
+                                              "hfov": 1.6}]}}
+TWO = {"scene": {"frame_count": 3, "spawn_rate": 0,
+                 "initial_vehicles": [["car", [50.0, -5.25], 0, 10.0]]},
+       "resolution": [16, 32], "horizons": [1]}
+CFG80 = {"scene": {**STREET, "frame_count": 200, "bs_position": [100.0, -8.0, 2.0]},
+         "raytrace": {"N_t": 16, "K": 16}, "resolution": [80, 160], "horizons": [1],
+         "M_bm": 16}
+# a child pinned to one CPU pins itself before numpy loads OpenBLAS, which
+# sizes its thread pool to the usable CPUs, as under `taskset -c`
+PINNED = ("import os, runpy\nos.sched_setaffinity(0, {{{}}})\n"
+          "runpy.run_module('streetbeam.cli', run_name='__main__', alter_sys=True)")
+
+
+def cli(*args, env=None, cpu=None):
+    """``python -m streetbeam.cli args`` in a fresh process, with ``env`` added
+    to this one's environment; with ``cpu``, on that one CPU."""
+    code = ["-m", "streetbeam.cli"] if cpu is None else ["-c", PINNED.format(cpu)]
+    return subprocess.run([sys.executable, *code, *map(str, args)], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC, **(env or {})})
+
+
+def files(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+def write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return path
 
 
 def write_config(tmp_path, frames=60):
@@ -46,10 +93,11 @@ def test_full_cli_run(tmp_path, capsys):
     sel = json.loads((tmp_path / "run" / "selected_beam.json").read_text())
     assert "location" in sel["features"]
 
+    # without --features, train reads the selection
     assert main(["train", "--config", str(cfg), "--dataset", dataset,
-                 "--task", "beam", "--epochs", "2", "--out", out,
-                 "--features", "location,vehicle"]) == 0
-    assert (tmp_path / "run" / "beam.esnn").exists()
+                 "--task", "beam", "--epochs", "2", "--out", out]) == 0
+    meta = json.loads((tmp_path / "run" / "beam.meta.json").read_text())
+    assert meta["features"] == sel["features"]
     assert main(["eval", "--dataset", dataset, "--task", "beam",
                  "--g-list", "1,2,8", "--out", out]) == 0
 
@@ -92,6 +140,11 @@ def test_validation_errors_exit_1(tmp_path, capsys):
           "--epochs", "1", "--out", out, "--features", "location,vehicle"])
     assert main(["eval", "--dataset", dataset, "--task", "beam",
                  "--g-list", "zero", "--out", out]) == 1
+    # a repeated G would write duplicate rows to metrics.csv
+    capsys.readouterr()
+    assert main(["eval", "--dataset", dataset, "--task", "beam",
+                 "--g-list", "2,1,2", "--out", out]) == 1
+    assert capsys.readouterr().err == "error: --g-list entries must be distinct\n"
     # a G above the codebook (M_bm = 8) fails before the checkpoint is read
     capsys.readouterr()
     (tmp_path / "run" / "beam.esnn").write_bytes(b"not a checkpoint")
@@ -248,7 +301,7 @@ def test_select_without_a_valid_selection_exits_1(tmp_path, capsys, monkeypatch,
 def test_readme_config_block_loads(tmp_path):
     """The config documented in README.md loads through the run-config
     loader with each of its values, so the documented schema is the code's."""
-    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    readme = os.path.join(ROOT, "README.md")
     with open(readme) as fh:
         block = fh.read().split("```json\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "cfg.json"
@@ -272,14 +325,25 @@ def test_io_errors_exit_2(tmp_path, capsys):
                  "--task", "beam", "--out", out]) == 2
 
 
-def test_cli_determinism(tmp_path):
-    cfg = write_config(tmp_path, frames=40)
-    a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["generate", "--config", str(cfg), "--out", a]) == 0
-    assert main(["generate", "--config", str(cfg), "--out", b]) == 0
-    ma = (tmp_path / "a" / "dataset" / "manifest.json").read_bytes()
-    mb = (tmp_path / "b" / "dataset" / "manifest.json").read_bytes()
-    assert ma == mb
+@pytest.mark.parametrize("variant", [{"PYTHONHASHSEED": "2"}, {"OPENBLAS_NUM_THREADS": "1"}],
+                         ids=["hash-seed-2", "one-blas-thread"])
+@pytest.mark.parametrize("config, base", [
+    (CFG8, {"PYTHONHASHSEED": "1"}),
+    (WIDE, {"PYTHONHASHSEED": "1"}),
+    # rays in box face planes miss without a RuntimeWarning
+    (ROOF, {"PYTHONWARNINGS": "error::RuntimeWarning"}),
+], ids=["cfg8", "wide", "roof17x33"])
+def test_cli_determinism(tmp_path, config, base, variant):
+    """Generation writes the same container files, byte for byte, under
+    another hash seed and on one BLAS thread: the beam search's GEMMs do not
+    depend on the thread count."""
+    cfg = write_json(tmp_path / "cfg.json", config)
+    written = []
+    for name, env in (("base", base), ("variant", variant)):
+        proc = cli("generate", "--config", cfg, "--out", tmp_path / name, env=env)
+        assert proc.returncode == 0, proc.stderr
+        written.append(files(tmp_path / name / "dataset"))
+    assert written[0] == written[1]
 
 
 def test_corrupt_artifacts_exit_2(tmp_path, capsys):
@@ -486,9 +550,10 @@ def test_json_artifact_without_a_key_exits_1(tmp_path, capsys):
 
 def test_json_artifact_with_a_bad_value_exits_1(tmp_path, capsys):
     """A selection naming an unknown feature or holding no feature list, a
-    meta file whose list keys hold no list, a beam fragment whose metric
-    tables lack a G of its g_list, and a truncated or non-UTF-8 file fail
-    closed with one error line naming the file and the value."""
+    meta file whose list keys hold no list or whose seed or split is not of
+    its type, a beam fragment whose metric tables lack a G of its g_list,
+    and a truncated or non-UTF-8 file fail closed with one error line
+    naming the file and the value."""
     cfg = write_config(tmp_path, frames=30)
     run = tmp_path / "run"
     dataset = str(run / "dataset")
@@ -527,6 +592,11 @@ def test_json_artifact_with_a_bad_value_exits_1(tmp_path, capsys):
              "'map_shape' must be a list, got '2x16x32'"),
             ("beam.meta.json", evaluate, edited("beam.meta.json", "features", "vehicle"),
              "'features' must be a list, got 'vehicle'"),
+            # seed, split and arch are read through the TrainConfig schema
+            ("beam.meta.json", evaluate, edited("beam.meta.json", "seed", None),
+             "seed must be an integer"),
+            ("beam.meta.json", evaluate, edited("beam.meta.json", "split", [0.7, "a", 0.15]),
+             "split[1] must be a finite number"),
             ("eval_beam.json", report, dropped_g("topg_accuracy"),
              "missing key topg_accuracy['2']"),
             ("eval_beam.json", report, dropped_g("trr"), "missing key trr['2']"),
@@ -548,29 +618,83 @@ def test_json_artifact_with_a_bad_value_exits_1(tmp_path, capsys):
 
 def test_select_outputs_do_not_depend_on_usable_cpus(tmp_path, capsys, monkeypatch,
                                                      no_children_left):
+    """A search writes the same selection and trace on forked workers as in
+    this process on one usable CPU, and under another hash seed. At 80x160
+    the default arch's training bytes depend on the BLAS thread count; a
+    pooled search still writes what one CPU writes, because every worker
+    trains on one thread. So does ``train`` on one BLAS thread."""
+    cpu = min(os.sched_getaffinity(0))  # read before the patch below
     cfg = write_config(tmp_path, frames=30)
     out = str(tmp_path / "run")
     assert main(["generate", "--config", str(cfg), "--out", out]) == 0
     select = ["select", "--config", str(cfg), "--dataset", str(tmp_path / "run" / "dataset"),
               "--task", "beam", "--vmax", "2", "--epochs", "1"]
     monkeypatch.setattr("streetbeam.blas.can_set_threads", lambda: True)
-    files = []
     for cpus in (2, 1):  # as under `taskset -c 0,1` and `taskset -c 0`
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert main(select + ["--out", str(tmp_path / f"cpus{cpus}")]) == 0
-        files.append({p.name: p.read_bytes() for p in (tmp_path / f"cpus{cpus}").iterdir()})
-    assert files[0] == files[1]
-    assert set(files[0]) == {"select_beam.trace.jsonl", "selected_beam.json"}
+    assert files(tmp_path / "cpus2") == files(tmp_path / "cpus1")
+    assert set(files(tmp_path / "cpus2")) == {"select_beam.trace.jsonl", "selected_beam.json"}
+
+    # the same in fresh processes, one of them pinned to one CPU
+    for name, config, seeded, search in (("16x32", CFG8, [], ["--vmax", "2", "--epochs", "1"]),
+                                         ("80x160", CFG80, ["--seed", "3"],
+                                          ["--vmax", "4", "--epochs", "2"])):
+        run = tmp_path / name
+        cfg = write_json(tmp_path / f"{name}.json", config)
+        assert main(["generate", "--config", str(cfg), *seeded, "--out", str(run)]) == 0
+        select = ["select", "--config", cfg, "--dataset", run / "dataset", "--task", "beam",
+                  *seeded, *search, "--out"]
+        procs = {"pool": cli(*select, run / "pool", env={"PYTHONHASHSEED": "1"}),
+                 "cpu": cli(*select, run / "cpu", cpu=cpu)}
+        if config is CFG8:
+            procs["hash"] = cli(*select, run / "hash", env={"PYTHONHASHSEED": "2"})
+        for out, proc in procs.items():
+            assert proc.returncode == 0, (out, proc.stderr)
+            assert files(run / out) == files(run / "pool"), out
+
+    run = tmp_path / "16x32"
+    train = ["train", "--config", tmp_path / "16x32.json", "--dataset", run / "dataset",
+             "--task", "beam", "--epochs", "1", "--out"]
+    for out, env in (("train", None), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        (run / out).mkdir()
+        shutil.copy(run / "pool" / "selected_beam.json", run / out)
+        proc = cli(*train, run / out, env=env)
+        assert proc.returncode == 0, proc.stderr
+    assert files(run / "one") == files(run / "train")
+    assert set(files(run / "one")) == {"beam.esnn", "beam.meta.json", "selected_beam.json"}
+
+
+def test_select_without_a_train_val_split_exits_1(tmp_path):
+    """Two samples leave no train/val split: the search's first step fails
+    once, with exit 1 and one stderr line, log lines included."""
+    cfg = write_json(tmp_path / "two.json", TWO)
+    run = tmp_path / "two"
+    assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 0
+    assert len(read_container(run / "dataset")[0]) == 2
+    proc = cli("select", "--config", cfg, "--dataset", run / "dataset", "--task", "beam",
+               "--out", run)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: empty train/val split"), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_console_script_is_cli_main():
+    """The installed ``streetbeam`` script runs the ``main`` the tests call."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, attr = scripts["streetbeam"].split(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_cli_import_leaves_out_scipy_and_the_worker_pool():
     """Commands that never select do not import the selection pool's
     modules, and nothing imports scipy."""
-    src = os.path.dirname(os.path.dirname(sys.modules["streetbeam"].__file__))
     code = ("import sys, streetbeam.cli; print(*(m for m in ('scipy', 'multiprocessing', "
             "'concurrent.futures') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
     assert out.stdout.split() == []
 
 
@@ -584,7 +708,6 @@ def test_training_outputs_do_not_depend_on_the_allocator_setting(tmp_path):
     cfg = write_config(tmp_path)
     cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "resolution": [48, 96]}))
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-    src = os.path.dirname(os.path.dirname(sys.modules["streetbeam"].__file__))
     code = ("import sys\nfrom streetbeam import blas, cli\n"
             "if sys.argv[1] == 'default':\n    blas.keep_freed_heap = lambda: False\n"
             "print(cli.main(sys.argv[2:]), blas.keep_freed_heap())")
@@ -595,9 +718,10 @@ def test_training_outputs_do_not_depend_on_the_allocator_setting(tmp_path):
                  "--task", "beam", "--features", "location,vehicle", "--epochs", "3",
                  "--out", str(out)]
         run = subprocess.run([sys.executable, "-c", code, malloc, *train], capture_output=True,
-                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+                             text=True, check=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": SRC})
         kept = platform.libc_ver()[0] == "glibc" and malloc == "kept"
         assert run.stdout.split()[-2:] == ["0", str(kept)], run.stdout
-        outputs[malloc] = {p.name: p.read_bytes() for p in out.iterdir()}
+        outputs[malloc] = files(out)
     assert set(outputs["kept"]) == {"beam.esnn", "beam.meta.json"}
     assert outputs["kept"] == outputs["default"]
