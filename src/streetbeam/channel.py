@@ -4,8 +4,10 @@ Deterministic image-method tracing finds the direct path, single bounces
 off the two building facades, and the ground bounce of each frame's target
 user. Paths blocked by any non-target vehicle box are discarded: the
 candidate legs of all frames are tested against their own frame's boxes in
-one slab test per chunk of frames. The surviving paths of F frames form one
-padded table, ``paths`` (F, P, 5) float64 with the columns
+one slab test per chunk of frames, on the (leg, box) pairs whose x and y
+extents come within 1e-6 m of each other; the others cannot meet. The
+surviving paths of F frames form one padded table, ``paths`` (F, P, 5)
+float64 with the columns
 
     alpha (linear amplitude), phi (phase in [0, 2 pi)), tau (delay, s),
     theta_az (azimuth at the BS array), theta_el (elevation)
@@ -55,6 +57,9 @@ class RayTraceConfig:
         check_min(self, 1, ("K", "N_t", "max_paths"))
         check_min(self, 0, ("subcarrier_spacing",))
         check_min(self, 0, ("f_c", "sigma2", "P_k"), strict=True)
+        if not math.isfinite(float(self.P_k) / float(self.sigma2)):  # Python floats: no warning
+            # an infinite SNR makes the rate of a zero gain NaN
+            raise ConfigError(f"P_k / sigma2 must be finite, got {self.P_k} / {self.sigma2}")
         if abs(self.reflection_coeff) > 1:
             raise ConfigError("reflection_coeff must have |reflection_coeff| <= 1")
         if self.d is None:
@@ -72,6 +77,7 @@ class RayTraceConfig:
 
 
 _CHUNK_FRAMES = 64  # frames per slab test; bounds its (3, pairs) temporaries
+_MARGIN = 1e-6  # m; a (leg, box) pair whose x or y extents lie further apart misses
 _SPLIT = 8  # antennas per fine steering table; 8 beat 4 and 16 at N_t 64, K 128
 
 
@@ -79,10 +85,15 @@ def _legs_blocked(p0, p1, leg_frame, frames, eps=1e-9):
     """Whether each leg ``p0[i] -> p1[i]`` crosses the box of a vehicle
     other than the target in its frame ``frames[leg_frame[i]]``.
 
-    Every (leg, box) pair is tested at once by the slab method on the
-    segment parameter: an axis with ``|d| < eps`` contributes the bounds
-    (0, 1) and misses unless ``p0`` lies within ``eps`` of the slab; the leg
-    misses when ``t0 > t1 + eps`` and hits when ``t1 > eps and t0 < 1 - eps``.
+    The (leg, box) pairs whose x and y extents meet, each widened by
+    ``_MARGIN``, are tested at once by the slab method on the segment
+    parameter: an axis with ``|d| < eps`` contributes the bounds (0, 1) and
+    misses unless ``p0`` lies within ``eps`` of the slab; the leg misses
+    when ``t0 > t1 + eps`` and hits when ``t1 > eps and t0 < 1 - eps``.
+    The other pairs miss by that test too: past a leg's end along an axis,
+    a box puts t0 above 1 or t1 below 0 (a parallel axis: ``p0`` more than
+    ``eps`` outside the slab), and the margin, far above ``eps`` and the
+    rounding of these coordinates, keeps the borderline pairs in the test.
     """
     others = [f.ids != f.target_user_id for f in frames]
     keep = np.concatenate(others)
@@ -93,6 +104,11 @@ def _legs_blocked(p0, p1, leg_frame, frames, eps=1e-9):
     first = np.cumsum(box_count) - box_count
     leg = np.repeat(np.arange(len(leg_frame)), n)
     box = np.repeat(first[leg_frame] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    low = np.minimum(p0, p1)[:, :2].T - _MARGIN
+    high = np.maximum(p0, p1)[:, :2].T + _MARGIN
+    meet = ((boxes[:, 0, :2].T.take(box, axis=1) <= high.take(leg, axis=1))
+            & (boxes[:, 1, :2].T.take(box, axis=1) >= low.take(leg, axis=1))).all(axis=0)
+    leg, box = leg[meet], box[meet]
     # (3, pairs), C-ordered so that the reductions over axes run row by row
     q = p0.T.take(leg, axis=1)
     d = (p1 - p0).T.take(leg, axis=1)

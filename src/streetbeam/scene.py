@@ -5,6 +5,8 @@ sidewalks and continuous building facades on both sides. Vehicles travel
 along lane axes only (lanes on the negative-y half run towards +x, the
 others towards -x), advance once per slot, despawn when they leave the
 street, and are spawned at the entry edge from a seeded Poisson stream.
+They never overtake, so the generator keeps each lane ordered lead vehicle
+first across slots and never re-sorts it.
 
 Coordinate frame: x along the street in [0, street_length_m], y lateral
 (road centred on y = 0), z up, all in meters.
@@ -140,11 +142,12 @@ def check_min(config, low, names, strict=False):
             raise ConfigError(f"{name} must be {'>' if strict else '>='} {low}")
 
 
-def check_max(config, high, names):
-    """ConfigError unless each number in the fields ``names`` is <= ``high``."""
+def check_max(config, high, names, strict=False):
+    """ConfigError unless each number in the fields ``names`` is <= ``high`` (< if strict)."""
     for name in names:
-        if max(np.ravel(getattr(config, name)).tolist(), default=-math.inf) > high:
-            raise ConfigError(f"{name} must be <= {high}")
+        v = max(np.ravel(getattr(config, name)).tolist(), default=-math.inf)
+        if v > high or (strict and v == high):
+            raise ConfigError(f"{name} must be {'<' if strict else '<='} {high}")
 
 
 @dataclass(frozen=True)
@@ -302,7 +305,9 @@ class SceneConfig:
         if len(self.camera_poses) < 1:
             raise ConfigError("at least one camera is required")
         for cam in self.camera_poses:
+            # at pi the focal length is 0 and past it negative
             check_min(cam, 0, ("hfov",), strict=True)
+            check_max(cam, math.pi, ("hfov",), strict=True)
 
     @property
     def road_half_width(self):
@@ -345,6 +350,8 @@ class ScenarioStreams:
 
 
 _SPAWN_GAP = 0.5  # minimum bumper gap kept on spawn and when following, meters
+_HALF_LENGTH = [c.length / 2 for c in VEHICLE_CLASSES]
+_HALF_WIDTH = [c.width / 2 for c in VEHICLE_CLASSES]
 
 
 def _pick_target(ids, classes, x, y, config, target_rng):
@@ -363,19 +370,49 @@ def _pick_target(ids, classes, x, y, config, target_rng):
     return int(pool[int(target_rng.integers(len(pool)))])
 
 
+def _entry_blocked(lanes, sign, k, c, cx, cy, classes, y):
+    """Whether a vehicle of class ``c`` spawned at (cx, cy), the entry edge
+    of lane ``k``, would come within a bumper gap of a vehicle on the street.
+
+    ``lanes`` holds each lane's ids and x, lead vehicle first, and
+    ``classes`` and ``y`` are columns by id. Only the vehicles near the
+    edge are tested: a lane is ordered along x, so its scan starts at the
+    end nearest the edge (the tail of a lane running the way lane ``k``
+    runs, the head of one running the other way) and stops at the first
+    centre beyond the reach of any class, one metre of slack included.
+    """
+    gap, s, hl, hw = _SPAWN_GAP, sign[k], _HALF_LENGTH, _HALF_WIDTH
+    reach = hl[c] + gap + max(hl) + 1.0
+    for m, (ids, xs) in enumerate(lanes):
+        for j in range(len(ids) - 1, -1, -1) if sign[m] == s else range(len(ids)):
+            xo, co, yo = xs[j], classes[ids[j]], y[ids[j]]
+            if s * (xo - cx) >= reach:
+                break
+            if (cx - hl[c] - gap < xo + hl[co] and xo - hl[co] < cx + hl[c] + gap
+                    and cy - hw[c] - gap < yo + hw[co] and yo - hw[co] < cy + hw[c] + gap):
+                return True
+    return False
+
+
 def generate_scenario(config: SceneConfig):
     """Generate ``config.frame_count`` frames; pure function of the config.
 
-    The street is stepped on Python scalars, one list per vehicle column in
-    id order. Each slot after the first moves every vehicle along its lane,
-    clamps it a bumper gap behind the vehicle ahead in its lane (each lane's
-    lead vehicle first), despawns the vehicles that left the street, spawns
-    the slot's Poisson draw at the entry edges unless the entry is blocked,
-    and re-targets when the target is gone. The columns of all slots collect
-    in typed buffers and become one block per column, which the frames slice:
-    thousands of small live per-frame buffers fragment the heap, and repeated
-    generates in one process then grew peak RSS by about 12% (gen-wideband,
-    seed 511).
+    The street is stepped on Python scalars, each lane as the ids and x
+    positions of its vehicles, lead vehicle first. Each slot after the first
+    moves each lane in one pass, clamping every vehicle a bumper gap behind
+    the one ahead; despawns the vehicles that left the street; spawns the
+    slot's Poisson draw at the entry edges unless the entry is blocked; and
+    re-targets when the target is gone. The clamp keeps every follower
+    behind its leader, so a lane's order changes only at its ends: vehicles
+    leave from its head (past the exit) or its tail (pushed back over the
+    entry), and a spawn joins at its place along x (the tail, unless a
+    vehicle off the lane axis lets it pass); nothing is re-sorted. Each slot
+    records only its ids and x positions in typed buffers; the other columns
+    are fixed per vehicle and are gathered by id once at the end, after one
+    ``np.lexsort`` puts every slot in id order. The frames slice one block
+    per column: thousands of small live per-frame buffers fragment the heap,
+    and repeated generates in one process then grew peak RSS by about 12%
+    (gen-wideband, seed 511).
 
     Raises ConfigError when no vehicle can ever exist (spawn_rate == 0 and
     no pre-placed vehicles), since no target user would be available.
@@ -386,55 +423,80 @@ def generate_scenario(config: SceneConfig):
     streams = ScenarioStreams.from_seed(config.seed)
     length, dt, gap = config.street_length_m, config.slot_duration_s, _SPAWN_GAP
     sign = [float(config.lane_sign(k)) for k in range(config.lane_count)]
-    hl, hw = [c.length / 2 for c in VEHICLE_CLASSES], [c.width / 2 for c in VEHICLE_CLASSES]
-    rows = config.initial_vehicles
-    ids = list(range(len(rows)))  # never reused, even after despawns
+    hl, rows = _HALF_LENGTH, config.initial_vehicles  # hl: half length by class
+    # the columns that stay fixed, by id (ids are never reused, even after
+    # despawns), with each vehicle's half length and step along x per slot
     classes = [VEHICLE_CLASSES.index(vehicle_class(r[0])) for r in rows]
-    x, y = [float(r[1][0]) for r in rows], [float(r[1][1]) for r in rows]
-    speed, lane = [float(r[3]) for r in rows], [int(r[2]) for r in rows]
-    next_id, target, draw = len(rows), None, 0
-    bufs = [array.array(code) for code in "qqdddq"]  # the columns of every slot
-    slots = []  # (vehicle count, target, spawn draw) of every slot
-    for t in range(config.frame_count):
-        if t:
-            sgn = [sign[k] for k in lane]
-            moved = [xi + s * v * dt for xi, s, v in zip(x, sgn, speed)]
-            ahead = {}  # lane -> index of the vehicle last placed in it
-            # each lane's lead vehicle first (largest coordinate along travel direction)
-            key = [-(s * xi) for s, xi in zip(sgn, x)]
-            for i in sorted(range(len(x)), key=key.__getitem__):
-                j = ahead.get(lane[i])
-                if j is not None:
-                    # keep a bumper gap behind the vehicle ahead
-                    limit = moved[j] - sgn[i] * (hl[classes[j]] + hl[classes[i]] + gap)
-                    if sgn[i] * moved[i] > sgn[i] * limit:
-                        moved[i] = limit
-                ahead[lane[i]] = i
-            keep = [i for i, (xi, c) in enumerate(zip(moved, classes))
-                    if xi + hl[c] > 0 and xi - hl[c] < length]
-            cols = [ids, classes, moved, y, speed, lane]
-            if len(keep) < len(ids):
-                cols = [[col[i] for i in keep] for col in cols]
-            ids, classes, x, y, speed, lane = cols
-            draw = int(streams.spawn.poisson(config.spawn_rate)) if config.spawn_rate > 0 else 0
-            for _ in range(draw):
-                k = int(streams.spawn.integers(config.lane_count))
-                c = int(streams.vclass.integers(len(VEHICLE_CLASSES)))
-                v = float(streams.speed.uniform(*config.speed_range_mps))
-                cx, cy = hl[c] if sign[k] > 0 else length - hl[c], config.lane_center_y(k)
-                if any(cx - hl[c] - gap < xo + hl[co] and xo - hl[co] < cx + hl[c] + gap
-                       and cy - hw[c] - gap < yo + hw[co] and yo - hw[co] < cy + hw[c] + gap
-                       for co, xo, yo in zip(classes, x, y)):
-                    continue  # entry blocked this slot
-                for col, value in zip(cols, (next_id, c, cx, cy, v, k)):
-                    col.append(value)
-                next_id += 1
-        if target not in ids:
-            target = _pick_target(ids, classes, x, y, config, streams.target)
-        for buf, col in zip(bufs, (ids, classes, x, y, speed, lane)):
-            buf.fromlist(col)
-        slots.append((len(ids), target, draw))
-    cols = [np.frombuffer(buf, np.int64 if buf.typecode == "q" else float) for buf in bufs]
+    y, speed = [float(r[1][1]) for r in rows], [float(r[3]) for r in rows]
+    lane, x = [int(r[2]) for r in rows], [float(r[1][0]) for r in rows]
+    half = [hl[c] for c in classes]
+    step = [sign[k] * v * dt for k, v in zip(lane, speed)]
+
+    def off(xi, i):
+        """Whether vehicle ``i`` at ``xi`` has left the street."""
+        return not (xi + half[i] > 0 and xi - half[i] < length)
+
+    lanes = [[[], []] for _ in sign]  # each lane's ids and x, lead vehicle first
+    # (largest coordinate along travel direction; equal ones in id order)
+    for i in sorted(range(len(rows)), key=lambda i: -(sign[lane[i]] * x[i])):
+        lanes[lane[i]][0].append(i)
+        lanes[lane[i]][1].append(x[i])
+    target = _pick_target(list(range(len(rows))), classes, x, y, config, streams.target)
+    id_buf, x_buf = array.array("q", range(len(rows))), array.array("d", x)
+    slots = [(len(rows), target, 0)]  # (vehicle count, target, spawn draw) of every slot
+    for _ in range(1, config.frame_count):
+        for k, (ids, xs) in enumerate(lanes):
+            # keep a bumper gap behind the vehicle ahead; the first has none
+            # (an infinite limit)
+            s, moved, ahead, back = sign[k], [], sign[k] * math.inf, 0.0
+            for i, xi in zip(ids, xs):
+                m, limit = xi + step[i], ahead - s * (back + half[i] + gap)
+                ahead = limit if s * m > s * limit else m
+                back = half[i]
+                moved.append(ahead)
+            head, tail = 0, len(ids)
+            while head < tail and off(moved[head], ids[head]):
+                head += 1
+            while tail > head and off(moved[tail - 1], ids[tail - 1]):
+                tail -= 1
+            if head or tail < len(ids):
+                if target in ids[:head] or target in ids[tail:]:
+                    target = None
+                ids, moved = ids[head:tail], moved[head:tail]
+            lanes[k] = [ids, moved]
+        draw = int(streams.spawn.poisson(config.spawn_rate)) if config.spawn_rate > 0 else 0
+        for _ in range(draw):
+            k = int(streams.spawn.integers(config.lane_count))
+            c = int(streams.vclass.integers(len(VEHICLE_CLASSES)))
+            v = float(streams.speed.uniform(*config.speed_range_mps))
+            cx, cy = hl[c] if sign[k] > 0 else length - hl[c], config.lane_center_y(k)
+            if _entry_blocked(lanes, sign, k, c, cx, cy, classes, y):
+                continue  # entry blocked this slot
+            ids, xs = lanes[k]
+            at = len(ids)
+            while at and sign[k] * xs[at - 1] < sign[k] * cx:
+                at -= 1
+            ids.insert(at, len(classes))
+            xs.insert(at, cx)
+            for col, value in zip((classes, y, speed, lane, half, step),
+                                  (c, cy, v, k, hl[c], sign[k] * v * dt)):
+                col.append(value)
+        if target is None:
+            pos = {i: xi for ids, xs in lanes for i, xi in zip(ids, xs)}
+            live = sorted(pos)
+            target = _pick_target(live, [classes[i] for i in live], [pos[i] for i in live],
+                                  [y[i] for i in live], config, streams.target)
+        n = len(id_buf)
+        for ids, xs in lanes:
+            id_buf.fromlist(ids)
+            x_buf.fromlist(xs)
+        slots.append((len(id_buf) - n, target, draw))
+    counts = [n for n, _, _ in slots]
+    ids = np.frombuffer(id_buf, np.int64)
+    order = np.lexsort((ids, np.repeat(np.arange(len(slots)), counts)))
+    ids = ids[order]
+    cols = [ids, np.array(classes, np.int64)[ids], np.frombuffer(x_buf, float)[order],
+            np.array(y, float)[ids], np.array(speed, float)[ids], np.array(lane, np.int64)[ids]]
     frames, start = [], 0
     for t, (n, target, draw) in enumerate(slots):
         frames.append(Frame(t, *(col[start:start + n] for col in cols), target, draw))

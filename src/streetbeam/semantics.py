@@ -6,14 +6,15 @@ roadline, vehicle boxes) into an H x W uint8 array of concept indices;
 ``render_frames`` returns the (F, n_cams, H, W) maps of a frame list, in
 the config's camera order, and ``render_frame`` one frame's (n_cams, H, W).
 The static background of each camera view is computed once per call. Each
-camera projects the frames' boxes in blocks and tests a box on the pixels
-of its projected bounding rectangle with the ray-box slab test, factorised
-along the image axes: a box's z slab is computed once per image row, as a
-camera's right axis is level, and its x and y slabs once per column when
-the camera's rows share their x and y directions (any camera of pitch 0),
-else once per pixel. Concepts the simulator cannot produce (pedestrian,
-water, ...) still exist in the catalog so the feature-selection search can
-consider and reject them.
+camera takes the frames' boxes in blocks, drops those wholly outside either
+horizontal plane of its view frustum, projects the rest and tests a box on
+the pixels of its projected bounding rectangle with the ray-box slab test,
+factorised along the image axes: a box's z slab is computed once per image
+row, as a camera's right axis is level, and its x and y slabs once per
+column when the camera's rows share their x and y directions (any camera
+of pitch 0), else once per pixel. Concepts the simulator cannot produce
+(pedestrian, water, ...) still exist in the catalog so the feature-selection
+search can consider and reject them.
 """
 
 from dataclasses import dataclass
@@ -152,14 +153,27 @@ def _render(flat, boxes, base, camera: CameraPose, view, H, W):
     directions (n_xy = 1 when all image rows share them, else H), the
     background depth and the camera basis."""
     iz, ixy, bg_depth, fwd, right, up = view
+    rel = boxes - np.asarray(camera.position, dtype=float)  # (V, 2, 3)
+
+    # Every pixel ray runs inside both horizontal frustum planes, which pass
+    # through the camera with normals n = +-right - tan(hfov / 2) fwd: the
+    # ray through column offset du has n . dir = +-du - W / 2 < 0 (right is
+    # level, so at any yaw and pitch). No ray hits a box whose least n . p,
+    # n . c - |n| . e for its centre c and half extents e, is positive for
+    # one of the planes.
+    tan = np.tan(camera.hfov / 2)
+    centre, half = (rel[:, 1] + rel[:, 0]) / 2, (rel[:, 1] - rel[:, 0]) / 2
+    outside = np.zeros(len(rel), dtype=bool)
+    for n in (right - tan * fwd, -right - tan * fwd):
+        outside |= centre @ n - half @ np.abs(n) > 0
+    rel, base = rel[~outside], base[~outside]
 
     # Each box is tested only inside the pixel bounding rectangle of its
     # projected corners; with all corners in front of the camera the image
     # of a convex box lies inside the hull of the corner images. A box
     # straddling the image plane is tested on every pixel.
-    rel = boxes - np.asarray(camera.position, dtype=float)  # (V, 2, 3)
     corners = np.where(_CORNERS[:, None], rel[:, 1], rel[:, 0])  # (8, V, 3)
-    focal = (W / 2) / np.tan(camera.hfov / 2)
+    focal = (W / 2) / tan
     f = corners @ fwd
     straddle = (f <= 1e-9).any(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -210,8 +224,8 @@ def render_frames(frames, config: SceneConfig, resolution):
 
     Deterministic per-pixel depth test over: ground composite, the two
     facade planes, and every vehicle box. Sky is the background label.
-    Each camera projects blocks of ``_BLOCK_BOXES`` boxes and depth-tests
-    about ``_CHUNK_PAIRS`` (pixel, box) pairs at a time.
+    Each camera culls and projects blocks of ``_BLOCK_BOXES`` boxes and
+    depth-tests about ``_CHUNK_PAIRS`` (pixel, box) pairs at a time.
     """
     H, W = resolution
     if min(H, W) < 16 or max(H, W) > MAX_SIDE:

@@ -503,6 +503,20 @@ SLAB_CASES = [
     ((120.0, -8.0), dict(lo=(95.0, -9.0)), True),
     # the target is the only vehicle: no boxes
     ((120.0, -8.0), dict(), False),
+    # boxes that touch the leg's x or y extent, or miss it by less than the
+    # prefilter's margin (1e-6 m), stay in the slab test: a face on the
+    # leg's line, a face 5e-7 m beside it
+    ((120.0, -8.0), dict(hi=(116.08, -8.0)), True),
+    ((120.0, -8.0), dict(hi=(116.08, -8 - 5e-7)), False),
+    # a leg of zero x extent, across the street from the BS: faces on it or
+    # within eps hit, faces beyond eps or further miss
+    ((100.0, -4.0), dict(lo=(100 + 0.5e-9, -7.0)), True),
+    ((100.0, -4.0), dict(hi=(100.0, -4.5)), True),
+    ((100.0, -4.0), dict(lo=(100 + 1.5e-9, -7.0)), False),
+    ((100.0, -4.0), dict(lo=(100 + 5e-7, -7.0)), False),
+    # a box just past the leg's end, within the margin and beyond it
+    ((120.0, -8.0), dict(lo=(120 + 5e-7, -9.0)), False),
+    ((120.0, -8.0), dict(lo=(120 + 2e-6, -9.0)), False),
 ]
 
 

@@ -161,6 +161,7 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     # unknown keys, non-object configs or sections and out-of-range scene
     # values fail closed with one line naming the key or value
     car = ["car", [50.0, 1.75], 2, 10.0]
+    roof_cam = ROOF["scene"]["camera_poses"][0]
     for raw, named in (({"scene": {"spawn_rte": 0.6}}, "scene.spawn_rte"),
                        ({"raytrace": {"Nt": 8}}, "raytrace.Nt"),
                        ({"arch": {"widths": 3}}, "arch.widths"),
@@ -216,6 +217,13 @@ def test_validation_errors_exit_1(tmp_path, capsys):
                        ({"raytrace": {"subcarrier_spacing": -1e6}}, "subcarrier_spacing"),
                        ({"raytrace": {"sigma2": float("nan")}}, "sigma2 must be a finite number"),
                        ({"raytrace": {"P_k": float("inf")}}, "P_k must be a finite number"),
+                       # an infinite SNR made the outage rate rows NaN
+                       ({"raytrace": {"sigma2": 5e-324}}, "P_k / sigma2 must be finite"),
+                       # a field of view of pi or more has no positive focal length
+                       ({"scene": {"camera_poses": [roof_cam | {"hfov": 3.5}]}},
+                        "hfov must be < 3.14159"),
+                       ({"scene": {"camera_poses": [roof_cam | {"hfov": np.pi}]}},
+                        "hfov must be < 3.14159"),
                        # a negative horizon would read LOS from before the sample
                        ({"horizons": [-3, 1]}, "horizons"),
                        ({"horizons": [1, 2.5]}, "horizons"),

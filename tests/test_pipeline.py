@@ -23,7 +23,7 @@ from streetbeam.pipeline import (SELECT_WORKERS_MAX, PipelineError, RunConfig,
 from streetbeam.predictor import (TINY_ARCH, SampleSet, TrainConfig, split_indices,
                                   train_stack)
 from streetbeam.rng import stream
-from streetbeam.scene import SceneConfig, generate_scenario
+from streetbeam.scene import ConfigError, SceneConfig, generate_scenario
 from streetbeam.semantics import render_frame
 from streetbeam.semantics import CATALOG
 
@@ -119,7 +119,11 @@ OUTAGE_SCENE = SceneConfig(frame_count=40, seed=68, spawn_rate=0.5, bs_position=
                                              ("bus", (119.8, 1.75), 2, 5.0)))
 
 
-@pytest.mark.parametrize("horizons, sigma2", [((3, 1), 0.1), ((), 0.1), ((3, 1), 5e-324)],
+# the smallest noise power whose P_k / sigma2 is finite at P_k = 1
+SIGMA2_MIN = 5.56268464626801e-309
+
+
+@pytest.mark.parametrize("horizons, sigma2", [((3, 1), 0.1), ((), 0.1), ((3, 1), SIGMA2_MIN)],
                          ids=["h1-3", "no-horizons", "sigma2-min"])
 def test_generate_matches_per_frame_reference(horizons, sigma2):
     """Every column equals a per-frame build: trace, assemble and search
@@ -127,15 +131,14 @@ def test_generate_matches_per_frame_reference(horizons, sigma2):
     live samples run through several chunks, and the outage samples share
     one zero-channel rate row, which must equal each outage's own search;
     the default chunking gives the same bits. Each channel stays within
-    ``oracles.channel_tolerance`` of the extended-precision per-path sum. At sigma2 = 5e-324, P_k / sigma2 overflows to inf,
-    so that row is NaN."""
+    ``oracles.channel_tolerance`` of the extended-precision per-path sum.
+    At ``SIGMA2_MIN`` the SNR is the largest finite one, and no rate is NaN."""
     scene, rt = OUTAGE_SCENE, RayTraceConfig(N_t=8, K=4, sigma2=sigma2)
     cfg = run_config(scene, rt, horizons=horizons, M_bm=8)
     per_chunk = 3
-    with np.errstate(over="ignore", invalid="ignore"):
-        with mock.patch.object(pipeline, "_CHUNK_ENTRIES", per_chunk * rt.K * rt.N_t):
-            ds = generate_dataset(cfg)
-        default = generate_dataset(cfg)
+    with mock.patch.object(pipeline, "_CHUNK_ENTRIES", per_chunk * rt.K * rt.N_t):
+        ds = generate_dataset(cfg)
+    default = generate_dataset(cfg)
     for name in ("label_maps", "locations", "rates", "blockage", "frame_ids", "channels"):
         assert getattr(ds, name).tobytes() == getattr(default, name).tobytes(), name
     frames = generate_scenario(scene)
@@ -156,15 +159,16 @@ def test_generate_matches_per_frame_reference(horizons, sigma2):
         h = assemble_channel(rows, rt)
         # the column stores h rounded to complex64; the rates are searched on h
         assert ds.channels[i].tobytes() == h.astype(np.complex64).tobytes()
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert ds.rates[i].tobytes() == optimal_beam(h, cb, rt.P_k, rt.sigma2).tobytes()
+        assert ds.rates[i].tobytes() == optimal_beam(h, cb, rt.P_k, rt.sigma2).tobytes()
         ref = oracles.channel_reference(rows, rt)
         assert np.abs(h - ref).max() <= oracles.channel_tolerance(rows, rt)
         assert ds.label_maps[i].tobytes() == render_frame(frames[t], scene, RES).tobytes()
         want_loc = np.asarray(frames[t].user_antenna_pos, dtype=np.float32)
         assert ds.locations[i].tobytes() == want_loc.tobytes()
-    if sigma2 == 5e-324:
-        assert np.isnan(ds.rates).any()
+    assert not np.isnan(ds.rates).any()
+    if sigma2 == SIGMA2_MIN:
+        with pytest.raises(ConfigError, match="P_k / sigma2"):
+            RayTraceConfig(sigma2=np.nextafter(sigma2, 0))
 
 
 @pytest.fixture

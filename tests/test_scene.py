@@ -99,6 +99,14 @@ def test_determinism_bitwise():
 
 
 CRITERION7 = dict(frame_count=600, spawn_rate=0.6, bs_position=(100.0, -8.0, 2.0))
+# overlapping initial vehicles: the first clamp pushes each lane's follower
+# back over its entry edge, so it leaves from its lane's tail
+TAIL_DESPAWN = SceneConfig(frame_count=100, spawn_rate=0.3, seed=5, initial_vehicles=(
+    ("bus", (3.0, -5.25), 0, 10.0), ("car", (2.5, -5.25), 0, 12.0),
+    ("bus", (197.0, 5.25), 3, 10.0), ("car", (197.5, 5.25), 3, 12.0)))
+# one lane, two spawns a slot on average: a vehicle spawned earlier in a
+# slot blocks the entry for the next one
+ONE_LANE = SceneConfig(lane_count=1, spawn_rate=2.0, frame_count=200, seed=9)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -110,8 +118,10 @@ CRITERION7 = dict(frame_count=600, spawn_rate=0.6, bs_position=(100.0, -8.0, 2.0
     SceneConfig(frame_count=300, spawn_rate=0.5, seed=7, initial_vehicles=(
         ("car", (50.0, 1.75), 2, 10.0), ("bus", (60, 1.75), 2, 0.0),
         ("van", (80.0, -1.75), 1, 9.0), ("van", (10, -1.75), 1, 3.0))),
+    TAIL_DESPAWN,
+    ONE_LANE,
 ], ids=[*(f"crit7-{seed}" for seed in range(501, 511)), "default-0", "default-1",
-        "spawn-1.5", "initial"])
+        "spawn-1.5", "initial", "tail-despawn", "one-lane-rate-2"])
 def test_frames_equal_object_generator(cfg):
     """Every frame, box and antenna position equals the object-based
     generator's bitwise."""
@@ -126,6 +136,11 @@ def test_frames_equal_object_generator(cfg):
     if cfg.spawn_rate == CRITERION7["spawn_rate"]:
         # dense traffic exercises the gap clamp
         assert sum(len(f.ids) for f in got) > 10 * len(got)
+    if cfg is TAIL_DESPAWN:  # both followers leave on the first slot, both leaders stay
+        assert got[1].ids.tolist() == [0, 2]
+    if cfg is ONE_LANE:  # some draw of two or more spawns only one vehicle
+        spawned = [len(set(f.ids.tolist()) - set(p.ids.tolist())) for p, f in zip(got, got[1:])]
+        assert any(f.spawn_draw >= 2 and n == 1 for f, n in zip(got[1:], spawned))
 
 
 @st.composite

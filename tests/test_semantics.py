@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from oracles import (Vehicle, corrupt_map, extract_mask, frame_boxes, make_frame,
                      pixel_accuracy, vehicle_boxes)
 from streetbeam.rng import stream
-from streetbeam.scene import CameraPose, ConfigError, SceneConfig, generate_scenario, vehicle_class
+from streetbeam.scene import (CAR, CameraPose, ConfigError, SceneConfig, generate_scenario,
+                              vehicle_class)
 from streetbeam import semantics
 from streetbeam.semantics import (BUILDING, CATALOG, CONCEPT_NAMES, GROUND, MAX_SIDE,
                                   ROAD, ROADLINE, SIDEWALK, SKY, TERRAIN, VEHICLE,
@@ -235,7 +236,8 @@ def test_resolution_and_camera_validation():
             with pytest.raises(ConfigError):
                 render_frame(empty_frame(), cfg, res)
     # a degenerate camera never reaches the renderer: the config rejects it
-    for hfov in (0.0, -0.5):
+    # (at hfov pi the focal length is about 0, past it negative)
+    for hfov in (0.0, -0.5, np.pi, 3.5):
         bad = CameraPose(cam.position, cam.yaw, cam.pitch, hfov)
         with pytest.raises(ConfigError):
             replace(cfg, camera_poses=(cam, bad))
@@ -351,6 +353,35 @@ def edge_frames():
             make_frame((straddling, behind))]
 
 
+# a level camera, a pitched and yawed one and one of hfov 3.0, whose frustum
+# planes run nearly sideways
+FRUSTUM_CAMS = (SceneConfig().camera_poses[0], EDGE_CAMS[0],
+                CameraPose((100.0, 9.0, 3.0), yaw=-np.pi / 2, pitch=0.1, hfov=3.0))
+
+
+def frustum_cars(cam):
+    """Per horizontal frustum plane of ``cam``, first the plane of its left
+    image edge: a car 1 cm wholly outside the plane, then one straddling it
+    with its centre outside, both about 12 m out along the plane. A plane
+    passes through the camera with normal n = +-right - tan(hfov / 2) fwd,
+    and the least n . p over a box is n . c - |n| . e for its centre c and
+    half extents e."""
+    fwd, right, _ = cam.basis()
+    pos = np.asarray(cam.position, dtype=float)
+    half = np.array([CAR.length, CAR.width, CAR.height]) / 2
+    ahead = 12.0 * np.cos(cam.hfov / 2)  # the plane's forward distance 12 m out
+    dz = half[2] - pos[2]  # the car's centre height, relative to the camera
+    cars = []
+    for n in (-right - np.tan(cam.hfov / 2) * fwd, right - np.tan(cam.hfov / 2) * fwd):
+        extent = np.abs(n) @ half
+        for least in (0.01 * np.linalg.norm(n), -extent / 2):
+            # solve the centre's n . c and fwd . c for its x and y
+            want = [least + extent - n[2] * dz, ahead - fwd[2] * dz]
+            dx, dy = np.linalg.solve([n[:2], fwd[:2]], want)
+            cars.append(car_at(pos[0] + dx, pos[1] + dy, vid=len(cars)))
+    return cars
+
+
 def test_render_matches_reference_on_edge_cases():
     cfg, frames = criterion7_frames(23, frame_count=200)
     res = (32, 64)
@@ -363,6 +394,14 @@ def test_render_matches_reference_on_edge_cases():
     assert (front == VEHICLE).any()
     back = render_one(edges[2], EDGE_CAMS[2], cfg, res)
     assert not (back == VEHICLE).any()
+    # cars just outside a frustum plane show no pixel, straddling ones do
+    for cam in FRUSTUM_CAMS:
+        cars = frustum_cars(cam)
+        for i, fr in enumerate([make_frame((car,)) for car in cars] + [make_frame(cars)]):
+            got = render_one(fr, cam, cfg, res)
+            assert got.tobytes() == _reference_render(fr, cam, cfg, res).tobytes(), (cam, i)
+            if i < len(cars):
+                assert (got == VEHICLE).any() == (i % 2 == 1), (cam, i)
 
 
 def same_bits_per_row(a):
