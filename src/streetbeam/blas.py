@@ -4,9 +4,19 @@ OpenBLAS, and glibc's malloc thresholds.
 Feature selection trains candidates on one forked process per CPU. A
 process's OpenBLAS runs its own threads, one per CPU, so every worker
 sets its own to one; otherwise two workers at 160x320 took 2 to 3.5 times
-the wall time of one process. numpy has no call for this, so the setter is
-looked up in the loaded library, under the names OpenBLAS builds export
-(the ``scipy_`` prefix and ``64_`` suffix of the wheels' ILP64 build).
+the wall time of one process. numpy has no call for this, so the setter,
+and the getter beside it, are looked up in the loaded library, under the
+names OpenBLAS builds export (the ``scipy_`` prefix and ``64_`` suffix of
+the wheels' ILP64 build).
+
+Training runs in ``one_thread``, a section that holds OpenBLAS to one
+thread and restores the count it found. A convolution's weight-gradient
+GEMM, with its long inner dimension, rounds differently on one OpenBLAS
+thread than on two, so training at the default count wrote other bytes
+on one CPU than on two. OpenBLAS's second thread also spins between GEMMs
+through the single-threaded numpy passes of a step, which make up most of
+it; ``streetbeam.nn`` runs those passes, and the GEMMs, on its own two
+lanes instead.
 
 A training step allocates and frees the same large arrays as the step
 before it. With glibc's default thresholds, malloc maps arrays above its
@@ -23,9 +33,10 @@ default-arch selection worker at 160x320, 1 to 2% for a train command at
 80x160, nothing measurable at 16x32.
 """
 
+import contextlib
 import functools
 
-_NAMES = tuple(f"{prefix}openblas_set_num_threads{suffix}"
+_NAMES = tuple(f"{prefix}openblas_{{}}_num_threads{suffix}"
                for prefix in ("", "scipy_") for suffix in ("", "64_"))
 # mallopt parameters (malloc.h) and the values set
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -34,8 +45,9 @@ _TRIM_THRESHOLD = 512 << 20
 
 
 @functools.cache
-def _thread_setter():
-    """The loaded OpenBLAS's ``set_num_threads``, or None."""
+def _thread_calls():
+    """The loaded OpenBLAS's (``get_num_threads``, ``set_num_threads``), or
+    (None, None); the getter is None where the library lacks it."""
     import ctypes
 
     import numpy  # noqa: F401  loads the library
@@ -44,30 +56,51 @@ def _thread_setter():
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
     except OSError:
-        return None
+        return None, None
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
         for name in _NAMES:
-            setter = getattr(lib, name, None)
+            setter = getattr(lib, name.format("set"), None)
             if setter is not None:
                 setter.argtypes = [ctypes.c_int]
                 setter.restype = None
-                return setter
-    return None
+                getter = getattr(lib, name.format("get"), None)
+                if getter is not None:
+                    getter.argtypes = []
+                    getter.restype = ctypes.c_int
+                return getter, setter
+    return None, None
 
 
 def can_set_threads() -> bool:
-    return _thread_setter() is not None
+    return _thread_calls()[1] is not None
 
 
 def set_threads(n: int) -> None:
     """Run this process's BLAS calls on ``n`` threads, if it can."""
-    setter = _thread_setter()
+    setter = _thread_calls()[1]
     if setter is not None:
         setter(n)
+
+
+@contextlib.contextmanager
+def one_thread():
+    """Run this process's BLAS calls on one thread inside the block, then on
+    the count found on entering it. Without both the getter and the setter
+    it changes nothing."""
+    getter, setter = _thread_calls()
+    if getter is None or setter is None:
+        yield
+        return
+    before = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 @functools.cache

@@ -44,7 +44,27 @@ exactly what it computes alone. ``Dropout`` takes one generator per model.
 model and rebinds each tensor of the parameter tree to a view of it, so an
 optimizer step is a handful of elementwise operations over the rows of
 the models it steps, bitwise equal to updating each tensor on its own.
+
+Two lanes: a process that may use two CPUs runs the per-channel passes of
+image activations, and the large GEMMs of convolutions, as two halves at
+once: the calling thread takes channels (or GEMM columns) ``[0, n//2)``,
+and one helper thread, started at first use, ``[n//2, n)``. The split
+passes are BatchNorm forward and backward on (C, H, W, N) input, ReLU,
+AvgPool, padding, im2col and its adjoint, and a ``LabelConv2d``'s columns;
+a convolution's forward and input-gradient GEMMs are cut into column
+halves, and its weight-gradient GEMM runs whole. Each channel, and each
+GEMM column on one BLAS thread, is computed by the same arithmetic in
+either half, so two lanes give the bits of one. The caller allocates
+every output and temporary of both halves. A process limited to one CPU,
+and a selection worker (``set_lanes(1)``), runs each pass whole in one
+call, as one lane. The helper runs numpy functions and the kernels below,
+never a layer's forward or backward, and the kernels are called from one
+thread at a time.
 """
+
+import os
+import queue
+import threading
 
 import numpy as np
 
@@ -67,6 +87,128 @@ def tree_map(fn, tree, *others):
     tensors at that name in ``tree`` and ``others``."""
     return {key: tree_map(fn, value, *(o[key] for o in others)) if isinstance(value, dict)
             else fn(value, *(o[key] for o in others)) for key, value in tree.items()}
+
+
+# ---------------------------------------------------------------------------
+# two lanes
+
+_lanes = 0       # lanes of this process, 1 or 2; 0 until first used
+_helper = None   # (thread, jobs, replies) of the second lane while it runs
+
+
+def set_lanes(n):
+    """Run the split passes on ``n`` lanes, 1 or 2, from now on; with one
+    lane the helper thread is joined."""
+    global _lanes
+    _lanes = n
+    if n < 2:
+        join_helper()
+
+
+def join_helper():
+    """Stop and join the helper thread, if it runs, so that a fork copies no
+    thread; two lanes start a new one at their next split pass."""
+    global _helper
+    if _helper is not None:
+        thread, jobs, _ = _helper
+        _helper = None
+        jobs.put(None)
+        thread.join()
+
+
+def _forget_helper():
+    global _helper
+    _helper = None
+
+
+os.register_at_fork(after_in_child=_forget_helper)  # a forked child has no helper
+
+
+def _serve(jobs, replies):
+    """The helper thread: run each (kernel, args) job, and reply None or the
+    exception it raised once it holds none of the job's arrays, which the
+    caller may then free."""
+    while (job := jobs.get()) is not None:
+        error = None
+        try:
+            job[0](*job[1])
+        except BaseException as exc:  # re-raised in the caller
+            error = exc
+        job = None
+        replies.put(error)
+
+
+def _helper_queues():
+    global _helper
+    if _helper is None:
+        jobs, replies = queue.SimpleQueue(), queue.SimpleQueue()
+        thread = threading.Thread(target=_serve, args=(jobs, replies),
+                                  name="streetbeam.nn lane", daemon=True)
+        thread.start()
+        _helper = thread, jobs, replies
+    return _helper[1:]
+
+
+def _lane_count():
+    global _lanes
+    _lanes = 2 if len(os.sched_getaffinity(0)) >= 2 else 1
+    return _lanes
+
+
+def _split(kernel, arrays, shared=(), outs=None, axis=0):
+    """``kernel(*shared, *arrays, *outputs)`` on the lanes.
+
+    With two lanes, an ``axis`` of 0 or -1 and at least two entries on that
+    axis of the first array, ``outs()`` allocates the outputs whole, as a
+    tuple. The helper thread runs the kernel on the upper half
+    ``[n//2, n)`` of that axis of every array and output (None stays
+    None), this thread on the lower half, and the outputs are returned; an
+    exception of the helper's half is raised here, once both halves are
+    done. Otherwise, or with ``axis`` None, the kernel runs once, whole,
+    allocates its outputs and returns them, as the same tuple.
+    """
+    if axis is None or (_lanes or _lane_count()) < 2 or arrays[0].shape[axis] < 2:
+        return kernel(*shared, *arrays)
+    whole = outs() if outs is not None else ()
+    mid = arrays[0].shape[axis] // 2
+    halves = []
+    for part in (slice(None, mid), slice(mid, None)):
+        index = part if axis == 0 else (Ellipsis, part)
+        halves.append((*shared, *(None if a is None else a[index]
+                                  for a in (*arrays, *whole))))
+    jobs, replies = _helper_queues()
+    jobs.put((kernel, halves[1]))
+    try:
+        kernel(*halves[0])
+    finally:
+        error = replies.get()
+    if error is not None:
+        raise error
+    return whole
+
+
+def _gemm(a, bias, b, out=None):
+    out = np.matmul(a, b, out=out)
+    if bias is not None:
+        out += bias
+    return (out,)
+
+
+# OpenBLAS may run a GEMM of up to 1e6 multiply-adds on a small-matrix
+# kernel, which rounds otherwise: with OpenBLAS 0.3.31 on an AVX-512 Xeon,
+# two column halves of (8, 72) x (72, 2000) differ from the whole in the
+# last bit. So a GEMM is split only where each half is well above that.
+_GEMM_HALF_MIN = 1 << 22
+
+
+def _conv_gemm(a, bias, b):
+    """``a @ b``, plus ``bias`` unless None, of (S, M, K) ``a`` and (S, K, L)
+    ``b``: on the lanes as column halves of ``b`` where each half takes at
+    least ``_GEMM_HALF_MIN`` multiply-adds a model, else whole."""
+    m, k = a.shape[1:]
+    axis = -1 if m * k * (b.shape[2] // 2) >= _GEMM_HALF_MIN else None
+    return _split(_gemm, (b,), (a, bias),
+                  lambda: (np.empty(a.shape[:2] + b.shape[2:], a.dtype),), axis)[0]
 
 
 def _sum_batch(x, models):
@@ -125,17 +267,31 @@ class Dense:
 
 
 class ReLU(Layer):
+    """max(x, 0), on the lanes for (C, H, W, N) input."""
+
     def forward(self, x, p, s, training, rng):
-        y = np.maximum(x, 0)
-        return y, (x > 0)
+        return _split(_relu, (x,), (), lambda: (np.empty(x.shape, x.dtype),
+                                                np.empty(x.shape, bool)),
+                      0 if x.ndim == 4 else None)
 
     def backward(self, dy, cache, p):
-        return dy * cache, {}
+        dx, = _split(_masked, (dy, cache), (), lambda: (np.empty(dy.shape, dy.dtype),),
+                     0 if dy.ndim == 4 else None)
+        return dx, {}
+
+
+def _relu(x, y=None, mask=None):
+    return np.maximum(x, 0, out=y), np.greater(x, 0, out=mask)
+
+
+def _masked(dy, mask, dx=None):
+    return (np.multiply(dy, mask, out=dx),)
 
 
 class BatchNorm:
     """Batch normalization per feature of (N, F) input or per channel of
-    (C, H, W, N) input, over the batch (and spatial dims)."""
+    (C, H, W, N) input, over the batch (and spatial dims); the latter on
+    the lanes."""
 
     def __init__(self, num_features):
         self.num_features = num_features
@@ -155,88 +311,156 @@ class BatchNorm:
     def _shape(x):
         return (1, -1) if x.ndim == 2 else (-1, 1, 1, 1)
 
-    def _sum(self, x):
-        """Per-feature sums over the batch (and spatial) axes."""
+    def _sum(self, x, out=None):
+        """Per-feature sums over the batch (and spatial) axes, shaped (1, F)
+        or (C, 1, 1, 1); ``out`` is taken for (C, H, W, N) input."""
         if x.ndim == 2:
-            return _sum_batch(x, x.shape[1] // self.num_features)
-        return np.add.reduce(x, axis=self._axes(x))
+            return _sum_batch(x, x.shape[1] // self.num_features).reshape(1, -1)
+        return np.add.reduce(x, axis=self._axes(x), keepdims=True, out=out)
+
+    @staticmethod
+    def _outs(x, vectors):
+        """Allocates two arrays shaped like (C, H, W, N) input ``x`` and
+        ``vectors`` per-channel vectors (C, 1, 1, 1)."""
+        return lambda: (np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype),
+                        *np.empty((vectors, len(x), 1, 1, 1), x.dtype))
 
     def forward(self, x, p, s, training, rng):
         shp = self._shape(x)
+        affine = p["gamma"].reshape(shp), p["beta"].reshape(shp)
+        axis = 0 if x.ndim == 4 else None
         if training:
-            # np.add.reduce / m is the arithmetic of x.mean and x.var,
-            # without their Python wrapper
-            total = self._sum(x)
-            m = x.size // total.size  # values per feature
-            mean = total / m
-            xc = x - mean.reshape(shp)
-            buf = np.multiply(xc, xc)  # squared deviations, then y
-            var = self._sum(buf) / m
+            xhat, y, mean, var, inv_std = _split(_bn_batch, (x, *affine), (self._sum,),
+                                                 self._outs(x, 3), axis)
             # running stats updated in place so shared state dicts stay in sync
             for key, batch in (("running_mean", mean), ("running_var", var)):
                 s[key] *= 1 - _BN_MOMENTUM
                 s[key] += (_BN_MOMENTUM * batch).astype(s[key].dtype).reshape(s[key].shape)
         else:
-            mean, var = s["running_mean"], s["running_var"]
-            xc = x - mean.reshape(shp)
-            buf = None
-        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-        xhat = xc
-        xhat *= inv_std.reshape(shp)
-        y = np.multiply(xhat, p["gamma"].reshape(shp), out=buf)
-        y += p["beta"].reshape(shp)
-        return y, (xhat, inv_std, training)
+            stats = s["running_mean"].reshape(shp), s["running_var"].reshape(shp)
+            xhat, y, inv_std = _split(_bn_running, (x, *stats, *affine), (),
+                                      self._outs(x, 1), axis)
+        return y, (xhat, inv_std.reshape(-1), training)
 
     def backward(self, dy, cache, p):
         xhat, inv_std, training = cache
         shp = self._shape(dy)
-        buf = np.multiply(dy, xhat)  # dy * xhat, then the xhat correction
-        dgamma = self._sum(buf)
-        dbeta = self._sum(dy)
-        scale = (p["gamma"].reshape(-1) * inv_std.reshape(-1)).reshape(shp)
+        scale = (p["gamma"].reshape(-1) * inv_std).reshape(shp)
         if training:
-            # d/dx of gamma * xhat: the two batch reductions are dbeta and dgamma
-            m = dy.size // dbeta.size  # values per feature
-            dx = dy - (dbeta / m).reshape(shp)
-            dx -= np.multiply(xhat, (dgamma / m).reshape(shp), out=buf)
-            dx *= scale
+            dx, _, dgamma, dbeta = _split(_bn_backward, (dy, xhat, scale), (self._sum,),
+                                          self._outs(dy, 2), 0 if dy.ndim == 4 else None)
         else:
-            dx = dy * scale
+            dx, dgamma, dbeta = dy * scale, self._sum(dy * xhat), self._sum(dy)
         return dx, {"gamma": dgamma.reshape(p["gamma"].shape),
                     "beta": dbeta.reshape(p["beta"].shape)}
 
 
-def _pad(x, pad):
-    """(C, H, W, N) input with ``pad`` zeros around H and W."""
+# The BatchNorm kernels take the per-feature sums ``sum_(a, out)`` of
+# BatchNorm._sum, and per-feature vectors shaped to broadcast against the
+# input; each returns its outputs, written to the given ones where not None.
+
+def _bn_batch(sum_, x, gamma, beta, xhat=None, y=None, mean=None, var=None, inv_std=None):
+    """Training-mode BatchNorm of ``x`` on its batch statistics: returns
+    (xhat, y, mean, var, inv_std)."""
+    # sum_ / m is the arithmetic of x.mean and x.var, without their Python wrapper
+    total = sum_(x, mean)
+    m = x.size // total.size  # values per feature
+    mean = np.divide(total, m, out=mean)
+    xhat = np.subtract(x, mean, out=xhat)
+    y = np.multiply(xhat, xhat, out=y)  # squared deviations, then y
+    var = np.divide(sum_(y, var), m, out=var)
+    y, inv_std = _bn_scale(xhat, var, gamma, beta, y, inv_std)
+    return xhat, y, mean, var, inv_std
+
+
+def _bn_running(x, mean, var, gamma, beta, xhat=None, y=None, inv_std=None):
+    """Evaluation-mode BatchNorm of ``x`` on the running statistics:
+    returns (xhat, y, inv_std)."""
+    xhat = np.subtract(x, mean, out=xhat)
+    return (xhat, *_bn_scale(xhat, var, gamma, beta, y, inv_std))
+
+
+def _bn_scale(xhat, var, gamma, beta, y, inv_std):
+    """Scale the centred ``xhat`` in place to unit variance, then
+    y = gamma * xhat + beta: returns (y, inv_std)."""
+    inv_std = np.divide(1.0, np.sqrt(var + _BN_EPS), out=inv_std)
+    xhat *= inv_std
+    y = np.multiply(xhat, gamma, out=y)
+    y += beta
+    return y, inv_std
+
+
+def _bn_backward(sum_, dy, xhat, scale, dx=None, buf=None, dgamma=None, dbeta=None):
+    """Training-mode BatchNorm input gradient, ``scale`` = gamma * inv_std:
+    returns (dx, buf, dgamma, dbeta), buf a temporary."""
+    buf = np.multiply(dy, xhat, out=buf)  # dy * xhat, then the xhat correction
+    dgamma = sum_(buf, dgamma)
+    dbeta = sum_(dy, dbeta)
+    # d/dx of gamma * xhat: the two batch reductions are dbeta and dgamma
+    m = dy.size // dbeta.size  # values per feature
+    dx = np.subtract(dy, dbeta / m, out=dx)
+    dx -= np.multiply(xhat, dgamma / m, out=buf)
+    dx *= scale
+    return dx, buf, dgamma, dbeta
+
+
+def _pad(x, pad, xp=None):
+    """(C, H, W, N) input with ``pad`` zeros around H and W; written to
+    ``xp``, border included, if given."""
     if not pad:
         return x
     c, h, w, n = x.shape
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+    if xp is None:
+        xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+    else:
+        xp[:, :pad] = xp[:, pad + h:] = 0
+        xp[:, pad:pad + h, :pad] = xp[:, pad:pad + h, pad + w:] = 0
     xp[:, pad:pad + h, pad:pad + w] = x
     return xp
 
 
-def _im2col(xp, k, stride, oh, ow):
+def _im2col(xp, k, stride, oh, ow, cols=None):
     """Columns (C*k*k, OH*OW*N) of the k x k windows of padded input ``xp``
-    (C, H, W, N): row (c, i, j), column (oh, ow, n)."""
+    (C, H, W, N): row (c, i, j), column (oh, ow, n); written to ``cols``
+    (C, k, k, OH, OW, N) if given."""
     c, n = xp.shape[0], xp.shape[3]
-    cols = np.empty((c, k, k, oh, ow, n), dtype=xp.dtype)
+    if cols is None:
+        cols = np.empty((c, k, k, oh, ow, n), dtype=xp.dtype)
     for i in range(k):
         for j in range(k):
             cols[:, i, j] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
     return cols.reshape(c * k * k, oh * ow * n)
 
 
+def _windows(pad, k, stride, oh, ow, x, xp=None, cols=None):
+    """Kernel of ``Conv2d._columns``: (padded input, im2col columns)."""
+    xp = _pad(x, pad, xp)
+    return xp, _im2col(xp, k, stride, oh, ow, cols)
+
+
 def _col2im(dcols, x_shape, k, stride, pad):
     """Adjoint of ``_im2col``: scatter-add (C, k, k, OH, OW, N) window
-    gradients back onto an input of shape ``x_shape`` (C, H, W, N)."""
+    gradients back onto an input of shape ``x_shape`` (C, H, W, N), on the
+    lanes."""
     c, h, w, n = x_shape
-    oh, ow = dcols.shape[3:5]
-    dxp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=dcols.dtype)
+    padded = (c, h + 2 * pad, w + 2 * pad, n)
+    dxp, = _split(_scatter, (dcols,), (padded[1:3], stride),
+                  lambda: (np.empty(padded, dcols.dtype),))
+    return dxp[:, pad:pad + h, pad:pad + w]
+
+
+def _scatter(hw, stride, dcols, dxp=None):
+    """Kernel of ``_col2im``: the padded input gradient, summed from +0 in
+    row-major window order."""
+    c, k, _, oh, ow, n = dcols.shape
+    if dxp is None:
+        dxp = np.zeros((c,) + hw + (n,), dtype=dcols.dtype)
+    else:
+        dxp.fill(0)
     for i in range(k):
         for j in range(k):
             dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
-    return dxp[:, pad:pad + h, pad:pad + w]
+    return (dxp,)
 
 
 class Conv2d:
@@ -269,8 +493,13 @@ class Conv2d:
         and the output shape (S*C_out, OH, OW, N)."""
         c, h, w, n = x.shape
         oh, ow = self.out_hw(h, w)
-        return (_im2col(_pad(x, self.pad), self.k, self.stride, oh, ow),
-                (c // self.c_in * self.c_out, oh, ow, n))
+        k, pad = self.k, self.pad
+
+        def outs():
+            return (np.empty((c, h + 2 * pad, w + 2 * pad, n), x.dtype) if pad else None,
+                    np.empty((c, k, k, oh, ow, n), x.dtype))
+        _, cols = _split(_windows, (x,), (pad, k, self.stride, oh, ow), outs)
+        return cols.reshape(c * k * k, -1), (c // self.c_in * self.c_out, oh, ow, n)
 
     def _weights(self, p):
         """(S, C_out, C*k*k) view of the weights of a stack of S models."""
@@ -280,8 +509,7 @@ class Conv2d:
         W = self._weights(p)
         cols, y_shape = self._columns(x, W.dtype)
         cols = cols.reshape(len(W), W.shape[2], -1)
-        y = np.matmul(W, cols)
-        y += p["b"].reshape(len(W), self.c_out, 1)
+        y = _conv_gemm(W, p["b"].reshape(len(W), self.c_out, 1), cols)
         return y.reshape(y_shape), (cols, x.shape if self.input_grad else None)
 
     def backward(self, dy, cache, p):
@@ -292,7 +520,7 @@ class Conv2d:
                  "b": np.add.reduce(dy3, axis=2).reshape(p["b"].shape)}
         if not self.input_grad:
             return None, grads
-        dcols = np.matmul(W.transpose(0, 2, 1), dy3)
+        dcols = _conv_gemm(W.transpose(0, 2, 1), None, dy3)
         dx = _col2im(dcols.reshape((x_shape[0], self.k, self.k) + dy.shape[1:]), x_shape,
                      self.k, self.stride, self.pad)
         return dx, grads
@@ -327,19 +555,45 @@ class LabelConv2d(Conv2d):
     def _columns(self, maps, dtype):
         n, m, h, w = maps.shape
         oh, ow = self.out_hw(h, w)
-        k, st, pad = self.k, self.stride, self.pad
-        xp = np.full((n, m, h + 2 * pad, w + 2 * pad), PAD_LABEL, dtype=np.uint8)
-        xp[:, :, pad:pad + h, pad:pad + w] = maps
-        taps = np.empty((m, k, k, oh, ow, n), dtype=np.uint8)
-        for i in range(k):
-            for j in range(k):
-                taps[:, i, j] = xp[:, :, i:i + st * oh:st,
-                                   j:j + st * ow:st].transpose(1, 2, 3, 0)
+        k, pad = self.k, self.pad
+        # camera-major, so that the lanes split on the first axis
+        maps = maps.transpose(1, 0, 2, 3)
+        _, taps = _split(_label_taps, (maps,), (pad, k, self.stride, oh, ow),
+                         lambda: (np.empty((m, n, h + 2 * pad, w + 2 * pad), np.uint8),
+                                  np.empty((m, k, k, oh, ow, n), np.uint8)))
         models, n_ids = self.ids.shape
-        taps = taps.reshape((models, 1, m // models) + taps.shape[1:])
-        cols = np.empty((models, n_ids) + taps.shape[2:], dtype=dtype)
-        np.equal(taps, self.ids.reshape((models, n_ids) + (1,) * (taps.ndim - 2)), out=cols)
+        taps = taps.reshape(models, 1, m // models, k, k, -1)
+        ids = self.ids.reshape(models, n_ids, 1, 1, 1, 1)
+        cols, = _split(_one_hot, (taps,), (ids, dtype),
+                       lambda: (np.empty((models, n_ids) + taps.shape[2:], dtype),), axis=-1)
         return cols.reshape(-1, oh * ow * n), (models * self.c_out, oh, ow, n)
+
+
+def _label_taps(pad, k, stride, oh, ow, maps, xp=None, taps=None):
+    """Kernel of ``LabelConv2d._columns``: camera-major maps (m, N, H, W)
+    padded with ``PAD_LABEL``, and their k x k strided taps (m, k, k, OH,
+    OW, N)."""
+    m, n, h, w = maps.shape
+    if xp is None:
+        xp = np.full((m, n, h + 2 * pad, w + 2 * pad), PAD_LABEL, dtype=np.uint8)
+    else:
+        xp.fill(PAD_LABEL)
+    xp[:, :, pad:pad + h, pad:pad + w] = maps
+    if taps is None:
+        taps = np.empty((m, k, k, oh, ow, n), dtype=np.uint8)
+    for i in range(k):
+        for j in range(k):
+            taps[:, i, j] = xp[:, :, i:i + stride * oh:stride,
+                               j:j + stride * ow:stride].transpose(0, 2, 3, 1)
+    return xp, taps
+
+
+def _one_hot(ids, dtype, taps, cols=None):
+    """Kernel of ``LabelConv2d._columns``: ``taps == ids`` cast to ``dtype``."""
+    if cols is None:
+        cols = np.empty(ids.shape[:2] + taps.shape[2:], dtype=dtype)
+    np.equal(taps, ids, out=cols)
+    return (cols,)
 
 
 class AvgPool(Layer):
@@ -353,14 +607,10 @@ class AvgPool(Layer):
     def forward(self, x, p, s, training, rng):
         c, h, w, n = x.shape
         oh, ow = self.out_hw(h, w)
-        xp, k, st = _pad(x, self.pad), self.k, self.stride
-        # window sum in row-major window order from +0, as a mean over the
-        # window axes of the im2col columns would add them
-        y = np.zeros((c, oh, ow, n), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                y += xp[:, i:i + st * oh:st, j:j + st * ow:st]
-        y /= k * k
+        pad = self.pad
+        _, y = _split(_pool, (x,), (pad, self.k, self.stride, oh, ow),
+                      lambda: (np.empty((c, h + 2 * pad, w + 2 * pad, n), x.dtype),
+                               np.empty((c, oh, ow, n), x.dtype)))
         return y, x.shape
 
     def backward(self, dy, cache, p):
@@ -368,6 +618,22 @@ class AvgPool(Layer):
         share = np.broadcast_to((dy / (k * k))[:, None, None],
                                 (dy.shape[0], k, k) + dy.shape[1:])
         return _col2im(share, cache, k, self.stride, self.pad), {}
+
+
+def _pool(pad, k, stride, oh, ow, x, xp=None, y=None):
+    """Kernel of ``AvgPool.forward``: (padded input, window means)."""
+    xp = _pad(x, pad, xp)
+    if y is None:
+        y = np.zeros((len(x), oh, ow, x.shape[3]), dtype=x.dtype)
+    else:
+        y.fill(0)
+    # window sum in row-major window order from +0, as a mean over the
+    # window axes of the im2col columns would add them
+    for i in range(k):
+        for j in range(k):
+            y += xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    y /= k * k
+    return xp, y
 
 
 class Dropout(Layer):

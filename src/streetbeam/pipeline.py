@@ -215,8 +215,9 @@ def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=SELECT_EP
     The outputs do not depend on the number of worker processes; a worker
     that dies raises ``PipelineError``. No worker outlives this call,
     whether it returns or raises.
-    ``horizon`` is checked and recorded as given: without it each candidate
-    trains at the default horizon. Every predictor reads the location, so
+    ``horizon`` is resolved as ``task_labels`` resolves it, the blockage
+    task's default being the dataset's first horizon, before it seeds the
+    candidates and is recorded. Every predictor reads the location, so
     ``pinned`` must hold it, and ``v_max`` must be at least the pinned
     set's size: else ``PipelineError`` before any worker or file.
     """
@@ -226,7 +227,7 @@ def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=SELECT_EP
         raise PipelineError(f"v_max must be >= the {len(pinned)} pinned features, got {v_max}")
     cfg = TrainConfig(epochs=epochs, seed=seed, arch=arch,
                       batch_size=batch_size, learning_rate=learning_rate)
-    task_labels(dataset, task, horizon)
+    horizon, _ = task_labels(dataset, task, horizon)
     with training_evaluator(dataset, task, horizon, cfg) as evaluator:
         try:
             selected, state = sffs(UNIVERSAL_FEATURES, evaluator, pinned=pinned, v_max=v_max)

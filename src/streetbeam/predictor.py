@@ -359,13 +359,14 @@ def task_labels(dataset: SampleSet, task, horizon=None):
 
 def predict(model, params, state, dataset, idx):
     """Eval-mode outputs of ``model`` for the samples ``idx`` of ``dataset``,
-    ``PREDICT_BATCH`` samples per forward pass."""
+    ``PREDICT_BATCH`` samples per forward pass, on one BLAS thread."""
     outs = []
-    for lo in range(0, len(idx), PREDICT_BATCH):
-        sel = idx[lo:lo + PREDICT_BATCH]
-        loc = dataset.locations[sel].astype(np.float32)
-        y, _ = model.forward(params, state, loc, dataset.label_maps[sel], training=False)
-        outs.append(y)
+    with blas.one_thread():
+        for lo in range(0, len(idx), PREDICT_BATCH):
+            sel = idx[lo:lo + PREDICT_BATCH]
+            loc = dataset.locations[sel].astype(np.float32)
+            y, _ = model.forward(params, state, loc, dataset.label_maps[sel], training=False)
+            outs.append(y)
     return np.concatenate(outs) if outs else np.zeros((0, 1))
 
 
@@ -411,7 +412,9 @@ def train_stack(dataset: SampleSet, feature_sets, task, cfg: TrainConfig, seeds,
     concept count for all its models, so the sets are grouped by size, in
     the given order, and each group trains ``stack_size`` sets at a time.
     The process keeps the heap its steps free (``blas.keep_freed_heap``)
-    from the first call on.
+    from the first call on. Training runs on one BLAS thread
+    (``blas.one_thread``), and on the two lanes of ``streetbeam.nn`` where
+    the process may use two CPUs; the results do not depend on either.
     """
     blas.keep_freed_heap()
     if len(seeds) != len(feature_sets):
@@ -425,11 +428,13 @@ def train_stack(dataset: SampleSet, feature_sets, task, cfg: TrainConfig, seeds,
     for i, model in enumerate(models):
         by_size.setdefault(len(model.concepts), []).append(i)
     results = {}
-    for group in by_size.values():
-        for lo in range(0, len(group), size):
-            chunk = group[lo:lo + size]
-            results.update(zip(chunk, _train_stack(dataset, labels, [models[i] for i in chunk],
-                                                   split, cfg, [seeds[i] for i in chunk])))
+    with blas.one_thread():
+        for group in by_size.values():
+            for lo in range(0, len(group), size):
+                chunk = group[lo:lo + size]
+                results.update(zip(chunk, _train_stack(dataset, labels,
+                                                       [models[i] for i in chunk], split, cfg,
+                                                       [seeds[i] for i in chunk])))
     return [results[i] for i in range(len(models))]
 
 

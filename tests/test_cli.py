@@ -460,6 +460,15 @@ def test_blockage_horizon_defaults_to_first_dataset_horizon(tmp_path, capsys):
     assert json.loads((run / "blockage_h1.meta.json").read_text())["horizon"] == 1
     report = json.loads((run / "report.json").read_text())
     assert list(report["metrics"]["blockage"]) == ["1"]
+    # a search records the horizon its candidates trained at, and seeds them
+    # with it: without --horizon it is the first, as with --horizon 1
+    select = ["select", "--config", str(cfg), "--dataset", dataset, "--task", "blockage",
+              "--epochs", "1", "--vmax", "2", "--out"]
+    assert main(select + [str(tmp_path / "first")]) == 0
+    assert main(select + [str(tmp_path / "h1"), "--horizon", "1"]) == 0
+    assert files(tmp_path / "first") == files(tmp_path / "h1")
+    assert json.loads((tmp_path / "first" / "selected_blockage.json").read_text())[
+        "horizon"] == 1
     capsys.readouterr()
     for cmd in (["train", "--config", str(cfg), "--epochs", "1",
                  "--features", "location,vehicle"], ["eval"],
@@ -671,6 +680,58 @@ def test_select_outputs_do_not_depend_on_usable_cpus(tmp_path, capsys, monkeypat
         assert proc.returncode == 0, proc.stderr
     assert files(run / "one") == files(run / "train")
     assert set(files(run / "one")) == {"beam.esnn", "beam.meta.json", "selected_beam.json"}
+
+
+def test_training_outputs_do_not_depend_on_usable_cpus_or_blas_threads(tmp_path):
+    """``train`` of the default arch at 80x160 writes the same checkpoint and
+    meta file by default, on one OpenBLAS thread, and pinned to one CPU: it
+    runs its BLAS on one thread, and its two lanes, where it has two CPUs,
+    compute what one lane does."""
+    cpu = min(os.sched_getaffinity(0))
+    cfg = write_json(tmp_path / "cfg80.json", CFG80)
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--seed", "3", "--out", str(run)]) == 0
+    train = ["train", "--config", cfg, "--dataset", run / "dataset", "--task", "beam",
+             "--seed", "3", "--features", "location,vehicle,building", "--epochs", "2",
+             "--out"]
+    procs = {"default": cli(*train, run / "default"),
+             "one": cli(*train, run / "one", env={"OPENBLAS_NUM_THREADS": "1"}),
+             "cpu": cli(*train, run / "cpu", cpu=cpu)}
+    for out, proc in procs.items():
+        assert proc.returncode == 0, (out, proc.stderr)
+        assert files(run / out) == files(run / "default"), out
+    assert set(files(run / "default")) == {"beam.esnn", "beam.meta.json"}
+
+
+POOL_AFTER_TRAIN = """
+import os, sys, threading
+os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs: two lanes and two workers
+from streetbeam import cli, nn
+assert cli.main(sys.argv[1:sys.argv.index("--")]) == 0
+print("helper", nn._helper is not None, "threads", threading.active_count())
+assert cli.main(sys.argv[sys.argv.index("--") + 1:]) == 0
+"""
+
+
+def test_pooled_select_after_in_process_training(tmp_path):
+    """A process whose training started the helper thread of ``streetbeam.nn``
+    then forks selection workers, which run to the end and write what a
+    fresh process writes: the helper is joined before the fork."""
+    cfg = write_config(tmp_path, frames=30)
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 0
+    common = ["--config", cfg, "--dataset", run / "dataset", "--task", "beam", "--epochs", "1"]
+    train = ["train", *common, "--features", "location,vehicle", "--out", run / "train"]
+    select = ["select", *common, "--vmax", "2", "--out"]
+    proc = subprocess.run([sys.executable, "-c", POOL_AFTER_TRAIN, *map(str, train), "--",
+                           *map(str, select), run / "after"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert "helper True threads 2" in proc.stdout, proc.stdout
+    fresh = cli(*select, run / "fresh")
+    assert fresh.returncode == 0, fresh.stderr
+    assert files(run / "after") == files(run / "fresh")
 
 
 def test_select_without_a_train_val_split_exits_1(tmp_path):

@@ -6,9 +6,11 @@ import signal
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from oracles import brute_force_best, per_set
+from streetbeam import nn
 from streetbeam.featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator,
                                 EvaluatorError, FsState, canonical,
                                 exclusion_step, inclusion_step, sffs,
@@ -313,6 +315,19 @@ def test_many_worker_death_in_a_later_step_fails_closed(no_children_left):
             ev.many([("a", "b"), ("a", "c"), ("b", "c")])
         assert multiprocessing.active_children() == []
         assert ev.call_count == 3 and ev(("b",)) == 0.5
+
+
+def test_workers_run_nn_on_one_lane(no_children_left, monkeypatch):
+    """A worker runs ``streetbeam.nn`` on one lane, whatever this process
+    runs it on, and the helper thread this process started is joined before
+    the pool forks."""
+    monkeypatch.setattr(nn, "_lanes", 2)
+    nn._split(np.negative, (np.arange(4.0),), (), lambda: (np.empty(4),))
+    assert nn._helper is not None
+    with CachedEvaluator(lambda keys: [nn._lanes / 2 for _ in keys], workers=2) as ev:
+        ev.many([("a",), ("b",), ("c",)])
+        assert nn._helper is None
+        assert [ev((key,)) for key in "abc"] == [0.5] * 3
 
 
 def test_search_forks_its_workers_once(tmp_path, no_children_left):

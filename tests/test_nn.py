@@ -1,10 +1,12 @@
 import copy
+import threading
 
 import numpy as np
 import pytest
 
 import streetbeam.predictor as predictor
 from oracles import named
+from streetbeam import blas, nn
 from streetbeam.nn import (Adam, AvgPool, BatchNorm, Conv2d, Dense, Dropout,
                            Flatten, LabelConv2d, ReLU, ResidualBlock, Sequential,
                            _col2im, _pad, leaves)
@@ -848,3 +850,201 @@ def test_train_stack_groups_mixed_set_sizes_and_rejects_missing_seeds(monkeypatc
     assert runs == [[sets[0], sets[3]], [sets[1]], [sets[2]]]
     with pytest.raises(ValueError, match="one seed per feature set"):
         predictor.train_stack(dataset, [("location", "vehicle")], "beam", cfg, [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# two lanes against one, bit for bit: each channel of a split pass, and each
+# GEMM column, is computed by the arithmetic of the whole pass
+
+def _on_lanes(monkeypatch, fn):
+    """The arrays ``fn()`` returns on one lane and on two, as two lists."""
+    runs = []
+    for lanes in (1, 2):
+        monkeypatch.setattr(nn, "_lanes", lanes)
+        runs.append([np.asarray(a) for a in fn()])
+    return runs
+
+
+def assert_lanes_agree(monkeypatch, fn):
+    one, two = _on_lanes(monkeypatch, fn)
+    assert len(one) == len(two)
+    for a, b in zip(one, two):
+        assert_bitwise(b, a)
+
+
+def _sliced_grad(seed, shape, dtype):
+    """A gradient (C, H, W, N) laid out as ``_col2im`` returns one: the
+    interior of a padded array, not contiguous."""
+    c, h, w, n = shape
+    return _random(seed, (c, h + 2, w + 2, n), dtype)[:, 1:1 + h, 1:1 + w]
+
+
+# (C, H, W, N): halves of 1, 2 and 3 channels, 2 and 3 channels, and the
+# default arch's first image activation at batch 128
+LANE_SHAPES = [(2, 7, 9, 5), (4, 8, 16, 32), (6, 5, 10, 3), (5, 3, 5, 8), (16, 20, 40, 128)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", LANE_SHAPES)
+def test_split_passes_on_two_lanes_match_one(shape, dtype, monkeypatch):
+    """BatchNorm in both modes, ReLU, AvgPool, padding, im2col and its
+    adjoint, forward and backward, with a non-contiguous input gradient."""
+    c = shape[0]
+    x = _random(60, shape, dtype)
+    x[0, 0, 0] = -0.0  # signed zeros survive every pass
+    dy = _sliced_grad(61, shape, dtype)
+    assert not dy.flags.c_contiguous
+
+    def bn(training):
+        layer = BatchNorm(c)
+        p, s = layer.init(stream(0, "i"), dtype)
+        p["gamma"], p["beta"] = _random(62, (c,), dtype), _random(63, (c,), dtype)
+        s["running_var"] += 0.5
+        y, cache = layer.forward(x, p, s, training, None)
+        dx, grads = layer.backward(dy, cache, p)
+        return [y, *cache[:2], *s.values(), dx, *grads.values()]
+
+    def layer(module, x):
+        y, cache = module.forward(x, {}, {}, True, None)
+        dx, _ = module.backward(_sliced_grad(64, y.shape, dtype), cache, {})
+        return [y, dx]
+
+    def conv(c_out, k, stride, pad):
+        module = Conv2d(c, c_out, k, stride, pad)
+        p, _ = module.init(stream(0, "i"), dtype)
+        y, cache = module.forward(x, p, {}, True, None)
+        dx, grads = module.backward(_sliced_grad(65, y.shape, dtype), cache, p)
+        return [y, dx, *grads.values(), cache[0]]
+
+    dcols = _random(66, (c, 3, 3) + AvgPool().out_hw(*shape[1:3]) + shape[3:], dtype)
+    for fn in (lambda: bn(True), lambda: bn(False), lambda: layer(ReLU(), x),
+               lambda: layer(AvgPool(3, 2, 1), x), lambda: conv(4, 3, 2, 1),
+               lambda: conv(3, 3, 1, 1), lambda: conv(8, 1, 2, 0),
+               lambda: [_pad(x, 1), _pad(x, 2), _col2im(dcols, shape, 3, 2, 1)]):
+        assert_lanes_agree(monkeypatch, fn)
+
+
+@pytest.mark.parametrize("n_cams,n_ids,models", [(1, 1, 1), (2, 1, 1), (2, 3, 1), (3, 2, 1),
+                                                 (2, 2, 3)])
+def test_label_columns_on_two_lanes_match_one(n_cams, n_ids, models, monkeypatch):
+    """The taps of 1, 2 or 3 cameras and the one-hot columns, for a model
+    and for a stack."""
+    ids = np.stack([concept_ids(("location",) + CATALOG.names[s:s + n_ids])
+                    for s in range(models)])
+    conv = LabelConv2d(ids, n_cams, 4, 3, 2, 1)
+    maps = _label_maps(67, (9, models * n_cams, 16, 32))
+    assert_lanes_agree(monkeypatch, lambda: [conv._columns(maps, np.float32)[0]])
+
+
+def _lane_networks():
+    """(models of a stack, map size, batch): the default arch's beam and
+    blockage networks at 80x160, TINY_ARCH's at 16x32, and a stack of
+    three TINY_ARCH networks."""
+    features = ("location", "vehicle", "building")
+    nets = [([Predictor(task, features, (2, 80, 160), 16, ArchConfig())], (80, 160), n)
+            for task in ("beam", "blockage") for n in (128, 7)]
+    nets += [([Predictor("beam", features, (2, 16, 32), 8, TINY_ARCH)], (16, 32), n)
+             for n in (32, 3)]
+    trio = [Predictor("beam", ("location", name), (2, 16, 32), 8, TINY_ARCH)
+            for name in CATALOG.names[:3]]
+    return nets + [(trio, (16, 32), 32)]
+
+
+def _run_network(models, hw, n, training, dtype):
+    """Output, state and gradients of one forward and backward pass."""
+    net = Predictor.stack(models)
+    trees = [m.init(seed, dtype) for seed, m in enumerate(models)]
+    params = predictor.tree_map(lambda *a: np.stack(a), *(p for p, _ in trees))
+    state = predictor.tree_map(lambda *a: np.stack(a), *(s for _, s in trees))
+    if len(models) == 1:
+        params, state = trees[0]
+    s = len(models)
+    maps = _label_maps(68, (n, s * 2) + hw)
+    loc = _random(69, (n, s * 3), dtype)
+    labels = stream(70, "labels").integers(2, size=(n, s))
+    out, cache = net.forward(params, state, loc, maps, training,
+                             [stream(i, "dropout") for i in range(s)])
+    _, dout = _batch_loss_grad(net, out, labels)
+    grads = net.backward(dout, cache, params)
+    return [out, *named(state).values(), *named(grads).values()]
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("index", range(7))
+def test_networks_on_two_lanes_match_one(index, training, monkeypatch):
+    network = _lane_networks()[index]
+    with blas.one_thread():
+        assert_lanes_agree(monkeypatch, lambda: _run_network(*network, training, np.float32))
+
+
+def test_conv_gemms_as_column_halves_match_whole_gemms(monkeypatch):
+    """Each convolution GEMM of the networks above, forward and input
+    gradient, on one BLAS thread: ``_conv_gemm`` on two lanes gives the
+    whole GEMM's bits. So do two column halves computed one after the
+    other, where ``_conv_gemm`` splits; a small GEMM, which it does not
+    split, may round otherwise in halves."""
+    calls, conv_gemm = [], nn._conv_gemm
+    monkeypatch.setattr(nn, "_conv_gemm", lambda *args: calls.append(args) or conv_gemm(*args))
+    with blas.one_thread():
+        for network in _lane_networks():
+            _run_network(*network, True, np.float32)
+        monkeypatch.setattr(nn, "_lanes", 2)
+        split = 0
+        for a, bias, b in calls:
+            whole = np.matmul(a, b) + (0 if bias is None else bias)
+            assert_bitwise(conv_gemm(a, bias, b), whole)
+            half = b.shape[2] // 2
+            if a.shape[1] * a.shape[2] * half >= nn._GEMM_HALF_MIN:
+                split += 1
+                monkeypatch.setattr(nn, "_lanes", 1)
+                halves = [conv_gemm(a, bias, b[..., :half]), conv_gemm(a, bias, b[..., half:])]
+                monkeypatch.setattr(nn, "_lanes", 2)
+                assert_bitwise(np.concatenate(halves, axis=2), whole)
+    # the default arch at batch 128: each first convolution's forward GEMM,
+    # the beam network's second convolution's forward and input gradient
+    assert split == 4
+
+
+def test_a_lane_exception_is_raised_in_the_caller(monkeypatch):
+    """An exception of either half is raised by the split call once both
+    halves are done; the lanes still work after it."""
+    monkeypatch.setattr(nn, "_lanes", 2)
+    threads = []
+
+    def kernel(fail_at, a):
+        threads.append(threading.get_ident())
+        if a[0] == fail_at:
+            raise ValueError(f"half {a.tolist()}")
+
+    with pytest.raises(ValueError, match=r"half \[2, 3, 4\]"):
+        nn._split(kernel, (np.arange(5),), (2,))
+    with pytest.raises(ValueError, match=r"half \[0, 1\]"):
+        nn._split(kernel, (np.arange(5),), (0,))
+    assert len(set(threads)) == 2 and threading.get_ident() in threads
+    x = _random(71, (3, 4, 4, 2), np.float32)
+    y, mask = ReLU().forward(x, {}, {}, True, None)
+    assert_bitwise(y, np.maximum(x, 0))
+    assert_bitwise(mask, x > 0)
+
+
+def test_layer_methods_run_on_the_calling_thread(monkeypatch):
+    """Training on two lanes calls every layer method, which a span tracer
+    wraps, on the thread that trains; the helper thread runs kernels only."""
+    threads = set()
+
+    def on_caller(fn):
+        def wrapper(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+    classes = [c for c in vars(nn).values() if isinstance(c, type)] + [Predictor]
+    for cls in classes:
+        for name in ("forward", "backward", "step", "_columns"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, on_caller(vars(cls)[name]))
+    monkeypatch.setattr(nn, "_lanes", 2)
+    dataset = _synthetic_sampleset()
+    cfg = TrainConfig(batch_size=16, epochs=1, arch=TINY_ARCH)
+    predictor.train(dataset, ("location", "vehicle"), "beam", cfg)
+    assert threads == {threading.get_ident()}
+    assert nn._helper is not None and nn._helper[0].is_alive()
