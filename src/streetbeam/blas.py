@@ -9,14 +9,17 @@ and the getter beside it, are looked up in the loaded library, under the
 names OpenBLAS builds export (the ``scipy_`` prefix and ``64_`` suffix of
 the wheels' ILP64 build).
 
-Training runs in ``one_thread``, a section that holds OpenBLAS to one
-thread and restores the count it found. A convolution's weight-gradient
-GEMM, with its long inner dimension, rounds differently on one OpenBLAS
-thread than on two, so training at the default count wrote other bytes
-on one CPU than on two. OpenBLAS's second thread also spins between GEMMs
-through the single-threaded numpy passes of a step, which make up most of
-it; ``streetbeam.nn`` runs those passes, and the GEMMs, on its own two
-lanes instead.
+Training and generation run in ``one_thread``, a section that holds
+OpenBLAS to one thread and restores the count it found. A convolution's
+weight-gradient GEMM, with its long inner dimension, rounds differently
+on one OpenBLAS thread than on two, so training at the default count
+wrote other bytes on one CPU than on two. OpenBLAS's second thread also
+spins after each GEMM, through the single-threaded numpy passes of a
+training step and through the channel assembly and container I/O that
+follow generation's beam search; the second CPU goes to the two lanes of
+``streetbeam.lanes`` instead, which run training's passes and GEMMs as
+halves, and generation's rendering and hashing beside its search and its
+file I/O.
 
 A training step allocates and frees the same large arrays as the step
 before it. With glibc's default thresholds, malloc maps arrays above its

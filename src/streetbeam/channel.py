@@ -285,6 +285,7 @@ def assemble_channels(paths, n_paths, config: RayTraceConfig):
             np.multiply(coarse[:r, :, i - 1], eb, out=coarse[:r, :, i])
         np.multiply(coarse[:r, :, :, None], fine[:r, :, None], out=term[:r])
         h[:r] += term[:r].reshape(r, K, -1)[..., :N_t]
+    del fine, coarse, term  # before the reordered copy of h
     return h[np.argsort(order)]
 
 

@@ -20,14 +20,22 @@ interleaved re/im f32. The writer hashes and writes the column buffers
 themselves (a complex128 channel column is cast once), and the reader
 returns every column as a view of the blob it has just hashed, so neither
 copies the channel tensor.
+
+Hashing overlaps file I/O on the lanes of ``streetbeam.lanes`` (hashlib
+and file reads and writes release the GIL): the writer writes the blobs
+in this thread while the helper hashes them, and the reader reads each
+blob into one array in chunks of ``_READ_CHUNK`` bytes, hashing chunk k on
+the helper while it reads chunk k + 1.
 """
 
+import functools
 import hashlib
 import json
 import os
 
 import numpy as np
 
+from . import lanes
 from .channel import RayTraceConfig
 from .predictor import SampleSet
 from .scene import SceneConfig, to_plain
@@ -42,6 +50,13 @@ _BLOBS = {
     "blockage": ("<u1", "blockage"),
     "frame_ids": ("<u4", "frame_ids"),
 }
+
+
+# bytes of a blob read at a time; the reader hashes each chunk while it
+# reads the next. A gen-wideband container (34 MB of channels) read in a
+# median 25.4 ms in 4 MiB chunks, 25.9 in 2 MiB and 25.8 in 8 MiB, against
+# 29.3 ms read whole, then hashed (in-process, warm page cache, 2 vCPUs)
+_READ_CHUNK = 4 << 20
 
 
 class ContainerError(IOError):
@@ -64,12 +79,15 @@ def write_container(path, samples: SampleSet, scene_cfg: SceneConfig, rt_cfg: Ra
         ch = np.ascontiguousarray(samples.channels, dtype="<c8")
         arrays["channels"] = ch.view("<f4").reshape(ch.shape + (2,))
 
-    hashes, shapes = {}, {}
-    for name, arr in arrays.items():  # the contiguous arrays' own buffers, not copies
-        with open(os.path.join(path, f"{name}.bin"), "wb") as fh:
-            fh.write(arr)
-        hashes[name] = _sha256(arr)
-        shapes[name] = list(arr.shape)
+    hashes = dict.fromkeys(arrays)
+    shapes = {name: list(arr.shape) for name, arr in arrays.items()}
+
+    def write():  # the contiguous arrays' own buffers, not copies
+        for name, arr in arrays.items():
+            with open(os.path.join(path, f"{name}.bin"), "wb") as fh:
+                fh.write(arr)
+    lanes.run([functools.partial(_hash_into, hashes, name, arr) for name, arr in arrays.items()],
+              own=write)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -90,12 +108,27 @@ def write_container(path, samples: SampleSet, scene_cfg: SceneConfig, rt_cfg: Ra
     return manifest
 
 
+def _hash_into(hashes, name, data):
+    hashes[name] = _sha256(data)
+
+
 def _read_blob(path, name, dtype, shape, expected_hash):
     fn = os.path.join(path, f"{name}.bin")
     if not os.path.exists(fn):
         raise ContainerError(f"missing blob {fn}")
-    data = np.fromfile(fn, dtype=np.uint8)  # read into a writable array, not via bytes
-    if _sha256(data) != expected_hash:
+    sha = hashlib.sha256()
+    with open(fn, "rb", buffering=0) as fh:
+        data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)  # writable, no bytes copy
+        chunks = [memoryview(data)[i:i + _READ_CHUNK]
+                  for i in range(0, len(data), _READ_CHUNK)]
+        # hash chunk k - 1 while reading chunk k; a file that shrank after
+        # fstat leaves bytes unread, which fail the hash
+        for k, chunk in enumerate(chunks):
+            lanes.run([functools.partial(sha.update, chunks[k - 1])] if k else [],
+                      own=functools.partial(fh.readinto, chunk))
+    if chunks:
+        sha.update(chunks[-1])
+    if sha.hexdigest() != expected_hash:
         raise ContainerError(f"hash mismatch for blob {name}")
     arr = data.view(dtype)
     expect = int(np.prod(shape)) if shape else arr.size

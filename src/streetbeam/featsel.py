@@ -19,7 +19,7 @@ import os
 import signal
 from dataclasses import dataclass, field
 
-from . import blas, nn
+from . import blas, lanes
 from .semantics import CONCEPT_NAMES
 
 log = logging.getLogger(__name__)
@@ -66,7 +66,7 @@ def _init_worker(fn, parent_pid):
     if os.getppid() != parent_pid:
         os._exit(1)
     blas.set_threads(1)  # the pool runs one worker per CPU
-    nn.set_lanes(1)
+    lanes.set_lanes(1)
 
 
 def _run_worker(keys):
@@ -117,15 +117,15 @@ class CachedEvaluator:
         processes, which inherit ``fn`` and its data as they were at the
         first evaluation (spawned ones would need both pickled), so only the
         feature tuples, the floats and a failure's exception are pickled;
-        ``streetbeam.nn``'s helper thread is joined before the pool forks all
-        its workers, which it does before it starts its own thread, and the
-        pool keeps them for later calls. A worker runs its BLAS on one
-        thread and ``streetbeam.nn`` on one lane. With one worker the batch
-        runs in this process. A batch whose ``fn`` raises fails the call with that
-        exception, and a value outside [0, 1] with ``EvaluatorError``; a
-        failed call caches nothing and leaves ``call_count`` as it was. A
-        worker that dies raises ``EvaluatorError`` after every worker is
-        joined.
+        the ``streetbeam.lanes`` helper thread is joined before the pool
+        forks all its workers, which it does before it starts its own
+        thread, and the pool keeps them for later calls. A worker runs its
+        BLAS on one thread and its lanes' work on one lane. With one worker
+        the batch runs in this process. A batch whose ``fn`` raises fails
+        the call with that exception, and a value outside [0, 1] with
+        ``EvaluatorError``; a failed call caches nothing and leaves
+        ``call_count`` as it was. A worker that dies raises
+        ``EvaluatorError`` after every worker is joined.
         """
         pending = list(dict.fromkeys(
             key for key in map(canonical, sets) if key not in self._cache))
@@ -152,7 +152,7 @@ class CachedEvaluator:
         from concurrent.futures.process import BrokenProcessPool
 
         if self._pool is None:
-            nn.join_helper()  # so that no thread is alive at the fork
+            lanes.join_helper()  # so that no thread is alive at the fork
             self._pool = ProcessPoolExecutor(self._workers,
                                              mp_context=multiprocessing.get_context("fork"),
                                              initializer=_init_worker,

@@ -45,28 +45,24 @@ model and rebinds each tensor of the parameter tree to a view of it, so an
 optimizer step is a handful of elementwise operations over the rows of
 the models it steps, bitwise equal to updating each tensor on its own.
 
-Two lanes: a process that may use two CPUs runs the per-channel passes of
-image activations, and the large GEMMs of convolutions, as two halves at
-once: the calling thread takes channels (or GEMM columns) ``[0, n//2)``,
-and one helper thread, started at first use, ``[n//2, n)``. The split
-passes are BatchNorm forward and backward on (C, H, W, N) input, ReLU,
-AvgPool, padding, im2col and its adjoint, and a ``LabelConv2d``'s columns;
-a convolution's forward and input-gradient GEMMs are cut into column
-halves, and its weight-gradient GEMM runs whole. Each channel, and each
-GEMM column on one BLAS thread, is computed by the same arithmetic in
-either half, so two lanes give the bits of one. The caller allocates
-every output and temporary of both halves. A process limited to one CPU,
-and a selection worker (``set_lanes(1)``), runs each pass whole in one
-call, as one lane. The helper runs numpy functions and the kernels below,
-never a layer's forward or backward, and the kernels are called from one
-thread at a time.
+Two lanes (``streetbeam.lanes``): a process that may use two CPUs runs
+the per-channel passes of image activations, and the large GEMMs of
+convolutions, as two halves at once: the calling thread takes channels
+(or GEMM columns) ``[0, n//2)``, and the helper thread ``[n//2, n)``. The
+split passes are BatchNorm forward and backward on (C, H, W, N) input,
+ReLU, AvgPool, padding, im2col and its adjoint, and a ``LabelConv2d``'s
+columns; a convolution's forward and input-gradient GEMMs are cut into
+column halves, and its weight-gradient GEMM runs whole. Each channel, and
+each GEMM column on one BLAS thread, is computed by the same arithmetic
+in either half, so two lanes give the bits of one. The caller allocates
+every output and temporary of both halves. With one lane each pass runs
+whole in one call. The helper runs numpy functions and the kernels below,
+never a layer's forward or backward.
 """
 
-import os
-import queue
-import threading
-
 import numpy as np
+
+from . import lanes
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
@@ -89,104 +85,6 @@ def tree_map(fn, tree, *others):
             else fn(value, *(o[key] for o in others)) for key, value in tree.items()}
 
 
-# ---------------------------------------------------------------------------
-# two lanes
-
-_lanes = 0       # lanes of this process, 1 or 2; 0 until first used
-_helper = None   # (thread, jobs, replies) of the second lane while it runs
-
-
-def set_lanes(n):
-    """Run the split passes on ``n`` lanes, 1 or 2, from now on; with one
-    lane the helper thread is joined."""
-    global _lanes
-    _lanes = n
-    if n < 2:
-        join_helper()
-
-
-def join_helper():
-    """Stop and join the helper thread, if it runs, so that a fork copies no
-    thread; two lanes start a new one at their next split pass."""
-    global _helper
-    if _helper is not None:
-        thread, jobs, _ = _helper
-        _helper = None
-        jobs.put(None)
-        thread.join()
-
-
-def _forget_helper():
-    global _helper
-    _helper = None
-
-
-os.register_at_fork(after_in_child=_forget_helper)  # a forked child has no helper
-
-
-def _serve(jobs, replies):
-    """The helper thread: run each (kernel, args) job, and reply None or the
-    exception it raised once it holds none of the job's arrays, which the
-    caller may then free."""
-    while (job := jobs.get()) is not None:
-        error = None
-        try:
-            job[0](*job[1])
-        except BaseException as exc:  # re-raised in the caller
-            error = exc
-        job = None
-        replies.put(error)
-
-
-def _helper_queues():
-    global _helper
-    if _helper is None:
-        jobs, replies = queue.SimpleQueue(), queue.SimpleQueue()
-        thread = threading.Thread(target=_serve, args=(jobs, replies),
-                                  name="streetbeam.nn lane", daemon=True)
-        thread.start()
-        _helper = thread, jobs, replies
-    return _helper[1:]
-
-
-def _lane_count():
-    global _lanes
-    _lanes = 2 if len(os.sched_getaffinity(0)) >= 2 else 1
-    return _lanes
-
-
-def _split(kernel, arrays, shared=(), outs=None, axis=0):
-    """``kernel(*shared, *arrays, *outputs)`` on the lanes.
-
-    With two lanes, an ``axis`` of 0 or -1 and at least two entries on that
-    axis of the first array, ``outs()`` allocates the outputs whole, as a
-    tuple. The helper thread runs the kernel on the upper half
-    ``[n//2, n)`` of that axis of every array and output (None stays
-    None), this thread on the lower half, and the outputs are returned; an
-    exception of the helper's half is raised here, once both halves are
-    done. Otherwise, or with ``axis`` None, the kernel runs once, whole,
-    allocates its outputs and returns them, as the same tuple.
-    """
-    if axis is None or (_lanes or _lane_count()) < 2 or arrays[0].shape[axis] < 2:
-        return kernel(*shared, *arrays)
-    whole = outs() if outs is not None else ()
-    mid = arrays[0].shape[axis] // 2
-    halves = []
-    for part in (slice(None, mid), slice(mid, None)):
-        index = part if axis == 0 else (Ellipsis, part)
-        halves.append((*shared, *(None if a is None else a[index]
-                                  for a in (*arrays, *whole))))
-    jobs, replies = _helper_queues()
-    jobs.put((kernel, halves[1]))
-    try:
-        kernel(*halves[0])
-    finally:
-        error = replies.get()
-    if error is not None:
-        raise error
-    return whole
-
-
 def _gemm(a, bias, b, out=None):
     out = np.matmul(a, b, out=out)
     if bias is not None:
@@ -207,8 +105,8 @@ def _conv_gemm(a, bias, b):
     least ``_GEMM_HALF_MIN`` multiply-adds a model, else whole."""
     m, k = a.shape[1:]
     axis = -1 if m * k * (b.shape[2] // 2) >= _GEMM_HALF_MIN else None
-    return _split(_gemm, (b,), (a, bias),
-                  lambda: (np.empty(a.shape[:2] + b.shape[2:], a.dtype),), axis)[0]
+    return lanes.split(_gemm, (b,), (a, bias),
+                       lambda: (np.empty(a.shape[:2] + b.shape[2:], a.dtype),), axis)[0]
 
 
 def _sum_batch(x, models):
@@ -270,13 +168,13 @@ class ReLU(Layer):
     """max(x, 0), on the lanes for (C, H, W, N) input."""
 
     def forward(self, x, p, s, training, rng):
-        return _split(_relu, (x,), (), lambda: (np.empty(x.shape, x.dtype),
-                                                np.empty(x.shape, bool)),
-                      0 if x.ndim == 4 else None)
+        return lanes.split(_relu, (x,), (), lambda: (np.empty(x.shape, x.dtype),
+                                                     np.empty(x.shape, bool)),
+                           0 if x.ndim == 4 else None)
 
     def backward(self, dy, cache, p):
-        dx, = _split(_masked, (dy, cache), (), lambda: (np.empty(dy.shape, dy.dtype),),
-                     0 if dy.ndim == 4 else None)
+        dx, = lanes.split(_masked, (dy, cache), (), lambda: (np.empty(dy.shape, dy.dtype),),
+                          0 if dy.ndim == 4 else None)
         return dx, {}
 
 
@@ -330,16 +228,16 @@ class BatchNorm:
         affine = p["gamma"].reshape(shp), p["beta"].reshape(shp)
         axis = 0 if x.ndim == 4 else None
         if training:
-            xhat, y, mean, var, inv_std = _split(_bn_batch, (x, *affine), (self._sum,),
-                                                 self._outs(x, 3), axis)
+            xhat, y, mean, var, inv_std = lanes.split(_bn_batch, (x, *affine), (self._sum,),
+                                                      self._outs(x, 3), axis)
             # running stats updated in place so shared state dicts stay in sync
             for key, batch in (("running_mean", mean), ("running_var", var)):
                 s[key] *= 1 - _BN_MOMENTUM
                 s[key] += (_BN_MOMENTUM * batch).astype(s[key].dtype).reshape(s[key].shape)
         else:
             stats = s["running_mean"].reshape(shp), s["running_var"].reshape(shp)
-            xhat, y, inv_std = _split(_bn_running, (x, *stats, *affine), (),
-                                      self._outs(x, 1), axis)
+            xhat, y, inv_std = lanes.split(_bn_running, (x, *stats, *affine), (),
+                                           self._outs(x, 1), axis)
         return y, (xhat, inv_std.reshape(-1), training)
 
     def backward(self, dy, cache, p):
@@ -347,8 +245,8 @@ class BatchNorm:
         shp = self._shape(dy)
         scale = (p["gamma"].reshape(-1) * inv_std).reshape(shp)
         if training:
-            dx, _, dgamma, dbeta = _split(_bn_backward, (dy, xhat, scale), (self._sum,),
-                                          self._outs(dy, 2), 0 if dy.ndim == 4 else None)
+            dx, _, dgamma, dbeta = lanes.split(_bn_backward, (dy, xhat, scale), (self._sum,),
+                                               self._outs(dy, 2), 0 if dy.ndim == 4 else None)
         else:
             dx, dgamma, dbeta = dy * scale, self._sum(dy * xhat), self._sum(dy)
         return dx, {"gamma": dgamma.reshape(p["gamma"].shape),
@@ -444,8 +342,8 @@ def _col2im(dcols, x_shape, k, stride, pad):
     lanes."""
     c, h, w, n = x_shape
     padded = (c, h + 2 * pad, w + 2 * pad, n)
-    dxp, = _split(_scatter, (dcols,), (padded[1:3], stride),
-                  lambda: (np.empty(padded, dcols.dtype),))
+    dxp, = lanes.split(_scatter, (dcols,), (padded[1:3], stride),
+                       lambda: (np.empty(padded, dcols.dtype),))
     return dxp[:, pad:pad + h, pad:pad + w]
 
 
@@ -498,7 +396,7 @@ class Conv2d:
         def outs():
             return (np.empty((c, h + 2 * pad, w + 2 * pad, n), x.dtype) if pad else None,
                     np.empty((c, k, k, oh, ow, n), x.dtype))
-        _, cols = _split(_windows, (x,), (pad, k, self.stride, oh, ow), outs)
+        _, cols = lanes.split(_windows, (x,), (pad, k, self.stride, oh, ow), outs)
         return cols.reshape(c * k * k, -1), (c // self.c_in * self.c_out, oh, ow, n)
 
     def _weights(self, p):
@@ -558,14 +456,14 @@ class LabelConv2d(Conv2d):
         k, pad = self.k, self.pad
         # camera-major, so that the lanes split on the first axis
         maps = maps.transpose(1, 0, 2, 3)
-        _, taps = _split(_label_taps, (maps,), (pad, k, self.stride, oh, ow),
-                         lambda: (np.empty((m, n, h + 2 * pad, w + 2 * pad), np.uint8),
-                                  np.empty((m, k, k, oh, ow, n), np.uint8)))
+        _, taps = lanes.split(_label_taps, (maps,), (pad, k, self.stride, oh, ow),
+                              lambda: (np.empty((m, n, h + 2 * pad, w + 2 * pad), np.uint8),
+                                       np.empty((m, k, k, oh, ow, n), np.uint8)))
         models, n_ids = self.ids.shape
         taps = taps.reshape(models, 1, m // models, k, k, -1)
         ids = self.ids.reshape(models, n_ids, 1, 1, 1, 1)
-        cols, = _split(_one_hot, (taps,), (ids, dtype),
-                       lambda: (np.empty((models, n_ids) + taps.shape[2:], dtype),), axis=-1)
+        cols, = lanes.split(_one_hot, (taps,), (ids, dtype),
+                            lambda: (np.empty((models, n_ids) + taps.shape[2:], dtype),), axis=-1)
         return cols.reshape(-1, oh * ow * n), (models * self.c_out, oh, ow, n)
 
 
@@ -608,9 +506,9 @@ class AvgPool(Layer):
         c, h, w, n = x.shape
         oh, ow = self.out_hw(h, w)
         pad = self.pad
-        _, y = _split(_pool, (x,), (pad, self.k, self.stride, oh, ow),
-                      lambda: (np.empty((c, h + 2 * pad, w + 2 * pad, n), x.dtype),
-                               np.empty((c, oh, ow, n), x.dtype)))
+        _, y = lanes.split(_pool, (x,), (pad, self.k, self.stride, oh, ow),
+                           lambda: (np.empty((c, h + 2 * pad, w + 2 * pad, n), x.dtype),
+                                    np.empty((c, oh, ow, n), x.dtype)))
         return y, x.shape
 
     def backward(self, dy, cache, p):

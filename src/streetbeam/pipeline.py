@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blas, featsel
+from . import blas, featsel, lanes
 from .beams import dft_codebook, full_outages, optimal_beam, topg_accuracy, trr
 from .channel import RayTraceConfig, assemble_channels, trace_paths
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -26,7 +26,7 @@ from .predictor import (ArchConfig, Predictor, SampleSet, TrainConfig, accuracy,
 from .rng import derive_seed
 from .scene import (ConfigError, SceneConfig, check_fields, check_max, check_min,
                     from_plain, generate_scenario, to_plain)
-from .semantics import MAX_SIDE, render_frames
+from .semantics import MAX_SIDE, render_jobs
 
 log = logging.getLogger(__name__)
 
@@ -41,9 +41,13 @@ SELECT_EPOCHS = 5  # training epochs of each candidate set in the search
 # pages included. A select-tiny worker (TINY_ARCH, 16x32, batch 32) training
 # stacks of 9 and 10 peaked at 57 MiB either way.
 SELECT_WORKERS_MAX = 2
-# channel entries (samples x K x N_t) assembled and searched at once; bounds
-# the chunk's complex temporaries to a few hundred KiB each
-_CHUNK_ENTRIES = 1 << 15
+# channel entries (samples x K x N_t) assembled and searched at once, which
+# bounds the chunk's complex temporaries to about 1 MiB each. At the
+# gen-wideband benchmark (N_t 64, K 128: 8 samples a chunk) 2^16 generated
+# 5% faster than 2^15 and peaked 0.9 MiB higher; 2^17 was 3% faster
+# again but peaked 3.6 MiB higher, 10% above single-threaded generation at
+# 2^15 (perfbench, 2 vCPUs)
+_CHUNK_ENTRIES = 1 << 16
 
 
 class PipelineError(ValueError):
@@ -129,10 +133,15 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
     rates are computed for the sample frames only. The channels of the live
     samples, those with a path, are assembled and searched in chunks of
     about ``_CHUNK_ENTRIES`` channel entries; every outage sample gets the
-    zero channel and the zero channel's rate row, written without a search
-    (+0.0 wherever ``P_k / sigma2`` is finite). The rates are searched on
-    each full-precision complex128 channel; the stored channel column is
-    its complex64 rounding, as the container keeps it.
+    zero channel and the zero channel's rate row, written without a search:
+    +0.0, since ``RayTraceConfig`` rejects a non-finite ``P_k / sigma2``.
+    The rates are searched on each full-precision complex128 channel; the
+    stored channel column is its complex64 rounding, as the container
+    keeps it.
+
+    Assembly and search run in this thread, with BLAS on one thread; the
+    cameras render on the lanes beside them, each job into its own part
+    of maps allocated before, so the outputs do not depend on the lanes.
     """
     scene_cfg, rt_cfg, resolution = cfg.scene, cfg.raytrace, cfg.resolution
     horizons = tuple(sorted(cfg.horizons))
@@ -148,10 +157,11 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
     log.info("generated %d samples (%d frames excluded)", len(t0), excluded)
 
     n, K, N_t = len(t0), rt_cfg.K, rt_cfg.N_t
+    maps, render = render_jobs([frames[t] for t in t0.tolist()], scene_cfg, resolution)
     samples = SampleSet(
-        label_maps=render_frames([frames[t] for t in t0.tolist()], scene_cfg, resolution),
+        label_maps=maps,
         locations=np.array([frames[t].user_antenna_pos for t in t0.tolist()], dtype=np.float32),
-        # the zero channel's rate row: +0.0, or NaN where P_k / sigma2 overflows
+        # the zero channel's rate row: +0.0, as RayTraceConfig keeps P_k / sigma2 finite
         rates=np.full((n, cfg.M_bm), np.log2(1 + rt_cfg.P_k / rt_cfg.sigma2 * 0.0)),
         blockage=blockage,
         frame_ids=t0.astype(np.uint32),
@@ -160,12 +170,16 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
     )
     live = np.flatnonzero(n_paths[t0])
     step = max(_CHUNK_ENTRIES // (K * N_t), 1)
-    for i in range(0, len(live), step):
-        rows = live[i:i + step]
-        h = assemble_channels(paths[t0[rows]], n_paths[t0[rows]], rt_cfg)
-        samples.rates[rows] = optimal_beam(h, codebook, rt_cfg.P_k, rt_cfg.sigma2)
-        if cfg.store_channels:
-            samples.channels[rows] = h
+
+    def search():
+        for i in range(0, len(live), step):
+            rows = live[i:i + step]
+            h = assemble_channels(paths[t0[rows]], n_paths[t0[rows]], rt_cfg)
+            samples.rates[rows] = optimal_beam(h, codebook, rt_cfg.P_k, rt_cfg.sigma2)
+            if cfg.store_channels:
+                samples.channels[rows] = h
+    with blas.one_thread():
+        lanes.run(render, own=search)
     return samples
 
 

@@ -5,22 +5,27 @@ primitives (sky background, building facades, ground/road/sidewalk/
 roadline, vehicle boxes) into an H x W uint8 array of concept indices;
 ``render_frames`` returns the (F, n_cams, H, W) maps of a frame list, in
 the config's camera order, and ``render_frame`` one frame's (n_cams, H, W).
-The static background of each camera view is computed once per call. Each
-camera takes the frames' boxes in blocks, drops those wholly outside either
-horizontal plane of its view frustum, projects the rest and tests a box on
-the pixels of its projected bounding rectangle with the ray-box slab test,
-factorised along the image axes: a box's z slab is computed once per image
-row, as a camera's right axis is level, and its x and y slabs once per
-column when the camera's rows share their x and y directions (any camera
-of pitch 0), else once per pixel. Concepts the simulator cannot produce
-(pedestrian, water, ...) still exist in the catalog so the feature-selection
-search can consider and reject them.
+``render_jobs`` allocates the maps and returns one job per camera, which
+writes only that camera's part, so the cameras render at once on the lanes
+of ``streetbeam.lanes``. The static background of each camera view is
+computed once per call. Each camera takes the frames' boxes in blocks,
+drops those wholly outside either horizontal plane of its view frustum,
+projects the rest and tests a box on the pixels of its projected bounding
+rectangle with the ray-box slab test, factorised along the image axes: a
+box's z slab is computed once per image row, as a camera's right axis is
+level, and its x and y slabs once per column when the camera's rows share
+their x and y directions (any camera of pitch 0), else once per pixel.
+Concepts the simulator cannot produce (pedestrian, water, ...) still exist
+in the catalog so the feature-selection search can consider and reject
+them.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import lanes
 from .scene import CameraPose, ConfigError, Frame, SceneConfig, _boxes
 
 CONCEPT_NAMES = (
@@ -210,13 +215,51 @@ def _render(flat, boxes, base, camera: CameraPose, view, H, W):
         if len(near) < len(pix):  # a level camera: a box's x/y ends serve all its rows
             xi = _runs((np.cumsum(nc[b]) - nc[b])[box], cols)
             near, far = near[xi], far[xi]
+            del xi
         np.maximum(near, np.repeat(np.minimum(z1, z2), cols), out=near)
         np.minimum(far, np.repeat(np.maximum(z1, z2), cols), out=far)
-        t = np.where(near > 0, near, far)
         # an in-order z-buffer only lowers depth, so a pixel ends as a vehicle
-        # exactly when some box hits it nearer than the background
-        hit = (near <= far) & (far > 0) & (t < bg_depth[pix])
+        # exactly when some box hits it nearer than the background; the hit's
+        # depth is near, or far from inside the box (near <= 0 or NaN)
+        hit = (near <= far) & (far > 0)
+        np.copyto(near, far, where=~(near > 0))
+        hit &= near < bg_depth[pix]
+        del near, far  # a camera's peak, which two lanes hold at once
         flat[(pix + np.repeat(base[b][box], cols))[hit]] = VEHICLE
+
+
+def render_jobs(frames, config: SceneConfig, resolution):
+    """The (F, n_cams, H, W) uint8 label maps of ``frames``, allocated, and
+    one job per camera, in order, that fills that camera's maps. The jobs
+    write disjoint parts of the maps and share nothing else they write, so
+    they may run in any order, or at once on two threads.
+    """
+    H, W = resolution
+    if min(H, W) < 16 or max(H, W) > MAX_SIDE:
+        raise ConfigError(f"render resolution must be 16 to {MAX_SIDE} pixels a side")
+    cams = config.camera_poses
+    maps = np.empty((len(frames), len(cams), H, W), dtype=np.uint8)
+    boxes = _boxes(*(np.concatenate([np.zeros(0, np.intp)] + [getattr(fr, k) for fr in frames])
+                     for k in ("classes", "x", "y")))
+    base = np.repeat(np.arange(len(frames)) * (len(cams) * H * W), [len(fr.ids) for fr in frames])
+    return maps, [functools.partial(_render_camera, maps, boxes, base, c, config)
+                  for c in range(len(cams))]
+
+
+def _render_camera(maps, boxes, base, c, config: SceneConfig):
+    """Fill the maps of camera ``c``; the maps of box i's frame start at
+    ``base[i]`` of ``maps.reshape(-1)``."""
+    camera, (H, W) = config.camera_poses[c], maps.shape[2:]
+    inv, bg_labels, bg_depth, *basis = _background(camera, config, H, W)
+    maps[:, c] = bg_labels.reshape(H, W)
+    # right[2] is 0, so an image row has one z direction; the rows of a
+    # level camera also share their x and y directions
+    xy = inv[:2, :1] if (inv[:2] == inv[:2, :1]).all() else inv[:2]
+    view = (inv[2, :, 0], xy.reshape(2, -1), bg_depth, *basis)
+    flat = maps.reshape(-1)
+    for b0 in range(0, len(boxes), _BLOCK_BOXES):
+        block = slice(b0, b0 + _BLOCK_BOXES)
+        _render(flat, boxes[block], base[block] + c * H * W, camera, view, H, W)
 
 
 def render_frames(frames, config: SceneConfig, resolution):
@@ -225,28 +268,12 @@ def render_frames(frames, config: SceneConfig, resolution):
     Deterministic per-pixel depth test over: ground composite, the two
     facade planes, and every vehicle box. Sky is the background label.
     Each camera culls and projects blocks of ``_BLOCK_BOXES`` boxes and
-    depth-tests about ``_CHUNK_PAIRS`` (pixel, box) pairs at a time.
+    depth-tests about ``_CHUNK_PAIRS`` (pixel, box) pairs at a time; the
+    cameras render on the lanes.
     """
-    H, W = resolution
-    if min(H, W) < 16 or max(H, W) > MAX_SIDE:
-        raise ConfigError(f"render resolution must be 16 to {MAX_SIDE} pixels a side")
-    cams = config.camera_poses
-    maps = np.empty((len(frames), len(cams), H * W), dtype=np.uint8)
-    flat = maps.reshape(-1)
-    boxes = _boxes(*(np.concatenate([np.zeros(0, np.intp)] + [getattr(fr, k) for fr in frames])
-                     for k in ("classes", "x", "y")))
-    base = np.repeat(np.arange(len(frames)) * (len(cams) * H * W), [len(fr.ids) for fr in frames])
-    for c, cam in enumerate(cams):
-        inv, bg_labels, bg_depth, *basis = _background(cam, config, H, W)
-        maps[:, c] = bg_labels
-        # right[2] is 0, so an image row has one z direction; the rows of a
-        # level camera also share their x and y directions
-        xy = inv[:2, :1] if (inv[:2] == inv[:2, :1]).all() else inv[:2]
-        view = (inv[2, :, 0], xy.reshape(2, -1), bg_depth, *basis)
-        for b0 in range(0, len(boxes), _BLOCK_BOXES):
-            block = slice(b0, b0 + _BLOCK_BOXES)
-            _render(flat, boxes[block], base[block] + c * H * W, cam, view, H, W)
-    return maps.reshape(len(frames), len(cams), H, W)
+    maps, jobs = render_jobs(frames, config, resolution)
+    lanes.run(jobs)
+    return maps
 
 
 def render_frame(frame: Frame, config: SceneConfig, resolution):

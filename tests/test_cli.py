@@ -5,10 +5,12 @@ import platform
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from streetbeam import dataset, lanes
 from streetbeam.cli import _load_config, main
 from streetbeam.dataset import read_container
 from streetbeam.scene import to_plain
@@ -24,7 +26,8 @@ ROOT = os.path.dirname(os.path.dirname(__file__))
 # WIDE takes the default RayTraceConfig (N_t 64, K 128), whose coarse steering
 # table is multiplied, where N_t 8 has a single block. ROOF puts a level camera
 # at a car's roof height with odd map sides, so rays lie in box face planes.
-# TWO is a 2-sample dataset; CFG80 trains the default arch at 80x160.
+# TWO is a 2-sample dataset; WIDE120 a wideband street whose search runs in
+# several chunks; CFG80 trains the default arch at 80x160.
 STREET = {"frame_count": 60, "spawn_rate": 0.6}
 CFG8 = {"scene": STREET, "raytrace": {"N_t": 8, "K": 8}, "resolution": [16, 32],
         "horizons": [1]}
@@ -36,6 +39,8 @@ ROOF = {**CFG8, "resolution": [17, 33],
 TWO = {"scene": {"frame_count": 3, "spawn_rate": 0,
                  "initial_vehicles": [["car", [50.0, -5.25], 0, 10.0]]},
        "resolution": [16, 32], "horizons": [1]}
+WIDE120 = {"scene": {**STREET, "frame_count": 120}, "raytrace": {"N_t": 64, "K": 32},
+           "resolution": [16, 32], "horizons": [1]}
 CFG80 = {"scene": {**STREET, "frame_count": 200, "bs_position": [100.0, -8.0, 2.0]},
          "raytrace": {"N_t": 16, "K": 16}, "resolution": [80, 160], "horizons": [1],
          "M_bm": 16}
@@ -385,6 +390,26 @@ def test_corrupt_artifacts_exit_2(tmp_path, capsys):
     assert "manifest does not match its checksum" in capsys.readouterr().err
 
 
+def test_a_blob_with_a_bad_end_exits_2(tmp_path, monkeypatch, capsys):
+    """Read in chunks of 1000 bytes, the channel blob ends in a short chunk;
+    with its last byte flipped, lost or followed by one more, a command
+    that reads the container exits 2 and names the blob."""
+    monkeypatch.setattr(dataset, "_READ_CHUNK", 1000)
+    cfg = write_config(tmp_path, frames=30)
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    blob = out / "dataset" / "channels.bin"
+    raw = blob.read_bytes()
+    assert len(raw) > 1000 and len(raw) % 1000
+    for bad in (raw[:-1] + bytes([raw[-1] ^ 1]), raw[:-1], raw + b"\0"):
+        blob.write_bytes(bad)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--dataset", str(out / "dataset"),
+                     "--task", "beam", "--epochs", "1", "--out", str(out),
+                     "--features", "location,vehicle"]) == 2
+        assert "error: hash mismatch for blob channels\n" in capsys.readouterr().err
+
+
 def test_schema_1_container_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, frames=30)
     out = str(tmp_path / "run")
@@ -703,18 +728,77 @@ def test_training_outputs_do_not_depend_on_usable_cpus_or_blas_threads(tmp_path)
     assert set(files(run / "default")) == {"beam.esnn", "beam.meta.json"}
 
 
+def test_generated_bytes_do_not_depend_on_usable_cpus_or_blas_threads(tmp_path):
+    """``generate`` of a wideband street writes the same blobs and manifest
+    by default, on one OpenBLAS thread, and pinned to one CPU, where it
+    renders and hashes on one lane: its search runs on one BLAS thread, and
+    every job of its two lanes computes what one lane does."""
+    cpu = min(os.sched_getaffinity(0))
+    cfg = write_json(tmp_path / "wide.json", WIDE120)
+    gen = ["generate", "--config", cfg, "--out"]
+    procs = {"default": cli(*gen, tmp_path / "default"),
+             "one": cli(*gen, tmp_path / "one", env={"OPENBLAS_NUM_THREADS": "1"}),
+             "cpu": cli(*gen, tmp_path / "cpu", cpu=cpu)}
+    for out, proc in procs.items():
+        assert proc.returncode == 0, (out, proc.stderr)
+        assert files(tmp_path / out / "dataset") == files(tmp_path / "default" / "dataset"), out
+    samples, manifest = read_container(tmp_path / "default" / "dataset")
+    assert set(files(tmp_path / "default" / "dataset")) == \
+        {f"{name}.bin" for name in manifest["hashes"]} | {"manifest.json"}
+    assert "channels" in manifest["hashes"]
+    # more live samples than one search chunk holds
+    assert np.count_nonzero(samples.channels.any(axis=(1, 2))) > (1 << 16) // (32 * 64)
+
+
+def test_traced_generation_records_every_span_on_the_calling_thread(tmp_path, monkeypatch):
+    """The benchmark's span tracer, which is single-threaded, stays clean
+    over a wideband generate and read on two lanes: every span is recorded
+    on the calling thread and lies inside its parent, and the search, the
+    write and the read are spans of the generation and the read."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    spans = importlib.import_module("spans")
+    monkeypatch.setattr(lanes, "_lanes", 2)
+    cfg = write_json(tmp_path / "wide.json", WIDE120)
+    tracer, threads = spans.Tracer(), set()
+    span = tracer.span
+
+    def on_thread(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return span(*args, **kwargs)
+    tracer.span = on_thread
+    tracer.install()
+    try:
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        dataset.read_container(tmp_path / "run" / "dataset")
+    finally:
+        tracer.uninstall()
+    assert threads == {threading.get_ident()}
+    for name, start, end, parent in tracer.spans:
+        assert start <= end, name
+        if parent >= 0:
+            _, p_start, p_end, _ = tracer.spans[parent]
+            assert p_start <= start and end <= p_end, name
+    names = [name for name, *_ in tracer.spans]
+    parents = {name: tracer.spans[parent][0] if parent >= 0 else None
+               for name, _, _, parent in tracer.spans}
+    assert names.count("beams.optimal_beam") >= 2
+    assert parents["beams.optimal_beam"] == "pipeline.generate_dataset"
+    assert parents["dataset.write_container"] == "pipeline.cmd_generate"
+    assert names[-1] == "dataset.read_container" and parents[names[-1]] is None
+
+
 POOL_AFTER_TRAIN = """
 import os, sys, threading
 os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs: two lanes and two workers
-from streetbeam import cli, nn
+from streetbeam import cli, lanes
 assert cli.main(sys.argv[1:sys.argv.index("--")]) == 0
-print("helper", nn._helper is not None, "threads", threading.active_count())
+print("helper", lanes._helper is not None, "threads", threading.active_count())
 assert cli.main(sys.argv[sys.argv.index("--") + 1:]) == 0
 """
 
 
 def test_pooled_select_after_in_process_training(tmp_path):
-    """A process whose training started the helper thread of ``streetbeam.nn``
+    """A process whose training started the helper thread of ``streetbeam.lanes``
     then forks selection workers, which run to the end and write what a
     fresh process writes: the helper is joined before the fork."""
     cfg = write_config(tmp_path, frames=30)

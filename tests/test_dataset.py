@@ -1,15 +1,17 @@
+import hashlib
 import json
 import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streetbeam import dataset
+from streetbeam import dataset, lanes
 from streetbeam.channel import RayTraceConfig
 from streetbeam.dataset import ContainerError, read_container, write_container
 from streetbeam.pipeline import RunConfig, cmd_generate
@@ -252,3 +254,78 @@ def test_manifest_value_edits_are_container_errors(tiny_container):
                      (b'\n}\n', b'\n}')):
         assert raw.count(old) >= 1, old
         _read_altered(tiny_container, "manifest.json", raw.replace(old, new, 1))
+
+
+BLOBS = tuple(name[:-4] for name in FILES[1:])
+
+
+@pytest.mark.parametrize("n_lanes", [1, 2])
+def test_chunked_read_fails_closed_on_a_short_last_chunk(tmp_path, monkeypatch, n_lanes):
+    """In chunks of 100 bytes every blob ends in a short chunk: a flipped
+    last byte, a lost last byte and one byte too many each fail with that
+    blob's hash mismatch, on one lane and on two, and the unaltered
+    container reads back bit for bit."""
+    monkeypatch.setattr(lanes, "_lanes", n_lanes)
+    monkeypatch.setattr(dataset, "_READ_CHUNK", 100)
+    samples, path = small_sampleset(), tmp_path / "d"
+    write_container(path, samples, SceneConfig(), RayTraceConfig(N_t=8, K=4))
+    got, _ = read_container(path)
+    for name in ("label_maps", "locations", "rates", "blockage", "frame_ids", "channels"):
+        assert getattr(got, name).tobytes() == \
+            np.asarray(getattr(samples, name), dtype=getattr(got, name).dtype).tobytes()
+    for name in BLOBS:
+        blob = path / f"{name}.bin"
+        raw = blob.read_bytes()
+        assert len(raw) % 100
+        for bad in (raw[:-1] + bytes([raw[-1] ^ 1]), raw[:-1], raw + b"\0"):
+            blob.write_bytes(bad)
+            with pytest.raises(ContainerError, match=f"^hash mismatch for blob {name}$"):
+                read_container(path)
+        blob.write_bytes(raw)
+    read_container(path)
+
+
+def test_a_failed_hash_is_raised_once_both_lanes_are_done(tmp_path, monkeypatch):
+    """A hash that raises, while the blobs are written or read on two lanes,
+    fails the call once the other lane is done: every blob is then written
+    whole. The next write and read run and give the one-lane bytes."""
+    monkeypatch.setattr(lanes, "_lanes", 2)
+    monkeypatch.setattr(dataset, "_READ_CHUNK", 100)
+    samples, args = small_sampleset(), (SceneConfig(), RayTraceConfig(N_t=8, K=4))
+    hash_into = dataset._hash_into
+
+    def failing(hashes, name, data):
+        if name == "labels":
+            raise RuntimeError("hash failed")
+        hash_into(hashes, name, data)
+    monkeypatch.setattr(dataset, "_hash_into", failing)
+    with pytest.raises(RuntimeError, match="hash failed"):
+        write_container(tmp_path / "d", samples, *args)
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == sorted(FILES[1:])
+    one = tmp_path / "one"
+    monkeypatch.setattr(dataset, "_hash_into", hash_into)
+    write_container(tmp_path / "d", samples, *args)
+    with monkeypatch.context() as m:
+        m.setattr(lanes, "_lanes", 1)
+        write_container(one, samples, *args)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()} == \
+        {p.name: p.read_bytes() for p in one.iterdir()}
+
+    class FailingSha256:  # fails on the second chunk, which the helper hashes
+        def __init__(self, data=b""):
+            self._sha, self._chunks = hashlib.sha256(data), 0
+
+        def update(self, data):
+            self._chunks += 1
+            if self._chunks == 2:
+                raise RuntimeError("chunk hash failed")
+            self._sha.update(data)
+
+        def hexdigest(self):
+            return self._sha.hexdigest()
+    with monkeypatch.context() as m:
+        m.setattr(dataset, "hashlib", SimpleNamespace(sha256=FailingSha256))
+        with pytest.raises(RuntimeError, match="chunk hash failed"):
+            read_container(tmp_path / "d")
+    got, _ = read_container(tmp_path / "d")
+    assert got.label_maps.tobytes() == samples.label_maps.tobytes()

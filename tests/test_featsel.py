@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_best, per_set
-from streetbeam import nn
+from streetbeam import lanes
 from streetbeam.featsel import (LOCATION, UNIVERSAL_FEATURES, CachedEvaluator,
                                 EvaluatorError, FsState, canonical,
                                 exclusion_step, inclusion_step, sffs,
@@ -318,15 +318,15 @@ def test_many_worker_death_in_a_later_step_fails_closed(no_children_left):
 
 
 def test_workers_run_nn_on_one_lane(no_children_left, monkeypatch):
-    """A worker runs ``streetbeam.nn`` on one lane, whatever this process
-    runs it on, and the helper thread this process started is joined before
-    the pool forks."""
-    monkeypatch.setattr(nn, "_lanes", 2)
-    nn._split(np.negative, (np.arange(4.0),), (), lambda: (np.empty(4),))
-    assert nn._helper is not None
-    with CachedEvaluator(lambda keys: [nn._lanes / 2 for _ in keys], workers=2) as ev:
+    """A worker runs ``streetbeam.lanes`` work on one lane, whatever this
+    process runs it on, and the helper thread this process started is
+    joined before the pool forks."""
+    monkeypatch.setattr(lanes, "_lanes", 2)
+    lanes.split(np.negative, (np.arange(4.0),), (), lambda: (np.empty(4),))
+    assert lanes._helper is not None
+    with CachedEvaluator(lambda keys: [lanes._lanes / 2 for _ in keys], workers=2) as ev:
         ev.many([("a",), ("b",), ("c",)])
-        assert nn._helper is None
+        assert lanes._helper is None
         assert [ev((key,)) for key in "abc"] == [0.5] * 3
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import streetbeam.predictor as predictor
 from oracles import named
-from streetbeam import blas, nn
+from streetbeam import blas, lanes, nn
 from streetbeam.nn import (Adam, AvgPool, BatchNorm, Conv2d, Dense, Dropout,
                            Flatten, LabelConv2d, ReLU, ResidualBlock, Sequential,
                            _col2im, _pad, leaves)
@@ -859,8 +859,8 @@ def test_train_stack_groups_mixed_set_sizes_and_rejects_missing_seeds(monkeypatc
 def _on_lanes(monkeypatch, fn):
     """The arrays ``fn()`` returns on one lane and on two, as two lists."""
     runs = []
-    for lanes in (1, 2):
-        monkeypatch.setattr(nn, "_lanes", lanes)
+    for n in (1, 2):
+        monkeypatch.setattr(lanes, "_lanes", n)
         runs.append([np.asarray(a) for a in fn()])
     return runs
 
@@ -988,7 +988,7 @@ def test_conv_gemms_as_column_halves_match_whole_gemms(monkeypatch):
     with blas.one_thread():
         for network in _lane_networks():
             _run_network(*network, True, np.float32)
-        monkeypatch.setattr(nn, "_lanes", 2)
+        monkeypatch.setattr(lanes, "_lanes", 2)
         split = 0
         for a, bias, b in calls:
             whole = np.matmul(a, b) + (0 if bias is None else bias)
@@ -996,9 +996,9 @@ def test_conv_gemms_as_column_halves_match_whole_gemms(monkeypatch):
             half = b.shape[2] // 2
             if a.shape[1] * a.shape[2] * half >= nn._GEMM_HALF_MIN:
                 split += 1
-                monkeypatch.setattr(nn, "_lanes", 1)
+                monkeypatch.setattr(lanes, "_lanes", 1)
                 halves = [conv_gemm(a, bias, b[..., :half]), conv_gemm(a, bias, b[..., half:])]
-                monkeypatch.setattr(nn, "_lanes", 2)
+                monkeypatch.setattr(lanes, "_lanes", 2)
                 assert_bitwise(np.concatenate(halves, axis=2), whole)
     # the default arch at batch 128: each first convolution's forward GEMM,
     # the beam network's second convolution's forward and input gradient
@@ -1008,7 +1008,7 @@ def test_conv_gemms_as_column_halves_match_whole_gemms(monkeypatch):
 def test_a_lane_exception_is_raised_in_the_caller(monkeypatch):
     """An exception of either half is raised by the split call once both
     halves are done; the lanes still work after it."""
-    monkeypatch.setattr(nn, "_lanes", 2)
+    monkeypatch.setattr(lanes, "_lanes", 2)
     threads = []
 
     def kernel(fail_at, a):
@@ -1017,9 +1017,9 @@ def test_a_lane_exception_is_raised_in_the_caller(monkeypatch):
             raise ValueError(f"half {a.tolist()}")
 
     with pytest.raises(ValueError, match=r"half \[2, 3, 4\]"):
-        nn._split(kernel, (np.arange(5),), (2,))
+        lanes.split(kernel, (np.arange(5),), (2,))
     with pytest.raises(ValueError, match=r"half \[0, 1\]"):
-        nn._split(kernel, (np.arange(5),), (0,))
+        lanes.split(kernel, (np.arange(5),), (0,))
     assert len(set(threads)) == 2 and threading.get_ident() in threads
     x = _random(71, (3, 4, 4, 2), np.float32)
     y, mask = ReLU().forward(x, {}, {}, True, None)
@@ -1042,9 +1042,9 @@ def test_layer_methods_run_on_the_calling_thread(monkeypatch):
         for name in ("forward", "backward", "step", "_columns"):
             if name in vars(cls):
                 monkeypatch.setattr(cls, name, on_caller(vars(cls)[name]))
-    monkeypatch.setattr(nn, "_lanes", 2)
+    monkeypatch.setattr(lanes, "_lanes", 2)
     dataset = _synthetic_sampleset()
     cfg = TrainConfig(batch_size=16, epochs=1, arch=TINY_ARCH)
     predictor.train(dataset, ("location", "vehicle"), "beam", cfg)
     assert threads == {threading.get_ident()}
-    assert nn._helper is not None and nn._helper[0].is_alive()
+    assert lanes._helper is not None and lanes._helper[0].is_alive()

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import oracles
 from streetbeam.beams import dft_codebook, optimal_beam
-from streetbeam import blas, pipeline
-from streetbeam.channel import RayTraceConfig, assemble_channel
+from streetbeam import blas, lanes, pipeline, semantics
+from streetbeam.channel import RayTraceConfig, assemble_channel, trace_paths
 from streetbeam.dataset import read_container
 from streetbeam.pipeline import (SELECT_WORKERS_MAX, PipelineError, RunConfig,
                                  blockage_labels, cmd_eval, cmd_generate, cmd_report,
@@ -23,7 +23,7 @@ from streetbeam.pipeline import (SELECT_WORKERS_MAX, PipelineError, RunConfig,
 from streetbeam.predictor import (TINY_ARCH, SampleSet, TrainConfig, split_indices,
                                   train_stack)
 from streetbeam.rng import stream
-from streetbeam.scene import ConfigError, SceneConfig, generate_scenario
+from streetbeam.scene import CameraPose, ConfigError, SceneConfig, generate_scenario
 from streetbeam.semantics import render_frame
 from streetbeam.semantics import CATALOG
 
@@ -192,6 +192,79 @@ def test_generate_independent_of_blas_threads(blas_threads_restored):
     assert len(default) > 20
     for name in ("label_maps", "locations", "rates", "blockage", "frame_ids", "channels"):
         assert getattr(one, name).tobytes() == getattr(default, name).tobytes(), name
+
+
+# a tilted third camera, whose image rows do not share their ray directions
+TILTED = CameraPose((30.0, 0.0, 8.0), yaw=0.3, pitch=-0.2, hfov=1.2)
+COLUMNS = ("label_maps", "locations", "rates", "blockage", "frame_ids", "channels")
+
+
+def _no_paths(frames, scene, rt):
+    """``trace_paths`` with every frame in outage, its LOS flags kept."""
+    paths, n_paths, los = trace_paths(frames, scene, rt)
+    return paths, np.zeros_like(n_paths), los
+
+
+@pytest.mark.parametrize("case", ["1 camera", "2 cameras", "3 cameras", "no live sample",
+                                  "one frame"])
+def test_generation_on_two_lanes_matches_one(case, monkeypatch):
+    """Rendering on the lanes beside the search gives the columns of one
+    lane, bit for bit: with 1, 2 and 3 cameras (the caller takes the
+    cameras the helper has not started), with no live sample (the caller
+    has no search to run) and with a single sample. The search runs in
+    chunks of three samples."""
+    scene, horizons = OUTAGE_SCENE, (1, 3)
+    default_cams = scene.camera_poses
+    if case == "1 camera":
+        scene = SceneConfig(**{**vars(scene), "camera_poses": default_cams[1:]})
+    elif case == "3 cameras":
+        scene = SceneConfig(**{**vars(scene), "camera_poses": default_cams + (TILTED,)})
+    elif case == "no live sample":
+        monkeypatch.setattr(pipeline, "trace_paths", _no_paths)
+    elif case == "one frame":
+        scene, horizons = small_scene(frames=2), (1,)
+    cfg = run_config(scene, RayTraceConfig(N_t=64, K=32), horizons=horizons, M_bm=16)
+    monkeypatch.setattr(pipeline, "_CHUNK_ENTRIES", 3 * 32 * 64)
+    runs = []
+    for n in (1, 2):
+        monkeypatch.setattr(lanes, "_lanes", n)
+        runs.append(generate_dataset(cfg))
+    one, two = runs
+    assert one.label_maps.shape[:2] == (len(one), len(scene.camera_poses))
+    live = np.count_nonzero(one.channels.any(axis=(1, 2)))
+    if case == "one frame":
+        assert len(one) == live == 1
+    else:
+        assert live == 0 if case == "no live sample" else live > 3
+    for name in COLUMNS:
+        assert getattr(two, name).tobytes() == getattr(one, name).tobytes(), (case, name)
+
+
+def test_a_failed_render_is_raised_once_both_lanes_are_done(monkeypatch):
+    """A camera job that raises fails the generation once the search and
+    every started camera job have ended; the next generation runs on both
+    lanes and gives the one-lane columns."""
+    monkeypatch.setattr(lanes, "_lanes", 2)
+    cfg = run_config(OUTAGE_SCENE, RayTraceConfig(N_t=64, K=32), horizons=(1,), M_bm=16)
+    render_camera, events = semantics._render_camera, []
+
+    def failing(maps, boxes, base, c, config):
+        events.append(("start", c))
+        if c == 1:
+            raise RuntimeError("camera 1 failed")
+        render_camera(maps, boxes, base, c, config)
+        events.append(("end", c))
+    monkeypatch.setattr(semantics, "_render_camera", failing)
+    with pytest.raises(RuntimeError, match="camera 1 failed"):
+        generate_dataset(cfg)
+    started = [c for what, c in events if what == "start"]
+    assert 1 in started and all(("end", c) in events for c in started if c != 1)
+    monkeypatch.setattr(semantics, "_render_camera", render_camera)
+    two = generate_dataset(cfg)
+    monkeypatch.setattr(lanes, "_lanes", 1)
+    one = generate_dataset(cfg)
+    for name in COLUMNS:
+        assert getattr(two, name).tobytes() == getattr(one, name).tobytes(), name
 
 
 def test_generate_zero_usable_samples():
