@@ -107,20 +107,24 @@ def _on_both(helper_fn, helper_args, caller_fn):
         raise error
 
 
-def split(kernel, arrays, shared=(), outs=None, axis=0):
+def split(kernel, arrays, shared=(), outs=tuple, axis=0):
     """``kernel(*shared, *arrays, *outputs)`` on the lanes.
 
-    With two lanes, an ``axis`` of 0 or -1 and at least two entries on that
-    axis of the first array, ``outs()`` allocates the outputs whole, as a
-    tuple. The helper runs the kernel on the upper half ``[n//2, n)`` of
-    that axis of every array and output (None stays None), the caller on
-    the lower half, and the outputs are returned. Otherwise, or with
-    ``axis`` None, the kernel runs once, whole, allocates its outputs and
-    returns them, as the same tuple.
+    With ``axis`` None the kernel runs once, whole, allocates its outputs
+    itself (numpy's ``out=None``), and its result is returned. Otherwise
+    ``outs()`` allocates the outputs whole, as a tuple, the kernel writes
+    them, and that tuple is returned. With two lanes, an ``axis`` of 0 or
+    -1 and at least two entries on that axis of the first array, the helper
+    runs the kernel on the upper half ``[n//2, n)`` of that axis of every
+    array and output (None stays None), the caller on the lower half;
+    otherwise the caller runs it once, whole.
     """
-    if axis is None or arrays[0].shape[axis] < 2 or not _two():
+    if axis is None:
         return kernel(*shared, *arrays)
-    whole = outs() if outs is not None else ()
+    whole = outs()
+    if arrays[0].shape[axis] < 2 or not _two():
+        kernel(*shared, *arrays, *whole)
+        return whole
     mid = arrays[0].shape[axis] // 2
     halves = []
     for part in (slice(None, mid), slice(mid, None)):

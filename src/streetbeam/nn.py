@@ -51,13 +51,15 @@ convolutions, as two halves at once: the calling thread takes channels
 (or GEMM columns) ``[0, n//2)``, and the helper thread ``[n//2, n)``. The
 split passes are BatchNorm forward and backward on (C, H, W, N) input,
 ReLU, AvgPool, padding, im2col and its adjoint, and a ``LabelConv2d``'s
-columns; a convolution's forward and input-gradient GEMMs are cut into
-column halves, and its weight-gradient GEMM runs whole. Each channel, and
-each GEMM column on one BLAS thread, is computed by the same arithmetic
-in either half, so two lanes give the bits of one. The caller allocates
-every output and temporary of both halves. With one lane each pass runs
-whole in one call. The helper runs numpy functions and the kernels below,
-never a layer's forward or backward.
+padded maps and taps; a convolution's forward and input-gradient GEMMs
+are cut into column halves. A ``LabelConv2d``'s one-hot comparison and a
+convolution's weight-gradient GEMM run whole. Each channel, and each GEMM
+column on one BLAS thread, is computed by the same arithmetic in either
+half, so two lanes give the bits of one. The caller allocates every
+output and temporary of a split pass, and the kernel only writes them;
+with one lane the kernel runs whole, in one call, on the same outputs.
+The helper runs numpy functions and the kernels below, never a layer's
+forward or backward.
 """
 
 import numpy as np
@@ -302,38 +304,31 @@ def _bn_backward(sum_, dy, xhat, scale, dx=None, buf=None, dgamma=None, dbeta=No
     return dx, buf, dgamma, dbeta
 
 
-def _pad(x, pad, xp=None):
-    """(C, H, W, N) input with ``pad`` zeros around H and W; written to
-    ``xp``, border included, if given."""
+def _pad(x, pad, xp):
+    """(C, H, W, N) input ``x`` with ``pad`` zeros around H and W: ``x``
+    itself if ``pad`` is 0, else ``xp``, written border included."""
     if not pad:
         return x
-    c, h, w, n = x.shape
-    if xp is None:
-        xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
-    else:
-        xp[:, :pad] = xp[:, pad + h:] = 0
-        xp[:, pad:pad + h, :pad] = xp[:, pad:pad + h, pad + w:] = 0
+    h, w = x.shape[1:3]
+    xp[:, :pad] = xp[:, pad + h:] = 0
+    xp[:, pad:pad + h, :pad] = xp[:, pad:pad + h, pad + w:] = 0
     xp[:, pad:pad + h, pad:pad + w] = x
     return xp
 
 
-def _im2col(xp, k, stride, oh, ow, cols=None):
-    """Columns (C*k*k, OH*OW*N) of the k x k windows of padded input ``xp``
-    (C, H, W, N): row (c, i, j), column (oh, ow, n); written to ``cols``
-    (C, k, k, OH, OW, N) if given."""
-    c, n = xp.shape[0], xp.shape[3]
-    if cols is None:
-        cols = np.empty((c, k, k, oh, ow, n), dtype=xp.dtype)
+def _im2col(xp, k, stride, oh, ow, cols):
+    """Writes the k x k windows of padded input ``xp`` (C, H, W, N) to
+    ``cols`` (C, k, k, OH, OW, N), the im2col columns (C*k*k, OH*OW*N) with
+    row (c, i, j) and column (oh, ow, n)."""
     for i in range(k):
         for j in range(k):
             cols[:, i, j] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(c * k * k, oh * ow * n)
 
 
-def _windows(pad, k, stride, oh, ow, x, xp=None, cols=None):
-    """Kernel of ``Conv2d._columns``: (padded input, im2col columns)."""
-    xp = _pad(x, pad, xp)
-    return xp, _im2col(xp, k, stride, oh, ow, cols)
+def _windows(pad, k, stride, oh, ow, x, xp, cols):
+    """Kernel of ``Conv2d._columns``: writes the padded input and the
+    im2col columns."""
+    _im2col(_pad(x, pad, xp), k, stride, oh, ow, cols)
 
 
 def _col2im(dcols, x_shape, k, stride, pad):
@@ -342,23 +337,18 @@ def _col2im(dcols, x_shape, k, stride, pad):
     lanes."""
     c, h, w, n = x_shape
     padded = (c, h + 2 * pad, w + 2 * pad, n)
-    dxp, = lanes.split(_scatter, (dcols,), (padded[1:3], stride),
-                       lambda: (np.empty(padded, dcols.dtype),))
+    dxp, = lanes.split(_scatter, (dcols,), (stride,), lambda: (np.empty(padded, dcols.dtype),))
     return dxp[:, pad:pad + h, pad:pad + w]
 
 
-def _scatter(hw, stride, dcols, dxp=None):
-    """Kernel of ``_col2im``: the padded input gradient, summed from +0 in
-    row-major window order."""
-    c, k, _, oh, ow, n = dcols.shape
-    if dxp is None:
-        dxp = np.zeros((c,) + hw + (n,), dtype=dcols.dtype)
-    else:
-        dxp.fill(0)
+def _scatter(stride, dcols, dxp):
+    """Kernel of ``_col2im``: writes the padded input gradient, summed from
+    +0 in row-major window order."""
+    k, _, oh, ow = dcols.shape[1:5]
+    dxp.fill(0)
     for i in range(k):
         for j in range(k):
             dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
-    return (dxp,)
 
 
 class Conv2d:
@@ -461,37 +451,22 @@ class LabelConv2d(Conv2d):
                                        np.empty((m, k, k, oh, ow, n), np.uint8)))
         models, n_ids = self.ids.shape
         taps = taps.reshape(models, 1, m // models, k, k, -1)
-        ids = self.ids.reshape(models, n_ids, 1, 1, 1, 1)
-        cols, = lanes.split(_one_hot, (taps,), (ids, dtype),
-                            lambda: (np.empty((models, n_ids) + taps.shape[2:], dtype),), axis=-1)
+        cols = np.empty((models, n_ids) + taps.shape[2:], dtype)
+        np.equal(taps, self.ids.reshape(models, n_ids, 1, 1, 1, 1), out=cols)
         return cols.reshape(-1, oh * ow * n), (models * self.c_out, oh, ow, n)
 
 
-def _label_taps(pad, k, stride, oh, ow, maps, xp=None, taps=None):
-    """Kernel of ``LabelConv2d._columns``: camera-major maps (m, N, H, W)
-    padded with ``PAD_LABEL``, and their k x k strided taps (m, k, k, OH,
-    OW, N)."""
-    m, n, h, w = maps.shape
-    if xp is None:
-        xp = np.full((m, n, h + 2 * pad, w + 2 * pad), PAD_LABEL, dtype=np.uint8)
-    else:
-        xp.fill(PAD_LABEL)
+def _label_taps(pad, k, stride, oh, ow, maps, xp, taps):
+    """Kernel of ``LabelConv2d._columns``: writes camera-major maps (m, N,
+    H, W) padded with ``PAD_LABEL`` to ``xp``, and their k x k strided taps
+    to ``taps`` (m, k, k, OH, OW, N)."""
+    h, w = maps.shape[2:]
+    xp.fill(PAD_LABEL)
     xp[:, :, pad:pad + h, pad:pad + w] = maps
-    if taps is None:
-        taps = np.empty((m, k, k, oh, ow, n), dtype=np.uint8)
     for i in range(k):
         for j in range(k):
             taps[:, i, j] = xp[:, :, i:i + stride * oh:stride,
                                j:j + stride * ow:stride].transpose(0, 2, 3, 1)
-    return xp, taps
-
-
-def _one_hot(ids, dtype, taps, cols=None):
-    """Kernel of ``LabelConv2d._columns``: ``taps == ids`` cast to ``dtype``."""
-    if cols is None:
-        cols = np.empty(ids.shape[:2] + taps.shape[2:], dtype=dtype)
-    np.equal(taps, ids, out=cols)
-    return (cols,)
 
 
 class AvgPool(Layer):
@@ -518,20 +493,17 @@ class AvgPool(Layer):
         return _col2im(share, cache, k, self.stride, self.pad), {}
 
 
-def _pool(pad, k, stride, oh, ow, x, xp=None, y=None):
-    """Kernel of ``AvgPool.forward``: (padded input, window means)."""
+def _pool(pad, k, stride, oh, ow, x, xp, y):
+    """Kernel of ``AvgPool.forward``: writes the padded input and the
+    window means."""
     xp = _pad(x, pad, xp)
-    if y is None:
-        y = np.zeros((len(x), oh, ow, x.shape[3]), dtype=x.dtype)
-    else:
-        y.fill(0)
+    y.fill(0)
     # window sum in row-major window order from +0, as a mean over the
     # window axes of the im2col columns would add them
     for i in range(k):
         for j in range(k):
             y += xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
     y /= k * k
-    return xp, y
 
 
 class Dropout(Layer):

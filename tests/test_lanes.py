@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from streetbeam import lanes
@@ -43,6 +44,33 @@ def test_run_starts_every_job_once_on_both_lanes(two_lanes):
     finally:
         sys.setswitchinterval(switch)
     assert lanes._helper is not None and lanes._helper[0].is_alive()
+
+
+def test_split_on_one_lane_writes_the_outputs_the_caller_allocated(monkeypatch):
+    """On one lane, and on a first axis of one entry, ``split`` runs the
+    kernel once, whole, on the arrays ``outs()`` returned, and returns those
+    same arrays; with ``axis`` None it never calls ``outs`` and returns the
+    kernel's result."""
+    calls = []
+
+    def kernel(scale, x, y, spare):
+        calls.append((x, y, spare))
+        np.multiply(x, scale, out=y)
+
+    x = np.arange(6.0).reshape(3, 2)
+    for n, a, axis in ((1, x, 0), (1, x, -1), (2, x[:1], 0)):
+        monkeypatch.setattr(lanes, "_lanes", n)
+        outs = (np.empty_like(a), None)
+        calls.clear()
+        assert lanes.split(kernel, (a,), (3.0,), lambda: outs, axis) is outs
+        assert len(calls) == 1 and calls[0][0] is a
+        assert calls[0][1] is outs[0] and calls[0][2] is None
+        assert (outs[0] == 3 * a).all()
+
+    def never():
+        raise AssertionError("outs called with axis None")
+    monkeypatch.setattr(lanes, "_lanes", 1)
+    assert lanes.split(np.negative, (np.arange(3.0),), (), never, None).tolist() == [-0.0, -1, -2]
 
 
 def test_run_on_one_lane_runs_everything_in_order_here(monkeypatch):

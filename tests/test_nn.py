@@ -1,4 +1,5 @@
 import copy
+import functools
 import threading
 
 import numpy as np
@@ -722,7 +723,9 @@ def test_flat_adam_errors():
 def test_pad_matches_np_pad(shape, pad, dtype):
     x = _random(40, shape, dtype)
     x[0, 0, 0] = -0.0  # signed zeros survive the copy
-    assert_bitwise(_pad(x, pad), _reference_pad_chwn(x, pad))
+    c, h, w, n = shape
+    xp = np.full((c, h + 2 * pad, w + 2 * pad, n), np.nan, dtype)  # the border is written
+    assert_bitwise(_pad(x, pad, xp), _reference_pad_chwn(x, pad))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -884,11 +887,11 @@ def _sliced_grad(seed, shape, dtype):
 LANE_SHAPES = [(2, 7, 9, 5), (4, 8, 16, 32), (6, 5, 10, 3), (5, 3, 5, 8), (16, 20, 40, 128)]
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("shape", LANE_SHAPES)
-def test_split_passes_on_two_lanes_match_one(shape, dtype, monkeypatch):
-    """BatchNorm in both modes, ReLU, AvgPool, padding, im2col and its
-    adjoint, forward and backward, with a non-contiguous input gradient."""
+def _split_passes(shape, dtype):
+    """Calls that return the outputs of BatchNorm in both modes, ReLU,
+    AvgPool, convolutions (padding, im2col, GEMMs) and the im2col adjoint,
+    forward and backward on (C, H, W, N) input ``shape``, with a
+    non-contiguous input gradient."""
     c = shape[0]
     x = _random(60, shape, dtype)
     x[0, 0, 0] = -0.0  # signed zeros survive every pass
@@ -917,10 +920,16 @@ def test_split_passes_on_two_lanes_match_one(shape, dtype, monkeypatch):
         return [y, dx, *grads.values(), cache[0]]
 
     dcols = _random(66, (c, 3, 3) + AvgPool().out_hw(*shape[1:3]) + shape[3:], dtype)
-    for fn in (lambda: bn(True), lambda: bn(False), lambda: layer(ReLU(), x),
-               lambda: layer(AvgPool(3, 2, 1), x), lambda: conv(4, 3, 2, 1),
-               lambda: conv(3, 3, 1, 1), lambda: conv(8, 1, 2, 0),
-               lambda: [_pad(x, 1), _pad(x, 2), _col2im(dcols, shape, 3, 2, 1)]):
+    return [lambda: bn(True), lambda: bn(False), lambda: layer(ReLU(), x),
+            lambda: layer(AvgPool(3, 2, 1), x), lambda: conv(4, 3, 2, 1),
+            lambda: conv(3, 3, 1, 1), lambda: conv(8, 1, 2, 0),
+            lambda: [_col2im(dcols, shape, 3, 2, 1)]]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", LANE_SHAPES)
+def test_split_passes_on_two_lanes_match_one(shape, dtype, monkeypatch):
+    for fn in _split_passes(shape, dtype):
         assert_lanes_agree(monkeypatch, fn)
 
 
@@ -975,6 +984,47 @@ def test_networks_on_two_lanes_match_one(index, training, monkeypatch):
     network = _lane_networks()[index]
     with blas.one_thread():
         assert_lanes_agree(monkeypatch, lambda: _run_network(*network, training, np.float32))
+
+
+# what each output of a split pass holds before its kernel runs, by dtype kind
+_POISON = {"f": np.nan, "u": 0xA5, "b": True}
+
+
+def _poisoned(split):
+    """``lanes.split`` whose ``outs()`` arrays come filled with NaN, 0xA5 or
+    True, so that an output entry no kernel writes shows."""
+    def poisoned_split(kernel, arrays, shared=(), outs=tuple, axis=0):
+        def poisoned_outs():
+            whole = outs()
+            for a in whole:
+                if a is not None:
+                    a.fill(_POISON[a.dtype.kind])
+            return whole
+        return split(kernel, arrays, shared, poisoned_outs, axis)
+    return poisoned_split
+
+
+@pytest.mark.parametrize("case", [*LANE_SHAPES, *range(7)], ids=str)
+def test_split_kernels_write_every_output(case, monkeypatch):
+    """The split passes at each of ``LANE_SHAPES`` and each network of
+    ``_lane_networks`` in both modes give the same bits with poisoned
+    outputs, on one lane and on two, as with fresh outputs on one lane."""
+    if isinstance(case, int):
+        network = _lane_networks()[case]
+        fns = [functools.partial(_run_network, *network, training, np.float32)
+               for training in (True, False)]
+    else:
+        fns = _split_passes(case, np.float32)
+    with blas.one_thread():
+        for fn in fns:
+            monkeypatch.setattr(lanes, "_lanes", 1)
+            want = [np.asarray(a) for a in fn()]
+            with monkeypatch.context() as poisoning:
+                poisoning.setattr(lanes, "split", _poisoned(lanes.split))
+                for got in _on_lanes(poisoning, fn):
+                    assert len(got) == len(want)
+                    for a, b in zip(got, want):
+                        assert_bitwise(a, b)
 
 
 def test_conv_gemms_as_column_halves_match_whole_gemms(monkeypatch):
