@@ -1,16 +1,12 @@
 """Settings of the native libraries numpy runs on: the thread count of its
-OpenBLAS, and glibc's malloc thresholds.
+OpenBLAS, and glibc's malloc thresholds. Each is set once per process and
+never restored; a forked child inherits both.
 
-Feature selection trains candidates on one forked process per CPU. A
-process's OpenBLAS runs its own threads, one per CPU, so every worker
-sets its own to one; otherwise two workers at 160x320 took 2 to 3.5 times
-the wall time of one process. numpy has no call for this, so the setter,
-and the getter beside it, are looked up in the loaded library, under the
-names OpenBLAS builds export (the ``scipy_`` prefix and ``64_`` suffix of
-the wheels' ILP64 build).
-
-Training and generation run in ``one_thread``, a section that holds
-OpenBLAS to one thread and restores the count it found. A convolution's
+``one_thread`` holds OpenBLAS to one thread. numpy has no call for this,
+so the setter is looked up in the loaded library, under the names
+OpenBLAS builds export (the ``scipy_`` prefix and ``64_`` suffix of the
+wheels' ILP64 build). Generation calls it before its beam search, and
+training and prediction before their first pass. A convolution's
 weight-gradient GEMM, with its long inner dimension, rounds differently
 on one OpenBLAS thread than on two, so training at the default count
 wrote other bytes on one CPU than on two. OpenBLAS's second thread also
@@ -20,6 +16,15 @@ follow generation's beam search; the second CPU goes to the two lanes of
 ``streetbeam.lanes`` instead, which run training's passes and GEMMs as
 halves, and generation's rendering and hashing beside its search and its
 file I/O.
+
+Feature selection trains candidates on one forked process per CPU. At
+OpenBLAS's default, one thread per CPU in each process, two workers at
+160x320 took 2 to 3.5 times the wall time of one process, so the search
+holds the process before it forks its workers. A child must not call the
+setter again: in a forked child any call to it starts OpenBLAS's pool
+thread afresh, which then spins beside the worker although the count is
+one. The cache of ``one_thread`` is inherited with the setting, so a
+worker's own calls return at once.
 
 A training step allocates and frees the same large arrays as the step
 before it. With glibc's default thresholds, malloc maps arrays above its
@@ -36,10 +41,9 @@ default-arch selection worker at 160x320, 1 to 2% for a train command at
 80x160, nothing measurable at 16x32.
 """
 
-import contextlib
 import functools
 
-_NAMES = tuple(f"{prefix}openblas_{{}}_num_threads{suffix}"
+_NAMES = tuple(f"{prefix}openblas_set_num_threads{suffix}"
                for prefix in ("", "scipy_") for suffix in ("", "64_"))
 # mallopt parameters (malloc.h) and the values set
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -48,9 +52,10 @@ _TRIM_THRESHOLD = 512 << 20
 
 
 @functools.cache
-def _thread_calls():
-    """The loaded OpenBLAS's (``get_num_threads``, ``set_num_threads``), or
-    (None, None); the getter is None where the library lacks it."""
+def one_thread() -> bool:
+    """Run this process's BLAS calls on one thread from now on, and on its
+    forked children's. True if the loaded OpenBLAS's setter was found and
+    called; without it this changes nothing and returns False."""
     import ctypes
 
     import numpy  # noqa: F401  loads the library
@@ -59,51 +64,20 @@ def _thread_calls():
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
     except OSError:
-        return None, None
+        return False
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
         for name in _NAMES:
-            setter = getattr(lib, name.format("set"), None)
+            setter = getattr(lib, name, None)
             if setter is not None:
                 setter.argtypes = [ctypes.c_int]
                 setter.restype = None
-                getter = getattr(lib, name.format("get"), None)
-                if getter is not None:
-                    getter.argtypes = []
-                    getter.restype = ctypes.c_int
-                return getter, setter
-    return None, None
-
-
-def can_set_threads() -> bool:
-    return _thread_calls()[1] is not None
-
-
-def set_threads(n: int) -> None:
-    """Run this process's BLAS calls on ``n`` threads, if it can."""
-    setter = _thread_calls()[1]
-    if setter is not None:
-        setter(n)
-
-
-@contextlib.contextmanager
-def one_thread():
-    """Run this process's BLAS calls on one thread inside the block, then on
-    the count found on entering it. Without both the getter and the setter
-    it changes nothing."""
-    getter, setter = _thread_calls()
-    if getter is None or setter is None:
-        yield
-        return
-    before = getter()
-    setter(1)
-    try:
-        yield
-    finally:
-        setter(before)
+                setter(1)
+                return True
+    return False
 
 
 @functools.cache

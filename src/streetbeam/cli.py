@@ -112,7 +112,7 @@ def build_parser():
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=False, dataset=False, task=False, seed=0):
+    def common(sp, config=False, dataset=False, task=False, seed=False):
         if config:
             sp.add_argument("--config", help="run config JSON")
         if dataset:
@@ -121,17 +121,17 @@ def build_parser():
             sp.add_argument("--task", choices=("beam", "blockage"), required=True)
             sp.add_argument("--horizon", type=int, default=None,
                             help="blockage horizon in slots")
-        sp.add_argument("--seed", type=int, default=seed,
-                        help=f"random seed (default {seed})" if seed is not None
-                        else "overrides the config's scene.seed")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
         sp.add_argument("--out", required=True, help="run directory")
 
     sp = sub.add_parser("generate", help="simulate, label and write a dataset")
-    common(sp, config=True, seed=None)
+    common(sp, config=True)
+    sp.add_argument("--seed", type=int, help="overrides the config's scene.seed")
     sp.set_defaults(fn=_cmd_generate)
 
     sp = sub.add_parser("select", help="floating feature-selection search")
-    common(sp, config=True, dataset=True, task=True)
+    common(sp, config=True, dataset=True, task=True, seed=True)
     sp.add_argument("--epochs", type=int, default=pipeline.SELECT_EPOCHS)
     sp.add_argument("--vmax", type=int, default=None,
                     help="stop once the set reaches this size")
@@ -140,7 +140,7 @@ def build_parser():
     sp.set_defaults(fn=_cmd_select)
 
     sp = sub.add_parser("train", help="train and checkpoint one task")
-    common(sp, config=True, dataset=True, task=True)
+    common(sp, config=True, dataset=True, task=True, seed=True)
     sp.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     sp.add_argument("--features", default=None,
                     help="comma-separated feature set (default: select output)")

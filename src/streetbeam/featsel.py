@@ -19,7 +19,7 @@ import os
 import signal
 from dataclasses import dataclass, field
 
-from . import blas, lanes
+from . import lanes
 from .semantics import CONCEPT_NAMES
 
 log = logging.getLogger(__name__)
@@ -65,7 +65,6 @@ def _init_worker(fn, parent_pid):
         prctl(1, ctypes.c_ulong(signal.SIGKILL))  # PR_SET_PDEATHSIG
     if os.getppid() != parent_pid:
         os._exit(1)
-    blas.set_threads(1)  # the pool runs one worker per CPU
     lanes.set_lanes(1)
 
 
@@ -120,7 +119,8 @@ class CachedEvaluator:
         the ``streetbeam.lanes`` helper thread is joined before the pool
         forks all its workers, which it does before it starts its own
         thread, and the pool keeps them for later calls. A worker runs its
-        BLAS on one thread and its lanes' work on one lane. With one worker
+        lanes' work on one lane and inherits this process's BLAS thread
+        count, which it does not set (``streetbeam.blas``). With one worker
         the batch runs in this process. A batch whose ``fn`` raises fails
         the call with that exception, and a value outside [0, 1] with
         ``EvaluatorError``; a failed call caches nothing and leaves

@@ -139,9 +139,10 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
     stored channel column is its complex64 rounding, as the container
     keeps it.
 
-    Assembly and search run in this thread, with BLAS on one thread; the
-    cameras render on the lanes beside them, each job into its own part
-    of maps allocated before, so the outputs do not depend on the lanes.
+    Assembly and search run in this thread, once the process's BLAS is held
+    to one thread (``blas.one_thread``); the cameras render on the lanes
+    beside them, each job into its own part of maps allocated before, so
+    the outputs do not depend on the lanes.
     """
     scene_cfg, rt_cfg, resolution = cfg.scene, cfg.raytrace, cfg.resolution
     horizons = tuple(sorted(cfg.horizons))
@@ -178,8 +179,8 @@ def generate_dataset(cfg: RunConfig) -> SampleSet:
             samples.rates[rows] = optimal_beam(h, codebook, rt_cfg.P_k, rt_cfg.sigma2)
             if cfg.store_channels:
                 samples.channels[rows] = h
-    with blas.one_thread():
-        lanes.run(render, own=search)
+    blas.one_thread()
+    lanes.run(render, own=search)
     return samples
 
 
@@ -203,18 +204,19 @@ def training_evaluator(dataset: SampleSet, task, horizon, cfg: TrainConfig):
     worker process, which ``train_stack`` trains as stacks, bit for bit as
     each would alone, with one worker per usable CPU, at most
     ``SELECT_WORKERS_MAX``, so with two CPUs or more every candidate
-    trains on a worker, whose BLAS runs one thread. Where the workers' BLAS
-    cannot be held to one thread each, they would contend for the CPUs, so
-    the candidates train in this process. The workers are forked at the
-    search's first step and serve the rest of it; use the evaluator in a
-    ``with`` block, which joins them on leaving.
+    trains on a worker. This process's BLAS is held to one thread before
+    the workers fork, and they inherit it; where it cannot be held, the
+    workers' BLAS threads would contend for the CPUs, so the candidates
+    train in this process. The workers are forked at the search's first
+    step and serve the rest of it; use the evaluator in a ``with`` block,
+    which joins them on leaving.
     """
     def batch(sets):
         seeds = [derive_seed(cfg.seed, task, str(horizon), ",".join(feats)) for feats in sets]
         return [res.val_accuracy for res in
                 train_stack(dataset, sets, task, cfg, seeds, horizon=horizon)]
     workers = min(len(os.sched_getaffinity(0)), SELECT_WORKERS_MAX)
-    return CachedEvaluator(batch, workers if blas.can_set_threads() else 1)
+    return CachedEvaluator(batch, workers if blas.one_thread() else 1)
 
 
 def cmd_select(dataset: SampleSet, task, out_dir, horizon=None, epochs=SELECT_EPOCHS,

@@ -359,14 +359,15 @@ def task_labels(dataset: SampleSet, task, horizon=None):
 
 def predict(model, params, state, dataset, idx):
     """Eval-mode outputs of ``model`` for the samples ``idx`` of ``dataset``,
-    ``PREDICT_BATCH`` samples per forward pass, on one BLAS thread."""
+    ``PREDICT_BATCH`` samples per forward pass. It holds the process's BLAS
+    to one thread (``blas.one_thread``)."""
+    blas.one_thread()
     outs = []
-    with blas.one_thread():
-        for lo in range(0, len(idx), PREDICT_BATCH):
-            sel = idx[lo:lo + PREDICT_BATCH]
-            loc = dataset.locations[sel].astype(np.float32)
-            y, _ = model.forward(params, state, loc, dataset.label_maps[sel], training=False)
-            outs.append(y)
+    for lo in range(0, len(idx), PREDICT_BATCH):
+        sel = idx[lo:lo + PREDICT_BATCH]
+        loc = dataset.locations[sel].astype(np.float32)
+        y, _ = model.forward(params, state, loc, dataset.label_maps[sel], training=False)
+        outs.append(y)
     return np.concatenate(outs) if outs else np.zeros((0, 1))
 
 
@@ -411,12 +412,14 @@ def train_stack(dataset: SampleSet, feature_sets, task, cfg: TrainConfig, seeds,
     returns for its set and seed. A stack's first convolution takes one
     concept count for all its models, so the sets are grouped by size, in
     the given order, and each group trains ``stack_size`` sets at a time.
-    The process keeps the heap its steps free (``blas.keep_freed_heap``)
-    from the first call on. Training runs on one BLAS thread
-    (``blas.one_thread``), and on the two lanes of ``streetbeam.nn`` where
-    the process may use two CPUs; the results do not depend on either.
+    From the first call on, the process keeps the heap its steps free
+    (``blas.keep_freed_heap``) and runs its BLAS on one thread
+    (``blas.one_thread``). Training runs on the two lanes of
+    ``streetbeam.nn`` where the process may use two CPUs; the results do
+    not depend on the lanes or on the CPUs.
     """
     blas.keep_freed_heap()
+    blas.one_thread()
     if len(seeds) != len(feature_sets):
         raise ValueError("a training stack needs one seed per feature set")
     _, labels = task_labels(dataset, task, horizon)
@@ -428,13 +431,12 @@ def train_stack(dataset: SampleSet, feature_sets, task, cfg: TrainConfig, seeds,
     for i, model in enumerate(models):
         by_size.setdefault(len(model.concepts), []).append(i)
     results = {}
-    with blas.one_thread():
-        for group in by_size.values():
-            for lo in range(0, len(group), size):
-                chunk = group[lo:lo + size]
-                results.update(zip(chunk, _train_stack(dataset, labels,
-                                                       [models[i] for i in chunk], split, cfg,
-                                                       [seeds[i] for i in chunk])))
+    for group in by_size.values():
+        for lo in range(0, len(group), size):
+            chunk = group[lo:lo + size]
+            results.update(zip(chunk, _train_stack(dataset, labels,
+                                                   [models[i] for i in chunk], split, cfg,
+                                                   [seeds[i] for i in chunk])))
     return [results[i] for i in range(len(models))]
 
 

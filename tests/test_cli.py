@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from streetbeam import dataset, lanes
+from streetbeam import blas, dataset, lanes
 from streetbeam.cli import _load_config, main
 from streetbeam.dataset import read_container
 from streetbeam.scene import to_plain
@@ -27,7 +27,9 @@ ROOT = os.path.dirname(os.path.dirname(__file__))
 # table is multiplied, where N_t 8 has a single block. ROOF puts a level camera
 # at a car's roof height with odd map sides, so rays lie in box face planes.
 # TWO is a 2-sample dataset; WIDE120 a wideband street whose search runs in
-# several chunks; CFG80 trains the default arch at 80x160.
+# several chunks; CFG80 trains the default arch at 80x160. OUTAGE64 searches
+# the default RayTraceConfig's channels with 64 beams, on a street whose
+# buses block the path of some samples.
 STREET = {"frame_count": 60, "spawn_rate": 0.6}
 CFG8 = {"scene": STREET, "raytrace": {"N_t": 8, "K": 8}, "resolution": [16, 32],
         "horizons": [1]}
@@ -44,6 +46,11 @@ WIDE120 = {"scene": {**STREET, "frame_count": 120}, "raytrace": {"N_t": 64, "K":
 CFG80 = {"scene": {**STREET, "frame_count": 200, "bs_position": [100.0, -8.0, 2.0]},
          "raytrace": {"N_t": 16, "K": 16}, "resolution": [80, 160], "horizons": [1],
          "M_bm": 16}
+OUTAGE64 = {"scene": {"frame_count": 40, "seed": 68, "spawn_rate": 0.5,
+                      "bs_position": [100.0, -8.0, 2.0],
+                      "initial_vehicles": [["bus", [105.8, -5.25], 0, 10.0],
+                                           ["bus", [119.8, 1.75], 2, 5.0]]},
+            "resolution": [16, 32], "horizons": [1], "M_bm": 64}
 # a child pinned to one CPU pins itself before numpy loads OpenBLAS, which
 # sizes its thread pool to the usable CPUs, as under `taskset -c`
 PINNED = ("import os, runpy\nos.sched_setaffinity(0, {{{}}})\n"
@@ -469,6 +476,16 @@ def test_generate_seed_from_config_unless_given(tmp_path):
     assert generate("flag0", "--seed", "0")[0] == 0
 
 
+def test_eval_and_report_take_no_seed(tmp_path, capsys):
+    """``eval`` takes the seed of the checkpoint's meta file and ``report``
+    draws nothing, so the parser rejects a ``--seed`` for either."""
+    for cmd in (["eval", "--dataset", str(tmp_path), "--task", "beam"], ["report"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, "--seed", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2, cmd
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err, cmd
+
+
 def test_blockage_horizon_defaults_to_first_dataset_horizon(tmp_path, capsys):
     cfg = write_config(tmp_path)  # horizons [1, 3]
     out = str(tmp_path / "run")
@@ -671,7 +688,8 @@ def test_select_outputs_do_not_depend_on_usable_cpus(tmp_path, capsys, monkeypat
     assert main(["generate", "--config", str(cfg), "--out", out]) == 0
     select = ["select", "--config", str(cfg), "--dataset", str(tmp_path / "run" / "dataset"),
               "--task", "beam", "--vmax", "2", "--epochs", "1"]
-    monkeypatch.setattr("streetbeam.blas.can_set_threads", lambda: True)
+    one_thread = blas.one_thread  # still called: this process's BLAS is held
+    monkeypatch.setattr(blas, "one_thread", lambda: one_thread() or True)
     for cpus in (2, 1):  # as under `taskset -c 0,1` and `taskset -c 0`
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert main(select + ["--out", str(tmp_path / f"cpus{cpus}")]) == 0
@@ -729,25 +747,31 @@ def test_training_outputs_do_not_depend_on_usable_cpus_or_blas_threads(tmp_path)
 
 
 def test_generated_bytes_do_not_depend_on_usable_cpus_or_blas_threads(tmp_path):
-    """``generate`` of a wideband street writes the same blobs and manifest
-    by default, on one OpenBLAS thread, and pinned to one CPU, where it
-    renders and hashes on one lane: its search runs on one BLAS thread, and
-    every job of its two lanes computes what one lane does."""
+    """``generate`` of a wideband street, and of the default RayTraceConfig
+    at 64 beams, writes the same blobs and manifest by default, on one
+    OpenBLAS thread, and pinned to one CPU, where it renders and hashes on
+    one lane: its search runs on one BLAS thread, and every job of its two
+    lanes computes what one lane does."""
     cpu = min(os.sched_getaffinity(0))
-    cfg = write_json(tmp_path / "wide.json", WIDE120)
-    gen = ["generate", "--config", cfg, "--out"]
-    procs = {"default": cli(*gen, tmp_path / "default"),
-             "one": cli(*gen, tmp_path / "one", env={"OPENBLAS_NUM_THREADS": "1"}),
-             "cpu": cli(*gen, tmp_path / "cpu", cpu=cpu)}
-    for out, proc in procs.items():
-        assert proc.returncode == 0, (out, proc.stderr)
-        assert files(tmp_path / out / "dataset") == files(tmp_path / "default" / "dataset"), out
-    samples, manifest = read_container(tmp_path / "default" / "dataset")
-    assert set(files(tmp_path / "default" / "dataset")) == \
-        {f"{name}.bin" for name in manifest["hashes"]} | {"manifest.json"}
-    assert "channels" in manifest["hashes"]
+    samples = {}
+    for name, config in (("wide", WIDE120), ("outage", OUTAGE64)):
+        run = tmp_path / name
+        gen = ["generate", "--config", write_json(tmp_path / f"{name}.json", config), "--out"]
+        procs = {"default": cli(*gen, run / "default"),
+                 "one": cli(*gen, run / "one", env={"OPENBLAS_NUM_THREADS": "1"}),
+                 "cpu": cli(*gen, run / "cpu", cpu=cpu)}
+        for out, proc in procs.items():
+            assert proc.returncode == 0, (name, out, proc.stderr)
+            assert files(run / out / "dataset") == files(run / "default" / "dataset"), \
+                (name, out)
+        samples[name], manifest = read_container(run / "default" / "dataset")
+        assert set(files(run / "default" / "dataset")) == \
+            {f"{blob}.bin" for blob in manifest["hashes"]} | {"manifest.json"}
+        assert "channels" in manifest["hashes"]
     # more live samples than one search chunk holds
-    assert np.count_nonzero(samples.channels.any(axis=(1, 2))) > (1 << 16) // (32 * 64)
+    live = np.count_nonzero(samples["wide"].channels.any(axis=(1, 2)))
+    assert live > (1 << 16) // (32 * 64)
+    assert len(samples["outage"]) > 20
 
 
 def test_traced_generation_records_every_span_on_the_calling_thread(tmp_path, monkeypatch):

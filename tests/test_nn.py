@@ -982,8 +982,8 @@ def _run_network(models, hw, n, training, dtype):
 @pytest.mark.parametrize("index", range(7))
 def test_networks_on_two_lanes_match_one(index, training, monkeypatch):
     network = _lane_networks()[index]
-    with blas.one_thread():
-        assert_lanes_agree(monkeypatch, lambda: _run_network(*network, training, np.float32))
+    blas.one_thread()
+    assert_lanes_agree(monkeypatch, lambda: _run_network(*network, training, np.float32))
 
 
 # what each output of a split pass holds before its kernel runs, by dtype kind
@@ -1015,16 +1015,16 @@ def test_split_kernels_write_every_output(case, monkeypatch):
                for training in (True, False)]
     else:
         fns = _split_passes(case, np.float32)
-    with blas.one_thread():
-        for fn in fns:
-            monkeypatch.setattr(lanes, "_lanes", 1)
-            want = [np.asarray(a) for a in fn()]
-            with monkeypatch.context() as poisoning:
-                poisoning.setattr(lanes, "split", _poisoned(lanes.split))
-                for got in _on_lanes(poisoning, fn):
-                    assert len(got) == len(want)
-                    for a, b in zip(got, want):
-                        assert_bitwise(a, b)
+    blas.one_thread()
+    for fn in fns:
+        monkeypatch.setattr(lanes, "_lanes", 1)
+        want = [np.asarray(a) for a in fn()]
+        with monkeypatch.context() as poisoning:
+            poisoning.setattr(lanes, "split", _poisoned(lanes.split))
+            for got in _on_lanes(poisoning, fn):
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert_bitwise(a, b)
 
 
 def test_conv_gemms_as_column_halves_match_whole_gemms(monkeypatch):
@@ -1035,21 +1035,21 @@ def test_conv_gemms_as_column_halves_match_whole_gemms(monkeypatch):
     split, may round otherwise in halves."""
     calls, conv_gemm = [], nn._conv_gemm
     monkeypatch.setattr(nn, "_conv_gemm", lambda *args: calls.append(args) or conv_gemm(*args))
-    with blas.one_thread():
-        for network in _lane_networks():
-            _run_network(*network, True, np.float32)
-        monkeypatch.setattr(lanes, "_lanes", 2)
-        split = 0
-        for a, bias, b in calls:
-            whole = np.matmul(a, b) + (0 if bias is None else bias)
-            assert_bitwise(conv_gemm(a, bias, b), whole)
-            half = b.shape[2] // 2
-            if a.shape[1] * a.shape[2] * half >= nn._GEMM_HALF_MIN:
-                split += 1
-                monkeypatch.setattr(lanes, "_lanes", 1)
-                halves = [conv_gemm(a, bias, b[..., :half]), conv_gemm(a, bias, b[..., half:])]
-                monkeypatch.setattr(lanes, "_lanes", 2)
-                assert_bitwise(np.concatenate(halves, axis=2), whole)
+    blas.one_thread()
+    for network in _lane_networks():
+        _run_network(*network, True, np.float32)
+    monkeypatch.setattr(lanes, "_lanes", 2)
+    split = 0
+    for a, bias, b in calls:
+        whole = np.matmul(a, b) + (0 if bias is None else bias)
+        assert_bitwise(conv_gemm(a, bias, b), whole)
+        half = b.shape[2] // 2
+        if a.shape[1] * a.shape[2] * half >= nn._GEMM_HALF_MIN:
+            split += 1
+            monkeypatch.setattr(lanes, "_lanes", 1)
+            halves = [conv_gemm(a, bias, b[..., :half]), conv_gemm(a, bias, b[..., half:])]
+            monkeypatch.setattr(lanes, "_lanes", 2)
+            assert_bitwise(np.concatenate(halves, axis=2), whole)
     # the default arch at batch 128: each first convolution's forward GEMM,
     # the beam network's second convolution's forward and input gradient
     assert split == 4

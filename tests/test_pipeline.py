@@ -28,6 +28,7 @@ from streetbeam.semantics import render_frame
 from streetbeam.semantics import CATALOG
 
 RES = (16, 32)
+HOLD_BLAS = blas.one_thread  # the real setting, which tests may wrap
 
 
 def small_scene(frames=60, seed=1):
@@ -171,29 +172,6 @@ def test_generate_matches_per_frame_reference(horizons, sigma2):
             RayTraceConfig(sigma2=np.nextafter(sigma2, 0))
 
 
-@pytest.fixture
-def blas_threads_restored():
-    """After the test, this process's BLAS runs on OpenBLAS's own default
-    again: OPENBLAS_NUM_THREADS, or else one thread per usable CPU."""
-    if not blas.can_set_threads():
-        pytest.skip("no OpenBLAS thread setter")
-    yield
-    blas.set_threads(int(os.environ.get("OPENBLAS_NUM_THREADS") or 0)
-                     or len(os.sched_getaffinity(0)))
-
-
-def test_generate_independent_of_blas_threads(blas_threads_restored):
-    """The beam search's GEMMs on one BLAS thread give the same dataset bits
-    as on the default thread count, at the default N_t 64, K 128 and M_bm 64."""
-    cfg = run_config(OUTAGE_SCENE, RayTraceConfig(), horizons=(1,), M_bm=64)
-    default = generate_dataset(cfg)
-    blas.set_threads(1)
-    one = generate_dataset(cfg)
-    assert len(default) > 20
-    for name in ("label_maps", "locations", "rates", "blockage", "frame_ids", "channels"):
-        assert getattr(one, name).tobytes() == getattr(default, name).tobytes(), name
-
-
 # a tilted third camera, whose image rows do not share their ray directions
 TILTED = CameraPose((30.0, 0.0, 8.0), yaw=0.3, pitch=-0.2, hfov=1.2)
 COLUMNS = ("label_maps", "locations", "rates", "blockage", "frame_ids", "channels")
@@ -315,11 +293,15 @@ def test_select_planted_vehicle(tmp_path):
     assert sel["evaluator_calls"] > 0
 
 
-def use_cpus(monkeypatch, n):
-    """Let selection see ``n`` usable CPUs whose workers' BLAS can be held
-    to one thread."""
+def use_cpus(monkeypatch, n, blas_held=True):
+    """Let selection see ``n`` usable CPUs and ``blas.one_thread`` answer
+    ``blas_held``. The real call is still made, so this process's BLAS is
+    held to one thread, as the program holds it."""
+    def one_thread():
+        HOLD_BLAS()
+        return blas_held
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr("streetbeam.blas.can_set_threads", lambda: True)
+    monkeypatch.setattr(blas, "one_thread", one_thread)
 
 
 def test_select_outputs_do_not_depend_on_workers(tmp_path, monkeypatch,
@@ -341,13 +323,38 @@ def test_select_outputs_do_not_depend_on_workers(tmp_path, monkeypatch,
 def test_select_worker_count(monkeypatch):
     ds = planted_dataset(n=40)
     counts = []
-    for cpus, settable in ((1, True), (2, True), (8, True), (8, False)):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr("streetbeam.blas.can_set_threads", lambda: settable)
+    for cpus, held in ((1, True), (2, True), (8, True), (8, False)):
+        use_cpus(monkeypatch, cpus, held)
         ev = training_evaluator(ds, "beam", None, TrainConfig(epochs=1, arch=TINY_ARCH))
         counts.append(ev._workers)
     # workers whose BLAS runs several threads would contend for the CPUs
     assert counts == [1, 2, SELECT_WORKERS_MAX, 1]
+
+
+def test_select_workers_run_one_thread(monkeypatch, no_children_left):
+    """A forked selection worker runs one thread after it trained its batch:
+    it inherits this process's BLAS setting and does not call the OpenBLAS
+    setter, which in a forked child starts a pool thread that spins."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task")
+    if not blas.one_thread():
+        pytest.skip("no OpenBLAS thread setter")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    train_stack = pipeline.train_stack
+
+    def thread_count(*args, **kwargs):
+        # the reciprocal, as the evaluator takes values in [0, 1]
+        results = train_stack(*args, **kwargs)
+        threads = len(os.listdir("/proc/self/task"))
+        return [SimpleNamespace(val_accuracy=1 / threads)] * len(results)
+    monkeypatch.setattr(pipeline, "train_stack", thread_count)
+    ds = planted_dataset(n=40)
+    sets = [("location", "vehicle"), ("location", "pole")]
+    cfg = TrainConfig(epochs=1, batch_size=16, arch=TINY_ARCH)
+    with training_evaluator(ds, "beam", None, cfg) as evaluator:
+        assert evaluator._workers == 2
+        evaluator.many(sets)
+        assert [1 / evaluator(s) for s in sets] == [1, 1]
 
 
 def test_select_worker_death_raises_pipeline_error(tmp_path, monkeypatch,
