@@ -36,9 +36,10 @@ It raises the mmap threshold to glibc's 64-bit maximum and the trim
 threshold above it. Both are set, because setting either one switches off
 glibc's dynamic thresholds, and the other default would then still
 return the pages. A training process's RSS then does not shrink between
-steps, and its peak grows by what the heap cannot reuse: about 10% for a
-default-arch selection worker at 160x320, 1 to 2% for a train command at
-80x160, nothing measurable at 16x32.
+steps, and its peak grows by what the heap cannot reuse: 0 to 2% for a
+default-arch selection worker at 160x320 (245-249 against 245 MiB), nothing
+measurable for a train command at 80x160 or at 16x32, since each layer's
+cache is freed once its backward has used it.
 """
 
 import functools

@@ -26,6 +26,21 @@ subtrees and ``grad`` a child's backward, filing its gradient subtree
 under its name. Subclasses keep their own ``forward``/``backward`` that
 wire the children together. Layers without tensors derive from ``Layer``.
 
+Caches: a forward returns its output and a cache, which its backward
+consumes, once. A composite's cache is a dict that holds each child's
+cache under the child's name, and ``grad`` pops the child's entry as it
+hands it over, so no frame keeps a second reference: a layer's im2col
+columns, BatchNorm ``xhat`` and ReLU masks are freed as soon as its
+backward returns, and a composite's cache is empty once its backward has
+run. A convolution drops its columns before it allocates its input
+gradient's window columns.
+
+Windows: convolution and pooling kernels index the unpadded input. For
+each window offset in row-major order they read the outputs whose tap at
+that offset falls inside the input (``_taps``) and write the border
+entries, the taps on the padding, directly: 0, or ``PAD_LABEL`` for label
+maps. No padded copy of an input or a gradient is built.
+
 Stacks: a graph runs S models of one shape at once, one forward and one
 backward per batch, with the models folded into the channel and feature
 axes. Model s owns channels ``s*C:(s+1)*C`` of an image activation
@@ -50,12 +65,12 @@ the per-channel passes of image activations, and the large GEMMs of
 convolutions, as two halves at once: the calling thread takes channels
 (or GEMM columns) ``[0, n//2)``, and the helper thread ``[n//2, n)``. The
 split passes are BatchNorm forward and backward on (C, H, W, N) input,
-ReLU, AvgPool, padding, im2col and its adjoint, and a ``LabelConv2d``'s
-padded maps and taps; a convolution's forward and input-gradient GEMMs
-are cut into column halves. A ``LabelConv2d``'s one-hot comparison and a
-convolution's weight-gradient GEMM run whole. Each channel, and each GEMM
-column on one BLAS thread, is computed by the same arithmetic in either
-half, so two lanes give the bits of one. The caller allocates every
+ReLU, AvgPool, im2col and its adjoint, and a ``LabelConv2d``'s taps; a
+convolution's forward and input-gradient GEMMs are cut into column
+halves. A ``LabelConv2d``'s one-hot comparison and a convolution's
+weight-gradient GEMM run whole. Each channel, and each GEMM column on
+one BLAS thread, is computed by the same arithmetic in either half, so
+two lanes give the bits of one. The caller allocates every
 output and temporary of a split pass, and the kernel only writes them;
 with one lane the kernel runs whole, in one call, on the same outputs.
 The helper runs numpy functions and the kernels below, never a layer's
@@ -304,51 +319,61 @@ def _bn_backward(sum_, dy, xhat, scale, dx=None, buf=None, dgamma=None, dbeta=No
     return dx, buf, dgamma, dbeta
 
 
-def _pad(x, pad, xp):
-    """(C, H, W, N) input ``x`` with ``pad`` zeros around H and W: ``x``
-    itself if ``pad`` is 0, else ``xp``, written border included."""
-    if not pad:
-        return x
-    h, w = x.shape[1:3]
-    xp[:, :pad] = xp[:, pad + h:] = 0
-    xp[:, pad:pad + h, :pad] = xp[:, pad:pad + h, pad + w:] = 0
-    xp[:, pad:pad + h, pad:pad + w] = x
-    return xp
+def _span(offset, pad, stride, n_out, n_in):
+    """(output slice, input slice) along one axis at window ``offset``: the
+    outputs whose tap ``o * stride + offset - pad`` falls in ``[0, n_in)``,
+    and the input entries they read."""
+    lo = max(0, -((offset - pad) // stride))
+    hi = max(lo, min(n_out, (n_in - 1 - offset + pad) // stride + 1))
+    first = lo * stride + offset - pad
+    return slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)
 
 
-def _im2col(xp, k, stride, oh, ow, cols):
-    """Writes the k x k windows of padded input ``xp`` (C, H, W, N) to
-    ``cols`` (C, k, k, OH, OW, N), the im2col columns (C*k*k, OH*OW*N) with
-    row (c, i, j) and column (oh, ow, n)."""
+def _taps(k, stride, pad, out_hw, in_hw):
+    """For each k x k window offset (i, j), in row-major order: (i, j, out,
+    src), ``out`` the (rows, cols) slices of the (OH, OW) outputs whose tap
+    at that offset falls inside the unpadded (H, W) input, and ``src`` the
+    (rows, cols) slices of the input those taps read."""
     for i in range(k):
+        rows = _span(i, pad, stride, out_hw[0], in_hw[0])
         for j in range(k):
-            cols[:, i, j] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            cols = _span(j, pad, stride, out_hw[1], in_hw[1])
+            yield i, j, (rows[0], cols[0]), (rows[1], cols[1])
 
 
-def _windows(pad, k, stride, oh, ow, x, xp, cols):
-    """Kernel of ``Conv2d._columns``: writes the padded input and the
-    im2col columns."""
-    _im2col(_pad(x, pad, xp), k, stride, oh, ow, cols)
+def _border(tap, rows, cols, value):
+    """Sets the entries of ``tap`` (C, OH, OW, ...) outside the slices
+    ``rows`` and ``cols``, the taps on the padding, to ``value``."""
+    tap[:, :rows.start] = tap[:, rows.stop:] = value
+    tap[:, rows, :cols.start] = tap[:, rows, cols.stop:] = value
+
+
+def _windows(pad, k, stride, x, cols):
+    """Kernel of ``Conv2d._columns``: writes the k x k windows of input
+    ``x`` (C, H, W, N), zero-padded by ``pad``, to ``cols`` (C, k, k, OH,
+    OW, N), the im2col columns (C*k*k, OH*OW*N) with row (c, i, j) and
+    column (oh, ow, n)."""
+    for i, j, (ro, co), (ri, ci) in _taps(k, stride, pad, cols.shape[3:5], x.shape[1:3]):
+        _border(cols[:, i, j], ro, co, 0)
+        cols[:, i, j, ro, co] = x[:, ri, ci]
 
 
 def _col2im(dcols, x_shape, k, stride, pad):
-    """Adjoint of ``_im2col``: scatter-add (C, k, k, OH, OW, N) window
-    gradients back onto an input of shape ``x_shape`` (C, H, W, N), on the
-    lanes."""
-    c, h, w, n = x_shape
-    padded = (c, h + 2 * pad, w + 2 * pad, n)
-    dxp, = lanes.split(_scatter, (dcols,), (stride,), lambda: (np.empty(padded, dcols.dtype),))
-    return dxp[:, pad:pad + h, pad:pad + w]
+    """Adjoint of ``_windows``: scatter-add (C, k, k, OH, OW, N) window
+    gradients back onto a contiguous input gradient of shape ``x_shape``
+    (C, H, W, N), on the lanes."""
+    dx, = lanes.split(_scatter, (dcols,), (stride, pad),
+                      lambda: (np.empty(x_shape, dcols.dtype),))
+    return dx
 
 
-def _scatter(stride, dcols, dxp):
-    """Kernel of ``_col2im``: writes the padded input gradient, summed from
-    +0 in row-major window order."""
+def _scatter(stride, pad, dcols, dx):
+    """Kernel of ``_col2im``: writes the input gradient, summed from +0 in
+    row-major window order; taps on the padding are dropped."""
     k, _, oh, ow = dcols.shape[1:5]
-    dxp.fill(0)
-    for i in range(k):
-        for j in range(k):
-            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
+    dx.fill(0)
+    for i, j, (ro, co), (ri, ci) in _taps(k, stride, pad, (oh, ow), dx.shape[1:3]):
+        dx[:, ri, ci] += dcols[:, i, j, ro, co]
 
 
 class Conv2d:
@@ -381,12 +406,9 @@ class Conv2d:
         and the output shape (S*C_out, OH, OW, N)."""
         c, h, w, n = x.shape
         oh, ow = self.out_hw(h, w)
-        k, pad = self.k, self.pad
-
-        def outs():
-            return (np.empty((c, h + 2 * pad, w + 2 * pad, n), x.dtype) if pad else None,
-                    np.empty((c, k, k, oh, ow, n), x.dtype))
-        _, cols = lanes.split(_windows, (x,), (pad, k, self.stride, oh, ow), outs)
+        k = self.k
+        cols, = lanes.split(_windows, (x,), (self.pad, k, self.stride),
+                            lambda: (np.empty((c, k, k, oh, ow, n), x.dtype),))
         return cols.reshape(c * k * k, -1), (c // self.c_in * self.c_out, oh, ow, n)
 
     def _weights(self, p):
@@ -402,9 +424,14 @@ class Conv2d:
 
     def backward(self, dy, cache, p):
         cols, x_shape = cache
+        del cache  # the caller keeps no reference: ``del cols`` frees the columns
         W = self._weights(p)
         dy3 = dy.reshape(len(W), self.c_out, -1)
-        grads = {"W": np.matmul(dy3, cols.transpose(0, 2, 1)).reshape(p["W"].shape),
+        # (cols @ dy3^T)^T: the same products and sums as dy3 @ cols^T, in
+        # the orientation OpenBLAS runs faster
+        dW = np.matmul(cols, dy3.transpose(0, 2, 1)).transpose(0, 2, 1)
+        del cols  # freed before dcols is allocated
+        grads = {"W": dW.reshape(p["W"].shape),
                  "b": np.add.reduce(dy3, axis=2).reshape(p["b"].shape)}
         if not self.input_grad:
             return None, grads
@@ -424,10 +451,10 @@ class LabelConv2d(Conv2d):
     It holds the label ``ids`` (n_ids,) it one-hots, each below
     ``PAD_LABEL``, and reads uint8 maps (N, n_cams, H, W) as they are: input
     channel ``a * n_cams + m`` is ``maps[:, m] == ids[a]``, so ``c_in`` is
-    ``n_ids * n_cams``. The columns come straight from the maps: pad them
-    with ``PAD_LABEL``, gather the k x k strided taps, compare them with
-    ``ids`` and cast to the parameter dtype. The input is data, so there is
-    no input gradient.
+    ``n_ids * n_cams``. The columns come straight from the maps: gather the
+    k x k strided taps, ``PAD_LABEL`` off the maps' edges, compare them
+    with ``ids`` and cast to the parameter dtype. The input is data, so
+    there is no input gradient.
 
     For a stack of S models, ``ids`` is (S, n_ids), a row per model, and
     the maps are (N, S*n_cams, H, W): model s reads maps channels
@@ -443,12 +470,11 @@ class LabelConv2d(Conv2d):
     def _columns(self, maps, dtype):
         n, m, h, w = maps.shape
         oh, ow = self.out_hw(h, w)
-        k, pad = self.k, self.pad
+        k = self.k
         # camera-major, so that the lanes split on the first axis
         maps = maps.transpose(1, 0, 2, 3)
-        _, taps = lanes.split(_label_taps, (maps,), (pad, k, self.stride, oh, ow),
-                              lambda: (np.empty((m, n, h + 2 * pad, w + 2 * pad), np.uint8),
-                                       np.empty((m, k, k, oh, ow, n), np.uint8)))
+        taps, = lanes.split(_label_taps, (maps,), (self.pad, k, self.stride),
+                            lambda: (np.empty((m, k, k, oh, ow, n), np.uint8),))
         models, n_ids = self.ids.shape
         taps = taps.reshape(models, 1, m // models, k, k, -1)
         cols = np.empty((models, n_ids) + taps.shape[2:], dtype)
@@ -456,17 +482,13 @@ class LabelConv2d(Conv2d):
         return cols.reshape(-1, oh * ow * n), (models * self.c_out, oh, ow, n)
 
 
-def _label_taps(pad, k, stride, oh, ow, maps, xp, taps):
-    """Kernel of ``LabelConv2d._columns``: writes camera-major maps (m, N,
-    H, W) padded with ``PAD_LABEL`` to ``xp``, and their k x k strided taps
-    to ``taps`` (m, k, k, OH, OW, N)."""
-    h, w = maps.shape[2:]
-    xp.fill(PAD_LABEL)
-    xp[:, :, pad:pad + h, pad:pad + w] = maps
-    for i in range(k):
-        for j in range(k):
-            taps[:, i, j] = xp[:, :, i:i + stride * oh:stride,
-                               j:j + stride * ow:stride].transpose(0, 2, 3, 1)
+def _label_taps(pad, k, stride, maps, taps):
+    """Kernel of ``LabelConv2d._columns``: writes the k x k strided taps of
+    camera-major maps (m, N, H, W), padded with ``PAD_LABEL``, to ``taps``
+    (m, k, k, OH, OW, N)."""
+    for i, j, (ro, co), (ri, ci) in _taps(k, stride, pad, taps.shape[3:5], maps.shape[2:]):
+        _border(taps[:, i, j], ro, co, PAD_LABEL)
+        taps[:, i, j, ro, co] = maps[:, :, ri, ci].transpose(0, 2, 3, 1)
 
 
 class AvgPool(Layer):
@@ -480,10 +502,8 @@ class AvgPool(Layer):
     def forward(self, x, p, s, training, rng):
         c, h, w, n = x.shape
         oh, ow = self.out_hw(h, w)
-        pad = self.pad
-        _, y = lanes.split(_pool, (x,), (pad, self.k, self.stride, oh, ow),
-                           lambda: (np.empty((c, h + 2 * pad, w + 2 * pad, n), x.dtype),
-                                    np.empty((c, oh, ow, n), x.dtype)))
+        y, = lanes.split(_pool, (x,), (self.pad, self.k, self.stride),
+                         lambda: (np.empty((c, oh, ow, n), x.dtype),))
         return y, x.shape
 
     def backward(self, dy, cache, p):
@@ -493,16 +513,15 @@ class AvgPool(Layer):
         return _col2im(share, cache, k, self.stride, self.pad), {}
 
 
-def _pool(pad, k, stride, oh, ow, x, xp, y):
-    """Kernel of ``AvgPool.forward``: writes the padded input and the
-    window means."""
-    xp = _pad(x, pad, xp)
+def _pool(pad, k, stride, x, y):
+    """Kernel of ``AvgPool.forward``: writes the window means of input
+    ``x`` to ``y``."""
     y.fill(0)
     # window sum in row-major window order from +0, as a mean over the
-    # window axes of the im2col columns would add them
-    for i in range(k):
-        for j in range(k):
-            y += xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    # window axes of the im2col columns would add them; a tap on the
+    # padding would add +0, which leaves a sum begun at +0 unchanged
+    for i, j, (ro, co), (ri, ci) in _taps(k, stride, pad, y.shape[1:3], x.shape[1:3]):
+        y[:, ro, co] += x[:, ri, ci]
     y /= k * k
 
 
@@ -542,7 +561,8 @@ class Flatten(Layer):
 class Composite:
     """A module built from named children, ``self.children`` (name ->
     module, in initialization order); child ``name`` owns ``params[name]``
-    and ``state[name]``."""
+    and ``state[name]``, and its cache sits under ``name`` in the dict that
+    is the composite's cache."""
 
     def init(self, rng, dtype):
         params, state = {}, {}
@@ -550,32 +570,39 @@ class Composite:
             params[name], state[name] = child.init(rng, dtype)
         return params, state
 
-    def run(self, name, x, params, state, training, rng):
-        """Forward of child ``name``; returns (output, cache)."""
-        return self.children[name].forward(x, params[name], state[name], training, rng)
+    def run(self, name, x, params, state, training, rng, caches):
+        """Forward of child ``name``: files its cache under ``caches[name]``
+        and returns its output."""
+        y, caches[name] = self.children[name].forward(x, params[name], state[name],
+                                                      training, rng)
+        return y
 
-    def grad(self, name, dy, cache, params, grads):
-        """Backward of child ``name``: files its gradients under ``grads[name]``
-        and returns the input gradient."""
-        dx, grads[name] = self.children[name].backward(dy, cache, params[name])
+    def grad(self, name, dy, caches, params, grads):
+        """Backward of child ``name`` on its cache, which it pops from
+        ``caches``, so the cache is freed once the child's backward returns:
+        files its gradients under ``grads[name]`` and returns the input
+        gradient."""
+        dx, grads[name] = self.children[name].backward(dy, caches.pop(name), params[name])
         return dx
 
 
 class Sequential(Composite):
+    """Children run in order; backward consumes their caches in reverse,
+    each freed as soon as its layer's backward returns."""
+
     def __init__(self, layers):
         self.children = {str(i): layer for i, layer in enumerate(layers)}
 
     def forward(self, x, params, state, training, rng):
-        caches = []
+        caches = {}
         for name in self.children:
-            x, c = self.run(name, x, params, state, training, rng)
-            caches.append(c)
+            x = self.run(name, x, params, state, training, rng, caches)
         return x, caches
 
     def backward(self, dy, caches, params):
         grads = {}
-        for name, cache in reversed(list(zip(self.children, caches))):
-            dy = self.grad(name, dy, cache, params, grads)
+        for name in reversed(self.children):
+            dy = self.grad(name, dy, caches, params, grads)
         return dy, grads
 
 
@@ -583,7 +610,8 @@ class ResidualBlock(Composite):
     """conv-bn-relu-conv-bn plus a shortcut, then relu.
 
     The shortcut is the identity when shapes match, else a strided 1x1
-    projection convolution (child "proj").
+    projection convolution (child "proj"). The cache also holds the masks
+    of the two ReLUs, under "relu1" and "out".
     """
 
     def __init__(self, c_in, c_out, stride=1):
@@ -596,33 +624,27 @@ class ResidualBlock(Composite):
         return self.children["conv1"].out_hw(h, w)
 
     def forward(self, x, params, state, training, rng):
+        caches = {}
+
         def run(name, inp):
-            return self.run(name, inp, params, state, training, rng)
+            return self.run(name, inp, params, state, training, rng, caches)
 
-        y1, c1 = run("conv1", x)
-        y2, c2 = run("bn1", y1)
-        relu1_mask = y2 > 0
-        y3 = np.maximum(y2, 0)
-        y4, c4 = run("conv2", y3)
-        y5, c5 = run("bn2", y4)
-        if "proj" in self.children:
-            sc, cp = run("proj", x)
-        else:
-            sc, cp = x, None
-        pre = y5 + sc
-        out_mask = pre > 0
-        return np.maximum(pre, 0), (c1, c2, relu1_mask, c4, c5, cp, out_mask)
+        y = run("bn1", run("conv1", x))
+        caches["relu1"] = y > 0
+        y = run("bn2", run("conv2", np.maximum(y, 0)))
+        y += run("proj", x) if "proj" in self.children else x
+        caches["out"] = y > 0
+        return np.maximum(y, 0, out=y), caches
 
-    def backward(self, dy, cache, params):
-        c1, c2, relu1_mask, c4, c5, cp, out_mask = cache
+    def backward(self, dy, caches, params):
         grads = {}
-        dpre = dy * out_mask
-        d5 = self.grad("bn2", dpre, c5, params, grads)
-        d3 = self.grad("conv2", d5, c4, params, grads) * relu1_mask
-        d2 = self.grad("bn1", d3, c2, params, grads)
-        dx = self.grad("conv1", d2, c1, params, grads)
+        dpre = dy * caches.pop("out")
+        d5 = self.grad("bn2", dpre, caches, params, grads)
+        d3 = self.grad("conv2", d5, caches, params, grads) * caches.pop("relu1")
+        d2 = self.grad("bn1", d3, caches, params, grads)
+        dx = self.grad("conv1", d2, caches, params, grads)
         if "proj" in self.children:
-            return dx + self.grad("proj", dpre, cp, params, grads), grads
+            return dx + self.grad("proj", dpre, caches, params, grads), grads
         return dx + dpre, grads
 
 

@@ -36,10 +36,10 @@ SELECT_EPOCHS = 5  # training epochs of each candidate set in the search
 # Selection worker processes: the most whose speed and memory were measured.
 # Each holds its own activations and Adam buffers, and keeps the heap its
 # training steps free. At 160x320 and batch 128 a worker, which trains one
-# model at a time there, peaked at 374-380 MiB RSS (262 samples, one epoch;
-# 335-347 MiB with glibc's default malloc thresholds), copy-on-write dataset
+# model at a time there, peaked at 245-249 MiB RSS (262 samples, one epoch;
+# 245 MiB with glibc's default malloc thresholds), copy-on-write dataset
 # pages included. A select-tiny worker (TINY_ARCH, 16x32, batch 32) training
-# stacks of 9 and 10 peaked at 57 MiB either way.
+# stacks of 9 and 10 peaked at 47 MiB.
 SELECT_WORKERS_MAX = 2
 # channel entries (samples x K x N_t) assembled and searched at once, which
 # bounds the chunk's complex temporaries to about 1 MiB each. At the

@@ -30,7 +30,8 @@ PREDICT_BATCH = 256  # samples per evaluation-mode forward pass of predict
 # map pixels (n_cams x H x W x batch) of the models a training stack holds
 # at once; their activations and im2col columns grow with it. The default
 # arch's 160x320 maps at batch 128 take 13.1 M, so it trains one model at a
-# time; a TINY_ARCH search at 16x32 and batch 32 takes 32 K per model.
+# time, and a one-epoch train of it peaks at 163 MiB traced (tracemalloc);
+# a TINY_ARCH search at 16x32 and batch 32 takes 32 K per model.
 _STACK_PIXELS = 1 << 20
 
 
@@ -211,25 +212,26 @@ class Predictor(Composite):
         (N, S*n_cams, H, W), and returns (N, S*M_bm) or (N, S). In training,
         ``rng`` holds one dropout generator per model.
         """
-        x, ca = self.run("aux", loc, params, state, training, rng)
-        cm = None
+        caches = {}
+        x = self.run("aux", loc, params, state, training, rng, caches)
         if "sem" in self.children:
-            m, cm = self.run("sem", maps, params, state, training, rng)
+            m = self.run("sem", maps, params, state, training, rng, caches)
             n = x.shape[0]
             x = np.concatenate([x.reshape(n, -1, self.aux_dim),
                                 m.reshape(n, -1, self.sem_dim)], axis=2).reshape(n, -1)
-        y, ch = self.run("head", x, params, state, training, rng)
-        return y, (ca, cm, ch)
+        return self.run("head", x, params, state, training, rng, caches), caches
 
-    def backward(self, dy, cache, params):
-        ca, cm, ch = cache
+    def backward(self, dy, caches, params):
+        """Gradient tree of the loss whose gradient wrt the output is
+        ``dy``; consumes ``caches``, a forward's cache, which is empty
+        afterwards."""
         grads = {}
-        dx = self.grad("head", dy, ch, params, grads)
+        dx = self.grad("head", dy, caches, params, grads)
         n = dx.shape[0]
         dx = dx.reshape(n, -1, self.aux_dim + self.sem_dim)
         if "sem" in self.children:
-            self.grad("sem", dx[:, :, self.aux_dim:].reshape(n, -1), cm, params, grads)
-        self.grad("aux", dx[:, :, :self.aux_dim].reshape(n, -1), ca, params, grads)
+            self.grad("sem", dx[:, :, self.aux_dim:].reshape(n, -1), caches, params, grads)
+        self.grad("aux", dx[:, :, :self.aux_dim].reshape(n, -1), caches, params, grads)
         return grads
 
 

@@ -1,6 +1,8 @@
 import copy
 import functools
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from oracles import named
 from streetbeam import blas, lanes, nn
 from streetbeam.nn import (Adam, AvgPool, BatchNorm, Conv2d, Dense, Dropout,
                            Flatten, LabelConv2d, ReLU, ResidualBlock, Sequential,
-                           _col2im, _pad, leaves)
+                           _col2im, leaves)
 from streetbeam.predictor import (TINY_ARCH, ArchConfig, Predictor, SampleSet,
                                   TrainConfig, _batch_loss_grad, concept_ids,
                                   mask_channels)
@@ -460,6 +462,78 @@ def test_label_conv_columns_match_mask_oracle(conv_spec, maps_shape, features, a
 
 
 # ---------------------------------------------------------------------------
+# the window kernels index the unpadded input: im2col, its adjoint, pooling
+# and the label taps against np.pad and the oracles above, bit for bit, with
+# every output entry written (poisoned outputs) on one lane and on two
+
+# ((C, H, W, N), kernel, stride, pad)
+WINDOW_CASES = [
+    ((4, 8, 16, 32), 3, 1, 1),
+    ((3, 7, 9, 2), 3, 1, 2),       # pad above k // 2: whole rows of padding taps
+    ((2, 5, 6, 1), 1, 1, 0),       # k = 1, no padding
+    ((5, 5, 10, 3), 1, 2, 0),      # the 1x1 projection
+    ((16, 20, 40, 128), 3, 2, 1),
+    ((3, 1, 1, 4), 3, 1, 1),       # inputs smaller than the kernel
+    ((3, 2, 3, 4), 3, 2, 1),
+    ((2, 1, 1, 3), 3, 2, 1),
+    ((2, 11, 18, 5), 3, 4, 1),     # stride above the kernel
+    ((2, 80, 160, 4), 3, 4, 1),
+    ((3, 7, 9, 5), 3, 2, 1),       # odd sizes
+    ((2, 5, 11, 3), 3, 2, 1),
+]
+
+
+def _window_input(shape, dtype):
+    x = _random(40, shape, dtype)
+    x[0, 0, 0] = x[-1, -1, -1] = -0.0  # signed zeros survive, on the border too
+    return x
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape,k,stride,pad", WINDOW_CASES)
+def test_windows_match_padded_im2col(shape, k, stride, pad, dtype, monkeypatch):
+    """im2col columns and their adjoint, a contiguous input gradient."""
+    x = _window_input(shape, dtype)
+    conv = Conv2d(shape[0], 2, k, stride, pad)
+    oh, ow = conv.out_hw(*shape[1:3])
+    cols_ref = _reference_im2col(_reference_pad(_nchw(x), pad), k, stride, oh, ow)
+    cols_ref = cols_ref.transpose(1, 2, 3, 4, 5, 0).reshape(-1, oh * ow * shape[3])
+    dcols = _random(41, (shape[0], k, k, oh, ow, shape[3]), dtype)
+    dx_ref = _reference_col2im(dcols.transpose(5, 0, 1, 2, 3, 4), _nchw(x).shape, k, stride, pad)
+    monkeypatch.setattr(lanes, "split", _poisoned(lanes.split))
+    for cols, dx in _on_lanes(monkeypatch, lambda: [conv._columns(x, dtype)[0],
+                                                    _col2im(dcols, shape, k, stride, pad)]):
+        assert_bitwise(cols, cols_ref)
+        assert dx.flags.c_contiguous
+        assert_bitwise(_nchw(dx), dx_ref)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape,k,stride,pad", [c for c in WINDOW_CASES if c[1] > 1])
+def test_avgpool_windows_match_padded_mean(shape, k, stride, pad, dtype, monkeypatch):
+    x = _window_input(shape, dtype)
+    pool = AvgPool(k, stride, pad)
+    y_ref = _reference_avgpool_forward(pool, _nchw(x))
+    monkeypatch.setattr(lanes, "split", _poisoned(lanes.split))
+    for y, in _on_lanes(monkeypatch, lambda: [pool.forward(x, {}, {}, True, None)[0]]):
+        assert_bitwise(_nchw(y), y_ref)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 4])
+@pytest.mark.parametrize("hw", [(1, 1), (2, 3), (5, 11), (16, 32)])
+def test_label_taps_match_padded_masks(hw, stride, monkeypatch):
+    """The taps of maps smaller than the kernel, or strided past it, read
+    ``PAD_LABEL`` where the masks' padding is 0."""
+    features = ("location", "vehicle", "building")
+    conv = LabelConv2d(concept_ids(features), 2, 4, 3, stride, 1)
+    maps = _label_maps(42, (3, 2) + hw)
+    cols_ref, _ = _reference_label_columns(conv, maps, features, np.float32)
+    monkeypatch.setattr(lanes, "split", _poisoned(lanes.split))
+    for cols, in _on_lanes(monkeypatch, lambda: [conv._columns(maps, np.float32)[0]]):
+        assert_bitwise(cols, cols_ref)
+
+
+# ---------------------------------------------------------------------------
 # the whole predictor against a network of the NCHW oracles on the same
 # parameters, fed the float mask batch: checkpoints keep their meaning
 
@@ -590,7 +664,7 @@ def test_predictor_matches_nchw_reference_network(task, arch, n, training, dtype
 
 # ---------------------------------------------------------------------------
 # per-call fast paths against the code they replaced, bit for bit: the
-# per-tensor Adam, np.pad and the ndarray.mean batch norm
+# per-tensor Adam and the ndarray.mean batch norm
 
 class _ReferenceAdam:
     """Adam with one moment pair per tensor, updating the tensors of the
@@ -616,11 +690,6 @@ class _ReferenceAdam:
             v *= self.beta2
             v += (1 - self.beta2) * g * g
             params[k] -= (self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)).astype(params[k].dtype)
-
-
-def _reference_pad_chwn(x, pad):
-    """(C, H, W, N) input with ``pad`` zeros around H and W, by np.pad."""
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
 
 
 class _ReferenceBatchNorm(BatchNorm):
@@ -715,17 +784,6 @@ def test_flat_adam_errors():
     assert opt.t == 0
     with pytest.raises(ValueError, match="dtype"):
         Adam({"w": np.ones(2, np.float32), "b": np.ones(2, np.float64)})
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("shape,pad", [((4, 8, 16, 32), 1), ((3, 7, 9, 2), 2),
-                                       ((2, 5, 6, 1), 0), ((16, 20, 40, 128), 1)])
-def test_pad_matches_np_pad(shape, pad, dtype):
-    x = _random(40, shape, dtype)
-    x[0, 0, 0] = -0.0  # signed zeros survive the copy
-    c, h, w, n = shape
-    xp = np.full((c, h + 2 * pad, w + 2 * pad, n), np.nan, dtype)  # the border is written
-    assert_bitwise(_pad(x, pad, xp), _reference_pad_chwn(x, pad))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -876,8 +934,8 @@ def assert_lanes_agree(monkeypatch, fn):
 
 
 def _sliced_grad(seed, shape, dtype):
-    """A gradient (C, H, W, N) laid out as ``_col2im`` returns one: the
-    interior of a padded array, not contiguous."""
+    """A gradient (C, H, W, N) that is not contiguous: the interior of a
+    larger array."""
     c, h, w, n = shape
     return _random(seed, (c, h + 2, w + 2, n), dtype)[:, 1:1 + h, 1:1 + w]
 
@@ -889,7 +947,7 @@ LANE_SHAPES = [(2, 7, 9, 5), (4, 8, 16, 32), (6, 5, 10, 3), (5, 3, 5, 8), (16, 2
 
 def _split_passes(shape, dtype):
     """Calls that return the outputs of BatchNorm in both modes, ReLU,
-    AvgPool, convolutions (padding, im2col, GEMMs) and the im2col adjoint,
+    AvgPool, convolutions (im2col, GEMMs) and the im2col adjoint,
     forward and backward on (C, H, W, N) input ``shape``, with a
     non-contiguous input gradient."""
     c = shape[0]
@@ -1053,6 +1111,72 @@ def test_conv_gemms_as_column_halves_match_whole_gemms(monkeypatch):
     # the default arch at batch 128: each first convolution's forward GEMM,
     # the beam network's second convolution's forward and input gradient
     assert split == 4
+
+
+def test_weight_gradient_orientations_are_bit_equal(monkeypatch):
+    """``Conv2d.backward`` computes the weight gradient as (cols @ dy^T)^T,
+    which OpenBLAS runs faster than dy @ cols^T; on one BLAS thread the two
+    give the same bits at every convolution of the networks above, in both
+    dtypes, alone and in a stack of three. A BLAS that rounds them
+    otherwise fails here."""
+    shapes, backward = set(), Conv2d.backward
+
+    def checked(self, dy, cache, p):
+        cols = cache[0]
+        dy3 = dy.reshape(len(cols), self.c_out, -1)
+        dx, grads = backward(self, dy, cache, p)
+        assert_bitwise(grads["W"], np.matmul(dy3, cols.transpose(0, 2, 1)).reshape(p["W"].shape))
+        shapes.add((cols.shape, dy3.shape, cols.dtype))
+        return dx, grads
+    monkeypatch.setattr(Conv2d, "backward", checked)
+    blas.one_thread()
+    for dtype in DTYPES:
+        for network in _lane_networks():
+            _run_network(*network, True, dtype)
+    assert len(shapes) == 2 * 22  # distinct (cols, dy) shapes a dtype
+
+
+def test_backward_frees_each_cache_once_its_layer_has_used_it():
+    """A forward's cache is consumed by its backward: the first
+    convolution's columns, and the BatchNorm ``xhat`` after it, are freed
+    as soon as their backwards return, before the location branch's
+    backward runs, and the network's cache is empty afterwards."""
+    net = Predictor("beam", ("location", "vehicle"), (2, 16, 32), 8, TINY_ARCH)
+    params, state = net.init(0)
+    maps = _label_maps(72, (8, 2, 16, 32))
+    out, cache = net.forward(params, state, _random(73, (8, 3), np.float32), maps, True,
+                             [stream(0, "dropout")])
+    sem = cache["sem"]
+    arrays = [sem["0"][0], sem["0"][0].base, sem["1"][0]]  # columns, their buffer, xhat
+    refs = [weakref.ref(a) for a in arrays]
+    del sem, arrays
+    seen = []
+    aux = net.children["aux"]
+
+    def aux_backward(*args):
+        seen.append([ref() is None for ref in refs])
+        return type(aux).backward(aux, *args)
+    aux.backward = aux_backward
+    _, dout = _batch_loss_grad(net, out, np.zeros((8, 1), np.int64))
+    net.backward(dout, cache, params)
+    assert seen == [[True, True, True]]
+    assert cache == {}
+
+
+def test_training_peak_memory():
+    """Traced peak of a short default-arch ``train`` at 80x160 and batch
+    128: two steps and a validation pass. 42.4 MiB here; 62.9 MiB while
+    every cache lived until the whole backward returned, and one step's
+    caches through the next step's forward."""
+    dataset = _synthetic_sampleset(n=200, hw=(80, 160), M_bm=16)
+    cfg = TrainConfig(batch_size=128, epochs=1, arch=ArchConfig())
+    tracemalloc.start()
+    try:
+        predictor.train(dataset, ("location", "vehicle"), "beam", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
 
 
 def test_a_lane_exception_is_raised_in_the_caller(monkeypatch):
